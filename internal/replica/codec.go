@@ -5,8 +5,8 @@
 // computations (Daggitt & Griffin, PAPERS.md) across processes. The
 // leader records every snapshot swap as either a full snapshot or the
 // delta touched-entry set; a follower that applies the records in order
-// reconstructs the leader's arena columns byte for byte, because both
-// sides lay pools out in the same canonical ascending-node order. That
+// reconstructs the leader's paged columns byte for byte, because both
+// sides lay page pools out in the same canonical ascending-node order. That
 // makes "follower == leader at every version" a testable invariant (the
 // serve differential storm test asserts exactly that) instead of a
 // hope.
@@ -97,18 +97,14 @@ type Full struct {
 	Columns []*rib.Column
 }
 
-// SlotChange is one changed route entry inside a ColumnDiff.
-type SlotChange struct {
-	Node    int
-	Routed  bool
-	W       int32
-	NextHop []int32
-}
+// SlotChange is one changed route entry inside a ColumnDiff — the
+// slot patch rib.PagedColumn.Patch applies.
+type SlotChange = rib.SlotPatch
 
 // ColumnDiff is one destination's touched-entry set: the slots whose
-// content changed across the swap, ascending by node. Applying it to
-// the previous column in canonical layout reproduces the leader's new
-// column byte for byte.
+// content changed across the swap, ascending by node. Patching the
+// pages that hold them, in canonical layout, reproduces the leader's
+// new column byte for byte.
 type ColumnDiff struct {
 	Dest      int
 	Converged bool
@@ -473,6 +469,11 @@ func (r *rbuf) column(nodes int) (*rib.Column, error) {
 		nh, err := r.u32()
 		if err != nil {
 			return nil, err
+		}
+		if nh == 0 && i != int(dest) {
+			// Forward indexes a routed node's primary next hop
+			// unconditionally; only the destination has none.
+			return nil, r.fail("column %d node %d is routed with no next hop", dest, i)
 		}
 		c.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: int32(off), NhLen: int32(nh)}
 		off += int64(nh)

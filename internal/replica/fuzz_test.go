@@ -12,7 +12,11 @@ import (
 // same frame, or error — never panic, and never allocate beyond what
 // the input length warrants (the count checks run before every
 // allocation; see TestReadRecordBoundsAllocation for the explicit
-// allocation probe).
+// allocation probe). Every accepted record is then applied — a delta on
+// top of a small bootstrapped state with its chaining header forced to
+// fit, so the body always reaches the patch path — and every column it
+// produced is walked: apply may refuse, but whatever it accepts must be
+// safe to Forward over.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(EncodeFull(testFull()))
 	f.Add(EncodeDelta(testDelta()))
@@ -29,6 +33,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	badVer := append([]byte(nil), base...)
 	badVer[4] = 0x7f
 	f.Add(badVer)
+	// CRC-valid deltas whose next hops only the apply path can refuse.
+	wild := testDelta()
+	wild.Diffs[0].Changes[0].NextHop = []int32{1, 4}
+	f.Add(EncodeDelta(wild))
+	wild.Diffs[0].Changes[0].NextHop = nil
+	f.Add(EncodeDelta(wild))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
@@ -60,6 +70,28 @@ func FuzzDecodeRecord(f *testing.F) {
 		if rec2.Kind != rec.Kind || rec2.Version() != rec.Version() {
 			t.Fatalf("stream decode disagrees: kind %d/%d version %d/%d",
 				rec.Kind, rec2.Kind, rec.Version(), rec2.Version())
+		}
+		var st *State
+		switch rec.Kind {
+		case KindFull:
+			st, err = ApplyFull(rec.Full)
+		case KindDelta:
+			base, berr := ApplyFull(testFull())
+			if berr != nil {
+				t.Fatal(berr)
+			}
+			d := rec.Delta
+			d.FromVersion, d.Version, d.Fingerprint = base.Version, base.Version+1, base.Fingerprint
+			d.NameBase = min(d.NameBase, len(base.Names))
+			st, err = ApplyDelta(base, d)
+		}
+		if err != nil || st == nil {
+			return
+		}
+		for _, c := range st.Cols {
+			for u := 0; u < c.N; u++ {
+				c.Forward(u) //nolint:errcheck // loops and holes are fine; panics are not
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"sync/atomic"
@@ -218,11 +219,15 @@ func TestPublisherDropsSlowSubscriber(t *testing.T) {
 		p.mu.Unlock()
 		return n == 1
 	})
+	// Each publish carries ~600 KB, so a few of them fill the loopback
+	// socket buffers whatever the kernel autotunes them to; 150-byte
+	// frames could all sit in the window and the drop never happen.
+	bulk := bytes.Repeat(deltaAt(2), 4096)
 	done := make(chan struct{})
 	go func() {
 		for v := uint64(2); v <= uint64(subBuffer)*8; v++ {
 			head.Store(v)
-			p.PublishRecord(v, deltaAt(v))
+			p.PublishRecord(v, bulk)
 		}
 		close(done)
 	}()

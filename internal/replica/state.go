@@ -10,8 +10,9 @@ import (
 
 // State is a follower's materialized view of the leader's snapshot at
 // one version. It is immutable once built: applying a record produces a
-// fresh State that shares every untouched column pointer with its
-// predecessor, mirroring the leader's own RCU snapshot discipline.
+// fresh State that shares every untouched column — and, inside a patched
+// column, every untouched page — with its predecessor, mirroring the
+// leader's own copy-on-write snapshot discipline.
 type State struct {
 	Version     uint64
 	Fingerprint uint64
@@ -21,8 +22,12 @@ type State struct {
 	Names       []string
 	Kept        []Announcement
 	Suppressed  []Announcement
-	// Cols maps destination → column, sharing pointers across versions.
-	Cols map[int]*rib.Column
+	// Cols maps destination → column in the leader's paged form, sharing
+	// columns and pages across versions. Columns hold routing content
+	// only: the leader's Clean certificate licenses its delta solver, is
+	// not on the wire or in the checksum, and has no reader here, so it
+	// stays false.
+	Cols map[int]*rib.PagedColumn
 }
 
 // ApplyFull materializes a full snapshot record into a State.
@@ -36,7 +41,7 @@ func ApplyFull(f *Full) (*State, error) {
 		Names:       append([]string(nil), f.Names...),
 		Kept:        append([]Announcement(nil), f.Kept...),
 		Suppressed:  append([]Announcement(nil), f.Suppressed...),
-		Cols:        make(map[int]*rib.Column, len(f.Columns)),
+		Cols:        make(map[int]*rib.PagedColumn, len(f.Columns)),
 	}
 	for _, c := range f.Columns {
 		if len(c.Slots) != f.Nodes {
@@ -45,8 +50,7 @@ func ApplyFull(f *Full) (*State, error) {
 		if _, dup := st.Cols[c.Dest]; dup {
 			return nil, fmt.Errorf("replica: duplicate column for destination %d", c.Dest)
 		}
-		c.Normalize()
-		st.Cols[c.Dest] = c
+		st.Cols[c.Dest] = c.Paged()
 	}
 	return st, nil
 }
@@ -81,7 +85,7 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 		Names:       cur.Names,
 		Kept:        cur.Kept,
 		Suppressed:  cur.Suppressed,
-		Cols:        make(map[int]*rib.Column, len(cur.Cols)),
+		Cols:        make(map[int]*rib.PagedColumn, len(cur.Cols)),
 	}
 	// The names table is append-only on the leader; the delta tail may
 	// overlap what a full bootstrap already carried, so only append the
@@ -105,58 +109,26 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 		if _, known := cur.Cols[c.Dest]; !known {
 			return nil, fmt.Errorf("replica: scratch column for unknown destination %d", c.Dest)
 		}
-		c.Normalize()
-		st.Cols[c.Dest] = c
+		st.Cols[c.Dest] = c.Paged()
 	}
+	// Each diff clones only the pages holding a changed slot; the page
+	// re-lay is canonical, so the patched column flattens to the leader's
+	// bytes (DESIGN.md §6). A malformed diff — unknown destination, node
+	// or next hop out of range, a routed node left without a next hop —
+	// errors here, before any reader can walk it.
 	for i := range d.Diffs {
-		nc, err := applyDiff(cur.Cols[d.Diffs[i].Dest], &d.Diffs[i], st.Nodes)
-		if err != nil {
-			return nil, err
+		diff := &d.Diffs[i]
+		prev := cur.Cols[diff.Dest]
+		if prev == nil {
+			return nil, fmt.Errorf("replica: diff for unknown destination %d", diff.Dest)
 		}
-		st.Cols[nc.Dest] = nc
+		nc, err := prev.Patch(diff.Converged, diff.Changes)
+		if err != nil {
+			return nil, fmt.Errorf("replica: diff for destination %d: %w", diff.Dest, err)
+		}
+		st.Cols[diff.Dest] = nc
 	}
 	return st, nil
-}
-
-// applyDiff merges one destination's touched-entry set into its
-// previous column, rebuilding the pool in canonical ascending-node
-// order so the result is byte-identical to the leader's column.
-func applyDiff(prev *rib.Column, diff *ColumnDiff, nodes int) (*rib.Column, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("replica: diff for unknown destination %d", diff.Dest)
-	}
-	if len(prev.Slots) != nodes {
-		return nil, fmt.Errorf("replica: diff base column %d has %d slots, state has %d nodes", diff.Dest, len(prev.Slots), nodes)
-	}
-	c := &rib.Column{Dest: diff.Dest, Converged: diff.Converged, Slots: make([]rib.EntrySlot, nodes)}
-	c.Pool = make([]int32, 0, len(prev.Pool))
-	next := 0
-	for u := 0; u < nodes; u++ {
-		if next < len(diff.Changes) && diff.Changes[next].Node == u {
-			ch := &diff.Changes[next]
-			next++
-			if !ch.Routed {
-				continue
-			}
-			if u == diff.Dest && len(ch.NextHop) != 0 {
-				return nil, fmt.Errorf("replica: diff gives destination %d a next-hop set", diff.Dest)
-			}
-			c.Slots[u] = rib.EntrySlot{W: ch.W, Routed: true, NhOff: int32(len(c.Pool)), NhLen: int32(len(ch.NextHop))}
-			c.Pool = append(c.Pool, ch.NextHop...)
-			continue
-		}
-		s := prev.Slots[u]
-		if !s.Routed {
-			continue
-		}
-		c.Slots[u] = rib.EntrySlot{W: s.W, Routed: true, NhOff: int32(len(c.Pool)), NhLen: s.NhLen}
-		c.Pool = append(c.Pool, prev.Pool[s.NhOff:s.NhOff+s.NhLen]...)
-	}
-	if next != len(diff.Changes) {
-		return nil, fmt.Errorf("replica: diff for destination %d has change node %d out of range [0,%d)", diff.Dest, diff.Changes[next].Node, nodes)
-	}
-	c.Normalize()
-	return c, nil
 }
 
 // WeightName renders weight index w from the state's name table, or
@@ -169,10 +141,11 @@ func (s *State) WeightName(w int32) string {
 }
 
 // Checksum digests the routing content of a snapshot — every column in
-// ascending destination order plus the disabled mask — with CRC32. The
-// leader and a caught-up follower at the same version must agree; the
-// CI smoke compares exactly this value across the two processes.
-func Checksum(disabled []bool, cols map[int]*rib.Column) uint32 {
+// ascending destination order, in its flat wire layout, plus the
+// disabled mask — with CRC32. The leader and a caught-up follower at the
+// same version must agree, whichever column layout each holds; the CI
+// smoke compares exactly this value across the two processes.
+func Checksum[C rib.Col](disabled []bool, cols map[int]C) uint32 {
 	dests := make([]int, 0, len(cols))
 	for d := range cols {
 		dests = append(dests, d)
@@ -180,10 +153,13 @@ func Checksum(disabled []bool, cols map[int]*rib.Column) uint32 {
 	sort.Ints(dests)
 	var w wbuf
 	w.bits(disabled)
+	crc := crc32.ChecksumIEEE(w.b)
 	for _, d := range dests {
-		w.column(cols[d])
+		w.b = w.b[:0]
+		w.column(cols[d].Flatten())
+		crc = crc32.Update(crc, crc32.IEEETable, w.b)
 	}
-	return crc32.ChecksumIEEE(w.b)
+	return crc
 }
 
 // Checksum digests the state's routing content; see the package-level

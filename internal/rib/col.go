@@ -49,3 +49,39 @@ type Col interface {
 	// replication wire codec and checksums consume.
 	Flatten() *Column
 }
+
+// forwardScanHops is the path length up to which Forward detects loops
+// by scanning the path built so far; longer walks switch to a bitmap.
+// Forwarding paths are a handful of hops, so the common walk allocates
+// only its path — not N bytes per call, which at 100k nodes was 100 KB
+// per GET /v1/route and O(N²) bytes per /v1/paths.
+const forwardScanHops = 32
+
+// visited is Forward's loop detector, shared by both column layouts.
+type visited struct{ bitmap []bool }
+
+// revisits reports whether u is already on path, the walk so far, which
+// the caller extends by u afterwards. Short paths are scanned; once path
+// outgrows forwardScanHops an n-slot bitmap is built from it and takes
+// over.
+func (v *visited) revisits(path graph.Path, u, n int) bool {
+	if v.bitmap == nil {
+		if len(path) < forwardScanHops {
+			for _, x := range path {
+				if x == u {
+					return true
+				}
+			}
+			return false
+		}
+		v.bitmap = make([]bool, n)
+		for _, x := range path {
+			v.bitmap[x] = true
+		}
+	}
+	if v.bitmap[u] {
+		return true
+	}
+	v.bitmap[u] = true
+	return false
+}

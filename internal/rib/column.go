@@ -90,66 +90,6 @@ func (c *Column) IsConverged() bool { return c.Converged }
 func (c *Column) IsClean() bool     { return c.Clean }
 func (c *Column) Flatten() *Column  { return c }
 
-// Normalize recomputes the metadata a column's routing content fully
-// determines — the cached live count and the Clean certificate — from
-// the slots alone. Replication followers call it on every decoded or
-// patched column: the leader's values are pure functions of the same
-// content (the delta solver's touched-restricted verification accepts
-// exactly the columns whose full forwarding tree is clean), so a
-// normalized follower column matches the leader's bit for bit,
-// metadata included.
-func (c *Column) Normalize() {
-	c.live = 0
-	for i := range c.Slots {
-		if c.Slots[i].Routed {
-			c.live++
-		}
-	}
-	c.liveOK = true
-	c.Clean = c.Converged && c.treeClean()
-}
-
-// treeClean walks every routed slot's primary next-hop chain with
-// memoized verification, failing on cycles, chains stepping to
-// unrouted nodes, and routed non-destination slots with no next hop.
-func (c *Column) treeClean() bool {
-	n := len(c.Slots)
-	if c.Dest < 0 || c.Dest >= n || !c.Slots[c.Dest].Routed {
-		return false
-	}
-	// 0 unvisited, 1 on the current chain, 2 verified.
-	state := make([]uint8, n)
-	state[c.Dest] = 2
-	var chain []int32
-	for u := 0; u < n; u++ {
-		if state[u] != 0 || !c.Slots[u].Routed {
-			continue
-		}
-		chain = chain[:0]
-		v := u
-		for state[v] == 0 {
-			s := &c.Slots[v]
-			if !s.Routed || s.NhLen == 0 {
-				return false
-			}
-			state[v] = 1
-			chain = append(chain, int32(v))
-			nh := c.Pool[s.NhOff]
-			if nh < 0 || int(nh) >= n {
-				return false
-			}
-			v = int(nh)
-		}
-		if state[v] == 1 {
-			return false // cycle
-		}
-		for _, x := range chain {
-			state[x] = 2
-		}
-	}
-	return true
-}
-
 // Route returns node u's selected weight index (ok=false when unrouted
 // or out of range) — the index-form point read the batch resolver uses.
 func (c *Column) Route(u int) (int32, bool) {
@@ -191,18 +131,15 @@ func (c *Column) Forward(from int) (graph.Path, error) {
 		return nil, fmt.Errorf("rib: node %d out of range [0,%d)", from, len(c.Slots))
 	}
 	var p graph.Path
-	// Flat visited bitmap: this sits on the /v1/paths hot path, where a
-	// per-call map allocation plus per-hop map ops dominated small walks.
-	seen := make([]bool, len(c.Slots))
+	var seen visited
 	u := from
 	for {
 		if !c.Slots[u].Routed {
 			return nil, fmt.Errorf("rib: node %d has no route to %d", u, c.Dest)
 		}
-		if seen[u] {
+		if seen.revisits(p, u, len(c.Slots)) {
 			return nil, fmt.Errorf("rib: forwarding loop at node %d toward %d", u, c.Dest)
 		}
-		seen[u] = true
 		p = append(p, u)
 		if u == c.Dest {
 			return p, nil

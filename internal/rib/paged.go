@@ -61,8 +61,8 @@ func (p *ColumnPage) bytes() int {
 
 // PagedColumn is one destination's route column in paged
 // copy-on-write form. It implements Col; readers address slots through
-// the page table, writers exist only inside BuildDestPaged and
-// DeltaDestPaged.
+// the page table, writers exist only inside the builders — the leader's
+// BuildDestPaged and DeltaDestPaged, a replica's Column.Paged and Patch.
 type PagedColumn struct {
 	// Dest is the destination node anchoring the column; N the node
 	// count (len(Pages) == ceil(N/PageSize)).
@@ -152,7 +152,7 @@ func (c *PagedColumn) Forward(from int) (graph.Path, error) {
 		return nil, fmt.Errorf("rib: node %d out of range [0,%d)", from, c.N)
 	}
 	var path graph.Path
-	seen := make([]bool, c.N)
+	var seen visited
 	u := from
 	for {
 		p := c.Pages[u>>PageShift]
@@ -160,10 +160,9 @@ func (c *PagedColumn) Forward(from int) (graph.Path, error) {
 		if !s.Routed {
 			return nil, fmt.Errorf("rib: node %d has no route to %d", u, c.Dest)
 		}
-		if seen[u] {
+		if seen.revisits(path, u, c.N) {
 			return nil, fmt.Errorf("rib: forwarding loop at node %d toward %d", u, c.Dest)
 		}
-		seen[u] = true
 		path = append(path, u)
 		if u == c.Dest {
 			return path, nil
@@ -222,10 +221,7 @@ func (c *PagedColumn) Flatten() *Column {
 	}
 	for pi, p := range c.Pages {
 		base := pi << PageShift
-		lim := PageSize
-		if base+lim > c.N {
-			lim = c.N - base
-		}
+		lim := pageLimit(pi, c.N)
 		off := int32(len(f.Pool))
 		for i := 0; i < lim; i++ {
 			s := p.Slots[i]
@@ -241,6 +237,152 @@ func (c *PagedColumn) Flatten() *Column {
 	return f
 }
 
+// Paged re-lays a flat column into paged copy-on-write form — the
+// inverse of Flatten: c.Paged().Flatten() is bit-identical to a
+// canonical c, and p.Flatten().Paged() reproduces p page for page.
+// Each page pool is allocated at its exact length: a replica holds
+// every column in this form for its whole life, so builder slack would
+// be resident memory.
+func (c *Column) Paged() *PagedColumn {
+	n := len(c.Slots)
+	pc := &PagedColumn{Dest: c.Dest, N: n, Converged: c.Converged, Clean: c.Clean, Pages: make([]*ColumnPage, numPages(n))}
+	for pi := range pc.Pages {
+		base := pi << PageShift
+		slots := c.Slots[base : base+pageLimit(pi, n)]
+		poolLen := 0
+		for i := range slots {
+			if slots[i].Routed {
+				poolLen += int(slots[i].NhLen)
+			}
+		}
+		np := &ColumnPage{Pool: make([]int32, 0, poolLen)}
+		for i := range slots {
+			if s := slots[i]; s.Routed {
+				np.put(i, s.W, c.Pool[s.NhOff:s.NhOff+s.NhLen])
+			}
+		}
+		pc.Pages[pi] = np
+	}
+	pc.resum()
+	return pc
+}
+
+// SlotPatch is one slot's replacement content in a Patch: the node, and
+// — when Routed — its weight index and ECMP next-hop set, primary first.
+type SlotPatch struct {
+	Node    int
+	Routed  bool
+	W       int32
+	NextHop []int32
+}
+
+// Patch returns the column with the given slots replaced (patches
+// strictly ascending by node) — the replication follower's counterpart
+// of DeltaDestPaged. Only pages containing a patched slot are rebuilt,
+// in the canonical slot-ascending/span-appended order with pools sized
+// exactly; every other page is aliased from c, and the cached totals are
+// adjusted per rebuilt page, so the cost is O(pages + patched pages), not
+// O(N). By the page-local layout argument at the top of this file the
+// result is page-for-page what a from-scratch build of the patched routes
+// would lay out.
+//
+// Patches arrive off the wire, so everything a reader later relies on is
+// checked here: nodes in range and ascending, next hops inside [0,N), no
+// next-hop set at the destination and a non-empty one at every other
+// routed node (Forward indexes the primary unconditionally). The result
+// carries no Clean certificate: that is a solver licence, and nothing
+// solves on patched columns.
+func (c *PagedColumn) Patch(converged bool, patches []SlotPatch) (*PagedColumn, error) {
+	last := -1
+	for i := range patches {
+		p := &patches[i]
+		if p.Node <= last || p.Node >= c.N {
+			return nil, fmt.Errorf("rib: patch node %d out of order or out of range [0,%d)", p.Node, c.N)
+		}
+		last = p.Node
+		if !p.Routed {
+			continue
+		}
+		if (p.Node == c.Dest) != (len(p.NextHop) == 0) {
+			return nil, fmt.Errorf("rib: patch gives node %d toward %d a next-hop set of %d", p.Node, c.Dest, len(p.NextHop))
+		}
+		for _, h := range p.NextHop {
+			if h < 0 || int(h) >= c.N {
+				return nil, fmt.Errorf("rib: patch next hop %d at node %d out of range [0,%d)", h, p.Node, c.N)
+			}
+		}
+	}
+	nc := &PagedColumn{Dest: c.Dest, N: c.N, Converged: converged,
+		Pages: append([]*ColumnPage(nil), c.Pages...), arenaBytes: c.arenaBytes, live: c.live}
+	for lo := 0; lo < len(patches); {
+		pi := patches[lo].Node >> PageShift
+		hi := lo + 1
+		for hi < len(patches) && patches[hi].Node>>PageShift == pi {
+			hi++
+		}
+		old := c.Pages[pi]
+		np := patchPage(old, pi, c.N, patches[lo:hi])
+		nc.Pages[pi] = np
+		nc.arenaBytes += np.bytes() - old.bytes()
+		nc.live += int(np.Live - old.Live)
+		lo = hi
+	}
+	return nc, nil
+}
+
+// patchPage rebuilds page pi of an n-node column with the given patches
+// (all inside the page, ascending) applied over prev.
+func patchPage(prev *ColumnPage, pi, n int, patches []SlotPatch) *ColumnPage {
+	poolLen := len(prev.Pool)
+	for i := range patches {
+		p := &patches[i]
+		poolLen -= int(prev.Slots[p.Node&PageMask].NhLen)
+		if p.Routed {
+			poolLen += len(p.NextHop)
+		}
+	}
+	np := &ColumnPage{Pool: make([]int32, 0, poolLen)}
+	base := pi << PageShift
+	for i, lim := 0, pageLimit(pi, n); i < lim; i++ {
+		if len(patches) > 0 && patches[0].Node == base+i {
+			if p := &patches[0]; p.Routed {
+				np.put(i, p.W, p.NextHop)
+			}
+			patches = patches[1:]
+			continue
+		}
+		np.transplant(prev, i)
+	}
+	return np
+}
+
+// put writes slot i as routed with weight w and ECMP span nh, appending
+// the span to the page pool. Builders call it for ascending i only, which
+// is what keeps every page in the canonical layout.
+func (p *ColumnPage) put(i int, w int32, nh []int32) {
+	p.Slots[i] = EntrySlot{W: w, Routed: true, NhOff: int32(len(p.Pool)), NhLen: int32(len(nh))}
+	p.Pool = append(p.Pool, nh...)
+	p.Live++
+}
+
+// transplant copies slot i and its span from the same page of a
+// previous column — the copy-on-write path for slots a rebuild did not
+// touch, shared by the leader's delta refill and the follower's patch.
+func (p *ColumnPage) transplant(prev *ColumnPage, i int) {
+	if s := prev.Slots[i]; s.Routed {
+		p.put(i, s.W, prev.Pool[s.NhOff:s.NhOff+s.NhLen])
+	}
+}
+
+// pageLimit is the number of slots page pi holds in an n-node column
+// (PageSize except on a partial last page).
+func pageLimit(pi, n int) int {
+	if lim := n - pi<<PageShift; lim < PageSize {
+		return lim
+	}
+	return PageSize
+}
+
 // fillPage rebuilds one page of a paged column from index-form solver
 // state: slots ascending, each routed non-destination slot's ECMP span
 // appended through the shared appendNextHopSet scan. redo, when
@@ -251,10 +393,7 @@ func (c *PagedColumn) Flatten() *Column {
 func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, prev *ColumnPage, redo *solve.Workspace) *ColumnPage {
 	np := &ColumnPage{}
 	base := pi << PageShift
-	lim := PageSize
-	if base+lim > g.N {
-		lim = g.N - base
-	}
+	lim := pageLimit(pi, g.N)
 	if prev != nil {
 		np.Pool = make([]int32, 0, len(prev.Pool)+4)
 	} else {
@@ -263,14 +402,7 @@ func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, pre
 	for i := 0; i < lim; i++ {
 		u := base + i
 		if redo != nil && !redo.Marked(u) {
-			s := prev.Slots[i]
-			if !s.Routed {
-				continue
-			}
-			ns := EntrySlot{W: s.W, Routed: true, NhOff: int32(len(np.Pool)), NhLen: s.NhLen}
-			np.Pool = append(np.Pool, prev.Pool[s.NhOff:s.NhOff+s.NhLen]...)
-			np.Slots[i] = ns
-			np.Live++
+			np.transplant(prev, i)
 			continue
 		}
 		if !raw.Routed[u] {

@@ -88,8 +88,8 @@ func (b leaderBatch) batchWeightName(w int32) string  { return value.Format(b.sr
 func (v *followerView) batchVersion() uint64 { return v.state.Version }
 func (v *followerView) batchNodes() int      { return v.state.Nodes }
 func (v *followerView) batchColumn(dest int) rib.Col {
-	// Explicit nil return: wrapping a nil *rib.Column in the interface
-	// would defeat the caller's nil check.
+	// Explicit nil return: wrapping a nil *rib.PagedColumn in the
+	// interface would defeat the caller's nil check.
 	c := v.state.Cols[dest]
 	if c == nil {
 		return nil

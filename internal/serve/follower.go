@@ -95,7 +95,10 @@ func (f *Follower) Apply(rec *replica.Record) error {
 			f.applyErrors.Add(1)
 			return err
 		}
-		f.install(st)
+		// Announcements travel only in full records, so only a full
+		// restores the prefix trie; deltas carry it over below.
+		pt := rib.RestorePrefixTable(toOrigins(st.Kept), toOrigins(st.Suppressed))
+		f.cur.Store(&followerView{state: st, pt: pt})
 		f.appliedFull.Add(1)
 	case replica.KindDelta:
 		if cur == nil {
@@ -111,7 +114,7 @@ func (f *Follower) Apply(rec *replica.Record) error {
 			f.staleSkipped.Add(1)
 			return nil
 		}
-		f.install(st)
+		f.cur.Store(&followerView{state: st, pt: cur.pt})
 		f.appliedDelta.Add(1)
 	default:
 		f.applyErrors.Add(1)
@@ -119,13 +122,6 @@ func (f *Follower) Apply(rec *replica.Record) error {
 	}
 	f.recordBytes.Observe(int64(rec.WireBytes))
 	return nil
-}
-
-// install swaps st in as the served view. Callers hold f.mu.
-func (f *Follower) install(st *replica.State) {
-	kept := toOrigins(st.Kept)
-	suppressed := toOrigins(st.Suppressed)
-	f.cur.Store(&followerView{state: st, pt: rib.RestorePrefixTable(kept, suppressed)})
 }
 
 func toOrigins(as []replica.Announcement) []rib.PrefixOrigin {

@@ -127,17 +127,18 @@ func NewFollowerHandler(f *Follower, reg *telemetry.Registry) *http.ServeMux {
 			}
 		}
 		reply.Dest = dest
-		if c := st.Cols[dest]; c != nil && c.Slots[from].Routed {
-			slot := c.Slots[from]
-			reply.Routed = true
-			reply.Weight = st.WeightName(slot.W)
-			for _, nh := range c.NextHops(from) {
-				reply.ECMP = append(reply.ECMP, int(nh))
-			}
-			if path, err := c.Forward(from); err == nil {
-				reply.Path = path
-			} else {
-				reply.Err = err.Error()
+		if c := st.Cols[dest]; c != nil {
+			if w, routed := c.Route(from); routed {
+				reply.Routed = true
+				reply.Weight = st.WeightName(w)
+				for _, nh := range c.NextHops(from) {
+					reply.ECMP = append(reply.ECMP, int(nh))
+				}
+				if path, err := c.Forward(from); err == nil {
+					reply.Path = path
+				} else {
+					reply.Err = err.Error()
+				}
 			}
 		}
 		writeJSON(w, http.StatusOK, reply)

@@ -3,11 +3,13 @@ package serve_test
 // Differential replication test: a leader under a randomized toggle
 // storm publishes replica records through a capture sink; a follower
 // applies the stream and must reproduce the leader's routing state
-// byte-identically at every version — column arenas (slots, pools,
-// offsets), disabled mask, unconverged set, weight-name resolution and
-// the restored prefix table. Run on both execution backends; CI runs
-// the package under -race, which also exercises the follower's
-// atomic-swap publication against concurrent readers.
+// byte-identically at every version — column arenas (the follower's
+// copy-on-write pages flattened: slots, pools, offsets, convergence,
+// plus the cached live/byte totals), disabled mask, unconverged set,
+// weight-name resolution and the restored prefix table. Run on both
+// execution backends; CI runs the package under -race, which also
+// exercises the follower's atomic-swap publication against concurrent
+// readers.
 
 import (
 	"context"
@@ -51,6 +53,7 @@ func (c *captureSink) take() [][]byte {
 // right after each swap.
 type leaderState struct {
 	cols        map[int]*rib.Column
+	live, bytes map[int]int      // the paged leader column's cached totals
 	weights     map[int][]string // weights[d][u]: formatted weight, "" unrouted
 	disabled    []bool
 	unconverged []int
@@ -61,8 +64,10 @@ func captureLeader(srv *serve.Server) leaderState {
 	sn := srv.Snapshot()
 	cols := make(map[int]*rib.Column, len(srv.Dests()))
 	weights := make(map[int][]string, len(srv.Dests()))
+	live, bytes := make(map[int]int, len(srv.Dests())), make(map[int]int, len(srv.Dests()))
 	for _, d := range srv.Dests() {
 		cols[d] = sn.Column(d).Flatten()
+		live[d], bytes[d] = sn.Column(d).Live(), sn.Column(d).Bytes()
 		ws := make([]string, sn.Graph.N)
 		for u := range ws {
 			if e := sn.Lookup(u, d); e != nil {
@@ -73,6 +78,8 @@ func captureLeader(srv *serve.Server) leaderState {
 	}
 	return leaderState{
 		cols:        cols,
+		live:        live,
+		bytes:       bytes,
 		weights:     weights,
 		disabled:    sn.Disabled,
 		unconverged: sn.Unconverged,
@@ -148,6 +155,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			}
 			fullRecords := 0
 			fol := serve.NewFollower(nil)
+			var trie *rib.PrefixTable
 			for i, frame := range frames {
 				rec, err := replica.DecodeRecord(frame)
 				if err != nil {
@@ -159,6 +167,13 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 				if err := fol.Apply(rec); err != nil {
 					t.Fatalf("frame %d (v%d): apply: %v", i, rec.Version(), err)
 				}
+				// Announcements travel only in full records: a delta must
+				// carry the trie over, a full must restore it.
+				pt := fol.PrefixTableForTest()
+				if (pt == trie) != (rec.Kind == replica.KindDelta) {
+					t.Fatalf("frame %d: kind %d, prefix trie carried over = %v", i, rec.Kind, pt == trie)
+				}
+				trie = pt
 				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv, fol, truth[fol.Version()])
 			}
 			if fol.Version() != srv.Snapshot().Version {
@@ -191,12 +206,22 @@ func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.F
 		t.Fatalf("%s: %d columns, want %d", label, len(st.Cols), len(want.cols))
 	}
 	for d, wc := range want.cols {
-		gc := st.Cols[d]
-		if gc == nil {
+		pc := st.Cols[d]
+		if pc == nil {
 			t.Fatalf("%s: missing column for dest %d", label, d)
 		}
+		// Routing content only: the Clean certificate is the leader
+		// solver's licence and is not replicated.
+		gc := pc.Flatten()
+		gc.Clean = wc.Clean
 		if !reflect.DeepEqual(gc, wc) {
 			t.Fatalf("%s: column %d differs\n got %+v\nwant %+v", label, d, gc, wc)
+		}
+		// The incrementally adjusted totals must match the leader's own
+		// paged column (same pages, same pools).
+		if pc.Live() != want.live[d] || pc.Bytes() != want.bytes[d] {
+			t.Fatalf("%s: column %d totals live %d bytes %d, leader %d/%d", label, d,
+				pc.Live(), pc.Bytes(), want.live[d], want.bytes[d])
 		}
 		// Weight names must resolve identically to the leader's engine
 		// formatting at every routed slot.

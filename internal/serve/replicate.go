@@ -7,13 +7,13 @@ package serve
 // package's publisher, or anything else that wants the stream).
 //
 // The delta records lean on the same canonical-layout invariant the
-// arena columns already maintain: BuildDestColumn and DeltaDestColumn
-// fill slots in ascending node order and append each slot's ECMP span
-// contiguously, so a column's bytes are a pure function of its
-// per-node route content. A follower that patches only the changed
-// slots and re-lays the pool in the same ascending order therefore
-// reproduces the leader's column byte for byte — which is what the
-// differential storm test asserts at every version.
+// arena columns already maintain: every column builder fills slots in
+// ascending node order and appends each slot's ECMP span contiguously
+// (per page, in the paged layout), so a column's bytes are a pure
+// function of its per-node route content. A follower that patches only
+// the changed slots and re-lays the pages holding them in the same
+// order therefore reproduces the leader's column byte for byte — which
+// is what the differential storm test asserts at every version.
 //
 // Weights cross the wire as formatted strings, not engine indices
 // alone: dynamic-backend intern tables assign indices in arrival
@@ -92,13 +92,7 @@ func (s *Server) Fingerprint() uint64 { return s.fingerprint }
 // this.
 func (s *Server) Checksum() uint32 {
 	sn := s.snap.Load()
-	cols := make(map[int]*rib.Column, len(sn.cols))
-	for d, c := range sn.cols {
-		// Flatten is the identity on flat columns and the canonical
-		// re-lay on paged ones, so both layouts digest identically.
-		cols[d] = c.Flatten()
-	}
-	return replica.Checksum(sn.Disabled, cols)
+	return replica.Checksum(sn.Disabled, sn.cols)
 }
 
 // EncodeFull encodes the current snapshot as a framed full record —

@@ -154,6 +154,9 @@ type Workspace struct {
 	routed, prevR []bool
 	w, prevW      []int32
 	nextHop       []int
+	// stale and staleNext are the synchronous iteration's re-evaluation
+	// sets for the current and the next round (see bellmanFord).
+	stale, staleNext []bool
 
 	// Worklist-solver scratch (see delta.go): FIFO of dirty nodes with a
 	// membership bitmap, the set of nodes ever enqueued during a drain,
@@ -206,9 +209,19 @@ func (ws *Workspace) reset(n, dest int, origin int32) {
 	ws.w = ws.w[:n]
 	ws.prevW = ws.prevW[:n]
 	ws.nextHop = ws.nextHop[:n]
+	if cap(ws.stale) < n {
+		// Sized on their own: the delta drains grow the route buffers
+		// without ever sweeping.
+		ws.stale = make([]bool, n)
+		ws.staleNext = make([]bool, n)
+	}
+	ws.stale = ws.stale[:n]
+	ws.staleNext = ws.staleNext[:n]
 	for i := 0; i < n; i++ {
 		ws.routed[i] = false
 		ws.nextHop[i] = -1
+		ws.stale[i] = true
+		ws.staleNext[i] = false
 	}
 	ws.routed[dest] = true
 	ws.w[dest] = origin
@@ -300,6 +313,14 @@ func (ws *Workspace) BellmanFordRaw(eng exec.Algebra, g *graph.Graph, dest int, 
 	return ws.raw(dest, rounds, converged)
 }
 
+// bellmanFord is the synchronous (Jacobi) iteration: every round
+// re-selects each node's best route from its out-neighbours' routes of
+// the round before. A node's selection is a function of those routes
+// alone, so a round re-evaluates only the stale nodes — those with an
+// out-neighbour whose route changed in the previous round — and leaves
+// the others as they are: the state after every round, the round count
+// and the convergence verdict are exactly the full sweep's, at fewer
+// relaxations.
 func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, maxRounds int) (int, uint64, bool) {
 	if maxRounds <= 0 {
 		maxRounds = 2*g.N + 4
@@ -308,6 +329,13 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 	ws.reset(g.N, dest, o)
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
 	prevW, prevR := ws.prevW, ws.prevR
+	stale, staleNext := ws.stale, ws.staleNext
+	// rerouted marks u's in-neighbours stale for the next round.
+	rerouted := func(u int) {
+		for _, ai := range g.In(u) {
+			staleNext[g.Arcs[ai].From] = true
+		}
+	}
 	rounds := 0
 	var relaxations uint64
 	for round := 1; round <= maxRounds; round++ {
@@ -315,6 +343,10 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 		copy(prevR, routed)
 		changed := false
 		for u := 0; u < g.N; u++ {
+			if !stale[u] {
+				continue
+			}
+			stale[u] = false
 			if u == dest {
 				continue
 			}
@@ -336,10 +368,14 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 					routed[u] = false
 					nextHop[u] = -1
 					changed = true
+					rerouted(u)
 				}
 				continue
 			}
 			nh := g.Arcs[bestArc].To
+			if !routed[u] || w[u] != best {
+				rerouted(u)
+			}
 			if !routed[u] || w[u] != best || nextHop[u] != nh {
 				changed = true
 				routed[u] = true
@@ -351,6 +387,7 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 		if !changed {
 			return rounds, relaxations, true
 		}
+		stale, staleNext = staleNext, stale
 	}
 	return rounds, relaxations, false
 }

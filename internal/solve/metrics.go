@@ -15,7 +15,7 @@ type Metrics struct {
 	// Rounds counts relax passes summed over all runs.
 	Rounds telemetry.Counter
 	// Relaxations counts candidate-route evaluations (one per enabled
-	// out-arc of a routed neighbour, per pass).
+	// out-arc to a routed neighbour, per node a pass re-evaluates).
 	Relaxations telemetry.Counter
 	// ReuseHits counts solves served entirely from existing workspace
 	// buffers; Grows counts solves that had to (re)allocate them.

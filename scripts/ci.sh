@@ -107,10 +107,13 @@ grep -q speedup /tmp/bench_query_smoke.json
 grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 
 # Allocs/op guards: the arena column build must stay allocation-flat,
-# and both delta rebuild paths (flat epoch-bitmap and paged
-# copy-on-write) must hold their steady-state allocation budgets.
-go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs)$' \
+# both delta rebuild paths (flat epoch-bitmap and paged copy-on-write)
+# must hold their steady-state allocation budgets, a short Forward must
+# allocate nothing sized by the column, and a follower's delta apply
+# must stay O(cloned pages) in objects and bytes.
+go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
+go test -run='^TestApplyDeltaAllocs$' -count=1 ./internal/replica/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
 # batch resolution core and the wire codec must stay at zero
@@ -145,3 +148,10 @@ go run ./cmd/mrexp -corpus -sim-workers 2 | tee /tmp/corpus_smoke.txt
 grep -q '0 theory violations' /tmp/corpus_smoke.txt
 
 go test -run='^$' -fuzz='^FuzzScenarioParse$' -fuzztime=10s ./internal/scenario/
+
+# End-to-end benchmark smoke: one short mrbench run on the smallest
+# workload must boot the leader/follower pair, pass every parity and
+# checksum gate, and end its output with a result line saying so (no
+# timing assertions).
+go run ./cmd/mrbench -workload storm-policy-2k -seed 1 -seconds 8 | tee /tmp/mrbench_smoke.txt
+tail -n 1 /tmp/mrbench_smoke.txt | grep -q '"correct":true'
