@@ -18,10 +18,14 @@ type State struct {
 	Fingerprint uint64
 	Nodes       int
 	Disabled    []bool
-	Unconverged []int
-	Names       []string
-	Kept        []Announcement
-	Suppressed  []Announcement
+	// DisabledArcs counts the set bits of Disabled — counted once per
+	// full record, then carried across deltas by their toggles, so a
+	// stats read never scans the mask.
+	DisabledArcs int
+	Unconverged  []int
+	Names        []string
+	Kept         []Announcement
+	Suppressed   []Announcement
 	// Cols maps destination → column in the leader's paged form, sharing
 	// columns and pages across versions. Columns hold routing content
 	// only: the leader's Clean certificate licenses its delta solver, is
@@ -42,6 +46,11 @@ func ApplyFull(f *Full) (*State, error) {
 		Kept:        append([]Announcement(nil), f.Kept...),
 		Suppressed:  append([]Announcement(nil), f.Suppressed...),
 		Cols:        make(map[int]*rib.PagedColumn, len(f.Columns)),
+	}
+	for _, down := range st.Disabled {
+		if down {
+			st.DisabledArcs++
+		}
 	}
 	for _, c := range f.Columns {
 		if len(c.Slots) != f.Nodes {
@@ -77,15 +86,16 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 		return nil, fmt.Errorf("replica: delta name base %d beyond known %d names", d.NameBase, len(cur.Names))
 	}
 	st := &State{
-		Version:     d.Version,
-		Fingerprint: cur.Fingerprint,
-		Nodes:       cur.Nodes,
-		Disabled:    append([]bool(nil), cur.Disabled...),
-		Unconverged: append([]int(nil), d.Unconverged...),
-		Names:       cur.Names,
-		Kept:        cur.Kept,
-		Suppressed:  cur.Suppressed,
-		Cols:        make(map[int]*rib.PagedColumn, len(cur.Cols)),
+		Version:      d.Version,
+		Fingerprint:  cur.Fingerprint,
+		Nodes:        cur.Nodes,
+		Disabled:     append([]bool(nil), cur.Disabled...),
+		DisabledArcs: cur.DisabledArcs,
+		Unconverged:  append([]int(nil), d.Unconverged...),
+		Names:        cur.Names,
+		Kept:         cur.Kept,
+		Suppressed:   cur.Suppressed,
+		Cols:         make(map[int]*rib.PagedColumn, len(cur.Cols)),
 	}
 	// The names table is append-only on the leader; the delta tail may
 	// overlap what a full bootstrap already carried, so only append the
@@ -97,7 +107,14 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 		if t.Arc < 0 || t.Arc >= len(st.Disabled) {
 			return nil, fmt.Errorf("replica: toggle arc %d out of range [0,%d)", t.Arc, len(st.Disabled))
 		}
-		st.Disabled[t.Arc] = t.Down
+		if st.Disabled[t.Arc] != t.Down {
+			st.Disabled[t.Arc] = t.Down
+			if t.Down {
+				st.DisabledArcs++
+			} else {
+				st.DisabledArcs--
+			}
+		}
 	}
 	for dest, c := range cur.Cols {
 		st.Cols[dest] = c

@@ -2,6 +2,7 @@ package rib
 
 import (
 	"fmt"
+	"slices"
 
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -89,9 +90,19 @@ type PageStats struct {
 	// aliased from the previous column.
 	Cloned, Shared int
 	// DirtyPages lists the cloned page indices, ascending. The slice is
-	// freshly allocated (it outlives the workspace scratch) — the serve
-	// layer turns it straight into replication wire-patch hints.
+	// freshly allocated (it outlives the workspace scratch).
 	DirtyPages []int32
+	// Changes lists, ascending by node, the slots whose content (routedness,
+	// weight index or ECMP sequence) differs from prev's — the rebuild is
+	// the one producer of this list; the flap counter and the replication
+	// encoder only consume it. Each NextHop aliases the new column's page
+	// pool: read-only, and valid for as long as the column is, because
+	// published pages are immutable. A column that changed in more than
+	// half its slots ships whole, so at most N/2+1 patches are
+	// materialised; Changed is always the exact count. Both are zero when
+	// prev was nil or of another length — there is nothing to diff against.
+	Changes []SlotPatch
+	Changed int
 }
 
 // numPages returns the page count covering n nodes.
@@ -122,12 +133,7 @@ func (c *PagedColumn) NextHops(u int) []int32 {
 	if u < 0 || u >= c.N {
 		return nil
 	}
-	p := c.Pages[u>>PageShift]
-	s := p.Slots[u&PageMask]
-	if !s.Routed || s.NhLen == 0 {
-		return nil
-	}
-	return p.Pool[s.NhOff : s.NhOff+s.NhLen : s.NhOff+s.NhLen]
+	return c.Pages[u>>PageShift].hops(u & PageMask)
 }
 
 // AppendNextHops appends node u's ECMP span to dst — the batched query
@@ -374,6 +380,16 @@ func (p *ColumnPage) transplant(prev *ColumnPage, i int) {
 	}
 }
 
+// hops returns slot i's ECMP span as a capped view of the page pool, nil
+// when the slot is unrouted or holds no next hop (the destination).
+func (p *ColumnPage) hops(i int) []int32 {
+	s := &p.Slots[i]
+	if !s.Routed || s.NhLen == 0 {
+		return nil
+	}
+	return p.Pool[s.NhOff : s.NhOff+s.NhLen : s.NhOff+s.NhLen]
+}
+
 // pageLimit is the number of slots page pi holds in an n-node column
 // (PageSize except on a partial last page).
 func pageLimit(pi, n int) int {
@@ -446,6 +462,71 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 	return c, nil
 }
 
+// slotDiff accumulates the slots that differ between two generations of a
+// column: every difference is counted, the first limit of them are kept
+// as patches.
+type slotDiff struct {
+	patches []SlotPatch
+	count   int
+	limit   int
+}
+
+// newSlotDiff sizes a diff for an n-node column. A column that changed
+// in more than n/2 slots is shipped whole, so n/2+1 patches are all any
+// consumer can use; hint presizes the list below that cap.
+func newSlotDiff(n, hint int) slotDiff {
+	d := slotDiff{limit: n/2 + 1}
+	if hint = min(hint, d.limit); hint > 0 {
+		d.patches = make([]SlotPatch, 0, hint)
+	}
+	return d
+}
+
+// page compares slots [0,lim) of one page across two generations and
+// records the ones whose content differs, as patches aliasing next's
+// pool. base is the page's first node. only, when non-nil, restricts the
+// comparison to marked nodes — a delta rebuild's redo set: every other
+// slot of a cloned page was transplanted, hence is bit-identical by the
+// page-local canonical layout and needs no look.
+func (d *slotDiff) page(prev, next *ColumnPage, base, lim int, only *solve.Workspace) {
+	for i := 0; i < lim; i++ {
+		if only != nil && !only.Marked(base+i) {
+			continue
+		}
+		ps, ns := &prev.Slots[i], &next.Slots[i]
+		if ps.Routed == ns.Routed && (!ns.Routed ||
+			ps.W == ns.W && slices.Equal(prev.Pool[ps.NhOff:ps.NhOff+ps.NhLen], next.Pool[ns.NhOff:ns.NhOff+ns.NhLen])) {
+			continue
+		}
+		d.count++
+		if len(d.patches) == d.limit {
+			continue
+		}
+		patch := SlotPatch{Node: base + i, Routed: ns.Routed}
+		if ns.Routed {
+			patch.W, patch.NextHop = ns.W, next.hops(i)
+		}
+		d.patches = append(d.patches, patch)
+	}
+}
+
+// DiffPaged compares two generations of one destination's column (equal
+// N) and returns what PageStats.Changes and Changed hold after a delta
+// rebuild: the changed slots ascending by node, capped at N/2+1 patches,
+// and their exact count. Pages shared by pointer are skipped, so the
+// cost tracks the pages that were rebuilt. It serves every rebuild that
+// did not come out of the delta drain — DeltaDestPaged's from-scratch
+// fallbacks, and callers that ran BuildDestPaged themselves.
+func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
+	d := newSlotDiff(next.N, 0)
+	for pi, np := range next.Pages {
+		if op := prev.Pages[pi]; op != np {
+			d.page(op, np, pi<<PageShift, pageLimit(pi, next.N), nil)
+		}
+	}
+	return d.patches, d.count
+}
+
 // DeltaDestPaged recomputes the paged column for a single destination
 // after the given arc toggles, warm-starting from prev — the
 // copy-on-write counterpart of DeltaDestColumn. When the delta drain
@@ -453,7 +534,10 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 // rebuilt; every other page is shared with prev by pointer, so the
 // swap's data-plane cost is O(frontier), not O(N). On any fallback the
 // column is rebuilt from scratch (every page cloned). Either way the
-// result flattens bit-identically to BuildDestColumn on g.
+// result flattens bit-identically to BuildDestColumn on g, and the
+// returned PageStats says which slots differ from prev: on the delta
+// path straight from the redo set as its pages are refilled, on a
+// fallback through DiffPaged.
 func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, ws *solve.Workspace, prev *PagedColumn, toggles []solve.ArcToggle) (*PagedColumn, solve.DeltaStats, PageStats, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, solve.DeltaStats{}, PageStats{}, fmt.Errorf("rib: destination %d out of range", dest)
@@ -461,19 +545,23 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 	if ws == nil {
 		ws = solve.NewWorkspace()
 	}
-	if prev == nil || prev.N != g.N || !prev.Converged {
-		col, err := BuildDestPaged(eng, g, dest, origin, ws)
-		if err != nil {
-			return nil, solve.DeltaStats{}, PageStats{}, err
+	scratch := func(c *PagedColumn) PageStats {
+		ps := PageStats{Cloned: len(c.Pages)}
+		if prev != nil && prev.N == c.N {
+			ps.Changes, ps.Changed = DiffPaged(prev, c)
 		}
-		return col, solve.DeltaStats{}, PageStats{Cloned: len(col.Pages)}, nil
+		return ps
 	}
-	if _, ok := prev.Route(dest); !ok {
+	warmable := prev != nil && prev.N == g.N && prev.Converged
+	if warmable {
+		_, warmable = prev.Route(dest)
+	}
+	if !warmable {
 		col, err := BuildDestPaged(eng, g, dest, origin, ws)
 		if err != nil {
 			return nil, solve.DeltaStats{}, PageStats{}, err
 		}
-		return col, solve.DeltaStats{}, PageStats{Cloned: len(col.Pages)}, nil
+		return col, solve.DeltaStats{}, scratch(col), nil
 	}
 	warm := func(u int) (bool, int32, int) {
 		p := prev.Pages[u>>PageShift]
@@ -491,7 +579,7 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 	if !st.UsedDelta {
 		c.Pages = pagesFromRaw(eng, g, raw, dest)
 		c.resum()
-		return c, st, PageStats{Cloned: len(c.Pages)}, nil
+		return c, st, scratch(c), nil
 	}
 	// Copy-on-write delta: mark the redo set, derive the dirty page
 	// set, alias every clean page and rebuild only the dirty ones.
@@ -513,14 +601,17 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 	}
 	c.Pages = append([]*ColumnPage(nil), prev.Pages...)
 	c.arenaBytes, c.live = prev.arenaBytes, prev.live
+	diff := newSlotDiff(g.N, len(st.Touched)+len(toggles))
 	for _, pi := range dirty {
 		old := c.Pages[pi]
 		np := fillPage(eng, g, raw, dest, int(pi), old, ws)
 		c.Pages[pi] = np
 		c.arenaBytes += np.bytes() - old.bytes()
 		c.live += int(np.Live - old.Live)
+		diff.page(old, np, int(pi)<<PageShift, pageLimit(int(pi), g.N), ws)
 	}
-	ps := PageStats{Cloned: len(dirty), Shared: len(c.Pages) - len(dirty), DirtyPages: dirty}
+	ps := PageStats{Cloned: len(dirty), Shared: len(c.Pages) - len(dirty), DirtyPages: dirty,
+		Changes: diff.patches, Changed: diff.count}
 	return c, st, ps, nil
 }
 

@@ -73,6 +73,9 @@ func TestPagedDifferential(t *testing.T) {
 					if got := paged.Flatten(); !reflect.DeepEqual(got, flat) {
 						t.Fatalf("%s: flattened paged column differs from flat delta column\n got %+v\nwant %+v", tag, got, flat)
 					}
+					// Delta drain or scratch fallback, the emitted change
+					// list is what an all-slots comparison would find.
+					checkChanges(t, tag, prevPaged, paged, ps.Changes, ps.Changed)
 					prevFlat, prevPaged = flat, paged
 				}
 				if !sharedPages && g.N > PageSize {
@@ -171,6 +174,7 @@ func TestPageBoundaryECMPSpans(t *testing.T) {
 	if nh := next.NextHops(64); len(nh) != 1 || nh[0] != 2 {
 		t.Fatalf("node 64 after hub loss: ECMP %v, want [2]", nh)
 	}
+	checkChanges(t, "hub loss at node 64", col, next, ps.Changes, ps.Changed)
 	scratch, err := BuildDestColumn(eng, view, 0, org, solve.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +240,9 @@ func TestDeltaColumnAllocs(t *testing.T) {
 
 // TestDeltaPagedAllocs pins the paged delta rebuild: beyond the flat
 // guard's bound it must allocate only the column header, the page
-// table copy, the dirty-page set and the cloned pages themselves —
-// still a handful of objects at 1024 nodes, and (unlike the flat path)
-// O(frontier) bytes.
+// table copy, the dirty-page set, the one presized change list and the
+// cloned pages themselves — still a handful of objects at 1024 nodes,
+// and (unlike the flat path) O(frontier) bytes.
 func TestDeltaPagedAllocs(t *testing.T) {
 	a := alg(t, "lex(delay(8,2), hops(8))")
 	eng, err := exec.Compile(a)
@@ -296,8 +300,8 @@ func TestDeltaPagedAllocs(t *testing.T) {
 	if maxCloned >= pages/2 {
 		t.Fatalf("steady-state single-arc delta cloned %d of %d pages", maxCloned, pages)
 	}
-	// Header + page-table copy + dirty set + (pool per cloned page),
-	// twice per run. The bound leaves room for a scattered frontier but
+	// Header + page-table copy + dirty set + change list + (pool per
+	// cloned page), twice per run. The bound leaves room for a scattered frontier but
 	// catches any return to O(N) slot copies.
 	if limit := float64(8 + 4*maxCloned); allocs > limit {
 		t.Fatalf("paged delta rebuild pair allocates %.0f objects per run (max %d cloned pages), want ≤ %.0f", allocs, maxCloned, limit)

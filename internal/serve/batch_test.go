@@ -132,10 +132,9 @@ func TestServeDifferentialBatched(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			batched, err := serve.New(eng, g, origins, serve.WithWorkers(4))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			// Shadowed: each storm's one swap is held against the
+			// scan-based publish oracle.
+			batched := newShadowed(t, label, eng, g, origins, serve.WithWorkers(4))
 			disabled := make([]bool, len(g.Arcs))
 			for storm := 0; storm < 4; storm++ {
 				// A storm holds repeats and cancels so coalescing has real

@@ -50,14 +50,12 @@ func TestServeDifferentialDelta(t *testing.T) {
 		}
 		for name, eng := range engineBackends(t, a.OT) {
 			label := fmt.Sprintf("trial %d: %s on %s (%s)", trials, src, g, name)
-			warm, err := serve.New(eng, g, origins, serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			cold, err := serve.New(eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			// Both are shadowed: every swap's flap count and delta frame
+			// must equal the scan-based oracle's, whether the diff came out
+			// of the delta drain (warm) or of a page comparison after a
+			// from-scratch build (cold).
+			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
+			cold := newShadowed(t, label+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
 			if !warm.Stats().DeltaEnabled {
 				t.Fatalf("%s: licensed algebra must enable the delta path", label)
 			}

@@ -243,11 +243,7 @@ func (f *Follower) StatsReply() FollowerStats {
 	st := v.state
 	fs.Nodes = st.Nodes
 	fs.Destinations = len(st.Cols)
-	for _, d := range st.Disabled {
-		if d {
-			fs.DisabledArcs++
-		}
-	}
+	fs.DisabledArcs = st.DisabledArcs
 	fs.Unconverged = len(st.Unconverged)
 	for _, c := range st.Cols {
 		fs.ArenaBytes += c.Bytes()

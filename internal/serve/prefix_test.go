@@ -259,7 +259,10 @@ func TestMeasureScaleSmoke(t *testing.T) {
 		g := graph.ScaleFree(rand.New(rand.NewSource(9)), nodes, 2, graph.UniformLabels(a.OT.F.Size()))
 		return eng, g, map[int]value.V{0: 0, nodes / 2: 0}, nil
 	}
-	rep, err := serve.MeasureScale(mk, []int{200, 400})
+	// Retained-heap deltas: below ~1k nodes the two columns are a few KB
+	// and a stray runtime allocation inside the window moves the ratio
+	// (at 200 nodes the ≥ 1.5 check failed about one run in thirty).
+	rep, err := serve.MeasureScale(mk, []int{1000, 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

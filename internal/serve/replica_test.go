@@ -6,7 +6,9 @@ package serve_test
 // byte-identically at every version — column arenas (the follower's
 // copy-on-write pages flattened: slots, pools, offsets, convergence,
 // plus the cached live/byte totals), disabled mask, unconverged set,
-// weight-name resolution and the restored prefix table. Run on both
+// weight-name resolution and the restored prefix table. The leader is
+// shadowed (publish_test.go): at every swap its flap counter and its
+// delta frame must equal the scan-based oracle's. Run on both
 // execution backends; CI runs the package under -race, which also
 // exercises the follower's atomic-swap publication against concurrent
 // readers.
@@ -28,16 +30,20 @@ import (
 	"metarouting/internal/value"
 )
 
-// captureSink records every published frame in order.
+// captureSink records every published frame in order (or, with discard
+// set, only accepts them — for tests that measure the publish path).
 type captureSink struct {
-	mu     sync.Mutex
-	frames [][]byte
+	mu      sync.Mutex
+	frames  [][]byte
+	discard bool
 }
 
 func (c *captureSink) PublishRecord(version uint64, frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.frames = append(c.frames, append([]byte(nil), frame...))
+	if !c.discard {
+		c.frames = append(c.frames, append([]byte(nil), frame...))
+	}
 	return nil
 }
 
@@ -49,6 +55,13 @@ func (c *captureSink) take() [][]byte {
 	return out
 }
 
+// since returns the frames published after the first n.
+func (c *captureSink) since(n int) [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]byte(nil), c.frames[n:]...)
+}
+
 // leaderState is the per-version ground truth captured from the leader
 // right after each swap.
 type leaderState struct {
@@ -56,6 +69,7 @@ type leaderState struct {
 	live, bytes map[int]int      // the paged leader column's cached totals
 	weights     map[int][]string // weights[d][u]: formatted weight, "" unrouted
 	disabled    []bool
+	downArcs    int // the leader's carried DisabledArcs count
 	unconverged []int
 	checksum    uint32
 }
@@ -82,6 +96,7 @@ func captureLeader(srv *serve.Server) leaderState {
 		bytes:       bytes,
 		weights:     weights,
 		disabled:    sn.Disabled,
+		downArcs:    srv.Stats().DisabledArcs,
 		unconverged: sn.Unconverged,
 		checksum:    srv.Checksum(),
 	}
@@ -109,12 +124,8 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			r := rand.New(rand.NewSource(20260808))
 			g := graph.Random(r, 12, 0.35, graph.UniformLabels(a.OT.F.Size()))
 			origins := map[int]value.V{0: origin, 3: origin, 7: origin}
-			sink := &captureSink{}
-			srv, err := serve.New(mk(), g, origins,
-				serve.WithWorkers(3), serve.WithReplication(sink))
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv := newShadowed(t, name, mk(), g, origins, serve.WithWorkers(3))
+			sink := srv.sink
 			defer srv.Close()
 			// The leader runs the default paged copy-on-write columns, so
 			// this storm also proves follower byte-identity against paged
@@ -124,7 +135,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			}
 
 			// Drive the storm, capturing ground truth after every swap.
-			truth := map[uint64]leaderState{srv.Snapshot().Version: captureLeader(srv)}
+			truth := map[uint64]leaderState{srv.Snapshot().Version: captureLeader(srv.Server)}
 			disabled := make([]bool, len(g.Arcs))
 			events := 0
 			for round := 0; events < 200; round++ {
@@ -146,7 +157,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 					}
 					events += len(batch)
 				}
-				truth[srv.Snapshot().Version] = captureLeader(srv)
+				truth[srv.Snapshot().Version] = captureLeader(srv.Server)
 			}
 
 			frames := sink.take()
@@ -174,7 +185,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 					t.Fatalf("frame %d: kind %d, prefix trie carried over = %v", i, rec.Kind, pt == trie)
 				}
 				trie = pt
-				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv, fol, truth[fol.Version()])
+				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv.Server, fol, truth[fol.Version()])
 			}
 			if fol.Version() != srv.Snapshot().Version {
 				t.Fatalf("follower ended at v%d, leader at v%d", fol.Version(), srv.Snapshot().Version)
@@ -198,6 +209,17 @@ func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.F
 	st := fol.State()
 	if !reflect.DeepEqual(st.Disabled, want.disabled) {
 		t.Fatalf("%s: disabled mask differs\n got %v\nwant %v", label, st.Disabled, want.disabled)
+	}
+	// Neither role counts failed arcs by scanning the mask: the carried
+	// counts must equal a recount at every version of the storm.
+	recount := 0
+	for _, down := range want.disabled {
+		if down {
+			recount++
+		}
+	}
+	if got := fol.StatsReply().DisabledArcs; want.downArcs != recount || got != recount {
+		t.Fatalf("%s: disabled arcs: leader carries %d, follower %d, recount %d", label, want.downArcs, got, recount)
 	}
 	if !reflect.DeepEqual(st.Unconverged, want.unconverged) {
 		t.Fatalf("%s: unconverged differs: got %v want %v", label, st.Unconverged, want.unconverged)

@@ -15,6 +15,18 @@ package serve
 // order therefore reproduces the leader's column byte for byte — which
 // is what the differential storm test asserts at every version.
 //
+// This file never compares two columns. The changed-slot list a delta
+// record carries is computed once per swap by the rebuild that wrote
+// the slots (buildDests, in the pool workers) and arrives here ready to
+// wrap: only redo-marked slots were compared — a slot the rebuild
+// transplanted is bit-identical to its predecessor by the page-local
+// canonical layout and cannot have changed — next-hop sets alias the new
+// column's immutable pages rather than being copied, and a list stops
+// materialising at n/2+1 patches, the point past which the column ships
+// whole anyway. The encoder that found the changes by scanning lives on
+// in oracle_test.go, where every differential storm checks each swap's
+// frame against it byte for byte.
+//
 // Weights cross the wire as formatted strings, not engine indices
 // alone: dynamic-backend intern tables assign indices in arrival
 // order, which differs across processes, so a follower can never
@@ -141,16 +153,17 @@ func (s *Server) encodeFullLocked(sn *Snapshot) []byte {
 	return replica.EncodeFull(f)
 }
 
-// encodeDeltaLocked encodes the prev→sn swap as a delta record.
-// hints[d], when present, is the sorted candidate set outside which
-// DeltaDestColumn transplanted d's slots verbatim — only those nodes
-// can differ, so only they are scanned. Destinations rebuilt from
-// scratch (no hint) scan every slot. A destination whose diff would
-// exceed half its slots ships as a full scratch column instead; one
-// whose content did not change at all ships nothing (the follower
-// keeps sharing its previous column, which is byte-identical by the
-// canonical-layout argument). Callers hold s.mu.
-func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, hints map[int][]int) []byte {
+// encodeDeltaLocked encodes the prev→sn swap as a delta record from the
+// change lists the rebuilds produced against prev (buildDests diffs
+// every rebuild of an event batch when a sink is configured), each
+// wrapped into a replica.ColumnDiff as is. A destination whose diff
+// exceeds half its slots ships as a full scratch column instead (its
+// capped list is dropped); one whose content did not change at all
+// ships nothing (the follower keeps sharing its previous column, which
+// is byte-identical by the canonical-layout argument). Destinations the
+// swap did not rebuild are shared by pointer and never appear in built.
+// Callers hold s.mu.
+func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, built []rebuilt) []byte {
 	d := &replica.Delta{
 		FromVersion: prev.Version,
 		Version:     sn.Version,
@@ -162,53 +175,22 @@ func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, hints
 		d.Toggles[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
 	}
 	maxW := -1
-	for _, dest := range s.dests {
-		nc, oc := sn.cols[dest], prev.cols[dest]
-		if nc == oc {
+	for i := range built { // ascending by destination, like s.dests
+		r := &built[i]
+		if r.changed > r.col.NumNodes()/2 {
+			d.Scratch = append(d.Scratch, r.col.Flatten())
+			maxW = maxColWeight(r.col, maxW)
 			continue
 		}
-		n := nc.NumNodes()
-		if oc == nil || oc.NumNodes() != n {
-			d.Scratch = append(d.Scratch, nc.Flatten())
-			maxW = maxColWeight(nc, maxW)
+		if r.changed == 0 && r.col.IsConverged() == prev.cols[r.dest].IsConverged() {
 			continue
 		}
-		var changes []replica.SlotChange
-		scan := func(u int) {
-			if slotEqual(nc, oc, u) {
-				return
-			}
-			w, routed := nc.Route(u)
-			ch := replica.SlotChange{Node: u, Routed: routed}
-			if routed {
-				ch.W = w
-				if int(w) > maxW {
-					maxW = int(w)
-				}
-				if nh := nc.NextHops(u); len(nh) > 0 {
-					ch.NextHop = append([]int32(nil), nh...)
-				}
-			}
-			changes = append(changes, ch)
-		}
-		if hint, ok := hints[dest]; ok {
-			for _, u := range hint {
-				scan(u)
-			}
-		} else {
-			for u := 0; u < n; u++ {
-				scan(u)
+		for j := range r.changes {
+			if ch := &r.changes[j]; ch.Routed && int(ch.W) > maxW {
+				maxW = int(ch.W)
 			}
 		}
-		if len(changes) == 0 && nc.IsConverged() == oc.IsConverged() {
-			continue
-		}
-		if len(changes) > n/2 {
-			d.Scratch = append(d.Scratch, nc.Flatten())
-			maxW = maxColWeight(nc, maxW)
-			continue
-		}
-		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: dest, Converged: nc.IsConverged(), Changes: changes})
+		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: r.dest, Converged: r.col.IsConverged(), Changes: r.changes})
 	}
 	d.NameBase = s.nameCount
 	if maxW+1 > s.nameCount {
@@ -243,7 +225,7 @@ func toAnnouncements(pos []rib.PrefixOrigin) []replica.Announcement {
 
 // replicate encodes and ships the cur→sn swap. Callers hold s.mu;
 // toggles==nil (initial build, explicit rebuild) ships a full record.
-func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, hints map[int][]int) {
+func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, built []rebuilt) {
 	if s.sink == nil {
 		return
 	}
@@ -252,7 +234,7 @@ func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, hints map[int]
 		frame = s.encodeFullLocked(sn)
 		s.repFull.Add(1)
 	} else {
-		frame = s.encodeDeltaLocked(cur, sn, toggles, hints)
+		frame = s.encodeDeltaLocked(cur, sn, toggles, built)
 		s.repDelta.Add(1)
 	}
 	if s.repBytes != nil {

@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,6 +296,10 @@ type Snapshot struct {
 	// Footprint gauges, computed once at publish.
 	arenaBytes  int
 	liveEntries int
+	// disabledArcs counts the set bits of Disabled: carried from the
+	// previous snapshot and adjusted by the swap's toggles, recounted only
+	// on full builds, so Stats and the gauge never scan the mask.
+	disabledArcs int
 }
 
 // RIB exposes the snapshot's route table.
@@ -643,12 +648,12 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		s.register(cfg.registry)
 	}
 	view := g.MaskArcs(s.disabled)
-	table, unconv, _, err := s.buildDests(context.Background(), view, dests, nil, nil)
+	table, unconv, built, err := s.buildDests(context.Background(), view, dests, nil, nil)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	s.publish(view, table, unconv, nil, nil)
+	s.publish(view, table, unconv, nil, built)
 	if !cfg.noBatcher {
 		s.batcherWG.Add(1)
 		go s.batchLoop()
@@ -708,15 +713,10 @@ func (s *Server) register(reg *telemetry.Registry) {
 			return float64(s.lastEventNS.Load()) / 1e9
 		})
 	reg.AddGaugeFunc("mrserve_disabled_arcs", "Arcs currently failed.", func() float64 {
-		n := 0
 		if sn := s.pinnedSnap(); sn != nil {
-			for _, d := range sn.Disabled {
-				if d {
-					n++
-				}
-			}
+			return float64(sn.disabledArcs)
 		}
-		return float64(n)
+		return 0
 	})
 	reg.AddGaugeFunc("mrserve_snapshot_arena_bytes",
 		"Arena footprint of the published snapshot's route columns (slot + next-hop pool bytes).", func() float64 {
@@ -832,6 +832,21 @@ func (s *Server) Close() {
 	s.pool.Close()
 }
 
+// rebuilt is one recomputed destination's outcome, handed from the pool
+// worker that produced it to publish: the new column and the slots in
+// which it differs from the previous snapshot's column for the same
+// destination — ascending by node, at most n/2+1 of them materialised,
+// changed holding the exact count (see buildDests). Each NextHop aliases
+// the new column's storage, which is immutable once published: read it,
+// never write it. Both stay zero on a first build, and when neither
+// consumer is configured.
+type rebuilt struct {
+	dest    int
+	col     rib.Col
+	changes []rib.SlotPatch
+	changed int
+}
+
 // buildDests computes arena columns for the recompute set on view,
 // sharding destinations (columns) across the worker pool; columns for
 // every other destination are shared with prev's snapshot by pointer
@@ -847,14 +862,17 @@ func (s *Server) Close() {
 // pointer, so the swap's data-plane cost tracks the frontier, not N.
 // A ctx cancellation abandons the build and returns ctx.Err().
 //
-// When a replication sink is configured, the returned hints map holds,
-// for each destination whose column came from the delta drain, a
-// sorted node set outside which every slot is bit-identical to the
-// previous column — touched nodes plus toggle tails on the flat path,
-// the dirty pages' slot ranges on the paged path — the only slots
-// delta record encoding needs to scan. Destinations absent from the
-// map were rebuilt from scratch and must be scanned in full.
-func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles []ArcEvent) (map[int]rib.Col, []int, map[int][]int, error) {
+// The rebuild is also the one place a swap's diff is computed; nothing
+// after it compares columns again — the flap counter sums the lists'
+// counts and the replication encoder wraps the lists. rib.DeltaDestPaged
+// returns the changed slots as a by-product of refilling the redo set
+// (transplanted slots are bit-identical by the page-local canonical
+// layout, DESIGN.md §8b, and are never looked at). A column the worker
+// built with rib.BuildDestPaged is compared page by page with
+// rib.DiffPaged, and a flat column slot by slot with scanChanges — both
+// in the pool worker, and only when the flap counter or the replication
+// sink will read the result.
+func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles []ArcEvent) (map[int]rib.Col, []int, []rebuilt, error) {
 	cols := make(map[int]rib.Col, len(s.dests))
 	var prevCols map[int]rib.Col
 	prevUnconv := make(map[int]bool, 4)
@@ -874,78 +892,68 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 		}
 	}
 	var solveToggles []solve.ArcToggle
-	if s.deltaOK && prev != nil {
+	if s.deltaOK && prev != nil && toggles != nil {
 		solveToggles = make([]solve.ArcToggle, len(toggles))
 		for i, t := range toggles {
 			solveToggles[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
 		}
 	}
-	results := make([]rib.Col, len(recompute))
-	var hintsArr [][]int
-	if s.sink != nil {
-		hintsArr = make([][]int, len(recompute))
-	}
+	wantDiff := s.queryNS != nil || (s.sink != nil && toggles != nil)
+	results := make([]rebuilt, len(recompute))
 	err := s.pool.Map(ctx, len(recompute), func(i int, ws *solve.Workspace) error {
 		d := recompute[i]
 		var t0 time.Time
 		if s.shardNS != nil {
 			t0 = time.Now()
 		}
+		old := prevCols[d]
+		scan := old != nil && wantDiff
 		var warmable rib.Col
 		if solveToggles != nil && !prevUnconv[d] {
-			warmable = prevCols[d]
+			warmable = old
 		}
-		var col rib.Col
+		r := rebuilt{dest: d}
 		var st solve.DeltaStats
 		var err error
-		delta := false
 		if s.paged {
-			pprev, _ := warmable.(*rib.PagedColumn)
 			var pc *rib.PagedColumn
-			if pprev != nil {
+			if pprev, _ := warmable.(*rib.PagedColumn); pprev != nil {
 				var ps rib.PageStats
 				pc, st, ps, err = rib.DeltaDestPaged(
 					s.eng, view, s.disabled, d, s.origins[d], ws, pprev, solveToggles)
 				if err == nil {
-					delta = st.UsedDelta
 					s.pagesCloned.Add(uint64(ps.Cloned))
 					s.pagesShared.Add(uint64(ps.Shared))
-					if delta && hintsArr != nil {
-						hintsArr[i] = pagedHint(view.N, ps.DirtyPages)
-					}
+					r.changes, r.changed = ps.Changes, ps.Changed
 				}
-			} else {
-				pc, err = rib.BuildDestPaged(s.eng, view, d, s.origins[d], ws)
-				if err == nil {
-					s.pagesCloned.Add(uint64(len(pc.Pages)))
+			} else if pc, err = rib.BuildDestPaged(s.eng, view, d, s.origins[d], ws); err == nil {
+				s.pagesCloned.Add(uint64(len(pc.Pages)))
+				if scan {
+					r.changes, r.changed = rib.DiffPaged(old.(*rib.PagedColumn), pc)
 				}
 			}
 			if err == nil {
-				col = pc
+				r.col = pc
 			}
 		} else {
-			fprev, _ := warmable.(*rib.Column)
 			var fc *rib.Column
-			if fprev != nil {
+			if fprev, _ := warmable.(*rib.Column); fprev != nil {
 				fc, st, err = rib.DeltaDestColumn(
 					s.eng, view, s.disabled, d, s.origins[d], ws, fprev, solveToggles)
-				if err == nil {
-					delta = st.UsedDelta
-					if delta && hintsArr != nil {
-						hintsArr[i] = deltaHint(view, d, st, solveToggles)
-					}
-				}
 			} else {
 				fc, err = rib.BuildDestColumn(s.eng, view, d, s.origins[d], ws)
 			}
 			if err == nil {
-				col = fc
+				r.col = fc
+				if scan {
+					r.changes, r.changed = scanChanges(old, fc)
+				}
 			}
 		}
 		if err != nil {
 			return err
 		}
-		if delta {
+		if st.UsedDelta {
 			s.deltaDests.Add(1)
 			s.frontierNodes.Add(uint64(st.Frontier))
 			s.touchedNodes.Add(uint64(len(st.Touched)))
@@ -959,90 +967,32 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 		if s.shardNS != nil {
 			s.shardNS.Observe(time.Since(t0).Nanoseconds())
 		}
-		results[i] = col
+		results[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	var unconverged []int
-	var hints map[int][]int
-	for i, d := range recompute {
-		if !results[i].IsConverged() {
-			unconverged = append(unconverged, d)
+	for i := range results {
+		r := &results[i]
+		if !r.col.IsConverged() {
+			unconverged = append(unconverged, r.dest)
 		}
-		cols[d] = results[i]
-		if hintsArr != nil && hintsArr[i] != nil {
-			if hints == nil {
-				hints = make(map[int][]int, len(recompute))
-			}
-			hints[d] = hintsArr[i]
-		}
+		cols[r.dest] = r.col
 	}
 	sort.Ints(unconverged)
-	return cols, unconverged, hints, nil
-}
-
-// deltaHint merges a delta run's touched set with the toggle tails
-// outside it — exactly the nodes rib.DeltaDestColumn rebuilt rather
-// than transplanted from the previous column — into one sorted,
-// deduplicated slice. The result is never nil: an empty hint still
-// records "no slot of this column can differ".
-func deltaHint(view *graph.Graph, dest int, st solve.DeltaStats, toggles []solve.ArcToggle) []int {
-	hint := append(make([]int, 0, len(st.Touched)+len(toggles)), st.Touched...)
-	for _, t := range toggles {
-		if x := view.Arcs[t.Arc].From; x != dest {
-			hint = append(hint, x)
-		}
-	}
-	sort.Ints(hint)
-	out := hint[:0]
-	for i, u := range hint {
-		if i == 0 || u != hint[i-1] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// pagedHint expands a delta rebuild's dirty-page set into the sorted
-// node list the replication encoder scans: every slot of every cloned
-// page, clipped to the node count. The expansion is a superset of the
-// nodes whose slots actually changed (unchanged slots inside a dirty
-// page were transplanted bit-identically, and the encoder skips equal
-// slots), and outside it every page — hence every slot — is shared
-// with the previous column by pointer. Never nil: an empty dirty set
-// still records "no slot of this column can differ".
-func pagedHint(n int, dirty []int32) []int {
-	hint := make([]int, 0, len(dirty)*rib.PageSize)
-	for _, pi := range dirty {
-		lo := int(pi) << rib.PageShift
-		hi := lo + rib.PageSize
-		if hi > n {
-			hi = n
-		}
-		for u := lo; u < hi; u++ {
-			hint = append(hint, u)
-		}
-	}
-	return hint
+	return cols, unconverged, results, nil
 }
 
 // publish swaps in a new snapshot built from cols and, when a
 // replication sink is configured, ships the swap as a replica record
-// (a delta described by toggles and hints, or a full snapshot when
-// toggles is nil). Callers hold s.mu.
-func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []int, toggles []ArcEvent, hints map[int][]int) {
+// (a delta wrapping the rebuilt destinations' change lists, or a full
+// snapshot when toggles is nil). Callers hold s.mu.
+func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []int, toggles []ArcEvent, built []rebuilt) {
 	cur := s.snap.Load()
-	var version uint64 = 1
-	if cur != nil {
-		version = cur.Version + 1
-		if s.queryNS != nil {
-			s.flaps.Add(countFlaps(cur.cols, cols))
-		}
-	}
 	sn := &Snapshot{
-		Version:     version,
+		Version:     1,
 		Graph:       view,
 		Disabled:    append([]bool(nil), s.disabled...),
 		Unconverged: unconverged,
@@ -1050,65 +1000,63 @@ func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []
 		prefixes:    s.prefixes,
 		rib:         rib.FromCols(s.eng, view, cols),
 	}
+	if cur != nil {
+		sn.Version = cur.Version + 1
+		if s.queryNS != nil {
+			flaps := 0
+			for i := range built {
+				flaps += built[i].changed
+			}
+			s.flaps.Add(uint64(flaps))
+		}
+	}
+	if cur != nil && toggles != nil {
+		// Coalesced toggles each flip one arc's state exactly once.
+		sn.disabledArcs = cur.disabledArcs
+		for _, t := range toggles {
+			if t.Fail {
+				sn.disabledArcs++
+			} else {
+				sn.disabledArcs--
+			}
+		}
+	} else {
+		for _, d := range sn.Disabled {
+			if d {
+				sn.disabledArcs++
+			}
+		}
+	}
 	for _, c := range cols {
 		sn.arenaBytes += c.Bytes()
 		sn.liveEntries += c.Live()
 	}
 	s.snap.Store(sn)
 	s.swaps.Add(1)
-	s.replicate(cur, sn, toggles, hints)
+	s.replicate(cur, sn, toggles, built)
 }
 
-// countFlaps compares recomputed columns against their predecessors and
-// counts slots that actually changed (weight or ECMP set) — the
-// route-flap reading behind mrserve_route_flaps_total. Columns shared
-// by pointer (skipped destinations) are recognized and cost nothing;
-// paged column pairs additionally skip pages shared by pointer, so the
-// comparison tracks the frontier. Flat recomputed columns pay an O(N)
-// scan, the same order as the recompute that produced them.
-func countFlaps(prev, next map[int]rib.Col) uint64 {
-	var flaps uint64
-	for d, col := range next {
-		old, ok := prev[d]
-		if !ok || old == col || old.NumNodes() != col.NumNodes() {
-			continue
-		}
-		if pc, ok := col.(*rib.PagedColumn); ok {
-			if oc, ok := old.(*rib.PagedColumn); ok {
-				flaps += countFlapsPaged(oc, pc)
-				continue
-			}
-		}
-		for u := 0; u < col.NumNodes(); u++ {
-			if !slotEqual(col, old, u) {
-				flaps++
-			}
-		}
-	}
-	return flaps
-}
-
-// countFlapsPaged counts changed slots between two paged columns of
-// equal length, skipping pages shared by pointer.
-func countFlapsPaged(old, col *rib.PagedColumn) uint64 {
-	var flaps uint64
+// scanChanges is the legacy flat layout's diff: every slot of old and
+// col (equal length) compared through the rib.Col read surface, run once
+// per rebuilt column in the pool worker. The result has the shape
+// rib.DiffPaged gives paged columns — ascending patches aliasing col's
+// pool, capped at n/2+1, plus the exact count.
+func scanChanges(old, col rib.Col) ([]rib.SlotPatch, int) {
 	n := col.NumNodes()
-	for pi, np := range col.Pages {
-		if pi < len(old.Pages) && old.Pages[pi] == np {
+	var changes []rib.SlotPatch
+	changed := 0
+	for u := 0; u < n; u++ {
+		if slotEqual(col, old, u) {
 			continue
 		}
-		lo := pi << rib.PageShift
-		hi := lo + rib.PageSize
-		if hi > n {
-			hi = n
+		changed++
+		if len(changes) > n/2 {
+			continue
 		}
-		for u := lo; u < hi; u++ {
-			if !slotEqual(col, old, u) {
-				flaps++
-			}
-		}
+		w, routed := col.Route(u)
+		changes = append(changes, rib.SlotPatch{Node: u, Routed: routed, W: w, NextHop: col.NextHops(u)})
 	}
-	return flaps
+	return changes, changed
 }
 
 // slotEqual compares node u's route across two columns: routedness,
@@ -1124,19 +1072,7 @@ func slotEqual(a, b rib.Col, u int) bool {
 	if !ra {
 		return true
 	}
-	if wa != wb {
-		return false
-	}
-	na, nb := a.NextHops(u), b.NextHops(u)
-	if len(na) != len(nb) {
-		return false
-	}
-	for i := range na {
-		if na[i] != nb[i] {
-			return false
-		}
-	}
-	return true
+	return wa == wb && slices.Equal(a.NextHops(u), b.NextHops(u))
 }
 
 // Coalesce reduces an event sequence to its net per-arc effect against
@@ -1241,12 +1177,12 @@ func (s *Server) ApplyBatch(ctx context.Context, events []ArcEvent) (applied, re
 		view = s.base.MaskArcs(s.disabled)
 	}
 	recompute := s.invalidated(cur, toggles)
-	table, unconv, hints, err := s.buildDests(ctx, view, recompute, cur, toggles)
+	table, unconv, built, err := s.buildDests(ctx, view, recompute, cur, toggles)
 	if err != nil {
 		revert()
 		return 0, 0, err
 	}
-	s.publish(view, table, unconv, toggles, hints)
+	s.publish(view, table, unconv, toggles, built)
 	s.events.Add(uint64(len(toggles)))
 	s.batches.Add(1)
 	if s.batchSize != nil {
@@ -1288,11 +1224,15 @@ func (s *Server) ApplyEventEndpoints(ctx context.Context, from, to int, fail boo
 	return s.ApplyEvent(ctx, ai, fail)
 }
 
-// arcByEndpoints resolves a from→to arc to its index.
+// arcByEndpoints resolves a from→to arc to its index through from's
+// out-row in the base graph — O(degree), not O(arcs). Rows list arcs in
+// ascending index order, so of parallel arcs the lowest index answers.
 func (s *Server) arcByEndpoints(from, to int) (int, error) {
-	for ai, a := range s.base.Arcs {
-		if a.From == from && a.To == to {
-			return ai, nil
+	if from >= 0 && from < s.base.N {
+		for _, ai := range s.base.Out(from) {
+			if s.base.Arcs[ai].To == to {
+				return ai, nil
+			}
 		}
 	}
 	return 0, fmt.Errorf("serve: no arc %d → %d", from, to)
@@ -1421,11 +1361,14 @@ func (s *Server) Rebuild(ctx context.Context) error {
 		return fmt.Errorf("serve: server is closed")
 	}
 	view := s.base.MaskArcs(s.disabled)
-	table, unconv, _, err := s.buildDests(ctx, view, s.dests, nil, nil)
+	// The current snapshot rides along only so the flap counter has
+	// something to compare against; nil toggles keep every column a
+	// from-scratch build and the record a full one.
+	table, unconv, built, err := s.buildDests(ctx, view, s.dests, s.snap.Load(), nil)
 	if err != nil {
 		return err
 	}
-	s.publish(view, table, unconv, nil, nil)
+	s.publish(view, table, unconv, nil, built)
 	s.full.Add(1)
 	s.destRecomputes.Add(uint64(len(s.dests)))
 	return nil
@@ -1498,12 +1441,6 @@ func (s *Server) ECMPWidth(node, dest int) int {
 // Stats reads the counters.
 func (s *Server) Stats() Stats {
 	sn := s.snap.Load()
-	disabled := 0
-	for _, d := range sn.Disabled {
-		if d {
-			disabled++
-		}
-	}
 	return Stats{
 		Queries:               s.queries.Load(),
 		BatchRequests:         s.batchRequests.Load(),
@@ -1533,7 +1470,7 @@ func (s *Server) Stats() Stats {
 		Destinations:          len(s.dests),
 		Nodes:                 s.base.N,
 		Arcs:                  len(s.base.Arcs),
-		DisabledArcs:          disabled,
+		DisabledArcs:          sn.disabledArcs,
 		Engine:                string(s.eng.Mode()),
 		Workers:               s.workers,
 		ArenaBytes:            sn.arenaBytes,

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"slices"
 	"time"
 
 	"metarouting/internal/exec"
@@ -395,16 +396,13 @@ func (ws *Workspace) push(u, dest int) {
 	}
 }
 
-// sortedTouched returns a fresh ascending copy of the ever-enqueued set
-// (insertion-sort backed: the list is short relative to N by design —
-// large frontiers fall back to the sweep solver first).
+// sortedTouched returns a fresh ascending copy of the ever-enqueued set.
+// The set is short on a typical toggle but not by construction: the
+// frontier cutover bounds it only by N/2, and on a scale-free graph one
+// hub uplink failure touches thousands of nodes.
 func (ws *Workspace) sortedTouched() []int {
 	out := append([]int(nil), ws.touchList...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

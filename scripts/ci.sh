@@ -15,6 +15,8 @@ go test -race ./...
 
 # The serve subsystem is the concurrency-heavy code path: exercise its
 # tests again under the race detector with shuffled execution order.
+# This is also where the publish-path differentials run (every swap's
+# flap count and delta frame against the scan-based oracle).
 go test -race -count=2 -shuffle=on ./internal/serve/
 
 # Bench smoke: every benchmark must still compile and survive one
@@ -108,12 +110,16 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 
 # Allocs/op guards: the arena column build must stay allocation-flat,
 # both delta rebuild paths (flat epoch-bitmap and paged copy-on-write)
-# must hold their steady-state allocation budgets, a short Forward must
-# allocate nothing sized by the column, and a follower's delta apply
-# must stay O(cloned pages) in objects and bytes.
+# must hold their steady-state allocation budgets (the paged one
+# includes the rebuild's one presized change list), a short Forward must
+# allocate nothing sized by the column, a follower's delta apply must
+# stay O(cloned pages) in objects and bytes, and so must the leader's
+# publish path beyond its one Disabled copy — no per-dirty-page slot
+# expansion, no per-change next-hop copy.
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^TestApplyDeltaAllocs$' -count=1 ./internal/replica/
+go test -run='^TestPublishAllocsScaleWithChanges$' -count=1 ./internal/serve/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
 # batch resolution core and the wire codec must stay at zero
