@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -141,10 +142,17 @@ func (g *Graph) origin() *Graph {
 // labels and LinkEvent references — stay valid across views; only the
 // adjacency index is rebuilt. Every solver and the RIB builder traverse
 // graphs exclusively through Out/In, so a masked view routes exactly as
-// a freshly built graph containing only the enabled arcs.
+// a freshly built graph containing only the enabled arcs. A mask with
+// no arc disabled needs no second index: the unmasked graph itself is
+// returned (graphs are immutable, and WithArcsToggled chains off a plain
+// graph as it does off a view).
 func (g *Graph) MaskArcs(disabled []bool) *Graph {
-	v := &Graph{N: g.N, Arcs: g.Arcs, base: g.origin()}
-	v.out, v.in = buildAdjacency(g.N, v.base.Arcs, disabled)
+	b := g.origin()
+	if !slices.Contains(disabled[:min(len(disabled), len(b.Arcs))], true) {
+		return b
+	}
+	v := &Graph{N: g.N, Arcs: g.Arcs, base: b}
+	v.out, v.in = buildAdjacency(g.N, b.Arcs, disabled)
 	return v
 }
 

@@ -286,6 +286,42 @@ func TestMaskArcs(t *testing.T) {
 	maskEqual(t, g, g.MaskArcs(make([]bool, 4)), make([]bool, 4))
 }
 
+// TestMaskArcsEmptyMaskIsOrigin: a mask that disables nothing — nil,
+// short, all false, or set only past the last arc — needs no second
+// adjacency index, so MaskArcs hands back the unmasked graph itself,
+// from a view as from the base; its rows are what a dense re-index of
+// the empty mask would hold. Any set bit still yields a fresh dense
+// view, and toggle batches chain off that one through the mask-sweep
+// path.
+func TestMaskArcsEmptyMaskIsOrigin(t *testing.T) {
+	g := Random(rand.New(rand.NewSource(23)), 12, 0.4, UniformLabels(3))
+	m := len(g.Arcs)
+	down := make([]bool, m)
+	down[1] = true
+	view := g.MaskArcs(down)
+	if view == g || sameInts(view.Out(g.Arcs[1].From), g.Out(g.Arcs[1].From)) {
+		t.Fatal("a mask with a bit set must produce a fresh masked view")
+	}
+	for name, mask := range map[string][]bool{
+		"nil": nil, "short": make([]bool, m/2), "all false": make([]bool, m), "set past the arcs": append(make([]bool, m), true),
+	} {
+		if got := g.MaskArcs(mask); got != g {
+			t.Errorf("%s mask on the base: got a new graph, want the base itself", name)
+		}
+		if got := view.MaskArcs(mask); got != g {
+			t.Errorf("%s mask on a view: got %p, want the unmasked base %p", name, got, g)
+		}
+	}
+	out, in := buildAdjacency(g.N, g.Arcs, make([]bool, m))
+	for u := 0; u < g.N; u++ {
+		if !sameInts(g.Out(u), out[u]) || !sameInts(g.In(u), in[u]) {
+			t.Fatalf("node %d: base rows differ from a dense index of the empty mask", u)
+		}
+	}
+	down[1], down[2] = false, true
+	maskEqual(t, g, view.WithArcsToggled([]int{1, 2}, down), down)
+}
+
 // TestWithArcToggled: a random toggle sequence built with copy-on-write
 // row rebuilds always matches a from-scratch mask, and prior views are
 // never mutated.

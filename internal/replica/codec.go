@@ -29,6 +29,14 @@
 // recomputes them and cross-checks the pool length, which both saves
 // four bytes a slot and turns the canonical-layout assumption into a
 // checked invariant.
+//
+// Columns enter and leave the codec in rib's paged form, and each byte
+// of a record is touched once on either side. An encoder sizes its frame
+// from the pages' cached totals, allocates exactly that, writes slots
+// then pools page by page and closes the frame in place; the decoder
+// lays pages as it reads and a follower's state adopts them as they are.
+// Pages leave no trace on the wire — the bytes are those of one flat
+// column, because a page's pool is a contiguous run of the flat pool.
 package replica
 
 import (
@@ -93,8 +101,11 @@ type Full struct {
 	// its exact insertion order, so the rebuilt LPM trie answers
 	// identically node for node.
 	Kept, Suppressed []Announcement
-	// Columns holds every destination column, ascending by destination.
-	Columns []*rib.Column
+	// Columns holds every destination column, ascending by destination,
+	// in the leader's paged form: the encoder writes the wire layout
+	// straight from the pages and the decoder lays pages straight off
+	// the wire, so neither side holds a second, flat copy.
+	Columns []*rib.PagedColumn
 }
 
 // SlotChange is one changed route entry inside a ColumnDiff — the
@@ -128,7 +139,7 @@ type Delta struct {
 	NamesTail []string
 	// Scratch carries full columns for destinations whose diff would
 	// have been larger than the column itself.
-	Scratch []*rib.Column
+	Scratch []*rib.PagedColumn
 	// Diffs carries the touched-entry sets, one per delta-encoded
 	// destination.
 	Diffs []ColumnDiff
@@ -161,15 +172,26 @@ func (r *Record) Version() uint64 {
 // ---------------------------------------------------------------------
 // Encoding
 
-// wbuf is a little-endian append buffer.
+// wbuf is a little-endian append buffer. Record encoders start one with
+// newFrame, which reserves the frame header and sizes the backing array
+// for the whole frame: the appends below then never grow it, and the
+// finished frame is the one allocation the record costs.
 type wbuf struct{ b []byte }
 
 func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
 func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *wbuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *wbuf) i32(v int32)  { w.u32(uint32(v)) }
-func (w *wbuf) bool(v bool)  { w.u8(map[bool]byte{false: 0, true: 1}[v]) }
 func (w *wbuf) str(s string) { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
+
+func (w *wbuf) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
 func (w *wbuf) bits(v []bool) {
 	w.u32(uint32(len(v)))
 	var cur byte
@@ -194,23 +216,80 @@ func (w *wbuf) ints(v []int) {
 	}
 }
 
-func (w *wbuf) column(c *rib.Column) {
+func (w *wbuf) strs(v []string) {
+	w.u32(uint32(len(v)))
+	for _, s := range v {
+		w.str(s)
+	}
+}
+
+// Encoded sizes of the variable-length body parts, mirroring the
+// writers above and below field for field.
+func bitsSize(v []bool) int          { return 4 + (len(v)+7)/8 }
+func intsSize(v []int) int           { return 4 + 4*len(v) }
+func annsSize(as []Announcement) int { return 4 + 9*len(as) }
+func colsSize(cols []*rib.PagedColumn) int {
+	n := 4
+	for _, c := range cols {
+		n += columnSize(c)
+	}
+	return n
+}
+
+func strsSize(v []string) int {
+	n := 4
+	for _, s := range v {
+		n += 4 + len(s)
+	}
+	return n
+}
+
+// columnSize is c's encoded length — the 9-byte header, one byte per
+// unrouted slot and nine per routed one, the pool count and four bytes
+// per pool entry — from the per-page totals, without reading a slot.
+func columnSize(c *rib.PagedColumn) int {
+	pool := 0
+	for _, p := range c.Pages {
+		pool += len(p.Pool)
+	}
+	return 9 + c.N + 8*c.Live() + 4 + 4*pool
+}
+
+// column writes c in the flat wire layout straight from its pages:
+// every slot in node order, then the page pools back to back — which is
+// the flat column's pool, because both layouts append spans in slot
+// order. Page-relative offsets, like flat ones, do not travel.
+func (w *wbuf) column(c *rib.PagedColumn) {
 	w.u32(uint32(c.Dest))
 	w.bool(c.Converged)
-	w.u32(uint32(len(c.Slots)))
-	for i := range c.Slots {
-		s := &c.Slots[i]
-		if !s.Routed {
-			w.u8(0)
-			continue
+	w.u32(uint32(c.N))
+	b, pool := w.b, 0
+	for pi, p := range c.Pages {
+		for i, lim := 0, rib.PageLen(pi, c.N); i < lim; i++ {
+			s := &p.Slots[i]
+			if !s.Routed {
+				b = append(b, 0)
+				continue
+			}
+			b = append(b, 1,
+				byte(s.W), byte(s.W>>8), byte(s.W>>16), byte(s.W>>24),
+				byte(s.NhLen), byte(s.NhLen>>8), byte(s.NhLen>>16), byte(s.NhLen>>24))
 		}
-		w.u8(1)
-		w.i32(s.W)
-		w.u32(uint32(s.NhLen))
+		pool += len(p.Pool)
 	}
-	w.u32(uint32(len(c.Pool)))
-	for _, v := range c.Pool {
-		w.i32(v)
+	b = binary.LittleEndian.AppendUint32(b, uint32(pool))
+	for _, p := range c.Pages {
+		for _, v := range p.Pool {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	w.b = b
+}
+
+func (w *wbuf) columns(cols []*rib.PagedColumn) {
+	w.u32(uint32(len(cols)))
+	for _, c := range cols {
+		w.column(c)
 	}
 }
 
@@ -223,40 +302,59 @@ func (w *wbuf) announcements(as []Announcement) {
 	}
 }
 
-// frame wraps a payload body in the record frame.
-func frame(kind byte, body []byte) []byte {
-	payload := make([]byte, 0, len(body)+2)
-	payload = append(payload, FormatVersion, kind)
-	payload = append(payload, body...)
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+// newFrame starts a record frame whose body will take bodyLen bytes:
+// one allocation of the exact frame size, the length prefix reserved
+// and the payload header written.
+func newFrame(kind byte, bodyLen int) wbuf {
+	w := wbuf{b: make([]byte, 4, 4+2+bodyLen+4)}
+	w.u8(FormatVersion)
+	w.u8(kind)
+	return w
+}
+
+// finish closes the frame in place: the length prefix is filled in and
+// the payload's CRC appended.
+func (w *wbuf) finish() []byte {
+	payload := w.b[4:]
+	binary.LittleEndian.PutUint32(w.b, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(w.b, crc32.ChecksumIEEE(payload))
 }
 
 // EncodeFull frames a full snapshot record.
 func EncodeFull(f *Full) []byte {
-	var w wbuf
+	w := newFrame(KindFull, 8+8+4+bitsSize(f.Disabled)+intsSize(f.Unconverged)+strsSize(f.Names)+
+		annsSize(f.Kept)+annsSize(f.Suppressed)+colsSize(f.Columns))
 	w.u64(f.Version)
 	w.u64(f.Fingerprint)
 	w.u32(uint32(f.Nodes))
 	w.bits(f.Disabled)
 	w.ints(f.Unconverged)
-	w.u32(uint32(len(f.Names)))
-	for _, s := range f.Names {
-		w.str(s)
-	}
+	w.strs(f.Names)
 	w.announcements(f.Kept)
 	w.announcements(f.Suppressed)
-	w.u32(uint32(len(f.Columns)))
-	for _, c := range f.Columns {
-		w.column(c)
+	w.columns(f.Columns)
+	return w.finish()
+}
+
+// diffsSize is the encoded length of a delta's touched-entry sets.
+func diffsSize(diffs []ColumnDiff) int {
+	n := 4
+	for i := range diffs {
+		n += 9
+		for j := range diffs[i].Changes {
+			n += 5
+			if ch := &diffs[i].Changes[j]; ch.Routed {
+				n += 8 + 4*len(ch.NextHop)
+			}
+		}
 	}
-	return frame(KindFull, w.b)
+	return n
 }
 
 // EncodeDelta frames a snapshot delta record.
 func EncodeDelta(d *Delta) []byte {
-	var w wbuf
+	w := newFrame(KindDelta, 8+8+8+4+5*len(d.Toggles)+intsSize(d.Unconverged)+4+strsSize(d.NamesTail)+
+		colsSize(d.Scratch)+diffsSize(d.Diffs))
 	w.u64(d.FromVersion)
 	w.u64(d.Version)
 	w.u64(d.Fingerprint)
@@ -267,14 +365,8 @@ func EncodeDelta(d *Delta) []byte {
 	}
 	w.ints(d.Unconverged)
 	w.u32(uint32(d.NameBase))
-	w.u32(uint32(len(d.NamesTail)))
-	for _, s := range d.NamesTail {
-		w.str(s)
-	}
-	w.u32(uint32(len(d.Scratch)))
-	for _, c := range d.Scratch {
-		w.column(c)
-	}
+	w.strs(d.NamesTail)
+	w.columns(d.Scratch)
 	w.u32(uint32(len(d.Diffs)))
 	for _, diff := range d.Diffs {
 		w.u32(uint32(diff.Dest))
@@ -294,14 +386,14 @@ func EncodeDelta(d *Delta) []byte {
 			}
 		}
 	}
-	return frame(KindDelta, w.b)
+	return w.finish()
 }
 
 // EncodeSubscribe frames the client handshake.
 func EncodeSubscribe(fromVersion uint64) []byte {
-	var w wbuf
+	w := newFrame(KindSubscribe, 8)
 	w.u64(fromVersion)
-	return frame(KindSubscribe, w.b)
+	return w.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -431,9 +523,38 @@ func (r *rbuf) ints() ([]int, error) {
 	return out, nil
 }
 
-// column decodes one column, recomputing NhOff from the canonical
-// ascending-node pool layout and cross-checking the pool length.
-func (r *rbuf) column(nodes int) (*rib.Column, error) {
+// slot reads one column slot: the routed flag and, when it is set, the
+// weight index and the next-hop count. The common case — the whole slot
+// in the buffer and a well-formed flag — is read in one step; anything
+// else goes field by field, so a short or malformed slot reports exactly
+// the error the field readers give.
+func (r *rbuf) slot() (routed bool, w int32, nh uint32, err error) {
+	if b := r.b[r.off:]; len(b) >= 9 && b[0] <= 1 {
+		if b[0] == 0 {
+			r.off++
+			return false, 0, 0, nil
+		}
+		r.off += 9
+		return true, int32(binary.LittleEndian.Uint32(b[1:])), binary.LittleEndian.Uint32(b[5:]), nil
+	}
+	if routed, err = r.bool(); err != nil || !routed {
+		return routed, 0, 0, err
+	}
+	if w, err = r.i32(); err != nil {
+		return true, 0, 0, err
+	}
+	nh, err = r.u32()
+	return true, w, nh, err
+}
+
+// column decodes one column straight into pages. Offsets do not travel:
+// the slot pass recomputes each slot's page-relative NhOff as the
+// running span sum within its page — the canonical layout — and so
+// learns every page's pool length; once the span total has been
+// cross-checked against the pool count on the wire (itself bounded by
+// the bytes received), the pool pass allocates each page pool exactly
+// and range-checks every next hop.
+func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 	dest, err := r.u32()
 	if err != nil {
 		return nil, err
@@ -452,57 +573,69 @@ func (r *rbuf) column(nodes int) (*rib.Column, error) {
 	if int(dest) >= nSlots {
 		return nil, r.fail("column dest %d out of range [0,%d)", dest, nSlots)
 	}
-	c := &rib.Column{Dest: int(dest), Converged: converged, Slots: make([]rib.EntrySlot, nSlots)}
-	var off int64
-	for i := range c.Slots {
-		routed, err := r.bool()
-		if err != nil {
-			return nil, err
+	pages := make([]*rib.ColumnPage, (nSlots+rib.PageSize-1)>>rib.PageShift)
+	poolLens := make([]int32, len(pages))
+	var total int64
+	for pi := range pages {
+		p := &rib.ColumnPage{}
+		pages[pi] = p
+		base := pi << rib.PageShift
+		var off int32
+		for i, lim := 0, rib.PageLen(pi, nSlots); i < lim; i++ {
+			routed, w, nh, err := r.slot()
+			if err != nil {
+				return nil, err
+			}
+			if !routed {
+				continue
+			}
+			if nh == 0 && base+i != int(dest) {
+				// Forward indexes a routed node's primary next hop
+				// unconditionally; only the destination has none.
+				return nil, r.fail("column %d node %d is routed with no next hop", dest, base+i)
+			}
+			if total += int64(nh); total > int64(maxFrame) {
+				return nil, r.fail("column %d pool overflows", dest)
+			}
+			p.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: off, NhLen: int32(nh)}
+			p.Live++
+			off += int32(nh)
 		}
-		if !routed {
-			continue
-		}
-		w, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		nh, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if nh == 0 && i != int(dest) {
-			// Forward indexes a routed node's primary next hop
-			// unconditionally; only the destination has none.
-			return nil, r.fail("column %d node %d is routed with no next hop", dest, i)
-		}
-		c.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: int32(off), NhLen: int32(nh)}
-		off += int64(nh)
-		if off > int64(maxFrame) {
-			return nil, r.fail("column %d pool overflows", dest)
-		}
+		poolLens[pi] = off
 	}
 	poolLen, err := r.count(4)
 	if err != nil {
 		return nil, err
 	}
-	if int64(poolLen) != off {
-		return nil, r.fail("column %d pool length %d does not match span sum %d", dest, poolLen, off)
+	if int64(poolLen) != total {
+		return nil, r.fail("column %d pool length %d does not match span sum %d", dest, poolLen, total)
 	}
-	if poolLen == 0 {
-		return c, nil
+	for pi, p := range pages {
+		p.Pool = make([]int32, poolLens[pi])
+		for k := range p.Pool {
+			v := int32(binary.LittleEndian.Uint32(r.b[r.off:])) // count(4) vouched for poolLen entries
+			r.off += 4
+			if v < 0 || int(v) >= nSlots {
+				return nil, r.fail("column %d next hop %d out of range [0,%d)", dest, v, nSlots)
+			}
+			p.Pool[k] = v
+		}
 	}
-	c.Pool = make([]int32, poolLen)
-	for i := range c.Pool {
-		v, err := r.i32()
-		if err != nil {
+	return rib.FromPages(int(dest), nSlots, converged, pages), nil
+}
+
+func (r *rbuf) columns(nodes int) ([]*rib.PagedColumn, error) {
+	n, err := r.count(9)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	cols := make([]*rib.PagedColumn, n)
+	for i := range cols {
+		if cols[i], err = r.column(nodes); err != nil {
 			return nil, err
 		}
-		if v < 0 || int(v) >= nSlots {
-			return nil, r.fail("column %d next hop %d out of range [0,%d)", dest, v, nSlots)
-		}
-		c.Pool[i] = v
 	}
-	return c, nil
+	return cols, nil
 }
 
 func (r *rbuf) announcements() ([]Announcement, error) {
@@ -580,17 +713,8 @@ func decodeFull(r *rbuf) (*Full, error) {
 	if f.Suppressed, err = r.announcements(); err != nil {
 		return nil, err
 	}
-	nCols, err := r.count(9)
-	if err != nil {
+	if f.Columns, err = r.columns(f.Nodes); err != nil {
 		return nil, err
-	}
-	if nCols > 0 {
-		f.Columns = make([]*rib.Column, nCols)
-	}
-	for i := range f.Columns {
-		if f.Columns[i], err = r.column(f.Nodes); err != nil {
-			return nil, err
-		}
 	}
 	if r.off != len(r.b) {
 		return nil, r.fail("%d trailing bytes", len(r.b)-r.off)
@@ -651,17 +775,8 @@ func decodeDelta(r *rbuf) (*Delta, error) {
 			return nil, err
 		}
 	}
-	nScratch, err := r.count(9)
-	if err != nil {
+	if d.Scratch, err = r.columns(0); err != nil {
 		return nil, err
-	}
-	if nScratch > 0 {
-		d.Scratch = make([]*rib.Column, nScratch)
-	}
-	for i := range d.Scratch {
-		if d.Scratch[i], err = r.column(0); err != nil {
-			return nil, err
-		}
 	}
 	nDiffs, err := r.count(9)
 	if err != nil {
@@ -781,9 +896,9 @@ func decodePayload(payload []byte, crc uint32, wire int) (*Record, error) {
 	return rec, nil
 }
 
-// ReadRecord reads and decodes one frame from a stream. The payload is
-// read in bounded chunks, so a hostile length prefix on a short stream
-// cannot force a large allocation.
+// ReadRecord reads and decodes one frame from a stream. The payload
+// buffer grows with the bytes received (see readN), so a hostile length
+// prefix on a short stream cannot force a large allocation.
 func ReadRecord(br *bufio.Reader) (*Record, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -804,18 +919,25 @@ func ReadRecord(br *bufio.Reader) (*Record, error) {
 	return decodePayload(payload, binary.LittleEndian.Uint32(crcb[:]), 4+int(n)+4)
 }
 
-// readN reads exactly n bytes, growing the buffer in bounded chunks so
-// allocation tracks bytes actually received.
+// readN reads exactly n bytes into a buffer that grows geometrically
+// with the bytes actually received: it starts at one chunk and doubles
+// only when full, so its capacity never exceeds twice what the stream
+// has delivered — whatever length the frame claimed — and each step
+// reads straight into the buffer.
 func readN(r io.Reader, n int) ([]byte, error) {
 	const chunk = 1 << 16
-	out := make([]byte, 0, min(n, chunk))
-	for len(out) < n {
-		step := min(n-len(out), chunk)
-		start := len(out)
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
+	out := make([]byte, min(n, chunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, out[got:])
+		if got += m; err != nil {
 			return nil, err
 		}
+		if got == n {
+			return out, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, out)
+		out = grown
 	}
-	return out, nil
 }

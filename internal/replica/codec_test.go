@@ -42,9 +42,9 @@ func testFull() *Full {
 			{Prefix: rib.MakePrefix(10<<24|3, 32), Node: 3},
 		},
 		Suppressed: []Announcement{{Prefix: rib.MakePrefix(10<<24|1, 32), Node: 0}},
-		Columns: []*rib.Column{
-			mkColumn(0, true, [][]int32{{0}, {1, 0}, {2, 0, 3}, {1, 0}}),
-			mkColumn(3, false, [][]int32{nil, {2, 3}, nil, {0}}),
+		Columns: []*rib.PagedColumn{
+			mkColumn(0, true, [][]int32{{0}, {1, 0}, {2, 0, 3}, {1, 0}}).Paged(),
+			mkColumn(3, false, [][]int32{nil, {2, 3}, nil, {0}}).Paged(),
 		},
 	}
 }
@@ -58,7 +58,7 @@ func testDelta() *Delta {
 		Unconverged: nil,
 		NameBase:    3,
 		NamesTail:   []string{"(4, 4)"},
-		Scratch:     []*rib.Column{mkColumn(0, true, [][]int32{{0}, nil, {3, 0, 3}, {1, 0}})},
+		Scratch:     []*rib.PagedColumn{mkColumn(0, true, [][]int32{{0}, nil, {3, 0, 3}, {1, 0}}).Paged()},
 		Diffs: []ColumnDiff{
 			{Dest: 3, Converged: true, Changes: []SlotChange{
 				{Node: 0, Routed: true, W: 3, NextHop: []int32{1, 2}},
@@ -81,18 +81,10 @@ func TestFullRoundTrip(t *testing.T) {
 	if rec.WireBytes != len(frame) {
 		t.Fatalf("WireBytes = %d, want %d", rec.WireBytes, len(frame))
 	}
+	// NhOff never travels; equality down to the pages means the decoder
+	// reconstructed the canonical page-relative offsets exactly.
 	if !reflect.DeepEqual(rec.Full, f) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", rec.Full, f)
-	}
-	// NhOff never travels; the decoder must have reconstructed the
-	// canonical offsets exactly.
-	for i, c := range rec.Full.Columns {
-		for u, s := range c.Slots {
-			want := f.Columns[i].Slots[u]
-			if s.NhOff != want.NhOff {
-				t.Fatalf("column %d node %d NhOff = %d, want %d", c.Dest, u, s.NhOff, want.NhOff)
-			}
-		}
 	}
 }
 
@@ -170,30 +162,47 @@ func refresh(b []byte) []byte {
 	return b
 }
 
-func TestDecodeRejectsBadColumns(t *testing.T) {
-	cases := map[string]*Full{
-		"pool length mismatch": {Nodes: 2, Columns: []*rib.Column{{
-			Dest:  0,
+// badColumns are flat columns no paged column can express, keyed by the
+// decoder check that must refuse each; the oracle encoder frames them
+// CRC-valid. Dropping the "routed with no next hop" or the next-hop
+// range check from the page decoder fails this table (and lets
+// FuzzDecodeRecord, which is seeded with the same frames, walk Forward
+// off the end of a pool).
+func badColumns() map[string]*rib.Column {
+	return map[string]*rib.Column{
+		"pool length 1 does not match span sum 2": {
 			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhLen: 2}},
-			Pool:  []int32{0}, // span sum says 2
-		}}},
-		"next hop out of range": {Nodes: 2, Columns: []*rib.Column{{
-			Dest:  0,
+			Pool:  []int32{0},
+		},
+		"next hop 7 out of range [0,2)": {
 			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhLen: 1}},
 			Pool:  []int32{7},
-		}}},
-		"dest out of range": {Nodes: 2, Columns: []*rib.Column{{
+		},
+		"next hop -1 out of range [0,2)": {
+			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhLen: 1}},
+			Pool:  []int32{-1},
+		},
+		"node 1 is routed with no next hop": {
+			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true}},
+		},
+		"column dest 5 out of range [0,2)": {
 			Dest:  5,
 			Slots: []rib.EntrySlot{{}, {}},
-		}}},
-		"slot count mismatch": {Nodes: 3, Columns: []*rib.Column{{
-			Dest:  0,
+		},
+		"has 1 slots, want 2": {
 			Slots: []rib.EntrySlot{{Routed: true}},
-		}}},
+		},
+		"pool overflows": {
+			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhLen: maxFrame + 1}},
+		},
 	}
-	for name, f := range cases {
-		if _, err := DecodeRecord(EncodeFull(f)); err == nil {
-			t.Errorf("%s: decode accepted invalid column", name)
+}
+
+func TestDecodeRejectsBadColumns(t *testing.T) {
+	for want, c := range badColumns() {
+		_, err := DecodeRecord(oracleEncodeFull(&Full{Nodes: 2}, []*rib.Column{c}))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decoding a column whose %s: got %v", want, err)
 		}
 	}
 }
@@ -267,8 +276,9 @@ func TestChecksumTracksContent(t *testing.T) {
 
 func TestDecodeErrorsMentionOffset(t *testing.T) {
 	f := testFull()
-	f.Columns[0].Pool = f.Columns[0].Pool[:len(f.Columns[0].Pool)-1]
-	_, err := DecodeRecord(EncodeFull(f))
+	cols := flattened(f.Columns)
+	cols[0].Pool = cols[0].Pool[:len(cols[0].Pool)-1]
+	_, err := DecodeRecord(oracleEncodeFull(f, cols))
 	if err == nil {
 		t.Fatal("decode accepted pool/span mismatch")
 	}

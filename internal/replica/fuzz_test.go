@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
+
+	"metarouting/internal/rib"
 )
 
 // FuzzDecodeRecord hammers the wire decoder with arbitrary bytes:
@@ -21,6 +23,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(EncodeFull(testFull()))
 	f.Add(EncodeDelta(testDelta()))
 	f.Add(EncodeSubscribe(42))
+	// Two pages, the last one partial; a delta shipping a whole column.
+	f.Add(EncodeFull(goldenFull()))
+	f.Add(EncodeDelta(goldenDelta()))
+	// CRC-valid fulls only the column decoder's own checks can refuse: a
+	// decoder that let one through would hand Forward a routed node with
+	// no next hop, or a next hop outside the column.
+	for _, c := range badColumns() {
+		f.Add(oracleEncodeFull(&Full{Nodes: 2}, []*rib.Column{c}))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})

@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"metarouting/internal/rib"
@@ -34,7 +35,9 @@ type State struct {
 	Cols map[int]*rib.PagedColumn
 }
 
-// ApplyFull materializes a full snapshot record into a State.
+// ApplyFull materializes a full snapshot record into a State. The
+// record's columns are adopted as they are — the decoder laid them out
+// in the leader's paged form already — so the state shares their pages.
 func ApplyFull(f *Full) (*State, error) {
 	st := &State{
 		Version:     f.Version,
@@ -53,13 +56,13 @@ func ApplyFull(f *Full) (*State, error) {
 		}
 	}
 	for _, c := range f.Columns {
-		if len(c.Slots) != f.Nodes {
-			return nil, fmt.Errorf("replica: column %d has %d slots, snapshot has %d nodes", c.Dest, len(c.Slots), f.Nodes)
+		if c.N != f.Nodes {
+			return nil, fmt.Errorf("replica: column %d has %d slots, snapshot has %d nodes", c.Dest, c.N, f.Nodes)
 		}
 		if _, dup := st.Cols[c.Dest]; dup {
 			return nil, fmt.Errorf("replica: duplicate column for destination %d", c.Dest)
 		}
-		st.Cols[c.Dest] = c.Paged()
+		st.Cols[c.Dest] = c
 	}
 	return st, nil
 }
@@ -120,13 +123,13 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 		st.Cols[dest] = c
 	}
 	for _, c := range d.Scratch {
-		if len(c.Slots) != st.Nodes {
-			return nil, fmt.Errorf("replica: scratch column %d has %d slots, state has %d nodes", c.Dest, len(c.Slots), st.Nodes)
+		if c.N != st.Nodes {
+			return nil, fmt.Errorf("replica: scratch column %d has %d slots, state has %d nodes", c.Dest, c.N, st.Nodes)
 		}
 		if _, known := cur.Cols[c.Dest]; !known {
 			return nil, fmt.Errorf("replica: scratch column for unknown destination %d", c.Dest)
 		}
-		st.Cols[c.Dest] = c.Paged()
+		st.Cols[c.Dest] = c
 	}
 	// Each diff clones only the pages holding a changed slot; the page
 	// re-lay is canonical, so the patched column flattens to the leader's
@@ -172,8 +175,9 @@ func Checksum[C rib.Col](disabled []bool, cols map[int]C) uint32 {
 	w.bits(disabled)
 	crc := crc32.ChecksumIEEE(w.b)
 	for _, d := range dests {
-		w.b = w.b[:0]
-		w.column(cols[d].Flatten())
+		c := cols[d].Paged()
+		w.b = slices.Grow(w.b[:0], columnSize(c))
+		w.column(c)
 		crc = crc32.Update(crc, crc32.IEEETable, w.b)
 	}
 	return crc

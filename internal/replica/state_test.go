@@ -152,7 +152,7 @@ func TestApplyDeltaRejectsBadDiffs(t *testing.T) {
 		t.Fatal("out-of-range toggle arc accepted")
 	}
 	badScr := testDelta()
-	badScr.Scratch[0] = mkColumn(2, true, [][]int32{{0}, nil, nil, nil})
+	badScr.Scratch[0] = mkColumn(2, true, [][]int32{{0}, nil, nil, nil}).Paged()
 	if _, err := ApplyDelta(st, badScr); err == nil {
 		t.Fatal("scratch column for unknown destination accepted")
 	}
@@ -207,7 +207,7 @@ func chainState(t testing.TB, n, arcs int) *State {
 		}
 	}
 	st, err := ApplyFull(&Full{Version: 1, Fingerprint: 9, Nodes: n, Disabled: make([]bool, arcs),
-		Names: []string{"0", "1", "2", "3", "4", "5", "6"}, Columns: []*rib.Column{mkColumn(0, true, routes)}})
+		Names: []string{"0", "1", "2", "3", "4", "5", "6"}, Columns: []*rib.PagedColumn{mkColumn(0, true, routes).Paged()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,16 +305,17 @@ func TestApplyDeltaAllocs(t *testing.T) {
 // TestStateChecksumMatchesPackageChecksum: one checksum, whatever the
 // layout — the paged state digests to the value the flat columns of the
 // record it was built from do, which is the CRC of their concatenated
-// wire encoding (the pre-streaming definition).
+// wire encoding as the flat-arena encoder wrote it (the pre-streaming
+// definition).
 func TestStateChecksumMatchesPackageChecksum(t *testing.T) {
 	f := testFull()
 	st := bootstrap(t)
 	flat := map[int]*rib.Column{}
 	var w wbuf
 	w.bits(f.Disabled)
-	for _, c := range f.Columns { // ascending by destination
+	for _, c := range flattened(f.Columns) { // ascending by destination
 		flat[c.Dest] = c
-		w.column(c)
+		oracleColumn(&w, c)
 	}
 	if got, want := st.Checksum(), crc32.ChecksumIEEE(w.b); got != want || Checksum(f.Disabled, flat) != want {
 		t.Fatalf("checksum: state %08x, flat columns %08x, want %08x", got, Checksum(f.Disabled, flat), want)

@@ -45,9 +45,12 @@ type Col interface {
 	Bytes() int
 	Live() int
 	// Flatten returns the column in flat form (itself for a *Column;
-	// a fresh canonical re-lay for a *PagedColumn) — the form the
-	// replication wire codec and checksums consume.
+	// a fresh canonical re-lay for a *PagedColumn).
 	Flatten() *Column
+	// Paged returns the column in paged form (itself for a
+	// *PagedColumn; a fresh canonical re-lay for a *Column) — the form
+	// the replication wire codec and checksums consume.
+	Paged() *PagedColumn
 }
 
 // forwardScanHops is the path length up to which Forward detects loops

@@ -211,8 +211,7 @@ func (c *PagedColumn) resum() {
 // Flatten re-lays the column into flat arena form: pages concatenated
 // in order with pool offsets rebased. Because both layouts use the same
 // canonical order (slots ascending, spans appended in slot order), the
-// result is bit-identical to BuildDestColumn on the same routes — the
-// replication encoder and checksums consume this form.
+// result is bit-identical to BuildDestColumn on the same routes.
 func (c *PagedColumn) Flatten() *Column {
 	poolLen := 0
 	for _, p := range c.Pages {
@@ -227,7 +226,7 @@ func (c *PagedColumn) Flatten() *Column {
 	}
 	for pi, p := range c.Pages {
 		base := pi << PageShift
-		lim := pageLimit(pi, c.N)
+		lim := PageLen(pi, c.N)
 		off := int32(len(f.Pool))
 		for i := 0; i < lim; i++ {
 			s := p.Slots[i]
@@ -243,6 +242,33 @@ func (c *PagedColumn) Flatten() *Column {
 	return f
 }
 
+// Paged is the identity — a paged column is already in the form the
+// replication codec reads.
+func (c *PagedColumn) Paged() *PagedColumn { return c }
+
+// MaxWeight folds the column's routed weight indices into a running
+// maximum — what a replication record's weight-name table must cover.
+func (c *PagedColumn) MaxWeight(cur int) int {
+	for _, p := range c.Pages {
+		for i := range p.Slots { // slots past N on the last page are unrouted
+			if s := &p.Slots[i]; s.Routed && int(s.W) > cur {
+				cur = int(s.W)
+			}
+		}
+	}
+	return cur
+}
+
+// FromPages adopts a page table built elsewhere — the replication
+// decoder's, laid out canonically straight off the wire — as an n-node
+// column. pages must hold numPages(n) pages with Live counted; the
+// column carries no Clean certificate.
+func FromPages(dest, n int, converged bool, pages []*ColumnPage) *PagedColumn {
+	c := &PagedColumn{Dest: dest, N: n, Converged: converged, Pages: pages}
+	c.resum()
+	return c
+}
+
 // Paged re-lays a flat column into paged copy-on-write form — the
 // inverse of Flatten: c.Paged().Flatten() is bit-identical to a
 // canonical c, and p.Flatten().Paged() reproduces p page for page.
@@ -254,7 +280,7 @@ func (c *Column) Paged() *PagedColumn {
 	pc := &PagedColumn{Dest: c.Dest, N: n, Converged: c.Converged, Clean: c.Clean, Pages: make([]*ColumnPage, numPages(n))}
 	for pi := range pc.Pages {
 		base := pi << PageShift
-		slots := c.Slots[base : base+pageLimit(pi, n)]
+		slots := c.Slots[base : base+PageLen(pi, n)]
 		poolLen := 0
 		for i := range slots {
 			if slots[i].Routed {
@@ -349,7 +375,7 @@ func patchPage(prev *ColumnPage, pi, n int, patches []SlotPatch) *ColumnPage {
 	}
 	np := &ColumnPage{Pool: make([]int32, 0, poolLen)}
 	base := pi << PageShift
-	for i, lim := 0, pageLimit(pi, n); i < lim; i++ {
+	for i, lim := 0, PageLen(pi, n); i < lim; i++ {
 		if len(patches) > 0 && patches[0].Node == base+i {
 			if p := &patches[0]; p.Routed {
 				np.put(i, p.W, p.NextHop)
@@ -390,9 +416,9 @@ func (p *ColumnPage) hops(i int) []int32 {
 	return p.Pool[s.NhOff : s.NhOff+s.NhLen : s.NhOff+s.NhLen]
 }
 
-// pageLimit is the number of slots page pi holds in an n-node column
+// PageLen is the number of slots page pi holds in an n-node column
 // (PageSize except on a partial last page).
-func pageLimit(pi, n int) int {
+func PageLen(pi, n int) int {
 	if lim := n - pi<<PageShift; lim < PageSize {
 		return lim
 	}
@@ -409,7 +435,7 @@ func pageLimit(pi, n int) int {
 func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, prev *ColumnPage, redo *solve.Workspace) *ColumnPage {
 	np := &ColumnPage{}
 	base := pi << PageShift
-	lim := pageLimit(pi, g.N)
+	lim := PageLen(pi, g.N)
 	if prev != nil {
 		np.Pool = make([]int32, 0, len(prev.Pool)+4)
 	} else {
@@ -521,7 +547,7 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 	d := newSlotDiff(next.N, 0)
 	for pi, np := range next.Pages {
 		if op := prev.Pages[pi]; op != np {
-			d.page(op, np, pi<<PageShift, pageLimit(pi, next.N), nil)
+			d.page(op, np, pi<<PageShift, PageLen(pi, next.N), nil)
 		}
 	}
 	return d.patches, d.count
@@ -608,7 +634,7 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		c.Pages[pi] = np
 		c.arenaBytes += np.bytes() - old.bytes()
 		c.live += int(np.Live - old.Live)
-		diff.page(old, np, int(pi)<<PageShift, pageLimit(int(pi), g.N), ws)
+		diff.page(old, np, int(pi)<<PageShift, PageLen(int(pi), g.N), ws)
 	}
 	ps := PageStats{Cloned: len(dirty), Shared: len(c.Pages) - len(dirty), DirtyPages: dirty,
 		Changes: diff.patches, Changed: diff.count}

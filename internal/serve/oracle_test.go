@@ -62,9 +62,22 @@ func oracleFlaps(prev, next map[int]rib.Col) uint64 {
 	return flaps
 }
 
-// SwapOracle shadows one server's publish path. It keeps its own copy of
-// the record stream's weight-name watermark, which evolves exactly as
-// the server's does as long as the frames agree.
+// oracleMaxWeight folds a column's routed weight indices into a running
+// maximum, through the read surface.
+func oracleMaxWeight(c rib.Col, cur int) int {
+	n := c.NumNodes()
+	for u := 0; u < n; u++ {
+		if w, ok := c.Route(u); ok && int(w) > cur {
+			cur = int(w)
+		}
+	}
+	return cur
+}
+
+// SwapOracle shadows one server's publish path. It keeps its own count
+// of the weight names the record stream has carried — re-formatting each
+// tail from the engine rather than reading the server's table — which
+// evolves exactly as the server's does as long as the frames agree.
 type SwapOracle struct {
 	s         *Server
 	nameCount int
@@ -75,7 +88,7 @@ type SwapOracle struct {
 func NewSwapOracle(s *Server) *SwapOracle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &SwapOracle{s: s, nameCount: s.nameCount, flaps: s.flaps.Load()}
+	return &SwapOracle{s: s, nameCount: len(s.names), flaps: s.flaps.Load()}
 }
 
 // encodeDelta is the scan-based delta encoder: every slot of every
@@ -100,8 +113,8 @@ func (o *SwapOracle) encodeDelta(prev, sn *Snapshot, toggles []ArcEvent) []byte 
 		}
 		n := nc.NumNodes()
 		if oc == nil || oc.NumNodes() != n {
-			d.Scratch = append(d.Scratch, nc.Flatten())
-			maxW = maxColWeight(nc, maxW)
+			d.Scratch = append(d.Scratch, nc.Paged())
+			maxW = oracleMaxWeight(nc, maxW)
 			continue
 		}
 		var changes []replica.SlotChange
@@ -126,8 +139,8 @@ func (o *SwapOracle) encodeDelta(prev, sn *Snapshot, toggles []ArcEvent) []byte 
 			continue
 		}
 		if len(changes) > n/2 {
-			d.Scratch = append(d.Scratch, nc.Flatten())
-			maxW = maxColWeight(nc, maxW)
+			d.Scratch = append(d.Scratch, nc.Paged())
+			maxW = oracleMaxWeight(nc, maxW)
 			continue
 		}
 		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: dest, Converged: nc.IsConverged(), Changes: changes})
@@ -170,7 +183,7 @@ func (o *SwapOracle) Check(prev *Snapshot, events []ArcEvent, frame []byte) erro
 		// A full record advances the watermark past every weight the
 		// snapshot references.
 		for _, col := range sn.cols {
-			if need := maxColWeight(col, -1) + 1; need > o.nameCount {
+			if need := oracleMaxWeight(col, -1) + 1; need > o.nameCount {
 				o.nameCount = need
 			}
 		}

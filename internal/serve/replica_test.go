@@ -129,7 +129,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			defer srv.Close()
 			// The leader runs the default paged copy-on-write columns, so
 			// this storm also proves follower byte-identity against paged
-			// leaders (records flatten at the encode boundary).
+			// leaders (records are written straight from the pages).
 			if !srv.Stats().PagedColumns {
 				t.Fatal("leader expected to default to paged columns")
 			}

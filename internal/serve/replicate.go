@@ -32,13 +32,12 @@ package serve
 // order, which differs across processes, so a follower can never
 // resolve an index against its own engine. The leader instead ships a
 // names table (index → value.Format string) that grows monotonically
-// with the record stream, guarded by s.mu like everything else on the
-// publish path.
+// with the record stream: the server keeps it (s.names) and appends to
+// it under s.mu, like everything else on the publish path, so a full
+// record ships the table as it stands and a delta ships the tail it
+// just added.
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-
 	"metarouting/internal/graph"
 	"metarouting/internal/replica"
 	"metarouting/internal/rib"
@@ -76,23 +75,47 @@ func WithReplication(sink RecordSink) Option {
 }
 
 // fingerprintGraph digests the base topology — node count plus every
-// arc's endpoints and label — so followers can refuse to mix record
-// streams from different leaders.
+// arc's endpoints and label, each as a little-endian u64 fed to FNV-64a
+// (hash/fnv's New64a; the value is compared by followers and stored in
+// logs, so it is pinned by a golden test) — so followers can refuse to
+// mix record streams from different leaders.
 func fingerprintGraph(g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(g.N))
-	put(uint64(len(g.Arcs)))
+	h := fnvWord(fnvWord(fnvOffset64, uint64(g.N)), uint64(len(g.Arcs)))
 	for _, a := range g.Arcs {
-		put(uint64(a.From))
-		put(uint64(a.To))
-		put(uint64(a.Label))
+		h = fnvWord(fnvWord(fnvWord(h, uint64(a.From)), uint64(a.To)), uint64(a.Label))
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-64a's parameters, and the prime's powers for folding runs of zero
+// bytes.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvWord folds v's eight little-endian bytes into h exactly as FNV-64a
+// does one byte at a time. The hash is a serial multiply per byte — that
+// chain, not the 1.2 M Writes it used to arrive in, is what a 100k-node
+// fingerprint costs — but a zero byte only multiplies (h ^ 0 = h), so
+// the zero bytes above v's top set byte fold into one multiplication by
+// a power of the prime; node indices and labels are small, which makes
+// that most of the bytes.
+func fnvWord(h, v uint64) uint64 {
+	zeros := 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ v&0xff) * fnvPrime64
+		zeros--
+	}
+	return h * fnvPrimePow[zeros]
 }
 
 // Fingerprint identifies the server's base topology on the wire.
@@ -109,34 +132,63 @@ func (s *Server) Checksum() uint32 {
 
 // EncodeFull encodes the current snapshot as a framed full record —
 // the bootstrap source a replica.Publisher calls for subscribers too
-// far behind its ring. It takes the writer lock so the snapshot and
-// the names watermark are read consistently; sinks are called with
-// that lock held and must not call back in (replica.Publisher calls
-// this outside its own mutex for the same reason).
+// far behind its ring. The writer lock is held only to pin the snapshot
+// together with the names table as it stood when that snapshot was
+// published; the encoding itself runs outside it, so a late joiner
+// never stalls a swap. The pinned pair is a consistent record: names
+// are only ever appended, under the lock, by the publish that needs
+// them, so the prefix covers every weight the snapshot references, and
+// the next delta's NameBase — the table's length at that publish — can
+// only be at or past it, which is the overlap ApplyDelta accepts.
 func (s *Server) EncodeFull() (uint64, []byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn := s.snap.Load()
-	return sn.Version, s.encodeFullLocked(sn), nil
+	sn, names := s.snap.Load(), s.names[:len(s.names):len(s.names)]
+	s.mu.Unlock()
+	cols := s.pagedCols(sn)
+	if s.sink == nil {
+		// No publish maintains the table without a sink; cover the
+		// shortfall in this record alone (the capped slice makes the
+		// append a copy).
+		names = s.appendNames(names, maxWeight(cols))
+	}
+	return sn.Version, s.encodeFull(sn, cols, names), nil
 }
 
-// encodeFullLocked encodes sn as a full record. Callers hold s.mu.
-func (s *Server) encodeFullLocked(sn *Snapshot) []byte {
-	// The names watermark normally already covers every index the
-	// columns reference (each publish advances it); advancing here too
-	// keeps the invariant even for the very first record.
-	required := 0
-	for _, d := range s.dests {
-		required = maxColWeight(sn.cols[d], required-1) + 1
+// pagedCols returns sn's columns in the form the codec reads, ascending
+// by destination — the columns themselves under the paged layout, a
+// re-lay of each under the legacy flat one.
+func (s *Server) pagedCols(sn *Snapshot) []*rib.PagedColumn {
+	cols := make([]*rib.PagedColumn, len(s.dests))
+	for i, d := range s.dests {
+		cols[i] = sn.cols[d].Paged()
 	}
-	if required > s.nameCount {
-		s.nameCount = required
+	return cols
+}
+
+// maxWeight returns the largest weight index the columns reference, -1
+// when nothing is routed.
+func maxWeight(cols []*rib.PagedColumn) int {
+	maxW := -1
+	for _, c := range cols {
+		maxW = c.MaxWeight(maxW)
 	}
-	names := make([]string, s.nameCount)
-	for i := range names {
-		names[i] = value.Format(s.eng.Value(int32(i)))
+	return maxW
+}
+
+// appendNames extends a weight-names table (index → value.Format
+// string) to cover index maxW.
+func (s *Server) appendNames(names []string, maxW int) []string {
+	for i := len(names); i <= maxW; i++ {
+		names = append(names, value.Format(s.eng.Value(int32(i))))
 	}
-	f := &replica.Full{
+	return names
+}
+
+// encodeFull encodes sn, whose columns are cols, as a full record
+// carrying names, which must cover every weight index cols reference.
+// It reads nothing a swap mutates, so it needs no lock.
+func (s *Server) encodeFull(sn *Snapshot, cols []*rib.PagedColumn, names []string) []byte {
+	return replica.EncodeFull(&replica.Full{
 		Version:     sn.Version,
 		Fingerprint: s.fingerprint,
 		Nodes:       s.base.N,
@@ -145,12 +197,8 @@ func (s *Server) encodeFullLocked(sn *Snapshot) []byte {
 		Names:       names,
 		Kept:        toAnnouncements(s.prefixes.Kept()),
 		Suppressed:  toAnnouncements(s.prefixes.Suppressed()),
-		Columns:     make([]*rib.Column, 0, len(s.dests)),
-	}
-	for _, d := range s.dests {
-		f.Columns = append(f.Columns, sn.cols[d].Flatten())
-	}
-	return replica.EncodeFull(f)
+		Columns:     cols,
+	})
 }
 
 // encodeDeltaLocked encodes the prev→sn swap as a delta record from the
@@ -178,8 +226,9 @@ func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, built
 	for i := range built { // ascending by destination, like s.dests
 		r := &built[i]
 		if r.changed > r.col.NumNodes()/2 {
-			d.Scratch = append(d.Scratch, r.col.Flatten())
-			maxW = maxColWeight(r.col, maxW)
+			pc := r.col.Paged()
+			d.Scratch = append(d.Scratch, pc)
+			maxW = pc.MaxWeight(maxW)
 			continue
 		}
 		if r.changed == 0 && r.col.IsConverged() == prev.cols[r.dest].IsConverged() {
@@ -192,27 +241,10 @@ func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, built
 		}
 		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: r.dest, Converged: r.col.IsConverged(), Changes: r.changes})
 	}
-	d.NameBase = s.nameCount
-	if maxW+1 > s.nameCount {
-		d.NamesTail = make([]string, 0, maxW+1-s.nameCount)
-		for i := s.nameCount; i <= maxW; i++ {
-			d.NamesTail = append(d.NamesTail, value.Format(s.eng.Value(int32(i))))
-		}
-		s.nameCount = maxW + 1
-	}
+	d.NameBase = len(s.names)
+	s.names = s.appendNames(s.names, maxW)
+	d.NamesTail = s.names[d.NameBase:]
 	return replica.EncodeDelta(d)
-}
-
-// maxColWeight folds a column's routed weight indices into a running
-// maximum.
-func maxColWeight(c rib.Col, cur int) int {
-	n := c.NumNodes()
-	for u := 0; u < n; u++ {
-		if w, ok := c.Route(u); ok && int(w) > cur {
-			cur = int(w)
-		}
-	}
-	return cur
 }
 
 func toAnnouncements(pos []rib.PrefixOrigin) []replica.Announcement {
@@ -230,8 +262,13 @@ func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, built []rebuil
 		return
 	}
 	var frame []byte
+	var cols []*rib.PagedColumn // sn's, once a full record has needed them
 	if toggles == nil || cur == nil {
-		frame = s.encodeFullLocked(sn)
+		// Every column may be new: bring the names table up to the
+		// snapshot before encoding it.
+		cols = s.pagedCols(sn)
+		s.names = s.appendNames(s.names, maxWeight(cols))
+		frame = s.encodeFull(sn, cols, s.names)
 		s.repFull.Add(1)
 	} else {
 		frame = s.encodeDeltaLocked(cur, sn, toggles, built)
@@ -249,7 +286,10 @@ func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, built []rebuil
 	// call back into the server, so the rotation driver lives on the
 	// leader side.
 	if r, ok := s.sink.(LogRotator); ok && r.RotateDue() {
-		if err := r.RotateLog(sn.Version, s.encodeFullLocked(sn)); err != nil {
+		if cols == nil {
+			cols = s.pagedCols(sn)
+		}
+		if err := r.RotateLog(sn.Version, s.encodeFull(sn, cols, s.names)); err != nil {
 			s.repErrors.Add(1)
 		}
 	}

@@ -434,11 +434,14 @@ type Server struct {
 	scrapeSnap atomic.Pointer[Snapshot]
 
 	// Replication (nil sink: disabled). fingerprint digests the base
-	// topology; nameCount is the monotone count of weight names already
-	// shipped on the record stream, guarded by mu like the publish path.
+	// topology; names is the weight-names table (index → value.Format
+	// string) the record stream has carried so far. It is append-only
+	// and appended to under mu alone — by the publish whose record first
+	// needs the names — so a prefix pinned under mu stays valid to read
+	// after the lock is dropped (EncodeFull does exactly that).
 	sink        RecordSink
 	fingerprint uint64
-	nameCount   int
+	names       []string
 
 	pool *sched.Pool[*solve.Workspace]
 

@@ -16,8 +16,13 @@ go test -race ./...
 # The serve subsystem is the concurrency-heavy code path: exercise its
 # tests again under the race detector with shuffled execution order.
 # This is also where the publish-path differentials run (every swap's
-# flap count and delta frame against the scan-based oracle).
+# flap count and delta frame against the scan-based oracle), and
+# TestEncodeFullConcurrentWithSwaps: full records encoded outside the
+# writer lock beside 200 swaps, each one bootstrapping a follower that
+# the stream's following deltas still apply to — run ten times more on
+# its own, since a race only shows on the interleavings a run happens on.
 go test -race -count=2 -shuffle=on ./internal/serve/
+go test -race -run='^TestEncodeFullConcurrentWithSwaps$' -count=10 ./internal/serve/
 
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (no timing assertions — this only guards against bit-rot).
@@ -115,11 +120,14 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # allocate nothing sized by the column, a follower's delta apply must
 # stay O(cloned pages) in objects and bytes, and so must the leader's
 # publish path beyond its one Disabled copy — no per-dirty-page slot
-# expansion, no per-change next-hop copy.
+# expansion, no per-change next-hop copy. A full record must cost its
+# frame (one exactly-sized allocation, no flat copy of the columns), and
+# a frame reader's buffer must track the bytes received, never the
+# length the frame claims.
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
-go test -run='^TestApplyDeltaAllocs$' -count=1 ./internal/replica/
-go test -run='^TestPublishAllocsScaleWithChanges$' -count=1 ./internal/serve/
+go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
+go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
 # batch resolution core and the wire codec must stay at zero
