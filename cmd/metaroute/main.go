@@ -116,19 +116,7 @@ func main() {
 	}
 	var g *graph.Graph
 	if *topoFile != "" {
-		f, err := os.Open(*topoFile)
-		if err != nil {
-			fatal(err)
-		}
-		g, err = graph.ParseTopology(f, func(label string) (int, bool) {
-			for i, fn := range a.OT.F.Fns {
-				if fn.Name == label {
-					return i, true
-				}
-			}
-			return 0, false
-		})
-		f.Close()
+		g, err = loadTopology(*topoFile, a)
 		if err != nil {
 			fatal(err)
 		}
@@ -191,6 +179,32 @@ func report(name string, a *core.Algebra, g *graph.Graph, origin value.V, res *s
 			}
 		}
 	}
+}
+
+// loadTopology reads a topology file, resolving labels against the
+// algebra's function names (or integer indices) and rejecting labels the
+// function set does not have.
+func loadTopology(path string, a *core.Algebra) (*graph.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	g, err := graph.ParseTopology(f, func(label string) (int, bool) {
+		for i, fn := range a.OT.F.Fns {
+			if fn.Name == label {
+				return i, true
+			}
+		}
+		return 0, false
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := g.CheckLabels(a.OT.F.Size()); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }
 
 // labelCount bounds the usable arc-label range.

@@ -7,10 +7,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Arc is a directed edge (From → To) labelled with the index of an arc
@@ -23,6 +23,40 @@ type Arc struct {
 	Label int
 }
 
+// Hop is one packed adjacency entry: the node at the far end of an arc
+// (the head in an out-row, the tail in an in-row) and the arc's label.
+// It is everything a relaxation reads about an arc, so solver loops walk
+// rows of Hops and never dereference Arcs.
+type Hop struct {
+	Node, Label int32
+}
+
+// csr is the packed adjacency index of one direction: row u occupies
+// positions start[u]..start[u+1] of hops, and arcs[k] is the index into
+// Arcs of the arc behind hops[k] for the few callers that need arc
+// identity. Rows hold arcs in ascending index order.
+type csr struct {
+	start []int32
+	hops  []Hop
+	arcs  []int32
+}
+
+func (c *csr) hopRow(u int) []Hop {
+	lo, hi := c.start[u], c.start[u+1]
+	return c.hops[lo:hi:hi]
+}
+
+func (c *csr) arcRow(u int) []int32 {
+	lo, hi := c.start[u], c.start[u+1]
+	return c.arcs[lo:hi:hi]
+}
+
+// overRow is one filtered row of an overlay view.
+type overRow struct {
+	hops []Hop
+	arcs []int32
+}
+
 // Graph is a directed graph with labelled arcs. Nodes are 0..N-1.
 type Graph struct {
 	// N is the node count.
@@ -30,28 +64,27 @@ type Graph struct {
 	// Arcs lists every directed arc.
 	Arcs []Arc
 
-	out [][]int // out[u] = indices into Arcs with From == u
-	in  [][]int // in[v] = indices into Arcs with To == v
+	out csr // out-rows: arcs with From == u, Hop.Node = To
+	in  csr // in-rows: arcs with To == v, Hop.Node = From
 
 	// outOver/inOver, on views built by WithArcToggled/WithArcsToggled,
 	// overlay the shared base rows: a present key returns the overlay row,
 	// an absent key falls through to out/in. The maps are frozen at
 	// construction (views are immutable), so concurrent reads are safe.
-	outOver map[int][]int
-	inOver  map[int][]int
+	outOver map[int]*overRow
+	inOver  map[int]*overRow
 
 	// base, for views built by MaskArcs/WithArcToggled, is the unmasked
 	// graph whose full adjacency rows seed copy-on-write row rebuilds.
 	base *Graph
-
-	// rev caches the base graph's CSR reverse-adjacency index (built at
-	// most once, shared by every view — see RevIn).
-	revOnce sync.Once
-	rev     *RevCSR
 }
 
-// New builds a graph from a node count and arcs; it validates endpoints.
+// New builds a graph from a node count and arcs; it validates endpoints
+// and that counts and labels fit the int32 adjacency rows.
 func New(n int, arcs []Arc) (*Graph, error) {
+	if n > math.MaxInt32 || len(arcs) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d nodes / %d arcs exceed the int32 index range", n, len(arcs))
+	}
 	g := &Graph{N: n, Arcs: arcs}
 	for _, a := range arcs {
 		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
@@ -60,8 +93,11 @@ func New(n int, arcs []Arc) (*Graph, error) {
 		if a.From == a.To {
 			return nil, fmt.Errorf("graph: self-loop at %d", a.From)
 		}
+		if a.Label < 0 || a.Label > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: arc %v label out of range [0,%d]", a, math.MaxInt32)
+		}
 	}
-	g.index()
+	g.out, g.in = buildIndex(n, arcs, nil)
 	return g, nil
 }
 
@@ -74,57 +110,102 @@ func MustNew(n int, arcs []Arc) *Graph {
 	return g
 }
 
-func (g *Graph) index() {
-	g.out, g.in = buildAdjacency(g.N, g.Arcs, nil)
+// CheckLabels reports the first arc whose label is not an arc-function
+// index of an algebra with numFns functions — the check every entry
+// point taking a topology from outside runs before a solver indexes the
+// function set with it. numFns < 0 (an infinite, sampled function set)
+// accepts every label.
+func (g *Graph) CheckLabels(numFns int) error {
+	if numFns < 0 {
+		return nil
+	}
+	for i, a := range g.Arcs {
+		if a.Label >= numFns {
+			return fmt.Errorf("graph: arc %d (%d→%d) label %d out of range [0,%d)", i, a.From, a.To, a.Label, numFns)
+		}
+	}
+	return nil
 }
 
-// buildAdjacency constructs out/in adjacency rows with a counting pass:
-// all rows are carved out of two flat backing arrays, so indexing a
-// 100k-node topology costs four allocations instead of one growing
-// slice per node. Rows are capped (three-index slices), so a later
-// append on a row can never bleed into its neighbour. disabled, when
+// buildIndex constructs both packed adjacency indexes with a counting
+// pass: six flat arrays however many nodes there are. disabled, when
 // non-nil, omits masked arcs (the MaskArcs path).
-func buildAdjacency(n int, arcs []Arc, disabled []bool) (out, in [][]int) {
-	outDeg := make([]int, n)
-	inDeg := make([]int, n)
+func buildIndex(n int, arcs []Arc, disabled []bool) (out, in csr) {
+	// Degrees are counted two slots up, so that after the prefix sum slot
+	// u+1 is row u's fill cursor; once filled it has advanced to row u's
+	// end, which is row u+1's start — start is then the first n+1 slots.
+	oc := make([]int32, n+2)
+	ic := make([]int32, n+2)
 	m := 0
 	for i, a := range arcs {
-		if disabled != nil && i < len(disabled) && disabled[i] {
+		if i < len(disabled) && disabled[i] {
 			continue
 		}
-		outDeg[a.From]++
-		inDeg[a.To]++
+		oc[a.From+2]++
+		ic[a.To+2]++
 		m++
 	}
-	outFlat := make([]int, m)
-	inFlat := make([]int, m)
-	out = make([][]int, n)
-	in = make([][]int, n)
-	oOff, iOff := 0, 0
-	for u := 0; u < n; u++ {
-		out[u] = outFlat[oOff : oOff : oOff+outDeg[u]]
-		in[u] = inFlat[iOff : iOff : iOff+inDeg[u]]
-		oOff += outDeg[u]
-		iOff += inDeg[u]
+	for u := 2; u < n+2; u++ {
+		oc[u] += oc[u-1]
+		ic[u] += ic[u-1]
 	}
+	out = csr{start: oc[:n+1], hops: make([]Hop, m), arcs: make([]int32, m)}
+	in = csr{start: ic[:n+1], hops: make([]Hop, m), arcs: make([]int32, m)}
 	for i, a := range arcs {
-		if disabled != nil && i < len(disabled) && disabled[i] {
+		if i < len(disabled) && disabled[i] {
 			continue
 		}
-		out[a.From] = append(out[a.From], i)
-		in[a.To] = append(in[a.To], i)
+		k := oc[a.From+1]
+		oc[a.From+1]++
+		out.hops[k], out.arcs[k] = Hop{Node: int32(a.To), Label: int32(a.Label)}, int32(i)
+		k = ic[a.To+1]
+		ic[a.To+1]++
+		in.hops[k], in.arcs[k] = Hop{Node: int32(a.From), Label: int32(a.Label)}, int32(i)
 	}
 	return out, in
 }
 
-// Out returns the indices (into Arcs) of arcs leaving u.
-func (g *Graph) Out(u int) []int {
+// Out returns the indices (into Arcs) of arcs leaving u. The row is
+// capped: an append on it cannot reach its neighbour.
+func (g *Graph) Out(u int) []int32 {
 	if g.outOver != nil {
-		if row, ok := g.outOver[u]; ok {
-			return row
+		if r := g.outOver[u]; r != nil {
+			return r.arcs
 		}
 	}
-	return g.out[u]
+	return g.out.arcRow(u)
+}
+
+// OutHops returns u's out-row in packed form: OutHops(u)[k] is the head
+// and label of arc Out(u)[k].
+func (g *Graph) OutHops(u int) []Hop {
+	if g.outOver != nil {
+		if r := g.outOver[u]; r != nil {
+			return r.hops
+		}
+	}
+	return g.out.hopRow(u)
+}
+
+// In returns the indices (into Arcs) of arcs entering v, capped like Out.
+func (g *Graph) In(v int) []int32 {
+	if g.inOver != nil {
+		if r := g.inOver[v]; r != nil {
+			return r.arcs
+		}
+	}
+	return g.in.arcRow(v)
+}
+
+// InHops returns v's in-row in packed form: InHops(v)[k] is the tail and
+// label of arc In(v)[k].
+func (g *Graph) InHops(v int) []Hop {
+	if g.inOver != nil {
+		if r := g.inOver[v]; r != nil {
+			return r.hops
+		}
+	}
+	return g.in.hopRow(v)
 }
 
 // origin resolves the unmasked graph underlying a view (itself for a
@@ -141,18 +222,18 @@ func (g *Graph) origin() *Graph {
 // The view shares g's Arcs slice, so arc indices — and therefore arc
 // labels and LinkEvent references — stay valid across views; only the
 // adjacency index is rebuilt. Every solver and the RIB builder traverse
-// graphs exclusively through Out/In, so a masked view routes exactly as
-// a freshly built graph containing only the enabled arcs. A mask with
-// no arc disabled needs no second index: the unmasked graph itself is
-// returned (graphs are immutable, and WithArcsToggled chains off a plain
-// graph as it does off a view).
+// graphs exclusively through the row accessors, so a masked view routes
+// exactly as a freshly built graph containing only the enabled arcs. A
+// mask with no arc disabled needs no second index: the unmasked graph
+// itself is returned (graphs are immutable, and WithArcsToggled chains
+// off a plain graph as it does off a view).
 func (g *Graph) MaskArcs(disabled []bool) *Graph {
 	b := g.origin()
 	if !slices.Contains(disabled[:min(len(disabled), len(b.Arcs))], true) {
 		return b
 	}
 	v := &Graph{N: g.N, Arcs: g.Arcs, base: b}
-	v.out, v.in = buildAdjacency(g.N, b.Arcs, disabled)
+	v.out, v.in = buildIndex(g.N, b.Arcs, disabled)
 	return v
 }
 
@@ -179,8 +260,8 @@ func (g *Graph) WithArcToggled(ai int, disabled []bool) *Graph {
 func (g *Graph) WithArcsToggled(ais []int, disabled []bool) *Graph {
 	b := g.origin()
 	v := &Graph{N: b.N, Arcs: b.Arcs, out: b.out, in: b.in, base: b}
-	v.outOver = make(map[int][]int, len(g.outOver)+len(ais))
-	v.inOver = make(map[int][]int, len(g.inOver)+len(ais))
+	v.outOver = make(map[int]*overRow, len(g.outOver)+len(ais))
+	v.inOver = make(map[int]*overRow, len(g.inOver)+len(ais))
 	if g == b || g.outOver != nil {
 		// The parent already addresses the base arrays, so the rows that
 		// can differ from base under the new mask are the parent's overlay
@@ -197,8 +278,8 @@ func (g *Graph) WithArcsToggled(ais []int, disabled []bool) *Graph {
 			// Refiltering a row twice when toggles share an endpoint is
 			// harmless (setRow is idempotent) and batches are small.
 			a := b.Arcs[ai]
-			setRow(v.outOver, a.From, b.out[a.From], disabled)
-			setRow(v.inOver, a.To, b.in[a.To], disabled)
+			setRow(v.outOver, &b.out, a.From, disabled)
+			setRow(v.inOver, &b.in, a.To, disabled)
 		}
 		return v
 	}
@@ -213,94 +294,57 @@ func (g *Graph) WithArcsToggled(ais []int, disabled []bool) *Graph {
 		}
 		a := b.Arcs[i]
 		if _, ok := v.outOver[a.From]; !ok {
-			v.outOver[a.From] = filterRow(b.out[a.From], disabled)
+			v.outOver[a.From] = filterRow(&b.out, a.From, disabled)
 		}
 		if _, ok := v.inOver[a.To]; !ok {
-			v.inOver[a.To] = filterRow(b.in[a.To], disabled)
+			v.inOver[a.To] = filterRow(&b.in, a.To, disabled)
 		}
 	}
 	return v
 }
 
-// setRow installs the filtered base row into an overlay map, or deletes
+// setRow installs base row u, filtered, into an overlay map, or deletes
 // the entry when no arc was filtered out — a fully restored row is
 // served from the shared base array again, which is what keeps overlay
 // size proportional to live failures instead of toggle history.
-func setRow(over map[int][]int, u int, full []int, disabled []bool) {
-	row := filterRow(full, disabled)
-	if len(row) == len(full) {
+func setRow(over map[int]*overRow, c *csr, u int, disabled []bool) {
+	if row := filterRow(c, u, disabled); row != nil {
+		over[u] = row
+	} else {
 		delete(over, u)
-		return
 	}
-	over[u] = row
 }
 
-// filterRow drops disabled arc indices from a full adjacency row.
-func filterRow(row []int, disabled []bool) []int {
-	out := make([]int, 0, len(row))
-	for _, i := range row {
-		if i < len(disabled) && disabled[i] {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// In returns the indices (into Arcs) of arcs entering v.
-func (g *Graph) In(v int) []int {
-	if g.inOver != nil {
-		if row, ok := g.inOver[v]; ok {
-			return row
+// filterRow returns base row u without its disabled arcs, exactly sized,
+// or nil when the row holds none.
+func filterRow(c *csr, u int, disabled []bool) *overRow {
+	hops, arcs := c.hopRow(u), c.arcRow(u)
+	keep := 0
+	for _, ai := range arcs {
+		if int(ai) >= len(disabled) || !disabled[ai] {
+			keep++
 		}
 	}
-	return g.in[v]
+	if keep == len(arcs) {
+		return nil
+	}
+	row := &overRow{hops: make([]Hop, 0, keep), arcs: make([]int32, 0, keep)}
+	for k, ai := range arcs {
+		if int(ai) >= len(disabled) || !disabled[ai] {
+			row.hops = append(row.hops, hops[k])
+			row.arcs = append(row.arcs, ai)
+		}
+	}
+	return row
 }
 
-// RevCSR is a compressed-sparse-row reverse-adjacency index over the
-// unmasked arc set: In(v) lists the indices of every arc entering v, in
-// ascending arc-index order, backed by two flat arrays instead of N
-// slice headers. It is built once per base graph and shared by all
-// masked views (arc indices are stable across views), so delta solvers
-// can seed dirty in-neighbours without sweeping the full arc list.
-// Consumers working on a masked view skip disabled arc indices
-// themselves — the index always describes the full topology.
-type RevCSR struct {
-	start []int32 // start[v]..start[v+1] delimits v's row in arcs
-	arcs  []int32 // arc indices grouped by head node
-}
-
-// In returns the indices (into the graph's Arcs) of arcs entering v,
-// including arcs currently masked out of any view.
-func (c *RevCSR) In(v int) []int32 { return c.arcs[c.start[v]:c.start[v+1]] }
-
-// RevIn returns the graph's shared reverse CSR index, building it on
-// first use. The index belongs to the unmasked base graph, so every
-// view of the same topology returns the identical structure; the build
-// is synchronised and the result is immutable, making RevIn safe for
-// concurrent use.
-func (g *Graph) RevIn() *RevCSR {
-	b := g.origin()
-	b.revOnce.Do(func() {
-		c := &RevCSR{
-			start: make([]int32, b.N+1),
-			arcs:  make([]int32, len(b.Arcs)),
-		}
-		for _, a := range b.Arcs {
-			c.start[a.To+1]++
-		}
-		for v := 0; v < b.N; v++ {
-			c.start[v+1] += c.start[v]
-		}
-		fill := append([]int32(nil), c.start[:b.N]...)
-		for i, a := range b.Arcs {
-			c.arcs[fill[a.To]] = int32(i)
-			fill[a.To]++
-		}
-		b.rev = c
-	})
-	return b.rev
-}
+// RevIn returns the unmasked base graph, whose In/InHops rows list every
+// arc entering a node — including arcs masked out of the view g — in
+// ascending arc-index order. Arc indices are stable across views, so
+// delta solvers seed dirty in-neighbours from it without sweeping the
+// full arc list, skipping disabled arc indices themselves. Every view of
+// one topology returns the identical graph.
+func (g *Graph) RevIn() *Graph { return g.origin() }
 
 // String renders a compact summary.
 func (g *Graph) String() string {
@@ -315,9 +359,9 @@ type Path []int
 func (g *Graph) ArcsOf(p Path) (idxs []int, ok bool) {
 	for i := 0; i+1 < len(p); i++ {
 		found := -1
-		for _, ai := range g.Out(p[i]) {
-			if g.Arcs[ai].To == p[i+1] {
-				found = ai
+		for k, h := range g.OutHops(p[i]) {
+			if int(h.Node) == p[i+1] {
+				found = int(g.Out(p[i])[k])
 				break
 			}
 		}
@@ -351,12 +395,13 @@ func (g *Graph) SimplePaths(src, dst, maxLen int) [][]int {
 			return
 		}
 		visited[u] = true
-		for _, ai := range g.Out(u) {
-			v := g.Arcs[ai].To
+		ais := g.Out(u)
+		for k, h := range g.OutHops(u) {
+			v := int(h.Node)
 			if visited[v] {
 				continue
 			}
-			cur = append(cur, ai)
+			cur = append(cur, int(ais[k]))
 			rec(v)
 			cur = cur[:len(cur)-1]
 		}
@@ -375,8 +420,8 @@ func (g *Graph) Reachable(dst int) []bool {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, ai := range g.In(v) {
-			u := g.Arcs[ai].From
+		for _, h := range g.InHops(v) {
+			u := int(h.Node)
 			if !seen[u] {
 				seen[u] = true
 				queue = append(queue, u)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -240,38 +241,57 @@ func TestScaleFreeConnectedAndHeavyTailed(t *testing.T) {
 	}
 }
 
-// maskEqual checks that view's adjacency equals a from-scratch MaskArcs
-// of base under disabled.
+// naiveRows filters Arcs directly: the adjacency every view of base under
+// disabled must present, in ascending arc order.
+func naiveRows(base *Graph, disabled []bool) (out, in [][]int32, outHops, inHops [][]Hop) {
+	out, in = make([][]int32, base.N), make([][]int32, base.N)
+	outHops, inHops = make([][]Hop, base.N), make([][]Hop, base.N)
+	for i, a := range base.Arcs {
+		if i < len(disabled) && disabled[i] {
+			continue
+		}
+		out[a.From] = append(out[a.From], int32(i))
+		outHops[a.From] = append(outHops[a.From], Hop{Node: int32(a.To), Label: int32(a.Label)})
+		in[a.To] = append(in[a.To], int32(i))
+		inHops[a.To] = append(inHops[a.To], Hop{Node: int32(a.From), Label: int32(a.Label)})
+	}
+	return out, in, outHops, inHops
+}
+
+// maskEqual checks that all four row accessors of view agree with a
+// from-scratch MaskArcs of base under disabled and with a naive filter
+// of Arcs, and that every row is capped.
 func maskEqual(t *testing.T, base, view *Graph, disabled []bool) {
 	t.Helper()
 	want := base.MaskArcs(disabled)
+	out, in, outHops, inHops := naiveRows(base, disabled)
 	for u := 0; u < base.N; u++ {
-		if !sameInts(view.Out(u), want.Out(u)) {
-			t.Fatalf("node %d: out rows differ: %v vs %v", u, view.Out(u), want.Out(u))
+		if !slices.Equal(view.Out(u), out[u]) || !slices.Equal(want.Out(u), out[u]) {
+			t.Fatalf("node %d: out rows: view %v, dense %v, naive %v", u, view.Out(u), want.Out(u), out[u])
 		}
-		if !sameInts(view.In(u), want.In(u)) {
-			t.Fatalf("node %d: in rows differ: %v vs %v", u, view.In(u), want.In(u))
+		if !slices.Equal(view.In(u), in[u]) || !slices.Equal(want.In(u), in[u]) {
+			t.Fatalf("node %d: in rows: view %v, dense %v, naive %v", u, view.In(u), want.In(u), in[u])
+		}
+		if !slices.Equal(view.OutHops(u), outHops[u]) || !slices.Equal(want.OutHops(u), outHops[u]) {
+			t.Fatalf("node %d: out hops: view %v, dense %v, naive %v", u, view.OutHops(u), want.OutHops(u), outHops[u])
+		}
+		if !slices.Equal(view.InHops(u), inHops[u]) || !slices.Equal(want.InHops(u), inHops[u]) {
+			t.Fatalf("node %d: in hops: view %v, dense %v, naive %v", u, view.InHops(u), want.InHops(u), inHops[u])
+		}
+		for _, g := range []*Graph{view, want} {
+			if cap(g.Out(u)) != len(g.Out(u)) || cap(g.In(u)) != len(g.In(u)) ||
+				cap(g.OutHops(u)) != len(g.OutHops(u)) || cap(g.InHops(u)) != len(g.InHops(u)) {
+				t.Fatalf("node %d: a row is not capped — an append on it would reach its neighbour", u)
+			}
 		}
 	}
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestMaskArcs(t *testing.T) {
 	g := MustNew(3, []Arc{{0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {2, 0, 0}})
 	disabled := []bool{false, true, false, false}
 	v := g.MaskArcs(disabled)
-	if !sameInts(v.Out(0), []int{0}) || !sameInts(v.In(2), []int{2}) {
+	if !slices.Equal(v.Out(0), []int32{0}) || !slices.Equal(v.In(2), []int32{2}) {
 		t.Fatalf("masked adjacency wrong: out(0)=%v in(2)=%v", v.Out(0), v.In(2))
 	}
 	// The view shares arcs; indices stay valid.
@@ -299,7 +319,7 @@ func TestMaskArcsEmptyMaskIsOrigin(t *testing.T) {
 	down := make([]bool, m)
 	down[1] = true
 	view := g.MaskArcs(down)
-	if view == g || sameInts(view.Out(g.Arcs[1].From), g.Out(g.Arcs[1].From)) {
+	if view == g || slices.Equal(view.Out(g.Arcs[1].From), g.Out(g.Arcs[1].From)) {
 		t.Fatal("a mask with a bit set must produce a fresh masked view")
 	}
 	for name, mask := range map[string][]bool{
@@ -312,12 +332,7 @@ func TestMaskArcsEmptyMaskIsOrigin(t *testing.T) {
 			t.Errorf("%s mask on a view: got %p, want the unmasked base %p", name, got, g)
 		}
 	}
-	out, in := buildAdjacency(g.N, g.Arcs, make([]bool, m))
-	for u := 0; u < g.N; u++ {
-		if !sameInts(g.Out(u), out[u]) || !sameInts(g.In(u), in[u]) {
-			t.Fatalf("node %d: base rows differ from a dense index of the empty mask", u)
-		}
-	}
+	maskEqual(t, g, g, nil)
 	down[1], down[2] = false, true
 	maskEqual(t, g, view.WithArcsToggled([]int{1, 2}, down), down)
 }
@@ -369,36 +384,6 @@ func TestWithArcsToggled(t *testing.T) {
 			view = view.WithArcsToggled(ais, disabled)
 			maskEqual(t, g, view, disabled)
 			maskEqual(t, g, prev, prevDisabled) // old snapshot intact
-		}
-	}
-}
-
-// TestRevCSR: the flat reverse index must agree with the per-node In
-// slices on random graphs, list arc indices in ascending order, and be
-// shared (same backing object) between a base graph and its masked
-// views — arc indices are stable across views, so one index serves all.
-func TestRevCSR(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		g := Random(r, 3+r.Intn(12), 0.3, UniformLabels(3))
-		rev := g.RevIn()
-		for v := 0; v < g.N; v++ {
-			row := rev.In(v)
-			if len(row) != len(g.In(v)) {
-				t.Fatalf("node %d: %d reverse arcs, In lists %d", v, len(row), len(g.In(v)))
-			}
-			for i, ai := range row {
-				if g.Arcs[ai].To != v {
-					t.Fatalf("node %d: arc %d does not enter it", v, ai)
-				}
-				if int(ai) != g.In(v)[i] {
-					t.Fatalf("node %d: row %v disagrees with In %v", v, row, g.In(v))
-				}
-			}
-		}
-		masked := g.MaskArcs(make([]bool, len(g.Arcs)))
-		if masked.RevIn() != rev {
-			t.Fatal("masked view must share the base graph's reverse index")
 		}
 	}
 }

@@ -309,7 +309,7 @@ func (ps *psim) deliver(s *pshard, m pmsg) {
 	arcIdx := -1
 	for _, ai := range ps.g.Out(u) {
 		if ps.g.Arcs[ai].To == int(m.from) {
-			arcIdx = ai
+			arcIdx = int(ai)
 			break
 		}
 	}

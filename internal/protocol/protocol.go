@@ -494,7 +494,7 @@ func RunEngine(eng exec.Algebra, g *graph.Graph, cfg Config) *Outcome {
 		arcIdx := -1
 		for _, ai := range g.Out(u) {
 			if g.Arcs[ai].To == m.from {
-				arcIdx = ai
+				arcIdx = int(ai)
 				break
 			}
 		}

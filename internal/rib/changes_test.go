@@ -66,7 +66,7 @@ func arcIndex(t testing.TB, g *graph.Graph, from, to int) int {
 	t.Helper()
 	for _, ai := range g.Out(from) {
 		if g.Arcs[ai].To == to {
-			return ai
+			return int(ai)
 		}
 	}
 	t.Fatalf("arc %d→%d not found", from, to)

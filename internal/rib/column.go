@@ -196,15 +196,15 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 // flat, paged and pointer columns stay bit-identical by construction.
 // u must be routed and must not be the destination.
 func appendNextHopSet(eng exec.Algebra, g *graph.Graph, routed []bool, w []int32, nextHop []int, u int, pool []int32) []int32 {
-	pool = append(pool, int32(nextHop[u]))
-	best := w[u]
-	for _, ai := range g.Out(u) {
-		v := g.Arcs[ai].To
-		if v == nextHop[u] || !routed[v] {
+	primary, best := int32(nextHop[u]), w[u]
+	pool = append(pool, primary)
+	for _, h := range g.OutHops(u) {
+		v := h.Node
+		if v == primary || !routed[v] {
 			continue
 		}
-		if eng.Equiv(eng.Apply(g.Arcs[ai].Label, w[v]), best) {
-			pool = append(pool, int32(v))
+		if eng.Equiv(eng.Apply(int(h.Label), w[v]), best) {
+			pool = append(pool, v)
 		}
 	}
 	return pool

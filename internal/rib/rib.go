@@ -113,12 +113,12 @@ func entryFromResult(eng exec.Algebra, g *graph.Graph, res *solve.Result, u int)
 	// ECMP: any other neighbour offering an equivalent weight. The
 	// solver produced these weights, so they re-intern for free.
 	best := exec.MustIntern(eng, res.Weights[u])
-	for _, ai := range g.Out(u) {
-		v := g.Arcs[ai].To
+	for _, h := range g.OutHops(u) {
+		v := int(h.Node)
 		if v == res.NextHop[u] || !res.Routed[v] {
 			continue
 		}
-		cand := eng.Apply(g.Arcs[ai].Label, exec.MustIntern(eng, res.Weights[v]))
+		cand := eng.Apply(int(h.Label), exec.MustIntern(eng, res.Weights[v]))
 		if eng.Equiv(cand, best) {
 			e.NextHops = append(e.NextHops, v)
 		}

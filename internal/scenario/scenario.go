@@ -186,15 +186,15 @@ func Parse(rd io.Reader) (*Scenario, error) {
 			}
 			idx = v
 		}
-		// A numeric label past the function set would only surface as an
-		// index panic deep inside the simulator; reject it here.
-		if idx < 0 || (a.OT.F.Finite() && idx >= a.OT.F.Size()) {
-			return nil, fmt.Errorf("scenario: arc label %q out of range for %s", tok, a.OT.F.Name)
-		}
 		arcs[i].Label = idx
 	}
 	s.Graph, err = graph.New(n, arcs)
 	if err != nil {
+		return nil, fmt.Errorf("scenario: %v", err)
+	}
+	// A numeric label past the function set would only surface as an
+	// index panic deep inside the simulator; reject it here.
+	if err := s.Graph.CheckLabels(a.OT.F.Size()); err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
 	if s.Dest < 0 || s.Dest >= n {

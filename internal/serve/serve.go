@@ -561,6 +561,9 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	if g == nil {
 		return nil, fmt.Errorf("serve: nil topology")
 	}
+	if err := g.CheckLabels(eng.NumFns()); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	if cfg.hasAnnounced {
 		pt, err := rib.NewPrefixTable(cfg.announced)
 		if err != nil {
@@ -1234,7 +1237,7 @@ func (s *Server) arcByEndpoints(from, to int) (int, error) {
 	if from >= 0 && from < s.base.N {
 		for _, ai := range s.base.Out(from) {
 			if s.base.Arcs[ai].To == to {
-				return ai, nil
+				return int(ai), nil
 			}
 		}
 	}

@@ -343,3 +343,42 @@ event  300 fail 2 0
 		t.Fatalf("post-replay path wrong: %v (%v)", p, err)
 	}
 }
+
+// TestNewServerRejectsLabelOutOfRange: an arc label the algebra has no
+// function for used to index out of range inside a pool worker; the
+// constructor now refuses the topology, naming the arc.
+func TestNewServerRejectsLabelOutOfRange(t *testing.T) {
+	a, err := core.InferString("hops(8)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := a.OT.DefaultOrigin()
+	numFns := a.OT.F.Size()
+	for _, tc := range []struct {
+		name  string
+		label int
+		want  string // "" = boots
+	}{
+		{"last function", numFns - 1, ""},
+		{"one past the function set", numFns, fmt.Sprintf("arc 1 (2→1) label %d out of range", numFns)},
+		{"far past", 99, "arc 1 (2→1) label 99 out of range"},
+	} {
+		g := graph.MustNew(3, []graph.Arc{{From: 1, To: 0, Label: 0}, {From: 2, To: 1, Label: tc.label}})
+		for _, mode := range []exec.Mode{exec.ModeCompiled, exec.ModeDynamic, exec.ModeTiered} {
+			eng, err := exec.New(a.OT, mode, origin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}})
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s/%s: %v", tc.name, mode, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s/%s: err = %v, want one naming %q", tc.name, mode, err, tc.want)
+			}
+			if s != nil {
+				s.Close()
+			}
+		}
+	}
+}

@@ -15,11 +15,11 @@ import (
 // node recomputes its best weight from its out-arcs with the exact
 // selection loop of the synchronous solver (first arc achieving a
 // minimal candidate wins), and a routedness-or-weight change re-dirties
-// the node's in-neighbours through the graph's shared reverse CSR
-// index. The delta entry point warm-starts that drain from a previous
-// Result: for an arc-down event the forwarding subtree that routed
-// through the arc is invalidated before re-relaxation (so stale local
-// optima cannot survive on non-tree nodes they were never valid for),
+// the node's in-neighbours through the unmasked base graph's in-rows
+// (Graph.RevIn). The delta entry point warm-starts that drain from a
+// previous Result: for an arc-down event the forwarding subtree that
+// routed through the arc is invalidated before re-relaxation (so stale
+// local optima cannot survive on non-tree nodes they were never valid for),
 // for an arc-up event the arc's tail is seeded, and everything outside
 // the frontier keeps its previous fixpoint value untouched.
 
@@ -82,8 +82,8 @@ func (ws *Workspace) Worklist(eng exec.Algebra, g *graph.Graph, dest int, origin
 	o := exec.MustIntern(eng, origin)
 	ws.reset(g.N, dest, o)
 	ws.resetWorklist(g.N)
-	for _, ai := range g.RevIn().In(dest) {
-		ws.push(int(g.Arcs[ai].From), dest)
+	for _, h := range g.RevIn().InHops(dest) {
+		ws.push(int(h.Node), dest)
 	}
 	pops, relaxations, converged := ws.drain(eng, g, nil, dest, maxPops, nil)
 	res := ws.materialize(eng, dest, pops, converged)
@@ -274,7 +274,7 @@ func (ws *Workspace) deltaDrain(eng exec.Algebra, g *graph.Graph, disabled []boo
 	// routes a from-scratch build would not have. Mark the dest-rooted
 	// tree through the children index and invalidate everything routed
 	// outside it.
-	inTree := ws.prevR
+	inTree := ws.inTree
 	for i := range inTree {
 		inTree[i] = false
 	}
@@ -332,12 +332,7 @@ func (ws *Workspace) deltaDrain(eng exec.Algebra, g *graph.Graph, disabled []boo
 	// weights won't move; this is an entry-level obligation).
 	rev := g.RevIn()
 	for i, inval := 0, len(ws.queue); i < inval; i++ {
-		for _, ai := range rev.In(ws.queue[i]) {
-			if disabled != nil && int(ai) < len(disabled) && disabled[ai] {
-				continue
-			}
-			ws.push(g.Arcs[ai].From, dest)
-		}
+		ws.pushTails(rev, disabled, ws.queue[i], dest)
 	}
 	for _, t := range toggles {
 		if !t.Down && g.Arcs[t.Arc].From != dest {
@@ -396,6 +391,20 @@ func (ws *Workspace) push(u, dest int) {
 	}
 }
 
+// pushTails enqueues the tail of every enabled arc entering u. rev is
+// the unmasked base graph (Graph.RevIn), whose rows list masked arcs
+// too; disabled skips them. A nil mask skips none, which merely enqueues
+// tails that will rescan to no change.
+func (ws *Workspace) pushTails(rev *graph.Graph, disabled []bool, u, dest int) {
+	ais := rev.In(u)
+	for k, h := range rev.InHops(u) {
+		if ai := int(ais[k]); ai < len(disabled) && disabled[ai] {
+			continue
+		}
+		ws.push(int(h.Node), dest)
+	}
+}
+
 // sortedTouched returns a fresh ascending copy of the ever-enqueued set.
 // The set is short on a typical toggle but not by construction: the
 // frontier cutover bounds it only by N/2, and on a scale-free graph one
@@ -411,18 +420,15 @@ func (ws *Workspace) sortedTouched() []int {
 // against live state with the synchronous solver's exact selection loop
 // — first arc achieving a minimal candidate — so tie-breaks agree with
 // a from-scratch build; a routedness or weight change then dirties the
-// node's in-neighbours through the base graph's reverse CSR index
-// (disabled, when non-nil, skips masked in-arcs; a nil mask merely
-// enqueues tails that will rescan to no change). warm, when non-nil,
-// runs the drain over the sparse lazy overlay: popped nodes and scanned
-// out-neighbours are materialized from the previous fixpoint on first
-// access instead of having been bulk-loaded.
+// node's in-neighbours (pushTails). warm, when non-nil, runs the drain
+// over the sparse lazy overlay: popped nodes and scanned out-neighbours
+// are materialized from the previous fixpoint on first access instead of
+// having been bulk-loaded.
 func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmStart) (pops int, relaxations uint64, converged bool) {
 	if maxPops <= 0 {
 		maxPops = defaultPopBudget(g.N)
 	}
 	rev := g.RevIn()
-	arcs := g.Arcs
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
 	head := 0
 	for head < len(ws.queue) {
@@ -443,10 +449,10 @@ func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, de
 		if warm != nil {
 			ws.ensure(u, warm)
 		}
-		bestArc := -1
+		nh := -1
 		var best int32
-		for _, ai := range g.Out(u) {
-			v := arcs[ai].To
+		for _, h := range g.OutHops(u) {
+			v := int(h.Node)
 			if warm != nil {
 				ws.ensure(v, warm)
 			}
@@ -454,13 +460,13 @@ func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, de
 				continue
 			}
 			relaxations++
-			cand := eng.Apply(arcs[ai].Label, w[v])
-			if bestArc < 0 || eng.Lt(cand, best) {
-				bestArc, best = ai, cand
+			cand := eng.Apply(int(h.Label), w[v])
+			if nh < 0 || eng.Lt(cand, best) {
+				nh, best = v, cand
 			}
 		}
 		changed := false
-		if bestArc < 0 {
+		if nh < 0 {
 			if routed[u] {
 				routed[u] = false
 				nextHop[u] = -1
@@ -472,16 +478,10 @@ func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, de
 			}
 			routed[u] = true
 			w[u] = best
-			nextHop[u] = arcs[bestArc].To
+			nextHop[u] = nh
 		}
-		if !changed {
-			continue
-		}
-		for _, ai := range rev.In(u) {
-			if disabled != nil && int(ai) < len(disabled) && disabled[ai] {
-				continue
-			}
-			ws.push(arcs[ai].From, dest)
+		if changed {
+			ws.pushTails(rev, disabled, u, dest)
 		}
 	}
 	return pops, relaxations, true

@@ -70,12 +70,12 @@ func DijkstraEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V) 
 			return resolveResult(eng, dest, routed, w, nextHop, rounds, true)
 		}
 		settled[u] = true
-		for _, ai := range g.In(u) {
-			p := g.Arcs[ai].From
+		for _, in := range g.InHops(u) {
+			p := int(in.Node)
 			if settled[p] {
 				continue
 			}
-			cand := eng.Apply(g.Arcs[ai].Label, w[u])
+			cand := eng.Apply(int(in.Label), w[u])
 			if !routed[p] || eng.Lt(cand, w[p]) {
 				routed[p] = true
 				w[p] = cand
@@ -104,12 +104,12 @@ func DijkstraHeapEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value
 		}
 		settled[u] = true
 		rounds++
-		for _, ai := range g.In(u) {
-			p := g.Arcs[ai].From
+		for _, in := range g.InHops(u) {
+			p := int(in.Node)
 			if settled[p] {
 				continue
 			}
-			cand := eng.Apply(g.Arcs[ai].Label, w[u])
+			cand := eng.Apply(int(in.Label), w[u])
 			if !routed[p] || eng.Lt(cand, w[p]) {
 				routed[p] = true
 				w[p] = cand
@@ -151,9 +151,14 @@ func (f *frontier) Pop() any {
 // allocations instead of five fresh slices per destination. A Workspace
 // is not safe for concurrent use; give each worker its own.
 type Workspace struct {
-	routed, prevR []bool
-	w, prevW      []int32
-	nextHop       []int
+	routed  []bool
+	w       []int32
+	nextHop []int
+	// prevW is the synchronous iteration's previous-round weights, -1
+	// at unrouted nodes; inTree is the dense warm start's forwarding-tree
+	// marks (see deltaDrain).
+	prevW  []int32
+	inTree []bool
 	// stale and staleNext are the synchronous iteration's re-evaluation
 	// sets for the current and the next round (see bellmanFord).
 	stale, staleNext []bool
@@ -191,10 +196,13 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // reset sizes the buffers for an n-node run and installs the origin.
+// Unrouted nodes start at weight -1, which no engine index takes: the
+// sweep keeps that invariant so one load of prevW answers both "routed"
+// and "at what weight".
 func (ws *Workspace) reset(n, dest int, origin int32) {
 	if cap(ws.routed) < n {
 		ws.routed = make([]bool, n)
-		ws.prevR = make([]bool, n)
+		ws.inTree = make([]bool, n)
 		ws.w = make([]int32, n)
 		ws.prevW = make([]int32, n)
 		ws.nextHop = make([]int, n)
@@ -205,7 +213,7 @@ func (ws *Workspace) reset(n, dest int, origin int32) {
 		ws.Metrics.ReuseHits.Inc()
 	}
 	ws.routed = ws.routed[:n]
-	ws.prevR = ws.prevR[:n]
+	ws.inTree = ws.inTree[:n]
 	ws.w = ws.w[:n]
 	ws.prevW = ws.prevW[:n]
 	ws.nextHop = ws.nextHop[:n]
@@ -219,6 +227,7 @@ func (ws *Workspace) reset(n, dest int, origin int32) {
 	ws.staleNext = ws.staleNext[:n]
 	for i := 0; i < n; i++ {
 		ws.routed[i] = false
+		ws.w[i] = -1
 		ws.nextHop[i] = -1
 		ws.stale[i] = true
 		ws.staleNext[i] = false
@@ -328,19 +337,18 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 	o := exec.MustIntern(eng, origin)
 	ws.reset(g.N, dest, o)
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
-	prevW, prevR := ws.prevW, ws.prevR
+	prevW := ws.prevW
 	stale, staleNext := ws.stale, ws.staleNext
 	// rerouted marks u's in-neighbours stale for the next round.
 	rerouted := func(u int) {
-		for _, ai := range g.In(u) {
-			staleNext[g.Arcs[ai].From] = true
+		for _, h := range g.InHops(u) {
+			staleNext[h.Node] = true
 		}
 	}
 	rounds := 0
 	var relaxations uint64
 	for round := 1; round <= maxRounds; round++ {
 		copy(prevW, w)
-		copy(prevR, routed)
 		changed := false
 		for u := 0; u < g.N; u++ {
 			if !stale[u] {
@@ -350,33 +358,34 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 			if u == dest {
 				continue
 			}
-			bestArc := -1
+			// First head achieving a minimal candidate wins.
+			nh := -1
 			var best int32
-			for _, ai := range g.Out(u) {
-				v := g.Arcs[ai].To
-				if !prevR[v] {
+			for _, h := range g.OutHops(u) {
+				pw := prevW[h.Node]
+				if pw < 0 {
 					continue
 				}
 				relaxations++
-				cand := eng.Apply(g.Arcs[ai].Label, prevW[v])
-				if bestArc < 0 || eng.Lt(cand, best) {
-					bestArc, best = ai, cand
+				cand := eng.Apply(int(h.Label), pw)
+				if nh < 0 || eng.Lt(cand, best) {
+					nh, best = int(h.Node), cand
 				}
 			}
-			if bestArc < 0 {
+			if nh < 0 {
 				if routed[u] {
 					routed[u] = false
+					w[u] = -1
 					nextHop[u] = -1
 					changed = true
 					rerouted(u)
 				}
 				continue
 			}
-			nh := g.Arcs[bestArc].To
-			if !routed[u] || w[u] != best {
+			if w[u] != best {
 				rerouted(u)
 			}
-			if !routed[u] || w[u] != best || nextHop[u] != nh {
+			if w[u] != best || nextHop[u] != nh {
 				changed = true
 				routed[u] = true
 				w[u] = best
@@ -407,19 +416,19 @@ func GaussSeidelEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.
 			if u == dest {
 				continue
 			}
-			bestArc := -1
+			nh := -1
 			var best int32
-			for _, ai := range g.Out(u) {
-				v := g.Arcs[ai].To
+			for _, h := range g.OutHops(u) {
+				v := h.Node
 				if !routed[v] {
 					continue
 				}
-				cand := eng.Apply(g.Arcs[ai].Label, w[v])
-				if bestArc < 0 || eng.Lt(cand, best) {
-					bestArc, best = ai, cand
+				cand := eng.Apply(int(h.Label), w[v])
+				if nh < 0 || eng.Lt(cand, best) {
+					nh, best = int(v), cand
 				}
 			}
-			if bestArc < 0 {
+			if nh < 0 {
 				if routed[u] {
 					routed[u] = false
 					nextHop[u] = -1
@@ -427,7 +436,6 @@ func GaussSeidelEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.
 				}
 				continue
 			}
-			nh := g.Arcs[bestArc].To
 			if !routed[u] || w[u] != best || nextHop[u] != nh {
 				changed = true
 				routed[u] = true
@@ -465,10 +473,9 @@ func KBestEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, k, 
 				continue
 			}
 			var cands []int32
-			for _, ai := range g.Out(u) {
-				label := g.Arcs[ai].Label
-				for _, w := range prev[g.Arcs[ai].To] {
-					cands = append(cands, eng.Apply(label, w))
+			for _, h := range g.OutHops(u) {
+				for _, w := range prev[h.Node] {
+					cands = append(cands, eng.Apply(int(h.Label), w))
 				}
 			}
 			next := kMinIdx(eng, cands, k)

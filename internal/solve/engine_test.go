@@ -131,7 +131,7 @@ func fullSweep(eng exec.Algebra, g *graph.Graph, dest int, origin int32, maxRoun
 					continue
 				}
 				if cand := eng.Apply(g.Arcs[ai].Label, prevW[v]); bestArc < 0 || eng.Lt(cand, best) {
-					bestArc, best = ai, cand
+					bestArc, best = int(ai), cand
 				}
 			}
 			nr, nh := bestArc >= 0, -1

@@ -52,12 +52,12 @@ func Fixpoint(alg *sgt.SemigroupTransform, g *graph.Graph, dest int, origin valu
 			}
 			var acc value.V
 			have := false
-			for _, ai := range g.Out(u) {
-				v := g.Arcs[ai].To
+			for _, h := range g.OutHops(u) {
+				v := h.Node
 				if !prevR[v] {
 					continue
 				}
-				cand := alg.F.Fns[g.Arcs[ai].Label].Apply(prevW[v])
+				cand := alg.F.Fns[h.Label].Apply(prevW[v])
 				if !have {
 					acc, have = cand, true
 				} else {

@@ -235,36 +235,36 @@ func VerifyLocal(alg *ost.OrderTransform, g *graph.Graph, dest int, origin value
 		}
 		if !res.Routed[u] {
 			// Unrouted is stable only if no neighbour offers a route.
-			for _, ai := range g.Out(u) {
-				if res.Routed[g.Arcs[ai].To] {
-					return false, fmt.Sprintf("node %d unrouted but neighbour %d has a route", u, g.Arcs[ai].To)
+			for _, h := range g.OutHops(u) {
+				if res.Routed[h.Node] {
+					return false, fmt.Sprintf("node %d unrouted but neighbour %d has a route", u, h.Node)
 				}
 			}
 			continue
 		}
 		// Weight consistency with the chosen next hop.
-		nhArc := -1
-		for _, ai := range g.Out(u) {
-			if g.Arcs[ai].To == res.NextHop[u] {
-				nhArc = ai
+		nhLabel := -1
+		for _, h := range g.OutHops(u) {
+			if int(h.Node) == res.NextHop[u] {
+				nhLabel = int(h.Label)
 				break
 			}
 		}
-		if nhArc < 0 || !res.Routed[res.NextHop[u]] {
+		if nhLabel < 0 || !res.Routed[res.NextHop[u]] {
 			return false, fmt.Sprintf("node %d: next hop %d invalid", u, res.NextHop[u])
 		}
-		expect := arcFn(alg, g, nhArc)(res.Weights[res.NextHop[u]])
+		expect := alg.F.Fns[nhLabel].Apply(res.Weights[res.NextHop[u]])
 		if res.Weights[u] != expect && !alg.Ord.Equiv(res.Weights[u], expect) {
 			return false, fmt.Sprintf("node %d: weight %s inconsistent with next hop (%s)",
 				u, value.Format(res.Weights[u]), value.Format(expect))
 		}
 		// No strictly better alternative.
-		for _, ai := range g.Out(u) {
-			v := g.Arcs[ai].To
+		for _, h := range g.OutHops(u) {
+			v := h.Node
 			if !res.Routed[v] {
 				continue
 			}
-			cand := arcFn(alg, g, ai)(res.Weights[v])
+			cand := alg.F.Fns[h.Label].Apply(res.Weights[v])
 			if alg.Ord.Lt(cand, res.Weights[u]) {
 				return false, fmt.Sprintf("node %d: arc to %d offers %s, better than %s",
 					u, v, value.Format(cand), value.Format(res.Weights[u]))

@@ -84,7 +84,7 @@ func (ws *Workspace) ensure(u int, warm WarmStart) {
 func (ws *Workspace) sparseReset(n int) {
 	if cap(ws.routed) < n {
 		ws.routed = make([]bool, n)
-		ws.prevR = make([]bool, n)
+		ws.inTree = make([]bool, n)
 		ws.w = make([]int32, n)
 		ws.prevW = make([]int32, n)
 		ws.nextHop = make([]int, n)
@@ -95,7 +95,7 @@ func (ws *Workspace) sparseReset(n int) {
 		ws.Metrics.ReuseHits.Inc()
 	}
 	ws.routed = ws.routed[:n]
-	ws.prevR = ws.prevR[:n]
+	ws.inTree = ws.inTree[:n]
 	ws.w = ws.w[:n]
 	ws.prevW = ws.prevW[:n]
 	ws.nextHop = ws.nextHop[:n]
@@ -129,7 +129,7 @@ func (ws *Workspace) sparseReset(n int) {
 // deltaDrainSparse is deltaDrain for a certified-clean warm start. The
 // previous forwarding state has no ⊤-plateau loops, so the global tree
 // purge is a no-op and is skipped; downed forwarding subtrees are
-// discovered through the shared reverse CSR (a node's children in the
+// discovered through the base graph's in-rows (a node's children in the
 // previous tree are exactly the in-neighbours whose next hop is the
 // node) instead of a full children index. Work is proportional to the
 // frontier and its neighbourhood, never to g.N. Alongside the drain
@@ -148,8 +148,8 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 		if x != dest {
 			ws.ensure(x, warm)
 		}
-		for _, ai := range g.Out(x) {
-			ws.ensure(arcs[ai].To, warm)
+		for _, h := range g.OutHops(x) {
+			ws.ensure(int(h.Node), warm)
 		}
 		if !t.Down {
 			continue
@@ -170,8 +170,8 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 			ws.routed[s] = false
 			ws.nextHop[s] = -1
 			ws.push(s, dest)
-			for _, ai := range rev.In(s) {
-				v := arcs[ai].From
+			for _, h := range rev.InHops(s) {
+				v := int(h.Node)
 				if v == dest {
 					continue
 				}
@@ -187,12 +187,7 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 	// of invalidated nodes rescan so lost ECMP alternatives are
 	// re-derived at the RIB layer.
 	for i, inval := 0, len(ws.queue); i < inval; i++ {
-		for _, ai := range rev.In(ws.queue[i]) {
-			if disabled != nil && int(ai) < len(disabled) && disabled[ai] {
-				continue
-			}
-			ws.push(arcs[ai].From, dest)
-		}
+		ws.pushTails(rev, disabled, ws.queue[i], dest)
 	}
 	for _, t := range toggles {
 		if !t.Down && arcs[t.Arc].From != dest {

@@ -24,6 +24,19 @@ go test -race ./...
 go test -race -count=2 -shuffle=on ./internal/serve/
 go test -race -run='^TestEncodeFullConcurrentWithSwaps$' -count=10 ./internal/serve/
 
+# Adjacency-row differentials: graph views against a dense mask and a
+# naive filter of Arcs, the row-form sweep, drain and ECMP scan against
+# the arc-index kernels they replaced (state, rounds, relaxation count,
+# pages), and the label-range checks at every entry point that takes a
+# topology from outside. Views are shared across goroutines by the serve
+# plane, so the concurrent-reader test runs ten times under -race.
+go test -race -run='^(TestViewChains|TestNewRejectsUnindexable)$' -count=1 ./internal/graph/
+go test -race -run='^TestViewConcurrentReaders$' -count=10 ./internal/graph/
+go test -race -run='^TestKernelsMatchArcIndexOracle$' -count=1 ./internal/solve/
+go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
+go test -run='^(TestNewServerRejectsLabelOutOfRange|TestLoadTopologyChecksLabels|TestParseErrors)$' -count=1 \
+  ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/
+
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (no timing assertions — this only guards against bit-rot).
 go test -bench=. -benchtime=1x -run='^$' ./...
@@ -123,7 +136,10 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # expansion, no per-change next-hop copy. A full record must cost its
 # frame (one exactly-sized allocation, no flat copy of the columns), and
 # a frame reader's buffer must track the bytes received, never the
-# length the frame claims.
+# length the frame claims. The adjacency index must stay within
+# 24 B/arc + 8 B/node at 100k nodes, and a toggle batch on an overlay
+# view must allocate by its endpoints' degree, never by N.
+go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
