@@ -8,6 +8,7 @@ package metarouting
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"metarouting/internal/baselib"
@@ -105,4 +106,97 @@ func BenchmarkEngineDynamicVsCompiledClosure(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("compiled", func(b *testing.B) { run(b, comp) })
+}
+
+// engineOpsSink keeps the measured calls alive.
+var engineOpsSink int32
+
+// BenchmarkEngineOps times the three operations every solver's inner
+// loop is made of — Apply, Lt, Equiv — on each backend as the serve
+// plane shares it (exec.Concurrent: compiled and tiered as they are,
+// dynamic behind its mutex), alone and from GOMAXPROCS goroutines at
+// once. The algebra is the 10k benchmark workloads' 8 448-element lex
+// product and the operands a 128-weight working set (a 16-destination
+// build of those workloads interns 109), so after the first pass every
+// tiered operation is a memo hit. DESIGN.md §8 quotes these numbers.
+//
+//	go test -run '^$' -bench EngineOps -cpu 2 .
+func BenchmarkEngineOps(b *testing.B) {
+	a, err := core.InferString("lex(delay(255,3), hops(32))")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ot := a.OT
+	// The working set, by value: everything reachable from the origin,
+	// breadth first, up to 128 weights.
+	set := []value.V{ot.DefaultOrigin()}
+	seen := map[value.V]bool{set[0]: true}
+	for i := 0; i < len(set) && len(set) < 128; i++ {
+		for _, f := range ot.F.Fns {
+			if v := f.Apply(set[i]); !seen[v] && len(set) < 128 {
+				seen[v] = true
+				set = append(set, v)
+			}
+		}
+	}
+	const mask = 1<<10 - 1
+	r := rand.New(rand.NewSource(31))
+	for _, mode := range []exec.Mode{exec.ModeCompiled, exec.ModeTiered, exec.ModeDynamic} {
+		eng, err := exec.New(ot, mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng = exec.Concurrent(eng)
+		name := string(mode)
+		if mode == exec.ModeDynamic {
+			name = "dynamic-locked"
+		}
+		ws := make([]int32, len(set))
+		for i, v := range set {
+			ws[i] = exec.MustIntern(eng, v)
+		}
+		var as, bs [mask + 1]int32
+		var labels [mask + 1]int
+		for i := range as {
+			as[i], bs[i] = ws[r.Intn(len(ws))], ws[r.Intn(len(ws))]
+			labels[i] = r.Intn(len(ot.F.Fns))
+		}
+		ops := map[string]func(i int) int32{
+			"Apply": func(i int) int32 { return eng.Apply(labels[i&mask], as[i&mask]) },
+			"Lt": func(i int) int32 {
+				if eng.Lt(as[i&mask], bs[i&mask]) {
+					return 1
+				}
+				return 0
+			},
+			"Equiv": func(i int) int32 {
+				if eng.Equiv(as[i&mask], bs[i&mask]) {
+					return 1
+				}
+				return 0
+			},
+		}
+		for _, opName := range []string{"Apply", "Lt", "Equiv"} {
+			op := ops[opName]
+			for i := 0; i <= mask; i++ {
+				op(i) // fill every cell the timed loops will read
+			}
+			b.Run(name+"/"+opName+"/serial", func(b *testing.B) {
+				var sum int32
+				for i := 0; i < b.N; i++ {
+					sum += op(i)
+				}
+				engineOpsSink = sum
+			})
+			b.Run(name+"/"+opName+"/parallel", func(b *testing.B) {
+				b.RunParallel(func(pb *testing.PB) {
+					var sum int32
+					for i := 0; pb.Next(); i++ {
+						sum += op(i)
+					}
+					atomic.AddInt32(&engineOpsSink, sum)
+				})
+			})
+		}
+	}
 }

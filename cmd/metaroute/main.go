@@ -133,7 +133,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("\ntopology: %s, destination 0, origin %s\n", g, value.Format(origin))
-	fmt.Printf("engine: %s\n", eng.Mode())
 
 	if *doSolve {
 		if a.SupportsDijkstra() {
@@ -151,6 +150,7 @@ func main() {
 		})
 		fmt.Printf("\nasync path-vector: %s", out.Describe())
 	}
+	printEngine(eng)
 }
 
 func report(name string, a *core.Algebra, g *graph.Graph, origin value.V, res *solve.Result) {
@@ -236,9 +236,21 @@ func runScenario(path string, seed int64, mode exec.Mode) {
 	fmt.Printf("scenario: %s on %s, dest %d, origin %s, %d events"+"\n",
 		s.Expr, s.Graph, s.Dest, value.Format(s.Origin), len(s.Events))
 	fmt.Println("verdict:", s.Algebra.Verdict())
-	fmt.Println("engine:", s.Engine.Mode())
 	out := s.Run(seed, 0)
 	fmt.Printf("\nasync path-vector: %s", out.Describe())
+	printEngine(s.Engine)
+}
+
+// printEngine reports the backend that ran and, for the interning
+// backends, how many weights the run interned against how many the
+// engine's memo tables cover — past that capacity every operation is
+// interpreted. It prints last so the counts describe the work done.
+func printEngine(eng exec.Algebra) {
+	if interned, hot := exec.Tiers(eng); interned > 0 {
+		fmt.Printf("engine: %s (%d weights interned, hot capacity %d)\n", eng.Mode(), interned, hot)
+		return
+	}
+	fmt.Printf("engine: %s\n", eng.Mode())
 }
 
 func fatal(err error) {

@@ -18,6 +18,12 @@
 // tables over the first-touch hot sub-carrier, so algebras past the
 // auto-compile ceiling still execute mostly off tables.
 //
+// Sharing across goroutines: the compiled backend is immutable and the
+// tiered backend is concurrent by construction (memo hits read an
+// atomically published table generation, misses serialize on one
+// mutex), so both are shared as they are. Only the dynamic backend
+// needs Concurrent's mutex wrapper.
+//
 // For(...) picks the backend automatically: finite algebras up to the
 // auto-compile limit are compiled once (memoised per order transform) and
 // everything else falls back to tiered. This realizes the design goal
@@ -66,9 +72,10 @@ func ParseMode(s string) (Mode, error) {
 // index form and Value resolves indices back for results and diagnostics.
 // Index equality coincides with value equality (==) on both backends.
 //
-// Implementations are safe for concurrent readers only when compiled;
-// the dynamic backend interns lazily and must not be shared across
-// goroutines.
+// The compiled and tiered backends are safe for concurrent use; the
+// dynamic backend interns lazily and must go through Concurrent before
+// it is shared across goroutines. No backend invokes the order
+// transform's closures from two goroutines at once.
 type Algebra interface {
 	// Name labels the underlying algebra.
 	Name() string
@@ -81,8 +88,9 @@ type Algebra interface {
 	// it), or -1 for an infinite (sampled) function set.
 	NumFns() int
 	// Intern maps a carrier element to its weight index. The compiled
-	// backend fails on values outside the carrier; the dynamic backend
-	// never fails.
+	// backend fails on values outside the carrier; the interning
+	// backends never fail, so callers holding a value from outside the
+	// program check it with ost.OrderTransform.CheckWeight first.
 	Intern(v value.V) (int32, error)
 	// Value resolves a weight index to its carrier element.
 	Value(w int32) value.V
@@ -277,20 +285,42 @@ func New(t *ost.OrderTransform, m Mode, origins ...value.V) (Algebra, error) {
 
 // Concurrent returns an engine safe for use from multiple goroutines —
 // the sharing contract the serve snapshot builder relies on. Compiled
-// backends are immutable after construction and are returned unchanged
-// (lock-free); dynamic backends intern lazily and are wrapped in a
+// backends are immutable after construction and tiered backends
+// synchronize internally (lock-free on memo hits), so both are returned
+// unchanged; the dynamic backend interns lazily and is wrapped in a
 // mutex. Wrapping is idempotent.
 func Concurrent(a Algebra) Algebra {
 	if a.Mode() == ModeCompiled {
 		return a
 	}
-	if _, ok := a.(*locked); ok {
+	switch a.(type) {
+	case *tiered, *locked:
 		return a
 	}
 	return &locked{inner: a}
 }
 
-// locked serializes every weight operation of a non-thread-safe backend.
+// Tiers reports how many weights an engine has interned and how many of
+// them its dense memo tables can cover. While interned ≤ hotCapacity
+// every repeated operation is a table read; past it the excess weights
+// are interpreted under a mutex on every call. The compiled backend
+// interns nothing (0, 0); the dynamic backend has no tables (n, 0).
+func Tiers(a Algebra) (interned, hotCapacity int) {
+	switch e := a.(type) {
+	case *tiered:
+		g := e.gen.Load()
+		return int(g.elems.n.Load()), int(g.hotN)
+	case *locked:
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return Tiers(e.inner)
+	case *dynamic:
+		return len(e.elems), 0
+	}
+	return 0, 0
+}
+
+// locked serializes every weight operation of the dynamic backend.
 type locked struct {
 	mu    sync.Mutex
 	inner Algebra

@@ -6,7 +6,9 @@ package exec
 // before a grow must survive the copy into the wider layout).
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"metarouting/internal/baselib"
@@ -64,17 +66,25 @@ func TestTieredColdTail(t *testing.T) {
 // TestTieredGrowth interns past the initial hot capacity and checks that
 // order and Apply memo cells filled before the grow still answer
 // correctly afterwards (the copy into the wider layout must preserve
-// the (a,b) indexing).
+// the (a,b) indexing) — first alone, then with 8 reader goroutines
+// hammering the pre-growth probes while the tier doubles three times
+// under them, each reader on whatever generation it happened to load.
 func TestTieredGrowth(t *testing.T) {
-	ot := baselib.Delay(1000, 2)
+	for _, readers := range []int{0, 8} {
+		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) { tieredGrowth(t, readers) })
+	}
+}
+
+func tieredGrowth(t *testing.T, readers int) {
+	ot := baselib.Delay(2000, 2)
 	tier := newTieredCap(ot, TierLimit)
-	dyn := NewDynamic(ot)
+	dyn := NewDynamic(ot) // index oracle, used from this goroutine only
 	r := rand.New(rand.NewSource(99))
 
-	// Intern the initial hot set.
+	// Intern the initial hot set: index i is value i.
 	for i := 0; i < tierInitial; i++ {
-		tier.intern(i)
-		dyn.(*dynamic).intern(i)
+		tier.Intern(i)
+		dyn.Intern(i)
 	}
 	// Fill memo cells while the tables are small. (Apply interns fresh
 	// successor values, so the hot capacity may already double here —
@@ -86,27 +96,62 @@ func TestTieredGrowth(t *testing.T) {
 		p := probe{int32(r.Intn(tierInitial)), int32(r.Intn(tierInitial))}
 		tier.Leq(p.a, p.b)
 		tier.Lt(p.a, p.b)
+		tier.Equiv(p.a, p.b)
 		tier.Apply(0, p.a)
 		probes = append(probes, p)
 	}
-
-	// Trigger growth past two doublings.
-	for i := tierInitial; i <= 1000; i++ {
-		tier.intern(i)
-		dyn.(*dynamic).intern(i)
+	// check compares every probe with the order transform by value; it
+	// runs on reader goroutines, so it reports with t.Errorf only.
+	check := func() {
+		for _, p := range probes {
+			va, vb := int(p.a), int(p.b)
+			if tier.Leq(p.a, p.b) != ot.Ord.Leq(va, vb) ||
+				tier.Lt(p.a, p.b) != ot.Ord.Lt(va, vb) ||
+				tier.Equiv(p.a, p.b) != ot.Ord.Equiv(va, vb) {
+				t.Errorf("order of (%d,%d) differs from the order transform", p.a, p.b)
+				return
+			}
+			if got, want := tier.Value(tier.Apply(0, p.a)), ot.F.Fns[0].Apply(va); got != want {
+				t.Errorf("apply(0,%d) = %v, want %v", p.a, got, want)
+				return
+			}
+		}
 	}
-	if tier.hotSize() != 1024 {
-		t.Fatalf("hot capacity after interning 1001 elements: %d, want 1024", tier.hotSize())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				check()
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 	}
 
-	// Pre-growth memo cells must have moved with their coordinates.
+	// Trigger growth: 256/512 → 2048, three doublings from the initial
+	// capacity.
+	for i := tierInitial; i <= 2000; i++ {
+		wt, _ := tier.Intern(i)
+		if wd, _ := dyn.Intern(i); wt != wd {
+			t.Fatalf("intern(%d): tiered index %d != dynamic index %d", i, wt, wd)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if tier.hotSize() != 2048 {
+		t.Fatalf("hot capacity after interning 2001 elements: %d, want 2048", tier.hotSize())
+	}
+	// Pre-growth memo cells must have moved with their coordinates, and
+	// still name the indices the dynamic oracle assigns.
+	check()
 	for _, p := range probes {
-		if tier.Leq(p.a, p.b) != dyn.Leq(p.a, p.b) {
-			t.Fatalf("post-grow leq(%d,%d) differs from oracle", p.a, p.b)
-		}
-		if tier.Lt(p.a, p.b) != dyn.Lt(p.a, p.b) {
-			t.Fatalf("post-grow lt(%d,%d) differs from oracle", p.a, p.b)
-		}
 		if tier.Apply(0, p.a) != dyn.Apply(0, p.a) {
 			t.Fatalf("post-grow apply(0,%d) differs from oracle", p.a)
 		}

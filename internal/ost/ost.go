@@ -60,6 +60,30 @@ func (t *OrderTransform) DefaultOrigin() value.V {
 	return 0
 }
 
+// CheckWeight reports whether v — an origin literal from a scenario
+// file, a Config or an announcement set — can be used as a weight of t:
+// membership for finite carriers, and a recover-guarded probe of the
+// order and every arc function otherwise (a pair fed to a scalar
+// algebra would panic deep inside route computation). The interning
+// execution backends accept any value, so this is the check that stands
+// between outside input and a solver worker.
+func (t *OrderTransform) CheckWeight(v value.V) (err error) {
+	car := t.Carrier()
+	if car.Finite() && !car.Contains(v) {
+		return fmt.Errorf("%s is not in the carrier %s", value.Format(v), car.Name)
+	}
+	defer func() {
+		if recover() != nil {
+			err = fmt.Errorf("%s does not fit the carrier %s", value.Format(v), car.Name)
+		}
+	}()
+	t.Ord.Leq(v, v)
+	for _, f := range t.F.Fns {
+		f.Apply(v)
+	}
+	return nil
+}
+
 // Left returns left(S) = (S, ≲, {κ_b | b ∈ S}) (§II): every arc function
 // is a constant, so the last link completely determines the value — the
 // shape of BGP's local-preference attribute.

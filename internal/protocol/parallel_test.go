@@ -47,7 +47,7 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 				{At: 70, Arc: len(g.Arcs) / 2, Fail: true},
 				{At: 120, Arc: 0, Fail: false},
 			}
-			for _, mode := range []exec.Mode{exec.ModeDynamic, exec.ModeCompiled} {
+			for _, mode := range []exec.Mode{exec.ModeDynamic, exec.ModeCompiled, exec.ModeTiered} {
 				eng, err := exec.New(a.OT, mode, a.OT.DefaultOrigin())
 				if err != nil {
 					t.Fatal(err)

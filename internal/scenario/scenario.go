@@ -207,7 +207,7 @@ func Parse(rd io.Reader) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: origin: %v", err)
 	}
-	if err := validateOrigin(a, s.Origin); err != nil {
+	if err := a.OT.CheckWeight(s.Origin); err != nil {
 		return nil, fmt.Errorf("scenario: origin: %v", err)
 	}
 	for _, re := range rawEvents {
@@ -236,29 +236,6 @@ func (s *Scenario) UseEngine(m exec.Mode) error {
 		return fmt.Errorf("scenario: %v", err)
 	}
 	s.Engine = eng
-	return nil
-}
-
-// validateOrigin checks that the origin literal fits the algebra's
-// carrier: membership for finite carriers, and a recover-guarded probe of
-// the order and every arc function otherwise (a pair fed to a scalar
-// algebra would panic deep inside route computation).
-func validateOrigin(a *core.Algebra, v value.V) (err error) {
-	car := a.OT.Carrier()
-	if car.Finite() && !car.Contains(v) {
-		return fmt.Errorf("%s is not in the carrier %s", value.Format(v), car.Name)
-	}
-	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("%s does not fit the carrier %s", value.Format(v), car.Name)
-		}
-	}()
-	a.OT.Ord.Leq(v, v)
-	if a.OT.F.Finite() {
-		for _, f := range a.OT.F.Fns {
-			f.Apply(v)
-		}
-	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"metarouting/internal/exec"
 	"metarouting/internal/value"
 )
 
@@ -100,6 +101,40 @@ func TestParseErrors(t *testing.T) {
 		_, err := Parse(strings.NewReader(c.src))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: err = %v, want mention of %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseRejectsMisfitOrigin: an origin literal that is not a weight
+// of the algebra must fail in Parse whichever backend the algebra would
+// run on — compiled (small finite carrier), tiered (finite past
+// AutoLimit) or an interning backend over an infinite carrier, where
+// only the probe of the order and arc functions can tell.
+func TestParseRejectsMisfitOrigin(t *testing.T) {
+	for _, tc := range []struct {
+		expr string
+		mode exec.Mode
+		bad  string
+		good string
+	}{
+		{"lex(delay(8,2), hops(4))", exec.ModeCompiled, "7", "(0,0)"},
+		{"lex(delay(8,2), hops(4))", exec.ModeCompiled, "(9,0)", "(8,4)"},
+		{"lex(delay(255,3), hops(32))", exec.ModeTiered, "7", "(0,0)"},
+		{"lex(delay(0,2), hops(4))", exec.ModeTiered, "7", "(0,0)"},
+		{"delay(0,2)", exec.ModeTiered, "(1,2)", "0"},
+	} {
+		src := "expr " + tc.expr + "\nnodes 2\narc 1 0 0\ndest 0\norigin "
+		if _, err := Parse(strings.NewReader(src + tc.bad + "\n")); err == nil ||
+			!strings.Contains(err.Error(), "scenario: origin: "+strings.ReplaceAll(tc.bad, ",", ", ")) {
+			t.Errorf("%s origin %s: err = %v, want the origin refused by name", tc.expr, tc.bad, err)
+		}
+		s, err := Parse(strings.NewReader(src + tc.good + "\n"))
+		if err != nil {
+			t.Errorf("%s origin %s: %v", tc.expr, tc.good, err)
+			continue
+		}
+		if got := s.Engine.Mode(); got != tc.mode {
+			t.Errorf("%s: engine %s, want %s (the case no longer covers that backend)", tc.expr, got, tc.mode)
 		}
 	}
 }

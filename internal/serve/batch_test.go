@@ -88,12 +88,13 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
-// engineBackends returns the two execution backends of the acceptance
-// criterion for an algebra: the dynamic interpreter and — when the
-// carrier compiles — the tabled compiled engine.
+// engineBackends returns the execution backends of the acceptance
+// criterion for an algebra: the dynamic interpreter, the tiered engine
+// (which the servers' pools share without a mutex wrapper) and — when
+// the carrier compiles — the tabled compiled engine.
 func engineBackends(t *testing.T, ot *ost.OrderTransform) map[string]exec.Algebra {
 	t.Helper()
-	backends := map[string]exec.Algebra{"dynamic": exec.NewDynamic(ot)}
+	backends := map[string]exec.Algebra{"dynamic": exec.NewDynamic(ot), "tiered": exec.NewTiered(ot)}
 	if compiled, err := exec.Compile(ot); err == nil {
 		backends["compiled"] = compiled
 	}
@@ -102,7 +103,7 @@ func engineBackends(t *testing.T, ot *ost.OrderTransform) map[string]exec.Algebr
 
 // TestServeDifferentialBatched is the tentpole acceptance test for the
 // batched pipeline: random finite algebras × GNP/ring/grid topologies,
-// run on both engine backends. A serial single-worker server applies
+// run on every engine backend. A serial single-worker server applies
 // each storm one event at a time; a multi-worker server absorbs the same
 // storm as one ApplyBatch. After every storm the two snapshots must be
 // bit-identical to each other and to a fresh from-scratch build on the

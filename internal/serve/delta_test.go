@@ -24,7 +24,7 @@ import (
 
 // TestServeDifferentialDelta is the tentpole acceptance test for the
 // delta pipeline: random licensed finite algebras × GNP/ring/grid
-// topologies × random event storms, on both engine backends. A
+// topologies × random event storms, on every engine backend. A
 // delta-enabled server and a WithDelta(false) server absorb identical
 // batches; after every storm the two snapshots must be bit-identical to
 // each other and to a fresh from-scratch build on the mutated graph.
@@ -54,8 +54,12 @@ func TestServeDifferentialDelta(t *testing.T) {
 			// must equal the scan-based oracle's, whether the diff came out
 			// of the delta drain (warm) or of a page comparison after a
 			// from-scratch build (cold).
-			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
-			cold := newShadowed(t, label+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
+			workers := 2
+			if name == "tiered" {
+				workers = 4 // more goroutines on the one engine nothing wraps
+			}
+			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(workers), serve.WithDeltaProps(a.Props))
+			cold := newShadowed(t, label+" cold", eng, g, origins, serve.WithWorkers(workers), serve.WithDelta(false))
 			if !warm.Stats().DeltaEnabled {
 				t.Fatalf("%s: licensed algebra must enable the delta path", label)
 			}

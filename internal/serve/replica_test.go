@@ -118,13 +118,20 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			}
 			return eng
 		},
+		// Shared by the pool as it is — no mutex wrapper — so this storm
+		// is also the tiered engine's lock-free hits under real solvers.
+		"tiered": func() exec.Algebra { return exec.NewTiered(a.OT) },
 	}
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(20260808))
 			g := graph.Random(r, 12, 0.35, graph.UniformLabels(a.OT.F.Size()))
 			origins := map[int]value.V{0: origin, 3: origin, 7: origin}
-			srv := newShadowed(t, name, mk(), g, origins, serve.WithWorkers(3))
+			workers := 3
+			if name == "tiered" {
+				workers = 4
+			}
+			srv := newShadowed(t, name, mk(), g, origins, serve.WithWorkers(workers))
 			sink := srv.sink
 			defer srv.Close()
 			// The leader runs the default paged copy-on-write columns, so

@@ -354,7 +354,10 @@ func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node
 
 // Stats is a point-in-time reading of the server's counters — the seed
 // of the observability layer, surfaced at /v1/stats and in
-// BENCH_serve.json.
+// BENCH_serve.json. EngineInterned and EngineHotCapacity are exec.Tiers:
+// weights the engine has hash-consed, and how many its memo tables
+// cover — past hot capacity every operation on the excess is interpreted
+// under a mutex; both are 0 on the compiled backend.
 type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
@@ -386,6 +389,8 @@ type Stats struct {
 	Arcs                  int    `json:"arcs"`
 	DisabledArcs          int    `json:"disabled_arcs"`
 	Engine                string `json:"engine"`
+	EngineInterned        int    `json:"engine_interned"`
+	EngineHotCapacity     int    `json:"engine_hot_capacity"`
 	Workers               int    `json:"workers"`
 	ArenaBytes            int    `json:"snapshot_arena_bytes"`
 	LiveEntries           int    `json:"snapshot_live_entries"`
@@ -587,6 +592,14 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		if d < 0 || d >= g.N {
 			return nil, fmt.Errorf("serve: destination %d out of range [0,%d)", d, g.N)
 		}
+		// Origins arrive from outside the program and the interning
+		// backends accept any value: check the weight against the
+		// algebra here, before a pool worker feeds it to an arc function.
+		if ot := eng.Source(); ot != nil {
+			if err := ot.CheckWeight(origin); err != nil {
+				return nil, fmt.Errorf("serve: destination %d: origin %v", d, err)
+			}
+		}
 		if _, err := eng.Intern(origin); err != nil {
 			return nil, fmt.Errorf("serve: destination %d: %v", d, err)
 		}
@@ -750,6 +763,16 @@ func (s *Server) register(reg *telemetry.Registry) {
 	reg.AddGaugeFunc("mrserve_nodes", "Topology node count.", func() float64 { return float64(s.base.N) })
 	reg.AddGaugeFunc("mrserve_arcs", "Topology arc count.", func() float64 { return float64(len(s.base.Arcs)) })
 	reg.AddGaugeFunc("mrserve_workers", "Snapshot builder worker pool size.", func() float64 { return float64(s.workers) })
+	reg.AddGaugeFunc("mrserve_engine_interned",
+		"Weights the execution engine has interned (0 when compiled).", func() float64 {
+			n, _ := exec.Tiers(s.eng)
+			return float64(n)
+		})
+	reg.AddGaugeFunc("mrserve_engine_hot_capacity",
+		"Interned weights the engine's memo tables cover; the excess is interpreted under a mutex.", func() float64 {
+			_, hot := exec.Tiers(s.eng)
+			return float64(hot)
+		})
 	reg.AddHistogram("mrserve_query_seconds", "Per-query latency (a Forward resolution).", s.queryNS, 1e9)
 	reg.AddHistogram("mrserve_convergence_event_seconds",
 		"Reconvergence latency per applied topology batch (coalesce + recompute + snapshot swap).", s.eventNS, 1e9)
@@ -1447,6 +1470,7 @@ func (s *Server) ECMPWidth(node, dest int) int {
 // Stats reads the counters.
 func (s *Server) Stats() Stats {
 	sn := s.snap.Load()
+	interned, hotCap := exec.Tiers(s.eng)
 	return Stats{
 		Queries:               s.queries.Load(),
 		BatchRequests:         s.batchRequests.Load(),
@@ -1478,6 +1502,8 @@ func (s *Server) Stats() Stats {
 		Arcs:                  len(s.base.Arcs),
 		DisabledArcs:          sn.disabledArcs,
 		Engine:                string(s.eng.Mode()),
+		EngineInterned:        interned,
+		EngineHotCapacity:     hotCap,
 		Workers:               s.workers,
 		ArenaBytes:            sn.arenaBytes,
 		LiveEntries:           sn.liveEntries,

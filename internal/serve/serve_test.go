@@ -2,8 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -380,5 +383,127 @@ func TestNewServerRejectsLabelOutOfRange(t *testing.T) {
 				s.Close()
 			}
 		}
+	}
+}
+
+// TestNewServerRejectsMisfitOrigin: an origin that is not a weight of
+// the algebra (here an int where the lex product wants a pair) used to
+// pass construction on the interning backends — their Intern accepts
+// anything — and then kill a pool worker inside the arc function. Every
+// entry point must refuse it up front, naming the destination, on every
+// backend.
+func TestNewServerRejectsMisfitOrigin(t *testing.T) {
+	entries := []struct {
+		name  string
+		build func(eng exec.Algebra, g *graph.Graph, origin value.V) (*serve.Server, error)
+	}{
+		{"Config.Origins", func(eng exec.Algebra, g *graph.Graph, origin value.V) (*serve.Server, error) {
+			return serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{2: origin}})
+		}},
+		{"WithAnnouncements", func(eng exec.Algebra, g *graph.Graph, origin value.V) (*serve.Server, error) {
+			p, err := rib.ParsePrefix("10.0.0.0/8")
+			if err != nil {
+				return nil, err
+			}
+			return serve.NewServer(serve.Config{Engine: eng, Graph: g},
+				serve.WithAnnouncements([]rib.PrefixOrigin{{Prefix: p, Node: 2, Origin: origin}}))
+		}},
+	}
+	for _, tc := range []struct {
+		expr  string
+		modes []exec.Mode
+	}{
+		{"lex(delay(8,2), hops(4))", []exec.Mode{exec.ModeCompiled, exec.ModeTiered, exec.ModeDynamic}},
+		// The issue's reproduction: past AutoLimit, so auto picks tiered.
+		{"lex(delay(255,3), hops(32))", []exec.Mode{exec.ModeAuto}},
+		// Infinite carrier: no membership test, the probe must catch it.
+		{"lex(delay(0,2), hops(4))", []exec.Mode{exec.ModeTiered, exec.ModeDynamic}},
+	} {
+		a, err := core.InferString(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.MustNew(3, []graph.Arc{{From: 1, To: 0, Label: 0}, {From: 0, To: 2, Label: 0}})
+		for _, mode := range tc.modes {
+			for _, entry := range entries {
+				eng, err := exec.New(a.OT, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/%s/%s", tc.expr, mode, entry.name)
+				if s, err := entry.build(eng, g, 7); err == nil {
+					s.Close()
+					t.Errorf("%s: misfit origin 7 accepted", name)
+				} else if !strings.Contains(err.Error(), "destination 2") {
+					t.Errorf("%s: err = %v, want one naming destination 2", name, err)
+				}
+				s, err := entry.build(eng, g, value.Pair{A: 0, B: 0})
+				if err != nil {
+					t.Errorf("%s: fitting origin (0,0) refused: %v", name, err)
+					continue
+				}
+				s.Close()
+			}
+		}
+	}
+}
+
+// TestEngineTierGauges: /v1/stats and /v1/metrics say how many weights
+// the engine interned and how many its memo tables cover, per backend:
+// interned past hot capacity is the one signal an operator has that an
+// algebra runs interpreted under a mutex (always so on dynamic).
+func TestEngineTierGauges(t *testing.T) {
+	a, err := core.InferString("lex(delay(16,3), hops(8))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
+	origin := a.OT.Carrier().Elems[0]
+	for _, tc := range []struct {
+		name     exec.Mode
+		interned bool
+		hot      int
+	}{
+		{exec.ModeCompiled, false, 0},
+		{exec.ModeDynamic, true, 0},
+		{exec.ModeTiered, true, 256},
+	} {
+		eng, err := exec.New(a.OT, tc.name, origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}},
+			serve.WithRegistry(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := srv.Stats()
+		if (st.EngineInterned > 0) != tc.interned || st.EngineHotCapacity != tc.hot {
+			t.Errorf("%s: interned %d, hot capacity %d; want interned>0 = %v, hot %d",
+				tc.name, st.EngineInterned, st.EngineHotCapacity, tc.interned, tc.hot)
+		}
+		h := serve.NewHandler(srv, reg)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var got map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: /v1/stats: %v", tc.name, err)
+		}
+		if got["engine_interned"] != float64(st.EngineInterned) || got["engine_hot_capacity"] != float64(tc.hot) {
+			t.Errorf("%s: /v1/stats engine_interned=%v engine_hot_capacity=%v, Stats() says %d/%d",
+				tc.name, got["engine_interned"], got["engine_hot_capacity"], st.EngineInterned, tc.hot)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		for _, line := range []string{
+			fmt.Sprintf("mrserve_engine_interned %d\n", st.EngineInterned),
+			fmt.Sprintf("mrserve_engine_hot_capacity %d\n", tc.hot),
+		} {
+			if !strings.Contains(rec.Body.String(), line) {
+				t.Errorf("%s: /v1/metrics lacks %q", tc.name, line)
+			}
+		}
+		srv.Close()
 	}
 }

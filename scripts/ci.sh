@@ -34,8 +34,20 @@ go test -race -run='^(TestViewChains|TestNewRejectsUnindexable)$' -count=1 ./int
 go test -race -run='^TestViewConcurrentReaders$' -count=10 ./internal/graph/
 go test -race -run='^TestKernelsMatchArcIndexOracle$' -count=1 ./internal/solve/
 go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
-go test -run='^(TestNewServerRejectsLabelOutOfRange|TestLoadTopologyChecksLabels|TestParseErrors)$' -count=1 \
+go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/
+
+# The tiered engine is shared by every pool worker with no mutex around
+# it: memo hits read an atomically published table generation, misses
+# serialize on the engine's own lock. The 16-goroutine stress (hot caps
+# 4, 64 and TierLimit — growth and the cold tail under the readers) runs
+# ten times under -race for the same reason the view test does; beside
+# it, a held miss mutex must not stop a hit, the order transform's
+# closures must never overlap, and pre-growth cells must survive three
+# doublings under eight readers.
+go test -race -run='^TestConcurrentStress$' -count=10 ./internal/exec/
+go test -race -run='^(TestTieredHitTakesNoLock|TestTieredClosuresNeverOverlap|TestTieredGrowth|TestTieredEquivMemo)$' \
+  -count=1 ./internal/exec/
 
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (no timing assertions — this only guards against bit-rot).
@@ -138,8 +150,12 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # a frame reader's buffer must track the bytes received, never the
 # length the frame claims. The adjacency index must stay within
 # 24 B/arc + 8 B/node at 100k nodes, and a toggle batch on an overlay
-# view must allocate by its endpoints' degree, never by N.
+# view must allocate by its endpoints' degree, never by N. A tiered
+# memo hit must allocate nothing, interning must allocate by chunk and
+# doubling rather than a table generation per weight, and the packed
+# order memo must stay at one byte per hot pair.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
+go test -run='^(TestTieredHitAllocs|TestTieredFootprint)$' -count=1 ./internal/exec/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
