@@ -127,7 +127,10 @@ func main() {
 		}
 		g = graph.Random(r, n, *p, graph.UniformLabels(labelCount(a)))
 	}
-	origin := defaultOrigin(a)
+	origin, err := a.OT.CheckedDefaultOrigin()
+	if err != nil {
+		fatal(err)
+	}
 	eng, err := exec.New(a.OT, mode, origin)
 	if err != nil {
 		fatal(err)
@@ -214,9 +217,6 @@ func labelCount(a *core.Algebra) int {
 	}
 	return 4
 }
-
-// defaultOrigin picks a sensible originated weight (⊥ when known).
-func defaultOrigin(a *core.Algebra) value.V { return a.OT.DefaultOrigin() }
 
 // runScenario loads and simulates a scenario file, printing the algebra
 // verdict and the final routing state.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,5 +38,33 @@ func TestLoadTopologyChecksLabels(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, graph %v, want an error naming %q", tc.name, err, g, tc.want)
 		}
+	}
+}
+
+// TestSolveDefaultOriginFits runs the command itself (the test binary
+// re-executed as metaroute): a product of unbounded carriers has no
+// enumerable ⊥, and its default origin must come from its factors — the
+// pair (0, 0), not the scalar 0 that used to reach a pair function and
+// panic. Where a factor has no ⊥ to offer the command must say so and
+// exit, still without a panic.
+func TestSolveDefaultOriginFits(t *testing.T) {
+	if args := os.Getenv("METAROUTE_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"metaroute"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	run := func(expr string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSolveDefaultOriginFits$")
+		cmd.Env = append(os.Environ(), "METAROUTE_TEST_ARGS=-expr\n"+expr+"\n-random\n6\n-solve")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	out, err := run("lex(hops(0), hops(0))")
+	if err != nil || !strings.Contains(out, "origin (0, 0)") || !strings.Contains(out, "bellman-ford: converged=true") {
+		t.Fatalf("lex(hops(0), hops(0)) -solve: err %v, output:\n%s", err, out)
+	}
+	out, err = run("lex(tags(2), hops(0))")
+	if err == nil || !strings.Contains(out, "has no default origin") || strings.Contains(out, "panic") {
+		t.Fatalf("lex(tags(2), hops(0)) -solve: want a clean error, got err %v, output:\n%s", err, out)
 	}
 }

@@ -341,7 +341,10 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		labels = a.OT.F.Size()
 	}
 	g := graph.Random(r, randomN, p, graph.UniformLabels(labels))
-	origin := a.OT.DefaultOrigin()
+	origin, err := a.OT.CheckedDefaultOrigin()
+	if err != nil {
+		return nil, nil, err
+	}
 	if destCount <= 0 || destCount > g.N {
 		destCount = g.N
 	}
@@ -458,7 +461,10 @@ func runScaleBench(exprSrc, nodeList string, seed int64, destCount int, out stri
 		fatal(err)
 	}
 	nodeCounts := parseIntList(nodeList, 2, "-scale-nodes")
-	origin := a.OT.DefaultOrigin()
+	origin, err := a.OT.CheckedDefaultOrigin()
+	if err != nil {
+		fatal(err)
+	}
 	eng := exec.For(a.OT, origin)
 	labels := 4
 	if a.OT.F.Finite() {
@@ -524,7 +530,10 @@ func runStormBench(exprSrc, nodeList, arcList string, seed int64, destCount, wor
 	}
 	nodeCounts := parseIntList(nodeList, 2, "-storm-nodes")
 	arcCounts := parseIntList(arcList, 1, "-storm-arcs")
-	origin := a.OT.DefaultOrigin()
+	origin, err := a.OT.CheckedDefaultOrigin()
+	if err != nil {
+		fatal(err)
+	}
 	labels := 4
 	if a.OT.F.Finite() {
 		labels = a.OT.F.Size()

@@ -70,6 +70,9 @@ func Delay(cap, maxStep int) *ost.OrderTransform {
 		t.Props.DeclareFalse(prop.TopFixed, "no ⊤ element")
 		t.Ord.Props.DeclareFalse(prop.HasTop, "ℕ has no greatest element")
 		t.Ord.Props.Declare(prop.Full)
+		// ℕ cannot be enumerated for its ⊥, and products take their
+		// default origin from their factors' ⊥s (order.Lex).
+		t.Ord.WithBot(0)
 	}
 	return t
 }

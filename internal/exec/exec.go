@@ -102,12 +102,15 @@ type Algebra interface {
 	Equiv(a, b int32) bool
 }
 
-// AutoLimit is the carrier-size ceiling for automatic compilation. The
-// tables are quadratic (2·n² bytes plus n² preorder evaluations to
-// build), so ModeAuto stops well below compile.New's 2¹⁵ hard cap:
-// 4096² ≈ 16.7M entries ≈ 33 MB builds in well under a second, while a
-// 12 870-element scoped product would already cost ~330 MB and tens of
-// seconds. ModeCompiled goes to the hard cap on explicit request.
+// AutoLimit is the carrier-size ceiling for automatic compilation. What
+// a compiled total order keeps is small — 2·F·N bytes of function table
+// plus 2·N of rank — but building it evaluates the preorder on all n²
+// pairs into an n² byte matrix (kept, with a second one, only when the
+// order turns out not to be total), so ModeAuto stops well below
+// compile.New's 2¹⁵ hard cap: 4096² ≈ 16.7M evaluations and 17 MB of
+// scratch build in well under a second, while a 12 870-element scoped
+// product would already cost ~165 MB and tens of seconds. ModeCompiled
+// goes to the hard cap on explicit request.
 const AutoLimit = 4096
 
 // defaultMode is consulted by For; the CLIs set it from -engine before
@@ -164,11 +167,16 @@ func (d *dynamic) Equiv(a, b int32) bool {
 	return d.ot.Ord.Equiv(d.elems[a], d.elems[b])
 }
 
-// tabled executes the dense-table form built by internal/compile.
+// tabled executes the dense-table form built by internal/compile over a
+// total preorder: every comparison is two rank reads.
 type tabled struct {
 	ot *ost.OrderTransform
 	c  *compile.Compiled
 }
+
+// tabledPartial is tabled for an order that got no rank (incomparable
+// weights, or not a preorder): comparisons read the order matrices.
+type tabledPartial struct{ tabled }
 
 // Compile builds the compiled backend. It fails exactly when compile.New
 // does: infinite carriers or function sets, or carriers above the 2¹⁵
@@ -178,13 +186,16 @@ func Compile(t *ost.OrderTransform) (Algebra, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.Rank == nil {
+		return &tabledPartial{tabled{ot: t, c: c}}, nil
+	}
 	return &tabled{ot: t, c: c}, nil
 }
 
 func (e *tabled) Name() string                { return e.ot.Name }
 func (e *tabled) Mode() Mode                  { return ModeCompiled }
 func (e *tabled) Source() *ost.OrderTransform { return e.ot }
-func (e *tabled) NumFns() int                 { return len(e.c.Fn) }
+func (e *tabled) NumFns() int                 { return e.c.NumFns }
 
 func (e *tabled) Intern(v value.V) (int32, error) {
 	if w, ok := e.c.Index[v]; ok {
@@ -196,36 +207,45 @@ func (e *tabled) Intern(v value.V) (int32, error) {
 
 func (e *tabled) Value(w int32) value.V { return e.c.Elems[w] }
 
-func (e *tabled) Apply(label int, w int32) int32 { return e.c.Fn[label][w] }
+func (e *tabled) Apply(label int, w int32) int32 { return e.c.Apply(label, w) }
 
-func (e *tabled) Leq(a, b int32) bool { return e.c.LeqBits[int(a)*e.c.N+int(b)] == 1 }
-func (e *tabled) Lt(a, b int32) bool  { return e.c.LtBits[int(a)*e.c.N+int(b)] == 1 }
-func (e *tabled) Equiv(a, b int32) bool {
-	n := e.c.N
-	return e.c.LeqBits[int(a)*n+int(b)] == 1 && e.c.LeqBits[int(b)*n+int(a)] == 1
+func (e *tabled) Leq(a, b int32) bool   { r := e.c.Rank; return r[a] <= r[b] }
+func (e *tabled) Lt(a, b int32) bool    { r := e.c.Rank; return r[a] < r[b] }
+func (e *tabled) Equiv(a, b int32) bool { r := e.c.Rank; return r[a] == r[b] }
+
+func (e *tabledPartial) Leq(a, b int32) bool   { return e.c.Leq(a, b) }
+func (e *tabledPartial) Lt(a, b int32) bool    { return e.c.Lt(a, b) }
+func (e *tabledPartial) Equiv(a, b int32) bool { return e.c.Equiv(a, b) }
+
+// Tables returns the flat tables behind a compiled engine whose preorder
+// is total — Fn with stride N, and Rank — for the two loops that are the
+// whole cost of a from-scratch build, the synchronous sweep and the ECMP
+// scan, to index directly instead of paying two interface calls per
+// relaxation. It is nil for every other engine: tiered, dynamic and
+// locked ones have no fixed tables, and a compiled order with
+// incomparable elements has no rank. Callers keep their interface loop
+// for those, so which loop runs follows from the engine and nothing else.
+func Tables(a Algebra) *compile.Compiled {
+	if e, ok := a.(*tabled); ok {
+		return e.c
+	}
+	return nil
 }
 
-// compileCache memoises compiled backends per order transform, so that
-// repeated solver calls on the same algebra (the shape of every
-// experiment sweep) pay the quadratic table build once. Failed compiles
-// are cached too.
-var compileCache sync.Map // *ost.OrderTransform → Algebra (nil entry = failed)
-
+// cachedCompile memoises the compiled backend on the order transform
+// itself (ost.OrderTransform.Memo), so that repeated solver calls on the
+// same algebra (the shape of every experiment sweep) pay the table build
+// once and the tables die with the transform. Failed compiles are
+// remembered too.
 func cachedCompile(t *ost.OrderTransform) (Algebra, bool) {
-	if got, ok := compileCache.Load(t); ok {
-		eng, valid := got.(Algebra)
-		return eng, valid && eng != nil
-	}
-	eng, err := Compile(t)
-	if err != nil {
-		compileCache.Store(t, (Algebra)(nil))
-		return nil, false
-	}
-	actual, _ := compileCache.LoadOrStore(t, eng)
-	if a, ok := actual.(Algebra); ok && a != nil {
-		return a, true
-	}
-	return eng, true
+	eng, ok := t.Memo(func() any {
+		eng, err := Compile(t)
+		if err != nil {
+			return nil
+		}
+		return eng
+	}).(Algebra)
+	return eng, ok
 }
 
 // compilable reports whether t is worth compiling under the auto policy.

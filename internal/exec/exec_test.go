@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -61,6 +62,36 @@ func TestCompileMemoised(t *testing.T) {
 	if e1.Mode() != ModeCompiled || e1 != e2 {
 		t.Fatal("compiled engines must be memoised per order transform")
 	}
+}
+
+// TestCompiledEnginesCollected: the compile memo lives on the order
+// transform, so an engine nothing refers to any more is garbage along
+// with its transform. Every core.InferString returns a fresh transform;
+// the heap retained after infer → For → drop rounds must not grow with
+// the number of rounds (a memo keyed by transform pointer kept 0.75 MB
+// per round of this algebra for the life of the process).
+func TestCompiledEnginesCollected(t *testing.T) {
+	retained := func(rounds int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			a := ot(t, "scoped(bw(4), delay(64,4))")
+			if eng := For(a.OT); eng.Mode() != ModeCompiled || Tables(eng) == nil {
+				t.Fatalf("round %d: want a compiled engine with tables, got %s", i, eng.Mode())
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	few, many := retained(2), retained(12)
+	if many > few+1<<20 {
+		t.Fatalf("retained heap grows with rounds: %d B after 2, %d B after 12", few, many)
+	}
+	t.Logf("retained after 2 rounds: %d B, after 12: %d B", few, many)
 }
 
 func TestNewCompiledRejectsInfinite(t *testing.T) {

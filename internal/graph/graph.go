@@ -57,6 +57,17 @@ type overRow struct {
 	arcs []int32
 }
 
+// rowFilter is a fixed 256-bit membership filter over an overlay map's
+// keys, hashed by a node's low eight bits: a clear bit proves the row is
+// not overlaid, so the accessors probe the map only for rows that can
+// be in it — on a view with a handful of live failures, a few rows in a
+// hundred instead of every row a sweep reads. It lives inside the Graph
+// value, so a view costs no allocation for it.
+type rowFilter [4]uint64
+
+func (f *rowFilter) add(u int)      { f[uint(u)>>6&3] |= 1 << (uint(u) & 63) }
+func (f *rowFilter) may(u int) bool { return f[uint(u)>>6&3]>>(uint(u)&63)&1 != 0 }
+
 // Graph is a directed graph with labelled arcs. Nodes are 0..N-1.
 type Graph struct {
 	// N is the node count.
@@ -71,8 +82,11 @@ type Graph struct {
 	// overlay the shared base rows: a present key returns the overlay row,
 	// an absent key falls through to out/in. The maps are frozen at
 	// construction (views are immutable), so concurrent reads are safe.
+	// outMay/inMay cover their keys (all zero on a graph with no overlay).
 	outOver map[int]*overRow
 	inOver  map[int]*overRow
+	outMay  rowFilter
+	inMay   rowFilter
 
 	// base, for views built by MaskArcs/WithArcToggled, is the unmasked
 	// graph whose full adjacency rows seed copy-on-write row rebuilds.
@@ -168,7 +182,7 @@ func buildIndex(n int, arcs []Arc, disabled []bool) (out, in csr) {
 // Out returns the indices (into Arcs) of arcs leaving u. The row is
 // capped: an append on it cannot reach its neighbour.
 func (g *Graph) Out(u int) []int32 {
-	if g.outOver != nil {
+	if g.outMay.may(u) {
 		if r := g.outOver[u]; r != nil {
 			return r.arcs
 		}
@@ -179,7 +193,7 @@ func (g *Graph) Out(u int) []int32 {
 // OutHops returns u's out-row in packed form: OutHops(u)[k] is the head
 // and label of arc Out(u)[k].
 func (g *Graph) OutHops(u int) []Hop {
-	if g.outOver != nil {
+	if g.outMay.may(u) {
 		if r := g.outOver[u]; r != nil {
 			return r.hops
 		}
@@ -189,7 +203,7 @@ func (g *Graph) OutHops(u int) []Hop {
 
 // In returns the indices (into Arcs) of arcs entering v, capped like Out.
 func (g *Graph) In(v int) []int32 {
-	if g.inOver != nil {
+	if g.inMay.may(v) {
 		if r := g.inOver[v]; r != nil {
 			return r.arcs
 		}
@@ -200,7 +214,7 @@ func (g *Graph) In(v int) []int32 {
 // InHops returns v's in-row in packed form: InHops(v)[k] is the tail and
 // label of arc In(v)[k].
 func (g *Graph) InHops(v int) []Hop {
-	if g.inOver != nil {
+	if g.inMay.may(v) {
 		if r := g.inOver[v]; r != nil {
 			return r.hops
 		}
@@ -281,6 +295,7 @@ func (g *Graph) WithArcsToggled(ais []int, disabled []bool) *Graph {
 			setRow(v.outOver, &b.out, a.From, disabled)
 			setRow(v.inOver, &b.in, a.To, disabled)
 		}
+		v.setFilters()
 		return v
 	}
 	// The parent is a dense re-index (MaskArcs), whose rows don't alias
@@ -300,7 +315,20 @@ func (g *Graph) WithArcsToggled(ais []int, disabled []bool) *Graph {
 			v.inOver[a.To] = filterRow(&b.in, a.To, disabled)
 		}
 	}
+	v.setFilters()
 	return v
+}
+
+// setFilters derives both row filters from the finished overlay maps —
+// from the keys that are left, not the ones a batch touched, so a row a
+// restore dropped from the overlay stops costing a probe.
+func (g *Graph) setFilters() {
+	for u := range g.outOver {
+		g.outMay.add(u)
+	}
+	for v := range g.inOver {
+		g.inMay.add(v)
+	}
 }
 
 // setRow installs base row u, filtered, into an overlay map, or deletes

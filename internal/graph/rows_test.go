@@ -24,7 +24,8 @@ func rowAddr(row []Hop) *Hop {
 // mask and a naive filter of Arcs (maskEqual; naiveRows emits an arc's
 // index and its Hop together, so packed rows line up with arc rows entry
 // for entry), rows the batch did not touch are shared with the parent
-// view by pointer, and RevIn is the unmasked base.
+// view by pointer, and RevIn is the unmasked base. A last chain on a
+// 1024-node ring does the same with colliding and saturated row filters.
 func TestViewChains(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
@@ -93,6 +94,58 @@ func TestViewChains(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Past the row filter's exactness: nodes 256 apart share a filter
+	// bit, so a view with one of them overlaid must still serve the other
+	// from the base, a restore must hand a row back to the base while its
+	// bit stays set for its neighbour, and with more overlay rows than
+	// the filter has bits every accessor is back to probing — all of it
+	// equal to the dense mask.
+	g := Ring(r, 1024, UniformLabels(5)) // arc 2u is u→u+1, arc 2u+1 its reverse
+	disabled := make([]bool, len(g.Arcs))
+	toggle := func(view *Graph, ais ...int) *Graph {
+		for _, ai := range ais {
+			disabled[ai] = !disabled[ai]
+		}
+		view = view.WithArcsToggled(ais, disabled)
+		maskEqual(t, g, view, disabled)
+		return view
+	}
+	const u = 7
+	view := toggle(g, 2*u)
+	for _, v := range []int{u + 256, u + 512, u + 768} {
+		if !view.outMay.may(v) {
+			t.Fatalf("node %d does not collide with %d in the filter; the test lost its teeth", v, u)
+		}
+		if rowAddr(view.OutHops(v)) != rowAddr(g.OutHops(v)) {
+			t.Fatalf("node %d collides with overlaid node %d and must read the base row", v, u)
+		}
+	}
+	view = toggle(view, 2*(u+256), 2*u) // u restored, its bit kept alive by u+256
+	if !view.outMay.may(u) || rowAddr(view.OutHops(u)) != rowAddr(g.OutHops(u)) {
+		t.Fatalf("restored node %d must read the base row behind a set filter bit", u)
+	}
+	var storm []int
+	for v := 0; v < 640; v += 2 {
+		if !disabled[2*v] {
+			storm = append(storm, 2*v)
+		}
+	}
+	view = toggle(view, storm...)
+	if len(view.outOver) <= 300 || len(view.inOver) <= 300 {
+		t.Fatalf("%d+%d overlay rows, want more than 300 each", len(view.outOver), len(view.inOver))
+	}
+	view = toggle(view, 2*3, 2*5+1) // one more small batch on the saturated view
+	var all []int
+	for ai, down := range disabled {
+		if down {
+			all = append(all, ai)
+		}
+	}
+	view = toggle(view, all...)
+	if len(view.outOver) != 0 || len(view.inOver) != 0 || view.outMay != (rowFilter{}) || view.inMay != (rowFilter{}) {
+		t.Fatalf("restored mask left %d+%d overlay rows or a set filter bit", len(view.outOver), len(view.inOver))
 	}
 }
 

@@ -15,6 +15,7 @@ package ost
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"metarouting/internal/fn"
 	"metarouting/internal/order"
@@ -32,11 +33,26 @@ type OrderTransform struct {
 	F *fn.Set
 	// Props caches property judgements (keys from prop.RoutingIDs).
 	Props prop.Set
+
+	// memo is the slot behind Memo.
+	memoOnce sync.Once
+	memo     any
 }
 
 // New builds an order transform.
 func New(name string, ord *order.Preorder, f *fn.Set) *OrderTransform {
 	return &OrderTransform{Name: name, Ord: ord, F: f, Props: prop.Make()}
+}
+
+// Memo returns the value the transform's one memo slot holds, building
+// it on first use; concurrent first callers wait for the one build. The
+// slot belongs to internal/exec, which keeps the compiled engine there:
+// a table set lives exactly as long as the transform it was compiled
+// from and is collected with it, which no map keyed by transform pointer
+// can promise.
+func (t *OrderTransform) Memo(build func() any) any {
+	t.memoOnce.Do(func() { t.memo = build() })
+	return t.memo
 }
 
 // Carrier returns the weight carrier.
@@ -58,6 +74,19 @@ func (t *OrderTransform) DefaultOrigin() value.V {
 		return t.Carrier().Elems[0]
 	}
 	return 0
+}
+
+// CheckedDefaultOrigin is DefaultOrigin for callers whose algebra comes
+// from outside the program (an -expr flag, a validation case): the
+// fallback for an infinite carrier with no ⊥ is a guess, and a guess
+// that does not fit — 0 offered to a carrier of pairs — must be an
+// error here rather than a panic inside a solver.
+func (t *OrderTransform) CheckedDefaultOrigin() (value.V, error) {
+	o := t.DefaultOrigin()
+	if err := t.CheckWeight(o); err != nil {
+		return nil, fmt.Errorf("%s has no default origin: %v", t.Name, err)
+	}
+	return o, nil
 }
 
 // CheckWeight reports whether v — an origin literal from a scenario

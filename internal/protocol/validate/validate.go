@@ -147,7 +147,9 @@ func Check(ctx context.Context, p *protocol.Parallel, c Case) (*Result, error) {
 	}
 	origin := c.Origin
 	if origin == nil {
-		origin = a.OT.DefaultOrigin()
+		if origin, err = a.OT.CheckedDefaultOrigin(); err != nil {
+			return nil, fmt.Errorf("validate %s: %v", c.Name, err)
+		}
 	}
 	bound := c.Bound()
 	cfg := protocol.Config{

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"metarouting/internal/core"
 	"metarouting/internal/graph"
+	"metarouting/internal/prop"
 	"metarouting/internal/protocol"
 	"metarouting/internal/telemetry"
 )
@@ -232,5 +234,26 @@ func TestRoundBound(t *testing.T) {
 	}
 	if c.Bound() != 3*9 {
 		t.Fatalf("bound: want 27, got %d", c.Bound())
+	}
+}
+
+// TestCheckRejectsUnfitDefaultOrigin: a case that names no origin on an
+// algebra whose default does not fit its carrier (an infinite product
+// with a ⊥-less factor) is an error before the simulator runs, not a
+// panic inside an arc function.
+func TestCheckRejectsUnfitDefaultOrigin(t *testing.T) {
+	const expr = "lex(tags(2), hops(0))"
+	a, err := core.InferString(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := ExpectOscillate
+	if a.Props.Holds(prop.ILeft) {
+		expect = ExpectQuiesce
+	}
+	g := graph.Ring(rand.New(rand.NewSource(1)), 5, graph.UniformLabels(a.OT.F.Size()))
+	_, err = Check(context.Background(), nil, Case{Name: "z", Expr: expr, Graph: g, Dest: 0, Expect: expect})
+	if err == nil || !strings.Contains(err.Error(), "has no default origin") {
+		t.Fatalf("want a default-origin error, got %v", err)
 	}
 }

@@ -194,10 +194,26 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 // order-equivalent to the selected weight) to pool. It is the one ECMP
 // scan both column layouts share, mirroring entryFromResult exactly, so
 // flat, paged and pointer columns stay bit-identical by construction.
-// u must be routed and must not be the destination.
+// u must be routed and must not be the destination. Like the sweep that
+// produced the state, it reads a compiled total-order engine's tables
+// directly (exec.Tables) and goes through the interface otherwise.
 func appendNextHopSet(eng exec.Algebra, g *graph.Graph, routed []bool, w []int32, nextHop []int, u int, pool []int32) []int32 {
 	primary, best := int32(nextHop[u]), w[u]
 	pool = append(pool, primary)
+	if t := exec.Tables(eng); t != nil {
+		fn, rank, stride := t.Fn, t.Rank, t.N
+		bestRank := rank[best]
+		for _, h := range g.OutHops(u) {
+			v := h.Node
+			if v == primary || !routed[v] {
+				continue
+			}
+			if rank[fn[int(h.Label)*stride+int(w[v])]] == bestRank {
+				pool = append(pool, v)
+			}
+		}
+		return pool
+	}
 	for _, h := range g.OutHops(u) {
 		v := h.Node
 		if v == primary || !routed[v] {

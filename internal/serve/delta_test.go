@@ -32,6 +32,7 @@ func TestServeDifferentialDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(2027))
 	trials := 0
 	var deltaRebuilds uint64
+	var sharpSkips, coldSharpSkips int
 	for trials < 10 {
 		src := randExpr(r, 2)
 		a, err := core.InferString(src)
@@ -98,6 +99,8 @@ func TestServeDifferentialDelta(t *testing.T) {
 				sameTables(t, fmt.Sprintf("%s storm %d", label, storm), wGot, fresh, warm.Dests(), g.N)
 			}
 			deltaRebuilds += warm.Stats().DeltaDestRebuilds
+			sharpSkips += warm.sharpSkips
+			coldSharpSkips += cold.sharpSkips
 			warm.Close()
 			cold.Close()
 		}
@@ -106,6 +109,13 @@ func TestServeDifferentialDelta(t *testing.T) {
 	if deltaRebuilds < 20 {
 		t.Fatalf("only %d delta rebuilds across all trials — the warm path barely ran", deltaRebuilds)
 	}
+	// Likewise for the fixpoint skip rule, which every shadowed swap
+	// checks against a scratch build (shadowed.checkSkipped): it must have
+	// fired where the gate is open and never where it is shut.
+	if sharpSkips < 10 || coldSharpSkips != 0 {
+		t.Fatalf("fixpoint skips: %d on the delta servers (want ≥ 10), %d on the WithDelta(false) ones (want 0)", sharpSkips, coldSharpSkips)
+	}
+	t.Logf("%d delta rebuilds, %d fixpoint skips", deltaRebuilds, sharpSkips)
 }
 
 // TestServeDeltaUnlicensedFallsBack exercises the non-monotone fallback:

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -34,12 +35,19 @@ import (
 // the flap counter — are live.
 type shadowed struct {
 	*serve.Server
-	t      *testing.T
-	label  string
-	sink   *captureSink
-	oracle *serve.SwapOracle
-	seen   int               // frames already matched to a swap
-	sums   map[uint64]uint32 // leader checksum at each published version
+	t       *testing.T
+	label   string
+	eng     exec.Algebra
+	origins map[int]value.V
+	sink    *captureSink
+	oracle  *serve.SwapOracle
+	seen    int               // frames already matched to a swap
+	sums    map[uint64]uint32 // leader checksum at each published version
+	// sharpSkips counts destinations a swap left alone although a
+	// toggled arc's head was routed toward them and its tail was not the
+	// destination — skips only the fixpoint rule of Server.invalidated
+	// makes.
+	sharpSkips int
 }
 
 func newShadowed(t *testing.T, label string, eng exec.Algebra, g *graph.Graph, origins map[int]value.V, opts ...serve.Option) *shadowed {
@@ -50,9 +58,44 @@ func newShadowed(t *testing.T, label string, eng exec.Algebra, g *graph.Graph, o
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	sh := &shadowed{Server: srv, t: t, label: label, sink: sink, oracle: serve.NewSwapOracle(srv), seen: 1,
+	sh := &shadowed{Server: srv, t: t, label: label, eng: eng, origins: origins, sink: sink,
+		oracle: serve.NewSwapOracle(srv), seen: 1,
 		sums: map[uint64]uint32{srv.Snapshot().Version: srv.Checksum()}}
 	return sh
+}
+
+// checkSkipped holds every destination the swap prev→cur did not rebuild
+// (its column is shared by pointer) against a from-scratch build on the
+// new view: same pages, same convergence verdict, same clean
+// certificate.
+func (sh *shadowed) checkSkipped(prev *serve.Snapshot, events []serve.ArcEvent) {
+	sh.t.Helper()
+	cur := sh.Snapshot()
+	if cur == prev {
+		return
+	}
+	for _, d := range sh.Dests() {
+		col := cur.Column(d)
+		if col != prev.Column(d) {
+			continue
+		}
+		want, err := rib.BuildDestPaged(sh.eng, cur.Graph, d, sh.origins[d], nil)
+		if err != nil {
+			sh.t.Fatalf("%s: v%d dest %d: %v", sh.label, cur.Version, d, err)
+		}
+		got := col.Paged()
+		if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
+			sh.t.Fatalf("%s: v%d: destination %d was skipped but a scratch build on the new view differs (converged %v/%v, clean %v/%v)",
+				sh.label, cur.Version, d, got.Converged, want.Converged, got.Clean, want.Clean)
+		}
+		for _, ev := range events {
+			a := cur.Graph.Arcs[ev.Arc]
+			if _, routed := col.Route(a.To); routed && a.From != d && prev.Disabled[ev.Arc] != cur.Disabled[ev.Arc] {
+				sh.sharpSkips++
+				break
+			}
+		}
+	}
 }
 
 // check matches the frames published since the last call to the swap
@@ -71,6 +114,7 @@ func (sh *shadowed) check(prev *serve.Snapshot, events []serve.ArcEvent) []byte 
 	if err := sh.oracle.Check(prev, events, frame); err != nil {
 		sh.t.Fatalf("%s: v%d: %v", sh.label, sh.Snapshot().Version, err)
 	}
+	sh.checkSkipped(prev, events)
 	sh.sums[sh.Snapshot().Version] = sh.Checksum()
 	return frame
 }

@@ -28,7 +28,38 @@
 // individually satisfies the rule against the pre-batch snapshot, and a
 // skipped destination's column — the only state the rule reads — is then
 // unchanged at every intermediate step of applying the batch one arc at
-// a time. EnqueueEvent feeds an intake queue drained by a background
+// a time.
+//
+// A destination whose column is a fixpoint the server can vouch for gets
+// a sharper rule (Server.toggleMoves). The conditions: the delta gate is
+// open (M or I inferred), the column is paged, Converged and Clean, and
+// the preorder is total (Full inferred, or the compiler's verified rank
+// vector). Then d is skipped unless some toggle can change it: a failed
+// arc x→y only if y is one of x's next hops toward d, a restored arc
+// only if x is unrouted or the arc's candidate f(w_d[y]) is not strictly
+// worse than w_d[x]. Soundness: under that test the selection at x over
+// the new out-row, taken from the old column's weights, is the selection
+// the column already holds — a failed arc outside the next-hop set bore
+// a candidate strictly worse than the minimum (totality: not equivalent
+// to the minimum means strictly above it), so removing it moves neither
+// the first minimal head nor the equivalence class; a restored arc whose
+// candidate is strictly worse joins neither. Every other row is
+// untouched, so the old column is a fixpoint of the new graph's one-step
+// operator, with the same tie-breaks. It is also clean: its forwarding
+// tree uses only arcs that are still up, so every weight is the weight
+// of a real path. That is exactly the state the warm-start drain
+// terminates in, and the licence the delta path already runs on — a
+// fixpoint realised by paths is the from-scratch fixpoint under M or I
+// (DESIGN.md §4d) — makes it the column a rebuild would return; the rule
+// skips the rebuilds whose change list would have been empty. The batch
+// argument carries over unchanged: each toggle passes the test against
+// the pre-batch column, which therefore survives every intermediate
+// step. Columns that are not Clean (the scoped policy product's never
+// are), flat columns and partial orders keep the first rule. The
+// differential tests hold every skipped column of every swap against
+// rib.BuildDestPaged on the new view.
+//
+// EnqueueEvent feeds an intake queue drained by a background
 // batcher, with a selectable full-queue policy: reject (surfaced as HTTP
 // 429) or degrade-to-stale (absorb the event into pending coalesced
 // state and let the published snapshot lag until the batcher catches
@@ -426,6 +457,11 @@ type Server struct {
 	// default) AND the algebra's inferred properties licensing it.
 	deltaOK bool
 
+	// fixpointSkip enables the sharper invalidation rule (see
+	// invalidated): the delta gate is open, columns are paged and the
+	// preorder is known to be total.
+	fixpointSkip bool
+
 	// paged selects the snapshot column layout (WithPagedColumns,
 	// default true): copy-on-write paged columns vs legacy flat arenas.
 	paged bool
@@ -638,6 +674,10 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	}
 	s.deltaOK = !cfg.noDelta && licensed
 	s.paged = !cfg.flatColumns
+	// Totality has two witnesses: the inferred Full judgement, or a rank
+	// vector the compiler verified against the whole order.
+	total := exec.Tables(s.eng) != nil || cfg.deltaProps != nil && cfg.deltaProps.Holds(prop.Full)
+	s.fixpointSkip = s.deltaOK && s.paged && total
 	if cfg.registry != nil {
 		s.queryNS = telemetry.NewLatencyHistogram()
 		s.eventNS = telemetry.NewLatencyHistogram()
@@ -1132,18 +1172,25 @@ func Coalesce(events []ArcEvent, disabled []bool) ([]ArcEvent, error) {
 // invalidated returns, in ascending order, the destinations whose
 // columns any of the toggled arcs can touch — the union of the
 // per-event skip rule over the batch, evaluated against the pre-batch
-// snapshot (sound for the whole batch; see the package comment).
-// Callers hold s.mu.
+// snapshot (sound for the whole batch; see the package comment). A
+// destination whose column is a converged, clean fixpoint is held to
+// the sharper rule of toggleMoves when fixpointSkip allows it. Callers
+// hold s.mu.
 func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) []int {
 	var recompute []int
 	for _, d := range s.dests {
 		col := cur.cols[d]
+		if col == nil {
+			continue
+		}
+		sharp := s.fixpointSkip && col.IsConverged() && col.IsClean()
 		for _, t := range toggles {
 			a := s.base.Arcs[t.Arc]
-			if a.From == d || col == nil {
+			if a.From == d {
 				continue
 			}
-			if _, routed := col.Route(a.To); !routed {
+			wy, routed := col.Route(a.To)
+			if !routed || sharp && !s.toggleMoves(col, a, t.Fail, wy) {
 				continue
 			}
 			recompute = append(recompute, d)
@@ -1151,6 +1198,21 @@ func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) []int {
 		}
 	}
 	return recompute
+}
+
+// toggleMoves reports whether toggling arc a = x→y, whose head holds
+// weight wy in col, can change col — a converged, clean fixpoint over a
+// total preorder. A failed arc matters only if y is among x's next
+// hops: otherwise its candidate was strictly worse than x's selection
+// and leaves neither the selection nor the equal-cost set. A restored
+// arc matters unless x is routed and the arc's candidate is strictly
+// worse than what x holds.
+func (s *Server) toggleMoves(col rib.Col, a graph.Arc, fail bool, wy int32) bool {
+	if fail {
+		return slices.Contains(col.NextHops(a.From), int32(a.To))
+	}
+	wx, routed := col.Route(a.From)
+	return !routed || !s.eng.Lt(wx, s.eng.Apply(a.Label, wy))
 }
 
 // ApplyBatch coalesces events to their net per-arc effect and applies

@@ -339,6 +339,11 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
 	prevW := ws.prevW
 	stale, staleNext := ws.stale, ws.staleNext
+	var fn, rank []uint16
+	var stride int
+	if t := exec.Tables(eng); t != nil {
+		fn, rank, stride = t.Fn, t.Rank, t.N
+	}
 	// rerouted marks u's in-neighbours stale for the next round.
 	rerouted := func(u int) {
 		for _, h := range g.InHops(u) {
@@ -361,15 +366,30 @@ func (ws *Workspace) bellmanFord(eng exec.Algebra, g *graph.Graph, dest int, ori
 			// First head achieving a minimal candidate wins.
 			nh := -1
 			var best int32
-			for _, h := range g.OutHops(u) {
-				pw := prevW[h.Node]
-				if pw < 0 {
-					continue
+			if rank != nil {
+				var bestRank uint16
+				for _, h := range g.OutHops(u) {
+					pw := prevW[h.Node]
+					if pw < 0 {
+						continue
+					}
+					relaxations++
+					cand := fn[int(h.Label)*stride+int(pw)]
+					if r := rank[cand]; nh < 0 || r < bestRank {
+						nh, best, bestRank = int(h.Node), int32(cand), r
+					}
 				}
-				relaxations++
-				cand := eng.Apply(int(h.Label), pw)
-				if nh < 0 || eng.Lt(cand, best) {
-					nh, best = int(h.Node), cand
+			} else {
+				for _, h := range g.OutHops(u) {
+					pw := prevW[h.Node]
+					if pw < 0 {
+						continue
+					}
+					relaxations++
+					cand := eng.Apply(int(h.Label), pw)
+					if nh < 0 || eng.Lt(cand, best) {
+						nh, best = int(h.Node), cand
+					}
 				}
 			}
 			if nh < 0 {

@@ -34,8 +34,18 @@ go test -race -run='^(TestViewChains|TestNewRejectsUnindexable)$' -count=1 ./int
 go test -race -run='^TestViewConcurrentReaders$' -count=10 ./internal/graph/
 go test -race -run='^TestKernelsMatchArcIndexOracle$' -count=1 ./internal/solve/
 go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
-go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
-  ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/
+
+# Table kernels: the sweep and ECMP scan that index a compiled engine's
+# flat function table and rank vector, against the interface loops on the
+# same engine hidden behind a wrapper type (state after every round,
+# Rounds, Relaxations, verdict, pages); and the rank vector against the
+# order it was derived from on every pair of every corpus algebra, with a
+# non-transitive relation refused. TestViewChains above now ends on
+# colliding and saturated row filters.
+go test -race -run='^TestTableKernelsMatchInterface$' -count=1 ./internal/rib/
+go test -race -run='^TestRankMatchesMatrices$' -count=1 ./internal/compile/
+go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
+  ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
 # The tiered engine is shared by every pool worker with no mutex around
 # it: memo hits read an atomically published table generation, misses
@@ -52,6 +62,10 @@ go test -race -run='^(TestTieredHitTakesNoLock|TestTieredClosuresNeverOverlap|Te
 # Bench smoke: every benchmark must still compile and survive one
 # iteration (no timing assertions — this only guards against bit-rot).
 go test -bench=. -benchtime=1x -run='^$' ./...
+# The table kernel's own benchmark (the policy algebra's scratch build on
+# a 2k scale-free graph, base and overlay view, tables vs interface),
+# named so that a rename cannot drop it silently.
+go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ | grep -q 'BenchmarkSweepKernel/tables/overlay'
 
 # Telemetry-overhead bench smoke: the paired instrumented-vs-bare
 # measurement must run end to end and emit a well-formed report. Small
@@ -153,9 +167,11 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # view must allocate by its endpoints' degree, never by N. A tiered
 # memo hit must allocate nothing, interning must allocate by chunk and
 # doubling rather than a table generation per weight, and the packed
-# order memo must stay at one byte per hot pair.
+# order memo must stay at one byte per hot pair. Compiled engines must
+# be collected with the order transform they were built from: retained
+# heap after infer/compile/drop rounds may not grow with the rounds.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
-go test -run='^(TestTieredHitAllocs|TestTieredFootprint)$' -count=1 ./internal/exec/
+go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
