@@ -106,6 +106,9 @@ func main() {
 	} else {
 		fmt.Println("licensed algorithms: none — no optimality or convergence guarantee")
 	}
+	if note := a.ForwardingCaveat(); note != "" {
+		fmt.Println("note:", note)
+	}
 	if *explain != "" {
 		fmt.Println()
 		fmt.Print(a.Explain(prop.ID(*explain)))
@@ -113,6 +116,10 @@ func main() {
 
 	if !*doSolve && !*simulate {
 		return
+	}
+	// Both topology sources label arcs with function-set indices.
+	if !a.OT.F.Finite() {
+		fatal(graph.ErrNotEnumerable)
 	}
 	var g *graph.Graph
 	if *topoFile != "" {
@@ -125,7 +132,7 @@ func main() {
 		if n <= 0 {
 			n = 10
 		}
-		g = graph.Random(r, n, *p, graph.UniformLabels(labelCount(a)))
+		g = graph.Random(r, n, *p, graph.UniformLabels(a.OT.F.Size()))
 	}
 	origin, err := a.OT.CheckedDefaultOrigin()
 	if err != nil {
@@ -210,14 +217,6 @@ func loadTopology(path string, a *core.Algebra) (*graph.Graph, error) {
 	return g, nil
 }
 
-// labelCount bounds the usable arc-label range.
-func labelCount(a *core.Algebra) int {
-	if a.OT.F.Finite() {
-		return a.OT.F.Size()
-	}
-	return 4
-}
-
 // runScenario loads and simulates a scenario file, printing the algebra
 // verdict and the final routing state.
 func runScenario(path string, seed int64, mode exec.Mode) {
@@ -236,6 +235,9 @@ func runScenario(path string, seed int64, mode exec.Mode) {
 	fmt.Printf("scenario: %s on %s, dest %d, origin %s, %d events"+"\n",
 		s.Expr, s.Graph, s.Dest, value.Format(s.Origin), len(s.Events))
 	fmt.Println("verdict:", s.Algebra.Verdict())
+	if note := s.Algebra.ForwardingCaveat(); note != "" {
+		fmt.Println("note:", note)
+	}
 	out := s.Run(seed, 0)
 	fmt.Printf("\nasync path-vector: %s", out.Describe())
 	printEngine(s.Engine)

@@ -67,4 +67,10 @@ func TestSolveDefaultOriginFits(t *testing.T) {
 	if err == nil || !strings.Contains(out, "has no default origin") || strings.Contains(out, "panic") {
 		t.Fatalf("lex(tags(2), hops(0)) -solve: want a clean error, got err %v, output:\n%s", err, out)
 	}
+	// A sampled function set gives random labels nothing to index: this
+	// used to die in the engine with "index out of range [1] with length 0".
+	out, err = run("scoped(hops(0), delay(0,4))")
+	if err == nil || !strings.Contains(out, "function set is not enumerable; labels have no meaning") || strings.Contains(out, "panic") {
+		t.Fatalf("scoped(hops(0), delay(0,4)) -solve: want a clean error, got err %v, output:\n%s", err, out)
+	}
 }

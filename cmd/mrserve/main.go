@@ -327,6 +327,7 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		if err != nil {
 			return nil, nil, err
 		}
+		warnForwarding(sc.Algebra)
 		srv, err := serve.NewServer(serve.Config{},
 			append([]serve.Option{serve.WithScenario(sc)}, opts...)...)
 		return srv, sc, err
@@ -335,6 +336,7 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	if err != nil {
 		return nil, nil, err
 	}
+	warnForwarding(a)
 	r := rand.New(rand.NewSource(seed))
 	labels := 4
 	if a.OT.F.Finite() {
@@ -355,6 +357,14 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins},
 		append([]serve.Option{serve.WithDeltaProps(a.Props)}, opts...)...)
 	return srv, nil, err
+}
+
+// warnForwarding says at boot what an algebra without ND does not
+// promise, so a looping answer is not the first the operator hears of it.
+func warnForwarding(a *core.Algebra) {
+	if note := a.ForwardingCaveat(); note != "" {
+		fmt.Fprintln(os.Stderr, "mrserve:", note)
+	}
 }
 
 // runLoadgen drives the load generator and writes the report.

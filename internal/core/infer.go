@@ -44,6 +44,21 @@ func (a *Algebra) SupportsDijkstra() bool {
 // (§II).
 func (a *Algebra) SupportsLocalOptima() bool { return a.Props.Holds(prop.ILeft) }
 
+// ForwardingCaveat is the line the command-line tools print at boot for
+// an algebra that derives ¬ND, and "" for any other. Without ND an arc
+// may improve a weight, so the optimum over walks (all that M promises)
+// need not be a simple path and following next hops need not realise it:
+// the route tables still hold the optimal weights, and the serve plane
+// marks each answer whose next hops loop ("forwardable":false).
+func (a *Algebra) ForwardingCaveat() string {
+	if !a.Props.Fails(prop.NDLeft) {
+		return ""
+	}
+	return "the algebra derives ¬ND: an arc may improve a weight, so weights are optima over walks, not" +
+		" simple paths, and hop-by-hop forwarding is not promised" +
+		" (route answers carry \"forwardable\":false and \"loop_at\" where next hops loop)"
+}
+
 // Options configures inference.
 type Options struct {
 	// Fallback enables model checking for properties the rules leave

@@ -6,6 +6,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,14 +125,19 @@ func MustNew(n int, arcs []Arc) *Graph {
 	return g
 }
 
+// ErrNotEnumerable is CheckLabels' verdict on an infinite, sampled
+// function set: an arc label is an index into the enumeration, so over
+// such a set no labelled topology means anything.
+var ErrNotEnumerable = errors.New("function set is not enumerable; labels have no meaning")
+
 // CheckLabels reports the first arc whose label is not an arc-function
 // index of an algebra with numFns functions — the check every entry
 // point taking a topology from outside runs before a solver indexes the
-// function set with it. numFns < 0 (an infinite, sampled function set)
-// accepts every label.
+// function set with it. numFns < 0 (fn.Set.Size of a sampled set) is
+// ErrNotEnumerable whatever the labels.
 func (g *Graph) CheckLabels(numFns int) error {
 	if numFns < 0 {
-		return nil
+		return fmt.Errorf("graph: %w", ErrNotEnumerable)
 	}
 	for i, a := range g.Arcs {
 		if a.Label >= numFns {

@@ -305,7 +305,8 @@ func TestWithArcsToggledAllocs(t *testing.T) {
 // TestNewRejectsUnindexable: labels index an algebra's function set and
 // live in int32 rows, so New refuses negative labels and labels past
 // MaxInt32, and CheckLabels names the first arc whose label the algebra
-// at hand does not have.
+// at hand does not have — or says that a sampled function set (size -1)
+// gives labels no meaning at all.
 func TestNewRejectsUnindexable(t *testing.T) {
 	pastInt32 := math.MaxInt32
 	pastInt32++ // computed at run time: the constant does not fit a 32-bit int
@@ -330,7 +331,7 @@ func TestNewRejectsUnindexable(t *testing.T) {
 		numFns int
 		want   string // "" = accepted
 	}{
-		{-1, ""}, {101, ""}, {100, "arc 2 (0→2) label 100"}, {1, "arc 1 (2→1) label 99"}, {0, "arc 0 (1→0) label 0"},
+		{-1, "not enumerable"}, {101, ""}, {100, "arc 2 (0→2) label 100"}, {1, "arc 1 (2→1) label 99"}, {0, "arc 0 (1→0) label 0"},
 	} {
 		err := g.CheckLabels(tc.numFns)
 		switch {

@@ -1,6 +1,8 @@
 package rib
 
 import (
+	"fmt"
+
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 )
@@ -51,6 +53,18 @@ type Col interface {
 	// *PagedColumn; a fresh canonical re-lay for a *Column) — the form
 	// the replication wire codec and checksums consume.
 	Paged() *PagedColumn
+}
+
+// LoopError is Forward's failure on a forwarding loop: following primary
+// next hops toward Dest came back to Node. Callers that answer route
+// queries unwrap it (errors.As) to name the repeated node beside the
+// text.
+type LoopError struct {
+	Node, Dest int
+}
+
+func (e *LoopError) Error() string {
+	return fmt.Sprintf("rib: forwarding loop at node %d toward %d", e.Node, e.Dest)
 }
 
 // forwardScanHops is the path length up to which Forward detects loops

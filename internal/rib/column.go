@@ -138,7 +138,7 @@ func (c *Column) Forward(from int) (graph.Path, error) {
 			return nil, fmt.Errorf("rib: node %d has no route to %d", u, c.Dest)
 		}
 		if seen.revisits(p, u, len(c.Slots)) {
-			return nil, fmt.Errorf("rib: forwarding loop at node %d toward %d", u, c.Dest)
+			return nil, &LoopError{Node: u, Dest: c.Dest}
 		}
 		p = append(p, u)
 		if u == c.Dest {

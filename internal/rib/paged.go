@@ -167,7 +167,7 @@ func (c *PagedColumn) Forward(from int) (graph.Path, error) {
 			return nil, fmt.Errorf("rib: node %d has no route to %d", u, c.Dest)
 		}
 		if seen.revisits(path, u, c.N) {
-			return nil, fmt.Errorf("rib: forwarding loop at node %d toward %d", u, c.Dest)
+			return nil, &LoopError{Node: u, Dest: c.Dest}
 		}
 		path = append(path, u)
 		if u == c.Dest {

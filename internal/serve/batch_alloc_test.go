@@ -31,14 +31,11 @@ func TestResolveWireBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// The interface conversion boxes the two-word leaderBatch once; the
-	// handler likewise pins one batchView per request, so only the
-	// per-query resolution below must be allocation-free.
-	var view batchView = leaderBatch{sn: srv.Snapshot(), srv: srv}
+	var view batchView = srv.Snapshot()
 
 	// Mixed kinds, including unmatched lookups and an unrouted slot, so
 	// the guard covers every arm of the resolution switch.
-	qs := []wire.Query{
+	mixed := []wire.Query{
 		{Kind: wire.QueryDest, From: 1, Arg: 0},
 		{Kind: wire.QueryDest, From: 4, Arg: 8},
 		{Kind: wire.QueryDest, From: 1, Arg: 3},
@@ -47,24 +44,28 @@ func TestResolveWireBatchAllocs(t *testing.T) {
 		{Kind: wire.QueryPrefix, From: 6, Arg: 10 << 24, PLen: 32},
 		{Kind: wire.QueryPrefix, From: 6, Arg: 10<<24 | 9<<16, PLen: 16},
 	}
-	as := make([]wire.Answer, 0, len(qs))
-	pool := make([]int32, 0, 64)
-	// One warm pass grows the append targets to their steady-state
-	// capacity; after that every run must reuse them in place.
-	if as, pool, err = resolveWireBatch(view, qs, as[:0], pool[:0]); err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != len(qs) {
-		t.Fatalf("warm pass answered %d of %d queries", len(as), len(qs))
-	}
-	n := testing.AllocsPerRun(200, func() {
-		var rerr error
-		as, pool, rerr = resolveWireBatch(view, qs, as[:0], pool[:0])
-		if rerr != nil {
-			t.Fatal(rerr)
+	// The per-query stage state lives in the scratch too, so the guard
+	// runs at the benchmark's batch size and at the frame ceiling.
+	for _, size := range []int{len(mixed), 256, wire.MaxBatch} {
+		sc := &batchScratch{}
+		for len(sc.qs) < size {
+			sc.qs = append(sc.qs, mixed[len(sc.qs)%len(mixed)])
 		}
-	})
-	if n != 0 {
-		t.Fatalf("resolveWireBatch allocates %.1f per batch with warm scratch, want 0", n)
+		// One warm pass grows the scratch to its steady-state capacity;
+		// after that every run must reuse it in place.
+		if err := resolveWireBatch(view, sc); err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.as) != size {
+			t.Fatalf("warm pass answered %d of %d queries", len(sc.as), size)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if err := resolveWireBatch(view, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("resolveWireBatch allocates %.1f per %d-query batch with warm scratch, want 0", n, size)
+		}
 	}
 }

@@ -39,6 +39,7 @@ type Follower struct {
 	appliedDelta telemetry.Counter
 	staleSkipped telemetry.Counter
 	applyErrors  telemetry.Counter
+	loopAnswers  telemetry.Counter
 	recordBytes  *telemetry.Histogram
 }
 
@@ -62,6 +63,7 @@ func NewFollower(reg *telemetry.Registry) *Follower {
 			"Records that failed to apply (stream gaps, fingerprint mismatches, decode errors).", &f.applyErrors)
 		reg.AddHistogram("mrserve_replica_record_bytes",
 			"Framed replication record size on the wire.", f.recordBytes, 1)
+		reg.AddCounter("mrserve_loop_answers_total", loopAnswersHelp, &f.loopAnswers)
 	}
 	return f
 }

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"metarouting/internal/rib"
 	"metarouting/internal/telemetry"
 )
 
@@ -30,6 +29,7 @@ type FollowerStats struct {
 	AppliedDelta       uint64 `json:"applied_delta_records"`
 	StaleSkipped       uint64 `json:"stale_records_skipped"`
 	ApplyErrors        uint64 `json:"apply_errors"`
+	LoopAnswers        uint64 `json:"loop_answers"`
 	Nodes              int    `json:"nodes"`
 	Destinations       int    `json:"destinations"`
 	DisabledArcs       int    `json:"disabled_arcs"`
@@ -50,15 +50,16 @@ func NewFollowerHandler(f *Follower, reg *telemetry.Registry) *http.ServeMux {
 	badRequest := func(w http.ResponseWriter, format string, args ...any) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, format, args...)
 	}
-	// ready gates data endpoints on bootstrap and read-your-version.
-	ready := func(w http.ResponseWriter, req *http.Request) *followerView {
+	// ready gates data endpoints on bootstrap and read-your-version,
+	// given the request's version parameter.
+	ready := func(w http.ResponseWriter, version string) *followerView {
 		v := f.view()
 		if v == nil {
 			writeErr(w, http.StatusServiceUnavailable, CodeNotReady,
 				"follower has not applied a full snapshot yet")
 			return nil
 		}
-		if !versionGate(w, req, v.state.Version) {
+		if !versionGateValue(w, version, v.state.Version) {
 			return nil
 		}
 		return v
@@ -74,88 +75,22 @@ func NewFollowerHandler(f *Follower, reg *telemetry.Registry) *http.ServeMux {
 		return v, nil
 	}
 
-	mux.HandleFunc("/v1/route", func(w http.ResponseWriter, req *http.Request) {
-		v := ready(w, req)
-		if v == nil {
-			return
+	// The route endpoints are read-only by construction, so followers
+	// serve them at full parity with the leader (same handler cores).
+	// The explicit nil return matters: a nil *followerView wrapped in
+	// the interface would defeat the handlers' nil check.
+	pin := func(w http.ResponseWriter, version string) batchView {
+		if v := ready(w, version); v != nil {
+			return v
 		}
-		st := v.state
-		from, err := nodeArg(req, "from", st.Nodes)
-		if err != nil {
-			badRequest(w, "want /v1/route?from=U&dest=D (or prefix=P, addr=A): %v", err)
-			return
-		}
-		reply := RouteReply{From: from, Dest: -1, Version: st.Version}
-		q := req.URL.Query()
-		var dest int
-		switch {
-		case q.Get("prefix") != "":
-			p, err := rib.ParsePrefix(q.Get("prefix"))
-			if err != nil {
-				badRequest(w, "%v", err)
-				return
-			}
-			reply.Query = p.String()
-			po, ok := v.pt.MatchPrefix(p)
-			if !ok {
-				reply.Err = "no announced prefix covers " + p.String()
-				writeJSON(w, http.StatusOK, reply)
-				return
-			}
-			reply.Matched = po.Prefix.String()
-			dest = po.Node
-		case q.Get("addr") != "":
-			addr, err := rib.ParseAddr(q.Get("addr"))
-			if err != nil {
-				badRequest(w, "%v", err)
-				return
-			}
-			reply.Query = q.Get("addr")
-			po, ok := v.pt.Match(addr)
-			if !ok {
-				reply.Err = "no announced prefix covers " + q.Get("addr")
-				writeJSON(w, http.StatusOK, reply)
-				return
-			}
-			reply.Matched = po.Prefix.String()
-			dest = po.Node
-		default:
-			dest, err = nodeArg(req, "dest", st.Nodes)
-			if err != nil {
-				badRequest(w, "want /v1/route?from=U&dest=D (or prefix=P, addr=A): %v", err)
-				return
-			}
-		}
-		reply.Dest = dest
-		if c := st.Cols[dest]; c != nil {
-			if w, routed := c.Route(from); routed {
-				reply.Routed = true
-				reply.Weight = st.WeightName(w)
-				for _, nh := range c.NextHops(from) {
-					reply.ECMP = append(reply.ECMP, int(nh))
-				}
-				if path, err := c.Forward(from); err == nil {
-					reply.Path = path
-				} else {
-					reply.Err = err.Error()
-				}
-			}
-		}
-		writeJSON(w, http.StatusOK, reply)
-	})
-
-	// The batch endpoint is read-only by construction, so followers
-	// serve it at full parity with the leader (same handler core).
-	mux.HandleFunc("/v1/routes", routesHandler(
-		func(w http.ResponseWriter, req *http.Request) batchView {
-			if v := ready(w, req); v != nil {
-				return v
-			}
-			return nil
-		}, nil))
+		return nil
+	}
+	countLoops := func(_, loops int) { f.loopAnswers.Add(uint64(loops)) }
+	mux.HandleFunc("/v1/route", routeHandler(pin, countLoops))
+	mux.HandleFunc("/v1/routes", routesHandler(pin, countLoops))
 
 	mux.HandleFunc("/v1/paths", func(w http.ResponseWriter, req *http.Request) {
-		v := ready(w, req)
+		v := ready(w, req.URL.Query().Get("version"))
 		if v == nil {
 			return
 		}
@@ -187,7 +122,7 @@ func NewFollowerHandler(f *Follower, reg *telemetry.Registry) *http.ServeMux {
 	})
 
 	mux.HandleFunc("/v1/prefixes", func(w http.ResponseWriter, req *http.Request) {
-		v := ready(w, req)
+		v := ready(w, req.URL.Query().Get("version"))
 		if v == nil {
 			return
 		}
@@ -235,6 +170,7 @@ func (f *Follower) StatsReply() FollowerStats {
 		AppliedDelta:    f.appliedDelta.Load(),
 		StaleSkipped:    f.staleSkipped.Load(),
 		ApplyErrors:     f.applyErrors.Load(),
+		LoopAnswers:     f.loopAnswers.Load(),
 	}
 	v := f.view()
 	if v == nil {

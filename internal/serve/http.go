@@ -25,9 +25,7 @@ import (
 	"strconv"
 	"sync"
 
-	"metarouting/internal/rib"
 	"metarouting/internal/telemetry"
-	"metarouting/internal/value"
 )
 
 // maxEventBody bounds POST /v1/events payloads; anything larger is 413.
@@ -124,29 +122,40 @@ func versionGateValue(w http.ResponseWriter, raw string, current uint64) bool {
 // RouteReply is the /v1/route response shape. Dest is the anchor node
 // the query resolved to; for prefix- and address-form queries Query
 // echoes the input and Matched names the longest-match announcement
-// that answered.
+// that answered. Forwardable says whether following primary next hops
+// from From reaches Dest (then Path is that walk); a routed answer that
+// is not forwardable carries the reason in Err and, when the walk came
+// back to a node it had visited, that node in LoopAt — the weight is
+// still the algebra's optimum, but over walks hop-by-hop forwarding
+// cannot realise (DESIGN §4d).
 type RouteReply struct {
-	From    int    `json:"from"`
-	Dest    int    `json:"dest"`
-	Query   string `json:"query,omitempty"`
-	Matched string `json:"matched_prefix,omitempty"`
-	Routed  bool   `json:"routed"`
-	Weight  string `json:"weight,omitempty"`
-	ECMP    []int  `json:"ecmp,omitempty"`
-	Path    []int  `json:"path,omitempty"`
-	Version uint64 `json:"snapshot_version"`
-	Err     string `json:"error,omitempty"`
+	From        int    `json:"from"`
+	Dest        int    `json:"dest"`
+	Query       string `json:"query,omitempty"`
+	Matched     string `json:"matched_prefix,omitempty"`
+	Routed      bool   `json:"routed"`
+	Weight      string `json:"weight,omitempty"`
+	ECMP        []int  `json:"ecmp,omitempty"`
+	Path        []int  `json:"path,omitempty"`
+	Forwardable bool   `json:"forwardable"`
+	LoopAt      *int   `json:"loop_at,omitempty"`
+	Version     uint64 `json:"snapshot_version"`
+	Err         string `json:"error,omitempty"`
 }
 
 // routeScratch pools the per-request state of the single-query route
-// path: the JSON response buffer (with an encoder bound to it once)
-// and the reply's ECMP conversion scratch. GET /v1/route is the
-// latency-floor endpoint, so its handler reuses these across requests
-// instead of allocating an encoder and fresh slices per call.
+// path: the JSON response buffer (with an encoder bound to it once),
+// the parsed dest parameter, the reply (the encoder takes its address,
+// which would move a local one to the heap) and the reply's backing
+// store. GET /v1/route is the latency-floor endpoint, so its handler
+// reuses these across requests instead of allocating an encoder, a
+// reply and fresh slices per call.
 type routeScratch struct {
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	ecmp []int
+	buf   bytes.Buffer
+	enc   *json.Encoder
+	dest  int
+	reply RouteReply
+	replyStore
 }
 
 var routeScratchPool = sync.Pool{New: func() any {
@@ -155,12 +164,12 @@ var routeScratchPool = sync.Pool{New: func() any {
 	return rs
 }}
 
-// writeRouteReply answers a 200 route reply from the pooled buffer —
+// writeRouteReply answers rs.reply as a 200 from the pooled buffer —
 // byte-identical to writeJSON's encoder output (trailing newline
 // included).
-func writeRouteReply(w http.ResponseWriter, rs *routeScratch, reply *RouteReply) {
+func writeRouteReply(w http.ResponseWriter, rs *routeScratch) {
 	rs.buf.Reset()
-	if err := rs.enc.Encode(reply); err != nil {
+	if err := rs.enc.Encode(&rs.reply); err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeInvalidArgument, "encoding reply: %v", err)
 		return
 	}
@@ -256,90 +265,6 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 			return context.WithTimeout(req.Context(), d)
 		}
 		return req.Context(), func() {}
-	}
-
-	handleRoute := func(w http.ResponseWriter, req *http.Request) {
-		// One query-string parse per request; everything below reads q.
-		q := req.URL.Query()
-		from, err1 := nodeArg(q, "from")
-		if err1 != nil {
-			badRequest(w, "want /v1/route?from=U&dest=D (or prefix=P, addr=A): %v", err1)
-			return
-		}
-		sn := srv.Snapshot()
-		if !versionGateValue(w, q.Get("version"), sn.Version) {
-			return
-		}
-		rs := routeScratchPool.Get().(*routeScratch)
-		defer routeScratchPool.Put(rs)
-		reply := RouteReply{From: from, Dest: -1, Version: sn.Version}
-		// The destination names either a node id (dest=) or a prefix
-		// plane query (prefix=, addr=) resolved by longest match to its
-		// anchor node's column.
-		var dest int
-		switch {
-		case q.Get("prefix") != "":
-			p, err := rib.ParsePrefix(q.Get("prefix"))
-			if err != nil {
-				badRequest(w, "%v", err)
-				return
-			}
-			reply.Query = p.String()
-			po, ok := sn.MatchPrefix(p)
-			if !ok {
-				reply.Err = "no announced prefix covers " + p.String()
-				writeRouteReply(w, rs, &reply)
-				return
-			}
-			reply.Matched = po.Prefix.String()
-			dest = po.Node
-		case q.Get("addr") != "":
-			addr, err := rib.ParseAddr(q.Get("addr"))
-			if err != nil {
-				badRequest(w, "%v", err)
-				return
-			}
-			reply.Query = q.Get("addr")
-			po, ok := sn.MatchAddr(addr)
-			if !ok {
-				reply.Err = "no announced prefix covers " + q.Get("addr")
-				writeRouteReply(w, rs, &reply)
-				return
-			}
-			reply.Matched = po.Prefix.String()
-			dest = po.Node
-		default:
-			var err2 error
-			dest, err2 = nodeArg(q, "dest")
-			if err2 != nil {
-				badRequest(w, "want /v1/route?from=U&dest=D (or prefix=P, addr=A): %v", err2)
-				return
-			}
-		}
-		reply.Dest = dest
-		// Resolve index-form against the snapshot column instead of
-		// materializing an *Entry — same facts, no per-call entry or
-		// next-hop copies. The ECMP set converts into pooled scratch.
-		srv.queries.Add(1)
-		if c := sn.Column(dest); c != nil {
-			if w0, routed := c.Route(from); routed {
-				reply.Routed = true
-				reply.Weight = value.Format(srv.eng.Value(w0))
-				if nh := c.NextHops(from); len(nh) > 0 {
-					rs.ecmp = rs.ecmp[:0]
-					for _, v := range nh {
-						rs.ecmp = append(rs.ecmp, int(v))
-					}
-					reply.ECMP = rs.ecmp
-				}
-				if path, err := srv.Forward(from, dest); err == nil {
-					reply.Path = path
-				} else {
-					reply.Err = err.Error()
-				}
-			}
-		}
-		writeRouteReply(w, rs, &reply)
 	}
 
 	handlePrefixes := func(w http.ResponseWriter, req *http.Request) {
@@ -529,20 +454,25 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 		alias(legacy, v1, h)
 	}
 
-	mount("/v1/route", "/route", handleRoute)
-	mux.HandleFunc("/v1/routes", routesHandler(
-		func(w http.ResponseWriter, req *http.Request) batchView {
-			sn := srv.Snapshot()
-			if !versionGate(w, req, sn.Version) {
-				return nil
-			}
-			return leaderBatch{sn: sn, srv: srv}
-		},
-		func(queries int) {
-			srv.batchRequests.Add(1)
-			srv.batchQueries.Add(uint64(queries))
-			srv.queries.Add(uint64(queries))
-		}))
+	// Both route endpoints answer from one pinned snapshot through the
+	// cores they share with the follower.
+	pin := func(w http.ResponseWriter, version string) batchView {
+		sn := srv.Snapshot()
+		if !versionGateValue(w, version, sn.Version) {
+			return nil
+		}
+		return sn
+	}
+	mount("/v1/route", "/route", routeHandler(pin, func(queries, loops int) {
+		srv.queries.Add(uint64(queries))
+		srv.loopAnswers.Add(uint64(loops))
+	}))
+	mux.HandleFunc("/v1/routes", routesHandler(pin, func(queries, loops int) {
+		srv.batchRequests.Add(1)
+		srv.batchQueries.Add(uint64(queries))
+		srv.queries.Add(uint64(queries))
+		srv.loopAnswers.Add(uint64(loops))
+	}))
 	mux.HandleFunc("/v1/prefixes", handlePrefixes)
 	mount("/v1/paths", "/paths", handlePaths)
 	mount("/v1/events", "/events", handleEvents)

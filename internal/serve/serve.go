@@ -323,6 +323,10 @@ type Snapshot struct {
 	cols     map[int]rib.Col
 	prefixes *rib.PrefixTable
 	rib      *rib.RIB
+	// srv is the server that published the snapshot: the HTTP read
+	// handlers resolve against the snapshot alone and come back here for
+	// weight names and query telemetry.
+	srv *Server
 
 	// Footprint gauges, computed once at publish.
 	arenaBytes  int
@@ -393,6 +397,7 @@ type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
 	BatchQueries          uint64 `json:"batch_queries"`
+	LoopAnswers           uint64 `json:"loop_answers"`
 	SnapshotSwaps         uint64 `json:"snapshot_swaps"`
 	EventsApplied         uint64 `json:"events_applied"`
 	IncrementalRecomputes uint64 `json:"incremental_recomputes"`
@@ -499,6 +504,7 @@ type Server struct {
 
 	queries, swaps, events      telemetry.Counter
 	batchRequests, batchQueries telemetry.Counter
+	loopAnswers                 telemetry.Counter // JSON route answers naming a forwarding loop
 	incremental, full           telemetry.Counter
 	destRecomputes, destReuses  telemetry.Counter
 	batches, coalesced          telemetry.Counter
@@ -532,6 +538,10 @@ type SlowQuery struct {
 	NS      int64  `json:"ns"`
 	Version uint64 `json:"snapshot_version"`
 }
+
+// loopAnswersHelp documents the loop counter leader and follower both
+// register.
+const loopAnswersHelp = "JSON route answers (GET /v1/route, JSON batch elements) whose primary next hops loop: routed, not forwardable."
 
 // batchSizeBuckets is the bucket layout for the event batch-size
 // histogram: powers of two up to 1024, matching the default queue cap.
@@ -730,6 +740,7 @@ func (s *Server) register(reg *telemetry.Registry) {
 	reg.AddCounter("mrserve_queries_total", "Route queries served (Lookup, Forward, ECMPWidth).", &s.queries)
 	reg.AddCounter("mrserve_batch_requests_total", "POST /v1/routes batch requests served.", &s.batchRequests)
 	reg.AddCounter("mrserve_batch_queries_total", "Route queries answered inside batches.", &s.batchQueries)
+	reg.AddCounter("mrserve_loop_answers_total", loopAnswersHelp, &s.loopAnswers)
 	reg.AddCounter("mrserve_snapshot_swaps_total", "Snapshots published.", &s.swaps)
 	reg.AddCounter("mrserve_events_applied_total", "Topology events that changed the graph.", &s.events)
 	reg.AddCounter(`mrserve_recomputes_total{kind="incremental"}`, "Snapshot builds by kind.", &s.incremental)
@@ -1068,6 +1079,7 @@ func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []
 		cols:        cols,
 		prefixes:    s.prefixes,
 		rib:         rib.FromCols(s.eng, view, cols),
+		srv:         s,
 	}
 	if cur != nil {
 		sn.Version = cur.Version + 1
@@ -1498,12 +1510,18 @@ const querySampleMask = 15
 // the query latency histogram, and sampled resolutions over the
 // slow-query threshold are logged.
 func (s *Server) Forward(from, dest int) (graph.Path, error) {
+	return s.forwardOn(s.snap.Load(), from, dest)
+}
+
+// forwardOn is Forward against a pinned snapshot — what the HTTP route
+// handlers call, so the path they answer belongs to the same version as
+// the weight beside it.
+func (s *Server) forwardOn(sn *Snapshot, from, dest int) (graph.Path, error) {
 	n := s.queries.Add(1)
 	if s.queryNS == nil || n&querySampleMask != 0 {
-		return s.snap.Load().Forward(from, dest)
+		return sn.Forward(from, dest)
 	}
 	t0 := time.Now()
-	sn := s.snap.Load()
 	p, err := sn.Forward(from, dest)
 	ns := time.Since(t0).Nanoseconds()
 	s.queryNS.Observe(ns)
@@ -1537,6 +1555,7 @@ func (s *Server) Stats() Stats {
 		Queries:               s.queries.Load(),
 		BatchRequests:         s.batchRequests.Load(),
 		BatchQueries:          s.batchQueries.Load(),
+		LoopAnswers:           s.loopAnswers.Load(),
 		SnapshotSwaps:         s.swaps.Load(),
 		EventsApplied:         s.events.Load(),
 		IncrementalRecomputes: s.incremental.Load(),

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -382,6 +383,38 @@ func TestNewServerRejectsLabelOutOfRange(t *testing.T) {
 			if s != nil {
 				s.Close()
 			}
+		}
+	}
+}
+
+// TestNewServerRejectsSampledFunctionSet: scoped over unbounded carriers
+// has no enumerable function set, so arc labels index nothing; the
+// constructor must say so instead of letting a pool worker index an
+// empty slice.
+func TestNewServerRejectsSampledFunctionSet(t *testing.T) {
+	a, err := core.InferString("scoped(hops(0), delay(0,4))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.OT.F.Finite() {
+		t.Fatal("fixture algebra enumerates its functions; pick another")
+	}
+	origin, err := a.OT.CheckedDefaultOrigin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.MustNew(3, []graph.Arc{{From: 1, To: 0, Label: 0}, {From: 2, To: 1, Label: 1}})
+	for _, mode := range []exec.Mode{exec.ModeDynamic, exec.ModeTiered} {
+		eng, err := exec.New(a.OT, mode, origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}})
+		if !errors.Is(err, graph.ErrNotEnumerable) {
+			t.Errorf("%s: err = %v, want graph.ErrNotEnumerable", mode, err)
+		}
+		if s != nil {
+			s.Close()
 		}
 	}
 }

@@ -44,8 +44,17 @@ go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
 # colliding and saturated row filters.
 go test -race -run='^TestTableKernelsMatchInterface$' -count=1 ./internal/rib/
 go test -race -run='^TestRankMatchesMatrices$' -count=1 ./internal/compile/
-go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
+go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
+
+# The read path: the staged binary resolver against the per-query loop
+# it replaced (every view, layout, query shape, batch size and malformed
+# frame; a span too wide for the answer slot fails the frame in both),
+# and one route reply built in one place — leader GET, follower GET and
+# JSON-batch element byte-identical, forwardable/loop_at included, on the
+# policy algebra whose next hops loop.
+go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsFrame|TestRouteReplyIdentityAcrossSurfaces)$' \
+  -count=1 ./internal/serve/
 
 # The tiered engine is shared by every pool worker with no mutex around
 # it: memo hits read an atomically published table generation, misses
@@ -66,6 +75,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # a 2k scale-free graph, base and overlay view, tables vs interface),
 # named so that a rename cannot drop it silently.
 go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ | grep -q 'BenchmarkSweepKernel/tables/overlay'
+# The binary resolver's own benchmark (staged vs per-query at 2k, 10k and
+# 100k nodes over 4096 distinct batches), named for the same reason.
+go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/serve/ | grep -q 'BenchmarkResolveWireBatch/staged/100k'
 
 # Telemetry-overhead bench smoke: the paired instrumented-vs-bare
 # measurement must run end to end and emit a well-formed report. Small
@@ -178,8 +190,9 @@ go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./in
 go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
-# batch resolution core and the wire codec must stay at zero
-# allocations with warm scratch.
+# batch resolution core (at 7, 256 and wire.MaxBatch queries — its
+# per-query stage state lives in the pooled scratch) and the wire codec
+# must stay at zero allocations with warm scratch.
 go test -race -run='^(TestResolveWireBatchAllocs|TestCodecAllocs)$' -count=1 \
   ./internal/serve/ ./internal/serve/wire/
 
