@@ -142,6 +142,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *doSolve {
+		fmt.Println("scratch solver:", solve.ScratchSolver(eng))
+	}
 	fmt.Printf("\ntopology: %s, destination 0, origin %s\n", g, value.Format(origin))
 
 	if *doSolve {

@@ -117,6 +117,7 @@ import (
 	"metarouting/internal/replica"
 	"metarouting/internal/scenario"
 	"metarouting/internal/serve"
+	"metarouting/internal/solve"
 	"metarouting/internal/telemetry"
 	"metarouting/internal/value"
 )
@@ -327,7 +328,7 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		if err != nil {
 			return nil, nil, err
 		}
-		warnForwarding(sc.Algebra)
+		bootNotes(sc.Algebra, sc.Engine)
 		srv, err := serve.NewServer(serve.Config{},
 			append([]serve.Option{serve.WithScenario(sc)}, opts...)...)
 		return srv, sc, err
@@ -336,7 +337,6 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	if err != nil {
 		return nil, nil, err
 	}
-	warnForwarding(a)
 	r := rand.New(rand.NewSource(seed))
 	labels := 4
 	if a.OT.F.Finite() {
@@ -347,6 +347,8 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	if err != nil {
 		return nil, nil, err
 	}
+	eng := exec.For(a.OT, origin)
+	bootNotes(a, eng)
 	if destCount <= 0 || destCount > g.N {
 		destCount = g.N
 	}
@@ -354,17 +356,19 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	for i := 0; i < destCount; i++ {
 		origins[i*g.N/destCount] = origin
 	}
-	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins},
+	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins},
 		append([]serve.Option{serve.WithDeltaProps(a.Props)}, opts...)...)
 	return srv, nil, err
 }
 
-// warnForwarding says at boot what an algebra without ND does not
-// promise, so a looping answer is not the first the operator hears of it.
-func warnForwarding(a *core.Algebra) {
+// bootNotes says at boot what an algebra without ND does not promise, so
+// a looping answer is not the first the operator hears of it, and which
+// solver the engine's licences pick for from-scratch column builds.
+func bootNotes(a *core.Algebra, eng exec.Algebra) {
 	if note := a.ForwardingCaveat(); note != "" {
 		fmt.Fprintln(os.Stderr, "mrserve:", note)
 	}
+	fmt.Fprintln(os.Stderr, "mrserve: scratch solver:", solve.ScratchSolver(eng))
 }
 
 // runLoadgen drives the load generator and writes the report.

@@ -8,6 +8,7 @@ import (
 	"metarouting/internal/fn"
 	"metarouting/internal/order"
 	"metarouting/internal/ost"
+	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
@@ -99,6 +100,25 @@ func TestBisemigroupRejectsOversize(t *testing.T) {
 	}
 }
 
+// corpus is the base algebras plus the products of the
+// engine-differential corpus and the serving workloads', each with
+// whether its preorder is total.
+var corpus = []struct {
+	expr  string
+	total bool
+}{
+	{"delay(8,2)", true}, {"delay(16,3)", true}, {"bw(4)", true}, {"bw(8)", true},
+	{"hops(8)", true}, {"lp(3)", true}, {"origin(4)", true}, {"rel(4)", true},
+	{"gadget", true}, {"unit", true}, {"tags(2)", false},
+	{"lex(delay(8,2), bw(4))", true}, {"lex(bw(4), hops(8), lp(3))", true},
+	{"scoped(bw(4), delay(8,4))", true}, {"scoped(lp(3), lex(hops(8), bw(4)))", true},
+	{"delta(bw(4), delay(8,2))", true}, {"addtop(delay(8,2))", true},
+	{"left(bw(8))", true}, {"right(delay(16,3))", true}, {"addtop(scoped(bw(4), hops(8)))", true},
+	{"lex(delay(6,3), tags(2))", false}, {"scoped(tags(2), hops(4))", false},
+	{"scoped(bw(4), delay(64,4))", true}, {"lex(delay(32,3), hops(8))", true},
+	{"lex(delay(6,3), hops(4))", true},
+}
+
 // TestRankMatchesMatrices: every base algebra and the products of the
 // engine-differential corpus, compiled, answer Leq, Lt and Equiv exactly
 // as the order they were compiled from does, on every pair — by rank
@@ -109,19 +129,7 @@ func TestBisemigroupRejectsOversize(t *testing.T) {
 // the next, the last below the first) gives every element the same
 // count of strict predecessors; the cell-by-cell check must refuse it.
 func TestRankMatchesMatrices(t *testing.T) {
-	for _, c := range []struct {
-		expr  string
-		total bool
-	}{
-		{"delay(8,2)", true}, {"delay(16,3)", true}, {"bw(4)", true}, {"bw(8)", true},
-		{"hops(8)", true}, {"lp(3)", true}, {"origin(4)", true}, {"rel(4)", true},
-		{"gadget", true}, {"unit", true}, {"tags(2)", false},
-		{"lex(delay(8,2), bw(4))", true}, {"lex(bw(4), hops(8), lp(3))", true},
-		{"scoped(bw(4), delay(8,4))", true}, {"scoped(lp(3), lex(hops(8), bw(4)))", true},
-		{"delta(bw(4), delay(8,2))", true}, {"addtop(delay(8,2))", true},
-		{"left(bw(8))", true}, {"right(delay(16,3))", true}, {"addtop(scoped(bw(4), hops(8)))", true},
-		{"lex(delay(6,3), tags(2))", false}, {"scoped(tags(2), hops(4))", false},
-	} {
+	for _, c := range corpus {
 		a := alg(t, c.expr)
 		cc, err := New(a)
 		if err != nil {
@@ -156,5 +164,80 @@ func TestRankMatchesMatrices(t *testing.T) {
 	}
 	if !cc.Lt(0, 1) || !cc.Lt(n-1, 0) || cc.Lt(0, 2) || cc.Leq(1, 0) || !cc.Equiv(3, 3) {
 		t.Fatal("the refused order must still answer from its matrices")
+	}
+}
+
+// TestTableLicencesMatchInference is the table half of ROADMAP 1(e).
+// What inference derives must hold on every cell of the compiled table —
+// M ⇒ a ≲ b implies f(a) ≲ f(b) on every pair, I ⇒ a < f(a) below ⊤, ND
+// ⇒ a ≲ f(a) — and a violation is an inference bug. The two licences
+// New stores must equal the same pair-by-pair evaluation: M, or strict I
+// below the greatest weight with that weight fixed, each only when no two
+// weights are equivalent. Where the table proves more than inference
+// derives the case is logged, not failed: inference may be conservative,
+// and strict I is not SI (the lex workloads are ¬SI only because their
+// ceiling is ⊤, which every function fixes).
+func TestTableLicencesMatchInference(t *testing.T) {
+	for _, c := range corpus {
+		a, err := core.InferString(c.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := New(a.OT)
+		if err != nil {
+			t.Fatalf("%s: %v", c.expr, err)
+		}
+		n := int32(cc.N)
+		injective, greatest := c.total, int32(-1)
+		for x := int32(0); x < n; x++ {
+			above := true
+			for y := int32(0); y < n; y++ {
+				injective = injective && (x == y || !cc.Equiv(x, y))
+				above = above && cc.Leq(y, x)
+			}
+			if above {
+				greatest = x
+			}
+		}
+		mono, inc, nd, strict := true, true, true, greatest >= 0
+		for f := 0; f < cc.NumFns; f++ {
+			for x := int32(0); x < n; x++ {
+				fx := cc.Apply(f, x)
+				nd = nd && cc.Leq(x, fx)
+				inc = inc && (a.OT.Ord.IsTop(cc.Elems[x]) || cc.Lt(x, fx))
+				strict = strict && (x == greatest && fx == x || x != greatest && cc.Lt(x, fx))
+				for y := int32(0); y < n; y++ {
+					mono = mono && (!cc.Leq(x, y) || cc.Leq(fx, cc.Apply(f, y)))
+				}
+			}
+		}
+		for _, p := range []struct {
+			id    prop.ID
+			table bool
+		}{{prop.MLeft, mono}, {prop.ILeft, inc}, {prop.NDLeft, nd}} {
+			if a.Props.Holds(p.id) && !p.table {
+				t.Errorf("%s: inference derives %s but the compiled table violates it", c.expr, p.id)
+			}
+		}
+		if cc.Monotone != (injective && mono) || cc.StrictlyIncreasing != (injective && strict) {
+			t.Errorf("%s: licences M=%v strict-I=%v, table says injective=%v M=%v strict-I=%v",
+				c.expr, cc.Monotone, cc.StrictlyIncreasing, injective, mono, strict)
+		}
+		if cc.Monotone && !a.Props.Holds(prop.MLeft) || cc.StrictlyIncreasing && !a.Props.Holds(prop.SILeft) {
+			t.Logf("%s: table licences M=%v strict-I=%v; inferred M=%s I=%s SI=%s", c.expr,
+				cc.Monotone, cc.StrictlyIncreasing, a.Props.Status(prop.MLeft), a.Props.Status(prop.ILeft), a.Props.Status(prop.SILeft))
+		}
+	}
+	for _, w := range []struct {
+		expr   string
+		m, inc bool
+	}{{"scoped(bw(4), delay(64,4))", true, false}, {"lex(delay(32,3), hops(8))", false, true}} {
+		cc, err := New(alg(t, w.expr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc.Monotone != w.m || cc.StrictlyIncreasing != w.inc {
+			t.Fatalf("%s: licences M=%v strict-I=%v, want %v/%v", w.expr, cc.Monotone, cc.StrictlyIncreasing, w.m, w.inc)
+		}
 	}
 }

@@ -171,6 +171,8 @@ func (c *Column) Entry(eng exec.Algebra, u int) *Entry {
 // the serve snapshot builder shards across its pool. It consumes the
 // solver's index-form Raw view directly, so no interface values or
 // per-entry allocations are produced: one slot slice, one pool slice.
+// The solver is Workspace.ScratchRaw: the best-first kernel when the
+// compiled tables license it, the synchronous sweep otherwise.
 func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) (*Column, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, fmt.Errorf("rib: destination %d out of range", dest)
@@ -178,7 +180,7 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 	if ws == nil {
 		ws = solve.NewWorkspace()
 	}
-	raw := ws.BellmanFordRaw(eng, g, dest, origin, 0)
+	raw := ws.ScratchRaw(eng, g, dest, origin)
 	c := &Column{Dest: dest, Converged: raw.Converged, Slots: make([]EntrySlot, g.N)}
 	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
 	c.Pool = make([]int32, 0, g.N)

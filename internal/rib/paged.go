@@ -471,7 +471,8 @@ func pagesFromRaw(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*
 }
 
 // BuildDestPaged computes the paged column for a single destination —
-// the paged counterpart of BuildDestColumn, sharing its solver run and
+// the paged counterpart of BuildDestColumn, sharing its solver run
+// (Workspace.ScratchRaw, whose solver the algebra's licence picks) and
 // ECMP scan.
 func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) (*PagedColumn, error) {
 	if dest < 0 || dest >= g.N {
@@ -480,7 +481,7 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 	if ws == nil {
 		ws = solve.NewWorkspace()
 	}
-	raw := ws.BellmanFordRaw(eng, g, dest, origin, 0)
+	raw := ws.ScratchRaw(eng, g, dest, origin)
 	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged}
 	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
 	c.Pages = pagesFromRaw(eng, g, raw, dest)

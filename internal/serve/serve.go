@@ -392,7 +392,9 @@ func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node
 // BENCH_serve.json. EngineInterned and EngineHotCapacity are exec.Tiers:
 // weights the engine has hash-consed, and how many its memo tables
 // cover — past hot capacity every operation on the excess is interpreted
-// under a mutex; both are 0 on the compiled backend.
+// under a mutex; both are 0 on the compiled backend. ScratchSolver is
+// solve.ScratchSolver: which solver from-scratch column builds run, as
+// the compiled tables' licences chose it.
 type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
@@ -425,6 +427,7 @@ type Stats struct {
 	Arcs                  int    `json:"arcs"`
 	DisabledArcs          int    `json:"disabled_arcs"`
 	Engine                string `json:"engine"`
+	ScratchSolver         string `json:"scratch_solver"`
 	EngineInterned        int    `json:"engine_interned"`
 	EngineHotCapacity     int    `json:"engine_hot_capacity"`
 	Workers               int    `json:"workers"`
@@ -1583,6 +1586,7 @@ func (s *Server) Stats() Stats {
 		Arcs:                  len(s.base.Arcs),
 		DisabledArcs:          sn.disabledArcs,
 		Engine:                string(s.eng.Mode()),
+		ScratchSolver:         solve.ScratchSolver(s.eng),
 		EngineInterned:        interned,
 		EngineHotCapacity:     hotCap,
 		Workers:               s.workers,

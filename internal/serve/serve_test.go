@@ -485,6 +485,8 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 // the engine interned and how many its memo tables cover, per backend:
 // interned past hot capacity is the one signal an operator has that an
 // algebra runs interpreted under a mutex (always so on dynamic).
+// /v1/stats also names the scratch solver: the compiled tables of this
+// lex product prove strict I, every other backend sweeps.
 func TestEngineTierGauges(t *testing.T) {
 	a, err := core.InferString("lex(delay(16,3), hops(8))")
 	if err != nil {
@@ -496,10 +498,11 @@ func TestEngineTierGauges(t *testing.T) {
 		name     exec.Mode
 		interned bool
 		hot      int
+		solver   string
 	}{
-		{exec.ModeCompiled, false, 0},
-		{exec.ModeDynamic, true, 0},
-		{exec.ModeTiered, true, 256},
+		{exec.ModeCompiled, false, 0, "best-first (I)"},
+		{exec.ModeDynamic, true, 0, "sweep"},
+		{exec.ModeTiered, true, 256, "sweep"},
 	} {
 		eng, err := exec.New(a.OT, tc.name, origin)
 		if err != nil {
@@ -526,6 +529,9 @@ func TestEngineTierGauges(t *testing.T) {
 		if got["engine_interned"] != float64(st.EngineInterned) || got["engine_hot_capacity"] != float64(tc.hot) {
 			t.Errorf("%s: /v1/stats engine_interned=%v engine_hot_capacity=%v, Stats() says %d/%d",
 				tc.name, got["engine_interned"], got["engine_hot_capacity"], st.EngineInterned, tc.hot)
+		}
+		if st.ScratchSolver != tc.solver || got["scratch_solver"] != tc.solver {
+			t.Errorf("%s: scratch solver %q (/v1/stats %v), want %q", tc.name, st.ScratchSolver, got["scratch_solver"], tc.solver)
 		}
 		rec = httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))

@@ -173,8 +173,9 @@ type WarmStart func(u int) (routed bool, w int32, nextHop int)
 // same destination and origin on the pre-toggle graph (the caller
 // asserts convergence; the origin is re-checked here). All fallback
 // behaviour matches BellmanFordDelta — on an unusable warm start,
-// oversized frontier or exhausted budget the from-scratch sweep runs
-// and only DeltaStats.Frontier and Clean are meaningful.
+// oversized frontier or exhausted budget the from-scratch solver runs
+// (ScratchRaw: the licensed best-first kernel or the sweep) and only
+// DeltaStats.Frontier and Clean are meaningful.
 //
 // cleanPrev, asserted by the caller, certifies that prev is a clean
 // dest-rooted forwarding tree (the previous column's verified Clean
@@ -192,7 +193,7 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 		t0 = time.Now()
 	}
 	scratch := func(frontier int) (Raw, DeltaStats) {
-		raw := ws.BellmanFordRaw(eng, g, dest, origin, 0)
+		raw := ws.ScratchRaw(eng, g, dest, origin)
 		clean := raw.Converged && ws.VerifyForwardTree(raw)
 		return raw, DeltaStats{Frontier: frontier, Clean: clean}
 	}

@@ -162,6 +162,9 @@ type Workspace struct {
 	// stale and staleNext are the synchronous iteration's re-evaluation
 	// sets for the current and the next round (see bellmanFord).
 	stale, staleNext []bool
+	// buckets is the best-first kernel's queue, sized by the carrier's
+	// rank count, not by the graph (see bestFirst).
+	buckets rankBuckets
 
 	// Worklist-solver scratch (see delta.go): FIFO of dirty nodes with a
 	// membership bitmap, the set of nodes ever enqueued during a drain,

@@ -44,6 +44,19 @@ go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
 # colliding and saturated row filters.
 go test -race -run='^TestTableKernelsMatchInterface$' -count=1 ./internal/rib/
 go test -race -run='^TestRankMatchesMatrices$' -count=1 ./internal/compile/
+
+# Licensed scratch solves: the best-first kernel against the sweep on the
+# same engine hidden from its tables (random and named algebras, five
+# graph families, three views, every destination, flat and paged columns,
+# the delta path's scratch fallback) and the selection by licence; the
+# three mutants that must fail (no re-queue, non-strict I, shared rank);
+# the constructed M algebra past the sweep's round budget; four schedules
+# agreeing at the workloads' sizes; and every corpus algebra's table
+# against what inference derives, licences included.
+go test -race -run='^TestScratchKernelMatchesSweep$' -count=1 ./internal/rib/
+go test -race -run='^(TestScratchKernelBeyondSweepBudget|TestScratchKernelMutantsFail|TestScratchRawDispatch|TestScheduleIndependenceAtSize)$' \
+  -count=1 ./internal/solve/
+go test -race -run='^TestTableLicencesMatchInference$' -count=1 ./internal/compile/
 go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
@@ -75,6 +88,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # a 2k scale-free graph, base and overlay view, tables vs interface),
 # named so that a rename cannot drop it silently.
 go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ | grep -q 'BenchmarkSweepKernel/tables/overlay'
+# The licensed scratch solve's own benchmark (sweep vs best-first kernel on
+# the policy product's 2k graph and a 100k lex graph), named likewise.
+go test -bench='^BenchmarkScratchKernel$' -benchtime=1x -run='^$' ./internal/solve/ | grep -q 'BenchmarkScratchKernel/lex-100k/kernel'
 # The binary resolver's own benchmark (staged vs per-query at 2k, 10k and
 # 100k nodes over 4096 distinct batches), named for the same reason.
 go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/serve/ | grep -q 'BenchmarkResolveWireBatch/staged/100k'
@@ -181,9 +197,12 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # doubling rather than a table generation per weight, and the packed
 # order memo must stay at one byte per hot pair. Compiled engines must
 # be collected with the order transform they were built from: retained
-# heap after infer/compile/drop rounds may not grow with the rounds.
+# heap after infer/compile/drop rounds may not grow with the rounds. A
+# licensed scratch solve on a warm workspace allocates nothing and grows
+# no per-node buffer beyond the sweep's.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
+go test -run='^TestScratchKernelAllocs$' -count=1 ./internal/solve/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
