@@ -143,7 +143,7 @@ func main() {
 		fatal(err)
 	}
 	if *doSolve {
-		fmt.Println("scratch solver:", solve.ScratchSolver(eng))
+		fmt.Printf("scratch solver: %s; warm start: %s\n", solve.ScratchSolver(eng), solve.WarmStartKind(eng))
 	}
 	fmt.Printf("\ntopology: %s, destination 0, origin %s\n", g, value.Format(origin))
 

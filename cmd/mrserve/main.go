@@ -363,12 +363,12 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 
 // bootNotes says at boot what an algebra without ND does not promise, so
 // a looping answer is not the first the operator hears of it, and which
-// solver the engine's licences pick for from-scratch column builds.
+// solver and warm start the engine's licences pick for column builds.
 func bootNotes(a *core.Algebra, eng exec.Algebra) {
 	if note := a.ForwardingCaveat(); note != "" {
 		fmt.Fprintln(os.Stderr, "mrserve:", note)
 	}
-	fmt.Fprintln(os.Stderr, "mrserve: scratch solver:", solve.ScratchSolver(eng))
+	fmt.Fprintf(os.Stderr, "mrserve: scratch solver: %s; warm start: %s\n", solve.ScratchSolver(eng), solve.WarmStartKind(eng))
 }
 
 // runLoadgen drives the load generator and writes the report.

@@ -76,6 +76,13 @@ type PagedColumn struct {
 	// other columns; see the ownership rule above.
 	Pages []*ColumnPage
 
+	// log is the column's derivation log (solve.Workspace.DerivationLog):
+	// the arcs of the weight improvements that built it, compacted, 4 B
+	// each. Only the leader's builders set it, and only on M-licensed
+	// tables; it licenses the next delta's log warm start. Replicas'
+	// columns (Patch, FromPages, Column.Paged) carry none.
+	log []int32
+
 	// arenaBytes/live cache the column-wide footprint and routed-slot
 	// totals at construction (a delta rebuild adjusts the previous
 	// column's totals by its cloned pages only), so the per-swap
@@ -482,7 +489,7 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 		ws = solve.NewWorkspace()
 	}
 	raw := ws.ScratchRaw(eng, g, dest, origin)
-	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged}
+	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, log: ws.DerivationLog(g, dest)}
 	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
 	c.Pages = pagesFromRaw(eng, g, raw, dest)
 	c.resum()
@@ -564,7 +571,10 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 // result flattens bit-identically to BuildDestColumn on g, and the
 // returned PageStats says which slots differ from prev: on the delta
 // path straight from the redo set as its pages are refilled, on a
-// fallback through DiffPaged.
+// fallback through DiffPaged. The warm start is the solver's pick
+// (solve.Workspace.BellmanFordDeltaLog): sparse from a clean prev, the
+// derivation log from a logged one on an M table, dense otherwise; the
+// result carries the log that run wrote, if any.
 func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, ws *solve.Workspace, prev *PagedColumn, toggles []solve.ArcToggle) (*PagedColumn, solve.DeltaStats, PageStats, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, solve.DeltaStats{}, PageStats{}, fmt.Errorf("rib: destination %d out of range", dest)
@@ -601,8 +611,8 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		}
 		return true, s.W, int(p.Pool[s.NhOff])
 	}
-	raw, st := ws.BellmanFordDeltaRaw(eng, g, disabled, dest, origin, warm, prev.Clean, toggles, 0)
-	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, Clean: st.Clean}
+	raw, st := ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, warm, prev.Clean, prev.log, toggles, 0)
+	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, Clean: st.Clean, log: ws.DerivationLog(g, dest)}
 	if !st.UsedDelta {
 		c.Pages = pagesFromRaw(eng, g, raw, dest)
 		c.resum()

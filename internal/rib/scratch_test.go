@@ -109,8 +109,9 @@ func scratchTopos(r *rand.Rand, labels int) []*graph.Graph {
 // tables; the sweep on BAD GADGET, the rank-less tags(2) product, a
 // shared rank and an unlicensed table), and routedness, weights, next
 // hops, Converged, Clean, flat and paged columns and their pools are
-// identical — as is DeltaDestPaged from an unclean previous column,
-// whose dense drain falls back to ScratchRaw on every policy product.
+// identical — as is DeltaDestPaged from an unclean previous column with
+// no log, whose dense drain falls back to ScratchRaw on every policy
+// product.
 func TestScratchKernelMatchesSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	var kernels, fallbacks int
@@ -190,9 +191,11 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 						continue
 					}
 					// The overlay's delta from the masked view's column,
-					// stripped of its certificate so the dense drain runs.
+					// stripped of its certificate and its derivation log so
+					// the dense drain runs (the log's warm start has its own
+					// differential, TestDerivationDeltaMatchesScratch).
 					prev := *paged
-					prev.Clean = false
+					prev.Clean, prev.log = false, nil
 					delta, st, ps, err := DeltaDestPaged(eng, overlay, disabled, dest, c.origin, ws, &prev, toggles)
 					if err != nil {
 						t.Fatal(err)

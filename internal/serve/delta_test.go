@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"metarouting/internal/core"
@@ -116,6 +117,82 @@ func TestServeDifferentialDelta(t *testing.T) {
 		t.Fatalf("fixpoint skips: %d on the delta servers (want ≥ 10), %d on the WithDelta(false) ones (want 0)", sharpSkips, coldSharpSkips)
 	}
 	t.Logf("%d delta rebuilds, %d fixpoint skips", deltaRebuilds, sharpSkips)
+}
+
+// TestServeDeltaDerivationLog: on the paper's policy product, whose
+// columns are never clean, a delta-enabled server warm-starts from each
+// column's derivation log. On a scale-free and a two-level region graph,
+// through 30 fail, restore and mixed storms, it must stay bit-identical
+// to a WithDelta(false) server after every storm — pages, convergence
+// and clean verdicts, checksum — with every swap's frame held to the
+// oracle, and it must have taken the warm path.
+func TestServeDeltaDerivationLog(t *testing.T) {
+	a, err := core.InferString("scoped(bw(4), delay(64,4))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nInter := 0
+	for _, f := range a.OT.F.Fns {
+		if strings.HasPrefix(f.Name, "(1,") {
+			nInter++
+		}
+	}
+	n := a.OT.F.Size()
+	intra := func(r *rand.Rand, _, _ int) int { return nInter + r.Intn(n-nInter) }
+	inter := func(r *rand.Rand, _, _ int) int { return r.Intn(nInter) }
+	r := rand.New(rand.NewSource(30))
+	origin := a.OT.DefaultOrigin()
+	for shape, g := range map[string]*graph.Graph{
+		"scale-free": graph.ScaleFree(r, 400, 2, graph.UniformLabels(n)),
+		"two-level":  graph.TwoLevel(r, 12, 30, 0.15, 60, intra, inter).Graph,
+	} {
+		eng := exec.For(a.OT, origin)
+		origins := map[int]value.V{}
+		for i := 0; i < 6; i++ {
+			origins[i*g.N/6] = origin
+		}
+		warm := newShadowed(t, shape+" warm", eng, g, origins, serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
+		cold := newShadowed(t, shape+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
+		if st := warm.Stats(); !st.DeltaEnabled || st.WarmStart != "derivation log (M)" {
+			t.Fatalf("%s: delta enabled %v, warm start %q", shape, st.DeltaEnabled, st.WarmStart)
+		}
+		disabled := make([]bool, len(g.Arcs))
+		for storm := 0; storm < 30; storm++ {
+			var events []serve.ArcEvent
+			for len(events) < 4 {
+				ai := r.Intn(len(g.Arcs))
+				// Even storms fail, odd ones restore, every third mixes.
+				fail := storm%2 == 0 || storm%3 == 0 && len(events) < 2
+				if disabled[ai] == fail {
+					continue
+				}
+				disabled[ai] = fail
+				events = append(events, serve.ArcEvent{Arc: ai, Fail: fail})
+			}
+			for _, s := range []*shadowed{warm, cold} {
+				if _, _, err := s.ApplyBatch(context.Background(), events); err != nil {
+					t.Fatalf("%s storm %d: %v", s.label, storm, err)
+				}
+			}
+			wSnap, cSnap := warm.Snapshot(), cold.Snapshot()
+			for _, d := range warm.Dests() {
+				got, want := wSnap.Column(d).Paged(), cSnap.Column(d).Paged()
+				if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
+					t.Fatalf("%s storm %d: destination %d diverged from the WithDelta(false) server", shape, storm, d)
+				}
+			}
+			if warm.Checksum() != cold.Checksum() {
+				t.Fatalf("%s storm %d: checksums %08x vs %08x", shape, storm, warm.Checksum(), cold.Checksum())
+			}
+		}
+		if st := warm.Stats(); st.DeltaDestRebuilds == 0 {
+			t.Fatalf("%s: the warm server never took the delta path (%d scratch rebuilds)", shape, st.ScratchDestRebuilds)
+		} else {
+			t.Logf("%s: %d delta and %d scratch rebuilds", shape, st.DeltaDestRebuilds, st.ScratchDestRebuilds)
+		}
+		warm.Close()
+		cold.Close()
+	}
 }
 
 // TestServeDeltaUnlicensedFallsBack exercises the non-monotone fallback:

@@ -394,7 +394,10 @@ func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node
 // cover — past hot capacity every operation on the excess is interpreted
 // under a mutex; both are 0 on the compiled backend. ScratchSolver is
 // solve.ScratchSolver: which solver from-scratch column builds run, as
-// the compiled tables' licences chose it.
+// the compiled tables' licences chose it; WarmStart is
+// solve.WarmStartKind: the warm start those licences give a delta
+// rebuild from a column that is not a clean tree (DeltaEnabled says
+// whether rebuilds warm-start at all).
 type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
@@ -428,6 +431,7 @@ type Stats struct {
 	DisabledArcs          int    `json:"disabled_arcs"`
 	Engine                string `json:"engine"`
 	ScratchSolver         string `json:"scratch_solver"`
+	WarmStart             string `json:"warm_start"`
 	EngineInterned        int    `json:"engine_interned"`
 	EngineHotCapacity     int    `json:"engine_hot_capacity"`
 	Workers               int    `json:"workers"`
@@ -1587,6 +1591,7 @@ func (s *Server) Stats() Stats {
 		DisabledArcs:          sn.disabledArcs,
 		Engine:                string(s.eng.Mode()),
 		ScratchSolver:         solve.ScratchSolver(s.eng),
+		WarmStart:             solve.WarmStartKind(s.eng),
 		EngineInterned:        interned,
 		EngineHotCapacity:     hotCap,
 		Workers:               s.workers,

@@ -485,25 +485,30 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 // the engine interned and how many its memo tables cover, per backend:
 // interned past hot capacity is the one signal an operator has that an
 // algebra runs interpreted under a mutex (always so on dynamic).
-// /v1/stats also names the scratch solver: the compiled tables of this
-// lex product prove strict I, every other backend sweeps.
+// /v1/stats also names the scratch solver and the warm start: the
+// compiled tables of this lex product prove strict I, those of the
+// policy product prove M, every other backend sweeps and warm-starts
+// densely.
 func TestEngineTierGauges(t *testing.T) {
-	a, err := core.InferString("lex(delay(16,3), hops(8))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
-	origin := a.OT.Carrier().Elems[0]
 	for _, tc := range []struct {
+		expr     string
 		name     exec.Mode
 		interned bool
 		hot      int
 		solver   string
+		warm     string
 	}{
-		{exec.ModeCompiled, false, 0, "best-first (I)"},
-		{exec.ModeDynamic, true, 0, "sweep"},
-		{exec.ModeTiered, true, 256, "sweep"},
+		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, "best-first (I)", "clean tree"},
+		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, "sweep", "dense"},
+		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, "sweep", "dense"},
+		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, "best-first (M)", "derivation log (M)"},
 	} {
+		a, err := core.InferString(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
+		origin := a.OT.Carrier().Elems[0]
 		eng, err := exec.New(a.OT, tc.name, origin)
 		if err != nil {
 			t.Fatal(err)
@@ -532,6 +537,9 @@ func TestEngineTierGauges(t *testing.T) {
 		}
 		if st.ScratchSolver != tc.solver || got["scratch_solver"] != tc.solver {
 			t.Errorf("%s: scratch solver %q (/v1/stats %v), want %q", tc.name, st.ScratchSolver, got["scratch_solver"], tc.solver)
+		}
+		if st.WarmStart != tc.warm || got["warm_start"] != tc.warm {
+			t.Errorf("%s %s: warm start %q (/v1/stats %v), want %q", tc.expr, tc.name, st.WarmStart, got["warm_start"], tc.warm)
 		}
 		rec = httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))

@@ -177,7 +177,9 @@ func (b *rankBuckets) popMin(next []int32, back []int) int {
 // tests run that mutant to show the re-queue is needed. The list links
 // borrow prevW (next) and nextHop (back), which hold nothing until the
 // primary pass: every list is empty when the loop ends, so nextHop is
-// back to all -1 for that pass to fill.
+// back to all -1 for that pass to fill. On an M-licensed table every
+// weight improvement's arc goes to logBuf: the derivation log
+// (derivation.go).
 func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
 	ws.reset(g.N, dest, o)
 	fn, rank, stride := t.Fn, t.Rank, t.N
@@ -185,6 +187,9 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 	bq := &ws.buckets
 	bq.size(t.N)
 	bq.insert(dest, rank[o], next, back)
+	logging := t.Monotone
+	ws.logBase, ws.logBuf = nil, ws.logBuf[:0]
+	var arcs []int32
 	for {
 		u := bq.popMin(next, back)
 		if u < 0 {
@@ -192,7 +197,10 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 		}
 		settles++
 		wu := int(w[u])
-		for _, h := range g.InHops(u) {
+		if logging {
+			arcs = g.In(u)
+		}
+		for k, h := range g.InHops(u) {
 			p := int(h.Node)
 			if p == dest {
 				continue
@@ -211,9 +219,13 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 				}
 			}
 			w[p] = int32(cand)
+			if logging {
+				ws.logBuf = append(ws.logBuf, arcs[k])
+			}
 			bq.insert(p, rc, next, back)
 		}
 	}
+	ws.logged = logging
 	// Primary next hops over the final weights, by the sweep's rule: the
 	// first out-arc whose candidate has minimal rank. A node's weight is
 	// that minimum, so the first out-arc reaching its rank is the one.

@@ -327,7 +327,8 @@ func TestScheduleIndependenceAtSize(t *testing.T) {
 // allocates nothing, on the policy product's 2k-node graph and on a
 // 10k-node lex graph, and the kernel grows no per-node buffer of its
 // own — only what reset sizes (the list links borrow prevW and
-// nextHop), plus the rank buckets sized by the carrier.
+// nextHop), plus the rank buckets sized by the carrier and, on the M
+// table alone, the derivation log's buffer.
 func TestScratchKernelAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, c := range []struct {
@@ -351,9 +352,13 @@ func TestScratchKernelAllocs(t *testing.T) {
 		if cap(ws.buckets.head) != tab.N || cap(ws.buckets.bits) != (tab.N+63)/64 {
 			t.Fatalf("%s: rank buckets %d/%d for %d ranks", c.expr, cap(ws.buckets.head), cap(ws.buckets.bits), tab.N)
 		}
-		// Everything else must still be unset.
+		// On the M table the derivation log, and everything else must
+		// still be unset.
+		if ws.logged != tab.Monotone || (len(ws.logBuf) > 0) != tab.Monotone {
+			t.Fatalf("%s: M licence %v, but a log of %d entries (logged %v)", c.expr, tab.Monotone, len(ws.logBuf), ws.logged)
+		}
 		only := Workspace{routed: ws.routed, w: ws.w, nextHop: ws.nextHop, prevW: ws.prevW, inTree: ws.inTree,
-			stale: ws.stale, staleNext: ws.staleNext, buckets: ws.buckets}
+			stale: ws.stale, staleNext: ws.staleNext, buckets: ws.buckets, logBuf: ws.logBuf, logged: ws.logged}
 		if !reflect.DeepEqual(*ws, only) {
 			t.Fatalf("%s: the kernel grew a buffer beyond reset's and the rank buckets", c.expr)
 		}

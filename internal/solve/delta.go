@@ -52,7 +52,7 @@ type DeltaStats struct {
 	// Clean reports that the produced fixpoint was verified to be a
 	// clean dest-rooted forwarding tree — every routed node's primary
 	// next-hop chain reaches the destination (see VerifyForwardTree).
-	// Only BellmanFordDeltaRaw sets it; a clean result licenses the
+	// Only BellmanFordDeltaRaw/Log set it; a clean result licenses the
 	// O(frontier) sparse warm start on the next delta for the same
 	// destination.
 	Clean bool
@@ -188,6 +188,22 @@ type WarmStart func(u int) (routed bool, w int32, nextHop int)
 // their out-neighbourhoods — exactly the slots the RIB delta rebuild
 // reads; every other entry is stale scratch.
 func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmStart, cleanPrev bool, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
+	return ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, prev, cleanPrev, nil, toggles, maxPops)
+}
+
+// BellmanFordDeltaLog is BellmanFordDeltaRaw given the previous column's
+// derivation log as well (DerivationLog; nil when it has none). When prev
+// is not certified clean, the log is non-nil and eng's compiled tables
+// prove M, it takes the third warm start (derivation.go): a forward pass
+// over the log finds the entries the batch's failed arcs invalidated,
+// and a drain seeded with the nodes whose last entry went invalid and
+// the toggle tails lowers the state to the new fixpoint, recording its
+// own improvements — O(log + frontier) for fail, restore and mixed
+// batches alike, with the Raw populated as on the sparse path. Clean is
+// then verified over every routed node, since the previous column was
+// not a clean tree. Afterwards DerivationLog returns the new column's
+// log on this path and on a scratch fallback that ran the kernel.
+func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmStart, cleanPrev bool, log []int32, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	var t0 time.Time
 	if ws.Metrics != nil {
 		t0 = time.Now()
@@ -205,10 +221,17 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 	var relaxations uint64
 	var ok bool
 	var warm WarmStart
-	if cleanPrev {
+	t := licensed(eng)
+	logWarm := !cleanPrev && log != nil && t != nil && t.Monotone
+	if cleanPrev || logWarm {
 		warm = prev
 		ws.sparseReset(g.N)
 		ws.loadNode(dest, true, o, -1)
+	}
+	if logWarm {
+		ws.replayLog(t, g, disabled, dest, o, log, toggles)
+		pops, relaxations, frontier, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, maxPops)
+	} else if cleanPrev {
 		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops)
 	} else {
 		ws.reset(g.N, dest, o)
@@ -231,16 +254,23 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 		return scratch(frontier)
 	}
 	// Certify the new fixpoint for the next warm start. Touched chains
-	// suffice: the warm start was purged (dense) or certified clean
-	// (sparse), so any new forwarding cycle must pass through a touched
-	// node — see verifyTouched.
+	// suffice after the dense and sparse warm starts: those were purged
+	// or certified clean, so any new forwarding cycle must pass through a
+	// touched node — see verifyTouched. The log warm start started from a
+	// column that was not a clean tree, so every chain is walked; on an
+	// unclean result the first loop ends the walk.
 	st := DeltaStats{
 		UsedDelta:   true,
 		Frontier:    frontier,
 		Pops:        pops,
 		Relaxations: relaxations,
 		Touched:     ws.sortedTouched(),
-		Clean:       ws.verifyTouched(g.N, dest, warm),
+	}
+	if logWarm {
+		st.Clean = ws.verifyAll(g.N, dest, warm)
+		ws.logged = true
+	} else {
+		st.Clean = ws.verifyTouched(g.N, dest, warm)
 	}
 	if m := ws.Metrics; m != nil {
 		m.Runs.Inc()

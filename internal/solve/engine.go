@@ -189,6 +189,17 @@ type Workspace struct {
 	// the chain verifier.
 	stack, vstack []int
 
+	// Derivation-log scratch (see derivation.go). The last solve's log,
+	// uncompacted, is logBase (a previous column's log, read only) then
+	// logBuf, and logged says whether that solve kept one; logInval lists
+	// the replay's invalidated nodes. The replay's and the compaction's
+	// per-node state borrow prevW and childHead.
+	logBase, logBuf, logInval []int32
+	logged                    bool
+	// onRaise, set by tests, hears of a logged drain step that would
+	// raise a weight — the invariant the log warm start's proof promises.
+	onRaise func(u int)
+
 	// Metrics, when non-nil, receives per-stage solver telemetry (run
 	// durations, relax-pass and relaxation counts, buffer reuse). Several
 	// workspaces may share one Metrics.
@@ -237,6 +248,7 @@ func (ws *Workspace) reset(n, dest int, origin int32) {
 	}
 	ws.routed[dest] = true
 	ws.w[dest] = origin
+	ws.logged = false
 }
 
 // materialize copies the workspace state into a fresh Result (the

@@ -124,6 +124,7 @@ func (ws *Workspace) sparseReset(n int) {
 	ws.queue = ws.queue[:0]
 	ws.touchList = ws.touchList[:0]
 	ws.loaded, ws.loadEpoch = resetEpochSet(ws.loaded, ws.loadEpoch, n)
+	ws.logged = false
 }
 
 // deltaDrainSparse is deltaDrain for a certified-clean warm start. The
@@ -208,24 +209,29 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 
 // verifyChain walks u's primary next-hop chain until it reaches the
 // destination or an already-verified node, then marks the whole walk
-// verified. It fails on a forwarding cycle (walk longer than n) and on a
-// routed node forwarding to an unrouted one — either means the fixpoint
-// is not a clean dest-rooted tree. warm, when non-nil, materializes
-// unvisited nodes from the lazy overlay as the walk crosses them.
-func (ws *Workspace) verifyChain(u, n, dest int, warm WarmStart) bool {
+// verified. It fails on a forwarding cycle and on a routed node
+// forwarding to an unrouted one — either means the fixpoint is not a
+// clean dest-rooted tree. A cycle is caught by Brent's method: the walk
+// parks at its current node after 1, 2, 4, … steps and fails on coming
+// back to where it parked, within twice the cycle's reach and with no
+// per-node marks. warm, when non-nil, materializes unvisited nodes from
+// the lazy overlay as the walk crosses them.
+func (ws *Workspace) verifyChain(u, dest int, warm WarmStart) bool {
 	path := ws.vstack[:0]
 	defer func() { ws.vstack = path }()
+	park, lap, steps := -1, 1, 0
 	for u != dest && ws.vmarks[u] != ws.vmarkEpoch {
 		if warm != nil {
 			ws.ensure(u, warm)
 		}
-		if !ws.routed[u] {
+		if !ws.routed[u] || u == park {
 			return false
 		}
+		if steps == lap {
+			park, lap, steps = u, 2*lap, 0
+		}
+		steps++
 		path = append(path, u)
-		if len(path) > n {
-			return false
-		}
 		u = ws.nextHop[u]
 	}
 	for _, v := range path {
@@ -248,7 +254,7 @@ func (ws *Workspace) verifyTouched(n, dest int, warm WarmStart) bool {
 		if !ws.routed[t] {
 			continue
 		}
-		if !ws.verifyChain(t, n, dest, warm) {
+		if !ws.verifyChain(t, dest, warm) {
 			return false
 		}
 	}
@@ -263,13 +269,21 @@ func (ws *Workspace) verifyTouched(n, dest int, warm WarmStart) bool {
 // the verdict on its columns; a clean previous column is what licenses
 // the sparse delta path on the next swap.
 func (ws *Workspace) VerifyForwardTree(raw Raw) bool {
-	n := len(raw.Routed)
+	return ws.verifyAll(len(raw.Routed), raw.Dest, nil)
+}
+
+// verifyAll walks every routed node's forwarding chain, stopping at the
+// first that fails. warm, when non-nil, materializes nodes from the lazy
+// overlay — the log warm start's certificate, which cannot restrict the
+// walk to touched nodes as verifyTouched does: its previous column was
+// not a clean tree.
+func (ws *Workspace) verifyAll(n, dest int, warm WarmStart) bool {
 	ws.vmarks, ws.vmarkEpoch = resetEpochSet(ws.vmarks, ws.vmarkEpoch, n)
 	for u := 0; u < n; u++ {
-		if !raw.Routed[u] {
-			continue
+		if warm != nil {
+			ws.ensure(u, warm)
 		}
-		if !ws.verifyChain(u, n, raw.Dest, nil) {
+		if ws.routed[u] && !ws.verifyChain(u, dest, warm) {
 			return false
 		}
 	}

@@ -57,6 +57,18 @@ go test -race -run='^TestScratchKernelMatchesSweep$' -count=1 ./internal/rib/
 go test -race -run='^(TestScratchKernelBeyondSweepBudget|TestScratchKernelMutantsFail|TestScratchRawDispatch|TestScheduleIndependenceAtSize)$' \
   -count=1 ./internal/solve/
 go test -race -run='^TestTableLicencesMatchInference$' -count=1 ./internal/compile/
+
+# Warm starts licensed by M: every destination's column carried through
+# fail, restore and mixed batches by its derivation log against scratch
+# builds (policy products and the corpus's M tables, five graph families;
+# pages, totals, verdicts, change lists and the log's own invariant);
+# the three broken warm starts that must fail (justification by final
+# weights, unpropagated invalidity, unrouted for invalid nodes) with the
+# no-raise invariant on policy storms; and a logged server against a
+# WithDelta(false) one, storm by storm.
+go test -race -run='^TestDerivationDeltaMatchesScratch$' -count=1 ./internal/rib/
+go test -race -run='^TestDerivationDeltaMutantsFail$' -count=1 ./internal/solve/
+go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
 go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
@@ -91,6 +103,10 @@ go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ 
 # The licensed scratch solve's own benchmark (sweep vs best-first kernel on
 # the policy product's 2k graph and a 100k lex graph), named likewise.
 go test -bench='^BenchmarkScratchKernel$' -benchtime=1x -run='^$' ./internal/solve/ | grep -q 'BenchmarkScratchKernel/lex-100k/kernel'
+# The log warm start's own benchmark (one destination's rebuild on the
+# storm-policy-2k shape over 4-arc fail/restore pairs, logged delta vs the
+# scratch build it replaced), named likewise.
+go test -bench='^BenchmarkDerivationDelta$' -benchtime=1x -run='^$' ./internal/rib/ | grep -q 'BenchmarkDerivationDelta/scratch'
 # The binary resolver's own benchmark (staged vs per-query at 2k, 10k and
 # 100k nodes over 4096 distinct batches), named for the same reason.
 go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/serve/ | grep -q 'BenchmarkResolveWireBatch/staged/100k'
@@ -199,11 +215,12 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # be collected with the order transform they were built from: retained
 # heap after infer/compile/drop rounds may not grow with the rounds. A
 # licensed scratch solve on a warm workspace allocates nothing and grows
-# no per-node buffer beyond the sweep's.
+# no per-node buffer beyond the sweep's, and a logged delta allocates its
+# column, its cloned pages and its exactly sized log, nothing by N.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
 go test -run='^TestScratchKernelAllocs$' -count=1 ./internal/solve/
-go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs)$' \
+go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
 go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
