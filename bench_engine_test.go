@@ -47,10 +47,20 @@ func BenchmarkEngineDynamicVsCompiledDijkstra(b *testing.B) {
 	})
 }
 
-func BenchmarkEngineDynamicVsCompiledDijkstraHeap(b *testing.B) {
+// BenchmarkEngineDynamicVsCompiledBestFirst runs the licensed scratch
+// kernel: the comparison kernel on the dynamic backend (licensed by
+// inference), the rank-bucket kernel on the compiled one (by its tables).
+func BenchmarkEngineDynamicVsCompiledBestFirst(b *testing.B) {
+	a, err := core.InferString("delay(255,4)")
+	if err != nil {
+		b.Fatal(err)
+	}
 	engineBench(b, 128, func(b *testing.B, eng exec.Algebra, g *graph.Graph) {
+		lic := solve.NewLicence(eng, a.Props)
+		ws := solve.NewWorkspace()
+		ws.Licence = &lic
 		for i := 0; i < b.N; i++ {
-			solve.DijkstraHeapEngine(eng, g, 0, 0)
+			ws.ScratchRaw(eng, g, 0, 0)
 		}
 	})
 }

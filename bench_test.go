@@ -285,29 +285,39 @@ func BenchmarkClosureMinPlus(b *testing.B) {
 	}
 }
 
-func benchHeapDijkstra(b *testing.B, n int, useHeap bool) {
+// benchScratch256 routes destination 0 of a 256-node GNP graph on
+// delay(255,4): by the O(N²) scan Dijkstra on the compiled backend, or by
+// the comparison kernel on the tiered backend under the inferred licence.
+func benchScratch256(b *testing.B, kernel bool) {
 	a, err := core.InferString("delay(255,4)")
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(6))
-	g := graph.Random(r, n, 0.1, graph.UniformLabels(4))
-	eng, err := exec.New(a.OT, exec.ModeCompiled, 0)
+	g := graph.Random(r, 256, 0.1, graph.UniformLabels(4))
+	mode := exec.ModeCompiled
+	if kernel {
+		mode = exec.ModeTiered
+	}
+	eng, err := exec.New(a.OT, mode, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	lic := solve.NewLicence(eng, a.Props)
+	ws := solve.NewWorkspace()
+	ws.Licence = &lic
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if useHeap {
-			solve.DijkstraHeapEngine(eng, g, 0, 0)
+		if kernel {
+			ws.ScratchRaw(eng, g, 0, 0)
 		} else {
 			solve.DijkstraEngine(eng, g, 0, 0)
 		}
 	}
 }
 
-func BenchmarkDijkstraScan256(b *testing.B) { benchHeapDijkstra(b, 256, false) }
-func BenchmarkDijkstraHeap256(b *testing.B) { benchHeapDijkstra(b, 256, true) }
+func BenchmarkDijkstraScan256(b *testing.B)    { benchScratch256(b, false) }
+func BenchmarkBestFirstTiered256(b *testing.B) { benchScratch256(b, true) }
 
 func BenchmarkE17ConvergenceScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {

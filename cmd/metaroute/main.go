@@ -143,7 +143,8 @@ func main() {
 		fatal(err)
 	}
 	if *doSolve {
-		fmt.Printf("scratch solver: %s; warm start: %s\n", solve.ScratchSolver(eng), solve.WarmStartKind(eng))
+		lic := solve.NewLicence(eng, a.Props)
+		fmt.Printf("scratch solver: %s; warm start: %s\n", lic.ScratchSolver(), lic.WarmStartKind())
 	}
 	fmt.Printf("\ntopology: %s, destination 0, origin %s\n", g, value.Format(origin))
 

@@ -117,7 +117,6 @@ import (
 	"metarouting/internal/replica"
 	"metarouting/internal/scenario"
 	"metarouting/internal/serve"
-	"metarouting/internal/solve"
 	"metarouting/internal/telemetry"
 	"metarouting/internal/value"
 )
@@ -328,9 +327,10 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		if err != nil {
 			return nil, nil, err
 		}
-		bootNotes(sc.Algebra, sc.Engine)
+		bootNotes(sc.Algebra)
 		srv, err := serve.NewServer(serve.Config{},
 			append([]serve.Option{serve.WithScenario(sc)}, opts...)...)
+		solverNote(srv)
 		return srv, sc, err
 	}
 	a, err := core.InferString(exprSrc)
@@ -348,7 +348,7 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		return nil, nil, err
 	}
 	eng := exec.For(a.OT, origin)
-	bootNotes(a, eng)
+	bootNotes(a)
 	if destCount <= 0 || destCount > g.N {
 		destCount = g.N
 	}
@@ -358,17 +358,25 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 	}
 	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins},
 		append([]serve.Option{serve.WithDeltaProps(a.Props)}, opts...)...)
+	solverNote(srv)
 	return srv, nil, err
 }
 
 // bootNotes says at boot what an algebra without ND does not promise, so
-// a looping answer is not the first the operator hears of it, and which
-// solver and warm start the engine's licences pick for column builds.
-func bootNotes(a *core.Algebra, eng exec.Algebra) {
+// a looping answer is not the first the operator hears of it.
+func bootNotes(a *core.Algebra) {
 	if note := a.ForwardingCaveat(); note != "" {
 		fmt.Fprintln(os.Stderr, "mrserve:", note)
 	}
-	fmt.Fprintf(os.Stderr, "mrserve: scratch solver: %s; warm start: %s\n", solve.ScratchSolver(eng), solve.WarmStartKind(eng))
+}
+
+// solverNote says which solver and warm start the server's licence picked
+// for its column builds (nil srv: the boot failed, nothing to say).
+func solverNote(srv *serve.Server) {
+	if srv != nil {
+		st := srv.Stats()
+		fmt.Fprintf(os.Stderr, "mrserve: scratch solver: %s; warm start: %s\n", st.ScratchSolver, st.WarmStart)
+	}
 }
 
 // runLoadgen drives the load generator and writes the report.

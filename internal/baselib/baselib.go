@@ -69,7 +69,6 @@ func Delay(cap, maxStep int) *ost.OrderTransform {
 		t.Props.Declare(prop.SILeft)
 		t.Props.DeclareFalse(prop.TopFixed, "no ⊤ element")
 		t.Ord.Props.DeclareFalse(prop.HasTop, "ℕ has no greatest element")
-		t.Ord.Props.Declare(prop.Full)
 		// ℕ cannot be enumerated for its ⊥, and products take their
 		// default origin from their factors' ⊥s (order.Lex).
 		t.Ord.WithBot(0)

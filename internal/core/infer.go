@@ -200,11 +200,13 @@ func computeFacts(ot *ost.OrderTransform, p prop.Set, opt Options) {
 			p.Derive(prop.HasTop, prop.False, "enumerated")
 		}
 		p.Derive(FactMultiElem, prop.FromBool(len(car.Elems) >= 2), "enumerated")
-		multiClass, strictPair, full := prop.False, prop.False, prop.True
+		multiClass, strictPair, full, anti := prop.False, prop.False, prop.True, prop.True
 		for i, a := range car.Elems {
 			for _, b := range car.Elems[i+1:] {
 				if !ot.Ord.Equiv(a, b) {
 					multiClass = prop.True
+				} else {
+					anti = prop.False
 				}
 				if ot.Ord.Lt(a, b) || ot.Ord.Lt(b, a) {
 					strictPair = prop.True
@@ -217,6 +219,7 @@ func computeFacts(ot *ost.OrderTransform, p prop.Set, opt Options) {
 		p.Derive(FactMultiClass, multiClass, "enumerated")
 		p.Derive(FactStrictPair, strictPair, "enumerated")
 		p.Derive(prop.Full, full, "enumerated")
+		p.Derive(prop.Antisymmetric, anti, "enumerated")
 		return
 	}
 	// Infinite carrier: HasTop as declared on the order; existential
@@ -224,8 +227,10 @@ func computeFacts(ot *ost.OrderTransform, p prop.Set, opt Options) {
 	if j := ot.Ord.Props.Get(prop.HasTop); j.Status != prop.Unknown {
 		p.Put(prop.HasTop, j)
 	}
-	if j := ot.Ord.Props.Get(prop.Full); j.Status != prop.Unknown {
-		p.Put(prop.Full, j)
+	for _, id := range []prop.ID{prop.Full, prop.Antisymmetric} {
+		if j := ot.Ord.Props.Get(id); j.Status != prop.Unknown {
+			p.Put(id, j)
+		}
 	}
 	p.Derive(FactMultiElem, prop.True, "infinite carrier")
 	if opt.Samples > 0 && opt.Rand != nil {
@@ -328,6 +333,10 @@ func combineLex(s, t *Algebra) *Algebra {
 	p.Derive(FactMultiClass, prop.Or(st(s, FactMultiClass), st(t, FactMultiClass)), "product")
 	p.Derive(FactStrictPair, prop.Or(st(s, FactStrictPair), st(t, FactStrictPair)), "product")
 	p.Derive(prop.Full, prop.And(st(s, prop.Full), st(t, prop.Full)), "lex of full orders is full")
+	// Lex equivalence is componentwise, so a tie in either factor lifts to
+	// a tie between two distinct pairs.
+	p.Derive(prop.Antisymmetric, prop.And(st(s, prop.Antisymmetric), st(t, prop.Antisymmetric)),
+		"lex: antisymmetric ⟺ both factors are")
 	return &Algebra{OT: ost.Lex(s.OT, t.OT), Props: p}
 }
 
@@ -387,6 +396,7 @@ func applyAddTop(s *Algebra) *Algebra {
 	p.Derive(FactMultiClass, prop.True, "addtop: ⊤ is a new class")
 	p.Derive(FactStrictPair, prop.True, "addtop: a < ⊤")
 	p.Derive(prop.Full, st(s, prop.Full), "addtop: ⊤ is comparable to everything")
+	p.Derive(prop.Antisymmetric, st(s, prop.Antisymmetric), "addtop: ⊤ is a class of its own")
 	return &Algebra{OT: ost.AddTop(s.OT), Props: p}
 }
 
@@ -440,7 +450,7 @@ func combineUnionUnchecked(s, t *Algebra) *Algebra {
 // copyFacts copies the cardinality facts of s into p (operators that keep
 // the carrier and order unchanged).
 func copyFacts(s *Algebra, p prop.Set) {
-	for _, id := range []prop.ID{FactMultiElem, FactMultiClass, FactStrictPair, prop.Full} {
+	for _, id := range []prop.ID{FactMultiElem, FactMultiClass, FactStrictPair, prop.Full, prop.Antisymmetric} {
 		if j := s.Props.Get(id); j.Status != prop.Unknown {
 			p.Put(id, j)
 		}

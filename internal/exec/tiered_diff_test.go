@@ -74,7 +74,8 @@ func tierDiffBoth(t *testing.T, label string, dyn, tier exec.Algebra, g *graph.G
 // TestTieredDifferentialSolvers: every solver agrees bit-identically
 // between the tiered backend and the dynamic oracle on random algebra ×
 // topology pairs, and both Bellman-Ford entry forms (materialized and
-// index-form Raw) agree down to the int32 weight indices.
+// index-form Raw) and the licensed scratch solver agree down to the
+// int32 weight indices.
 func TestTieredDifferentialSolvers(t *testing.T) {
 	r := rand.New(rand.NewSource(9091))
 	for trial := 0; trial < 60; trial++ {
@@ -90,8 +91,14 @@ func TestTieredDifferentialSolvers(t *testing.T) {
 
 		sameResult(t, label+" dijkstra",
 			solve.DijkstraEngine(dyn, g, 0, origin), solve.DijkstraEngine(tier, g, 0, origin))
-		sameResult(t, label+" dijkstra-heap",
-			solve.DijkstraHeapEngine(dyn, g, 0, origin), solve.DijkstraHeapEngine(tier, g, 0, origin))
+		// The comparison kernel, wherever inference licenses it (the
+		// sweep elsewhere), down to the weight indices.
+		lic := solve.NewLicence(tier, a.Props)
+		wsD, wsT := solve.NewWorkspace(), solve.NewWorkspace()
+		wsD.Licence, wsT.Licence = &lic, &lic
+		if kd, kt := ownRaw(wsD.ScratchRaw(dyn, g, 0, origin)), ownRaw(wsT.ScratchRaw(tier, g, 0, origin)); !reflect.DeepEqual(kd, kt) {
+			t.Fatalf("%s %s: dynamic and tiered differ:\n dyn: %+v\ntier: %+v", label, lic.ScratchSolver(), kd, kt)
+		}
 		sameResult(t, label+" gauss-seidel",
 			solve.GaussSeidelEngine(dyn, g, 0, origin, 0), solve.GaussSeidelEngine(tier, g, 0, origin, 0))
 		tierDiffBoth(t, label, dyn, tier, g, origin)

@@ -229,7 +229,12 @@ func Chaotic(car *value.Carrier) *Preorder {
 
 // IntLeq is the usual order on int carriers.
 func IntLeq(name string, car *value.Carrier) *Preorder {
-	return New(name, car, func(a, b value.V) bool { return a.(int) <= b.(int) })
+	p := New(name, car, func(a, b value.V) bool { return a.(int) <= b.(int) })
+	// A total order, declared so carriers too large (or infinite) to
+	// enumerate still carry both facts into inference.
+	p.Props.Declare(prop.Full)
+	p.Props.Declare(prop.Antisymmetric)
+	return p
 }
 
 // checkPairs runs pred over element pairs: exhaustively when the carrier is

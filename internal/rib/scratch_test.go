@@ -12,6 +12,7 @@ import (
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/ost"
+	"metarouting/internal/prop"
 	"metarouting/internal/solve"
 	"metarouting/internal/value"
 )
@@ -38,22 +39,24 @@ func randExpr(r *rand.Rand, depth int) string {
 }
 
 // scratchCase is one algebra of the kernel differential: the origin it
-// routes from and the solver ScratchSolver must pick for it ("" when the
-// test derives it from the licences themselves).
+// routes from, its inferred property set, and the solver its table
+// licence must pick ("" when the test derives it from the licences
+// themselves).
 type scratchCase struct {
 	expr   string
 	origin value.V
 	ot     *ost.OrderTransform
+	props  prop.Set
 	solver string
 }
 
 func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 	t.Helper()
 	named := []struct{ expr, solver string }{
-		{"scoped(bw(4), delay(64,4))", "best-first (M)"},
-		{"scoped(bw(4), delay(8,4))", "best-first (M)"},
-		{"lex(delay(32,3), hops(8))", "best-first (I)"},
-		{"lex(delay(6,3), hops(4))", "best-first (I)"},
+		{"scoped(bw(4), delay(64,4))", "best-first (M, table)"},
+		{"scoped(bw(4), delay(8,4))", "best-first (M, table)"},
+		{"lex(delay(32,3), hops(8))", "best-first (I, table)"},
+		{"lex(delay(6,3), hops(4))", "best-first (I, table)"},
 		{"gadget", "sweep"},                   // BAD GADGET's algebra: neither M nor I
 		{"lex(delay(6,3), tags(2))", "sweep"}, // incomparable weights: no rank
 		{"plus(lp(3), lp(3))", "sweep"},       // monotone, but two weights share a rank
@@ -65,7 +68,7 @@ func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, scratchCase{n.expr, a.OT.DefaultOrigin(), a.OT, n.solver})
+		out = append(out, scratchCase{n.expr, a.OT.DefaultOrigin(), a.OT, a.Props, n.solver})
 	}
 	for len(out) < len(named)+24 {
 		src := randExpr(r, 2)
@@ -81,7 +84,7 @@ func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 		if b, ok := a.OT.Ord.Bot(); ok && r.Intn(2) == 0 {
 			origin = b
 		}
-		out = append(out, scratchCase{src, origin, a.OT, ""})
+		out = append(out, scratchCase{src, origin, a.OT, a.Props, ""})
 	}
 	return out
 }
@@ -111,10 +114,12 @@ func scratchTopos(r *rand.Rand, labels int) []*graph.Graph {
 // hops, Converged, Clean, flat and paged columns and their pools are
 // identical — as is DeltaDestPaged from an unclean previous column with
 // no log, whose dense drain falls back to ScratchRaw on every policy
-// product.
+// product. The hidden engine with the inferred set's licence runs the
+// comparison kernel wherever inference proves what the table does, and
+// its Raw must match the sweep's too.
 func TestScratchKernelMatchesSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	var kernels, fallbacks int
+	var kernels, inferredKernels, fallbacks int
 	for _, c := range scratchCases(t, r) {
 		eng, err := exec.New(c.ot, exec.ModeCompiled, c.origin)
 		if err != nil {
@@ -123,23 +128,28 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 		plain := hidden{eng}
 		want := "sweep"
 		if tab := exec.Tables(eng); tab != nil && tab.Monotone {
-			want = "best-first (M)"
+			want = "best-first (M, table)"
 		} else if tab != nil && tab.StrictlyIncreasing {
-			want = "best-first (I)"
+			want = "best-first (I, table)"
 		}
 		if c.solver != "" && c.solver != want {
 			t.Fatalf("%s: licences select %q, want %q", c.expr, want, c.solver)
 		}
-		if got := solve.ScratchSolver(eng); got != want {
+		if got := solve.NewLicence(eng, c.props).ScratchSolver(); got != want {
 			t.Fatalf("%s: ScratchSolver = %q, want %q", c.expr, got, want)
 		}
-		if got := solve.ScratchSolver(plain); got != "sweep" {
+		if got := solve.NewLicence(plain, nil).ScratchSolver(); got != "sweep" {
 			t.Fatalf("%s: a hidden engine must sweep, ScratchSolver = %q", c.expr, got)
 		}
 		if strings.HasPrefix(want, "best-first") {
 			kernels++
 		}
-		ws, hws := solve.NewWorkspace(), solve.NewWorkspace()
+		ws, hws, lws := solve.NewWorkspace(), solve.NewWorkspace(), solve.NewWorkspace()
+		inferred := solve.NewLicence(plain, c.props)
+		if strings.HasSuffix(inferred.ScratchSolver(), "inferred)") {
+			inferredKernels++
+		}
+		lws.Licence = &inferred
 		for gi, g := range scratchTopos(r, c.ot.F.Size()) {
 			disabled := make([]bool, len(g.Arcs))
 			for i := range disabled {
@@ -163,6 +173,12 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 					if got.Converged != ref.Converged || !slices.Equal(got.Routed, ref.Routed) ||
 						!slices.Equal(got.W, ref.W) || !slices.Equal(got.NextHop, ref.NextHop) {
 						t.Fatalf("%s: ScratchRaw differs from the sweep\n got %+v\nwant %+v", tag, got, ref)
+					}
+					if ref.Converged {
+						lt := lws.ScratchRaw(plain, view, dest, c.origin)
+						if !lt.Converged || !slices.Equal(lt.Routed, ref.Routed) || !slices.Equal(lt.W, ref.W) || !slices.Equal(lt.NextHop, ref.NextHop) {
+							t.Fatalf("%s: %s differs from the sweep\n got %+v\nwant %+v", tag, inferred.ScratchSolver(), lt, ref)
+						}
 					}
 					flat, err := BuildDestColumn(eng, view, dest, c.origin, ws)
 					if err != nil {
@@ -217,8 +233,9 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 			}
 		}
 	}
-	if kernels < 10 || fallbacks == 0 {
-		t.Fatalf("coverage: %d algebras took the kernel, %d licensed delta builds fell back to it", kernels, fallbacks)
+	if kernels < 10 || inferredKernels < 10 || fallbacks == 0 {
+		t.Fatalf("coverage: %d algebras took the table kernel, %d the inferred one; %d licensed delta builds fell back to it",
+			kernels, inferredKernels, fallbacks)
 	}
-	t.Logf("%d algebras took the kernel; %d licensed delta builds fell back to it", kernels, fallbacks)
+	t.Logf("%d algebras took the table kernel, %d the inferred one; %d licensed delta builds fell back to it", kernels, inferredKernels, fallbacks)
 }

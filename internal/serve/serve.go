@@ -393,11 +393,11 @@ func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node
 // weights the engine has hash-consed, and how many its memo tables
 // cover — past hot capacity every operation on the excess is interpreted
 // under a mutex; both are 0 on the compiled backend. ScratchSolver is
-// solve.ScratchSolver: which solver from-scratch column builds run, as
-// the compiled tables' licences chose it; WarmStart is
-// solve.WarmStartKind: the warm start those licences give a delta
-// rebuild from a column that is not a clean tree (DeltaEnabled says
-// whether rebuilds warm-start at all).
+// solve.Licence.ScratchSolver: which solver from-scratch column builds
+// run, as the compiled tables' or the inferred set's licence chose it;
+// WarmStart is solve.Licence.WarmStartKind: the warm start that licence
+// gives a delta rebuild from a column that is not a clean tree
+// (DeltaEnabled says whether rebuilds warm-start at all).
 type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
@@ -477,6 +477,11 @@ type Server struct {
 	// paged selects the snapshot column layout (WithPagedColumns,
 	// default true): copy-on-write paged columns vs legacy flat arenas.
 	paged bool
+
+	// licence picks the column builds' scratch kernel and warm start:
+	// derived once from the engine's tables and the WithDeltaProps set,
+	// and carried by every pool workspace.
+	licence solve.Licence
 
 	snap atomic.Pointer[Snapshot]
 
@@ -695,6 +700,7 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	// vector the compiler verified against the whole order.
 	total := exec.Tables(s.eng) != nil || cfg.deltaProps != nil && cfg.deltaProps.Holds(prop.Full)
 	s.fixpointSkip = s.deltaOK && s.paged && total
+	s.licence = solve.NewLicence(s.eng, cfg.deltaProps)
 	if cfg.registry != nil {
 		s.queryNS = telemetry.NewLatencyHistogram()
 		s.eventNS = telemetry.NewLatencyHistogram()
@@ -717,6 +723,7 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	s.pool = sched.New(cfg.workers, func() *solve.Workspace {
 		ws := solve.NewWorkspace()
 		ws.Metrics = s.solveMetrics
+		ws.Licence = &s.licence
 		return ws
 	})
 	s.workers = s.pool.Workers()
@@ -1590,8 +1597,8 @@ func (s *Server) Stats() Stats {
 		Arcs:                  len(s.base.Arcs),
 		DisabledArcs:          sn.disabledArcs,
 		Engine:                string(s.eng.Mode()),
-		ScratchSolver:         solve.ScratchSolver(s.eng),
-		WarmStart:             solve.WarmStartKind(s.eng),
+		ScratchSolver:         s.licence.ScratchSolver(),
+		WarmStart:             s.licence.WarmStartKind(),
 		EngineInterned:        interned,
 		EngineHotCapacity:     hotCap,
 		Workers:               s.workers,

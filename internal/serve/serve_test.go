@@ -487,7 +487,9 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 // algebra runs interpreted under a mutex (always so on dynamic).
 // /v1/stats also names the scratch solver and the warm start: the
 // compiled tables of this lex product prove strict I, those of the
-// policy product prove M, every other backend sweeps and warm-starts
+// policy product prove M; on the tiered backend the inferred set proves
+// strict I for the query workloads' lex product and M for the
+// forwardable policy; without a licence a backend sweeps and warm-starts
 // densely.
 func TestEngineTierGauges(t *testing.T) {
 	for _, tc := range []struct {
@@ -495,27 +497,33 @@ func TestEngineTierGauges(t *testing.T) {
 		name     exec.Mode
 		interned bool
 		hot      int
+		inferred bool
 		solver   string
 		warm     string
 	}{
-		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, "best-first (I)", "clean tree"},
-		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, "sweep", "dense"},
-		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, "sweep", "dense"},
-		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, "best-first (M)", "derivation log (M)"},
+		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, false, "best-first (I, table)", "clean tree"},
+		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, false, "sweep", "dense"},
+		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, false, "sweep", "dense"},
+		{"lex(delay(255,3), hops(32))", exec.ModeTiered, true, 256, true, "best-first (I, inferred)", "clean tree"},
+		{"scoped(hops(0), delay(64,4))", exec.ModeTiered, true, 256, true, "best-first (M, inferred)", "dense"},
+		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, true, "best-first (M, table)", "derivation log (M)"},
 	} {
 		a, err := core.InferString(tc.expr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
-		origin := a.OT.Carrier().Elems[0]
+		origin := a.OT.DefaultOrigin()
 		eng, err := exec.New(a.OT, tc.name, origin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}},
-			serve.WithRegistry(reg))
+		opts := []serve.Option{serve.WithRegistry(reg)}
+		if tc.inferred {
+			opts = append(opts, serve.WithDeltaProps(a.Props))
+		}
+		srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}}, opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -7,16 +7,16 @@ import (
 	"metarouting/internal/compile"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
+	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
 // This file holds the licensed scratch solver: the from-scratch column
-// build the algebra's proof chooses. On a ranked compiled engine whose
-// tables carry a licence (compile.Compiled.Monotone or
-// StrictlyIncreasing), ScratchRaw settles nodes best-first out of rank
-// buckets and returns exactly the state a converged synchronous sweep
-// leaves — routedness, weights and next hops — in one pass over the
-// arcs instead of one per round:
+// build the algebra's proof chooses. When a Licence proves M or strict I
+// over an antisymmetric total order, ScratchRaw settles nodes best-first
+// and returns exactly the state a converged synchronous sweep leaves —
+// routedness, weights and next hops — in one pass over the arcs instead
+// of one per round:
 //
 //   - M: the sweep from "all unrouted" descends to the greatest fixpoint
 //     of a monotone operator; so does any fair chaotic iteration from the
@@ -25,55 +25,103 @@ import (
 //     fixpoint, and it stops only when each node holds the minimum over
 //     its out-arcs of its neighbours' final weights. A candidate may beat
 //     an already settled node here, so the node is re-queued.
-//   - strict I: among states routed exactly where the destination is
-//     reachable, the fixpoint is unique (a minimal disagreeing weight
-//     would need a strictly smaller, hence agreeing, parent), and
-//     label-setting reaches it with every node settled once.
+//   - strict I (I with ⊤ fixed, or SI): among states routed exactly where
+//     the destination is reachable, the fixpoint is unique (a minimal
+//     disagreeing weight would need a strictly smaller, hence agreeing,
+//     parent), and label-setting reaches it with every node settled once.
 //
-// The injective rank turns "same rank" into "same weight index", which is
+// Antisymmetry turns "tied weight" into "same weight index", which is
 // what makes the result bit-identical rather than merely equivalent. The
 // kernel always converges; where a sweep would have stopped at its
 // 2N+4-round budget before the fixpoint, ScratchRaw returns the fixpoint
-// with Converged true. Every other engine — tiered, dynamic, rank-less or
-// unlicensed — runs the sweep.
+// with Converged true.
+//
+// Two kernels implement it. On a compiled engine whose tables verified
+// the licence cell by cell, bestFirst drains rank buckets and indexes the
+// flat tables. On every other engine — tiered, dynamic, or compiled but
+// hidden — the licence is the inference's, and bestFirstLt keys the same
+// intrusive lists by interned weight id, with a small heap over the
+// distinct queued ids ordered by the engine's Lt. Without a licence
+// ScratchRaw runs the sweep.
 
-// ScratchSolver names the from-scratch solver ScratchRaw runs on eng:
-// "best-first (M)" or "best-first (I)" when eng's compiled tables carry
-// the licence in parentheses (M wins when both hold), "sweep" otherwise.
-func ScratchSolver(eng exec.Algebra) string {
-	switch t := licensed(eng); {
-	case t == nil:
-		return "sweep"
-	case t.Monotone:
-		return "best-first (M)"
-	}
-	return "best-first (I)"
+// Licence is the proof that picks a column build's solvers: the kernel
+// ScratchRaw runs and the warm start a delta rebuild takes from a column
+// that is not a clean tree. NewLicence computes it once per engine; a
+// server stores it on the workspaces it creates (Workspace.Licence), and a
+// workspace without one reads the engine's compiled tables alone.
+type Licence struct {
+	// m and i license the kernel (M wins when both hold); nd is the
+	// inferred ND judgement the licencecheck build asserts.
+	m, i, nd bool
+	// tab is set when compiled tables verified the licence: bestFirst runs
+	// over them and, under M, keeps the derivation log.
+	tab *compile.Compiled
 }
 
-// licensed returns eng's tables when they license the best-first kernel,
-// nil when the sweep must run.
-func licensed(eng exec.Algebra) *compile.Compiled {
+// NewLicence derives eng's licence: from its compiled tables when they
+// carry one, else from props, the inferred property set (nil for none),
+// when it proves M or strict I (I with T, or SI) together with Full and
+// Antisymmetric.
+func NewLicence(eng exec.Algebra, props prop.Set) Licence {
+	nd := props.Holds(prop.NDLeft)
 	if t := exec.Tables(eng); t != nil && (t.Monotone || t.StrictlyIncreasing) {
-		return t
+		return Licence{m: t.Monotone, i: t.StrictlyIncreasing, nd: nd, tab: t}
 	}
-	return nil
+	if !props.Holds(prop.Full) || !props.Holds(prop.Antisymmetric) {
+		return Licence{}
+	}
+	strict := props.Holds(prop.ILeft) && (props.Holds(prop.TopFixed) || props.Holds(prop.SILeft))
+	return Licence{m: props.Holds(prop.MLeft), i: strict, nd: nd}
 }
 
-// ScratchRaw solves dest from scratch with the solver the algebra's
-// licence picks (see ScratchSolver) and returns a Raw aliasing the
-// workspace, like BellmanFordRaw. On the best-first kernel Rounds counts
-// node settles and Converged is always true; on the sweep the result is
+// ScratchSolver names the from-scratch solver the licence picks:
+// "best-first (P, S)" with P the licensing property (M or I) and S its
+// source (table or inferred), "sweep" without a licence.
+func (l Licence) ScratchSolver() string {
+	src := "inferred"
+	if l.tab != nil {
+		src = "table"
+	}
+	switch {
+	case l.m:
+		return "best-first (M, " + src + ")"
+	case l.i:
+		return "best-first (I, " + src + ")"
+	}
+	return "sweep"
+}
+
+// licence is the licence ScratchRaw and the delta gate read: the one the
+// workspace carries, else what eng's tables prove.
+func (ws *Workspace) licence(eng exec.Algebra) Licence {
+	if ws.Licence != nil {
+		return *ws.Licence
+	}
+	return NewLicence(eng, nil)
+}
+
+// ScratchRaw solves dest from scratch with the solver the workspace's
+// licence picks (see Licence) and returns a Raw aliasing the workspace,
+// like BellmanFordRaw. On a best-first kernel Rounds counts node settles
+// and Converged is always true; on the sweep the result is
 // BellmanFordRaw's with the default round budget.
 func (ws *Workspace) ScratchRaw(eng exec.Algebra, g *graph.Graph, dest int, origin value.V) Raw {
-	t := licensed(eng)
-	if t == nil {
+	lic := ws.licence(eng)
+	if !lic.m && !lic.i {
 		return ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	}
 	var t0 time.Time
 	if ws.Metrics != nil {
 		t0 = time.Now()
 	}
-	settles, relaxations := ws.bestFirst(t, g, dest, exec.MustIntern(eng, origin), true)
+	o := exec.MustIntern(eng, origin)
+	var settles int
+	var relaxations uint64
+	if lic.tab != nil {
+		settles, relaxations = ws.bestFirst(lic.tab, g, dest, o, true)
+	} else if settles, relaxations = ws.bestFirstLt(eng, lic, g, dest, o, true); settles < 0 {
+		return ws.BellmanFordRaw(eng, g, dest, origin, 0)
+	}
 	if m := ws.Metrics; m != nil {
 		m.Runs.Inc()
 		m.Rounds.Add(uint64(settles))
@@ -83,13 +131,45 @@ func (ws *Workspace) ScratchRaw(eng exec.Algebra, g *graph.Graph, dest int, orig
 	return ws.raw(dest, settles, true)
 }
 
-// rankBuckets is the best-first kernel's priority queue: one intrusive
-// doubly-linked list of queued nodes per rank, threaded through two
-// per-node arrays the caller lends (next, and back, where back[u] == u
-// marks a list head and -1 a node in no list), plus a bitmap of the
-// non-empty ranks so the minimum is found a word at a time. Only the
-// per-rank heads and the bitmap are its own; every list is empty between
-// solves.
+// link pushes u onto the front of the list at *head (a node, or negative
+// when the list is empty), threading it through next and back (back[u]
+// == u marks a list head, -1 a node in no list), and reports whether the
+// list was empty.
+func link(head *int32, u int, next []int32, back []int) bool {
+	h := *head
+	next[u] = max(h, -1)
+	if h >= 0 {
+		back[h] = u
+	}
+	back[u] = u
+	*head = int32(u)
+	return h < 0
+}
+
+// unlink removes u from the list at *head and reports whether the list is
+// now empty.
+func unlink(head *int32, u int, next []int32, back []int) bool {
+	nx, bk := next[u], back[u]
+	if bk == u {
+		*head = nx
+		if nx >= 0 {
+			back[nx] = int(nx)
+		}
+	} else {
+		next[bk] = nx
+		if nx >= 0 {
+			back[nx] = bk
+		}
+	}
+	back[u] = -1
+	return *head < 0
+}
+
+// rankBuckets is the table kernel's priority queue: one intrusive list
+// of queued nodes per rank (see link), threaded through two per-node
+// arrays the caller lends, plus a bitmap of the non-empty ranks so the
+// minimum is found a word at a time. Only the per-rank heads and the
+// bitmap are its own; every list is empty between solves.
 type rankBuckets struct {
 	head []int32
 	bits []uint64
@@ -113,15 +193,9 @@ func (b *rankBuckets) size(n int) {
 
 // insert queues u at rank r.
 func (b *rankBuckets) insert(u int, r uint16, next []int32, back []int) {
-	h := b.head[r]
-	next[u] = h
-	if h >= 0 {
-		back[h] = u
-	} else {
+	if link(&b.head[r], u, next, back) {
 		b.bits[r>>6] |= 1 << (r & 63)
 	}
-	back[u] = u
-	b.head[r] = int32(u)
 	if wi := int(r >> 6); wi < b.lo {
 		b.lo = wi
 	}
@@ -129,21 +203,9 @@ func (b *rankBuckets) insert(u int, r uint16, next []int32, back []int) {
 
 // remove unlinks u, queued at rank r.
 func (b *rankBuckets) remove(u int, r uint16, next []int32, back []int) {
-	nx, bk := next[u], back[u]
-	if bk == u {
-		b.head[r] = nx
-		if nx >= 0 {
-			back[nx] = int(nx)
-		} else {
-			b.bits[r>>6] &^= 1 << (r & 63)
-		}
-	} else {
-		next[bk] = nx
-		if nx >= 0 {
-			back[nx] = bk
-		}
+	if unlink(&b.head[r], u, next, back) {
+		b.bits[r>>6] &^= 1 << (r & 63)
 	}
-	back[u] = -1
 }
 
 // popMin dequeues a node of the lowest queued rank, or returns -1 when
@@ -156,20 +218,115 @@ func (b *rankBuckets) popMin(next []int32, back []int) int {
 		}
 		r := b.lo<<6 | bits.TrailingZeros64(x)
 		u := int(b.head[r])
-		nx := next[u]
-		b.head[r] = nx
-		if nx >= 0 {
-			back[nx] = int(nx)
-		} else {
+		if unlink(&b.head[r], u, next, back) {
 			b.bits[b.lo] = x &^ (1 << (r & 63))
 		}
-		back[u] = -1
 		return u
 	}
 	return -1
 }
 
-// bestFirst is the licensed kernel over t's tables. Settling a node
+// idBuckets is the comparison kernel's priority queue: the same intrusive
+// lists, one per interned weight id, and a binary heap of the distinct
+// queued ids ordered by the engine's Lt. head[id] is -1 for an id not in
+// the heap and idQueued for one in the heap whose list has emptied; the
+// heap drops such an id when it surfaces. head grows with the engine's
+// interned ids and is all -1 again whenever the heap is empty, so no
+// solve resets it.
+type idBuckets struct {
+	head []int32
+	heap []int32
+}
+
+const idQueued = -2
+
+// insert queues u under weight id w.
+func (b *idBuckets) insert(eng exec.Algebra, u int, w int32, next []int32, back []int) {
+	for int(w) >= len(b.head) {
+		b.head = append(b.head, -1)
+	}
+	if b.head[w] == -1 {
+		b.push(eng, w)
+	}
+	link(&b.head[w], u, next, back)
+}
+
+// remove unlinks u, queued under weight id w.
+func (b *idBuckets) remove(u int, w int32, next []int32, back []int) {
+	if unlink(&b.head[w], u, next, back) {
+		b.head[w] = idQueued
+	}
+}
+
+// popMin dequeues a node of the least queued weight, or returns -1 when
+// the heap is empty.
+func (b *idBuckets) popMin(eng exec.Algebra, next []int32, back []int) int {
+	for len(b.heap) > 0 {
+		w := b.heap[0]
+		if u := int(b.head[w]); u >= 0 {
+			if unlink(&b.head[w], u, next, back) {
+				b.head[w] = idQueued
+			}
+			return u
+		}
+		b.head[w] = -1
+		b.pop(eng)
+	}
+	return -1
+}
+
+// push adds id w to the heap.
+func (b *idBuckets) push(eng exec.Algebra, w int32) {
+	h := append(b.heap, w)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eng.Lt(w, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = w
+	b.heap = h
+}
+
+// pop removes the heap's least id.
+func (b *idBuckets) pop(eng exec.Algebra) {
+	h := b.heap
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && eng.Lt(h[c+1], h[c]) {
+			c++
+		}
+		if !eng.Lt(h[c], last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	b.heap = h
+}
+
+// clear empties the queue after an abandoned solve.
+func (b *idBuckets) clear() {
+	for _, w := range b.heap {
+		b.head[w] = -1
+	}
+	b.heap = b.heap[:0]
+}
+
+// bestFirst is the table kernel over t's tables. Settling a node
 // relaxes its in-arcs push-style; a tail whose weight improves moves to
 // its new rank's bucket, below the one being drained if need be (only
 // under M). requeue false leaves settled nodes alone — label-setting
@@ -246,6 +403,78 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 			}
 			relaxations++
 			if rank[fn[int(h.Label)*stride+int(pw)]] == best {
+				nextHop[u] = int(h.Node)
+				break
+			}
+		}
+	}
+	return settles, relaxations
+}
+
+// bestFirstLt is the comparison kernel: bestFirst on any engine, with
+// weight ids for ranks, Apply for the table lookup and idBuckets for the
+// queue. Under M a weight may keep falling on inputs whose order is not
+// well-founded, so past (2N+4)·N settles — more than the sweep's whole
+// round budget could re-evaluate — it gives up and returns settles -1,
+// with the queue emptied, for ScratchRaw to sweep instead.
+func (ws *Workspace) bestFirstLt(eng exec.Algebra, lic Licence, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
+	ws.reset(g.N, dest, o)
+	w, next, back := ws.w, ws.prevW, ws.nextHop
+	q := &ws.ids
+	q.insert(eng, dest, o, next, back)
+	chk := newRelaxCheck(eng, lic)
+	budget := (2*g.N + 4) * g.N
+	for {
+		u := q.popMin(eng, next, back)
+		if u < 0 {
+			break
+		}
+		if settles++; settles > budget {
+			q.clear()
+			return -1, relaxations
+		}
+		wu := w[u]
+		for _, h := range g.InHops(u) {
+			p := int(h.Node)
+			if p == dest {
+				continue
+			}
+			relaxations++
+			cand := eng.Apply(int(h.Label), wu)
+			chk.relax(wu, cand)
+			if wp := w[p]; wp >= 0 {
+				if cand == wp || !eng.Lt(cand, wp) {
+					continue
+				}
+				if back[p] >= 0 {
+					q.remove(p, wp, next, back)
+				} else if !requeue {
+					continue
+				}
+			}
+			w[p] = cand
+			q.insert(eng, p, cand, next, back)
+		}
+	}
+	// Primary next hops by the sweep's rule: the first out-arc whose
+	// candidate is minimal, which on an antisymmetric order is the first
+	// one whose candidate is the node's own weight.
+	routed, nextHop := ws.routed, ws.nextHop
+	for u, wu := range w {
+		if wu < 0 {
+			continue
+		}
+		routed[u] = true
+		if u == dest {
+			continue
+		}
+		for _, h := range g.OutHops(u) {
+			pw := w[h.Node]
+			if pw < 0 {
+				continue
+			}
+			relaxations++
+			if eng.Apply(int(h.Label), pw) == wu {
 				nextHop[u] = int(h.Node)
 				break
 			}

@@ -15,6 +15,7 @@ import (
 	"metarouting/internal/graph"
 	"metarouting/internal/order"
 	"metarouting/internal/ost"
+	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
@@ -184,28 +185,34 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 // hiddenEng hides an engine's tables from exec.Tables.
 type hiddenEng struct{ exec.Algebra }
 
-// TestScratchRawDispatch: ScratchSolver names the solver ScratchRaw runs,
-// and ScratchRaw is exactly that solver — the best-first kernel (Rounds
-// counting its settles) on the ranked, licensed compiled tables, and
-// BellmanFordRaw on tiered, dynamic and hidden engines, on the rank-less
-// tags(2) product and on the unlicensed BAD GADGET and lex(delay, bw).
+// TestScratchRawDispatch: the licence names the solver ScratchRaw runs,
+// and ScratchRaw is exactly that solver — the table kernel (Rounds
+// counting its settles) on ranked, licensed compiled tables, the
+// comparison kernel wherever only the inferred set licenses it (tiered,
+// dynamic, and tables hidden from exec.Tables), and BellmanFordRaw
+// without a licence: on those engines without the inferred set, on the
+// rank-less tags(2) product (¬Full) and on the unlicensed BAD GADGET and
+// lex(delay, bw).
 func TestScratchRawDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, c := range []struct {
-		expr string
-		mode exec.Mode
-		hide bool
-		want string
+		expr     string
+		mode     exec.Mode
+		hide     bool
+		inferred bool
+		want     string
 	}{
-		{"scoped(bw(4), delay(8,4))", exec.ModeCompiled, false, "best-first (M)"},
-		{"delay(16,3)", exec.ModeCompiled, false, "best-first (M)"},
-		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, false, "best-first (I)"},
-		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, "sweep"},
-		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, "sweep"},
-		{"scoped(bw(4), delay(8,4))", exec.ModeDynamic, false, "sweep"},
-		{"lex(delay(6,3), tags(2))", exec.ModeCompiled, false, "sweep"},
-		{"gadget", exec.ModeCompiled, false, "sweep"},
-		{"lex(delay(8,2), bw(4))", exec.ModeCompiled, false, "sweep"},
+		{"scoped(bw(4), delay(8,4))", exec.ModeCompiled, false, false, "best-first (M, table)"},
+		{"delay(16,3)", exec.ModeCompiled, false, true, "best-first (M, table)"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, false, true, "best-first (I, table)"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, false, "sweep"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, true, "best-first (I, inferred)"},
+		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, false, "sweep"},
+		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, true, "best-first (I, inferred)"},
+		{"scoped(bw(4), delay(8,4))", exec.ModeDynamic, false, true, "best-first (M, inferred)"},
+		{"lex(delay(6,3), tags(2))", exec.ModeCompiled, false, true, "sweep"},
+		{"gadget", exec.ModeCompiled, false, true, "sweep"},
+		{"lex(delay(8,2), bw(4))", exec.ModeTiered, false, true, "sweep"},
 	} {
 		a, err := core.InferString(c.expr)
 		if err != nil {
@@ -219,19 +226,30 @@ func TestScratchRawDispatch(t *testing.T) {
 		if c.hide {
 			eng = hiddenEng{eng}
 		}
-		tag := fmt.Sprintf("%s/%s hidden=%v", c.expr, c.mode, c.hide)
-		if got := ScratchSolver(eng); got != c.want {
+		var props prop.Set
+		if c.inferred {
+			props = a.Props
+		}
+		lic := NewLicence(eng, props)
+		tag := fmt.Sprintf("%s/%s hidden=%v inferred=%v", c.expr, c.mode, c.hide, c.inferred)
+		if got := lic.ScratchSolver(); got != c.want {
 			t.Fatalf("%s: ScratchSolver = %q, want %q", tag, got, c.want)
 		}
 		g := graph.ScaleFree(r, 60, 2, graph.UniformLabels(a.OT.F.Size()))
 		ws, ref := NewWorkspace(), NewWorkspace()
+		ws.Licence = &lic
 		for dest := 0; dest < g.N; dest += 7 {
 			got := ownRaw(ws.ScratchRaw(eng, g, dest, origin))
 			var want Raw
-			if tab := exec.Tables(eng); strings.HasPrefix(c.want, "best-first") {
-				settles, _ := ref.bestFirst(tab, g, dest, exec.MustIntern(eng, origin), true)
+			o := exec.MustIntern(eng, origin)
+			switch {
+			case strings.HasSuffix(c.want, "table)"):
+				settles, _ := ref.bestFirst(exec.Tables(eng), g, dest, o, true)
 				want = ref.raw(dest, settles, true)
-			} else {
+			case strings.HasSuffix(c.want, "inferred)"):
+				settles, _ := ref.bestFirstLt(eng, lic, g, dest, o, true)
+				want = ref.raw(dest, settles, true)
+			default:
 				want = ref.BellmanFordRaw(eng, g, dest, origin, 0)
 			}
 			if !reflect.DeepEqual(got, ownRaw(want)) {
@@ -286,7 +304,7 @@ func TestScheduleIndependenceAtSize(t *testing.T) {
 	} {
 		origin := c.a.OT.DefaultOrigin()
 		eng := exec.For(c.a.OT, origin)
-		if ScratchSolver(eng) == "sweep" {
+		if NewLicence(eng, c.a.Props).ScratchSolver() == "sweep" {
 			t.Fatalf("%s: the workload algebra must be licensed", c.name)
 		}
 		disabled := make([]bool, len(c.g.Arcs))

@@ -193,8 +193,8 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 
 // BellmanFordDeltaLog is BellmanFordDeltaRaw given the previous column's
 // derivation log as well (DerivationLog; nil when it has none). When prev
-// is not certified clean, the log is non-nil and eng's compiled tables
-// prove M, it takes the third warm start (derivation.go): a forward pass
+// is not certified clean, the log is non-nil and the workspace's licence
+// is M on compiled tables, it takes the third warm start (derivation.go): a forward pass
 // over the log finds the entries the batch's failed arcs invalidated,
 // and a drain seeded with the nodes whose last entry went invalid and
 // the toggle tails lowers the state to the new fixpoint, recording its
@@ -221,8 +221,8 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	var relaxations uint64
 	var ok bool
 	var warm WarmStart
-	t := licensed(eng)
-	logWarm := !cleanPrev && log != nil && t != nil && t.Monotone
+	t := ws.licence(eng).logTable()
+	logWarm := !cleanPrev && log != nil && t != nil
 	if cleanPrev || logWarm {
 		warm = prev
 		ws.sparseReset(g.N)

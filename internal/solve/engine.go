@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"container/heap"
 	"sort"
 	"time"
 
@@ -85,66 +84,6 @@ func DijkstraEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V) 
 	}
 }
 
-// DijkstraHeapEngine is Dijkstra with a binary-heap frontier (lazy
-// deletion) instead of the O(N²) linear settle scan — O((N+M) log N)
-// engine operations. Correctness requirements are identical to Dijkstra:
-// M ∧ ND over a total preorder.
-func DijkstraHeapEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V) *Result {
-	o := exec.MustIntern(eng, origin)
-	routed, w, nextHop := newEngineState(g, dest, o)
-	settled := make([]bool, g.N)
-	h := &frontier{eng: eng}
-	heap.Push(h, frontierItem{node: dest, weight: o})
-	rounds := 0
-	for h.Len() > 0 {
-		it := heap.Pop(h).(frontierItem)
-		u := it.node
-		if settled[u] || !routed[u] || w[u] != it.weight {
-			continue // stale entry (lazy deletion)
-		}
-		settled[u] = true
-		rounds++
-		for _, in := range g.InHops(u) {
-			p := int(in.Node)
-			if settled[p] {
-				continue
-			}
-			cand := eng.Apply(int(in.Label), w[u])
-			if !routed[p] || eng.Lt(cand, w[p]) {
-				routed[p] = true
-				w[p] = cand
-				nextHop[p] = u
-				heap.Push(h, frontierItem{node: p, weight: cand})
-			}
-		}
-	}
-	return resolveResult(eng, dest, routed, w, nextHop, rounds, true)
-}
-
-type frontierItem struct {
-	node   int
-	weight int32
-}
-
-// frontier orders items by the engine's strict preference. Equivalent
-// weights compare equal, which a binary heap handles fine.
-type frontier struct {
-	eng   exec.Algebra
-	items []frontierItem
-}
-
-func (f *frontier) Len() int           { return len(f.items) }
-func (f *frontier) Less(i, j int) bool { return f.eng.Lt(f.items[i].weight, f.items[j].weight) }
-func (f *frontier) Swap(i, j int)      { f.items[i], f.items[j] = f.items[j], f.items[i] }
-func (f *frontier) Push(x any)         { f.items = append(f.items, x.(frontierItem)) }
-func (f *frontier) Pop() any {
-	old := f.items
-	n := len(old)
-	it := old[n-1]
-	f.items = old[:n-1]
-	return it
-}
-
 // Workspace holds the per-run scratch buffers of the synchronous
 // fixpoint solver, so a worker that computes many destinations in a row
 // — the shape of the serve snapshot builder's pool — reuses one set of
@@ -162,9 +101,11 @@ type Workspace struct {
 	// stale and staleNext are the synchronous iteration's re-evaluation
 	// sets for the current and the next round (see bellmanFord).
 	stale, staleNext []bool
-	// buckets is the best-first kernel's queue, sized by the carrier's
-	// rank count, not by the graph (see bestFirst).
+	// buckets and ids are the best-first kernels' queues, sized by the
+	// carrier's rank count or the engine's interned ids, not by the graph
+	// (see bestFirst and bestFirstLt).
 	buckets rankBuckets
+	ids     idBuckets
 
 	// Worklist-solver scratch (see delta.go): FIFO of dirty nodes with a
 	// membership bitmap, the set of nodes ever enqueued during a drain,
@@ -199,6 +140,12 @@ type Workspace struct {
 	// onRaise, set by tests, hears of a logged drain step that would
 	// raise a weight — the invariant the log warm start's proof promises.
 	onRaise func(u int)
+
+	// Licence, when non-nil, is the proof that picks ScratchRaw's kernel
+	// and the delta's warm start (see NewLicence); nil reads the engine's
+	// compiled tables alone. It must be the licence of the engine the
+	// workspace solves on.
+	Licence *Licence
 
 	// Metrics, when non-nil, receives per-stage solver telemetry (run
 	// durations, relax-pass and relaxation counts, buffer reuse). Several

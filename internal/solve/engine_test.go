@@ -3,6 +3,7 @@ package solve
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"metarouting/internal/core"
@@ -39,8 +40,9 @@ func TestEngineWrappersPickCompiled(t *testing.T) {
 	}
 }
 
-// TestEngineScale routes a 5000-node scale-free network on the compiled
-// backend — the "does it hold up at size" smoke (skipped in -short runs).
+// TestEngineScale routes a 5000-node scale-free network with the
+// comparison kernel on the tiered backend, licensed by inference — the
+// "does it hold up at size" smoke (skipped in -short runs).
 func TestEngineScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
@@ -49,30 +51,22 @@ func TestEngineScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := exec.New(a.OT, exec.ModeCompiled, 0)
-	if err != nil {
-		t.Fatal(err)
+	eng := exec.NewTiered(a.OT)
+	lic := NewLicence(eng, a.Props)
+	if lic.ScratchSolver() != "best-first (M, inferred)" {
+		t.Fatalf("licence %q, want the inferred M kernel", lic.ScratchSolver())
 	}
 	r := rand.New(rand.NewSource(99))
 	g := graph.ScaleFree(r, 5000, 2, graph.UniformLabels(4))
-	res := DijkstraHeapEngine(eng, g, 0, 0)
-	routed := 0
-	for _, ok := range res.Routed {
-		if ok {
-			routed++
-		}
+	ws := NewWorkspace()
+	ws.Licence = &lic
+	res := ownRaw(ws.ScratchRaw(eng, g, 0, 0))
+	if u := slices.Index(res.Routed, false); u >= 0 {
+		t.Fatalf("node %d unrouted", u)
 	}
-	if routed != g.N {
-		t.Fatalf("only %d/%d nodes routed", routed, g.N)
-	}
-	bf := BellmanFordEngine(eng, g, 0, 0, 0)
-	if !bf.Converged {
-		t.Fatal("BF must converge at scale")
-	}
-	for u := 0; u < g.N; u += 97 {
-		if res.Weights[u] != bf.Weights[u] {
-			t.Fatalf("node %d: heap %v vs bf %v", u, res.Weights[u], bf.Weights[u])
-		}
+	bf := NewWorkspace().BellmanFordRaw(eng, g, 0, 0, 0)
+	if !bf.Converged || !sameRoutes(res, bf) {
+		t.Fatalf("the kernel and the sweep (converged %v) disagree at scale", bf.Converged)
 	}
 }
 

@@ -58,6 +58,18 @@ go test -race -run='^(TestScratchKernelBeyondSweepBudget|TestScratchKernelMutant
   -count=1 ./internal/solve/
 go test -race -run='^TestTableLicencesMatchInference$' -count=1 ./internal/compile/
 
+# Licences from inference: the comparison kernel (weight-id buckets, a
+# heap of queued ids ordered by Lt) against the sweep on the tiered
+# engine licensed by the inferred set alone (the query workloads' lex
+# product, the forwardable policy and its bounded twin, random inferred-I
+# and -M algebras; five graph families, masks, every destination), with
+# the two mutants that must fail (no re-queue under M; ties the gate
+# refuses). Under the licencecheck build tag the kernel asserts the
+# inferred I or ND on every relaxation it makes, so the packages whose
+# column builds run it are tested again with the tag.
+go test -race -run='^TestLtKernelMatchesSweep$' -count=1 ./internal/solve/
+go test -tags licencecheck ./internal/solve/ ./internal/rib/ ./internal/serve/
+
 # Warm starts licensed by M: every destination's column carried through
 # fail, restore and mixed batches by its derivation log against scratch
 # builds (policy products and the corpus's M tables, five graph families;
@@ -215,11 +227,13 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # be collected with the order transform they were built from: retained
 # heap after infer/compile/drop rounds may not grow with the rounds. A
 # licensed scratch solve on a warm workspace allocates nothing and grows
-# no per-node buffer beyond the sweep's, and a logged delta allocates its
-# column, its cloned pages and its exactly sized log, nothing by N.
+# no per-node buffer beyond the sweep's — on the tiered engine too, whose
+# per-id list heads are all empty again after every solve — and a logged
+# delta allocates its column, its cloned pages and its exactly sized log,
+# nothing by N.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
-go test -run='^TestScratchKernelAllocs$' -count=1 ./internal/solve/
+go test -run='^(TestScratchKernelAllocs|TestLtKernelAllocs)$' -count=1 ./internal/solve/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
