@@ -91,6 +91,11 @@ type Full struct {
 	Nodes int
 	// Disabled is the per-arc failure mask at this version.
 	Disabled []bool
+	// disabledBits is Disabled as a decoded frame carried it — LSB-first
+	// packed bytes, a view of the frame — so ApplyFull builds the
+	// follower's mask eight bytes to a word. Nil on a record built in
+	// memory.
+	disabledBits []byte
 	// Unconverged lists destinations whose fixpoint did not settle.
 	Unconverged []int
 	// Names maps engine weight indices to their formatted values, so a
@@ -484,24 +489,26 @@ func (r *rbuf) str() (string, error) {
 	return string(b), err
 }
 
-func (r *rbuf) bits() ([]bool, error) {
+// bits reads a bit vector, returning it unpacked and as the packed bytes
+// it arrived in.
+func (r *rbuf) bits() ([]bool, []byte, error) {
 	n, err := r.u32()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nb := (int(n) + 7) / 8
 	raw, err := r.take(nb)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = raw[i/8]>>(i&7)&1 == 1
 	}
-	return out, nil
+	return out, raw, nil
 }
 
 func (r *rbuf) ints() ([]int, error) {
@@ -689,7 +696,7 @@ func decodeFull(r *rbuf) (*Full, error) {
 		return nil, r.fail("node count %d too large", nodes)
 	}
 	f.Nodes = int(nodes)
-	if f.Disabled, err = r.bits(); err != nil {
+	if f.Disabled, f.disabledBits, err = r.bits(); err != nil {
 		return nil, err
 	}
 	if f.Unconverged, err = r.ints(); err != nil {
@@ -848,7 +855,8 @@ func decodeDelta(r *rbuf) (*Delta, error) {
 // DecodeRecord decodes one complete frame held in memory. It is the
 // fuzz surface: any input must either yield a valid record or an
 // error, never a panic and never an allocation larger than the input
-// warrants.
+// warrants. A full record keeps a view of data's mask bytes, so data
+// must not change while the record is in use.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("replica: frame shorter than its length prefix")

@@ -261,7 +261,7 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatalf("delta frame drifted from testdata/delta_tiny.hex:\n got %x\nwant %x", got, delta)
 	}
 	rf, err := DecodeRecord(full)
-	if err != nil || !reflect.DeepEqual(rf.Full, goldenFull()) {
+	if err != nil || !reflect.DeepEqual(inMemory(rf.Full), goldenFull()) {
 		t.Fatalf("golden full frame decodes to %+v (%v)", rf, err)
 	}
 	rd, err := DecodeRecord(delta)

@@ -12,21 +12,20 @@ import (
 // State is a follower's materialized view of the leader's snapshot at
 // one version. It is immutable once built: applying a record produces a
 // fresh State that shares every untouched column — and, inside a patched
-// column, every untouched page — with its predecessor, mirroring the
-// leader's own copy-on-write snapshot discipline.
+// column, every untouched page — with its predecessor, as its mask
+// shares every untouched chunk, mirroring the leader's own copy-on-write
+// snapshot discipline.
 type State struct {
 	Version     uint64
 	Fingerprint uint64
 	Nodes       int
-	Disabled    []bool
-	// DisabledArcs counts the set bits of Disabled — counted once per
-	// full record, then carried across deltas by their toggles, so a
-	// stats read never scans the mask.
-	DisabledArcs int
-	Unconverged  []int
-	Names        []string
-	Kept         []Announcement
-	Suppressed   []Announcement
+	// Disabled is the arc-failure mask; Disabled.Count() is the number
+	// of failed arcs.
+	Disabled    Mask
+	Unconverged []int
+	Names       []string
+	Kept        []Announcement
+	Suppressed  []Announcement
 	// Cols maps destination → column in the leader's paged form, sharing
 	// columns and pages across versions. Columns hold routing content
 	// only: the leader's Clean certificate licenses its delta solver, is
@@ -38,23 +37,26 @@ type State struct {
 // ApplyFull materializes a full snapshot record into a State. The
 // record's columns are adopted as they are — the decoder laid them out
 // in the leader's paged form already — so the state shares their pages.
+// The mask is built a word at a time from the packed bytes a decoded
+// record arrived in; a record built in memory is packed for it first.
 func ApplyFull(f *Full) (*State, error) {
 	st := &State{
 		Version:     f.Version,
 		Fingerprint: f.Fingerprint,
 		Nodes:       f.Nodes,
-		Disabled:    append([]bool(nil), f.Disabled...),
 		Unconverged: append([]int(nil), f.Unconverged...),
 		Names:       append([]string(nil), f.Names...),
 		Kept:        append([]Announcement(nil), f.Kept...),
 		Suppressed:  append([]Announcement(nil), f.Suppressed...),
 		Cols:        make(map[int]*rib.PagedColumn, len(f.Columns)),
 	}
-	for _, down := range st.Disabled {
-		if down {
-			st.DisabledArcs++
-		}
+	packed := f.disabledBits
+	if packed == nil {
+		var w wbuf
+		w.bits(f.Disabled)
+		packed = w.b[4:]
 	}
+	st.Disabled = unpackMask(packed, len(f.Disabled))
 	for _, c := range f.Columns {
 		if c.N != f.Nodes {
 			return nil, fmt.Errorf("replica: column %d has %d slots, snapshot has %d nodes", c.Dest, c.N, f.Nodes)
@@ -70,8 +72,10 @@ func ApplyFull(f *Full) (*State, error) {
 // ApplyDelta applies a delta record on top of cur, returning the new
 // State. A stale delta (Version ≤ cur.Version — the publisher ring can
 // replay across a resubscribe) returns (nil, nil): skip, no error. A
-// gap (FromVersion ≠ cur.Version) or fingerprint mismatch errors; the
-// caller is expected to fall back to a full bootstrap.
+// gap (FromVersion ≠ cur.Version) or fingerprint mismatch errors; so
+// does a toggle that does not flip its arc or names one twice, which
+// means the follower's mask has diverged. The caller is expected to fall
+// back to a full bootstrap; cur is never modified.
 func ApplyDelta(cur *State, d *Delta) (*State, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("replica: delta %d→%d before any full snapshot", d.FromVersion, d.Version)
@@ -88,36 +92,26 @@ func ApplyDelta(cur *State, d *Delta) (*State, error) {
 	if d.NameBase > len(cur.Names) {
 		return nil, fmt.Errorf("replica: delta name base %d beyond known %d names", d.NameBase, len(cur.Names))
 	}
+	disabled, err := cur.Disabled.toggled(d.Toggles)
+	if err != nil {
+		return nil, err
+	}
 	st := &State{
-		Version:      d.Version,
-		Fingerprint:  cur.Fingerprint,
-		Nodes:        cur.Nodes,
-		Disabled:     append([]bool(nil), cur.Disabled...),
-		DisabledArcs: cur.DisabledArcs,
-		Unconverged:  append([]int(nil), d.Unconverged...),
-		Names:        cur.Names,
-		Kept:         cur.Kept,
-		Suppressed:   cur.Suppressed,
-		Cols:         make(map[int]*rib.PagedColumn, len(cur.Cols)),
+		Version:     d.Version,
+		Fingerprint: cur.Fingerprint,
+		Nodes:       cur.Nodes,
+		Disabled:    disabled,
+		Unconverged: append([]int(nil), d.Unconverged...),
+		Names:       cur.Names,
+		Kept:        cur.Kept,
+		Suppressed:  cur.Suppressed,
+		Cols:        make(map[int]*rib.PagedColumn, len(cur.Cols)),
 	}
 	// The names table is append-only on the leader; the delta tail may
 	// overlap what a full bootstrap already carried, so only append the
 	// genuinely new suffix.
 	if end := d.NameBase + len(d.NamesTail); end > len(cur.Names) {
 		st.Names = append(append([]string(nil), cur.Names...), d.NamesTail[len(cur.Names)-d.NameBase:]...)
-	}
-	for _, t := range d.Toggles {
-		if t.Arc < 0 || t.Arc >= len(st.Disabled) {
-			return nil, fmt.Errorf("replica: toggle arc %d out of range [0,%d)", t.Arc, len(st.Disabled))
-		}
-		if st.Disabled[t.Arc] != t.Down {
-			st.Disabled[t.Arc] = t.Down
-			if t.Down {
-				st.DisabledArcs++
-			} else {
-				st.DisabledArcs--
-			}
-		}
 	}
 	for dest, c := range cur.Cols {
 		st.Cols[dest] = c
@@ -166,13 +160,29 @@ func (s *State) WeightName(w int32) string {
 // same version must agree, whichever column layout each holds; the CI
 // smoke compares exactly this value across the two processes.
 func Checksum[C rib.Col](disabled []bool, cols map[int]C) uint32 {
+	var w wbuf
+	w.bits(disabled)
+	return checksumColumns(&w, cols)
+}
+
+// Checksum digests the state's routing content; see the package-level
+// Checksum. The mask's words go out in the wire's bit layout, so the
+// value is the leader's at the same version.
+func (s *State) Checksum() uint32 {
+	var w wbuf
+	w.mask(&s.Disabled)
+	return checksumColumns(&w, s.Cols)
+}
+
+// checksumColumns finishes a checksum whose mask w holds: the CRC of the
+// mask bytes, extended by every column in ascending destination order.
+// It reuses w's buffer for the columns.
+func checksumColumns[C rib.Col](w *wbuf, cols map[int]C) uint32 {
 	dests := make([]int, 0, len(cols))
 	for d := range cols {
 		dests = append(dests, d)
 	}
 	sort.Ints(dests)
-	var w wbuf
-	w.bits(disabled)
 	crc := crc32.ChecksumIEEE(w.b)
 	for _, d := range dests {
 		c := cols[d].Paged()
@@ -181,10 +191,4 @@ func Checksum[C rib.Col](disabled []bool, cols map[int]C) uint32 {
 		crc = crc32.Update(crc, crc32.IEEETable, w.b)
 	}
 	return crc
-}
-
-// Checksum digests the state's routing content; see the package-level
-// Checksum.
-func (s *State) Checksum() uint32 {
-	return Checksum(s.Disabled, s.Cols)
 }

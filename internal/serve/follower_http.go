@@ -179,7 +179,7 @@ func (f *Follower) StatsReply() FollowerStats {
 	st := v.state
 	fs.Nodes = st.Nodes
 	fs.Destinations = len(st.Cols)
-	fs.DisabledArcs = st.DisabledArcs
+	fs.DisabledArcs = st.Disabled.Count()
 	fs.Unconverged = len(st.Unconverged)
 	for _, c := range st.Cols {
 		fs.ArenaBytes += c.Bytes()

@@ -17,6 +17,7 @@ import (
 	"metarouting/internal/replica"
 	"metarouting/internal/serve"
 	"metarouting/internal/serve/wire"
+	"metarouting/internal/solve"
 	"metarouting/internal/telemetry"
 	"metarouting/internal/value"
 )
@@ -192,6 +193,63 @@ func TestFollowerNotReadyAndReadOnly(t *testing.T) {
 	var fs serve.FollowerStats
 	if err := json.Unmarshal(w.Body.Bytes(), &fs); err != nil || fs.Role != "follower" || fs.SnapshotVersion != 0 {
 		t.Fatalf("stats before bootstrap: %d %s (%v)", w.Code, w.Body.String(), err)
+	}
+}
+
+// TestFollowerRejectsDivergentToggles: the leader ships each toggle so
+// that it flips exactly one arc exactly once, so a delta whose toggle
+// leaves its arc as it was, or names an arc twice, says the follower's
+// mask has diverged. The follower must refuse it — counted in
+// apply_errors, the served version, checksum and disabled_arcs as they
+// were — and still take the leader's next real delta.
+func TestFollowerRejectsDivergentToggles(t *testing.T) {
+	srv, fol, sink := bootReplicatedPair(t) // arcs 0, 1 and 2 down
+	mux := serve.NewFollowerHandler(fol, nil)
+	st := fol.State()
+	version, crc, down := fol.Version(), fol.Checksum(), statsDisabledArcs(mux)
+	if down != 3 {
+		t.Fatalf("follower serves disabled_arcs=%d, want 3", down)
+	}
+	for name, toggles := range map[string][]solve.ArcToggle{
+		"fail a failed arc":          {{Arc: 5, Down: true}, {Arc: 0, Down: true}},
+		"restore a live arc":         {{Arc: 5, Down: false}},
+		"the same arc twice":         {{Arc: 5, Down: true}, {Arc: 5, Down: true}},
+		"an arc failed and restored": {{Arc: 5, Down: true}, {Arc: 5, Down: false}},
+		"an arc restored and failed": {{Arc: 1, Down: false}, {Arc: 1, Down: true}},
+	} {
+		frame := replica.EncodeDelta(&replica.Delta{FromVersion: version, Version: version + 1,
+			Fingerprint: st.Fingerprint, Toggles: toggles, NameBase: len(st.Names)})
+		rec, err := replica.DecodeRecord(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errorsBefore := fol.StatsReply().ApplyErrors
+		if err := fol.Apply(rec); err == nil {
+			t.Fatalf("%s: delta applied", name)
+		}
+		if got := fol.StatsReply().ApplyErrors; got != errorsBefore+1 {
+			t.Fatalf("%s: apply_errors %d → %d, want one more", name, errorsBefore, got)
+		}
+		if fol.Version() != version || fol.Checksum() != crc || statsDisabledArcs(mux) != down {
+			t.Fatalf("%s: follower moved to v%d crc %08x disabled_arcs %d, was v%d %08x %d", name,
+				fol.Version(), fol.Checksum(), statsDisabledArcs(mux), version, crc, down)
+		}
+	}
+	if _, _, err := srv.ApplyEvent(context.Background(), 1, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range sink.take() {
+		rec, err := replica.DecodeRecord(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.Apply(rec); err != nil {
+			t.Fatalf("leader delta after the refusals: %v", err)
+		}
+	}
+	if fol.Version() != srv.Snapshot().Version || fol.Checksum() != srv.Checksum() || statsDisabledArcs(mux) != 2 {
+		t.Fatalf("follower v%d crc %08x disabled_arcs %d, leader v%d %08x", fol.Version(), fol.Checksum(),
+			statsDisabledArcs(mux), srv.Snapshot().Version, srv.Checksum())
 	}
 }
 

@@ -5,8 +5,9 @@ package serve_test
 // applies the stream and must reproduce the leader's routing state
 // byte-identically at every version — column arenas (the follower's
 // copy-on-write pages flattened: slots, pools, offsets, convergence,
-// plus the cached live/byte totals), disabled mask, unconverged set,
-// weight-name resolution and the restored prefix table. The leader is
+// plus the cached live/byte totals), disabled mask, the failed-arc count
+// /v1/stats serves on either role, unconverged set, weight-name
+// resolution, the restored prefix table and the routing checksum. The leader is
 // shadowed (publish_test.go): at every swap its flap counter and its
 // delta frame must equal the scan-based oracle's. Run on both
 // execution backends; CI runs the package under -race, which also
@@ -15,8 +16,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -69,7 +73,7 @@ type leaderState struct {
 	live, bytes map[int]int      // the paged leader column's cached totals
 	weights     map[int][]string // weights[d][u]: formatted weight, "" unrouted
 	disabled    []bool
-	downArcs    int // the leader's carried DisabledArcs count
+	downArcs    int // disabled_arcs from the leader's /v1/stats
 	unconverged []int
 	checksum    uint32
 }
@@ -96,7 +100,7 @@ func captureLeader(srv *serve.Server) leaderState {
 		bytes:       bytes,
 		weights:     weights,
 		disabled:    sn.Disabled,
-		downArcs:    srv.Stats().DisabledArcs,
+		downArcs:    statsDisabledArcs(serve.NewHandler(srv, nil)),
 		unconverged: sn.Unconverged,
 		checksum:    srv.Checksum(),
 	}
@@ -173,6 +177,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			}
 			fullRecords := 0
 			fol := serve.NewFollower(nil)
+			folHTTP := serve.NewFollowerHandler(fol, nil)
 			var trie *rib.PrefixTable
 			for i, frame := range frames {
 				rec, err := replica.DecodeRecord(frame)
@@ -192,7 +197,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 					t.Fatalf("frame %d: kind %d, prefix trie carried over = %v", i, rec.Kind, pt == trie)
 				}
 				trie = pt
-				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv.Server, fol, truth[fol.Version()])
+				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv.Server, fol, folHTTP, truth[fol.Version()])
 			}
 			if fol.Version() != srv.Snapshot().Version {
 				t.Fatalf("follower ended at v%d, leader at v%d", fol.Version(), srv.Snapshot().Version)
@@ -208,25 +213,29 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 
 // compareFollower checks the follower's applied state bit-for-bit
 // against the leader ground truth captured at the same version.
-func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.Follower, want leaderState) {
+func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.Follower, folHTTP http.Handler, want leaderState) {
 	t.Helper()
 	if want.cols == nil {
 		t.Fatalf("%s: follower at version %d the leader never published", label, fol.Version())
 	}
 	st := fol.State()
-	if !reflect.DeepEqual(st.Disabled, want.disabled) {
-		t.Fatalf("%s: disabled mask differs\n got %v\nwant %v", label, st.Disabled, want.disabled)
+	if st.Disabled.Len() != len(want.disabled) {
+		t.Fatalf("%s: mask covers %d arcs, leader has %d", label, st.Disabled.Len(), len(want.disabled))
 	}
-	// Neither role counts failed arcs by scanning the mask: the carried
-	// counts must equal a recount at every version of the storm.
 	recount := 0
-	for _, down := range want.disabled {
+	for arc, down := range want.disabled {
+		if st.Disabled.Get(arc) != down {
+			t.Fatalf("%s: arc %d: follower down=%v, leader %v", label, arc, !down, down)
+		}
 		if down {
 			recount++
 		}
 	}
-	if got := fol.StatsReply().DisabledArcs; want.downArcs != recount || got != recount {
-		t.Fatalf("%s: disabled arcs: leader carries %d, follower %d, recount %d", label, want.downArcs, got, recount)
+	// Neither role counts failed arcs by scanning the mask — the leader
+	// carries its count, the follower's mask does — so what each /v1/stats
+	// serves must equal a recount at every version of the storm.
+	if got := statsDisabledArcs(folHTTP); want.downArcs != recount || got != recount {
+		t.Fatalf("%s: disabled_arcs: leader serves %d, follower %d, recount %d", label, want.downArcs, got, recount)
 	}
 	if !reflect.DeepEqual(st.Unconverged, want.unconverged) {
 		t.Fatalf("%s: unconverged differs: got %v want %v", label, st.Unconverged, want.unconverged)
@@ -275,4 +284,18 @@ func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.F
 			folStats.Prefixes, folStats.TrieNodes, folStats.SuppressedPrefixes,
 			leaderPT.Len(), leaderPT.TrieNodes(), len(leaderPT.Suppressed()))
 	}
+}
+
+// statsDisabledArcs reads disabled_arcs off a handler's /v1/stats, or -1
+// when the reply does not carry it.
+func statsDisabledArcs(h http.Handler) int {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/stats", nil))
+	var stats struct {
+		DisabledArcs *int `json:"disabled_arcs"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil || stats.DisabledArcs == nil {
+		return -1
+	}
+	return *stats.DisabledArcs
 }

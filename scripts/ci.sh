@@ -93,6 +93,16 @@ go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledF
 go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsFrame|TestRouteReplyIdentityAcrossSurfaces)$' \
   -count=1 ./internal/serve/
 
+# The follower's failure mask: a persistent chunked bitset against a
+# []bool oracle (bits, count, wire bytes and checksum at every version of
+# random toggle chains from 0 to 399 908 arcs, every earlier version
+# re-checked; the in-place mutant must fail), refused toggles leaving it
+# untouched, a follower refusing a divergent delta with its version and
+# checksum unchanged, and leader and follower agreeing on /v1/stats
+# disabled_arcs and the checksum at every version of a fail/restore storm.
+go test -race -run='^(TestMaskMatchesOracle|TestMaskToggleRejects)$' -count=1 ./internal/replica/
+go test -race -run='^(TestFollowerRejectsDivergentToggles|TestReplicaDifferentialStorm)$' -count=1 ./internal/serve/
+
 # The tiered engine is shared by every pool worker with no mutex around
 # it: memo hits read an atomically published table generation, misses
 # serialize on the engine's own lock. The 16-goroutine stress (hot caps
@@ -122,6 +132,9 @@ go test -bench='^BenchmarkDerivationDelta$' -benchtime=1x -run='^$' ./internal/r
 # The binary resolver's own benchmark (staged vs per-query at 2k, 10k and
 # 100k nodes over 4096 distinct batches), named for the same reason.
 go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/serve/ | grep -q 'BenchmarkResolveWireBatch/staged/100k'
+# The follower's delta apply at 100k nodes and 400k arcs (toggles alone,
+# and with a column patch), named likewise.
+go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkApplyDelta/toggles+patch'
 
 # Telemetry-overhead bench smoke: the paired instrumented-vs-bare
 # measurement must run end to end and emit a well-formed report. Small
@@ -213,12 +226,13 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 # must hold their steady-state allocation budgets (the paged one
 # includes the rebuild's one presized change list), a short Forward must
 # allocate nothing sized by the column, a follower's delta apply must
-# stay O(cloned pages) in objects and bytes, and so must the leader's
-# publish path beyond its one Disabled copy — no per-dirty-page slot
-# expansion, no per-change next-hop copy. A full record must cost its
-# frame (one exactly-sized allocation, no flat copy of the columns), and
-# a frame reader's buffer must track the bytes received, never the
-# length the frame claims. The adjacency index must stay within
+# stay O(cloned pages) in objects and bytes and its mask O(toggles) (a
+# 4-toggle delta under 4 KiB at 400k arcs, within 10 % of 40k), and so
+# must the leader's publish path beyond its one Disabled copy — no
+# per-dirty-page slot expansion, no per-change next-hop copy. A full
+# record must cost its frame (one exactly-sized allocation, no flat copy
+# of the columns), and a frame reader's buffer must track the bytes
+# received, never the length the frame claims. The adjacency index must stay within
 # 24 B/arc + 8 B/node at 100k nodes, and a toggle batch on an overlay
 # view must allocate by its endpoints' degree, never by N. A tiered
 # memo hit must allocate nothing, interning must allocate by chunk and
@@ -236,7 +250,7 @@ go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesColle
 go test -run='^(TestScratchKernelAllocs|TestLtKernelAllocs)$' -count=1 ./internal/solve/
 go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
   -count=1 ./internal/rib/
-go test -run='^(TestApplyDeltaAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
+go test -run='^(TestApplyDeltaAllocs|TestApplyDeltaTogglesAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
 go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
@@ -254,6 +268,7 @@ go test -run='^$' -fuzz='^FuzzEventHandler$' -fuzztime=10s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzRouteHandlerV1$' -fuzztime=10s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzEventsHandlerV1$' -fuzztime=10s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzDecodeRecord$' -fuzztime=10s ./internal/replica/
+go test -run='^$' -fuzz='^FuzzMaskToggles$' -fuzztime=10s ./internal/replica/
 go test -run='^$' -fuzz='^FuzzQueryWire$' -fuzztime=10s ./internal/serve/wire/
 
 # Simulator bench smoke: the serial-vs-parallel measurement must run end
