@@ -12,9 +12,7 @@
 //	mrserve -telemetry-bench -out BENCH_telemetry.json
 //	mrserve -parallel-bench -random 64 -dests 8 -out BENCH_parallel.json
 //	mrserve -delta-bench -random 64 -dests 8 -out BENCH_delta.json
-//	mrserve -scale-bench -scale-nodes 1000,10000,100000 -out BENCH_scale.json
 //	mrserve -replica-bench -random 64 -dests 8 -out BENCH_replica.json
-//	mrserve -storm-bench -storm-nodes 1000,10000,100000 -out BENCH_storm.json
 //	mrserve -publish :8349 -log-dir /var/lib/mrserve        # leader
 //	mrserve -follow leader:8349                              # follower
 //	mrserve -follow file:/var/lib/mrserve/replica.log -oneshot
@@ -66,14 +64,6 @@
 // -delta-bench measures warm-start delta reconvergence against
 // from-scratch rebuilds on paired small-perturbation storms and writes
 // BENCH_delta.json.
-// -scale-bench measures the arena-flat RIB columns against the legacy
-// pointer tables (retained bytes per route entry, build time, LPM
-// differential) at increasing node counts and writes BENCH_scale.json.
-// -storm-bench measures paged copy-on-write columns against the flat
-// layout on paired toggle storms across a size × storm-width matrix
-// (-storm-nodes, -storm-arcs), flattening the paged snapshot after
-// every swap for a bit-identity differential, and writes
-// BENCH_storm.json.
 //
 // Replication: -publish ADDR streams binary snapshot/delta records to
 // connected followers over TCP, and -log-dir DIR appends the same
@@ -106,7 +96,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -160,14 +149,6 @@ func main() {
 		deltaBench     = flag.Bool("delta-bench", false, "measure warm-start delta reconvergence against from-scratch rebuilds on small-perturbation storms instead of serving")
 		deltaStormArcs = flag.Int("delta-storm-arcs", 4, "delta-bench: distinct arcs failed (then restored) per storm")
 
-		scaleBench = flag.Bool("scale-bench", false, "measure arena-column vs pointer-table memory at increasing node counts instead of serving")
-		scaleNodes = flag.String("scale-nodes", "1000,10000,100000", "scale-bench: comma-separated node counts")
-		scaleDests = flag.Int("scale-dests", 8, "scale-bench: originated destinations per point")
-
-		stormBench   = flag.Bool("storm-bench", false, "measure paged copy-on-write columns against flat arena columns on paired failure storms instead of serving")
-		stormNodes   = flag.String("storm-nodes", "1000,10000,100000", "storm-bench: comma-separated ScaleFree node counts")
-		stormArcsCSV = flag.String("storm-arcs", "4,32", "storm-bench: comma-separated storm widths (distinct arcs failed, then restored, per storm)")
-
 		publishAddr     = flag.String("publish", "", "leader: serve the replication record stream to followers on this TCP address")
 		logDir          = flag.String("log-dir", "", "leader: append every replication record to DIR/replica.log")
 		logMaxBytes     = flag.Int64("log-max-bytes", 0, "leader: rotate DIR/replica.log to a numbered segment once it passes this many bytes, reseeding the live log with a fresh full snapshot (0: never)")
@@ -202,14 +183,6 @@ func main() {
 		runDeltaBench(*exprSrc, *scenFile, *randomN, *p, *seed, *dests, *workers, *deltaStormArcs, *benchRounds, *out)
 		return
 	}
-	if *scaleBench {
-		runScaleBench(*exprSrc, *scaleNodes, *seed, *scaleDests, *out)
-		return
-	}
-	if *stormBench {
-		runStormBench(*exprSrc, *stormNodes, *stormArcsCSV, *seed, *dests, *workers, *benchRounds, *out)
-		return
-	}
 	if *replicaBench {
 		runReplicaBench(*exprSrc, *scenFile, *randomN, *p, *seed, *dests, *workers, *replicaStormArc, *benchRounds, *out)
 		return
@@ -236,10 +209,11 @@ func main() {
 			serve.WithSlowQuery(time.Duration(*slowUS)*time.Microsecond),
 		)
 	}
-	// Leader replication: the publisher must exist before serve.New (the
-	// initial build already publishes a full record), but its bootstrap
-	// source is the server — close the loop with a late-bound closure,
-	// safe because no subscriber is accepted until Serve starts below.
+	// Leader replication: the publisher must exist before
+	// serve.NewServer (the initial build already publishes a full
+	// record), but its bootstrap source is the server — close the loop
+	// with a late-bound closure, safe because no subscriber is accepted
+	// until Serve starts below.
 	var pub *replica.Publisher
 	var srv *serve.Server
 	if *publishAddr != "" || *logDir != "" {
@@ -469,125 +443,6 @@ func runDeltaBench(exprSrc, scenFile string, randomN int, p float64, seed int64,
 		fmt.Fprintf(os.Stderr, "mrserve: wrote %s (scratch %.0fµs/batch, delta %.0fµs/batch, speedup %.1f×, mean frontier %.1f of %d nodes)\n",
 			out, rep.ScratchBatchUS, rep.DeltaBatchUS, rep.SpeedupDelta, rep.MeanFrontier, rep.Nodes)
 	}
-}
-
-// runScaleBench measures the arena-flat column store against the
-// pointer-table baseline at each node count on a preferential-attachment
-// topology (the closest stock generator to an AS graph) and writes
-// BENCH_scale.json. A compiled engine is preferred so retained-heap
-// readings stay free of intern-table noise; algebras with infinite
-// carriers fall back to the pre-warmed dynamic backend.
-func runScaleBench(exprSrc, nodeList string, seed int64, destCount int, out string) {
-	a, err := core.InferString(exprSrc)
-	if err != nil {
-		fatal(err)
-	}
-	nodeCounts := parseIntList(nodeList, 2, "-scale-nodes")
-	origin, err := a.OT.CheckedDefaultOrigin()
-	if err != nil {
-		fatal(err)
-	}
-	eng := exec.For(a.OT, origin)
-	labels := 4
-	if a.OT.F.Finite() {
-		labels = a.OT.F.Size()
-	}
-	mk := func(nodes int) (exec.Algebra, *graph.Graph, map[int]value.V, error) {
-		g := graph.ScaleFree(rand.New(rand.NewSource(seed)), nodes, 2, graph.UniformLabels(labels))
-		dc := destCount
-		if dc <= 0 || dc > g.N {
-			dc = g.N
-		}
-		origins := make(map[int]value.V, dc)
-		for i := 0; i < dc; i++ {
-			origins[i*g.N/dc] = origin
-		}
-		return eng, g, origins, nil
-	}
-	rep, err := serve.MeasureScale(mk, nodeCounts)
-	if err != nil {
-		fatal(err)
-	}
-	writeReport(rep, out)
-	if out != "" {
-		last := rep.Points[len(rep.Points)-1]
-		fmt.Fprintf(os.Stderr, "mrserve: wrote %s (n=%d: %.1f B/entry arena vs %.1f B/entry pointer, %.1f× smaller, LPM differential ok=%v)\n",
-			out, last.Nodes, last.ArenaBytesPerEntry, last.PointerBytesPerEntry, last.Ratio, last.LPMDifferentialOK)
-	}
-}
-
-// parseIntList splits a comma-separated integer flag, enforcing a
-// per-entry minimum.
-func parseIntList(list string, min int, flagName string) []int {
-	var out []int
-	for _, part := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < min {
-			fatal(fmt.Errorf("bad %s entry %q", flagName, part))
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// stormSuite is the BENCH_storm.json shape: one paged-vs-flat swap
-// measurement per (node count × storm width) pair.
-type stormSuite struct {
-	Expr   string               `json:"expr"`
-	Seed   int64                `json:"seed"`
-	Points []*serve.StormReport `json:"points"`
-}
-
-// runStormBench measures paged copy-on-write columns against the flat
-// arena baseline on paired failure storms over preferential-attachment
-// topologies at each node count × storm width, and writes
-// BENCH_storm.json. The algebra must license the warm-start delta path
-// (e.g. -expr 'lex(delay(32,3), hops(8))') — both servers run it, so
-// the pairing isolates the snapshot data-plane copy cost. The stderr
-// line per point is the CI smoke's grep target.
-func runStormBench(exprSrc, nodeList, arcList string, seed int64, destCount, workers, rounds int, out string) {
-	a, err := core.InferString(exprSrc)
-	if err != nil {
-		fatal(err)
-	}
-	nodeCounts := parseIntList(nodeList, 2, "-storm-nodes")
-	arcCounts := parseIntList(arcList, 1, "-storm-arcs")
-	origin, err := a.OT.CheckedDefaultOrigin()
-	if err != nil {
-		fatal(err)
-	}
-	labels := 4
-	if a.OT.F.Finite() {
-		labels = a.OT.F.Size()
-	}
-	suite := &stormSuite{Expr: exprSrc, Seed: seed}
-	for _, nodes := range nodeCounts {
-		for _, stormArcs := range arcCounts {
-			mk := func(paged bool) (*serve.Server, error) {
-				g := graph.ScaleFree(rand.New(rand.NewSource(seed)), nodes, 2, graph.UniformLabels(labels))
-				dc := destCount
-				if dc <= 0 || dc > g.N {
-					dc = g.N
-				}
-				origins := make(map[int]value.V, dc)
-				for i := 0; i < dc; i++ {
-					origins[i*g.N/dc] = origin
-				}
-				return serve.NewServer(serve.Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins},
-					serve.WithWorkers(workers), serve.WithDeltaProps(a.Props), serve.WithPagedColumns(paged))
-			}
-			rep, err := serve.MeasureStorm(mk, stormArcs, rounds, seed)
-			if err != nil {
-				fatal(err)
-			}
-			suite.Points = append(suite.Points, rep)
-			fmt.Fprintf(os.Stderr,
-				"mrserve: storm n=%d arcs=%d: flat %.0fµs/swap vs paged %.0fµs/swap (%.1fx speedup), cloned %.2f%% of pages, differential-ok=%v\n",
-				rep.Nodes, rep.StormArcs, rep.FlatSwapUS, rep.PagedSwapUS, rep.SpeedupPaged,
-				100*rep.ClonedFraction, rep.DifferentialOK)
-		}
-	}
-	writeReport(suite, out)
 }
 
 // applyStorm replays n deterministic random toggles (each flips an

@@ -261,19 +261,19 @@ func TestReadRecordBoundsAllocation(t *testing.T) {
 }
 
 func TestChecksumTracksContent(t *testing.T) {
-	colsA := map[int]*rib.Column{
-		0: mkColumn(0, true, [][]int32{{0}, {1, 0}}),
-		1: mkColumn(1, true, [][]int32{{2, 1}, {0}}),
+	colsA := map[int]*rib.PagedColumn{
+		0: mkColumn(0, true, [][]int32{{0}, {1, 0}}).Paged(),
+		1: mkColumn(1, true, [][]int32{{2, 1}, {0}}).Paged(),
 	}
-	colsB := map[int]*rib.Column{
-		0: mkColumn(0, true, [][]int32{{0}, {1, 0}}),
-		1: mkColumn(1, true, [][]int32{{2, 1}, {0}}),
+	colsB := map[int]*rib.PagedColumn{
+		0: mkColumn(0, true, [][]int32{{0}, {1, 0}}).Paged(),
+		1: mkColumn(1, true, [][]int32{{2, 1}, {0}}).Paged(),
 	}
 	dis := []bool{false, true}
 	if Checksum(dis, colsA) != Checksum(dis, colsB) {
 		t.Fatal("identical content hashed differently")
 	}
-	colsB[1].Pool[0] = 0
+	colsB[1].Pages[0].Pool[0] = 0
 	if Checksum(dis, colsA) == Checksum(dis, colsB) {
 		t.Fatal("pool change not reflected in checksum")
 	}

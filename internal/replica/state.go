@@ -155,11 +155,11 @@ func (s *State) WeightName(w int32) string {
 }
 
 // Checksum digests the routing content of a snapshot — every column in
-// ascending destination order, in its flat wire layout, plus the
-// disabled mask — with CRC32. The leader and a caught-up follower at the
-// same version must agree, whichever column layout each holds; the CI
-// smoke compares exactly this value across the two processes.
-func Checksum[C rib.Col](disabled []bool, cols map[int]C) uint32 {
+// ascending destination order, in its wire layout, plus the disabled
+// mask — with CRC32. The leader and a caught-up follower at the same
+// version must agree; the CI smoke compares exactly this value across
+// the two processes.
+func Checksum(disabled []bool, cols map[int]*rib.PagedColumn) uint32 {
 	var w wbuf
 	w.bits(disabled)
 	return checksumColumns(&w, cols)
@@ -177,7 +177,7 @@ func (s *State) Checksum() uint32 {
 // checksumColumns finishes a checksum whose mask w holds: the CRC of the
 // mask bytes, extended by every column in ascending destination order.
 // It reuses w's buffer for the columns.
-func checksumColumns[C rib.Col](w *wbuf, cols map[int]C) uint32 {
+func checksumColumns(w *wbuf, cols map[int]*rib.PagedColumn) uint32 {
 	dests := make([]int, 0, len(cols))
 	for d := range cols {
 		dests = append(dests, d)
@@ -185,7 +185,7 @@ func checksumColumns[C rib.Col](w *wbuf, cols map[int]C) uint32 {
 	sort.Ints(dests)
 	crc := crc32.ChecksumIEEE(w.b)
 	for _, d := range dests {
-		c := cols[d].Paged()
+		c := cols[d]
 		w.b = slices.Grow(w.b[:0], columnSize(c))
 		w.column(c)
 		crc = crc32.Update(crc, crc32.IEEETable, w.b)

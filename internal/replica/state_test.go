@@ -369,22 +369,21 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 }
 
-// TestStateChecksumMatchesPackageChecksum: one checksum, whatever the
-// layout — the paged state digests to the value the flat columns of the
-// record it was built from do, which is the CRC of their concatenated
-// wire encoding as the flat-arena encoder wrote it (the pre-streaming
-// definition).
+// TestStateChecksumMatchesPackageChecksum: one checksum — the state and
+// the package-level Checksum over the record's columns both digest to
+// the CRC of the mask and the columns' concatenated wire encoding as the
+// flat-arena encoder wrote it (the pre-streaming definition).
 func TestStateChecksumMatchesPackageChecksum(t *testing.T) {
 	f := testFull()
 	st := bootstrap(t)
-	flat := map[int]*rib.Column{}
+	cols := map[int]*rib.PagedColumn{}
 	var w wbuf
 	w.bits(f.Disabled)
-	for _, c := range flattened(f.Columns) { // ascending by destination
-		flat[c.Dest] = c
+	for i, c := range flattened(f.Columns) { // ascending by destination
+		cols[c.Dest] = f.Columns[i]
 		oracleColumn(&w, c)
 	}
-	if got, want := st.Checksum(), crc32.ChecksumIEEE(w.b); got != want || Checksum(f.Disabled, flat) != want {
-		t.Fatalf("checksum: state %08x, flat columns %08x, want %08x", got, Checksum(f.Disabled, flat), want)
+	if got, want := st.Checksum(), crc32.ChecksumIEEE(w.b); got != want || Checksum(f.Disabled, cols) != want {
+		t.Fatalf("checksum: state %08x, record columns %08x, want %08x", got, Checksum(f.Disabled, cols), want)
 	}
 }

@@ -15,13 +15,13 @@ import (
 // Tests for the change list a paged rebuild emits (PageStats.Changes /
 // Changed, DiffPaged). The oracle is the comparison the serve layer used
 // to run after the fact: every slot of the previous and the new column
-// through the Col read surface.
+// through the column's read surface.
 
 // scanChanges is the all-slots oracle: the changed slots of next against
 // prev, ascending, next-hop sets copied (nil when empty).
-func scanChanges(prev, next Col) []SlotPatch {
+func scanChanges(prev, next *PagedColumn) []SlotPatch {
 	var out []SlotPatch
-	for u := 0; u < next.NumNodes(); u++ {
+	for u := 0; u < next.N; u++ {
 		pw, pr := prev.Route(u)
 		nw, nr := next.Route(u)
 		if pr == nr && (!nr || pw == nw && slices.Equal(prev.NextHops(u), next.NextHops(u))) {

@@ -3,6 +3,7 @@ package rib
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"metarouting/internal/exec"
@@ -12,8 +13,8 @@ import (
 	"metarouting/internal/value"
 )
 
-// columnMatchesEntries asserts an arena column is bit-identical to a
-// legacy pointer column: same routedness, same resolved weight, same
+// columnMatchesEntries asserts a flat column states exactly the routes of
+// the value-level oracle: same routedness, same resolved weight, same
 // ECMP next-hop sequence.
 func columnMatchesEntries(t *testing.T, eng exec.Algebra, col *Column, entries []*Entry, tag string) {
 	t.Helper()
@@ -32,7 +33,7 @@ func columnMatchesEntries(t *testing.T, eng exec.Algebra, col *Column, entries [
 		if w := eng.Value(s.W); w != e.Weight {
 			t.Fatalf("%s node %d: weight %v vs %v", tag, u, w, e.Weight)
 		}
-		nh := col.NextHops(u)
+		nh := col.Pool[s.NhOff : s.NhOff+s.NhLen]
 		if len(nh) != len(e.NextHops) {
 			t.Fatalf("%s node %d: ECMP %v vs %v", tag, u, nh, e.NextHops)
 		}
@@ -64,10 +65,10 @@ func originFor(a *ost.OrderTransform) value.V {
 	return a.Carrier().Elems[0]
 }
 
-// TestColumnDifferential is the arena-vs-pointer differential from the
-// acceptance criteria: across random algebras × GNP/ring/grid × both
-// engine backends, BuildDestColumn must be bit-identical to the legacy
-// BuildDestEngine pointer path.
+// TestColumnDifferential holds the naive flat build and the paged build
+// to the value-level oracle: across random algebras × GNP/ring/grid ×
+// both engine backends, BuildDestColumn and BuildDestPaged must state
+// exactly the routes BuildDestEngine computes.
 func TestColumnDifferential(t *testing.T) {
 	algebras := []string{
 		"delay(16,3)",
@@ -106,6 +107,14 @@ func TestColumnDifferential(t *testing.T) {
 						t.Fatalf("%s dest %d: convergence differs", tag, dest)
 					}
 					columnMatchesEntries(t, eng, col, entries, tag)
+					pc, err := BuildDestPaged(eng, g, dest, org, ws)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if pc.Converged != conv1 {
+						t.Fatalf("%s dest %d: paged convergence differs", tag, dest)
+					}
+					columnMatchesEntries(t, eng, pc.Flatten(), entries, tag+" paged")
 				}
 			}
 		}
@@ -113,26 +122,23 @@ func TestColumnDifferential(t *testing.T) {
 }
 
 // TestDeltaColumnDifferential drives a toggle chain through
-// DeltaDestColumn and checks each warm-started column against both a
-// from-scratch column and the legacy DeltaDestEngine pointer path.
+// DeltaDestPaged and checks each warm-started column against the naive
+// flat build and the value-level oracle on the masked view, and that a
+// delta step shares the pages it did not touch by pointer.
 func TestDeltaColumnDifferential(t *testing.T) {
 	for _, src := range []string{"delay(16,3)", "lex(delay(8,2), hops(8))"} {
 		a := alg(t, src)
 		for backend, eng := range engines(t, a) {
 			r := rand.New(rand.NewSource(17))
-			g := graph.Random(r, 12, 0.3, graph.UniformLabels(a.F.Size()))
+			g := graph.Random(r, 140, 0.03, graph.UniformLabels(a.F.Size()))
 			ws := solve.NewWorkspace()
 			disabled := make([]bool, len(g.Arcs))
 			org := originFor(a)
-			prevCol, err := BuildDestColumn(eng, g.MaskArcs(disabled), 0, org, ws)
+			prev, err := BuildDestPaged(eng, g.MaskArcs(disabled), 0, org, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prevEnt, _, err := BuildDestEngine(eng, g.MaskArcs(disabled), 0, org, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			usedDelta := false
+			usedDelta, shared := false, false
 			for step := 0; step < 10; step++ {
 				ai := r.Intn(len(g.Arcs))
 				disabled[ai] = !disabled[ai]
@@ -140,29 +146,32 @@ func TestDeltaColumnDifferential(t *testing.T) {
 				toggles := []solve.ArcToggle{{Arc: ai, Down: disabled[ai]}}
 				tag := fmt.Sprintf("%s/%s step %d", src, backend, step)
 
-				col, st, err := DeltaDestColumn(eng, view, disabled, 0, org, ws, prevCol, toggles)
+				col, st, ps, err := DeltaDestPaged(eng, view, disabled, 0, org, ws, prev, toggles)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				usedDelta = usedDelta || st.UsedDelta
+				shared = shared || ps.Shared > 0
 
 				scratch, err := BuildDestColumn(eng, view, 0, org, solve.NewWorkspace())
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				if fmt.Sprint(col.Slots) != fmt.Sprint(scratch.Slots) || fmt.Sprint(col.Pool) != fmt.Sprint(scratch.Pool) {
-					t.Fatalf("%s: delta column diverges from scratch build", tag)
+				if flat := col.Flatten(); !reflect.DeepEqual(flat, scratch) {
+					t.Fatalf("%s: delta column diverges from the naive build\n got %+v\nwant %+v", tag, flat, scratch)
 				}
-
-				ent, _, _, err := DeltaDestEngine(eng, view, disabled, 0, org, ws, prevEnt, toggles)
+				ent, conv, err := BuildDestEngine(eng, view, 0, org, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				columnMatchesEntries(t, eng, col, ent, tag)
-				prevCol, prevEnt = col, ent
+				if col.Converged != conv {
+					t.Fatalf("%s: converged %v, oracle %v", tag, col.Converged, conv)
+				}
+				columnMatchesEntries(t, eng, col.Flatten(), ent, tag)
+				prev = col
 			}
-			if !usedDelta {
-				t.Fatalf("%s/%s: warm-start path never engaged", src, backend)
+			if !usedDelta || !shared {
+				t.Fatalf("%s/%s: warm-start path engaged %v, shared an untouched page %v", src, backend, usedDelta, shared)
 			}
 		}
 	}
@@ -173,19 +182,19 @@ func TestColumnFootprint(t *testing.T) {
 	a := alg(t, "delay(16,3)")
 	eng := exec.NewDynamic(a)
 	g := graph.Ring(rand.New(rand.NewSource(3)), 16, graph.UniformLabels(a.F.Size()))
-	col, err := BuildDestColumn(eng, g, 0, 0, nil)
+	col, err := BuildDestPaged(eng, g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if col.Live() != 16 {
 		t.Fatalf("Live = %d, want 16", col.Live())
 	}
-	if want := 16*entrySlotBytes + len(col.Pool)*4; col.Bytes() != want {
+	if want := PageSize*entrySlotBytes + len(col.Pages[0].Pool)*4; col.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", col.Bytes(), want)
 	}
-	rb := FromColumns(eng, g, map[int]*Column{0: col})
-	if rb.Column(0) != col {
-		t.Fatal("Column accessor must return the adopted column")
+	rb := FromColumns(eng, g, map[int]*PagedColumn{0: col})
+	if rb.Column(0) != col || rb.Column(1) != nil {
+		t.Fatal("Column accessor must return the adopted column, nil for an unknown destination")
 	}
 	e := rb.Lookup(5, 0)
 	if e == nil || len(e.NextHops) == 0 {
@@ -197,13 +206,16 @@ func TestColumnFootprint(t *testing.T) {
 	if _, err := rb.Forward(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	// FromEntries round-trips through arena form.
+	// Lookup materialises what the value-level oracle computes.
 	entries, _, err := BuildDestEngine(eng, g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb2 := FromEntries(eng, g, map[int][]*Entry{0: entries})
-	columnMatchesEntries(t, eng, rb2.Column(0).(*Column), entries, "FromEntries")
+	for u := range entries {
+		if got := rb.Lookup(u, 0); !reflect.DeepEqual(got, entries[u]) {
+			t.Fatalf("Lookup(%d, 0) = %+v, oracle %+v", u, got, entries[u])
+		}
+	}
 }
 
 // TestColumnBuildAllocs is the pointer-chasing regression guard: a
@@ -248,26 +260,6 @@ func BenchmarkColumnBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildDestColumn(eng, g, 0, org, ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEntryColumnBuild is the pointer-path baseline for the same
-// build, for side-by-side allocs/op comparison.
-func BenchmarkEntryColumnBuild(b *testing.B) {
-	a := alg(b, "lex(delay(8,2), hops(8))")
-	eng, err := exec.Compile(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.Random(rand.New(rand.NewSource(5)), 1024, 0.008, graph.UniformLabels(a.F.Size()))
-	ws := solve.NewWorkspace()
-	org := originFor(a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildDestEngine(eng, g, 0, org, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

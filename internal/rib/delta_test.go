@@ -5,7 +5,6 @@ package rib
 // sources) that the HTTP handlers lean on.
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,15 +60,15 @@ func TestForwardErrorPaths(t *testing.T) {
 	}
 }
 
-// TestDeltaLicensed pins the property gate, including the split that
-// motivates serve.WithDeltaProps: composite algebras carry their
-// theorem-derived M/I judgements on the inference node, not on the
-// order transform the execution engine exposes.
+// TestDeltaLicensed pins the warm-start answer of the solver licence,
+// including the split that motivates serve.WithDeltaProps: composite
+// algebras carry their theorem-derived M/I judgements on the inference
+// node, not on the order transform the execution engine exposes.
 func TestDeltaLicensed(t *testing.T) {
 	for _, tc := range []struct {
 		src     string
-		otGate  bool // DeltaLicensed on the bare order transform
-		setGate bool // DeltaLicensedSet on the inferred property set
+		otGate  bool // no property set: the engine's order transform alone
+		setGate bool // the inferred property set
 	}{
 		{"delay(8,2)", true, true},                   // M and I declared on the base OT
 		{"bw(4)", true, true},                        // M only
@@ -81,67 +80,21 @@ func TestDeltaLicensed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := DeltaLicensed(a.OT); got != tc.otGate {
-			t.Errorf("DeltaLicensed(%s) = %v, want %v", tc.src, got, tc.otGate)
+		eng := exec.NewDynamic(a.OT)
+		if got := solve.NewLicence(eng, nil).WarmStartAllowed(); got != tc.otGate {
+			t.Errorf("%s: warm start on the order transform = %v, want %v", tc.src, got, tc.otGate)
 		}
-		if got := DeltaLicensedSet(a.Props); got != tc.setGate {
-			t.Errorf("DeltaLicensedSet(%s) = %v, want %v", tc.src, got, tc.setGate)
+		if got := solve.NewLicence(eng, a.Props).WarmStartAllowed(); got != tc.setGate {
+			t.Errorf("%s: warm start on the inferred set = %v, want %v", tc.src, got, tc.setGate)
 		}
 	}
 }
 
-// TestDeltaDestEngineMatchesBuild: warm-started columns are bit-identical
-// to from-scratch columns across a chain of random toggles, and untouched
-// entries are shared by pointer, not copied.
-func TestDeltaDestEngineMatchesBuild(t *testing.T) {
-	a := alg(t, "delay(16,3)")
-	r := rand.New(rand.NewSource(7))
-	g := graph.Random(r, 12, 0.3, graph.UniformLabels(a.F.Size()))
-	eng := exec.For(a, 0)
-	ws := solve.NewWorkspace()
-	disabled := make([]bool, len(g.Arcs))
-	prev, converged, err := BuildDestEngine(eng, g.MaskArcs(disabled), 0, 0, ws)
-	if err != nil || !converged {
-		t.Fatalf("seed build: converged=%v err=%v", converged, err)
-	}
-	shared := false
-	for step := 0; step < 8; step++ {
-		ai := r.Intn(len(g.Arcs))
-		disabled[ai] = !disabled[ai]
-		view := g.MaskArcs(disabled)
-		toggles := []solve.ArcToggle{{Arc: ai, Down: disabled[ai]}}
-		got, conv, st, err := DeltaDestEngine(eng, view, disabled, 0, 0, ws, prev, toggles)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		want, wconv, err := BuildDestEngine(eng, view, 0, 0, solve.NewWorkspace())
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if conv != wconv {
-			t.Fatalf("step %d: converged %v, want %v", step, conv, wconv)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d (delta=%v): columns differ\n got: %+v\nwant: %+v", step, st.UsedDelta, got, want)
-		}
-		if st.UsedDelta && len(st.Touched) < g.N {
-			for u := range got {
-				if got[u] != nil && got[u] == prev[u] {
-					shared = true
-				}
-			}
-		}
-		prev = got
-	}
-	if !shared {
-		t.Fatal("no untouched entry was ever shared by pointer — the delta path never paid off")
-	}
-}
-
-// TestDeltaDestEngineFallbacks pins the unusable-warm-start cases: each
-// must quietly rebuild from scratch with zero delta stats, and a bad
+// TestDeltaDestPagedFallbacks pins the unusable-warm-start cases: each
+// must quietly rebuild from scratch with zero delta stats, every page
+// cloned, and a column equal to the value-level oracle; a bad
 // destination must fail loudly.
-func TestDeltaDestEngineFallbacks(t *testing.T) {
+func TestDeltaDestPagedFallbacks(t *testing.T) {
 	a := alg(t, "delay(8,2)")
 	g := graph.MustNew(3, []graph.Arc{{From: 1, To: 0, Label: 1}, {From: 2, To: 1, Label: 1}})
 	eng := exec.For(a, 0)
@@ -150,26 +103,43 @@ func TestDeltaDestEngineFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DeltaDestEngine(eng, g, disabled, 9, 0, nil, want, nil); err == nil {
+	good, err := BuildDestPaged(eng, g, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DeltaDestPaged(eng, g, disabled, 9, 0, nil, good, nil); err == nil {
 		t.Fatal("out-of-range destination must fail")
+	}
+	short, err := BuildDestPaged(eng, graph.MustNew(2, []graph.Arc{{From: 1, To: 0, Label: 1}}), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unconverged := *good
+	unconverged.Converged = false
+	unrouted, err := good.Patch(true, []SlotPatch{{Node: 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
-		prev []*Entry
+		prev *PagedColumn
 	}{
 		{"nil previous column", nil},
-		{"wrong-length column", want[:2]},
-		{"destination missing from column", []*Entry{nil, want[1], want[2]}},
+		{"wrong-length column", short},
+		{"unconverged column", &unconverged},
+		{"destination missing from column", unrouted},
 	} {
-		got, conv, st, err := DeltaDestEngine(eng, g, disabled, 0, 0, nil, tc.prev, nil)
-		if err != nil || !conv {
-			t.Fatalf("%s: converged=%v err=%v", tc.name, conv, err)
+		got, st, ps, err := DeltaDestPaged(eng, g, disabled, 0, 0, nil, tc.prev, nil)
+		if err != nil || !got.Converged {
+			t.Fatalf("%s: converged=%v err=%v", tc.name, got != nil && got.Converged, err)
 		}
-		if st.UsedDelta || st.Frontier != 0 || len(st.Touched) != 0 {
-			t.Fatalf("%s: fallback must report zero delta stats, got %+v", tc.name, st)
+		if st.UsedDelta || st.Frontier != 0 || len(st.Touched) != 0 || ps.Cloned != len(got.Pages) {
+			t.Fatalf("%s: fallback must report zero delta stats and clone every page, got %+v, %d cloned", tc.name, st, ps.Cloned)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: fallback column differs", tc.name)
+		for u := range want {
+			if e := got.Entry(eng, u); !reflect.DeepEqual(e, want[u]) {
+				t.Fatalf("%s: node %d entry %+v, oracle %+v", tc.name, u, e, want[u])
+			}
 		}
 	}
 }

@@ -10,7 +10,54 @@ import (
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/solve"
+	"metarouting/internal/value"
 )
+
+// BuildDestEngine is the value-level oracle for every column builder:
+// the boxed-value sweep (Workspace.BellmanFord, no interning, no kernel,
+// no pages) and one freshly allocated *Entry per routed node, its ECMP
+// set found by re-applying each out-arc to the neighbour's value. It
+// shares no code with the index-form builders past the engine itself.
+func BuildDestEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) ([]*Entry, bool, error) {
+	if dest < 0 || dest >= g.N {
+		return nil, false, fmt.Errorf("rib: destination %d out of range", dest)
+	}
+	if ws == nil {
+		ws = solve.NewWorkspace()
+	}
+	res := ws.BellmanFord(eng, g, dest, origin, 0)
+	entries := make([]*Entry, g.N)
+	for u := range entries {
+		entries[u] = entryFromResult(eng, g, res, u)
+	}
+	return entries, res.Converged, nil
+}
+
+// entryFromResult builds node u's entry toward res.Dest (nil when
+// unrouted): the selected weight plus the ECMP set of every neighbour
+// offering an order-equivalent best weight, primary first.
+func entryFromResult(eng exec.Algebra, g *graph.Graph, res *solve.Result, u int) *Entry {
+	if !res.Routed[u] {
+		return nil
+	}
+	e := &Entry{Weight: res.Weights[u]}
+	if u == res.Dest {
+		return e
+	}
+	e.NextHops = append(e.NextHops, res.NextHop[u])
+	best := exec.MustIntern(eng, res.Weights[u])
+	for _, h := range g.OutHops(u) {
+		v := int(h.Node)
+		if v == res.NextHop[u] || !res.Routed[v] {
+			continue
+		}
+		cand := eng.Apply(int(h.Label), exec.MustIntern(eng, res.Weights[v]))
+		if eng.Equiv(cand, best) {
+			e.NextHops = append(e.NextHops, v)
+		}
+	}
+	return e
+}
 
 // oracleAppendNextHopSet is the arc-index ECMP scan the packed adjacency
 // rows replaced (row → arc index → graph.Arc), kept as the oracle for

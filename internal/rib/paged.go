@@ -10,13 +10,13 @@ import (
 	"metarouting/internal/value"
 )
 
-// This file holds the paged copy-on-write route column: the O(frontier)
-// replacement for rebuilding a flat Column on every delta swap. Slots
-// and their ECMP pool live in fixed-size pages behind a small page
-// table; a delta rebuild clones only the pages containing touched slots
-// or toggle tails and shares every other page by pointer with the
-// previous snapshot, so a 4-node frontier on a 100k-node column copies
-// a handful of kilobytes instead of megabytes.
+// This file holds the paged copy-on-write route column, the one form a
+// server snapshot, a RIB and a replica store. Slots and their ECMP pool
+// live in fixed-size pages behind a small page table; a delta rebuild
+// clones only the pages containing touched slots or toggle tails and
+// shares every other page by pointer with the previous snapshot, so a
+// 4-node frontier on a 100k-node column copies a handful of kilobytes
+// instead of megabytes.
 //
 // The copy-on-write ownership rule: a published page is immutable.
 // Builders mutate only pages they freshly allocated within the current
@@ -24,11 +24,11 @@ import (
 // is frozen and may be aliased by any number of later columns. Sharing
 // is sound because page content is a pure function of its own nodes'
 // routes: each page carries its own pool with page-relative offsets,
-// slots are laid ascending and spans appended in slot order (the same
-// canonical layout the flat builder uses globally), so two columns
-// agreeing on a page's routes agree on the page's bytes — and Flatten
-// (concatenating pages in order, rebasing offsets) reproduces the flat
-// BuildDestColumn layout bit-identically.
+// slots are laid ascending and spans appended in slot order, so two
+// columns agreeing on a page's routes agree on the page's bytes — and
+// Flatten (concatenating pages in order, rebasing offsets) reproduces
+// the naive BuildDestColumn layout bit-identically. That equality is the
+// invariant every paged differential checks.
 
 // PageShift sets the page size: 1<<PageShift slots per page. 64 slots
 // (1 KiB of EntrySlots plus the page's ECMP pool) keeps the
@@ -61,15 +61,19 @@ func (p *ColumnPage) bytes() int {
 }
 
 // PagedColumn is one destination's route column in paged
-// copy-on-write form. It implements Col; readers address slots through
-// the page table, writers exist only inside the builders — the leader's
-// BuildDestPaged and DeltaDestPaged, a replica's Column.Paged and Patch.
+// copy-on-write form. Readers address slots through the page table;
+// writers exist only inside the builders — the leader's BuildDestPaged
+// and DeltaDestPaged, a replica's FromPages and Patch.
 type PagedColumn struct {
 	// Dest is the destination node anchoring the column; N the node
 	// count (len(Pages) == ceil(N/PageSize)).
 	Dest int
 	N    int
-	// Converged and Clean mirror Column.
+	// Converged reports whether the solver run reached a fixpoint. Clean
+	// is the verified clean-forwarding-tree certificate (see
+	// solve.Workspace.VerifyForwardTree): every routed slot's primary
+	// next-hop chain reaches Dest. It licenses the sparse warm start of
+	// the next delta; decoded and patched columns leave it false.
 	Converged bool
 	Clean     bool
 	// Pages is the page table. Pages may be shared by pointer with
@@ -115,12 +119,6 @@ type PageStats struct {
 // numPages returns the page count covering n nodes.
 func numPages(n int) int { return (n + PageSize - 1) >> PageShift }
 
-// DestNode, NumNodes, IsConverged and IsClean adapt to Col.
-func (c *PagedColumn) DestNode() int     { return c.Dest }
-func (c *PagedColumn) NumNodes() int     { return c.N }
-func (c *PagedColumn) IsConverged() bool { return c.Converged }
-func (c *PagedColumn) IsClean() bool     { return c.Clean }
-
 // Route returns node u's selected weight index (ok=false when unrouted
 // or out of range).
 func (c *PagedColumn) Route(u int) (int32, bool) {
@@ -143,23 +141,11 @@ func (c *PagedColumn) NextHops(u int) []int32 {
 	return c.Pages[u>>PageShift].hops(u & PageMask)
 }
 
-// AppendNextHops appends node u's ECMP span to dst — the batched query
-// plane's copy-out entry point, allocation-free past dst's capacity.
-func (c *PagedColumn) AppendNextHops(dst []int32, u int) []int32 {
-	if u < 0 || u >= c.N {
-		return dst
-	}
-	p := c.Pages[u>>PageShift]
-	s := p.Slots[u&PageMask]
-	if !s.Routed {
-		return dst
-	}
-	return append(dst, p.Pool[s.NhOff:s.NhOff+s.NhLen]...)
-}
-
 // Forward resolves the forwarding path from a node to the column's
 // destination following primary next hops; it fails on missing routes
-// and forwarding loops, mirroring Column.Forward.
+// and forwarding loops. The walk needs nothing but the column itself, so
+// followers forward straight off replicated columns; RIB.Forward
+// delegates here.
 func (c *PagedColumn) Forward(from int) (graph.Path, error) {
 	if from < 0 || from >= c.N {
 		return nil, fmt.Errorf("rib: node %d out of range [0,%d)", from, c.N)
@@ -215,10 +201,11 @@ func (c *PagedColumn) resum() {
 	}
 }
 
-// Flatten re-lays the column into flat arena form: pages concatenated
-// in order with pool offsets rebased. Because both layouts use the same
-// canonical order (slots ascending, spans appended in slot order), the
-// result is bit-identical to BuildDestColumn on the same routes.
+// Flatten re-lays the column into flat form: pages concatenated in order
+// with pool offsets rebased. Because both layouts use the same canonical
+// order (slots ascending, spans appended in slot order), the result is
+// bit-identical to BuildDestColumn on the same routes — the comparison
+// the differentials and the benchmark's oracle gate make.
 func (c *PagedColumn) Flatten() *Column {
 	poolLen := 0
 	for _, p := range c.Pages {
@@ -239,19 +226,13 @@ func (c *PagedColumn) Flatten() *Column {
 			s := p.Slots[i]
 			if s.Routed {
 				s.NhOff += off
-				f.live++
 			}
 			f.Slots[base+i] = s
 		}
 		f.Pool = append(f.Pool, p.Pool...)
 	}
-	f.liveOK = true
 	return f
 }
-
-// Paged is the identity — a paged column is already in the form the
-// replication codec reads.
-func (c *PagedColumn) Paged() *PagedColumn { return c }
 
 // MaxWeight folds the column's routed weight indices into a running
 // maximum — what a replication record's weight-name table must cover.
@@ -278,10 +259,9 @@ func FromPages(dest, n int, converged bool, pages []*ColumnPage) *PagedColumn {
 
 // Paged re-lays a flat column into paged copy-on-write form — the
 // inverse of Flatten: c.Paged().Flatten() is bit-identical to a
-// canonical c, and p.Flatten().Paged() reproduces p page for page.
-// Each page pool is allocated at its exact length: a replica holds
-// every column in this form for its whole life, so builder slack would
-// be resident memory.
+// canonical c, and p.Flatten().Paged() reproduces p page for page. Each
+// page pool is allocated at its exact length, as the replication
+// decoder lays its pages out.
 func (c *Column) Paged() *PagedColumn {
 	n := len(c.Slots)
 	pc := &PagedColumn{Dest: c.Dest, N: n, Converged: c.Converged, Clean: c.Clean, Pages: make([]*ColumnPage, numPages(n))}
@@ -477,10 +457,10 @@ func pagesFromRaw(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*
 	return pages
 }
 
-// BuildDestPaged computes the paged column for a single destination —
-// the paged counterpart of BuildDestColumn, sharing its solver run
-// (Workspace.ScratchRaw, whose solver the algebra's licence picks) and
-// ECMP scan.
+// BuildDestPaged computes the paged column for a single destination
+// from scratch — the solver run (Workspace.ScratchRaw, whose solver the
+// algebra's licence picks) and ECMP scan of BuildDestColumn, laid out in
+// pages, plus the derivation log the run left.
 func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) (*PagedColumn, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, fmt.Errorf("rib: destination %d out of range", dest)
@@ -562,8 +542,7 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 }
 
 // DeltaDestPaged recomputes the paged column for a single destination
-// after the given arc toggles, warm-starting from prev — the
-// copy-on-write counterpart of DeltaDestColumn. When the delta drain
+// after the given arc toggles, warm-starting from prev. When the delta drain
 // runs, only pages containing touched nodes or toggle tails are
 // rebuilt; every other page is shared with prev by pointer, so the
 // swap's data-plane cost is O(frontier), not O(N). On any fallback the

@@ -11,13 +11,12 @@ import (
 	"metarouting/internal/solve"
 )
 
-// TestPagedDifferential is the paged-vs-flat acceptance differential:
-// across random algebras × GNP/ring/grid × both engine backends, a
-// delta toggle chain driven through DeltaDestPaged must flatten
-// bit-identically to the flat DeltaDestColumn result (itself pinned to
-// from-scratch builds by TestDeltaColumnDifferential) at every step —
-// slots, pools, convergence and the clean certificate. CI runs the
-// package under -race, which also guards the aliased shared pages.
+// TestPagedDifferential is the paged acceptance differential: across
+// random algebras × GNP/ring/grid × both engine backends, a delta toggle
+// chain driven through DeltaDestPaged must flatten bit-identically to
+// the naive BuildDestColumn on the masked view at every step — slots,
+// pools, convergence and the clean certificate. CI runs the package
+// under -race, which also guards the aliased shared pages.
 func TestPagedDifferential(t *testing.T) {
 	for _, src := range []string{"delay(16,3)", "lex(delay(8,2), hops(8))"} {
 		a := alg(t, src)
@@ -32,10 +31,6 @@ func TestPagedDifferential(t *testing.T) {
 				ws := solve.NewWorkspace()
 				disabled := make([]bool, len(g.Arcs))
 				org := originFor(a)
-				prevFlat, err := BuildDestColumn(eng, g.MaskArcs(disabled), 0, org, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
 				prevPaged, err := BuildDestPaged(eng, g.MaskArcs(disabled), 0, org, ws)
 				if err != nil {
 					t.Fatal(err)
@@ -48,7 +43,7 @@ func TestPagedDifferential(t *testing.T) {
 					toggles := []solve.ArcToggle{{Arc: ai, Down: disabled[ai]}}
 					tag := fmt.Sprintf("%s/%s/%s step %d", src, backend, shape, step)
 
-					flat, _, err := DeltaDestColumn(eng, view, disabled, 0, org, ws, prevFlat, toggles)
+					flat, err := BuildDestColumn(eng, view, 0, org, solve.NewWorkspace())
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
@@ -71,12 +66,12 @@ func TestPagedDifferential(t *testing.T) {
 						}
 					}
 					if got := paged.Flatten(); !reflect.DeepEqual(got, flat) {
-						t.Fatalf("%s: flattened paged column differs from flat delta column\n got %+v\nwant %+v", tag, got, flat)
+						t.Fatalf("%s: flattened paged column differs from the naive build\n got %+v\nwant %+v", tag, got, flat)
 					}
 					// Delta drain or scratch fallback, the emitted change
 					// list is what an all-slots comparison would find.
 					checkChanges(t, tag, prevPaged, paged, ps.Changes, ps.Changed)
-					prevFlat, prevPaged = flat, paged
+					prevPaged = paged
 				}
 				if !sharedPages && g.N > PageSize {
 					t.Fatalf("%s/%s/%s: copy-on-write never shared a page", src, backend, shape)
@@ -184,65 +179,12 @@ func TestPageBoundaryECMPSpans(t *testing.T) {
 	}
 }
 
-// TestDeltaColumnAllocs pins the flat delta rebuild's allocation count:
-// the epoch-stamped redo bitmap replaced the per-call map, so a warm
-// rebuild allocates only the column header, slot arena and pool (plus
-// solver slice growth) — a handful of objects regardless of node count
-// or frontier shape.
-func TestDeltaColumnAllocs(t *testing.T) {
-	a := alg(t, "lex(delay(8,2), hops(8))")
-	eng, err := exec.Compile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Random(rand.New(rand.NewSource(11)), 1024, 0.008, graph.UniformLabels(a.F.Size()))
-	ws := solve.NewWorkspace()
-	org := originFor(a)
-	ai := 7
-	disabledDown := make([]bool, len(g.Arcs))
-	disabledDown[ai] = true
-	disabledUp := make([]bool, len(g.Arcs))
-	viewDown := g.WithArcToggled(ai, disabledDown)
-	viewUp := g
-	togDown := []solve.ArcToggle{{Arc: ai, Down: true}}
-	togUp := []solve.ArcToggle{{Arc: ai, Down: false}}
-
-	prev, err := BuildDestColumn(eng, g, 0, org, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the workspace and verify the delta path actually engages.
-	down, st, err := DeltaDestColumn(eng, viewDown, disabledDown, 0, org, ws, prev, togDown)
-	if err != nil || !st.UsedDelta {
-		t.Fatalf("down toggle: err=%v usedDelta=%v", err, st.UsedDelta)
-	}
-	up, st, err := DeltaDestColumn(eng, viewUp, disabledUp, 0, org, ws, down, togUp)
-	if err != nil || !st.UsedDelta {
-		t.Fatalf("up toggle: err=%v usedDelta=%v", err, st.UsedDelta)
-	}
-	prev = up
-
-	allocs := testing.AllocsPerRun(20, func() {
-		d, _, err := DeltaDestColumn(eng, viewDown, disabledDown, 0, org, ws, prev, togDown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, _, err := DeltaDestColumn(eng, viewUp, disabledUp, 0, org, ws, d, togUp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev = u
-	})
-	if allocs > 10 {
-		t.Fatalf("flat delta rebuild pair allocates %.0f objects per run, want ≤ 10", allocs)
-	}
-}
-
-// TestDeltaPagedAllocs pins the paged delta rebuild: beyond the flat
-// guard's bound it must allocate only the column header, the page
-// table copy, the dirty-page set, the one presized change list and the
-// cloned pages themselves — still a handful of objects at 1024 nodes,
-// and (unlike the flat path) O(frontier) bytes.
+// TestDeltaPagedAllocs pins the paged delta rebuild's allocation count:
+// the epoch-stamped redo bitmap replaced a per-call map, so a warm
+// rebuild allocates only the column header, the page table copy, the
+// dirty-page set, the one presized change list and the cloned pages
+// themselves — a handful of objects at 1024 nodes, and O(frontier)
+// bytes.
 func TestDeltaPagedAllocs(t *testing.T) {
 	a := alg(t, "lex(delay(8,2), hops(8))")
 	eng, err := exec.Compile(a)

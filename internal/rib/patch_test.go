@@ -2,7 +2,7 @@ package rib
 
 // Tests for the replica-side surface of the paged column: Paged (the
 // inverse of Flatten), Patch (the copy-on-write slot patch a follower
-// applies), and the allocation-light Forward both layouts share.
+// applies), and the allocation-light Forward.
 
 import (
 	"fmt"
@@ -18,14 +18,13 @@ import (
 // flatFromRoutes lays a flat column out canonically from per-node
 // content: routes[u] == nil is unrouted, otherwise {w, hops...}.
 func flatFromRoutes(dest int, routes [][]int32) *Column {
-	c := &Column{Dest: dest, Converged: true, Slots: make([]EntrySlot, len(routes)), Pool: []int32{}, liveOK: true}
+	c := &Column{Dest: dest, Converged: true, Slots: make([]EntrySlot, len(routes)), Pool: []int32{}}
 	for u, r := range routes {
 		if r == nil {
 			continue
 		}
 		c.Slots[u] = EntrySlot{W: r[0], Routed: true, NhOff: int32(len(c.Pool)), NhLen: int32(len(r) - 1)}
 		c.Pool = append(c.Pool, r[1:]...)
-		c.live++
 	}
 	return c
 }
@@ -63,8 +62,14 @@ func TestPagedRoundTrip(t *testing.T) {
 	if nh := paged.NextHops(63); !reflect.DeepEqual(nh, []int32{1, 2}) {
 		t.Fatalf("boundary span at node 63 = %v", nh)
 	}
-	if paged.Live() != flat.Live() || paged.Bytes() != len(paged.Pages)*PageSize*entrySlotBytes+4*len(flat.Pool) {
-		t.Fatalf("totals: live %d (flat %d), bytes %d", paged.Live(), flat.Live(), paged.Bytes())
+	live := 0
+	for _, s := range flat.Slots {
+		if s.Routed {
+			live++
+		}
+	}
+	if paged.Live() != live || paged.Bytes() != len(paged.Pages)*PageSize*entrySlotBytes+4*len(flat.Pool) {
+		t.Fatalf("totals: live %d (flat %d), bytes %d", paged.Live(), live, paged.Bytes())
 	}
 	for pi, p := range paged.Pages {
 		if cap(p.Pool) != len(p.Pool) {
@@ -153,8 +158,8 @@ func TestPatchRejects(t *testing.T) {
 // forwardBitmap is the walk Forward replaced — an N-slot visited bitmap
 // from the first hop — kept as the oracle for error texts and for which
 // node a loop is reported at.
-func forwardBitmap(c Col, from int) (graph.Path, error) {
-	n, dest := c.NumNodes(), c.DestNode()
+func forwardBitmap(c *PagedColumn, from int) (graph.Path, error) {
+	n, dest := c.N, c.Dest
 	if from < 0 || from >= n {
 		return nil, fmt.Errorf("rib: node %d out of range [0,%d)", from, n)
 	}
@@ -198,21 +203,18 @@ func forwardCases() [][]int32 {
 	return routes
 }
 
-// TestForwardBothLayouts runs every walk shape against the flat and the
-// paged column and the bitmap oracle: same path, same error, byte for
-// byte.
-func TestForwardBothLayouts(t *testing.T) {
-	flat := flatFromRoutes(0, forwardCases())
-	for name, c := range map[string]Col{"flat": flat, "paged": flat.Paged()} {
-		for _, from := range []int{-1, 400, 0, 1, 31, 32, 33, 34, 300, 303, 305, 310, 312, 320, 345, 360, 399} {
-			got, gerr := c.Forward(from)
-			want, werr := forwardBitmap(c, from)
-			if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-				t.Errorf("%s Forward(%d) = %v, %v\nwant %v, %v", name, from, got, gerr, want, werr)
-			}
+// TestForwardWalks runs every walk shape against the paged column and
+// the bitmap oracle: same path, same error, byte for byte.
+func TestForwardWalks(t *testing.T) {
+	c := flatFromRoutes(0, forwardCases()).Paged()
+	for _, from := range []int{-1, 400, 0, 1, 31, 32, 33, 34, 300, 303, 305, 310, 312, 320, 345, 360, 399} {
+		got, gerr := c.Forward(from)
+		want, werr := forwardBitmap(c, from)
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Errorf("Forward(%d) = %v, %v\nwant %v, %v", from, got, gerr, want, werr)
 		}
 	}
-	if _, err := flat.Forward(399); err == nil || err.Error() != "rib: forwarding loop at node 340 toward 0" {
+	if _, err := c.Forward(399); err == nil || err.Error() != "rib: forwarding loop at node 340 toward 0" {
 		t.Fatalf("long-tail loop reported as %v", err)
 	}
 }
@@ -225,25 +227,23 @@ func TestForwardAllocs(t *testing.T) {
 	for u := 1; u < len(routes); u++ {
 		routes[u] = []int32{1, int32(u - 1)}
 	}
-	flat := flatFromRoutes(0, routes)
-	for name, c := range map[string]Col{"flat": flat, "paged": flat.Paged()} {
-		walk := func() {
-			if p, err := c.Forward(4); err != nil || len(p) != 5 {
-				t.Fatalf("%s: Forward(4) = %v, %v", name, p, err)
-			}
+	c := flatFromRoutes(0, routes).Paged()
+	walk := func() {
+		if p, err := c.Forward(4); err != nil || len(p) != 5 {
+			t.Fatalf("Forward(4) = %v, %v", p, err)
 		}
-		// Five appends grow the path 1→2→4→8: four allocations, no more.
-		if allocs := testing.AllocsPerRun(100, walk); allocs > 4 {
-			t.Errorf("%s: 5-hop Forward allocates %.0f objects, want ≤ 4", name, allocs)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 100; i++ {
-			walk()
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 256 {
-			t.Errorf("%s: 5-hop Forward on a %d-node column allocates %d B", name, len(routes), per)
-		}
+	}
+	// Five appends grow the path 1→2→4→8: four allocations, no more.
+	if allocs := testing.AllocsPerRun(100, walk); allocs > 4 {
+		t.Errorf("5-hop Forward allocates %.0f objects, want ≤ 4", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		walk()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 256 {
+		t.Errorf("5-hop Forward on a %d-node column allocates %d B", len(routes), per)
 	}
 }

@@ -70,7 +70,7 @@ type BatchReply struct {
 type batchView interface {
 	batchVersion() uint64
 	batchNodes() int
-	batchColumn(dest int) rib.Col
+	batchColumn(dest int) *rib.PagedColumn
 	batchPrefixes() *rib.PrefixTable
 	batchWeightName(w int32) string
 	// batchForward walks primary next hops from a node holding a route
@@ -81,28 +81,20 @@ type batchView interface {
 // The leader's view is the pinned Snapshot itself (pointer-shaped, so
 // handing it to the handlers as a batchView never allocates); its server
 // supplies the engine's weight rendering and the sampled Forward timing.
-func (sn *Snapshot) batchVersion() uint64            { return sn.Version }
-func (sn *Snapshot) batchNodes() int                 { return sn.Graph.N }
-func (sn *Snapshot) batchColumn(dest int) rib.Col    { return sn.Column(dest) }
-func (sn *Snapshot) batchPrefixes() *rib.PrefixTable { return sn.prefixes }
-func (sn *Snapshot) batchWeightName(w int32) string  { return value.Format(sn.srv.eng.Value(w)) }
+func (sn *Snapshot) batchVersion() uint64                  { return sn.Version }
+func (sn *Snapshot) batchNodes() int                       { return sn.Graph.N }
+func (sn *Snapshot) batchColumn(dest int) *rib.PagedColumn { return sn.cols[dest] }
+func (sn *Snapshot) batchPrefixes() *rib.PrefixTable       { return sn.prefixes }
+func (sn *Snapshot) batchWeightName(w int32) string        { return value.Format(sn.srv.eng.Value(w)) }
 func (sn *Snapshot) batchForward(from, dest int) (graph.Path, error) {
 	return sn.srv.forwardOn(sn, from, dest)
 }
 
-func (v *followerView) batchVersion() uint64 { return v.state.Version }
-func (v *followerView) batchNodes() int      { return v.state.Nodes }
-func (v *followerView) batchColumn(dest int) rib.Col {
-	// Explicit nil return: wrapping a nil *rib.PagedColumn in the
-	// interface would defeat the caller's nil check.
-	c := v.state.Cols[dest]
-	if c == nil {
-		return nil
-	}
-	return c
-}
-func (v *followerView) batchPrefixes() *rib.PrefixTable { return v.pt }
-func (v *followerView) batchWeightName(w int32) string  { return v.state.WeightName(w) }
+func (v *followerView) batchVersion() uint64                  { return v.state.Version }
+func (v *followerView) batchNodes() int                       { return v.state.Nodes }
+func (v *followerView) batchColumn(dest int) *rib.PagedColumn { return v.state.Cols[dest] }
+func (v *followerView) batchPrefixes() *rib.PrefixTable       { return v.pt }
+func (v *followerView) batchWeightName(w int32) string        { return v.state.WeightName(w) }
 func (v *followerView) batchForward(from, dest int) (graph.Path, error) {
 	return v.state.Cols[dest].Forward(from)
 }
@@ -202,9 +194,8 @@ const colMemoSize = 64
 //	stage 3  read every page's pool header and copy the spans out
 //
 // Validation of the whole batch precedes any answer, so a malformed
-// query fails the frame with nothing resolved. Columns of the legacy
-// flat layout send the whole batch down resolveWireSerial, which is
-// also the oracle this function is differential-tested against.
+// query fails the frame with nothing resolved. The per-query resolver it
+// is differential-tested against lives in resolver_test.go.
 func resolveWireBatch(v batchView, sc *batchScratch) error {
 	qs := sc.qs
 	sc.as, sc.pool = sc.as[:0], sc.pool[:0] // an error leaves nothing answered
@@ -231,18 +222,7 @@ func resolveWireBatch(v batchView, sc *batchScratch) error {
 		if dest := as[i].Dest; dest >= 0 {
 			m := &cols[dest%colMemoSize]
 			if !m.known || m.dest != dest {
-				m.known, m.dest, m.col = true, dest, nil
-				if c := v.batchColumn(int(dest)); c != nil {
-					pc, paged := c.(*rib.PagedColumn)
-					if !paged {
-						as, pool, err := resolveWireSerial(v, qs, as[:0], sc.pool)
-						if err == nil {
-							sc.as, sc.pool = as, pool
-						}
-						return err
-					}
-					m.col = pc
-				}
+				m.known, m.dest, m.col = true, dest, v.batchColumn(int(dest))
 			}
 			if from := int(qs[i].From); m.col != nil && from < m.col.N {
 				pg = m.col.Pages[from>>rib.PageShift]
@@ -285,37 +265,6 @@ func resolveWireBatch(v batchView, sc *batchScratch) error {
 	}
 	sc.as, sc.pool = as, pool
 	return nil
-}
-
-// resolveWireSerial is the per-query resolver: each query runs its whole
-// lookup chain before the next starts. It serves columns of the legacy
-// flat layout and is the reference the staged resolver is tested
-// against; answers, pool layout and errors are the same.
-func resolveWireSerial(v batchView, qs []wire.Query, as []wire.Answer, pool []int32) ([]wire.Answer, []int32, error) {
-	nodes := v.batchNodes()
-	pt := v.batchPrefixes()
-	for i := range qs {
-		q := &qs[i]
-		a, err := matchWireQuery(i, q, nodes, pt)
-		if err != nil {
-			return as, pool, err
-		}
-		if a.Dest >= 0 {
-			if c := v.batchColumn(int(a.Dest)); c != nil {
-				if w, routed := c.Route(int(q.From)); routed {
-					a.Flags |= wire.FlagRouted
-					a.W = w
-					a.NhOff = uint32(len(pool))
-					pool = c.AppendNextHops(pool, int(q.From))
-					if a.NhLen, err = spanLen(i, len(pool)-int(a.NhOff)); err != nil {
-						return as, pool, err
-					}
-				}
-			}
-		}
-		as = append(as, a)
-	}
-	return as, pool, nil
 }
 
 // replyStore backs the fields of one RouteReply that point or slice

@@ -26,7 +26,7 @@ func TestResolveWireBatchAllocs(t *testing.T) {
 	}
 	g := graph.Grid(rand.New(rand.NewSource(11)), 3, 3, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 8: value.Pair{A: 2, B: 1}}
-	srv, err := New(exec.For(a.OT), g, origins, WithWorkers(1))
+	srv, err := NewServer(Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

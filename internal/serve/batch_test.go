@@ -129,7 +129,7 @@ func TestServeDifferentialBatched(t *testing.T) {
 		}
 		for name, eng := range engineBackends(t, a.OT) {
 			label := fmt.Sprintf("trial %d: %s on %s (%s)", trials, src, g, name)
-			serial, err := serve.New(eng, g, origins, serve.WithWorkers(1))
+			serial, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins}, serve.WithWorkers(1))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -192,7 +192,7 @@ func batchFixture(t testing.TB, opts ...serve.Option) *serve.Server {
 	r := rand.New(rand.NewSource(23))
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 15: value.Pair{A: 3, B: 2}}
-	srv, err := serve.New(exec.For(a.OT), g, origins, append([]serve.Option{serve.WithWorkers(2)}, opts...)...)
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, append([]serve.Option{serve.WithWorkers(2)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestServeConcurrentApplyStress(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 15: value.Pair{A: 3, B: 2}}
-	srv, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(4), serve.WithoutBatcher())
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, serve.WithWorkers(4), serve.WithoutBatcher())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func benchServer(b *testing.B, workers int) (*serve.Server, *graph.Graph) {
 	for d := 0; d < 8; d++ {
 		origins[d*8] = value.Pair{A: 0, B: 8}
 	}
-	srv, err := serve.New(exec.For(a.OT, value.Pair{A: 0, B: 8}), g, origins, serve.WithWorkers(workers))
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, value.Pair{A: 0, B: 8}), Graph: g, Origins: origins}, serve.WithWorkers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,124 +1,42 @@
 package serve_test
 
-// Equivalence tests for the consolidated constructor: NewServer with
-// WithScenario / WithAnnouncements must build the same server the
-// deprecated New / NewPrefix / NewFromScenario wrappers do — same
-// checksum, version and footprint — because the wrappers are now thin
-// forwards and any drift means the folding broke a form.
+// Construction-time failures of NewServer: configurations it must
+// refuse with an error rather than a panic or a half-built server.
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/rib"
-	"metarouting/internal/scenario"
 	"metarouting/internal/serve"
-	"metarouting/internal/value"
 )
 
-// sameServer asserts two freshly built servers agree on the published
-// state and its footprint.
-func sameServer(t *testing.T, a, b *serve.Server) {
-	t.Helper()
-	if a.Checksum() != b.Checksum() {
-		t.Fatalf("checksums diverge: %08x vs %08x", a.Checksum(), b.Checksum())
-	}
-	as, bs := a.Stats(), b.Stats()
-	if as.Nodes != bs.Nodes || as.Destinations != bs.Destinations ||
-		as.Prefixes != bs.Prefixes || as.LiveEntries != bs.LiveEntries {
-		t.Fatalf("stats diverge:\n%+v\n%+v", as, bs)
-	}
-	if a.Snapshot().Version != b.Snapshot().Version {
-		t.Fatalf("versions diverge: %d vs %d", a.Snapshot().Version, b.Snapshot().Version)
-	}
-}
-
-func TestNewServerEquivalence(t *testing.T) {
+func TestNewServerRejectsBadConfig(t *testing.T) {
 	a, err := core.InferString("delay(16,3)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.Ring(rand.New(rand.NewSource(11)), 16, graph.UniformLabels(a.OT.F.Size()))
-
-	t.Run("origins", func(t *testing.T) {
-		origins := map[int]value.V{0: 0, 5: 1}
-		oldSrv, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oldSrv.Close()
-		newSrv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
-			serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer newSrv.Close()
-		sameServer(t, oldSrv, newSrv)
-	})
-
-	t.Run("announcements", func(t *testing.T) {
-		announced := []rib.PrefixOrigin{
-			{Prefix: mustPrefix(t, "10.0.0.0/8"), Node: 0, Origin: 0},
-			{Prefix: mustPrefix(t, "172.16.0.0/12"), Node: 5, Origin: 0},
-		}
-		oldSrv, err := serve.NewPrefix(exec.For(a.OT), g, announced, serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oldSrv.Close()
-		newSrv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g},
-			serve.WithAnnouncements(announced), serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer newSrv.Close()
-		sameServer(t, oldSrv, newSrv)
-		// An out-of-range anchor still fails construction.
-		if _, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g},
+	for _, tc := range []struct {
+		name string
+		cfg  serve.Config
+		opts []serve.Option
+	}{
+		{"out-of-range anchor", serve.Config{Engine: exec.For(a.OT), Graph: g}, []serve.Option{
 			serve.WithAnnouncements([]rib.PrefixOrigin{
 				{Prefix: mustPrefix(t, "10.0.0.0/8"), Node: 99, Origin: 0},
-			})); err == nil {
-			t.Fatal("out-of-range anchor must fail")
-		}
-	})
-
-	t.Run("scenario", func(t *testing.T) {
-		src := `
-expr   delay(64, 4)
-nodes  3
-arc    1 0 +1
-arc    2 1 +1
-arc    2 0 +4
-dest   0
-origin 0
-`
-		sc, err := scenario.Parse(strings.NewReader(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldSrv, err := serve.NewFromScenario(sc, serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oldSrv.Close()
-		newSrv, err := serve.NewServer(serve.Config{}, serve.WithScenario(sc), serve.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer newSrv.Close()
-		sameServer(t, oldSrv, newSrv)
-	})
-
-	t.Run("nil-inputs", func(t *testing.T) {
-		if _, err := serve.NewServer(serve.Config{}); err == nil {
-			t.Fatal("empty config must fail, not panic")
-		}
-		if _, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT)}); err == nil {
-			t.Fatal("nil graph must fail, not panic")
-		}
-	})
+			}),
+		}},
+		{"empty config", serve.Config{}, nil},
+		{"nil graph", serve.Config{Engine: exec.For(a.OT)}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := serve.NewServer(tc.cfg, tc.opts...); err == nil {
+				t.Fatalf("%s must fail, not panic", tc.name)
+			}
+		})
+	}
 }

@@ -20,8 +20,14 @@ import (
 	"metarouting/internal/graph"
 	"metarouting/internal/rib"
 	"metarouting/internal/serve"
+	"metarouting/internal/solve"
 	"metarouting/internal/value"
 )
+
+// warmStartAllowed is the delta gate a server fed the inferred set opens.
+func warmStartAllowed(a *core.Algebra) bool {
+	return solve.NewLicence(exec.NewDynamic(a.OT), a.Props).WarmStartAllowed()
+}
 
 // TestServeDifferentialDelta is the tentpole acceptance test for the
 // delta pipeline: random licensed finite algebras × GNP/ring/grid
@@ -40,7 +46,7 @@ func TestServeDifferentialDelta(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if !a.OT.Finite() || a.OT.Carrier().Size() > 4000 || !rib.DeltaLicensedSet(a.Props) {
+		if !a.OT.Finite() || a.OT.Carrier().Size() > 4000 || !warmStartAllowed(a) {
 			continue
 		}
 		trials++
@@ -176,7 +182,7 @@ func TestServeDeltaDerivationLog(t *testing.T) {
 			}
 			wSnap, cSnap := warm.Snapshot(), cold.Snapshot()
 			for _, d := range warm.Dests() {
-				got, want := wSnap.Column(d).Paged(), cSnap.Column(d).Paged()
+				got, want := wSnap.Column(d), cSnap.Column(d)
 				if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
 					t.Fatalf("%s storm %d: destination %d diverged from the WithDelta(false) server", shape, storm, d)
 				}
@@ -205,13 +211,13 @@ func TestServeDeltaUnlicensedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rib.DeltaLicensedSet(a.Props) {
+	if warmStartAllowed(a) {
 		t.Fatal("widest-shortest must not be licensed — the fixture lost its teeth")
 	}
 	r := rand.New(rand.NewSource(11))
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 4, B: 0}, 15: value.Pair{A: 4, B: 0}}
-	srv, err := serve.New(exec.For(a.OT), g, origins,
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
 		serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +263,7 @@ func TestMeasureDeltaSmoke(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		g := graph.Random(r, 16, 0.25, graph.UniformLabels(a.OT.F.Size()))
 		origins := map[int]value.V{0: 0, g.N - 1: 1}
-		return serve.New(exec.For(a.OT), g, origins,
+		return serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
 			serve.WithWorkers(2), serve.WithDelta(delta), serve.WithDeltaProps(a.Props))
 	}
 	rep, err := serve.MeasureDelta(mk, 2, 2, 99)

@@ -37,7 +37,7 @@ func TestEncodeFullAllocs(t *testing.T) {
 	g := graph.ScaleFree(rand.New(rand.NewSource(16)), n, 2, graph.UniformLabels(a.OT.F.Size()))
 	origin := a.OT.Carrier().Elems[0]
 	dests := map[int]value.V{0: origin, n / 3: origin, 2 * n / 3: origin, n - 1: origin}
-	srv, err := serve.New(eng, g, dests, serve.WithWorkers(1), serve.WithReplication(&captureSink{discard: true}))
+	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: dests}, serve.WithWorkers(1), serve.WithReplication(&captureSink{discard: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestEncodeFullConcurrentWithSwaps(t *testing.T) {
 	g := graph.Random(r, 48, 0.12, graph.UniformLabels(a.OT.F.Size()))
 	origin := a.OT.Carrier().Elems[0]
 	sink := &captureSink{}
-	srv, err := serve.New(exec.NewDynamic(a.OT), g, map[int]value.V{0: origin, 17: origin, 40: origin},
+	srv, err := serve.NewServer(serve.Config{Engine: exec.NewDynamic(a.OT), Graph: g, Origins: map[int]value.V{0: origin, 17: origin, 40: origin}},
 		serve.WithWorkers(2), serve.WithReplication(sink))
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func bootReplicatedPair(t *testing.T) (*serve.Server, *serve.Follower, *captureS
 	g := graph.Grid(rand.New(rand.NewSource(11)), 3, 3, graph.UniformLabels(a.OT.F.Size()))
 	origin := a.OT.Carrier().Elems[0]
 	sink := &captureSink{}
-	srv, err := serve.New(exec.NewDynamic(a.OT), g, map[int]value.V{0: origin, 4: origin},
+	srv, err := serve.NewServer(serve.Config{Engine: exec.NewDynamic(a.OT), Graph: g, Origins: map[int]value.V{0: origin, 4: origin}},
 		serve.WithReplication(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestScrapePinsSnapshotVersion(t *testing.T) {
 	}
 	g := graph.Ring(rand.New(rand.NewSource(12)), 6, graph.UniformLabels(a.OT.F.Size()))
 	reg := telemetry.NewRegistry()
-	srv, err := serve.New(exec.NewDynamic(a.OT), g, map[int]value.V{0: a.OT.Carrier().Elems[0]},
+	srv, err := serve.NewServer(serve.Config{Engine: exec.NewDynamic(a.OT), Graph: g, Origins: map[int]value.V{0: a.OT.Carrier().Elems[0]}},
 		serve.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func benchServer(b *testing.B) *Server {
 	origin := a.OT.DefaultOrigin()
 	g := graph.Random(rand.New(rand.NewSource(7)), 64, 0.15, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: origin, 21: origin, 42: origin}
-	srv, err := New(exec.For(a.OT, origin), g, origins, WithWorkers(2))
+	srv, err := NewServer(Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins}, WithWorkers(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkResolveWireBatch(b *testing.B) {
 		for i := 0; i < dests; i++ {
 			origins[i*nodes/dests] = origin
 		}
-		srv, err := New(exec.For(a.OT, origin), g, origins, WithWorkers(2))
+		srv, err := NewServer(Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins}, WithWorkers(2))
 		if err != nil {
 			b.Fatal(err)
 		}

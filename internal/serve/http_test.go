@@ -33,7 +33,7 @@ func httpFixture(t testing.TB, reg *telemetry.Registry) (*serve.Server, *http.Se
 	r := rand.New(rand.NewSource(11))
 	g := graph.Grid(r, 3, 3, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 8: value.Pair{A: 2, B: 1}}
-	srv, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(2), serve.WithRegistry(reg))
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, serve.WithWorkers(2), serve.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func asyncFixture(t *testing.T, policy serve.Backpressure) (*serve.Server, *http
 	r := rand.New(rand.NewSource(11))
 	g := graph.Grid(r, 3, 3, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}}
-	srv, err := serve.New(exec.For(a.OT), g, origins,
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
 		serve.WithWorkers(1), serve.WithoutBatcher(), serve.WithQueueCapacity(2), serve.WithBackpressure(policy))
 	if err != nil {
 		t.Fatal(err)

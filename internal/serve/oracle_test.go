@@ -3,9 +3,9 @@ package serve
 // The scan-based publish path this package ran before the rebuild became
 // the producer of a swap's diff, kept as the oracle the differential
 // tests hold the live server against: after every swap it compares the
-// previous and the new snapshot slot by slot through the rib.Col read
-// surface — nothing shared with rib.DiffPaged, the page refill's
-// emission or scanChanges — counts the flaps, encodes the delta record
+// previous and the new snapshot slot by slot through the column's read
+// surface — nothing shared with rib.DiffPaged or the page refill's
+// emission — counts the flaps, encodes the delta record
 // from that comparison, and demands the server's flap counter and the
 // frame it handed its sink be equal to both, byte for byte.
 
@@ -20,7 +20,7 @@ import (
 )
 
 // oracleSlotEqual compares node u's route across two columns.
-func oracleSlotEqual(a, b rib.Col, u int) bool {
+func oracleSlotEqual(a, b *rib.PagedColumn, u int) bool {
 	wa, ra := a.Route(u)
 	wb, rb := b.Route(u)
 	if ra != rb {
@@ -46,14 +46,14 @@ func oracleSlotEqual(a, b rib.Col, u int) bool {
 
 // oracleFlaps counts the slots that differ between two snapshots'
 // columns, skipping columns shared by pointer.
-func oracleFlaps(prev, next map[int]rib.Col) uint64 {
+func oracleFlaps(prev, next map[int]*rib.PagedColumn) uint64 {
 	var flaps uint64
 	for d, col := range next {
 		old, ok := prev[d]
-		if !ok || old == col || old.NumNodes() != col.NumNodes() {
+		if !ok || old == col || old.N != col.N {
 			continue
 		}
-		for u := 0; u < col.NumNodes(); u++ {
+		for u := 0; u < col.N; u++ {
 			if !oracleSlotEqual(col, old, u) {
 				flaps++
 			}
@@ -64,9 +64,8 @@ func oracleFlaps(prev, next map[int]rib.Col) uint64 {
 
 // oracleMaxWeight folds a column's routed weight indices into a running
 // maximum, through the read surface.
-func oracleMaxWeight(c rib.Col, cur int) int {
-	n := c.NumNodes()
-	for u := 0; u < n; u++ {
+func oracleMaxWeight(c *rib.PagedColumn, cur int) int {
+	for u := 0; u < c.N; u++ {
 		if w, ok := c.Route(u); ok && int(w) > cur {
 			cur = int(w)
 		}
@@ -111,9 +110,9 @@ func (o *SwapOracle) encodeDelta(prev, sn *Snapshot, toggles []ArcEvent) []byte 
 		if nc == oc {
 			continue
 		}
-		n := nc.NumNodes()
-		if oc == nil || oc.NumNodes() != n {
-			d.Scratch = append(d.Scratch, nc.Paged())
+		n := nc.N
+		if oc == nil || oc.N != n {
+			d.Scratch = append(d.Scratch, nc)
 			maxW = oracleMaxWeight(nc, maxW)
 			continue
 		}
@@ -135,15 +134,15 @@ func (o *SwapOracle) encodeDelta(prev, sn *Snapshot, toggles []ArcEvent) []byte 
 			}
 			changes = append(changes, ch)
 		}
-		if len(changes) == 0 && nc.IsConverged() == oc.IsConverged() {
+		if len(changes) == 0 && nc.Converged == oc.Converged {
 			continue
 		}
 		if len(changes) > n/2 {
-			d.Scratch = append(d.Scratch, nc.Paged())
+			d.Scratch = append(d.Scratch, nc)
 			maxW = oracleMaxWeight(nc, maxW)
 			continue
 		}
-		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: dest, Converged: nc.IsConverged(), Changes: changes})
+		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: dest, Converged: nc.Converged, Changes: changes})
 	}
 	d.NameBase = o.nameCount
 	if maxW+1 > o.nameCount {
@@ -213,13 +212,13 @@ func (o *SwapOracle) EncodeConvergedFlip(dest int) (got, want []byte, err error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev := s.snap.Load()
-	old, ok := prev.cols[dest].(*rib.PagedColumn)
-	if !ok {
-		return nil, nil, fmt.Errorf("destination %d has no paged column", dest)
+	old := prev.cols[dest]
+	if old == nil {
+		return nil, nil, fmt.Errorf("destination %d has no column", dest)
 	}
 	flipped := *old
 	flipped.Converged = !old.Converged
-	sn := &Snapshot{Version: prev.Version + 1, cols: map[int]rib.Col{}}
+	sn := &Snapshot{Version: prev.Version + 1, cols: map[int]*rib.PagedColumn{}}
 	for d, c := range prev.cols {
 		sn.cols[d] = c
 	}

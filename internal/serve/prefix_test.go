@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"metarouting/internal/graph"
 	"metarouting/internal/rib"
 	"metarouting/internal/serve"
+	"metarouting/internal/solve"
 	"metarouting/internal/telemetry"
 	"metarouting/internal/value"
 )
@@ -33,7 +35,8 @@ func prefixServer(t *testing.T, announced []rib.PrefixOrigin, opts ...serve.Opti
 		t.Fatal(err)
 	}
 	g := graph.Ring(rand.New(rand.NewSource(11)), 16, graph.UniformLabels(a.OT.F.Size()))
-	srv, err := serve.NewPrefix(exec.For(a.OT, 0), g, announced, opts...)
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, 0), Graph: g},
+		append([]serve.Option{serve.WithAnnouncements(announced)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +170,20 @@ func TestConflictingAnnouncements(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Ring(rand.New(rand.NewSource(2)), 8, graph.UniformLabels(a.OT.F.Size()))
-	if _, err := serve.NewPrefix(exec.For(a.OT, 0), g, []rib.PrefixOrigin{
+	boot := func(announced []rib.PrefixOrigin) error {
+		srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, 0), Graph: g}, serve.WithAnnouncements(announced))
+		if err == nil {
+			srv.Close()
+		}
+		return err
+	}
+	if err := boot([]rib.PrefixOrigin{
 		{Prefix: rib.MakePrefix(10<<24, 8), Node: 1, Origin: 0},
 		{Prefix: rib.MakePrefix(10<<24, 8), Node: 2, Origin: 0},
 	}); err == nil {
 		t.Fatal("conflicting anchors must error")
 	}
-	if _, err := serve.NewPrefix(exec.For(a.OT, 0), g, []rib.PrefixOrigin{
+	if err := boot([]rib.PrefixOrigin{
 		{Prefix: rib.MakePrefix(10<<24, 8), Node: 99, Origin: 0},
 	}); err == nil {
 		t.Fatal("out-of-range anchor must error")
@@ -188,7 +198,7 @@ func TestAutoPrefixPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
-	srv, err := serve.New(exec.For(a.OT, 0), g, map[int]value.V{0: 0, 7: 0})
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, 0), Graph: g, Origins: map[int]value.V{0: 0, 7: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +254,12 @@ func TestFootprintGauges(t *testing.T) {
 	}
 }
 
-// TestMeasureScaleSmoke runs the scale bench at toy sizes and checks
-// the report shape plus the arena win.
-func TestMeasureScaleSmoke(t *testing.T) {
+// TestAutoPrefixResolvesEveryDest is the LPM differential at scale: on
+// a 1 000-node scale-free graph where every node is a destination, each
+// destination's auto-prefix /32 resolves through the trie to exactly its
+// own node, and the column the snapshot holds for the match is that
+// destination's, equal to the naive flat build of it.
+func TestAutoPrefixResolvesEveryDest(t *testing.T) {
 	a, err := core.InferString("delay(16,3)")
 	if err != nil {
 		t.Fatal(err)
@@ -255,29 +268,38 @@ func TestMeasureScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(nodes int) (exec.Algebra, *graph.Graph, map[int]value.V, error) {
-		g := graph.ScaleFree(rand.New(rand.NewSource(9)), nodes, 2, graph.UniformLabels(a.OT.F.Size()))
-		return eng, g, map[int]value.V{0: 0, nodes / 2: 0}, nil
+	const nodes = 1000
+	g := graph.ScaleFree(rand.New(rand.NewSource(9)), nodes, 2, graph.UniformLabels(a.OT.F.Size()))
+	origins := make(map[int]value.V, nodes)
+	for d := 0; d < nodes; d++ {
+		origins[d] = 0
 	}
-	// Retained-heap deltas: below ~1k nodes the two columns are a few KB
-	// and a stray runtime allocation inside the window moves the ratio
-	// (at 200 nodes the ≥ 1.5 check failed about one run in thirty).
-	rep, err := serve.MeasureScale(mk, []int{1000, 2000})
+	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins}, serve.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
+	defer srv.Close()
+	sn := srv.Snapshot()
+	if got := sn.Prefixes().Len(); got != nodes {
+		t.Fatalf("%d auto-prefixes for %d destinations", got, nodes)
 	}
-	for _, p := range rep.Points {
-		if !p.LPMDifferentialOK {
-			t.Fatalf("LPM differential not recorded: %+v", p)
+	ws := solve.NewWorkspace()
+	for d := 0; d < nodes; d++ {
+		p := rib.AutoPrefix(d)
+		match, ok := sn.MatchAddr(p.Addr)
+		if !ok || match.Node != d || match.Prefix != p {
+			t.Fatalf("auto-prefix %v of destination %d matched %+v (ok=%v)", p, d, match, ok)
 		}
-		if p.Entries <= 0 || p.ArenaBytes <= 0 || p.PointerBytes <= 0 {
-			t.Fatalf("empty measurement: %+v", p)
+		col := sn.Column(match.Node)
+		if col == nil || col.Dest != d {
+			t.Fatalf("destination %d: the match's column is %+v", d, col)
 		}
-		if p.Ratio < 1.5 {
-			t.Fatalf("arena ratio %.2f at n=%d — expected a clear win even at toy sizes", p.Ratio, p.Nodes)
+		want, err := rib.BuildDestColumn(eng, g, d, 0, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := col.Flatten(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("destination %d: served column differs from the naive build", d)
 		}
 	}
 }

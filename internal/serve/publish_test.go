@@ -54,7 +54,7 @@ func newShadowed(t *testing.T, label string, eng exec.Algebra, g *graph.Graph, o
 	t.Helper()
 	sink := &captureSink{}
 	opts = append([]serve.Option{serve.WithReplication(sink), serve.WithRegistry(telemetry.NewRegistry())}, opts...)
-	srv, err := serve.New(eng, g, origins, opts...)
+	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins}, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -83,10 +83,9 @@ func (sh *shadowed) checkSkipped(prev *serve.Snapshot, events []serve.ArcEvent) 
 		if err != nil {
 			sh.t.Fatalf("%s: v%d dest %d: %v", sh.label, cur.Version, d, err)
 		}
-		got := col.Paged()
-		if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
+		if col.Converged != want.Converged || col.Clean != want.Clean || !reflect.DeepEqual(col.Pages, want.Pages) {
 			sh.t.Fatalf("%s: v%d: destination %d was skipped but a scratch build on the new view differs (converged %v/%v, clean %v/%v)",
-				sh.label, cur.Version, d, got.Converged, want.Converged, got.Clean, want.Clean)
+				sh.label, cur.Version, d, col.Converged, want.Converged, col.Clean, want.Clean)
 		}
 		for _, ev := range events {
 			a := cur.Graph.Arcs[ev.Arc]
@@ -207,15 +206,10 @@ func mustArc(t *testing.T, g *graph.Graph, from, to int) int {
 	return -1
 }
 
-// layouts runs f on both execution backends under both column layouts:
-// the paged default, whose diff comes out of the rebuild itself, and the
-// legacy flat one with its single full-scan fallback.
-func layouts(t *testing.T, ot *ost.OrderTransform, f func(t *testing.T, label string, eng exec.Algebra, paged serve.Option)) {
+// backends runs f on every execution backend.
+func backends(t *testing.T, ot *ost.OrderTransform, f func(t *testing.T, label string, eng exec.Algebra)) {
 	for backend, eng := range engineBackends(t, ot) {
-		for _, paged := range []bool{true, false} {
-			label := fmt.Sprintf("%s/paged=%v", backend, paged)
-			t.Run(label, func(t *testing.T) { f(t, label, eng, serve.WithPagedColumns(paged)) })
-		}
+		t.Run(backend, func(t *testing.T) { f(t, backend, eng) })
 	}
 }
 
@@ -237,9 +231,9 @@ func TestPublishFanCases(t *testing.T) {
 	}
 	g := graph.MustNew(n, arcs)
 	origin := a.OT.Carrier().Elems[0]
-	layouts(t, a.OT, func(t *testing.T, label string, eng exec.Algebra, paged serve.Option) {
+	backends(t, a.OT, func(t *testing.T, label string, eng exec.Algebra) {
 		sh := newShadowed(t, label, eng, g, map[int]value.V{0: origin, 2: origin},
-			serve.WithWorkers(2), serve.WithDeltaProps(a.Props), paged)
+			serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
 		defer sh.Close()
 		if !sh.Stats().DeltaEnabled {
 			t.Fatal("delay must license the delta path")
@@ -302,9 +296,9 @@ func TestPublishECMPOnlyChange(t *testing.T) {
 		arcs = append(arcs, graph.Arc{From: u, To: 1}, graph.Arc{From: u, To: 2})
 	}
 	g := graph.MustNew(70, arcs)
-	layouts(t, a.OT, func(t *testing.T, label string, eng exec.Algebra, paged serve.Option) {
+	backends(t, a.OT, func(t *testing.T, label string, eng exec.Algebra) {
 		sh := newShadowed(t, label, eng, g, map[int]value.V{0: a.OT.Carrier().Elems[0]},
-			serve.WithDeltaProps(a.Props), paged)
+			serve.WithDeltaProps(a.Props))
 		defer sh.Close()
 		d := sh.toggle(mustArc(t, g, 64, 2), true)
 		if len(d.Scratch) != 0 || len(d.Diffs) != 1 || len(d.Diffs[0].Changes) != 1 {
@@ -334,8 +328,8 @@ func TestPublishUnconvergedColumns(t *testing.T) {
 	g, _ := graph.BadGadgetArcs()
 	licence := prop.Make()
 	licence.Declare(prop.MLeft)
-	layouts(t, ot, func(t *testing.T, label string, eng exec.Algebra, paged serve.Option) {
-		sh := newShadowed(t, label, eng, g, map[int]value.V{0: 0}, serve.WithDeltaProps(licence), paged)
+	backends(t, ot, func(t *testing.T, label string, eng exec.Algebra) {
+		sh := newShadowed(t, label, eng, g, map[int]value.V{0: 0}, serve.WithDeltaProps(licence))
 		defer sh.Close()
 		if !sh.Stats().DeltaEnabled || len(sh.Snapshot().Unconverged) != 1 {
 			t.Fatalf("fixture lost its teeth: delta enabled %v, unconverged %v", sh.Stats().DeltaEnabled, sh.Snapshot().Unconverged)
@@ -387,7 +381,7 @@ func TestArcByEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.MustNew(4, []graph.Arc{{From: 1, To: 0}, {From: 2, To: 1}, {From: 2, To: 1, Label: 1}, {From: 3, To: 2}, {From: 2, To: 0}})
-	srv, err := serve.New(exec.For(a.OT), g, map[int]value.V{0: 0})
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: map[int]value.V{0: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +447,8 @@ func TestPublishAllocsScaleWithChanges(t *testing.T) {
 	arcs := g.Arcs
 	origin := a.OT.Carrier().Elems[0]
 	dests := map[int]value.V{0: origin, n / 3: origin, 2 * n / 3: origin, n - 1: origin}
-	srv, err := serve.New(eng, g, dests, serve.WithWorkers(1), serve.WithDeltaProps(a.Props),
+	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: dests},
+		serve.WithWorkers(1), serve.WithDeltaProps(a.Props),
 		serve.WithReplication(&captureSink{discard: true}), serve.WithRegistry(telemetry.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)

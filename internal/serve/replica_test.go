@@ -138,13 +138,6 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			srv := newShadowed(t, name, mk(), g, origins, serve.WithWorkers(workers))
 			sink := srv.sink
 			defer srv.Close()
-			// The leader runs the default paged copy-on-write columns, so
-			// this storm also proves follower byte-identity against paged
-			// leaders (records are written straight from the pages).
-			if !srv.Stats().PagedColumns {
-				t.Fatal("leader expected to default to paged columns")
-			}
-
 			// Drive the storm, capturing ground truth after every swap.
 			truth := map[uint64]leaderState{srv.Snapshot().Version: captureLeader(srv.Server)}
 			disabled := make([]bool, len(g.Arcs))

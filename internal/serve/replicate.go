@@ -7,9 +7,9 @@ package serve
 // package's publisher, or anything else that wants the stream).
 //
 // The delta records lean on the same canonical-layout invariant the
-// arena columns already maintain: every column builder fills slots in
+// paged columns already maintain: every column builder fills slots in
 // ascending node order and appends each slot's ECMP span contiguously
-// (per page, in the paged layout), so a column's bytes are a pure
+// within its page, so a column's bytes are a pure
 // function of its per-node route content. A follower that patches only
 // the changed slots and re-lays the pages holding them in the same
 // order therefore reproduces the leader's column byte for byte — which
@@ -144,7 +144,7 @@ func (s *Server) EncodeFull() (uint64, []byte, error) {
 	s.mu.Lock()
 	sn, names := s.snap.Load(), s.names[:len(s.names):len(s.names)]
 	s.mu.Unlock()
-	cols := s.pagedCols(sn)
+	cols := s.sortedCols(sn)
 	if s.sink == nil {
 		// No publish maintains the table without a sink; cover the
 		// shortfall in this record alone (the capped slice makes the
@@ -154,13 +154,12 @@ func (s *Server) EncodeFull() (uint64, []byte, error) {
 	return sn.Version, s.encodeFull(sn, cols, names), nil
 }
 
-// pagedCols returns sn's columns in the form the codec reads, ascending
-// by destination — the columns themselves under the paged layout, a
-// re-lay of each under the legacy flat one.
-func (s *Server) pagedCols(sn *Snapshot) []*rib.PagedColumn {
+// sortedCols returns sn's columns ascending by destination, the order
+// the codec writes them in.
+func (s *Server) sortedCols(sn *Snapshot) []*rib.PagedColumn {
 	cols := make([]*rib.PagedColumn, len(s.dests))
 	for i, d := range s.dests {
-		cols[i] = sn.cols[d].Paged()
+		cols[i] = sn.cols[d]
 	}
 	return cols
 }
@@ -225,13 +224,12 @@ func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, built
 	maxW := -1
 	for i := range built { // ascending by destination, like s.dests
 		r := &built[i]
-		if r.changed > r.col.NumNodes()/2 {
-			pc := r.col.Paged()
-			d.Scratch = append(d.Scratch, pc)
-			maxW = pc.MaxWeight(maxW)
+		if r.changed > r.col.N/2 {
+			d.Scratch = append(d.Scratch, r.col)
+			maxW = r.col.MaxWeight(maxW)
 			continue
 		}
-		if r.changed == 0 && r.col.IsConverged() == prev.cols[r.dest].IsConverged() {
+		if r.changed == 0 && r.col.Converged == prev.cols[r.dest].Converged {
 			continue
 		}
 		for j := range r.changes {
@@ -239,7 +237,7 @@ func (s *Server) encodeDeltaLocked(prev, sn *Snapshot, toggles []ArcEvent, built
 				maxW = int(ch.W)
 			}
 		}
-		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: r.dest, Converged: r.col.IsConverged(), Changes: r.changes})
+		d.Diffs = append(d.Diffs, replica.ColumnDiff{Dest: r.dest, Converged: r.col.Converged, Changes: r.changes})
 	}
 	d.NameBase = len(s.names)
 	s.names = s.appendNames(s.names, maxW)
@@ -266,7 +264,7 @@ func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, built []rebuil
 	if toggles == nil || cur == nil {
 		// Every column may be new: bring the names table up to the
 		// snapshot before encoding it.
-		cols = s.pagedCols(sn)
+		cols = s.sortedCols(sn)
 		s.names = s.appendNames(s.names, maxWeight(cols))
 		frame = s.encodeFull(sn, cols, s.names)
 		s.repFull.Add(1)
@@ -287,7 +285,7 @@ func (s *Server) replicate(cur, sn *Snapshot, toggles []ArcEvent, built []rebuil
 	// leader side.
 	if r, ok := s.sink.(LogRotator); ok && r.RotateDue() {
 		if cols == nil {
-			cols = s.pagedCols(sn)
+			cols = s.sortedCols(sn)
 		}
 		if err := r.RotateLog(sn.Version, s.encodeFull(sn, cols, s.names)); err != nil {
 			s.repErrors.Add(1)

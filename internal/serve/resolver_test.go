@@ -2,10 +2,9 @@ package serve
 
 // Differential tests for the staged binary resolver. resolveWireBatch
 // walks a batch stage by stage so that its cache misses overlap;
-// resolveWireSerial, the per-query loop it replaced, stays in the tree
-// as the flat-layout path and as the oracle here: on the same pinned
-// view the two must produce the same answers, the same pool and the same
-// errors, element for element.
+// resolveWireSerial, the per-query loop it replaced, lives on here as
+// its oracle: on the same pinned view the two must produce the same
+// answers, the same pool and the same errors, element for element.
 
 import (
 	"errors"
@@ -40,8 +39,39 @@ func (s *frameSink) PublishRecord(_ uint64, frame []byte) error {
 	return nil
 }
 
-// resolverViews boots one leader per column layout (and, for the paged
-// one, a follower fed from its record stream) over a 150-node topology —
+// resolveWireSerial is the per-query resolver: each query runs its whole
+// lookup chain — match, column, slot, span — before the next starts,
+// through the view's read surface. Answers, pool layout and errors are
+// what resolveWireBatch must produce.
+func resolveWireSerial(v batchView, qs []wire.Query, as []wire.Answer, pool []int32) ([]wire.Answer, []int32, error) {
+	nodes := v.batchNodes()
+	pt := v.batchPrefixes()
+	for i := range qs {
+		q := &qs[i]
+		a, err := matchWireQuery(i, q, nodes, pt)
+		if err != nil {
+			return as, pool, err
+		}
+		if a.Dest >= 0 {
+			if c := v.batchColumn(int(a.Dest)); c != nil {
+				if w, routed := c.Route(int(q.From)); routed {
+					a.Flags |= wire.FlagRouted
+					a.W = w
+					a.NhOff = uint32(len(pool))
+					pool = append(pool, c.NextHops(int(q.From))...)
+					if a.NhLen, err = spanLen(i, len(pool)-int(a.NhOff)); err != nil {
+						return as, pool, err
+					}
+				}
+			}
+		}
+		as = append(as, a)
+	}
+	return as, pool, nil
+}
+
+// resolverViews boots a leader and a follower fed from its record
+// stream over a 150-node topology —
 // three column pages, the last one partial — whose last six nodes are
 // isolated, so every column has unrouted slots. Destinations 0, 70 and
 // 140 straddle the pages. withDefault adds a 0.0.0.0/0 announcement, so
@@ -64,33 +94,24 @@ func resolverViews(t *testing.T, withDefault bool) map[string]batchView {
 	if withDefault {
 		announced = append(announced, rib.PrefixOrigin{Prefix: rib.MakePrefix(0, 0), Node: 140, Origin: origin})
 	}
-	views := map[string]batchView{}
-	for _, paged := range []bool{true, false} {
-		sink := &frameSink{}
-		srv, err := NewServer(Config{Engine: exec.NewDynamic(a.OT), Graph: g},
-			WithAnnouncements(announced), WithPagedColumns(paged), WithReplication(sink), WithWorkers(1))
+	sink := &frameSink{}
+	srv, err := NewServer(Config{Engine: exec.NewDynamic(a.OT), Graph: g},
+		WithAnnouncements(announced), WithReplication(sink), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	fol := NewFollower(nil)
+	for _, frame := range sink.frames {
+		rec, err := replica.DecodeRecord(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(srv.Close)
-		if !paged {
-			views["leader/flat"] = srv.Snapshot()
-			continue
+		if err := fol.Apply(rec); err != nil {
+			t.Fatal(err)
 		}
-		views["leader/paged"] = srv.Snapshot()
-		fol := NewFollower(nil)
-		for _, frame := range sink.frames {
-			rec, err := replica.DecodeRecord(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fol.Apply(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		views["follower"] = fol.view()
 	}
-	return views
+	return map[string]batchView{"leader": srv.Snapshot(), "follower": fol.view()}
 }
 
 // resolverCases is one query of every shape the resolvers distinguish.
@@ -234,19 +255,14 @@ func TestStagedResolverMatchesSerial(t *testing.T) {
 // stubView serves hand-built columns to the resolvers.
 type stubView struct {
 	nodes int
-	cols  map[int]rib.Col
+	cols  map[int]*rib.PagedColumn
 }
 
-func (v stubView) batchVersion() uint64            { return 1 }
-func (v stubView) batchNodes() int                 { return v.nodes }
-func (v stubView) batchPrefixes() *rib.PrefixTable { return nil }
-func (v stubView) batchWeightName(int32) string    { return "" }
-func (v stubView) batchColumn(dest int) rib.Col {
-	if c, ok := v.cols[dest]; ok {
-		return c
-	}
-	return nil
-}
+func (v stubView) batchVersion() uint64                  { return 1 }
+func (v stubView) batchNodes() int                       { return v.nodes }
+func (v stubView) batchPrefixes() *rib.PrefixTable       { return nil }
+func (v stubView) batchWeightName(int32) string          { return "" }
+func (v stubView) batchColumn(dest int) *rib.PagedColumn { return v.cols[dest] }
 func (v stubView) batchForward(from, dest int) (graph.Path, error) {
 	return v.cols[dest].Forward(from)
 }
@@ -272,47 +288,41 @@ func TestWireSpanOverflowFailsFrame(t *testing.T) {
 		{Kind: wire.QueryDest, From: 0, Arg: 0},
 		{Kind: wire.QueryDest, From: hub, Arg: 0},
 	}
-	for _, layout := range []string{"paged", "flat"} {
-		view := func(width int) stubView {
-			var c rib.Col = column(width)
-			if layout == "flat" {
-				c = c.Flatten()
-			}
-			return stubView{nodes: 3, cols: map[int]rib.Col{0: c}}
-		}
-		sc := &batchScratch{}
-		if err := sameResolution(t, layout+"/fits", view(math.MaxUint16), sc, qs); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := wire.AppendAnswerResponse(nil, 1, sc.as, sc.pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, as, pool, err := wire.DecodeAnswerResponse(frame, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide := view(math.MaxUint16).cols[0].NextHops(hub)
-		if got := pool[as[2].NhOff : as[2].NhOff+uint32(as[2].NhLen)]; !slices.Equal(got, wide) {
-			t.Fatalf("%s: widest span decodes to %d hops, column holds %d", layout, len(got), len(wide))
-		}
+	view := func(width int) stubView {
+		return stubView{nodes: 3, cols: map[int]*rib.PagedColumn{0: column(width)}}
+	}
+	sc := &batchScratch{}
+	if err := sameResolution(t, "fits", view(math.MaxUint16), sc, qs); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendAnswerResponse(nil, 1, sc.as, sc.pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, as, pool, err := wire.DecodeAnswerResponse(frame, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := view(math.MaxUint16).cols[0].NextHops(hub)
+	if got := pool[as[2].NhOff : as[2].NhOff+uint32(as[2].NhLen)]; !slices.Equal(got, wide) {
+		t.Fatalf("widest span decodes to %d hops, column holds %d", len(got), len(wide))
+	}
 
-		v := view(math.MaxUint16 + 1)
-		err = sameResolution(t, layout+"/overflows", v, sc, qs)
-		if !errors.Is(err, errSpanTooWide) || !strings.HasPrefix(err.Error(), "query 2: 65536 ") {
-			t.Fatalf("%s: err = %v, want errSpanTooWide naming query 2", layout, err)
-		}
-		h := routesHandler(func(http.ResponseWriter, string) batchView { return v }, func(int, int) {})
-		body, err := wire.AppendQueryRequest(nil, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/routes", strings.NewReader(string(body)))
-		req.Header.Set("Content-Type", wire.ContentType)
-		rec := httptest.NewRecorder()
-		h(rec, req)
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "query 2: 65536 ") {
-			t.Fatalf("%s: handler answered %d %s", layout, rec.Code, rec.Body)
-		}
+	v := view(math.MaxUint16 + 1)
+	err = sameResolution(t, "overflows", v, sc, qs)
+	if !errors.Is(err, errSpanTooWide) || !strings.HasPrefix(err.Error(), "query 2: 65536 ") {
+		t.Fatalf("err = %v, want errSpanTooWide naming query 2", err)
+	}
+	h := routesHandler(func(http.ResponseWriter, string) batchView { return v }, func(int, int) {})
+	body, err := wire.AppendQueryRequest(nil, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/routes", strings.NewReader(string(body)))
+	req.Header.Set("Content-Type", wire.ContentType)
+	rec := httptest.NewRecorder()
+	h(rec, req)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "query 2: 65536 ") {
+		t.Fatalf("handler answered %d %s", rec.Code, rec.Body)
 	}
 }

@@ -41,7 +41,7 @@ func TestLogRotationAcrossSegments(t *testing.T) {
 	pub := replica.NewPublisher(func() (uint64, []byte, error) { return srv.EncodeFull() }, log)
 	pub.SetLogMaxBytes(2048)
 	defer pub.Close()
-	srv, err = serve.New(exec.For(a.OT, origin), g, origins,
+	srv, err = serve.NewServer(serve.Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins},
 		serve.WithWorkers(2), serve.WithDeltaProps(a.Props), serve.WithReplication(pub))
 	if err != nil {
 		t.Fatal(err)

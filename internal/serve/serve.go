@@ -20,6 +20,15 @@
 // differential tests assert every incremental snapshot is bit-identical
 // to a fresh rib.BuildEngine on the mutated graph.
 //
+// Every column is a rib.PagedColumn: fixed-size copy-on-write pages
+// behind a page table. A delta rebuild clones only the pages holding
+// touched slots or shifted ECMP spans and shares every other page with
+// the previous snapshot by pointer, so a swap's data-plane cost is
+// O(frontier), not O(N). Its invariant is the canonical page layout
+// (DESIGN.md §8b): every paged column flattens bit-identically to the
+// naive rib.BuildDestColumn on the same view, which is what the
+// differentials check.
+//
 // Event bursts are absorbed in batches. ApplyBatch coalesces a sequence
 // of events to its net per-arc effect (a down followed by an up cancels,
 // duplicate downs dedupe) and pays one recompute + one snapshot swap for
@@ -32,9 +41,10 @@
 //
 // A destination whose column is a fixpoint the server can vouch for gets
 // a sharper rule (Server.toggleMoves). The conditions: the delta gate is
-// open (M or I inferred), the column is paged, Converged and Clean, and
-// the preorder is total (Full inferred, or the compiler's verified rank
-// vector). Then d is skipped unless some toggle can change it: a failed
+// open (M or I inferred), the column is Converged and Clean, and the
+// preorder is total (Full inferred, or the compiler's verified rank
+// vector) — the licence's WarmStartAllowed and SkipRuleSound. Then d is
+// skipped unless some toggle can change it: a failed
 // arc x→y only if y is one of x's next hops toward d, a restored arc
 // only if x is unrouted or the arc's candidate f(w_d[y]) is not strictly
 // worse than w_d[x]. Soundness: under that test the selection at x over
@@ -55,7 +65,7 @@
 // argument carries over unchanged: each toggle passes the test against
 // the pre-batch column, which therefore survives every intermediate
 // step. Columns that are not Clean (the scoped policy product's never
-// are), flat columns and partial orders keep the first rule. The
+// are) and partial orders keep the first rule. The
 // differential tests hold every skipped column of every swap against
 // rib.BuildDestPaged on the new view.
 //
@@ -142,7 +152,6 @@ type config struct {
 	rebuildTimeout time.Duration
 	noBatcher      bool // test-only: leave the intake queue undrained
 	noDelta        bool
-	flatColumns    bool
 	deltaProps     prop.Set
 	prefixes       *rib.PrefixTable
 	sink           RecordSink
@@ -155,7 +164,7 @@ func defaultConfig() config {
 	return config{queueCap: 1024}
 }
 
-// Option configures a Server at construction (New / NewFromScenario).
+// Option configures a Server at construction (NewServer).
 type Option interface{ apply(*config) }
 
 type optionFunc func(*config)
@@ -187,7 +196,7 @@ func WithSlowQuery(threshold time.Duration) Option {
 
 // WithEngine overrides the execution engine the server runs on — the
 // way to pin a backend when booting from a scenario, whose own engine
-// NewFromScenario would otherwise use.
+// WithScenario would otherwise supply.
 func WithEngine(eng exec.Algebra) Option {
 	return optionFunc(func(c *config) { c.engine = eng })
 }
@@ -205,7 +214,8 @@ func WithQueueCapacity(n int) Option {
 
 // WithDelta enables or disables warm-start delta reconvergence
 // (default enabled). Even when enabled, the delta path only runs for
-// algebras whose inferred properties license it (rib.DeltaLicensed) —
+// algebras whose inferred properties license it
+// (solve.Licence.WarmStartAllowed) —
 // the metarouting contract of properties choosing algorithms — and
 // individual rebuilds still fall back to from-scratch sweeps on
 // oversized frontiers or unusable warm starts. Disabling it pins every
@@ -213,18 +223,6 @@ func WithQueueCapacity(n int) Option {
 // its baseline.
 func WithDelta(enabled bool) Option {
 	return optionFunc(func(c *config) { c.noDelta = !enabled })
-}
-
-// WithPagedColumns selects the snapshot column layout (default paged).
-// Paged columns are fixed-size copy-on-write pages behind a page
-// table: a delta rebuild clones only the pages holding touched slots
-// or shifted ECMP spans and shares every other page with the previous
-// snapshot by pointer, making a swap's data-plane cost O(frontier)
-// instead of O(N). WithPagedColumns(false) pins the legacy flat
-// layout (one contiguous slot arena per column, full copy per delta
-// rebuild) — the storm benchmark's baseline.
-func WithPagedColumns(enabled bool) Option {
-	return optionFunc(func(c *config) { c.flatColumns = !enabled })
 }
 
 // WithDeltaProps supplies an inferred property set to the delta gate.
@@ -239,9 +237,9 @@ func WithDeltaProps(p prop.Set) Option {
 }
 
 // WithPrefixes supplies an explicit prefix table. The table's per-node
-// origins must match the origination set handed to New — NewPrefix
+// origins must match the Config's origination set — WithAnnouncements
 // wires both from one announcement list and is the usual entry point.
-// Without this option New synthesizes one rib.AutoPrefix /32 per
+// Without either option NewServer synthesizes one rib.AutoPrefix /32 per
 // destination so address-form queries work on node-keyed scenarios.
 func WithPrefixes(pt *rib.PrefixTable) Option {
 	return optionFunc(func(c *config) { c.prefixes = pt })
@@ -273,41 +271,13 @@ func WithRebuildTimeout(d time.Duration) Option {
 	return optionFunc(func(c *config) { c.rebuildTimeout = d })
 }
 
-// Options is the PR-2 configuration struct.
-//
-// Deprecated: pass functional options (WithWorkers, WithRegistry,
-// WithSlowQuery, ...) instead. Options still satisfies Option so
-// positional call sites compile unchanged while they migrate.
-type Options struct {
-	// Workers sizes the snapshot builder's worker pool (≤ 0: GOMAXPROCS).
-	Workers int
-	// Telemetry, when non-nil, is WithRegistry.
-	Telemetry *telemetry.Registry
-	// SlowQueryNS is WithSlowQuery in nanoseconds (≤ 0: 1ms).
-	SlowQueryNS int64
-}
-
-func (o Options) apply(c *config) {
-	if o.Workers > 0 {
-		c.workers = o.Workers
-	}
-	if o.Telemetry != nil {
-		c.registry = o.Telemetry
-	}
-	if o.SlowQueryNS > 0 {
-		c.slowQueryNS = o.SlowQueryNS
-	}
-}
-
 // Snapshot is one immutable generation of route tables. All methods are
 // safe for concurrent use; a snapshot never changes after publication,
 // so a reader holding one sees a consistent view regardless of how many
-// events the server has absorbed since. Route columns are arena-form
-// (paged rib.PagedColumn by default, flat rib.Column under
-// WithPagedColumns(false)); destinations untouched by a rebuild share
-// their column with the previous snapshot by pointer, and under the
-// paged layout even recomputed columns share every page outside the
-// delta frontier.
+// events the server has absorbed since. Route columns are paged
+// (rib.PagedColumn); destinations untouched by a rebuild share their
+// column with the previous snapshot by pointer, and recomputed columns
+// share every page outside the delta frontier.
 type Snapshot struct {
 	// Version increments with every swap (the initial build is 1).
 	Version uint64
@@ -320,7 +290,7 @@ type Snapshot struct {
 	// within the solver budget (possible for non-increasing algebras).
 	Unconverged []int
 
-	cols     map[int]rib.Col
+	cols     map[int]*rib.PagedColumn
 	prefixes *rib.PrefixTable
 	rib      *rib.RIB
 	// srv is the server that published the snapshot: the HTTP read
@@ -340,15 +310,9 @@ type Snapshot struct {
 // RIB exposes the snapshot's route table.
 func (sn *Snapshot) RIB() *rib.RIB { return sn.rib }
 
-// Column returns dest's arena column (nil when unknown) — the
-// index-form read path; Lookup materializes the legacy view.
-func (sn *Snapshot) Column(dest int) rib.Col {
-	c, ok := sn.cols[dest]
-	if !ok {
-		return nil
-	}
-	return c
-}
+// Column returns dest's column (nil when unknown) — the index-form read
+// path; Lookup materializes the legacy view.
+func (sn *Snapshot) Column(dest int) *rib.PagedColumn { return sn.cols[dest] }
 
 // Prefixes exposes the snapshot's prefix table. The prefix set is
 // fixed at boot, so every snapshot of a server shares one table; it is
@@ -414,7 +378,6 @@ type Stats struct {
 	DeltaFrontierNodes    uint64 `json:"delta_frontier_nodes"`
 	DeltaTouchedNodes     uint64 `json:"delta_touched_nodes"`
 	DeltaEnabled          bool   `json:"delta_enabled"`
-	PagedColumns          bool   `json:"paged_columns"`
 	PagesCloned           uint64 `json:"pages_cloned"`
 	PagesShared           uint64 `json:"pages_shared"`
 	BatchesApplied        uint64 `json:"batches_applied"`
@@ -465,23 +428,19 @@ type Server struct {
 	disabled []bool
 	closed   bool
 
-	// deltaOK gates the warm-start rebuild path: WithDelta(true-by-
-	// default) AND the algebra's inferred properties licensing it.
-	deltaOK bool
-
-	// fixpointSkip enables the sharper invalidation rule (see
-	// invalidated): the delta gate is open, columns are paged and the
-	// preorder is known to be total.
-	fixpointSkip bool
-
-	// paged selects the snapshot column layout (WithPagedColumns,
-	// default true): copy-on-write paged columns vs legacy flat arenas.
-	paged bool
-
 	// licence picks the column builds' scratch kernel and warm start:
 	// derived once from the engine's tables and the WithDeltaProps set,
 	// and carried by every pool workspace.
 	licence solve.Licence
+
+	// deltaOK gates the warm-start rebuild path: WithDelta(true-by-
+	// default) AND the licence's WarmStartAllowed.
+	deltaOK bool
+
+	// fixpointSkip enables the sharper invalidation rule (see
+	// invalidated): the delta gate is open and the licence's
+	// SkipRuleSound holds.
+	fixpointSkip bool
 
 	snap atomic.Pointer[Snapshot]
 
@@ -690,17 +649,9 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		sink:           cfg.sink,
 		fingerprint:    fingerprintGraph(g),
 	}
-	licensed := cfg.deltaProps != nil && rib.DeltaLicensedSet(cfg.deltaProps)
-	if ot := s.eng.Source(); ot != nil && !licensed {
-		licensed = rib.DeltaLicensed(ot)
-	}
-	s.deltaOK = !cfg.noDelta && licensed
-	s.paged = !cfg.flatColumns
-	// Totality has two witnesses: the inferred Full judgement, or a rank
-	// vector the compiler verified against the whole order.
-	total := exec.Tables(s.eng) != nil || cfg.deltaProps != nil && cfg.deltaProps.Holds(prop.Full)
-	s.fixpointSkip = s.deltaOK && s.paged && total
 	s.licence = solve.NewLicence(s.eng, cfg.deltaProps)
+	s.deltaOK = !cfg.noDelta && s.licence.WarmStartAllowed()
+	s.fixpointSkip = s.deltaOK && s.licence.SkipRuleSound()
 	if cfg.registry != nil {
 		s.queryNS = telemetry.NewLatencyHistogram()
 		s.eventNS = telemetry.NewLatencyHistogram()
@@ -744,7 +695,7 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// register exposes the server's metrics in reg. Called once from New;
+// register exposes the server's metrics in reg. Called once from NewServer;
 // the gauge funcs read live server state at scrape time — except
 // snapshot-derived gauges, which read the generation the scrape hook
 // pinned at the start of the render, so /v1/metrics and /v1/stats
@@ -870,35 +821,6 @@ func (s *Server) pinnedSnap() *Snapshot {
 	return s.snap.Load()
 }
 
-// New builds a server over an execution engine, a base topology and the
-// origination set.
-//
-// Deprecated: use NewServer(Config{Engine: eng, Graph: g, Origins:
-// origins}, opts...). New remains as a thin wrapper so existing call
-// sites compile unchanged while they migrate.
-func New(eng exec.Algebra, g *graph.Graph, origins map[int]value.V, opts ...Option) (*Server, error) {
-	return NewServer(Config{Engine: eng, Graph: g, Origins: origins}, opts...)
-}
-
-// NewPrefix builds a server over a prefix announcement set.
-//
-// Deprecated: use NewServer(Config{Engine: eng, Graph: g},
-// WithAnnouncements(announced), opts...), which applies the same
-// aggregation and origin derivation.
-func NewPrefix(eng exec.Algebra, g *graph.Graph, announced []rib.PrefixOrigin, opts ...Option) (*Server, error) {
-	return NewServer(Config{Engine: eng, Graph: g},
-		append([]Option{WithAnnouncements(announced)}, opts...)...)
-}
-
-// NewFromScenario builds a server from a parsed scenario: its engine,
-// topology, and single origination (WithEngine overrides the engine).
-// Replay the scenario's events with Replay(ctx, sc.SortedEvents()).
-//
-// Deprecated: use NewServer(Config{}, WithScenario(sc), opts...).
-func NewFromScenario(sc *scenario.Scenario, opts ...Option) (*Server, error) {
-	return NewServer(Config{}, append([]Option{WithScenario(sc)}, opts...)...)
-}
-
 // stopBatcher halts the intake batcher exactly once and waits it out.
 func (s *Server) stopBatcher() {
 	s.stopOnce.Do(func() {
@@ -936,25 +858,24 @@ func (s *Server) Close() {
 // consumer is configured.
 type rebuilt struct {
 	dest    int
-	col     rib.Col
+	col     *rib.PagedColumn
 	changes []rib.SlotPatch
 	changed int
 }
 
-// buildDests computes arena columns for the recompute set on view,
+// buildDests computes paged columns for the recompute set on view,
 // sharding destinations (columns) across the worker pool; columns for
 // every other destination are shared with prev's snapshot by pointer
 // (they are immutable). When the delta gate is open and toggles
 // describe the batch, each recomputed destination warm-starts from its
-// previous column via rib.DeltaDestPaged (rib.DeltaDestColumn under
-// the flat layout) — the warm start reads engine weight indices
-// straight out of the previous arena, so nothing is re-interned —
-// while destinations the previous snapshot reported unconverged
-// rebuild from scratch (their columns are not a fixpoint to warm-start
-// from). Under the paged layout a delta rebuild clones only the pages
-// the drain dirtied and shares the rest with the previous column by
-// pointer, so the swap's data-plane cost tracks the frontier, not N.
-// A ctx cancellation abandons the build and returns ctx.Err().
+// previous column via rib.DeltaDestPaged — the warm start reads engine
+// weight indices straight out of the previous pages, so nothing is
+// re-interned — while destinations the previous snapshot reported
+// unconverged rebuild from scratch (their columns are not a fixpoint to
+// warm-start from). A delta rebuild clones only the pages the drain
+// dirtied and shares the rest with the previous column by pointer, so
+// the swap's data-plane cost tracks the frontier, not N. A ctx
+// cancellation abandons the build and returns ctx.Err().
 //
 // The rebuild is also the one place a swap's diff is computed; nothing
 // after it compares columns again — the flap counter sums the lists'
@@ -963,12 +884,11 @@ type rebuilt struct {
 // (transplanted slots are bit-identical by the page-local canonical
 // layout, DESIGN.md §8b, and are never looked at). A column the worker
 // built with rib.BuildDestPaged is compared page by page with
-// rib.DiffPaged, and a flat column slot by slot with scanChanges — both
-// in the pool worker, and only when the flap counter or the replication
-// sink will read the result.
-func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles []ArcEvent) (map[int]rib.Col, []int, []rebuilt, error) {
-	cols := make(map[int]rib.Col, len(s.dests))
-	var prevCols map[int]rib.Col
+// rib.DiffPaged in the pool worker, and only when the flap counter or
+// the replication sink will read the result.
+func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles []ArcEvent) (map[int]*rib.PagedColumn, []int, []rebuilt, error) {
+	cols := make(map[int]*rib.PagedColumn, len(s.dests))
+	var prevCols map[int]*rib.PagedColumn
 	prevUnconv := make(map[int]bool, 4)
 	if prev != nil {
 		prevCols = prev.cols
@@ -1001,51 +921,27 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 			t0 = time.Now()
 		}
 		old := prevCols[d]
-		scan := old != nil && wantDiff
-		var warmable rib.Col
-		if solveToggles != nil && !prevUnconv[d] {
-			warmable = old
-		}
 		r := rebuilt{dest: d}
 		var st solve.DeltaStats
 		var err error
-		if s.paged {
-			var pc *rib.PagedColumn
-			if pprev, _ := warmable.(*rib.PagedColumn); pprev != nil {
-				var ps rib.PageStats
-				pc, st, ps, err = rib.DeltaDestPaged(
-					s.eng, view, s.disabled, d, s.origins[d], ws, pprev, solveToggles)
-				if err == nil {
-					s.pagesCloned.Add(uint64(ps.Cloned))
-					s.pagesShared.Add(uint64(ps.Shared))
-					r.changes, r.changed = ps.Changes, ps.Changed
-				}
-			} else if pc, err = rib.BuildDestPaged(s.eng, view, d, s.origins[d], ws); err == nil {
-				s.pagesCloned.Add(uint64(len(pc.Pages)))
-				if scan {
-					r.changes, r.changed = rib.DiffPaged(old.(*rib.PagedColumn), pc)
-				}
+		if solveToggles != nil && !prevUnconv[d] && old != nil {
+			var ps rib.PageStats
+			r.col, st, ps, err = rib.DeltaDestPaged(
+				s.eng, view, s.disabled, d, s.origins[d], ws, old, solveToggles)
+			if err != nil {
+				return err
 			}
-			if err == nil {
-				r.col = pc
-			}
+			s.pagesCloned.Add(uint64(ps.Cloned))
+			s.pagesShared.Add(uint64(ps.Shared))
+			r.changes, r.changed = ps.Changes, ps.Changed
 		} else {
-			var fc *rib.Column
-			if fprev, _ := warmable.(*rib.Column); fprev != nil {
-				fc, st, err = rib.DeltaDestColumn(
-					s.eng, view, s.disabled, d, s.origins[d], ws, fprev, solveToggles)
-			} else {
-				fc, err = rib.BuildDestColumn(s.eng, view, d, s.origins[d], ws)
+			if r.col, err = rib.BuildDestPaged(s.eng, view, d, s.origins[d], ws); err != nil {
+				return err
 			}
-			if err == nil {
-				r.col = fc
-				if scan {
-					r.changes, r.changed = scanChanges(old, fc)
-				}
+			s.pagesCloned.Add(uint64(len(r.col.Pages)))
+			if old != nil && wantDiff {
+				r.changes, r.changed = rib.DiffPaged(old, r.col)
 			}
-		}
-		if err != nil {
-			return err
 		}
 		if st.UsedDelta {
 			s.deltaDests.Add(1)
@@ -1070,7 +966,7 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 	var unconverged []int
 	for i := range results {
 		r := &results[i]
-		if !r.col.IsConverged() {
+		if !r.col.Converged {
 			unconverged = append(unconverged, r.dest)
 		}
 		cols[r.dest] = r.col
@@ -1083,7 +979,7 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 // replication sink is configured, ships the swap as a replica record
 // (a delta wrapping the rebuilt destinations' change lists, or a full
 // snapshot when toggles is nil). Callers hold s.mu.
-func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []int, toggles []ArcEvent, built []rebuilt) {
+func (s *Server) publish(view *graph.Graph, cols map[int]*rib.PagedColumn, unconverged []int, toggles []ArcEvent, built []rebuilt) {
 	cur := s.snap.Load()
 	sn := &Snapshot{
 		Version:     1,
@@ -1092,7 +988,7 @@ func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []
 		Unconverged: unconverged,
 		cols:        cols,
 		prefixes:    s.prefixes,
-		rib:         rib.FromCols(s.eng, view, cols),
+		rib:         rib.FromColumns(s.eng, view, cols),
 		srv:         s,
 	}
 	if cur != nil {
@@ -1129,45 +1025,6 @@ func (s *Server) publish(view *graph.Graph, cols map[int]rib.Col, unconverged []
 	s.snap.Store(sn)
 	s.swaps.Add(1)
 	s.replicate(cur, sn, toggles, built)
-}
-
-// scanChanges is the legacy flat layout's diff: every slot of old and
-// col (equal length) compared through the rib.Col read surface, run once
-// per rebuilt column in the pool worker. The result has the shape
-// rib.DiffPaged gives paged columns — ascending patches aliasing col's
-// pool, capped at n/2+1, plus the exact count.
-func scanChanges(old, col rib.Col) ([]rib.SlotPatch, int) {
-	n := col.NumNodes()
-	var changes []rib.SlotPatch
-	changed := 0
-	for u := 0; u < n; u++ {
-		if slotEqual(col, old, u) {
-			continue
-		}
-		changed++
-		if len(changes) > n/2 {
-			continue
-		}
-		w, routed := col.Route(u)
-		changes = append(changes, rib.SlotPatch{Node: u, Routed: routed, W: w, NextHop: col.NextHops(u)})
-	}
-	return changes, changed
-}
-
-// slotEqual compares node u's route across two columns: routedness,
-// engine weight index, and ECMP next-hop sequence. Weight indices are
-// comparable directly because both columns were built on the same
-// engine, whose intern table assigns each weight one stable index.
-func slotEqual(a, b rib.Col, u int) bool {
-	wa, ra := a.Route(u)
-	wb, rb := b.Route(u)
-	if ra != rb {
-		return false
-	}
-	if !ra {
-		return true
-	}
-	return wa == wb && slices.Equal(a.NextHops(u), b.NextHops(u))
 }
 
 // Coalesce reduces an event sequence to its net per-arc effect against
@@ -1209,7 +1066,7 @@ func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) []int {
 		if col == nil {
 			continue
 		}
-		sharp := s.fixpointSkip && col.IsConverged() && col.IsClean()
+		sharp := s.fixpointSkip && col.Converged && col.Clean
 		for _, t := range toggles {
 			a := s.base.Arcs[t.Arc]
 			if a.From == d {
@@ -1233,7 +1090,7 @@ func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) []int {
 // and leaves neither the selection nor the equal-cost set. A restored
 // arc matters unless x is routed and the arc's candidate is strictly
 // worse than what x holds.
-func (s *Server) toggleMoves(col rib.Col, a graph.Arc, fail bool, wy int32) bool {
+func (s *Server) toggleMoves(col *rib.PagedColumn, a graph.Arc, fail bool, wy int32) bool {
 	if fail {
 		return slices.Contains(col.NextHops(a.From), int32(a.To))
 	}
@@ -1495,7 +1352,7 @@ func (s *Server) Rebuild(ctx context.Context) error {
 // the HTTP event handlers derive request contexts from it.
 func (s *Server) RebuildTimeout() time.Duration { return s.rebuildTimeout }
 
-// Snapshot returns the current snapshot (never nil after New).
+// Snapshot returns the current snapshot (never nil after NewServer).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Dests lists the originated destinations in ascending order.
@@ -1581,7 +1438,6 @@ func (s *Server) Stats() Stats {
 		DeltaFrontierNodes:    s.frontierNodes.Load(),
 		DeltaTouchedNodes:     s.touchedNodes.Load(),
 		DeltaEnabled:          s.deltaOK,
-		PagedColumns:          s.paged,
 		PagesCloned:           s.pagesCloned.Load(),
 		PagesShared:           s.pagesShared.Load(),
 		BatchesApplied:        s.batches.Load(),

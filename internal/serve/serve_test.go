@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
@@ -116,7 +117,7 @@ func TestServeDifferentialIncremental(t *testing.T) {
 		}
 		// The server runs whatever backend exec.For picks; the reference
 		// build runs an independent dynamic engine.
-		srv, err := serve.New(exec.For(a.OT, vs...), g, origins, serve.WithWorkers(1+r.Intn(4)))
+		srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, vs...), Graph: g, Origins: origins}, serve.WithWorkers(1+r.Intn(4)))
 		if err != nil {
 			t.Fatalf("trial %d: %s: %v", trial, src, err)
 		}
@@ -166,7 +167,7 @@ func TestServeConcurrentReaders(t *testing.T) {
 	}
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 15: value.Pair{A: 4, B: 1}}
-	srv, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(4))
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, serve.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestServeCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Ring(r, 6, graph.UniformLabels(a.OT.F.Size()))
-	srv, err := serve.New(exec.For(a.OT), g, map[int]value.V{0: 0, 3: 0})
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: map[int]value.V{0: 0, 3: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +281,8 @@ func TestServeDeprecatedOptions(t *testing.T) {
 	}
 	g := graph.Ring(r, 6, graph.UniformLabels(a.OT.F.Size()))
 	reg := telemetry.NewRegistry()
-	srv, err := serve.New(exec.For(a.OT), g, map[int]value.V{0: 0},
-		serve.Options{Workers: 2, Telemetry: reg, SlowQueryNS: 1})
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: map[int]value.V{0: 0}},
+		serve.WithWorkers(2), serve.WithRegistry(reg), serve.WithSlowQuery(time.Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ event  300 fail 2 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewFromScenario(sc, serve.WithWorkers(2))
+	srv, err := serve.NewServer(serve.Config{}, serve.WithScenario(sc), serve.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,8 @@ func TestServeTelemetry(t *testing.T) {
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 0, B: 0}, 15: value.Pair{A: 1, B: 0}}
 	reg := telemetry.NewRegistry()
-	srv, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(2), serve.WithRegistry(reg),
-		serve.WithSlowQuery(1))
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
+		serve.WithWorkers(2), serve.WithRegistry(reg), serve.WithSlowQuery(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestServeTelemetry(t *testing.T) {
 
 	// The uninstrumented configuration keeps the hot path bare: no
 	// histogram, no slow ring, but the cheap counters still serve Stats.
-	bare, err := serve.New(exec.For(a.OT), g, origins, serve.WithWorkers(2))
+	bare, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins}, serve.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,11 @@ import (
 
 // Licence is the proof that picks a column build's solvers: the kernel
 // ScratchRaw runs and the warm start a delta rebuild takes from a column
-// that is not a clean tree. NewLicence computes it once per engine; a
-// server stores it on the workspaces it creates (Workspace.Licence), and a
+// that is not a clean tree. It also answers the two gates a server reads
+// before choosing a rebuild path: whether a delta may warm-start at all
+// (WarmStartAllowed) and whether the fixpoint skip rule is sound
+// (SkipRuleSound). NewLicence computes it once per engine; a server
+// stores it on the workspaces it creates (Workspace.Licence), and a
 // workspace without one reads the engine's compiled tables alone.
 type Licence struct {
 	// m and i license the kernel (M wins when both hold); nd is the
@@ -56,23 +59,52 @@ type Licence struct {
 	// tab is set when compiled tables verified the licence: bestFirst runs
 	// over them and, under M, keeps the derivation log.
 	tab *compile.Compiled
+	// warm and skip are the answers of WarmStartAllowed and SkipRuleSound.
+	warm, skip bool
 }
 
-// NewLicence derives eng's licence: from its compiled tables when they
-// carry one, else from props, the inferred property set (nil for none),
-// when it proves M or strict I (I with T, or SI) together with Full and
-// Antisymmetric.
+// NewLicence derives eng's licence. The kernel's comes from its compiled
+// tables when they carry one, else from props, the inferred property set
+// (nil for none), when it proves M or strict I (I with T, or SI) together
+// with Full and Antisymmetric. The warm-start gate holds when props or
+// the engine's own order transform (eng.Source().Props) establish M or
+// I; the skip-rule gate when the compiled tables verified a rank vector
+// or props establish Full.
 func NewLicence(eng exec.Algebra, props prop.Set) Licence {
-	nd := props.Holds(prop.NDLeft)
-	if t := exec.Tables(eng); t != nil && (t.Monotone || t.StrictlyIncreasing) {
-		return Licence{m: t.Monotone, i: t.StrictlyIncreasing, nd: nd, tab: t}
+	t := exec.Tables(eng)
+	l := Licence{
+		nd:   props.Holds(prop.NDLeft),
+		warm: props.Holds(prop.MLeft) || props.Holds(prop.ILeft),
+		skip: t != nil || props.Holds(prop.Full),
 	}
-	if !props.Holds(prop.Full) || !props.Holds(prop.Antisymmetric) {
-		return Licence{}
+	if src := eng.Source(); src != nil && !l.warm {
+		l.warm = src.Props.Holds(prop.MLeft) || src.Props.Holds(prop.ILeft)
 	}
-	strict := props.Holds(prop.ILeft) && (props.Holds(prop.TopFixed) || props.Holds(prop.SILeft))
-	return Licence{m: props.Holds(prop.MLeft), i: strict, nd: nd}
+	switch {
+	case t != nil && (t.Monotone || t.StrictlyIncreasing):
+		l.m, l.i, l.tab = t.Monotone, t.StrictlyIncreasing, t
+	case props.Holds(prop.Full) && props.Holds(prop.Antisymmetric):
+		l.m = props.Holds(prop.MLeft)
+		l.i = props.Holds(prop.ILeft) && (props.Holds(prop.TopFixed) || props.Holds(prop.SILeft))
+	}
+	return l
 }
+
+// WarmStartAllowed reports whether a delta rebuild may warm-start from
+// the previous column: M makes every fixpoint reached from realisable
+// warm-start values path-optimal, and I gives the unique-fixpoint
+// reconvergence of Daggitt & Griffin. Only judgements the checker
+// established as True count. Composite algebras carry their
+// theorem-derived M/I on the inference node, not on the order transform
+// the engine exposes, which is why NewLicence reads both.
+func (l Licence) WarmStartAllowed() bool { return l.warm }
+
+// SkipRuleSound reports whether the preorder is known to be total — by
+// the compiler's verified rank vector or the inferred Full judgement —
+// which is what lets a server skip rebuilding a converged, clean column
+// whose next-hop sets no toggled arc can move (serve's toggleMoves).
+// Together with WarmStartAllowed it licenses that skip.
+func (l Licence) SkipRuleSound() bool { return l.skip }
 
 // ScratchSolver names the from-scratch solver the licence picks:
 // "best-first (P, S)" with P the licensing property (M or I) and S its

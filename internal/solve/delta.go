@@ -103,7 +103,7 @@ func (ws *Workspace) Worklist(eng exec.Algebra, g *graph.Graph, dest int, origin
 // costs wasted pops). The result is bit-identical to a from-scratch
 // ws.BellmanFord on g for algebras whose fixpoint is unique from any
 // realisable warm start (monotone or increasing — the caller gates on
-// inferred properties; see rib.DeltaLicensed). Whenever the warm start
+// inferred properties; see Licence.WarmStartAllowed). Whenever the warm start
 // is unusable — nil/unconverged/mismatched prev, a frontier of half the
 // graph or more, or a drain that exhausts maxPops — it transparently
 // falls back to the from-scratch solver, so the answer is correct for

@@ -8,7 +8,6 @@ import (
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
-	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
@@ -63,11 +62,11 @@ func deltaBackends(t *testing.T, a *core.Algebra, origin value.V) map[string]exe
 	return out
 }
 
-// warmStartable mirrors rib.DeltaLicensed without importing rib: the
-// property gate under which the drain's fixpoint is provably the
+// warmStartable is the licence's delta gate on the bare order transform:
+// the property gate under which the drain's fixpoint is provably the
 // from-scratch fixpoint.
 func warmStartable(a *core.Algebra) bool {
-	return a.OT.Props.Holds(prop.MLeft) || a.OT.Props.Holds(prop.ILeft)
+	return NewLicence(exec.NewDynamic(a.OT), nil).WarmStartAllowed()
 }
 
 func sameSolution(t *testing.T, label string, got, want *Result) {

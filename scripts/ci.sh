@@ -85,13 +85,24 @@ go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledF
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
 # The read path: the staged binary resolver against the per-query loop
-# it replaced (every view, layout, query shape, batch size and malformed
-# frame; a span too wide for the answer slot fails the frame in both),
-# and one route reply built in one place — leader GET, follower GET and
-# JSON-batch element byte-identical, forwardable/loop_at included, on the
-# policy algebra whose next hops loop.
+# it replaced (leader and follower views, every query shape, batch size
+# and malformed frame; a span too wide for the answer slot fails the
+# frame in both), and one route reply built in one place — leader GET,
+# follower GET and JSON-batch element byte-identical, forwardable/loop_at
+# included, on the policy algebra whose next hops loop.
 go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsFrame|TestRouteReplyIdentityAcrossSurfaces)$' \
   -count=1 ./internal/serve/
+
+# The LPM differential: on a 1 000-node graph where every node is a
+# destination, each auto-prefix /32 resolves through the trie to its own
+# node, whose served column equals the naive flat build.
+go test -race -run='^TestAutoPrefixResolvesEveryDest$' -count=1 ./internal/serve/
+
+# The serve gates come from the licence: the warm-start and skip-rule
+# answers on the named policy and query algebras and a random corpus ×
+# {compiled, tiered, dynamic} × {inferred set, none}, pinned to the
+# expressions the server used before the licence answered them.
+go test -race -run='^TestLicenceGates$' -count=1 ./internal/solve/
 
 # The follower's failure mask: a persistent chunked bitset against a
 # []bool oracle (bits, count, wire bytes and checksum at every version of
@@ -160,14 +171,6 @@ go run ./cmd/mrserve -delta-bench -expr 'lex(delay(32,3), hops(8))' \
   -out /tmp/bench_delta_smoke.json
 grep -q speedup_delta /tmp/bench_delta_smoke.json
 
-# Scale bench smoke: the arena-vs-pointer memory measurement must run
-# end to end at 1k nodes, pass its built-in LPM differential, and emit
-# a well-formed report. The committed BENCH_scale.json holds the real
-# 1k/10k/100k numbers.
-go run ./cmd/mrserve -scale-bench -scale-nodes 1000 -out /tmp/bench_scale_smoke.json
-grep -q pointer_to_arena_ratio /tmp/bench_scale_smoke.json
-grep -q '"lpm_differential_ok": true' /tmp/bench_scale_smoke.json
-
 # Replication bench smoke: the delta-record-vs-full-snapshot
 # measurement must run end to end, keep the follower checksum-identical
 # to the leader, and emit a well-formed report. The committed
@@ -178,36 +181,27 @@ go run ./cmd/mrserve -replica-bench -expr 'lex(delay(32,3), bw(8))' \
 grep -q full_to_delta_ratio /tmp/bench_replica_smoke.json
 grep -q '"checksum_ok": true' /tmp/bench_replica_smoke.json
 
-# Storm bench smoke: the paged-vs-flat copy-on-write swap measurement
-# must run end to end at small scale, pass every per-swap bit-identity
-# differential, and emit a well-formed report. The committed
-# BENCH_storm.json holds the real 1k/10k/100k numbers.
-go run ./cmd/mrserve -storm-bench -expr 'lex(delay(32,3), hops(8))' \
-  -storm-nodes 256 -storm-arcs 2,8 -dests 4 -bench-rounds 2 \
-  -out /tmp/bench_storm_smoke.json 2>&1 | tee /tmp/storm_smoke.txt
-grep -q 'x speedup' /tmp/storm_smoke.txt
-grep -q 'differential-ok=true' /tmp/storm_smoke.txt
-grep -q speedup_paged /tmp/bench_storm_smoke.json
-grep -q '"differential_ok": true' /tmp/bench_storm_smoke.json
-
-# Leader/follower replication smoke: a leader boots, absorbs a
-# deterministic storm and rotation-logs every record; a follower
-# bootstrapped from nothing but the live log — which rotation reseeds
-# with a full snapshot — and another replaying the whole segment
-# directory must both report the identical snapshot version and
-# routing checksum.
-REPL_DIR=$(mktemp -d)
-go run ./cmd/mrserve -expr 'lex(delay(32,3), hops(8))' -random 24 -dests 4 \
-  -log-dir "$REPL_DIR" -log-max-bytes 4096 -replay-storm 50 -oneshot | tee /tmp/replica_leader.txt
-ls "$REPL_DIR"/replica-*.log  # rotation must actually have produced segments
-go run ./cmd/mrserve -follow "file:$REPL_DIR/replica.log" -oneshot | tee /tmp/replica_follower.txt
-go run ./cmd/mrserve -follow "file:$REPL_DIR" -oneshot | tee /tmp/replica_follower_dir.txt
-LEADER_STATE=$(sed 's/role=leader//' /tmp/replica_leader.txt)
-FOLLOWER_STATE=$(sed 's/role=follower//' /tmp/replica_follower.txt)
-FOLLOWER_DIR_STATE=$(sed 's/role=follower//' /tmp/replica_follower_dir.txt)
-test -n "$LEADER_STATE" && test "$LEADER_STATE" = "$FOLLOWER_STATE"
-test "$LEADER_STATE" = "$FOLLOWER_DIR_STATE"
-rm -rf "$REPL_DIR"
+# Leader/follower replication smoke, on the forwardable lex product and
+# on the policy product: a leader boots, absorbs a deterministic storm
+# and rotation-logs every record; a follower bootstrapped from nothing
+# but the live log — which rotation reseeds with a full snapshot — and
+# another replaying the whole segment directory must both report the
+# identical snapshot version and routing checksum.
+go build -o /tmp/mrserve_smoke ./cmd/mrserve
+for EXPR in 'lex(delay(32,3), hops(8))' 'scoped(bw(4), delay(64,4))'; do
+  REPL_DIR=$(mktemp -d)
+  /tmp/mrserve_smoke -expr "$EXPR" -random 24 -dests 4 \
+    -log-dir "$REPL_DIR" -log-max-bytes 4096 -replay-storm 50 -oneshot | tee /tmp/replica_leader.txt
+  ls "$REPL_DIR"/replica-*.log  # rotation must actually have produced segments
+  /tmp/mrserve_smoke -follow "file:$REPL_DIR/replica.log" -oneshot | tee /tmp/replica_follower.txt
+  /tmp/mrserve_smoke -follow "file:$REPL_DIR" -oneshot | tee /tmp/replica_follower_dir.txt
+  LEADER_STATE=$(sed 's/role=leader//' /tmp/replica_leader.txt)
+  FOLLOWER_STATE=$(sed 's/role=follower//' /tmp/replica_follower.txt)
+  FOLLOWER_DIR_STATE=$(sed 's/role=follower//' /tmp/replica_follower_dir.txt)
+  test -n "$LEADER_STATE" && test "$LEADER_STATE" = "$FOLLOWER_STATE"
+  test "$LEADER_STATE" = "$FOLLOWER_DIR_STATE"
+  rm -rf "$REPL_DIR"
+done
 
 # Query-plane bench smoke: the paired single-JSON-vs-batched-binary
 # measurement must run end to end over live loopback HTTP, pass its
@@ -221,10 +215,10 @@ go run ./cmd/mrserve -query-bench -random 24 -dests 4 \
 grep -q speedup /tmp/bench_query_smoke.json
 grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 
-# Allocs/op guards: the arena column build must stay allocation-flat,
-# both delta rebuild paths (flat epoch-bitmap and paged copy-on-write)
-# must hold their steady-state allocation budgets (the paged one
-# includes the rebuild's one presized change list), a short Forward must
+# Allocs/op guards: the flat column build must stay allocation-flat, the
+# paged copy-on-write delta rebuild must hold its steady-state
+# allocation budget (including the rebuild's one presized change list),
+# a short Forward must
 # allocate nothing sized by the column, a follower's delta apply must
 # stay O(cloned pages) in objects and bytes and its mask O(toggles) (a
 # 4-toggle delta under 4 KiB at 400k arcs, within 10 % of 40k), and so
@@ -248,7 +242,7 @@ grep -q '"differential_ok": true' /tmp/bench_query_smoke.json
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
 go test -run='^(TestScratchKernelAllocs|TestLtKernelAllocs)$' -count=1 ./internal/solve/
-go test -run='^(TestColumnBuildAllocs|TestDeltaColumnAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
+go test -run='^(TestColumnBuildAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
   -count=1 ./internal/rib/
 go test -run='^(TestApplyDeltaAllocs|TestApplyDeltaTogglesAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
 go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
