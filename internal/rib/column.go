@@ -118,10 +118,13 @@ func appendNextHopSet(eng exec.Algebra, g *graph.Graph, routed []bool, w []int32
 	return pool
 }
 
-// markRedo loads the delta rebuild's redo set — touched nodes plus
-// toggle tails — into the workspace's reusable epoch bitmap. The raw
-// solver state is valid at exactly these nodes on the sparse path, and
-// their ECMP scans read only state the drain materialized.
+// markRedo loads the delta rebuild's redo set — touched nodes plus the
+// tails of the toggles the solve was handed, which on the server's
+// sparse path are only those that can move the column — into the
+// workspace's reusable epoch bitmap. The raw solver state is valid at
+// exactly these nodes on the sparse path: the drain writes every popped
+// node's next hop, and the downed-primary test loads a routed failed-arc
+// tail's. Their ECMP scans read only weights the drain materialized.
 func markRedo(ws *solve.Workspace, g *graph.Graph, touched []int, toggles []solve.ArcToggle, dest int) {
 	ws.ResetMarks(g.N)
 	for _, u := range touched {

@@ -362,16 +362,17 @@ func patchPage(prev *ColumnPage, pi, n int, patches []SlotPatch) *ColumnPage {
 	}
 	np := &ColumnPage{Pool: make([]int32, 0, poolLen)}
 	base := pi << PageShift
-	for i, lim := 0, PageLen(pi, n); i < lim; i++ {
-		if len(patches) > 0 && patches[0].Node == base+i {
-			if p := &patches[0]; p.Routed {
-				np.put(i, p.W, p.NextHop)
-			}
-			patches = patches[1:]
-			continue
+	i := 0
+	for k := range patches {
+		p := &patches[k]
+		at := p.Node - base
+		np.transplantRun(prev, i, at)
+		if p.Routed {
+			np.put(at, p.W, p.NextHop)
 		}
-		np.transplant(prev, i)
+		i = at + 1
 	}
+	np.transplantRun(prev, i, PageLen(pi, n))
 	return np
 }
 
@@ -384,13 +385,34 @@ func (p *ColumnPage) put(i int, w int32, nh []int32) {
 	p.Live++
 }
 
-// transplant copies slot i and its span from the same page of a
-// previous column — the copy-on-write path for slots a rebuild did not
-// touch, shared by the leader's delta refill and the follower's patch.
-func (p *ColumnPage) transplant(prev *ColumnPage, i int) {
-	if s := prev.Slots[i]; s.Routed {
-		p.put(i, s.W, prev.Pool[s.NhOff:s.NhOff+s.NhLen])
+// transplantRun copies slots [i, j) and their spans from the same page
+// of a previous column — the copy-on-write path for a run of slots a
+// rebuild did not touch, shared by the leader's delta refill and the
+// follower's patch. The canonical layout keeps a run's spans contiguous
+// and in slot order, so the run costs one slot copy, one pool append and
+// one constant shift of its routed slots' offsets instead of a put per
+// slot; unrouted slots are zero in every builder, so copying them is
+// exact. Like put, it must be called for ascending, disjoint ranges.
+func (p *ColumnPage) transplantRun(prev *ColumnPage, i, j int) {
+	run := p.Slots[i:j]
+	copy(run, prev.Slots[i:j])
+	k := 0
+	for k < len(run) && !run[k].Routed {
+		k++
 	}
+	if k == len(run) {
+		return
+	}
+	lo := run[k].NhOff
+	hi, shift := lo, int32(len(p.Pool))-lo
+	for ; k < len(run); k++ {
+		if s := &run[k]; s.Routed {
+			hi = s.NhOff + s.NhLen
+			s.NhOff += shift
+			p.Live++
+		}
+	}
+	p.Pool = append(p.Pool, prev.Pool[lo:hi]...)
 }
 
 // hops returns slot i's ECMP span as a capped view of the page pool, nil
@@ -416,9 +438,9 @@ func PageLen(pi, n int) int {
 // state: slots ascending, each routed non-destination slot's ECMP span
 // appended through the shared appendNextHopSet scan. redo, when
 // non-nil, restricts refills to marked nodes and transplants every
-// other slot (with its span) from the same page of prev — the
-// copy-on-write delta path, where solver state is only valid at marked
-// nodes.
+// maximal run of other slots (with its spans) from the same page of prev
+// — the copy-on-write delta path, where solver state is only valid at
+// marked nodes.
 func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, prev *ColumnPage, redo *solve.Workspace) *ColumnPage {
 	np := &ColumnPage{}
 	base := pi << PageShift
@@ -431,7 +453,12 @@ func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, pre
 	for i := 0; i < lim; i++ {
 		u := base + i
 		if redo != nil && !redo.Marked(u) {
-			np.transplant(prev, i)
+			j := i + 1
+			for j < lim && !redo.Marked(base+j) {
+				j++
+			}
+			np.transplantRun(prev, i, j)
+			i = j - 1
 			continue
 		}
 		if !raw.Routed[u] {
@@ -542,7 +569,10 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 }
 
 // DeltaDestPaged recomputes the paged column for a single destination
-// after the given arc toggles, warm-starting from prev. When the delta drain
+// after the given arc toggles, warm-starting from prev. g and disabled
+// carry the whole batch; toggles may leave out toggles that cannot move
+// a clean prev (serve's per-toggle skip rule), and every other caller
+// passes them all. When the delta drain
 // runs, only pages containing touched nodes or toggle tails are
 // rebuilt; every other page is shared with prev by pointer, so the
 // swap's data-plane cost is O(frontier), not O(N). On any fallback the
@@ -579,18 +609,7 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		}
 		return col, solve.DeltaStats{}, scratch(col), nil
 	}
-	warm := func(u int) (bool, int32, int) {
-		p := prev.Pages[u>>PageShift]
-		s := p.Slots[u&PageMask]
-		if !s.Routed {
-			return false, 0, -1
-		}
-		if u == dest {
-			return true, s.W, -1
-		}
-		return true, s.W, int(p.Pool[s.NhOff])
-	}
-	raw, st := ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, warm, prev.Clean, prev.log, toggles, 0)
+	raw, st := ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, (*warmColumn)(prev), prev.Clean, prev.log, toggles, 0)
 	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, Clean: st.Clean, log: ws.DerivationLog(g, dest)}
 	if !st.UsedDelta {
 		c.Pages = pagesFromRaw(eng, g, raw, dest)
@@ -629,6 +648,29 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 	ps := PageStats{Cloned: len(dirty), Shared: len(c.Pages) - len(dirty), DirtyPages: dirty,
 		Changes: diff.patches, Changed: diff.count}
 	return c, st, ps, nil
+}
+
+// warmColumn is a previous column as the delta solver's warm start
+// (solve.WarmLoader). The conversion from *PagedColumn allocates nothing,
+// and a weight load reads the slot alone, never the page's next-hop pool.
+type warmColumn PagedColumn
+
+// Weight returns node u's routedness and weight index (0 when unrouted:
+// unrouted slots are zero).
+func (c *warmColumn) Weight(u int) (bool, int32) {
+	s := &c.Pages[u>>PageShift].Slots[u&PageMask]
+	return s.Routed, s.W
+}
+
+// NextHop returns node u's primary next hop, -1 at the destination and
+// at unrouted nodes.
+func (c *warmColumn) NextHop(u int) int {
+	p := c.Pages[u>>PageShift]
+	s := &p.Slots[u&PageMask]
+	if !s.Routed || u == c.Dest {
+		return -1
+	}
+	return int(p.Pool[s.NhOff])
 }
 
 // insertPage inserts pi into an ascending page-index slice unless

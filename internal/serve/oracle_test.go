@@ -12,6 +12,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"metarouting/internal/replica"
 	"metarouting/internal/rib"
@@ -198,6 +200,77 @@ func (o *SwapOracle) Check(prev *Snapshot, events []ArcEvent, frame []byte) erro
 		ref, _ := replica.DecodeRecord(want)
 		return fmt.Errorf("v%d delta frame differs from the scan-based encoder's\n got %+v\nwant %+v",
 			sn.Version, got.Delta, ref.Delta)
+	}
+	return nil
+}
+
+// CheckSubsets holds one swap's rebuilds to the whole batch. invalidated
+// hands a sharp destination only the toggles that can move it; here every
+// destination the swap rebuilt is rebuilt again from its previous column
+// with every toggle of the batch, the way buildDests would without the
+// subsets. The two columns must be equal — pages, Converged, Clean — and
+// the frame the server published (nil when it has no sink) must be byte
+// for byte the one those full-batch rebuilds' change lists encode. prev
+// and events are as for Check.
+func (o *SwapOracle) CheckSubsets(prev *Snapshot, events []ArcEvent, frame []byte) error {
+	s := o.s
+	sn := s.Snapshot()
+	if sn.Version == prev.Version || events == nil {
+		return nil
+	}
+	toggles, err := Coalesce(events, prev.Disabled)
+	if err != nil {
+		return err
+	}
+	all := make([]solve.ArcToggle, len(toggles))
+	for i, t := range toggles {
+		all[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
+	}
+	ws := solve.NewWorkspace()
+	ws.Licence = &s.licence
+	full := &Snapshot{Version: sn.Version, Unconverged: sn.Unconverged, cols: make(map[int]*rib.PagedColumn, len(sn.cols))}
+	var built []rebuilt
+	for _, d := range s.dests {
+		got, old := sn.cols[d], prev.cols[d]
+		full.cols[d] = got
+		if got == old {
+			continue
+		}
+		r := rebuilt{dest: d}
+		if s.deltaOK && old.Converged {
+			var ps rib.PageStats
+			r.col, _, ps, err = rib.DeltaDestPaged(s.eng, sn.Graph, sn.Disabled, d, s.origins[d], ws, old, all)
+			r.changes, r.changed = ps.Changes, ps.Changed
+		} else {
+			r.col, err = rib.BuildDestPaged(s.eng, sn.Graph, d, s.origins[d], ws)
+			r.changes, r.changed = rib.DiffPaged(old, r.col)
+		}
+		if err != nil {
+			return err
+		}
+		if got.Converged != r.col.Converged || got.Clean != r.col.Clean || !reflect.DeepEqual(got.Pages, r.col.Pages) {
+			return fmt.Errorf("v%d: destination %d rebuilt from its toggle subset differs from the rebuild from the whole batch", sn.Version, d)
+		}
+		full.cols[d] = r.col
+		built = append(built, r)
+	}
+	if frame == nil {
+		return nil
+	}
+	rec, err := replica.DecodeRecord(frame)
+	if err != nil || rec.Kind != replica.KindDelta {
+		return fmt.Errorf("v%d: published frame is not a delta record: %v", sn.Version, err)
+	}
+	// Encode from the names table as it stood before this swap's publish:
+	// a clipped copy, so the shared prefix is never written.
+	s.mu.Lock()
+	names := s.names
+	s.names = slices.Clip(names[:rec.Delta.NameBase])
+	want := s.encodeDeltaLocked(prev, full, toggles, built)
+	s.names = names
+	s.mu.Unlock()
+	if !bytes.Equal(frame, want) {
+		return fmt.Errorf("v%d: delta frame differs from the one the whole batch's rebuilds encode", sn.Version)
 	}
 	return nil
 }

@@ -30,7 +30,8 @@ import (
 )
 
 // shadowed is a server whose ApplyBatch and Rebuild check every swap
-// against the oracle before returning. It boots with a capture sink and
+// against the oracle before returning, and every rebuild against the one
+// the whole batch gives (CheckSubsets). It boots with a capture sink and
 // a registry, so both consumers of the change list — delta records and
 // the flap counter — are live.
 type shadowed struct {
@@ -112,6 +113,9 @@ func (sh *shadowed) check(prev *serve.Snapshot, events []serve.ArcEvent) []byte 
 	}
 	if err := sh.oracle.Check(prev, events, frame); err != nil {
 		sh.t.Fatalf("%s: v%d: %v", sh.label, sh.Snapshot().Version, err)
+	}
+	if err := sh.oracle.CheckSubsets(prev, events, frame); err != nil {
+		sh.t.Fatalf("%s: %v", sh.label, err)
 	}
 	sh.checkSkipped(prev, events)
 	sh.sums[sh.Snapshot().Version] = sh.Checksum()

@@ -39,15 +39,18 @@
 // unchanged at every intermediate step of applying the batch one arc at
 // a time.
 //
-// A destination whose column is a fixpoint the server can vouch for gets
-// a sharper rule (Server.toggleMoves). The conditions: the delta gate is
+// A destination whose column is a fixpoint the server can vouch for is
+// sharp: it gets a sharper rule (Server.toggleMoves), applied toggle by
+// toggle. The conditions: the delta gate is
 // open (M or I inferred), the column is Converged and Clean, and the
 // preorder is total (Full inferred, or the compiler's verified rank
-// vector) — the licence's WarmStartAllowed and SkipRuleSound. Then d is
-// skipped unless some toggle can change it: a failed
+// vector) — the licence's WarmStartAllowed and SkipRuleSound. Then a
+// toggle can move d's column only as follows: a failed
 // arc x→y only if y is one of x's next hops toward d, a restored arc
 // only if x is unrouted or the arc's candidate f(w_d[y]) is not strictly
-// worse than w_d[x]. Soundness: under that test the selection at x over
+// worse than w_d[x]. d is skipped when no toggle can move it; otherwise
+// its rebuild is handed only the toggles that can. Soundness of the
+// skip: under that test the selection at x over
 // the new out-row, taken from the old column's weights, is the selection
 // the column already holds — a failed arc outside the next-hop set bore
 // a candidate strictly worse than the minimum (totality: not equivalent
@@ -64,10 +67,32 @@
 // skips the rebuilds whose change list would have been empty. The batch
 // argument carries over unchanged: each toggle passes the test against
 // the pre-batch column, which therefore survives every intermediate
-// step. Columns that are not Clean (the scoped policy product's never
-// are) and partial orders keep the first rule. The
-// differential tests hold every skipped column of every swap against
-// rib.BuildDestPaged on the new view.
+// step.
+//
+// The same argument, one toggle at a time, licenses the subset. The
+// rebuild solves on the new view and mask, which carry the whole batch;
+// the toggles it is handed decide only what the warm start seeds and
+// which tails the page refill redoes. Leave out a failed arc that passes
+// the test: it was strictly worse than x's selection. Leave out a
+// restored one: its candidate is strictly worse. Either way x's
+// selection and equal-cost set over the new row stand as long as x's
+// out-neighbours keep their weights, and if one of them changes the
+// drain pops it and pushes x through the enabled arc. A left-out fail is
+// never a primary arc, so it cuts no subtree and leaves every
+// previous-tree edge of an untouched node up, which keeps the
+// touched-chain clean certificate sound. So the redo set — touched nodes
+// plus the handed toggles' tails — still covers every slot that can
+// differ, and the column, its change list and the delta frame are the
+// ones the whole batch gives. Columns that are not Clean (the scoped
+// policy product's never are) and partial orders keep the first rule and
+// the whole batch: on such a column a weight a forwarding loop sustains
+// can lose its last real support through an arc strictly worse than the
+// loop, so the test proves nothing there. The differential tests hold
+// every skipped column of every swap against rib.BuildDestPaged on the
+// new view, every rebuild against the whole batch's
+// (SwapOracle.CheckSubsets), and the broken rules of TestSubsetMutantsFail
+// — ECMP-only fails dropped, equal-cost restores dropped, unclean
+// columns held to the test — must each be caught.
 //
 // EnqueueEvent feeds an intake queue drained by a background
 // batcher, with a selectable full-queue policy: reject (surfaced as HTTP
@@ -442,6 +467,10 @@ type Server struct {
 	// SkipRuleSound holds.
 	fixpointSkip bool
 
+	// rule is the judgement invalidated applies per column: the server
+	// itself outside tests (see subsetRule).
+	rule subsetRule
+
 	snap atomic.Pointer[Snapshot]
 
 	// scrapeSnap pins one snapshot generation for the duration of a
@@ -652,6 +681,7 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	s.licence = solve.NewLicence(s.eng, cfg.deltaProps)
 	s.deltaOK = !cfg.noDelta && s.licence.WarmStartAllowed()
 	s.fixpointSkip = s.deltaOK && s.licence.SkipRuleSound()
+	s.rule = s
 	if cfg.registry != nil {
 		s.queryNS = telemetry.NewLatencyHistogram()
 		s.eventNS = telemetry.NewLatencyHistogram()
@@ -866,7 +896,9 @@ type rebuilt struct {
 // buildDests computes paged columns for the recompute set on view,
 // sharding destinations (columns) across the worker pool; columns for
 // every other destination are shared with prev's snapshot by pointer
-// (they are immutable). When the delta gate is open and toggles
+// (they are immutable). toggles, nil on full builds, holds for each
+// recomputed destination the toggles its rebuild is handed (see
+// invalidated). When the delta gate is open and toggles
 // describe the batch, each recomputed destination warm-starts from its
 // previous column via rib.DeltaDestPaged — the warm start reads engine
 // weight indices straight out of the previous pages, so nothing is
@@ -886,7 +918,7 @@ type rebuilt struct {
 // built with rib.BuildDestPaged is compared page by page with
 // rib.DiffPaged in the pool worker, and only when the flap counter or
 // the replication sink will read the result.
-func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles []ArcEvent) (map[int]*rib.PagedColumn, []int, []rebuilt, error) {
+func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles [][]solve.ArcToggle) (map[int]*rib.PagedColumn, []int, []rebuilt, error) {
 	cols := make(map[int]*rib.PagedColumn, len(s.dests))
 	var prevCols map[int]*rib.PagedColumn
 	prevUnconv := make(map[int]bool, 4)
@@ -905,13 +937,7 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 			}
 		}
 	}
-	var solveToggles []solve.ArcToggle
-	if s.deltaOK && prev != nil && toggles != nil {
-		solveToggles = make([]solve.ArcToggle, len(toggles))
-		for i, t := range toggles {
-			solveToggles[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
-		}
-	}
+	delta := s.deltaOK && prev != nil && toggles != nil
 	wantDiff := s.queryNS != nil || (s.sink != nil && toggles != nil)
 	results := make([]rebuilt, len(recompute))
 	err := s.pool.Map(ctx, len(recompute), func(i int, ws *solve.Workspace) error {
@@ -924,10 +950,10 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 		r := rebuilt{dest: d}
 		var st solve.DeltaStats
 		var err error
-		if solveToggles != nil && !prevUnconv[d] && old != nil {
+		if delta && !prevUnconv[d] && old != nil {
 			var ps rib.PageStats
 			r.col, st, ps, err = rib.DeltaDestPaged(
-				s.eng, view, s.disabled, d, s.origins[d], ws, old, solveToggles)
+				s.eng, view, s.disabled, d, s.origins[d], ws, old, toggles[i])
 			if err != nil {
 				return err
 			}
@@ -1055,32 +1081,71 @@ func Coalesce(events []ArcEvent, disabled []bool) ([]ArcEvent, error) {
 // invalidated returns, in ascending order, the destinations whose
 // columns any of the toggled arcs can touch — the union of the
 // per-event skip rule over the batch, evaluated against the pre-batch
-// snapshot (sound for the whole batch; see the package comment). A
-// destination whose column is a converged, clean fixpoint is held to
-// the sharper rule of toggleMoves when fixpointSkip allows it. Callers
-// hold s.mu.
-func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) []int {
-	var recompute []int
+// snapshot (sound for the whole batch; see the package comment) — and,
+// for each, the toggles its rebuild is handed. A destination whose
+// column is a converged, clean fixpoint is sharp when fixpointSkip
+// allows it: it is held to the sharper rule of toggleMoves, toggle by
+// toggle, and handed only the toggles that rule says can move it. Every
+// other destination is handed the whole batch. Callers hold s.mu.
+func (s *Server) invalidated(cur *Snapshot, toggles []ArcEvent) (recompute []int, subsets [][]solve.ArcToggle) {
+	all := make([]solve.ArcToggle, len(toggles))
+	for i, t := range toggles {
+		all[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
+	}
+	recompute = make([]int, 0, len(s.dests))
+	subsets = make([][]solve.ArcToggle, 0, len(s.dests))
+	// One backing array, made at the first sharp column, for every sharp
+	// destination's subset.
+	var moving []solve.ArcToggle
 	for _, d := range s.dests {
 		col := cur.cols[d]
 		if col == nil {
 			continue
 		}
-		sharp := s.fixpointSkip && col.Converged && col.Clean
-		for _, t := range toggles {
+		sharp := s.rule.sharp(col)
+		if sharp && moving == nil {
+			moving = make([]solve.ArcToggle, 0, len(s.dests)*len(toggles))
+		}
+		start := len(moving)
+		for _, t := range all {
 			a := s.base.Arcs[t.Arc]
 			if a.From == d {
 				continue
 			}
 			wy, routed := col.Route(a.To)
-			if !routed || sharp && !s.toggleMoves(col, a, t.Fail, wy) {
+			if !routed {
 				continue
 			}
+			if !sharp {
+				recompute = append(recompute, d)
+				subsets = append(subsets, all)
+				break
+			}
+			if s.rule.toggleMoves(col, a, t.Down, wy) {
+				moving = append(moving, t)
+			}
+		}
+		if sharp && len(moving) > start {
 			recompute = append(recompute, d)
-			break
+			subsets = append(subsets, moving[start:len(moving):len(moving)])
 		}
 	}
-	return recompute
+	return recompute, subsets
+}
+
+// subsetRule is the per-column judgement invalidated applies: whether a
+// column is sharp, and whether a toggle can move a sharp column. The
+// server is its own rule; Server.rule holds it so that the subset
+// differential can swap in the broken rules it must catch.
+type subsetRule interface {
+	sharp(col *rib.PagedColumn) bool
+	toggleMoves(col *rib.PagedColumn, a graph.Arc, fail bool, wy int32) bool
+}
+
+// sharp reports whether col is held to toggleMoves: the licence makes the
+// fixpoint skip rule sound, and col is a converged, clean fixpoint.
+func (s *Server) sharp(col *rib.PagedColumn) bool {
+	return s.fixpointSkip && col.Converged && col.Clean
 }
 
 // toggleMoves reports whether toggling arc a = x→y, whose head holds
@@ -1150,8 +1215,8 @@ func (s *Server) ApplyBatch(ctx context.Context, events []ArcEvent) (applied, re
 	default:
 		view = s.base.MaskArcs(s.disabled)
 	}
-	recompute := s.invalidated(cur, toggles)
-	table, unconv, built, err := s.buildDests(ctx, view, recompute, cur, toggles)
+	recompute, subsets := s.invalidated(cur, toggles)
+	table, unconv, built, err := s.buildDests(ctx, view, recompute, cur, subsets)
 	if err != nil {
 		revert()
 		return 0, 0, err

@@ -46,8 +46,12 @@ type DeltaStats struct {
 	// Touched lists, in ascending order, every node that was ever
 	// enqueued during the drain — a superset of the nodes whose
 	// routedness, weight or next hop differs from the previous result.
-	// Nodes absent from Touched kept their entire neighbourhood state,
-	// which is what lets the RIB layer reuse their entries by pointer.
+	// A node absent from Touched also kept its out-neighbours' weights,
+	// so its equal-cost set can differ only through its own out-row: only
+	// at the tail of a toggle handed to the solve, which the RIB layer
+	// refills beside Touched. A toggle the caller left out because it
+	// cannot move the column (serve's per-toggle skip rule) moves no
+	// equal-cost set either. Every other entry is reused by pointer.
 	Touched []int
 	// Clean reports that the produced fixpoint was verified to be a
 	// clean dest-rooted forwarding tree — every routed node's primary
@@ -162,10 +166,33 @@ func (ws *Workspace) BellmanFordDelta(eng exec.Algebra, g *graph.Graph, disabled
 // WarmStart supplies one node's previous fixpoint state to
 // BellmanFordDeltaRaw in index form: routed, the engine weight index,
 // and the primary next hop (-1 at the destination and at unrouted
-// nodes). The arena column store answers it straight from slots, which
-// is what lets delta warm-starts share state by index instead of
-// re-interning a column of interface values.
+// nodes). Answered straight from a column's slots, it lets delta warm
+// starts share state by index instead of re-interning a column of
+// interface values.
 type WarmStart func(u int) (routed bool, w int32, nextHop int)
+
+// WarmLoader is a previous column as the lazy warm-start overlay reads
+// it, one field at a time: a node's routedness and weight index when the
+// overlay first touches it, its primary next hop (-1 at the destination
+// and at unrouted nodes) only where a warm start needs that too (see
+// Workspace.hop). rib.DeltaDestPaged hands in its previous column itself,
+// so a rebuild allocates no loader; a WarmStart is one as well.
+type WarmLoader interface {
+	Weight(u int) (routed bool, w int32)
+	NextHop(u int) int
+}
+
+// Weight is f(u) without the next hop.
+func (f WarmStart) Weight(u int) (bool, int32) {
+	r, w, _ := f(u)
+	return r, w
+}
+
+// NextHop is f(u)'s next hop.
+func (f WarmStart) NextHop(u int) int {
+	_, _, nh := f(u)
+	return nh
+}
 
 // BellmanFordDeltaRaw is BellmanFordDelta with the warm start supplied
 // in index form and the result returned as a workspace-aliased Raw: the
@@ -186,12 +213,14 @@ type WarmStart func(u int) (routed bool, w int32, nextHop int)
 // the whole delta costs O(frontier·deg). On the sparse path the
 // returned Raw is only populated at touched nodes, toggle tails and
 // their out-neighbourhoods — exactly the slots the RIB delta rebuild
-// reads; every other entry is stale scratch.
+// reads, next hops at the first two only; every other entry is stale
+// scratch.
 func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmStart, cleanPrev bool, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	return ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, prev, cleanPrev, nil, toggles, maxPops)
 }
 
-// BellmanFordDeltaLog is BellmanFordDeltaRaw given the previous column's
+// BellmanFordDeltaLog is BellmanFordDeltaRaw with the warm start read
+// through a WarmLoader and given the previous column's
 // derivation log as well (DerivationLog; nil when it has none). When prev
 // is not certified clean, the log is non-nil and the workspace's licence
 // is M on compiled tables, it takes the third warm start (derivation.go): a forward pass
@@ -203,7 +232,7 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 // then verified over every routed node, since the previous column was
 // not a clean tree. Afterwards DerivationLog returns the new column's
 // log on this path and on a scratch fallback that ran the kernel.
-func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmStart, cleanPrev bool, log []int32, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
+func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmLoader, cleanPrev bool, log []int32, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	var t0 time.Time
 	if ws.Metrics != nil {
 		t0 = time.Now()
@@ -214,13 +243,13 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 		return raw, DeltaStats{Frontier: frontier, Clean: clean}
 	}
 	o := exec.MustIntern(eng, origin)
-	if routedD, wD, _ := prev(dest); !routedD || wD != o {
+	if routedD, wD := prev.Weight(dest); !routedD || wD != o {
 		return scratch(0)
 	}
 	var pops, frontier int
 	var relaxations uint64
 	var ok bool
-	var warm WarmStart
+	var warm WarmLoader
 	t := ws.licence(eng).logTable()
 	logWarm := !cleanPrev && log != nil && t != nil
 	if cleanPrev || logWarm {
@@ -240,13 +269,13 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 			if u == dest {
 				continue
 			}
-			routed, w, nh := prev(u)
+			routed, w := prev.Weight(u)
 			if !routed {
 				continue
 			}
 			ws.routed[u] = true
 			ws.w[u] = w
-			ws.nextHop[u] = nh
+			ws.nextHop[u] = prev.NextHop(u)
 		}
 		pops, relaxations, frontier, ok = ws.deltaDrain(eng, g, disabled, dest, toggles, maxPops)
 	}
@@ -454,8 +483,9 @@ func (ws *Workspace) sortedTouched() []int {
 // node's in-neighbours (pushTails). warm, when non-nil, runs the drain
 // over the sparse lazy overlay: popped nodes and scanned out-neighbours
 // are materialized from the previous fixpoint on first access instead of
-// having been bulk-loaded.
-func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmStart) (pops int, relaxations uint64, converged bool) {
+// having been bulk-loaded — weights only, since a pop writes its node's
+// next hop and a scan reads none.
+func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader) (pops int, relaxations uint64, converged bool) {
 	if maxPops <= 0 {
 		maxPops = defaultPopBudget(g.N)
 	}

@@ -211,7 +211,7 @@ func (ws *Workspace) replayLog(t *compile.Compiled, g *graph.Graph, disabled []b
 // offer a better candidate). ok is false when the caller must fall back
 // to a scratch build: a frontier of half the graph or more, an exhausted
 // pop budget, or a drain step that would raise a weight.
-func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, warm WarmStart, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
+func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
 	last, best := ws.prevW, ws.childHead
 	for _, x := range ws.logInval {
 		if last[x] == -1 && !ws.dirty[x] {
@@ -242,7 +242,7 @@ func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled
 		if last[x] != -1 || ws.routed[x] != (best[x] >= 0) || ws.routed[x] && ws.w[x] != best[x] {
 			continue
 		}
-		if r, w, _ := warm(x); r != ws.routed[x] || r && w != ws.w[x] {
+		if r, w := warm.Weight(x); r != ws.routed[x] || r && w != ws.w[x] {
 			ws.pushTails(rev, disabled, x, dest)
 		}
 	}
@@ -255,7 +255,7 @@ func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled
 // logBuf. Seeded from a post-fixpoint it never raises a weight; a step
 // that would (only a broken seed state can cause one) reports through
 // onRaise and returns ok false.
-func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmStart) (pops int, relaxations uint64, ok bool) {
+func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader) (pops int, relaxations uint64, ok bool) {
 	rev := g.RevIn()
 	fn, rank, stride := t.Fn, t.Rank, t.N
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop

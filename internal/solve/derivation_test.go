@@ -40,6 +40,7 @@ func sameServed(a, b Raw) bool {
 func (ws *Workspace) served(n, dest int, prev WarmStart) Raw {
 	for u := 0; u < n; u++ {
 		ws.ensure(u, prev)
+		ws.hop(u, prev)
 	}
 	return ownRaw(ws.raw(dest, 0, true))
 }

@@ -89,7 +89,7 @@ func (ws *Workspace) oracleBellmanFord(eng exec.Algebra, g *graph.Graph, dest in
 }
 
 // oracleDrain is the arc-index worklist drain.
-func (ws *Workspace) oracleDrain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmStart) (pops int, relaxations uint64, converged bool) {
+func (ws *Workspace) oracleDrain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader) (pops int, relaxations uint64, converged bool) {
 	if maxPops <= 0 {
 		maxPops = defaultPopBudget(g.N)
 	}
@@ -282,10 +282,10 @@ func TestKernelsMatchArcIndexOracle(t *testing.T) {
 				}
 				o := exec.MustIntern(kc.eng, kc.origin)
 				for _, sparse := range []bool{false, true} {
-					var lazy WarmStart
+					var lazy WarmLoader
 					for _, w := range []*Workspace{ws, ows} {
 						if sparse {
-							lazy = warm
+							lazy = WarmStart(warm)
 							w.sparseReset(g.N)
 							w.loadNode(dest, true, o, -1)
 						} else {

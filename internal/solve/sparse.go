@@ -8,7 +8,9 @@ import (
 // This file holds the O(frontier) side of the delta solver: epoch-stamped
 // node sets (so per-run state never needs an O(N) clear), a lazy
 // warm-start overlay that materializes previous-fixpoint state only for
-// nodes the drain actually visits, and the forward-chain verifier that
+// nodes the drain actually visits — routedness and weight on first
+// touch, the primary next hop only where a warm start reads it — and the
+// forward-chain verifier that
 // certifies a fixpoint as "clean" — every routed node's primary next-hop
 // chain reaches the destination. Cleanliness is what licenses the sparse
 // path: on a clean warm start the dense path's ⊤-plateau purge is
@@ -62,16 +64,39 @@ func (ws *Workspace) loadNode(u int, routed bool, w int32, nextHop int) {
 	ws.nextHop[u] = nextHop
 }
 
-// ensure materializes node u's previous-fixpoint state on first access.
-// Every read or write of routed/w/nextHop on the sparse path must be
-// preceded by an ensure (or loadNode) for that node — unloaded entries
-// hold garbage from earlier runs.
-func (ws *Workspace) ensure(u int, warm WarmStart) {
+// hopUnloaded marks an overlay node whose previous primary next hop has
+// not been read yet (see ensure and hop). No next hop is negative but -1.
+const hopUnloaded = -2
+
+// ensure materializes node u's previous-fixpoint routedness and weight on
+// first access, leaving its next hop unloaded. Every read or write of
+// routed/w/nextHop on the sparse path must be preceded by an ensure (or
+// loadNode) for that node — unloaded entries hold garbage from earlier
+// runs — and every read of a next hop the drain did not write goes
+// through hop. Most loads are the out-neighbours a popped node scans,
+// which need the weight alone; skipping the next hop keeps those loads
+// off the previous column's next-hop pool.
+func (ws *Workspace) ensure(u int, warm WarmLoader) {
 	if ws.loaded[u] == ws.loadEpoch {
 		return
 	}
-	r, w, nh := warm(u)
-	ws.loadNode(u, r, w, nh)
+	r, w := warm.Weight(u)
+	ws.loadNode(u, r, w, hopUnloaded)
+}
+
+// hop returns a loaded node's primary next hop, reading the previous
+// column's on first need. The drain writes the next hop of every node it
+// pops, so after a converged drain Raw.NextHop is valid at every touched
+// node; the readers of a previous next hop are the downed-primary test,
+// the subtree walk and the chain walk of the clean certificate. Off the
+// overlay the sentinel never occurs and warm is never called.
+func (ws *Workspace) hop(u int, warm WarmLoader) int {
+	nh := ws.nextHop[u]
+	if nh == hopUnloaded {
+		nh = warm.NextHop(u)
+		ws.nextHop[u] = nh
+	}
+	return nh
 }
 
 // sparseReset readies the workspace for a sparse delta drain without any
@@ -134,29 +159,38 @@ func (ws *Workspace) sparseReset(n int) {
 // previous tree are exactly the in-neighbours whose next hop is the
 // node) instead of a full children index. Work is proportional to the
 // frontier and its neighbourhood, never to g.N. Alongside the drain
-// itself it guarantees that, on success, every touched node and every
-// toggle tail has its full out-neighbourhood materialized — the RIB
-// rebuild re-runs ECMP scans at exactly those nodes.
-func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, warm WarmStart, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
+// itself it guarantees that, on success, every touched node and the tail
+// of every toggle it is handed (bar the destination) has its full
+// out-neighbourhood materialized and, where routed, its next hop loaded —
+// the RIB rebuild re-runs ECMP scans at exactly those nodes. The
+// obligation is to the toggles handed in, not to the batch: a caller may
+// leave out a toggle that cannot move the column (serve's skip rule,
+// applied per toggle), and then that tail is neither loaded nor refilled.
+func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
 	rev := g.RevIn()
 	arcs := g.Arcs
 	stack := ws.stack[:0]
 	for _, t := range toggles {
 		x := arcs[t.Arc].From
+		if x == dest {
+			// The solver never reads the destination's out-arcs and the
+			// RIB refills no slot for them; on a scale-free graph the
+			// destination is often the largest hub.
+			continue
+		}
 		// Materialize the toggle tail and its out-neighbourhood up front:
 		// the RIB layer re-runs the ECMP scan at every toggle tail even
 		// when its weight fixpoint does not move.
-		if x != dest {
-			ws.ensure(x, warm)
-		}
+		ws.ensure(x, warm)
 		for _, h := range g.OutHops(x) {
 			ws.ensure(int(h.Node), warm)
 		}
 		if !t.Down {
 			continue
 		}
-		y := arcs[t.Arc].To
-		if x == dest || !ws.routed[x] || ws.nextHop[x] != y {
+		// The downed-primary test loads a routed tail's next hop, which
+		// the refill reads whether or not the drain pops the tail.
+		if !ws.routed[x] || ws.hop(x, warm) != arcs[t.Arc].To {
 			continue
 		}
 		// Invalidate the forwarding subtree behind the downed primary
@@ -177,7 +211,7 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 					continue
 				}
 				ws.ensure(v, warm)
-				if ws.routed[v] && ws.nextHop[v] == s {
+				if ws.routed[v] && ws.hop(v, warm) == s {
 					stack = append(stack, v)
 				}
 			}
@@ -215,8 +249,8 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 // parks at its current node after 1, 2, 4, … steps and fails on coming
 // back to where it parked, within twice the cycle's reach and with no
 // per-node marks. warm, when non-nil, materializes unvisited nodes from
-// the lazy overlay as the walk crosses them.
-func (ws *Workspace) verifyChain(u, dest int, warm WarmStart) bool {
+// the lazy overlay as the walk crosses them, next hops included.
+func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader) bool {
 	path := ws.vstack[:0]
 	defer func() { ws.vstack = path }()
 	park, lap, steps := -1, 1, 0
@@ -232,7 +266,7 @@ func (ws *Workspace) verifyChain(u, dest int, warm WarmStart) bool {
 		}
 		steps++
 		path = append(path, u)
-		u = ws.nextHop[u]
+		u = ws.hop(u, warm)
 	}
 	for _, v := range path {
 		ws.vmarks[v] = ws.vmarkEpoch
@@ -248,7 +282,7 @@ func (ws *Workspace) verifyChain(u, dest int, warm WarmStart) bool {
 // own walk covers the remainder. Any new forwarding cycle must contain a
 // touched node — a cycle of untouched nodes would have existed in the
 // clean previous fixpoint — so the restricted walk finds it.
-func (ws *Workspace) verifyTouched(n, dest int, warm WarmStart) bool {
+func (ws *Workspace) verifyTouched(n, dest int, warm WarmLoader) bool {
 	ws.vmarks, ws.vmarkEpoch = resetEpochSet(ws.vmarks, ws.vmarkEpoch, n)
 	for _, t := range ws.touchList {
 		if !ws.routed[t] {
@@ -277,7 +311,7 @@ func (ws *Workspace) VerifyForwardTree(raw Raw) bool {
 // overlay — the log warm start's certificate, which cannot restrict the
 // walk to touched nodes as verifyTouched does: its previous column was
 // not a clean tree.
-func (ws *Workspace) verifyAll(n, dest int, warm WarmStart) bool {
+func (ws *Workspace) verifyAll(n, dest int, warm WarmLoader) bool {
 	ws.vmarks, ws.vmarkEpoch = resetEpochSet(ws.vmarks, ws.vmarkEpoch, n)
 	for u := 0; u < n; u++ {
 		if warm != nil {

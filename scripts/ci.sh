@@ -5,6 +5,20 @@ set -eux
 go build ./...
 go vet ./...
 
+# CHANGES.md keeps one paragraph per PR: the newest entry — from the last
+# top-level "- " bullet to the end of the file — may run to 40 lines of
+# at most 100 characters (UTF-8 continuation bytes are not counted).
+LC_ALL=C awk '/^- /{n=NR} {line[NR]=$0} END {
+  bad = 0
+  for (i = n; i <= NR; i++) {
+    s = line[i]
+    gsub(/[\200-\277]/, "", s)
+    if (length(s) > 100) { print "CHANGES.md:" i ": " length(s) " columns, want <= 100"; bad = 1 }
+  }
+  if (NR - n + 1 > 40) { print "CHANGES.md: the newest entry has " NR - n + 1 " lines, want <= 40"; bad = 1 }
+  exit bad
+}' CHANGES.md
+
 # staticcheck when available (CI installs a pinned version; local runs
 # without it are still valid).
 if command -v staticcheck >/dev/null 2>&1; then
@@ -81,6 +95,21 @@ go test -tags licencecheck ./internal/solve/ ./internal/rib/ ./internal/serve/
 go test -race -run='^TestDerivationDeltaMatchesScratch$' -count=1 ./internal/rib/
 go test -race -run='^TestDerivationDeltaMutantsFail$' -count=1 ./internal/solve/
 go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
+
+# A rebuilt destination pays only for the toggles that can move it. The
+# subset differential: storms of fails, restores, fails that only shrink
+# an equal-cost set and restores that only widen one, on scale-free graphs
+# with hubs, compiled and tiered; every rebuild, handed the toggles that
+# can move its clean column, equals the rebuild from the whole batch and
+# a scratch build, and the frame is byte-identical to the whole batch's.
+# The three broken rules must be caught (ECMP-only fails dropped,
+# equal-cost restores dropped, subsets handed to unclean log-path
+# columns). Beside it, the run-wise page transplant against the per-slot
+# copy it replaced, and the weight-only overlay's next-hop reads bounded
+# on hub-heavy batches (the licencecheck run above covers it too).
+go test -race -run='^(TestSubsetDifferential|TestSubsetMutantsFail)$' -count=1 ./internal/serve/
+go test -race -run='^TestTransplantRunMatchesSlots$' -count=1 ./internal/rib/
+go test -race -run='^TestSparseNextHopLoads$' -count=1 ./internal/solve/
 go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
