@@ -3,9 +3,8 @@ package serve_test
 // Tests for the serve layer's warm-start delta reconvergence: the
 // delta-vs-scratch differential across random licensed algebras,
 // topologies and event storms on both engine backends, the property
-// gate's refusal to warm-start unlicensed (non-monotone) algebras, and
-// a smoke run of the paired benchmark harness. CI runs this file under
-// -race.
+// gate's refusal to warm-start unlicensed (non-monotone) algebras. CI
+// runs this file under -race.
 
 import (
 	"context"
@@ -248,41 +247,5 @@ func TestServeDeltaUnlicensedFallsBack(t *testing.T) {
 	}
 	if st.ScratchDestRebuilds == 0 {
 		t.Fatal("storms must have forced from-scratch rebuilds")
-	}
-}
-
-// TestMeasureDeltaSmoke runs the paired benchmark harness at a toy size:
-// the report must be structurally sane and the delta server must have
-// actually exercised the warm path.
-func TestMeasureDeltaSmoke(t *testing.T) {
-	a, err := core.InferString("delay(16,3)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(delta bool) (*serve.Server, error) {
-		r := rand.New(rand.NewSource(5))
-		g := graph.Random(r, 16, 0.25, graph.UniformLabels(a.OT.F.Size()))
-		origins := map[int]value.V{0: 0, g.N - 1: 1}
-		return serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
-			serve.WithWorkers(2), serve.WithDelta(delta), serve.WithDeltaProps(a.Props))
-	}
-	rep, err := serve.MeasureDelta(mk, 2, 2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Nodes != 16 || rep.StormArcs != 2 || rep.Rounds != 2 {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-	if rep.DeltaBatchUS <= 0 || rep.ScratchBatchUS <= 0 || rep.SpeedupDelta <= 0 {
-		t.Fatalf("timings missing: %+v", rep)
-	}
-	if rep.DeltaRebuilds == 0 {
-		t.Fatalf("delta server never warm-started: %+v", rep)
-	}
-	// The baseline must refuse a delta-enabled server.
-	if _, err := serve.MeasureDelta(func(bool) (*serve.Server, error) {
-		return mk(true)
-	}, 2, 1, 99); err == nil {
-		t.Fatal("harness must reject a baseline with delta enabled")
 	}
 }

@@ -12,6 +12,12 @@ import (
 // policies deterministically, draining by hand with DrainForTest.
 func WithoutBatcher() Option { return optionFunc(func(c *config) { c.noBatcher = true }) }
 
+// WithDelta enables or disables warm-start delta reconvergence
+// (default enabled, where the licence allows it). Disabling it pins
+// every rebuild to the from-scratch solver: the oracle the delta
+// differentials compare warm-started servers against.
+func WithDelta(enabled bool) Option { return optionFunc(func(c *config) { c.noDelta = !enabled }) }
+
 // DrainForTest runs one batcher drain cycle synchronously: everything
 // queued plus the pending coalesced state becomes one applied batch.
 func (s *Server) DrainForTest() error { return s.drainAndApply(nil) }

@@ -24,7 +24,7 @@ import (
 
 // bootReplicatedPair builds a leader with a capture sink, applies a few
 // events, and a follower fed from the captured frames.
-func bootReplicatedPair(t *testing.T) (*serve.Server, *serve.Follower, *captureSink) {
+func bootReplicatedPair(t testing.TB) (*serve.Server, *serve.Follower, *captureSink) {
 	t.Helper()
 	a, err := core.InferString("lex(delay(16,3), hops(8))")
 	if err != nil {
@@ -66,21 +66,33 @@ func TestFollowerHandlerParity(t *testing.T) {
 	if fol.Version() != srv.Snapshot().Version {
 		t.Fatalf("follower v%d, leader v%d", fol.Version(), srv.Snapshot().Version)
 	}
-	for _, url := range []string{
-		"/v1/route?from=8&dest=0",
-		"/v1/route?from=8&dest=4",
-		"/v1/route?from=3&addr=10.0.0.4",
-		"/v1/route?from=3&prefix=10.0.0.0/16",
-		"/v1/route?from=99&dest=0", // out of range: same 400 envelope
-		"/v1/paths?dest=0",
-		"/v1/prefixes",
+	ahead := strconv.FormatUint(srv.Snapshot().Version+1, 10)
+	for _, tc := range []struct {
+		url  string
+		code int
+		body string // a substring both answers must hold ("" = any)
+	}{
+		{"/v1/route?from=8&dest=0", 200, ""},
+		{"/v1/route?from=8&dest=4", 200, ""},
+		{"/v1/route?from=3&addr=10.0.0.4", 200, ""},
+		{"/v1/route?from=3&prefix=10.0.0.0/16", 200, ""},
+		{"/v1/route?from=99&dest=0", 400, "out of range"},
+		{"/v1/paths?dest=0", 200, ""},
+		{"/v1/paths?dest=1", 200, "rib: unknown destination 1"}, // in range, not originated
+		{"/v1/paths?dest=99", 400, "out of range"},
+		{"/v1/paths?dest=0&version=" + ahead, 404, serve.CodeVersionBehind},
+		{"/v1/prefixes", 200, ""},
+		{"/v1/prefixes?version=" + ahead, 404, serve.CodeVersionBehind},
 	} {
 		lw, fw := httptest.NewRecorder(), httptest.NewRecorder()
-		leader.ServeHTTP(lw, httptest.NewRequest("GET", url, nil))
-		follower.ServeHTTP(fw, httptest.NewRequest("GET", url, nil))
+		leader.ServeHTTP(lw, httptest.NewRequest("GET", tc.url, nil))
+		follower.ServeHTTP(fw, httptest.NewRequest("GET", tc.url, nil))
 		if lw.Code != fw.Code || lw.Body.String() != fw.Body.String() {
 			t.Fatalf("%s diverges:\nleader   %d %s\nfollower %d %s",
-				url, lw.Code, lw.Body.String(), fw.Code, fw.Body.String())
+				tc.url, lw.Code, lw.Body.String(), fw.Code, fw.Body.String())
+		}
+		if lw.Code != tc.code || !strings.Contains(lw.Body.String(), tc.body) {
+			t.Fatalf("%s: %d %s, want %d holding %q", tc.url, lw.Code, lw.Body.String(), tc.code, tc.body)
 		}
 	}
 	// POST /v1/routes parity, both content types: the batch plane pins
@@ -121,6 +133,38 @@ func TestFollowerHandlerParity(t *testing.T) {
 			t.Fatalf("batch %s diverges:\nleader   %d %q\nfollower %d %q",
 				name, lw.Code, lw.Body.String(), fw.Code, fw.Body.String())
 		}
+	}
+}
+
+// TestUnversionedPathsNotFound: both roles serve only /v1, so every
+// unversioned spelling falls through to the mux's plain 404 on either,
+// and /v1/slowlog is the one route only the leader mounts.
+func TestUnversionedPathsNotFound(t *testing.T) {
+	srv, fol, _ := bootReplicatedPair(t)
+	for _, tc := range []struct {
+		role    string
+		mux     *http.ServeMux
+		slowlog int
+	}{
+		{"leader", serve.NewHandler(srv, telemetry.NewRegistry()), http.StatusOK},
+		{"follower", serve.NewFollowerHandler(fol, telemetry.NewRegistry()), http.StatusNotFound},
+	} {
+		t.Run(tc.role, func(t *testing.T) {
+			for _, url := range []string{
+				"/route?from=8&dest=0", "/routes", "/paths?dest=0", "/prefixes",
+				"/event?arc=0&kind=up", "/events?arc=0&kind=up", "/stats", "/slowlog", "/metrics",
+			} {
+				if w := get(tc.mux, url); w.Code != http.StatusNotFound || w.Body.String() != "404 page not found\n" {
+					t.Fatalf("%s: %d %q, want the mux's plain 404", url, w.Code, w.Body.String())
+				}
+			}
+			if w := get(tc.mux, "/v1/metrics"); w.Code != http.StatusOK {
+				t.Fatalf("/v1/metrics: %d, want 200", w.Code)
+			}
+			if w := get(tc.mux, "/v1/slowlog"); w.Code != tc.slowlog {
+				t.Fatalf("/v1/slowlog: %d, want %d", w.Code, tc.slowlog)
+			}
+		})
 	}
 }
 

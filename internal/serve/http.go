@@ -2,10 +2,9 @@ package serve
 
 // This file holds the HTTP/JSON API that cmd/mrserve mounts — kept in
 // the library so the decoding logic is unit- and fuzz-testable without
-// booting the binary. The API is versioned under /v1/; the original
-// unversioned routes remain as thin aliases that answer identically but
-// add a Deprecation header pointing at their successor. Every endpoint
-// answers JSON; errors use one envelope shape,
+// booting the binary. Every route lives under /v1/ and is mounted once,
+// by newMux, for both roles; an unversioned path is the mux's 404.
+// Every endpoint answers JSON; errors use one envelope shape,
 //
 //	{"error":{"code":"...","message":"..."}}
 //
@@ -40,30 +39,7 @@ const (
 	CodeVersionBehind   = "version_behind"
 	CodeNotReady        = "not_ready"
 	CodeReadOnly        = "read_only"
-	CodeLegacyRetired   = "legacy_api_retired"
 )
-
-// HandlerOption configures NewHandler.
-type HandlerOption interface{ applyHandler(*handlerConfig) }
-
-type handlerConfig struct {
-	legacyAPI bool
-}
-
-type handlerOptionFunc func(*handlerConfig)
-
-func (f handlerOptionFunc) applyHandler(c *handlerConfig) { f(c) }
-
-// WithLegacyAPI re-enables the retired pre-/v1 unversioned aliases
-// (/route, /paths, /events, /event, /stats, /slowlog, /metrics). They
-// answer byte-identically to their /v1 successors plus Deprecation and
-// successor-version Link headers. Without this option the aliases
-// answer 404 with the Link header still naming the successor, so
-// stragglers get a machine-readable forwarding address instead of a
-// silent break; cmd/mrserve exposes it as -legacy-api.
-func WithLegacyAPI() HandlerOption {
-	return handlerOptionFunc(func(c *handlerConfig) { c.legacyAPI = true })
-}
 
 // APIError is the uniform v1 error payload, wrapped as {"error": ...}.
 type APIError struct {
@@ -88,16 +64,11 @@ func writeErr(w http.ResponseWriter, status int, code, format string, args ...an
 // against the leader passes version=V so a follower that has not yet
 // applied V answers 404 — with the envelope carrying current_version so
 // the client can tell lag from a bad URL — instead of silently serving
-// stale routes. An absent parameter always passes; requests at or below
-// the current version pass (snapshots are immutable, so any version the
-// server has moved past is fully contained in the current one).
-func versionGate(w http.ResponseWriter, req *http.Request, current uint64) bool {
-	return versionGateValue(w, req.URL.Query().Get("version"), current)
-}
-
-// versionGateValue is versionGate over an already-parsed version
-// parameter, for handlers that parse the query string once.
-func versionGateValue(w http.ResponseWriter, raw string, current uint64) bool {
+// stale routes. raw is the request's version parameter: absent always
+// passes; requests at or below the current version pass (snapshots are
+// immutable, so any version the server has moved past is fully
+// contained in the current one).
+func versionGate(w http.ResponseWriter, raw string, current uint64) bool {
 	if raw == "" {
 		return true
 	}
@@ -216,63 +187,92 @@ type EventsReply struct {
 	Accepted   int    `json:"accepted,omitempty"`
 }
 
-// NewHandler returns the server's HTTP API: /v1/route, /v1/routes
-// (batched, JSON or binary), /v1/paths, /v1/events (GET query params or
-// POST JSON body, single or batch), /v1/stats, /v1/slowlog and — when
-// reg is non-nil — /v1/metrics in Prometheus text format. The retired
-// unversioned aliases answer 404 with a successor-version Link header
-// unless WithLegacyAPI re-enables them. The returned mux is open for
-// extension (cmd/mrserve mounts pprof on it behind -pprof).
-func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *http.ServeMux {
-	var hc handlerConfig
-	for _, o := range opts {
-		if o != nil {
-			o.applyHandler(&hc)
-		}
-	}
-	mux := http.NewServeMux()
-	badRequest := func(w http.ResponseWriter, format string, args ...any) {
-		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, format, args...)
-	}
-	// intArg/nodeArg take the already-parsed query values so handlers
-	// parse the query string exactly once per request.
-	intArg := func(q url.Values, key string) (int, error) {
-		v, err := strconv.Atoi(q.Get(key))
-		if err != nil {
-			return 0, fmt.Errorf("bad or missing %q parameter", key)
-		}
-		return v, nil
-	}
-	// nodeArg additionally range-checks against the topology: an id
-	// outside [0, N) can never name a node, so it is a client error, not
-	// an empty answer.
-	nodeArg := func(q url.Values, key string) (int, error) {
-		v, err := intArg(q, key)
-		if err != nil {
-			return 0, err
-		}
-		if v < 0 || v >= srv.base.N {
-			return 0, fmt.Errorf("%q = %d out of range [0,%d)", key, v, srv.base.N)
-		}
-		return v, nil
-	}
-	// rebuildCtx derives the context a mutation runs under: the client's,
-	// bounded by the server's rebuild deadline when one is configured. A
-	// canceled or expired context abandons the recompute and keeps the
-	// previous snapshot published.
-	rebuildCtx := func(req *http.Request) (context.Context, context.CancelFunc) {
-		if d := srv.RebuildTimeout(); d > 0 {
-			return context.WithTimeout(req.Context(), d)
-		}
-		return req.Context(), func() {}
-	}
-
-	handlePrefixes := func(w http.ResponseWriter, req *http.Request) {
+// NewHandler returns the leader's HTTP API: newMux's /v1 routes over the
+// server's current snapshot, with /v1/events applying events (GET query
+// params or POST JSON body, single or batch) and /v1/slowlog listing
+// recent slow queries. reg non-nil also mounts /v1/metrics in
+// Prometheus text format. The returned mux is open for extension
+// (cmd/mrserve mounts pprof on it behind -pprof).
+func NewHandler(srv *Server, reg *telemetry.Registry) *http.ServeMux {
+	// The leader is always ready: NewServer publishes the first snapshot.
+	pin := func(w http.ResponseWriter, version string) batchView {
 		sn := srv.Snapshot()
-		if !versionGate(w, req, sn.Version) {
+		if !versionGate(w, version, sn.Version) {
+			return nil
+		}
+		return sn
+	}
+	route := func(queries, loops int) {
+		srv.queries.Add(uint64(queries))
+		srv.loopAnswers.Add(uint64(loops))
+	}
+	routes := func(queries, loops int) {
+		srv.batchRequests.Add(1)
+		srv.batchQueries.Add(uint64(queries))
+		route(queries, loops)
+	}
+	mux := newMux(pin, route, routes, func() any { return srv.Stats() }, eventsHandler(srv), reg)
+	mux.HandleFunc("/v1/slowlog", func(w http.ResponseWriter, req *http.Request) {
+		slow := srv.SlowQueries()
+		if slow == nil {
+			slow = []SlowQuery{}
+		}
+		writeJSON(w, http.StatusOK, slow)
+	})
+	return mux
+}
+
+// newMux mounts the /v1 routes both roles serve, each exactly once. A
+// role supplies only what differs: pin resolves the request's version
+// parameter to the view it answers from (it writes its own error and
+// returns nil when it cannot — a follower is 503 not_ready until
+// bootstrapped), route and routes observe each /v1/route and /v1/routes
+// request's query and loop counts, stats is the /v1/stats payload and
+// events answers /v1/events. reg non-nil mounts /v1/metrics.
+func newMux(pin func(w http.ResponseWriter, version string) batchView, route, routes func(queries, loops int),
+	stats func() any, events http.HandlerFunc, reg *telemetry.Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/route", routeHandler(pin, route))
+	mux.HandleFunc("/v1/routes", routesHandler(pin, routes))
+	mux.HandleFunc("/v1/paths", func(w http.ResponseWriter, req *http.Request) {
+		q := req.URL.Query()
+		v := pin(w, q.Get("version"))
+		if v == nil {
 			return
 		}
-		pt := sn.Prefixes()
+		nodes := v.batchNodes()
+		dest, err := nodeArg(q, "dest", nodes)
+		if err != nil {
+			badRequest(w, "want /v1/paths?dest=D: %v", err)
+			return
+		}
+		// Walk the pinned column itself: batchForward would count every
+		// walk as a query on the leader.
+		c := v.batchColumn(dest)
+		type nodePath struct {
+			Node int    `json:"node"`
+			Path []int  `json:"path,omitempty"`
+			Err  string `json:"error,omitempty"`
+		}
+		out := make([]nodePath, nodes)
+		for u := range out {
+			out[u].Node = u
+			if c == nil {
+				out[u].Err = fmt.Sprintf("rib: unknown destination %d", dest)
+			} else if path, err := c.Forward(u); err == nil {
+				out[u].Path = path
+			} else {
+				out[u].Err = err.Error()
+			}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"dest": dest, "version": v.batchVersion(), "paths": out})
+	})
+	mux.HandleFunc("/v1/prefixes", func(w http.ResponseWriter, req *http.Request) {
+		v := pin(w, req.URL.Query().Get("version"))
+		if v == nil {
+			return
+		}
+		pt := v.batchPrefixes()
 		out := make([]PrefixReply, 0, len(pt.Kept())+len(pt.Suppressed()))
 		for _, po := range pt.Kept() {
 			out = append(out, PrefixReply{Prefix: po.Prefix.String(), Node: po.Node})
@@ -281,40 +281,54 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 			out = append(out, PrefixReply{Prefix: po.Prefix.String(), Node: po.Node, Suppressed: true})
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"version":    sn.Version,
+			"version":    v.batchVersion(),
 			"trie_nodes": pt.TrieNodes(),
 			"prefixes":   out,
 		})
+	})
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, req *http.Request) {
+		writeJSON(w, http.StatusOK, stats())
+	})
+	mux.HandleFunc("/v1/events", events)
+	if reg != nil {
+		mux.HandleFunc("/v1/metrics", reg.Handler().ServeHTTP)
 	}
+	return mux
+}
 
-	handlePaths := func(w http.ResponseWriter, req *http.Request) {
-		dest, err := nodeArg(req.URL.Query(), "dest")
-		if err != nil {
-			badRequest(w, "want /v1/paths?dest=D: %v", err)
-			return
-		}
-		sn := srv.Snapshot()
-		if !versionGate(w, req, sn.Version) {
-			return
-		}
-		type nodePath struct {
-			Node int    `json:"node"`
-			Path []int  `json:"path,omitempty"`
-			Err  string `json:"error,omitempty"`
-		}
-		var out []nodePath
-		for u := 0; u < sn.Graph.N; u++ {
-			np := nodePath{Node: u}
-			if path, err := sn.Forward(u, dest); err == nil {
-				np.Path = path
-			} else {
-				np.Err = err.Error()
-			}
-			out = append(out, np)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"dest": dest, "version": sn.Version, "paths": out})
+// badRequest answers a 400 invalid_argument envelope.
+func badRequest(w http.ResponseWriter, format string, args ...any) {
+	writeErr(w, http.StatusBadRequest, CodeInvalidArgument, format, args...)
+}
+
+// intArg reads an integer query parameter from already-parsed values,
+// so handlers parse the query string exactly once per request.
+func intArg(q url.Values, key string) (int, error) {
+	v, err := strconv.Atoi(q.Get(key))
+	if err != nil {
+		return 0, fmt.Errorf("bad or missing %q parameter", key)
 	}
+	return v, nil
+}
 
+// nodeArg is intArg range-checked against a topology of n nodes: an id
+// outside [0, n) can never name a node, so it is a client error, not an
+// empty answer.
+func nodeArg(q url.Values, key string, n int) (int, error) {
+	v, err := intArg(q, key)
+	if err != nil {
+		return 0, err
+	}
+	if v < 0 || v >= n {
+		return 0, fmt.Errorf("%q = %d out of range [0,%d)", key, v, n)
+	}
+	return v, nil
+}
+
+// eventsHandler is the leader's /v1/events: a POST body (batch or bare
+// event) or the GET query form, resolved against the base topology and
+// applied as one batch — or, with "async":true, fed to the intake queue.
+func eventsHandler(srv *Server) http.HandlerFunc {
 	// resolveEvent turns one EventRequest into an ArcEvent, validating
 	// kind and arc naming.
 	resolveEvent := func(ev EventRequest) (ArcEvent, error) {
@@ -336,8 +350,7 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 		}
 		return ArcEvent{}, fmt.Errorf("want arc=A or from=U&to=V")
 	}
-
-	handleEvents := func(w http.ResponseWriter, req *http.Request) {
+	return func(w http.ResponseWriter, req *http.Request) {
 		var batch EventsRequest
 		if req.Method == http.MethodPost {
 			body := http.MaxBytesReader(w, req.Body, maxEventBody)
@@ -356,19 +369,23 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 				return
 			}
 		} else {
-			var ev EventRequest
 			q := req.URL.Query()
-			ev.Kind = q.Get("kind")
-			for key, dst := range map[string]**int{"arc": &ev.Arc, "from": &ev.From, "to": &ev.To} {
-				if q.Get(key) == "" {
+			ev := EventRequest{Kind: q.Get("kind")}
+			// A fixed order, so a request with several malformed
+			// parameters always names the same one.
+			for _, p := range []struct {
+				key string
+				dst **int
+			}{{"arc", &ev.Arc}, {"from", &ev.From}, {"to", &ev.To}} {
+				if q.Get(p.key) == "" {
 					continue
 				}
-				v, err := intArg(q, key)
+				v, err := intArg(q, p.key)
 				if err != nil {
 					badRequest(w, "%v", err)
 					return
 				}
-				*dst = &v
+				*p.dst = &v
 			}
 			batch.Events = []EventRequest{ev}
 		}
@@ -400,7 +417,14 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 			writeJSON(w, http.StatusAccepted, EventsReply{Accepted: len(events), Version: srv.Snapshot().Version})
 			return
 		}
-		ctx, cancel := rebuildCtx(req)
+		// The mutation runs under the client's context, bounded by the
+		// server's rebuild deadline when one is configured; a canceled or
+		// expired context abandons the recompute and keeps the previous
+		// snapshot published.
+		ctx, cancel := req.Context(), context.CancelFunc(func() {})
+		if d := srv.RebuildTimeout(); d > 0 {
+			ctx, cancel = context.WithTimeout(ctx, d)
+		}
 		defer cancel()
 		applied, recomputed, err := srv.ApplyBatch(ctx, events)
 		if err != nil {
@@ -419,73 +443,6 @@ func NewHandler(srv *Server, reg *telemetry.Registry, opts ...HandlerOption) *ht
 			Version:    srv.Snapshot().Version,
 		})
 	}
-
-	handleStats := func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, srv.Stats())
-	}
-
-	handleSlowlog := func(w http.ResponseWriter, req *http.Request) {
-		slow := srv.SlowQueries()
-		if slow == nil {
-			slow = []SlowQuery{}
-		}
-		writeJSON(w, http.StatusOK, slow)
-	}
-
-	// mount registers the v1 route and its retired unversioned alias.
-	// With WithLegacyAPI the alias answers identically plus a Deprecation
-	// header and a Link to the successor (RFC 8594 successor-version
-	// relation); without it the alias is a 404 that still carries the
-	// Link header, so old clients learn the forwarding address.
-	alias := func(legacy string, v1 string, h http.HandlerFunc) {
-		mux.HandleFunc(legacy, func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", v1))
-			if !hc.legacyAPI {
-				writeErr(w, http.StatusNotFound, CodeLegacyRetired,
-					"retired legacy endpoint; use %s (or serve with -legacy-api)", v1)
-				return
-			}
-			w.Header().Set("Deprecation", "true")
-			h(w, req)
-		})
-	}
-	mount := func(v1 string, legacy string, h http.HandlerFunc) {
-		mux.HandleFunc(v1, h)
-		alias(legacy, v1, h)
-	}
-
-	// Both route endpoints answer from one pinned snapshot through the
-	// cores they share with the follower.
-	pin := func(w http.ResponseWriter, version string) batchView {
-		sn := srv.Snapshot()
-		if !versionGateValue(w, version, sn.Version) {
-			return nil
-		}
-		return sn
-	}
-	mount("/v1/route", "/route", routeHandler(pin, func(queries, loops int) {
-		srv.queries.Add(uint64(queries))
-		srv.loopAnswers.Add(uint64(loops))
-	}))
-	mux.HandleFunc("/v1/routes", routesHandler(pin, func(queries, loops int) {
-		srv.batchRequests.Add(1)
-		srv.batchQueries.Add(uint64(queries))
-		srv.queries.Add(uint64(queries))
-		srv.loopAnswers.Add(uint64(loops))
-	}))
-	mux.HandleFunc("/v1/prefixes", handlePrefixes)
-	mount("/v1/paths", "/paths", handlePaths)
-	mount("/v1/events", "/events", handleEvents)
-	alias("/event", "/v1/events", handleEvents) // historical singular form
-	mount("/v1/stats", "/stats", handleStats)
-	mount("/v1/slowlog", "/slowlog", handleSlowlog)
-	if reg != nil {
-		metrics := reg.Handler()
-		mount("/v1/metrics", "/metrics", func(w http.ResponseWriter, req *http.Request) {
-			metrics.ServeHTTP(w, req)
-		})
-	}
-	return mux
 }
 
 // decodeEvents accepts either the batch shape {"events":[...]} or a

@@ -1,7 +1,7 @@
 package serve_test
 
 // Tests and fuzz targets for the HTTP/JSON API. The fuzz targets state
-// the handler's crash-safety contract: arbitrary query strings and
+// the handlers' crash-safety contract: arbitrary query strings and
 // bodies — malformed JSON, out-of-range node ids, huge payloads — must
 // produce 4xx (or well-formed 2xx) replies and never panic. CI runs
 // them as regression corpora under `go test` and as short live fuzz
@@ -38,10 +38,7 @@ func httpFixture(t testing.TB, reg *telemetry.Registry) (*serve.Server, *http.Se
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	// The fixture opts in to the retired aliases so the byte-identity
-	// alias tests keep covering the flag-on path; TestHandlerLegacyRetired
-	// builds a default handler to pin the flag-off 404s.
-	return srv, serve.NewHandler(srv, reg, serve.WithLegacyAPI())
+	return srv, serve.NewHandler(srv, reg)
 }
 
 func get(h http.Handler, target string) *httptest.ResponseRecorder {
@@ -51,8 +48,8 @@ func get(h http.Handler, target string) *httptest.ResponseRecorder {
 }
 
 func TestHandlerRoute(t *testing.T) {
-	_, h := httpFixture(t, nil)
-	rec := get(h, "/route?from=1&dest=0")
+	srv, h := httpFixture(t, nil)
+	rec := get(h, "/v1/route?from=1&dest=0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -65,21 +62,32 @@ func TestHandlerRoute(t *testing.T) {
 	}
 	// Out-of-range and malformed ids are client errors, not empty 200s.
 	for _, target := range []string{
-		"/route?from=999&dest=0", "/route?from=-1&dest=0", "/route?from=1&dest=99",
-		"/route?from=x&dest=0", "/route?dest=0", "/route",
-		"/paths?dest=999", "/paths?dest=y", "/paths",
+		"/v1/route?from=999&dest=0", "/v1/route?from=-1&dest=0", "/v1/route?from=1&dest=99",
+		"/v1/route?from=x&dest=0", "/v1/route?dest=0", "/v1/route",
+		"/v1/paths?dest=999", "/v1/paths?dest=y", "/v1/paths",
 	} {
 		if rec := get(h, target); rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", target, rec.Code)
 		}
 	}
 	// In-range but unoriginated destination: valid question, empty answer.
-	rec = get(h, "/route?from=1&dest=3")
+	rec = get(h, "/v1/route?from=1&dest=3")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("unoriginated dest: status %d", rec.Code)
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Routed {
 		t.Fatalf("unoriginated dest must answer routed=false: %+v (%v)", reply, err)
+	}
+	// /v1/paths lists forwarding walks; it answers no route query.
+	before := srv.Stats().Queries
+	if rec := get(h, "/v1/paths?dest=0"); rec.Code != http.StatusOK || srv.Stats().Queries != before {
+		t.Fatalf("/v1/paths: status %d, queries %d → %d", rec.Code, before, srv.Stats().Queries)
+	}
+	// Only /v1 is served: an unversioned spelling is the mux's plain 404.
+	for _, target := range []string{"/route?from=1&dest=0", "/paths?dest=0", "/event?arc=0&kind=up", "/stats"} {
+		if rec := get(h, target); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", target, rec.Code)
+		}
 	}
 }
 
@@ -87,7 +95,7 @@ func TestHandlerEventPost(t *testing.T) {
 	srv, h := httpFixture(t, nil)
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/event", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/events", strings.NewReader(body))
 		h.ServeHTTP(rec, req)
 		return rec
 	}
@@ -112,18 +120,34 @@ func TestHandlerEventPost(t *testing.T) {
 		t.Fatalf("huge body: status %d, want 4xx", rec.Code)
 	}
 	// GET form still works, endpoints variant included.
-	if rec := get(h, "/event?arc=0&kind=up"); rec.Code != http.StatusOK {
+	if rec := get(h, "/v1/events?arc=0&kind=up"); rec.Code != http.StatusOK {
 		t.Fatalf("GET event: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := get(h, "/event?from=0&to=5&kind=fail"); rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+	if rec := get(h, "/v1/events?from=0&to=5&kind=fail"); rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
 		t.Fatalf("GET endpoints event: status %d", rec.Code)
+	}
+}
+
+// TestHandlerEventGetNamesFirstBadParam: the GET form of /v1/events
+// parses arc, from and to in that order, so with two malformed
+// parameters the 400 names "arc" on every request.
+func TestHandlerEventGetNamesFirstBadParam(t *testing.T) {
+	_, h := httpFixture(t, nil)
+	for i := 0; i < 20; i++ {
+		rec := get(h, "/v1/events?arc=x&from=y&kind=fail")
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400", i, rec.Code)
+		}
+		if msg := errEnvelope(t, rec).Message; !strings.Contains(msg, `"arc"`) || strings.Contains(msg, `"from"`) {
+			t.Fatalf("request %d: message %q must name \"arc\"", i, msg)
+		}
 	}
 }
 
 func TestHandlerStatsAndSlowlog(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, h := httpFixture(t, reg)
-	rec := get(h, "/stats")
+	rec := get(h, "/v1/stats")
 	var st serve.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -131,30 +155,32 @@ func TestHandlerStatsAndSlowlog(t *testing.T) {
 	if st.Nodes != 9 || st.Destinations != 2 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
-	rec = get(h, "/slowlog")
+	rec = get(h, "/v1/slowlog")
 	var slow []serve.SlowQuery
 	if err := json.Unmarshal(rec.Body.Bytes(), &slow); err != nil {
 		t.Fatalf("slowlog must be a JSON array: %v (%s)", err, rec.Body)
 	}
-	rec = get(h, "/metrics")
+	rec = get(h, "/v1/metrics")
 	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte("mrserve_query_seconds_bucket")) {
-		t.Fatalf("/metrics must expose the query histogram: %d\n%s", rec.Code, rec.Body)
+		t.Fatalf("/v1/metrics must expose the query histogram: %d\n%s", rec.Code, rec.Body)
 	}
 }
 
-// FuzzRouteHandler: arbitrary /route and /paths query strings never
-// panic and never produce a 5xx.
+// FuzzRouteHandler: arbitrary /v1/route and /v1/paths query strings on
+// the follower's handler never panic and never produce a 5xx
+// (FuzzRouteHandlerV1 fuzzes the same routes on the leader's).
 func FuzzRouteHandler(f *testing.F) {
-	_, h := httpFixture(f, nil)
+	_, fol, _ := bootReplicatedPair(f)
+	h := serve.NewFollowerHandler(fol, nil)
 	for _, seed := range []string{
 		"from=1&dest=0", "from=999&dest=0", "from=-1&dest=-9999999999999999999",
 		"from=x&dest=", "from=1&dest=0&from=2", "%zz=1", "from=+1&dest=0x10",
-		"from=1;dest=0", "", "dest=8&from=4",
+		"from=1;dest=0", "", "dest=8&from=4", "dest=1", "dest=4&version=99",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, query string) {
-		for _, path := range []string{"/route", "/paths"} {
+		for _, path := range []string{"/v1/route", "/v1/paths"} {
 			rec := httptest.NewRecorder()
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			req.URL.RawQuery = query
@@ -169,10 +195,13 @@ func FuzzRouteHandler(f *testing.F) {
 	})
 }
 
-// FuzzEventHandler: arbitrary /event query strings and POST bodies
-// never panic, never 5xx, and leave the server answering queries.
+// FuzzEventHandler: arbitrary /v1/events query strings and POST bodies
+// sent to a follower always answer 403 read_only and leave its version
+// and checksum as they were (FuzzEventsHandlerV1 fuzzes the leader's).
 func FuzzEventHandler(f *testing.F) {
-	srv, h := httpFixture(f, nil)
+	_, fol, _ := bootReplicatedPair(f)
+	h := serve.NewFollowerHandler(fol, nil)
+	version, crc := fol.Version(), fol.Checksum()
 	for _, seed := range [][2]string{
 		{"arc=0&kind=fail", ""},
 		{"", `{"arc":0,"kind":"fail"}`},
@@ -190,17 +219,15 @@ func FuzzEventHandler(f *testing.F) {
 		if body != "" {
 			method = http.MethodPost
 		}
-		req := httptest.NewRequest(method, "/event", strings.NewReader(body))
+		req := httptest.NewRequest(method, "/v1/events", strings.NewReader(body))
 		req.URL.RawQuery = query
 		h.ServeHTTP(rec, req)
-		if rec.Code >= 500 {
-			t.Fatalf("event %q %q: status %d", query, body, rec.Code)
+		if rec.Code != http.StatusForbidden || !strings.Contains(rec.Body.String(), serve.CodeReadOnly) {
+			t.Fatalf("event %q %q: status %d: %s", query, body, rec.Code, rec.Body)
 		}
-		// Whatever the event stream did, the server must keep answering.
-		if sn := srv.Snapshot(); sn == nil {
-			t.Fatal("snapshot lost after event")
+		if fol.Version() != version || fol.Checksum() != crc {
+			t.Fatalf("event %q %q moved the follower", query, body)
 		}
-		srv.Lookup(0, 0)
 	})
 }
 

@@ -1,9 +1,8 @@
 package serve_test
 
-// Tests for the versioned v1 API surface: legacy unversioned aliases
-// answer identically plus a Deprecation header, the uniform error
-// envelope, batch POST /v1/events with coalescing, and the async intake
-// path's backpressure statuses.
+// Tests for the versioned v1 API surface: the uniform error envelope,
+// batch POST /v1/events with coalescing, and the async intake path's
+// backpressure statuses.
 
 import (
 	"encoding/json"
@@ -17,7 +16,6 @@ import (
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/serve"
-	"metarouting/internal/telemetry"
 	"metarouting/internal/value"
 )
 
@@ -35,75 +33,6 @@ func errEnvelope(t *testing.T, rec *httptest.ResponseRecorder) serve.APIError {
 		t.Fatalf("envelope must carry code and message: %s", rec.Body)
 	}
 	return body.Error
-}
-
-// TestHandlerV1Aliases: every legacy route answers byte-identically to
-// its /v1 successor, adds Deprecation and successor-version Link
-// headers, and the v1 spelling stays clean of both.
-func TestHandlerV1Aliases(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	_, h := httpFixture(t, reg)
-	for _, tc := range []struct{ legacy, v1 string }{
-		{"/route?from=1&dest=0", "/v1/route?from=1&dest=0"},
-		{"/paths?dest=0", "/v1/paths?dest=0"},
-		{"/stats", "/v1/stats"},
-		{"/slowlog", "/v1/slowlog"},
-		{"/metrics", "/v1/metrics"},
-		{"/event?arc=0&kind=up", "/v1/events?arc=0&kind=up"},
-		{"/events?arc=0&kind=up", "/v1/events?arc=0&kind=up"},
-	} {
-		legacy, v1 := get(h, tc.legacy), get(h, tc.v1)
-		if legacy.Code != v1.Code {
-			t.Fatalf("%s: status %d, successor %s: %d", tc.legacy, legacy.Code, tc.v1, v1.Code)
-		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Fatalf("%s answered differently from %s:\n legacy: %s\n v1:     %s",
-				tc.legacy, tc.v1, legacy.Body, v1.Body)
-		}
-		if got := legacy.Header().Get("Deprecation"); got != "true" {
-			t.Fatalf("%s: Deprecation header = %q, want \"true\"", tc.legacy, got)
-		}
-		link := legacy.Header().Get("Link")
-		if !strings.Contains(link, `rel="successor-version"`) || !strings.Contains(link, "/v1/") {
-			t.Fatalf("%s: Link header %q must point at the v1 successor", tc.legacy, link)
-		}
-		if v1.Header().Get("Deprecation") != "" || v1.Header().Get("Link") != "" {
-			t.Fatalf("%s must not be marked deprecated", tc.v1)
-		}
-	}
-}
-
-// TestHandlerLegacyRetired: without WithLegacyAPI the unversioned
-// aliases answer 404 with the legacy_api_retired envelope and a Link
-// header naming the successor, while the /v1 spellings keep working.
-func TestHandlerLegacyRetired(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	srv, _ := httpFixture(t, reg)
-	h := serve.NewHandler(srv, reg)
-	for _, tc := range []struct{ legacy, v1 string }{
-		{"/route?from=1&dest=0", "/v1/route?from=1&dest=0"},
-		{"/paths?dest=0", "/v1/paths?dest=0"},
-		{"/stats", "/v1/stats"},
-		{"/slowlog", "/v1/slowlog"},
-		{"/metrics", "/v1/metrics"},
-		{"/event?arc=0&kind=up", "/v1/events?arc=0&kind=up"},
-		{"/events?arc=0&kind=up", "/v1/events?arc=0&kind=up"},
-	} {
-		rec := get(h, tc.legacy)
-		if rec.Code != http.StatusNotFound {
-			t.Fatalf("%s without -legacy-api: status %d, want 404", tc.legacy, rec.Code)
-		}
-		if e := errEnvelope(t, rec); e.Code != serve.CodeLegacyRetired {
-			t.Fatalf("%s: code %q, want %q", tc.legacy, e.Code, serve.CodeLegacyRetired)
-		}
-		link := rec.Header().Get("Link")
-		if !strings.Contains(link, `rel="successor-version"`) || !strings.Contains(link, "/v1/") {
-			t.Fatalf("%s: Link header %q must name the v1 successor", tc.legacy, link)
-		}
-		if v1 := get(h, tc.v1); v1.Code != http.StatusOK {
-			t.Fatalf("%s: status %d, the successor must keep working", tc.v1, v1.Code)
-		}
-	}
 }
 
 // TestHandlerEventsBatch: POST /v1/events with the batch shape applies

@@ -118,9 +118,6 @@ func fnvWord(h, v uint64) uint64 {
 	return h * fnvPrimePow[zeros]
 }
 
-// Fingerprint identifies the server's base topology on the wire.
-func (s *Server) Fingerprint() uint64 { return s.fingerprint }
-
 // Checksum digests the published snapshot's routing content (columns +
 // disabled mask). A caught-up follower at the same version reports the
 // identical value — the CI leader/follower smoke compares exactly

@@ -255,25 +255,6 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// TestQueryBenchSmoke: the paired query benchmark runs end to end on a
-// live loopback listener and its differential pass holds.
-func TestQueryBenchSmoke(t *testing.T) {
-	srv, _ := httpFixture(t, nil)
-	rep, err := serve.QueryBench(srv, serve.QueryBenchOptions{Batch: 16, Queries: 64, Rounds: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.DifferentialOK {
-		t.Fatal("differential pass must hold")
-	}
-	if rep.SingleQueries != 64 || rep.BatchQueries != 64 {
-		t.Fatalf("query counts wrong: single=%d batch=%d", rep.SingleQueries, rep.BatchQueries)
-	}
-	if rep.SingleQPS <= 0 || rep.BatchQPS <= 0 || rep.Speedup <= 0 {
-		t.Fatalf("rates must be positive: %+v", rep)
-	}
-}
-
 // TestBatchTelemetry: the batch counters advance per request and per
 // query, on both content types.
 func TestBatchTelemetry(t *testing.T) {

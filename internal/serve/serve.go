@@ -176,7 +176,7 @@ type config struct {
 	queueCap       int
 	rebuildTimeout time.Duration
 	noBatcher      bool // test-only: leave the intake queue undrained
-	noDelta        bool
+	noDelta        bool // test-only: pin every rebuild to scratch
 	deltaProps     prop.Set
 	prefixes       *rib.PrefixTable
 	sink           RecordSink
@@ -237,26 +237,12 @@ func WithQueueCapacity(n int) Option {
 	return optionFunc(func(c *config) { c.queueCap = n })
 }
 
-// WithDelta enables or disables warm-start delta reconvergence
-// (default enabled). Even when enabled, the delta path only runs for
-// algebras whose inferred properties license it
-// (solve.Licence.WarmStartAllowed) —
-// the metarouting contract of properties choosing algorithms — and
-// individual rebuilds still fall back to from-scratch sweeps on
-// oversized frontiers or unusable warm starts. Disabling it pins every
-// rebuild to the from-scratch solver; the delta benchmark uses that as
-// its baseline.
-func WithDelta(enabled bool) Option {
-	return optionFunc(func(c *config) { c.noDelta = !enabled })
-}
-
 // WithDeltaProps supplies an inferred property set to the delta gate.
 // Composite algebras built by core inference carry their derived M/I
 // judgements on the Algebra node, not on the order transform the
 // execution engine exposes, so callers that ran inference pass a.Props
 // here to let theorem-derived licenses (e.g. I(lex) via Theorem 5)
-// enable the warm-start path. The set only ever widens the license;
-// WithDelta(false) still wins.
+// enable the warm-start path. The set only ever widens the license.
 func WithDeltaProps(p prop.Set) Option {
 	return optionFunc(func(c *config) { c.deltaProps = p })
 }
@@ -377,8 +363,7 @@ func (sn *Snapshot) Forward(from, dest int) (graph.Path, error) { return sn.rib.
 func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node, dest) }
 
 // Stats is a point-in-time reading of the server's counters — the seed
-// of the observability layer, surfaced at /v1/stats and in
-// BENCH_serve.json. EngineInterned and EngineHotCapacity are exec.Tiers:
+// of the observability layer, surfaced at /v1/stats. EngineInterned and EngineHotCapacity are exec.Tiers:
 // weights the engine has hash-consed, and how many its memo tables
 // cover — past hot capacity every operation on the excess is interpreted
 // under a mutex; both are 0 on the compiled backend. ScratchSolver is
@@ -458,8 +443,8 @@ type Server struct {
 	// and carried by every pool workspace.
 	licence solve.Licence
 
-	// deltaOK gates the warm-start rebuild path: WithDelta(true-by-
-	// default) AND the licence's WarmStartAllowed.
+	// deltaOK gates the warm-start rebuild path: the licence's
+	// WarmStartAllowed, unless a test pinned rebuilds to scratch.
 	deltaOK bool
 
 	// fixpointSkip enables the sharper invalidation rule (see

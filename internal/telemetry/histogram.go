@@ -143,8 +143,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 }
 
 // Quantiles returns exact sample quantiles for each p in ps, using the
-// same nearest-rank convention the load generator has always used:
-// index int(p·(n−1)) into the ascending sort. The input is not
+// nearest-rank convention: index int(p·(n−1)) into the ascending sort. The input is not
 // modified. An empty input answers zeros; a single sample answers
 // itself for every p.
 func Quantiles(samples []int64, ps ...float64) []int64 {
