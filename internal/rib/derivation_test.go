@@ -314,11 +314,12 @@ func newPolicyStorms(tb testing.TB, dests, storms int) *policyStorms {
 }
 
 // TestDerivationDeltaAllocs: on the storm-policy-2k shape, with a warm
-// workspace, a logged delta allocates the column header, the page-table
-// copy, the dirty-page and change lists, the touched list, the warm-start
-// closure, the cloned pages and the exactly sized log — the replay's and
-// the compaction's scratch live in the workspace, so nothing else is
-// allocated and nothing is sized by N.
+// workspace, a logged delta allocates the column header, the redo list,
+// the span scratch, the touched list, the warm-start closure and the
+// exactly sized log, plus the page-table copy, the change list and the
+// changed pages when a page changes — the replay's and the compaction's
+// scratch live in the workspace, so nothing else is allocated and nothing
+// is sized by N.
 func TestDerivationDeltaAllocs(t *testing.T) {
 	ps := newPolicyStorms(t, 1, 8)
 	ws := solve.NewWorkspace()
@@ -332,7 +333,7 @@ func TestDerivationDeltaAllocs(t *testing.T) {
 	}
 	// One pass over the storms grows the workspace; the measured passes
 	// then replay the same storms from the same column.
-	run := func() (cloned, deltas int) {
+	run := func() (cloned, changedCols, deltas int) {
 		prev := col
 		for i, view := range ps.views {
 			next, st, pst, err := DeltaDestPaged(ps.eng, view, ps.mask[i], dest, ps.org, ws, prev, ps.toggle[i])
@@ -346,21 +347,25 @@ func TestDerivationDeltaAllocs(t *testing.T) {
 				t.Fatalf("storm view %d: log of %d entries in %d slots", i, len(next.log), cap(next.log))
 			}
 			cloned += pst.Cloned
+			if pst.Cloned > 0 {
+				changedCols++
+			}
 			prev = next
 		}
-		return cloned, deltas
+		return cloned, changedCols, deltas
 	}
-	cloned, deltas := run()
+	cloned, changedCols, deltas := run()
 	if deltas < len(ps.views)-1 {
 		t.Fatalf("only %d of %d storm rebuilds took the log warm start", deltas, len(ps.views))
 	}
 	allocs := testing.AllocsPerRun(5, func() { run() })
-	// Per delta: header, page table, dirty list, change list, touched
-	// list, closure and log; per cloned page, the page and its pool.
-	if limit := float64(7*len(ps.views) + 2*cloned); allocs > limit {
-		t.Fatalf("%d logged deltas cloning %d pages allocate %.0f objects, want ≤ %.0f", len(ps.views), cloned, allocs, limit)
+	// Per delta: header, redo list, span scratch, touched list, closure
+	// and log; per column that changed, its page table and change list;
+	// per changed page, the page and its pool.
+	if limit := float64(6*len(ps.views) + 2*changedCols + 2*cloned); allocs > limit {
+		t.Fatalf("%d logged deltas changing %d pages allocate %.0f objects, want ≤ %.0f", len(ps.views), cloned, allocs, limit)
 	}
-	t.Logf("%d logged deltas: %.0f objects, %d pages cloned of %d per column", len(ps.views), allocs, cloned, len(col.Pages))
+	t.Logf("%d logged deltas (%d changed): %.0f objects, %d pages changed of %d per column", len(ps.views), changedCols, allocs, cloned, len(col.Pages))
 }
 
 // BenchmarkDerivationDelta is one destination's rebuild on the

@@ -13,10 +13,11 @@ import (
 // This file holds the paged copy-on-write route column, the one form a
 // server snapshot, a RIB and a replica store. Slots and their ECMP pool
 // live in fixed-size pages behind a small page table; a delta rebuild
-// clones only the pages containing touched slots or toggle tails and
-// shares every other page by pointer with the previous snapshot, so a
-// 4-node frontier on a 100k-node column copies a handful of kilobytes
-// instead of megabytes.
+// clones only the pages whose routes change and shares every other page
+// by pointer with the previous snapshot, so a 4-node frontier on a
+// 100k-node column copies a handful of kilobytes instead of megabytes.
+// Leader and follower lay a changed page out with the same function,
+// patchPage.
 //
 // The copy-on-write ownership rule: a published page is immutable.
 // Builders mutate only pages they freshly allocated within the current
@@ -25,15 +26,16 @@ import (
 // is sound because page content is a pure function of its own nodes'
 // routes: each page carries its own pool with page-relative offsets,
 // slots are laid ascending and spans appended in slot order, so two
-// columns agreeing on a page's routes agree on the page's bytes — and
-// Flatten (concatenating pages in order, rebasing offsets) reproduces
-// the naive BuildDestColumn layout bit-identically. That equality is the
-// invariant every paged differential checks.
+// columns agreeing on a page's routes agree on the page's bytes — a page
+// without a changed slot is its own rebuild — and Flatten (concatenating
+// pages in order, rebasing offsets) reproduces the naive BuildDestColumn
+// layout bit-identically. That equality is the invariant every paged
+// differential checks.
 
 // PageShift sets the page size: 1<<PageShift slots per page. 64 slots
-// (1 KiB of EntrySlots plus the page's ECMP pool) keeps the
-// cloned-fraction of scattered small frontiers low at 100k nodes
-// (~1.6k pages) while the page-table copy per delta stays a few KiB.
+// (1 KiB of EntrySlots plus the page's ECMP pool) keep a changed page's
+// clone small; the price is the page table, ~1.6k entries (12.5 KiB) at
+// 100k nodes, copied once per column whose routes change.
 const PageShift = 6
 
 // PageSize is the number of slots per page; PageMask extracts the
@@ -97,12 +99,10 @@ type PagedColumn struct {
 
 // PageStats reports a paged delta rebuild's copy-on-write outcome.
 type PageStats struct {
-	// Cloned counts pages rebuilt for this column; Shared counts pages
-	// aliased from the previous column.
+	// Cloned counts pages rebuilt for this column — on the delta path the
+	// pages whose routes change, on a scratch rebuild every page; Shared
+	// counts pages aliased from the previous column.
 	Cloned, Shared int
-	// DirtyPages lists the cloned page indices, ascending. The slice is
-	// freshly allocated (it outlives the workspace scratch).
-	DirtyPages []int32
 	// Changes lists, ascending by node, the slots whose content (routedness,
 	// weight index or ECMP sequence) differs from prev's — the rebuild is
 	// the one producer of this list; the flap counter and the replication
@@ -415,6 +415,13 @@ func (p *ColumnPage) transplantRun(prev *ColumnPage, i, j int) {
 	p.Pool = append(p.Pool, prev.Pool[lo:hi]...)
 }
 
+// holds reports whether slot i carries the given route: the same
+// routedness and, when routed, the same weight index and ECMP sequence.
+func (p *ColumnPage) holds(i int, routed bool, w int32, nh []int32) bool {
+	s := &p.Slots[i]
+	return s.Routed == routed && (!routed || s.W == w && slices.Equal(p.Pool[s.NhOff:s.NhOff+s.NhLen], nh))
+}
+
 // hops returns slot i's ECMP span as a capped view of the page pool, nil
 // when the slot is unrouted or holds no next hop (the destination).
 func (p *ColumnPage) hops(i int) []int32 {
@@ -434,33 +441,15 @@ func PageLen(pi, n int) int {
 	return PageSize
 }
 
-// fillPage rebuilds one page of a paged column from index-form solver
-// state: slots ascending, each routed non-destination slot's ECMP span
-// appended through the shared appendNextHopSet scan. redo, when
-// non-nil, restricts refills to marked nodes and transplants every
-// maximal run of other slots (with its spans) from the same page of prev
-// — the copy-on-write delta path, where solver state is only valid at
-// marked nodes.
-func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, prev *ColumnPage, redo *solve.Workspace) *ColumnPage {
-	np := &ColumnPage{}
-	base := pi << PageShift
+// fillPage builds page pi of a paged column from scratch solver state:
+// slots ascending, each routed non-destination slot's ECMP span appended
+// through the shared appendNextHopSet scan.
+func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int) *ColumnPage {
 	lim := PageLen(pi, g.N)
-	if prev != nil {
-		np.Pool = make([]int32, 0, len(prev.Pool)+4)
-	} else {
-		np.Pool = make([]int32, 0, lim+4)
-	}
+	np := &ColumnPage{Pool: make([]int32, 0, lim+4)}
+	base := pi << PageShift
 	for i := 0; i < lim; i++ {
 		u := base + i
-		if redo != nil && !redo.Marked(u) {
-			j := i + 1
-			for j < lim && !redo.Marked(base+j) {
-				j++
-			}
-			np.transplantRun(prev, i, j)
-			i = j - 1
-			continue
-		}
 		if !raw.Routed[u] {
 			continue
 		}
@@ -479,7 +468,7 @@ func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int, pre
 func pagesFromRaw(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*ColumnPage {
 	pages := make([]*ColumnPage, numPages(g.N))
 	for pi := range pages {
-		pages[pi] = fillPage(eng, g, raw, dest, pi, nil, nil)
+		pages[pi] = fillPage(eng, g, raw, dest, pi)
 	}
 	return pages
 }
@@ -505,38 +494,21 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 
 // slotDiff accumulates the slots that differ between two generations of a
 // column: every difference is counted, the first limit of them are kept
-// as patches.
+// as patches. A column that changed in more than n/2 of its n slots is
+// shipped whole, so n/2+1 patches are all any consumer can use.
 type slotDiff struct {
 	patches []SlotPatch
 	count   int
 	limit   int
 }
 
-// newSlotDiff sizes a diff for an n-node column. A column that changed
-// in more than n/2 slots is shipped whole, so n/2+1 patches are all any
-// consumer can use; hint presizes the list below that cap.
-func newSlotDiff(n, hint int) slotDiff {
-	d := slotDiff{limit: n/2 + 1}
-	if hint = min(hint, d.limit); hint > 0 {
-		d.patches = make([]SlotPatch, 0, hint)
-	}
-	return d
-}
-
 // page compares slots [0,lim) of one page across two generations and
 // records the ones whose content differs, as patches aliasing next's
-// pool. base is the page's first node. only, when non-nil, restricts the
-// comparison to marked nodes — a delta rebuild's redo set: every other
-// slot of a cloned page was transplanted, hence is bit-identical by the
-// page-local canonical layout and needs no look.
-func (d *slotDiff) page(prev, next *ColumnPage, base, lim int, only *solve.Workspace) {
+// pool. base is the page's first node.
+func (d *slotDiff) page(prev, next *ColumnPage, base, lim int) {
 	for i := 0; i < lim; i++ {
-		if only != nil && !only.Marked(base+i) {
-			continue
-		}
-		ps, ns := &prev.Slots[i], &next.Slots[i]
-		if ps.Routed == ns.Routed && (!ns.Routed ||
-			ps.W == ns.W && slices.Equal(prev.Pool[ps.NhOff:ps.NhOff+ps.NhLen], next.Pool[ns.NhOff:ns.NhOff+ns.NhLen])) {
+		ns := &next.Slots[i]
+		if prev.holds(i, ns.Routed, ns.W, next.Pool[ns.NhOff:ns.NhOff+ns.NhLen]) {
 			continue
 		}
 		d.count++
@@ -559,10 +531,10 @@ func (d *slotDiff) page(prev, next *ColumnPage, base, lim int, only *solve.Works
 // did not come out of the delta drain — DeltaDestPaged's from-scratch
 // fallbacks, and callers that ran BuildDestPaged themselves.
 func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
-	d := newSlotDiff(next.N, 0)
+	d := slotDiff{limit: next.N/2 + 1}
 	for pi, np := range next.Pages {
 		if op := prev.Pages[pi]; op != np {
-			d.page(op, np, pi<<PageShift, PageLen(pi, next.N), nil)
+			d.page(op, np, pi<<PageShift, PageLen(pi, next.N))
 		}
 	}
 	return d.patches, d.count
@@ -572,18 +544,21 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 // after the given arc toggles, warm-starting from prev. g and disabled
 // carry the whole batch; toggles may leave out toggles that cannot move
 // a clean prev (serve's per-toggle skip rule), and every other caller
-// passes them all. When the delta drain
-// runs, only pages containing touched nodes or toggle tails are
-// rebuilt; every other page is shared with prev by pointer, so the
+// passes them all. When the delta drain runs, each node of the redo set
+// — the touched nodes plus the handed toggles' tails, the only nodes
+// whose slot can have moved — has its slot recomputed and compared with
+// prev's; only pages whose routes change are rebuilt (with patchPage,
+// the follower's page builder), every other page is shared with prev by
+// pointer, and the page table itself is shared when no page changes. The
 // swap's data-plane cost is O(frontier), not O(N). On any fallback the
 // column is rebuilt from scratch (every page cloned). Either way the
 // result flattens bit-identically to BuildDestColumn on g, and the
 // returned PageStats says which slots differ from prev: on the delta
-// path straight from the redo set as its pages are refilled, on a
-// fallback through DiffPaged. The warm start is the solver's pick
-// (solve.Workspace.BellmanFordDeltaLog): sparse from a clean prev, the
-// derivation log from a logged one on an M table, dense otherwise; the
-// result carries the log that run wrote, if any.
+// path straight from those comparisons, on a fallback through DiffPaged.
+// The warm start is the solver's pick (solve.Workspace.BellmanFordDeltaLog):
+// sparse from a clean prev, the derivation log from a logged one on an M
+// table, dense otherwise; the result carries the log that run wrote, if
+// any.
 func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, ws *solve.Workspace, prev *PagedColumn, toggles []solve.ArcToggle) (*PagedColumn, solve.DeltaStats, PageStats, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, solve.DeltaStats{}, PageStats{}, fmt.Errorf("rib: destination %d out of range", dest)
@@ -616,37 +591,66 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		c.resum()
 		return c, st, scratch(c), nil
 	}
-	// Copy-on-write delta: mark the redo set, derive the dirty page
-	// set, alias every clean page and rebuild only the dirty ones.
-	markRedo(ws, g, st.Touched, toggles, dest)
-	dirty := make([]int32, 0, len(st.Touched)+len(toggles))
-	last := int32(-1)
-	for _, u := range st.Touched { // ascending, so dedup is a compare
-		if pi := int32(u >> PageShift); pi != last {
-			dirty = append(dirty, pi)
-			last = pi
+	// Copy-on-write delta. Raw solver state is valid at exactly the redo
+	// set on the sparse path: the drain writes every popped node's next
+	// hop, and the downed-primary test loads a routed failed-arc tail's;
+	// their ECMP scans read only weights the drain materialized.
+	redo := append(make([]int, 0, len(st.Touched)+len(toggles)), st.Touched...)
+	for _, t := range toggles {
+		if x := g.Arcs[t.Arc].From; x != dest {
+			redo = append(redo, x)
 		}
 	}
-	for _, t := range toggles { // tails arrive unsorted; insert-dedup
-		x := g.Arcs[t.Arc].From
-		if x == dest {
+	slices.Sort(redo)
+	redo = slices.Compact(redo)
+	c.Pages, c.arenaBytes, c.live = prev.Pages, prev.arenaBytes, prev.live
+	var patches []SlotPatch
+	pool := make([]int32, 0, 32) // changed spans of the current page
+	cloned := 0
+	for lo := 0; lo < len(redo); {
+		pi := redo[lo] >> PageShift
+		old, first := prev.Pages[pi], len(patches)
+		for ; lo < len(redo) && redo[lo]>>PageShift == pi; lo++ {
+			u := redo[lo]
+			routed, at := raw.Routed[u], len(pool)
+			if routed && u != dest {
+				pool = appendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, pool)
+			}
+			if old.holds(u&PageMask, routed, raw.W[u], pool[at:]) {
+				pool = pool[:at]
+				continue
+			}
+			if patches == nil {
+				patches = make([]SlotPatch, 0, len(redo))
+			}
+			p := SlotPatch{Node: u, Routed: routed}
+			if routed {
+				p.W, p.NextHop = raw.W[u], pool[at:]
+			}
+			patches = append(patches, p)
+		}
+		if len(patches) == first {
 			continue
 		}
-		dirty = insertPage(dirty, int32(x>>PageShift))
-	}
-	c.Pages = append([]*ColumnPage(nil), prev.Pages...)
-	c.arenaBytes, c.live = prev.arenaBytes, prev.live
-	diff := newSlotDiff(g.N, len(st.Touched)+len(toggles))
-	for _, pi := range dirty {
-		old := c.Pages[pi]
-		np := fillPage(eng, g, raw, dest, int(pi), old, ws)
+		// The page's routes changed: lay it out as the follower will, then
+		// re-point the patches from the scratch pool into the page's own.
+		np := patchPage(old, pi, g.N, patches[first:])
+		for k := first; k < len(patches); k++ {
+			patches[k].NextHop = np.hops(patches[k].Node & PageMask)
+		}
+		pool = pool[:0]
+		if cloned == 0 {
+			c.Pages = slices.Clone(prev.Pages)
+		}
+		cloned++
 		c.Pages[pi] = np
 		c.arenaBytes += np.bytes() - old.bytes()
 		c.live += int(np.Live - old.Live)
-		diff.page(old, np, int(pi)<<PageShift, PageLen(int(pi), g.N), ws)
 	}
-	ps := PageStats{Cloned: len(dirty), Shared: len(c.Pages) - len(dirty), DirtyPages: dirty,
-		Changes: diff.patches, Changed: diff.count}
+	ps := PageStats{Cloned: cloned, Shared: len(c.Pages) - cloned, Changes: patches, Changed: len(patches)}
+	if limit := g.N/2 + 1; len(patches) > limit {
+		ps.Changes = patches[:limit]
+	}
 	return c, st, ps, nil
 }
 
@@ -671,23 +675,4 @@ func (c *warmColumn) NextHop(u int) int {
 		return -1
 	}
 	return int(p.Pool[s.NhOff])
-}
-
-// insertPage inserts pi into an ascending page-index slice unless
-// already present (the slice is a few entries long — linear is fine).
-func insertPage(dirty []int32, pi int32) []int32 {
-	at := len(dirty)
-	for i, d := range dirty {
-		if d == pi {
-			return dirty
-		}
-		if d > pi {
-			at = i
-			break
-		}
-	}
-	dirty = append(dirty, 0)
-	copy(dirty[at+1:], dirty[at:])
-	dirty[at] = pi
-	return dirty
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"metarouting/internal/exec"
@@ -157,8 +158,8 @@ func TestPageBoundaryECMPSpans(t *testing.T) {
 	if !st.UsedDelta {
 		t.Fatal("single-arc toggle fell back to a scratch rebuild")
 	}
-	if len(ps.DirtyPages) != 1 || ps.DirtyPages[0] != 1 {
-		t.Fatalf("dirty pages = %v, want [1]", ps.DirtyPages)
+	if ps.Cloned != 1 || ps.Shared != 1 {
+		t.Fatalf("cloned %d, shared %d pages, want 1 and 1", ps.Cloned, ps.Shared)
 	}
 	if next.Pages[0] != col.Pages[0] {
 		t.Fatal("untouched page 0 was cloned, not shared")
@@ -179,12 +180,14 @@ func TestPageBoundaryECMPSpans(t *testing.T) {
 	}
 }
 
-// TestDeltaPagedAllocs pins the paged delta rebuild's allocation count:
-// the epoch-stamped redo bitmap replaced a per-call map, so a warm
-// rebuild allocates only the column header, the page table copy, the
-// dirty-page set, the one presized change list and the cloned pages
-// themselves — a handful of objects at 1024 nodes, and O(frontier)
-// bytes.
+// TestDeltaPagedAllocs pins the paged delta rebuild's allocations to the
+// pages whose routes change. A warm rebuild allocates the column header,
+// the redo list and the span scratch, and only once a page changes the
+// change list, one page-table copy and a page plus a pool per changed
+// page — a handful of objects at 1024 nodes, and O(frontier) bytes. A
+// rebuild handed a toggle that cannot move the column (an arc off every
+// ECMP set, failed and restored) changes no page: it clones nothing and
+// shares prev's page table outright.
 func TestDeltaPagedAllocs(t *testing.T) {
 	a := alg(t, "lex(delay(8,2), hops(8))")
 	eng, err := exec.Compile(a)
@@ -194,58 +197,79 @@ func TestDeltaPagedAllocs(t *testing.T) {
 	g := graph.Random(rand.New(rand.NewSource(11)), 1024, 0.008, graph.UniformLabels(a.F.Size()))
 	ws := solve.NewWorkspace()
 	org := originFor(a)
-	ai := 7
-	disabledDown := make([]bool, len(g.Arcs))
-	disabledDown[ai] = true
-	disabledUp := make([]bool, len(g.Arcs))
-	viewDown := g.WithArcToggled(ai, disabledDown)
-	viewUp := g
-	togDown := []solve.ArcToggle{{Arc: ai, Down: true}}
-	togUp := []solve.ArcToggle{{Arc: ai, Down: false}}
-
-	prev, err := BuildDestPaged(eng, g, 0, org, ws)
+	base, err := BuildDestPaged(eng, g, 0, org, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, st, ps, err := DeltaDestPaged(eng, viewDown, disabledDown, 0, org, ws, prev, togDown)
-	if err != nil || !st.UsedDelta {
-		t.Fatalf("down toggle: err=%v usedDelta=%v", err, st.UsedDelta)
+	// Two arcs out of routed nodes: moving is a single-next-hop node's
+	// primary, inert is on no node's ECMP set.
+	moving, inert := -1, -1
+	for ai, arc := range g.Arcs {
+		nh := base.NextHops(arc.From)
+		switch {
+		case len(nh) == 0:
+		case len(nh) == 1 && nh[0] == int32(arc.To):
+			moving = max(moving, ai)
+		case !slices.Contains(nh, int32(arc.To)):
+			inert = max(inert, ai)
+		}
 	}
-	if ps.Shared == 0 {
-		t.Fatal("down toggle shared no pages")
+	if moving < 0 || inert < 0 {
+		t.Fatalf("fixture lacks an arc: moving %d, inert %d", moving, inert)
 	}
-	up, st, _, err := DeltaDestPaged(eng, viewUp, disabledUp, 0, org, ws, down, togUp)
-	if err != nil || !st.UsedDelta {
-		t.Fatalf("up toggle: err=%v usedDelta=%v", err, st.UsedDelta)
+	// pair returns a closure that fails arc ai and restores it, starting
+	// from *prev and leaving the restored column there; changed sums the
+	// pages the two rebuilds changed. The views are built up front.
+	pair := func(ai int, prev **PagedColumn, changed *int) func() {
+		disabled := make([]bool, len(g.Arcs))
+		disabled[ai] = true
+		view, none := g.WithArcToggled(ai, disabled), make([]bool, len(g.Arcs))
+		togDown, togUp := []solve.ArcToggle{{Arc: ai, Down: true}}, []solve.ArcToggle{{Arc: ai, Down: false}}
+		return func() {
+			down, st, ps, err := DeltaDestPaged(eng, view, disabled, 0, org, ws, *prev, togDown)
+			if err != nil || !st.UsedDelta {
+				t.Fatalf("arc %d down: err=%v usedDelta=%v", ai, err, st.UsedDelta)
+			}
+			up, st, psUp, err := DeltaDestPaged(eng, g, none, 0, org, ws, down, togUp)
+			if err != nil || !st.UsedDelta {
+				t.Fatalf("arc %d up: err=%v usedDelta=%v", ai, err, st.UsedDelta)
+			}
+			*prev, *changed = up, ps.Cloned+psUp.Cloned
+		}
 	}
-	prev = up
 
-	var maxCloned int
+	prev, changed := base, 0
+	run := pair(moving, &prev, &changed)
+	run()
+	maxChanged := 0
 	allocs := testing.AllocsPerRun(20, func() {
-		d, _, psD, err := DeltaDestPaged(eng, viewDown, disabledDown, 0, org, ws, prev, togDown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, _, psU, err := DeltaDestPaged(eng, viewUp, disabledUp, 0, org, ws, d, togUp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if psD.Cloned > maxCloned {
-			maxCloned = psD.Cloned
-		}
-		if psU.Cloned > maxCloned {
-			maxCloned = psU.Cloned
-		}
-		prev = u
+		run()
+		maxChanged = max(maxChanged, changed)
 	})
 	pages := numPages(g.N)
-	if maxCloned >= pages/2 {
-		t.Fatalf("steady-state single-arc delta cloned %d of %d pages", maxCloned, pages)
+	if maxChanged == 0 || maxChanged >= pages {
+		t.Fatalf("steady-state single-arc delta pair changed %d of %d pages", maxChanged, pages)
 	}
-	// Header + page-table copy + dirty set + change list + (pool per
-	// cloned page), twice per run. The bound leaves room for a scattered frontier but
-	// catches any return to O(N) slot copies.
-	if limit := float64(8 + 4*maxCloned); allocs > limit {
-		t.Fatalf("paged delta rebuild pair allocates %.0f objects per run (max %d cloned pages), want ≤ %.0f", allocs, maxCloned, limit)
+	// Per rebuild: header, the solver's touched list, redo list, span
+	// scratch, change list and page-table copy; per changed page: the
+	// page and its pool.
+	if limit := float64(2*6 + 2*maxChanged); allocs > limit {
+		t.Fatalf("paged delta rebuild pair allocates %.0f objects per run (%d changed pages), want ≤ %.0f", allocs, maxChanged, limit)
 	}
+	t.Logf("moving arc %d: %.0f allocs per pair, %d changed pages", moving, allocs, maxChanged)
+
+	prev = base
+	run = pair(inert, &prev, &changed)
+	allocs = testing.AllocsPerRun(20, func() {
+		run()
+		if changed != 0 || &prev.Pages[0] != &base.Pages[0] {
+			t.Fatalf("inert arc %d: %d pages changed, page table shared %v", inert, changed, &prev.Pages[0] == &base.Pages[0])
+		}
+	})
+	// Per rebuild: header, touched list, redo list, span scratch —
+	// nothing per page.
+	if allocs > 2*4 {
+		t.Fatalf("inert delta rebuild pair allocates %.0f objects per run, want ≤ 8", allocs)
+	}
+	t.Logf("inert arc %d: %.0f allocs per pair", inert, allocs)
 }

@@ -95,6 +95,9 @@ func BenchmarkServeRebuildFull(b *testing.B) {
 // the registry and a replication sink on. One op fails a 4-arc storm and
 // restores it: two swaps. B/op is what the pair allocates; the failure
 // mask's share of it is O(toggles), so nothing in it grows with the arcs.
+// pages-cloned/swap counts, from Server.Stats().PagesCloned, the pages
+// whose routes changed; they and their columns' page tables are most of
+// the rest.
 func BenchmarkLeaderSwap(b *testing.B) {
 	a, err := core.InferString("lex(delay(32,3), hops(8))")
 	if err != nil {
@@ -126,6 +129,7 @@ func BenchmarkLeaderSwap(b *testing.B) {
 		return evs
 	}
 	ctx := context.Background()
+	cloned0 := srv.Stats().PagesCloned
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,4 +139,5 @@ func BenchmarkLeaderSwap(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(srv.Stats().PagesCloned-cloned0)/float64(2*b.N), "pages-cloned/swap")
 }

@@ -430,10 +430,10 @@ func TestArcByEndpoints(t *testing.T) {
 // guard. On a 16k-node, four-destination column set with the sink and
 // the registry on, a single-toggle ApplyBatch may allocate its failure
 // mask's O(toggles) share — the directory's top slice, one directory
-// page and one chunk per toggle — plus an amount linear in the pages it
-// cloned — page tables, cloned pages, the change list, the frame — and
-// nothing sized by the arc count, by the dirty pages' slot count or by a
-// copy of each changed next-hop set. The model is replica's
+// page and one chunk per toggle — plus an amount linear in the pages
+// whose routes changed — page tables, changed pages, the change list, the
+// frame — and nothing sized by the arc count, by the changed pages' slot
+// count or by a copy of each changed next-hop set. The model is replica's
 // TestApplyDeltaAllocs.
 func TestPublishAllocsScaleWithChanges(t *testing.T) {
 	a, err := core.InferString("lex(delay(32,3), hops(8))")
@@ -446,7 +446,7 @@ func TestPublishAllocsScaleWithChanges(t *testing.T) {
 	}
 	// The benchmark's sparse shape at a sixth of its size: a scale-free
 	// graph whose single-arc frontiers are a few nodes wide, so each swap
-	// clones a handful of its columns' 256 pages.
+	// changes a handful of its columns' 256 pages.
 	const n = 16384
 	r := rand.New(rand.NewSource(16))
 	g := graph.ScaleFree(r, n, 2, graph.UniformLabels(a.OT.F.Size()))
@@ -484,26 +484,26 @@ func TestPublishAllocsScaleWithChanges(t *testing.T) {
 	total := after.TotalAlloc - before.TotalAlloc
 	st1 := srv.Stats()
 	swaps := st1.SnapshotSwaps - st0.SnapshotSwaps
-	cloned := st1.PagesCloned - st0.PagesCloned
+	changed := st1.PagesCloned - st0.PagesCloned
 	rebuilds := st1.DestRecomputes - st0.DestRecomputes
-	if swaps != 2*rounds || st1.ScratchDestRebuilds != st0.ScratchDestRebuilds || cloned == 0 {
-		t.Fatalf("storm ran %d swaps, %d scratch rebuilds, %d cloned pages: the fixture must stay on the delta path",
-			swaps, st1.ScratchDestRebuilds-st0.ScratchDestRebuilds, cloned)
+	if swaps != 2*rounds || st1.ScratchDestRebuilds != st0.ScratchDestRebuilds || changed == 0 {
+		t.Fatalf("storm ran %d swaps, %d scratch rebuilds, %d changed pages: the fixture must stay on the delta path",
+			swaps, st1.ScratchDestRebuilds-st0.ScratchDestRebuilds, changed)
 	}
 	// Per swap: fixed bookkeeping (snapshot, column map, view overlay,
 	// toggles, frame) and the mask's top slice, 8 B per 65 536 arcs. Per
 	// toggle, one per swap here: the mask's cloned directory page (128 B)
 	// and chunk (512 B). Per rebuilt column: its header and page-table
-	// copy. Per cloned page: the page, its pool, its share of the change
-	// list and of the frame. A 64-int expansion per dirty page is a third
-	// on top of the last term, and a copy of the mask per swap — even as
-	// a bitset, 8 KB at this size — breaks the budget.
+	// copy. Per changed page: the page, its pool, its share of the change
+	// list and of the frame. A 64-int expansion per changed page is a
+	// third on top of the last term, and a copy of the mask per swap —
+	// even as a bitset, 8 KB at this size — breaks the budget.
 	pages := uint64((n + rib.PageSize - 1) / rib.PageSize)
 	maskTop := 8 * uint64((len(arcs)+1<<16-1)>>16)
-	budget := swaps*(6144+maskTop+128+512) + rebuilds*(8*pages+256) + cloned*1472
+	budget := swaps*(6144+maskTop+128+512) + rebuilds*(8*pages+256) + changed*1472
 	if total > budget {
-		t.Fatalf("%d swaps (%d rebuilds, %d cloned pages) allocated %d B, budget %d B",
-			swaps, rebuilds, cloned, total, budget)
+		t.Fatalf("%d swaps (%d rebuilds, %d changed pages) allocated %d B, budget %d B",
+			swaps, rebuilds, changed, total, budget)
 	}
-	t.Logf("%d swaps, %d rebuilds, %d cloned pages: %d B, budget %d B", swaps, rebuilds, cloned, total, budget)
+	t.Logf("%d swaps, %d rebuilds, %d changed pages: %d B, budget %d B", swaps, rebuilds, changed, total, budget)
 }

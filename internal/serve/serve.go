@@ -21,13 +21,12 @@
 // to a fresh rib.BuildEngine on the mutated graph.
 //
 // Every column is a rib.PagedColumn: fixed-size copy-on-write pages
-// behind a page table. A delta rebuild clones only the pages holding
-// touched slots or shifted ECMP spans and shares every other page with
-// the previous snapshot by pointer, so a swap's data-plane cost is
-// O(frontier), not O(N). Its invariant is the canonical page layout
-// (DESIGN.md §8b): every paged column flattens bit-identically to the
-// naive rib.BuildDestColumn on the same view, which is what the
-// differentials check.
+// behind a page table. A delta rebuild clones only the pages whose routes
+// change and shares every other page with the previous snapshot by
+// pointer, so a swap's data-plane cost is O(frontier), not O(N). Its
+// invariant is the canonical page layout (DESIGN.md §8b): every paged
+// column flattens bit-identically to the naive rib.BuildDestColumn on the
+// same view, which is what the differentials check.
 //
 // Event bursts are absorbed in batches. ApplyBatch coalesces a sequence
 // of events to its net per-arc effect (a down followed by an up cancels,
@@ -757,7 +756,7 @@ func (s *Server) register(reg *telemetry.Registry) {
 		"Destination column rebuilds by solver path: warm-start delta drains vs from-scratch sweeps.", &s.deltaDests)
 	reg.AddCounter(`mrserve_dest_rebuilds_total{kind="scratch"}`, "", &s.scratchDests)
 	reg.AddCounter(`mrserve_column_pages_total{kind="cloned"}`,
-		"Copy-on-write column pages per rebuild, by fate: cloned into the new snapshot vs shared with the previous one by pointer.", &s.pagesCloned)
+		"Copy-on-write column pages per rebuild, by fate: cloned because their routes changed (every page on a scratch rebuild) vs shared with the previous snapshot by pointer.", &s.pagesCloned)
 	reg.AddCounter(`mrserve_column_pages_total{kind="shared"}`, "", &s.pagesShared)
 	reg.AddCounter("mrserve_route_flaps_total", "Route entries that changed across snapshot swaps.", &s.flaps)
 	reg.AddCounter("mrserve_event_batches_total", "Coalesced event batches applied.", &s.batches)
@@ -915,18 +914,18 @@ type rebuilt struct {
 // weight indices straight out of the previous pages, so nothing is
 // re-interned — while destinations the previous snapshot reported
 // unconverged rebuild from scratch (their columns are not a fixpoint to
-// warm-start from). A delta rebuild clones only the pages the drain
-// dirtied and shares the rest with the previous column by pointer, so
+// warm-start from). A delta rebuild clones only the pages whose routes
+// change and shares the rest with the previous column by pointer, so
 // the swap's data-plane cost tracks the frontier, not N. A ctx
 // cancellation abandons the build and returns ctx.Err().
 //
 // The rebuild is also the one place a swap's diff is computed; nothing
 // after it compares columns again — the flap counter sums the lists'
 // counts and the replication encoder wraps the lists. rib.DeltaDestPaged
-// returns the changed slots as a by-product of refilling the redo set
-// (transplanted slots are bit-identical by the page-local canonical
-// layout, DESIGN.md §8b, and are never looked at). A column the worker
-// built with rib.BuildDestPaged is compared page by page with
+// returns the changed slots as a by-product of recomputing the redo set
+// (every other slot kept its route, and by the page-local canonical
+// layout, DESIGN.md §8b, its bytes, so it is never looked at). A column
+// the worker built with rib.BuildDestPaged is compared page by page with
 // rib.DiffPaged in the pool worker, and only when the flap counter or
 // the replication sink will read the result.
 func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []int, prev *Snapshot, toggles [][]solve.ArcToggle) (map[int]*rib.PagedColumn, []int, []rebuilt, error) {

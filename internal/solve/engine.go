@@ -118,14 +118,12 @@ type Workspace struct {
 	childHead []int32
 	childNext []int32
 
-	// Epoch-stamped node sets (see sparse.go). marks backs the public
-	// ResetMarks/Mark/Marked bitmap the RIB delta rebuild reuses as its
-	// redo set; loaded gates the sparse delta drain's lazy warm-start
-	// overlay; vmarks memoizes forward-chain verification. Bumping an
-	// epoch invalidates a whole set in O(1), so none of them needs a
-	// per-run O(N) clear.
-	marks, loaded, vmarks            []uint32
-	markEpoch, loadEpoch, vmarkEpoch uint32
+	// Epoch-stamped node sets (see sparse.go). loaded gates the sparse
+	// delta drain's lazy warm-start overlay; vmarks memoizes forward-chain
+	// verification. Bumping an epoch invalidates a whole set in O(1), so
+	// neither needs a per-run O(N) clear.
+	loaded, vmarks        []uint32
+	loadEpoch, vmarkEpoch uint32
 	// stack and vstack are DFS/chain scratch for the sparse drain and
 	// the chain verifier.
 	stack, vstack []int

@@ -39,21 +39,6 @@ func resetEpochSet(arr []uint32, epoch uint32, n int) ([]uint32, uint32) {
 	return arr, epoch
 }
 
-// ResetMarks readies the workspace's reusable node bitmap for an n-node
-// pass, dropping every previous mark in O(1). The bitmap is scratch the
-// same way the solver buffers are: callers own it between ResetMarks
-// calls, and the RIB delta rebuild uses it as its redo set instead of
-// allocating a map per rebuild.
-func (ws *Workspace) ResetMarks(n int) {
-	ws.marks, ws.markEpoch = resetEpochSet(ws.marks, ws.markEpoch, n)
-}
-
-// Mark adds node u to the bitmap (ResetMarks must have covered u).
-func (ws *Workspace) Mark(u int) { ws.marks[u] = ws.markEpoch }
-
-// Marked reports whether u was marked since the last ResetMarks.
-func (ws *Workspace) Marked(u int) bool { return ws.marks[u] == ws.markEpoch }
-
 // loadNode installs one node's state into the solver arrays and records
 // it as live in the lazy overlay, so a later ensure cannot clobber it
 // with stale warm-start values.

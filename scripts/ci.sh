@@ -112,10 +112,13 @@ go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
 # The three broken rules must be caught (ECMP-only fails dropped,
 # equal-cost restores dropped, subsets handed to unclean log-path
 # columns). Beside it, the run-wise page transplant against the per-slot
-# copy it replaced, and the weight-only overlay's next-hop reads bounded
-# on hub-heavy batches (the licencecheck run above covers it too).
+# copy it replaced; the leader's delta rebuild cloning a page if and only
+# if its routes change (sparse, log and dense warm starts, compiled and
+# tiered, fail, restore, mixed and ECMP-only batches on scale-free graphs,
+# a partial last page); and the weight-only overlay's next-hop reads
+# bounded on hub-heavy batches (the licencecheck run above covers it too).
 go test -race -run='^(TestSubsetDifferential|TestSubsetMutantsFail)$' -count=1 ./internal/serve/
-go test -race -run='^TestTransplantRunMatchesSlots$' -count=1 ./internal/rib/
+go test -race -run='^(TestTransplantRunMatchesSlots|TestDeltaClonesOnlyChangedPages)$' -count=1 ./internal/rib/
 go test -race -run='^TestSparseNextHopLoads$' -count=1 ./internal/solve/
 go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
@@ -190,8 +193,9 @@ go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/
 # and with a column patch), named likewise.
 go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkApplyDelta/toggles+patch'
 # The leader's in-process swap at the same size (a 4-arc fail/restore
-# pair with the replication sink on), named likewise.
-go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep -q '^BenchmarkLeaderSwap'
+# pair with the replication sink on), named likewise, and reporting the
+# pages whose routes changed per swap.
+go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep '^BenchmarkLeaderSwap' | grep -q 'pages-cloned/swap'
 
 # Telemetry-overhead bench smoke: the paired instrumented-vs-bare
 # measurement must run end to end and emit a well-formed report. Small
@@ -224,9 +228,9 @@ for EXPR in 'lex(delay(32,3), hops(8))' 'scoped(bw(4), delay(64,4))'; do
 done
 
 # Allocs/op guards: the flat column build must stay allocation-flat, the
-# paged copy-on-write delta rebuild must hold its steady-state
-# allocation budget (including the rebuild's one presized change list),
-# a short Forward must
+# paged copy-on-write delta rebuild must allocate a fixed handful per
+# rebuild plus a page and a pool per changed page (a rebuild that
+# changes nothing copies no page table), a short Forward must
 # allocate nothing sized by the column, a follower's delta apply must
 # stay O(cloned pages) in objects and bytes and its mask O(toggles) (a
 # 4-toggle delta under 4 KiB at 400k arcs, within 10 % of 40k), and so
@@ -246,7 +250,7 @@ done
 # licensed scratch solve on a warm workspace allocates nothing and grows
 # no per-node buffer beyond the sweep's — on the tiered engine too, whose
 # per-id list heads are all empty again after every solve — and a logged
-# delta allocates its column, its cloned pages and its exactly sized log,
+# delta allocates its column, its changed pages and its exactly sized log,
 # nothing by N.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
