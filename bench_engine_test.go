@@ -51,14 +51,8 @@ func BenchmarkEngineDynamicVsCompiledDijkstra(b *testing.B) {
 // kernel: the comparison kernel on the dynamic backend (licensed by
 // inference), the rank-bucket kernel on the compiled one (by its tables).
 func BenchmarkEngineDynamicVsCompiledBestFirst(b *testing.B) {
-	a, err := core.InferString("delay(255,4)")
-	if err != nil {
-		b.Fatal(err)
-	}
 	engineBench(b, 128, func(b *testing.B, eng exec.Algebra, g *graph.Graph) {
-		lic := solve.NewLicence(eng, a.Props)
 		ws := solve.NewWorkspace()
-		ws.Licence = &lic
 		for i := 0; i < b.N; i++ {
 			ws.ScratchRaw(eng, g, 0, 0)
 		}

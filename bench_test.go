@@ -303,9 +303,7 @@ func benchScratch256(b *testing.B, kernel bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lic := solve.NewLicence(eng, a.Props)
 	ws := solve.NewWorkspace()
-	ws.Licence = &lic
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if kernel {

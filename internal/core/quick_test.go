@@ -56,7 +56,7 @@ func TestQuickInferenceSoundness(t *testing.T) {
 			if derived == prop.Unknown {
 				continue
 			}
-			j := a.OT.Check(id, nil, 0)
+			j := modelCheck(a, id)
 			if j.Status != derived {
 				t.Logf("expr %s: %s derived %v, model %v (%s)", e, id, derived, j.Status, j.Witness)
 				return false

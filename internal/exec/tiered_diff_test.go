@@ -93,11 +93,9 @@ func TestTieredDifferentialSolvers(t *testing.T) {
 			solve.DijkstraEngine(dyn, g, 0, origin), solve.DijkstraEngine(tier, g, 0, origin))
 		// The comparison kernel, wherever inference licenses it (the
 		// sweep elsewhere), down to the weight indices.
-		lic := solve.NewLicence(tier, a.Props)
 		wsD, wsT := solve.NewWorkspace(), solve.NewWorkspace()
-		wsD.Licence, wsT.Licence = &lic, &lic
 		if kd, kt := ownRaw(wsD.ScratchRaw(dyn, g, 0, origin)), ownRaw(wsT.ScratchRaw(tier, g, 0, origin)); !reflect.DeepEqual(kd, kt) {
-			t.Fatalf("%s %s: dynamic and tiered differ:\n dyn: %+v\ntier: %+v", label, lic.ScratchSolver(), kd, kt)
+			t.Fatalf("%s %v: dynamic and tiered differ:\n dyn: %+v\ntier: %+v", label, solve.NewPlan(tier).Kernel, kd, kt)
 		}
 		sameResult(t, label+" gauss-seidel",
 			solve.GaussSeidelEngine(dyn, g, 0, origin, 0), solve.GaussSeidelEngine(tier, g, 0, origin, 0))

@@ -31,7 +31,11 @@ type OrderTransform struct {
 	Ord *order.Preorder
 	// F is the set of arc functions S → S.
 	F *fn.Set
-	// Props caches property judgements (keys from prop.RoutingIDs).
+	// Props caches property judgements (keys from prop.RoutingIDs): the
+	// ones the constructor declares and Check computes and, once
+	// core.InferWith has built the transform, exactly the inferred set of
+	// its algebra node — order facts such as Full included. Engines
+	// expose it through Source(); solve.NewPlan reads it from there.
 	Props prop.Set
 
 	// memo is the slot behind Memo.

@@ -60,32 +60,32 @@ func TestForwardErrorPaths(t *testing.T) {
 	}
 }
 
-// TestDeltaLicensed pins the warm-start answer of the solver licence,
-// including the split that motivates serve.WithDeltaProps: composite
-// algebras carry their theorem-derived M/I judgements on the inference
-// node, not on the order transform the execution engine exposes.
+// TestDeltaLicensed pins the warm-start row of the engine's plan. The
+// inferred set core stamps on the order transform opens the delta path
+// wherever M or I holds, composites included, whose M or I only the
+// theorems give; the same engine over a transform no inference ran on
+// (unproved) keeps it shut.
 func TestDeltaLicensed(t *testing.T) {
 	for _, tc := range []struct {
-		src     string
-		otGate  bool // no property set: the engine's order transform alone
-		setGate bool // the inferred property set
+		src  string
+		warm bool
 	}{
-		{"delay(8,2)", true, true},                   // M and I declared on the base OT
-		{"bw(4)", true, true},                        // M only
-		{"lex(bw(4), hops(8))", false, false},        // the non-monotone widest-shortest gadget
-		{"scoped(delay(8,2), hops(8))", false, true}, // M via Theorem 6, invisible on the OT
-		{"lex(delay(16,3), hops(8))", false, true},   // I via Theorem 5, invisible on the OT
+		{"delay(8,2)", true},                  // M and I declared on the base
+		{"bw(4)", true},                       // M only
+		{"lex(bw(4), hops(8))", false},        // the non-monotone widest-shortest gadget
+		{"scoped(delay(8,2), hops(8))", true}, // M via Theorem 6
+		{"lex(delay(16,3), hops(8))", true},   // I via Theorem 5
 	} {
 		a, err := core.InferString(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := exec.NewDynamic(a.OT)
-		if got := solve.NewLicence(eng, nil).WarmStartAllowed(); got != tc.otGate {
-			t.Errorf("%s: warm start on the order transform = %v, want %v", tc.src, got, tc.otGate)
+		if got := solve.NewPlan(eng).Warm != solve.WarmNone; got != tc.warm {
+			t.Errorf("%s: warm start %v, want %v", tc.src, got, tc.warm)
 		}
-		if got := solve.NewLicence(eng, a.Props).WarmStartAllowed(); got != tc.setGate {
-			t.Errorf("%s: warm start on the inferred set = %v, want %v", tc.src, got, tc.setGate)
+		if got := solve.NewPlan(unproved(eng)).Warm; got != solve.WarmNone {
+			t.Errorf("%s: an unproved engine warm-starts (%v)", tc.src, got)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/ost"
-	"metarouting/internal/prop"
 	"metarouting/internal/solve"
 	"metarouting/internal/value"
 )
@@ -39,14 +38,12 @@ func randExpr(r *rand.Rand, depth int) string {
 }
 
 // scratchCase is one algebra of the kernel differential: the origin it
-// routes from, its inferred property set, and the solver its table
-// licence must pick ("" when the test derives it from the licences
+// routes from and the solver its table licence must pick ("" when the test derives it from the licences
 // themselves).
 type scratchCase struct {
 	expr   string
 	origin value.V
 	ot     *ost.OrderTransform
-	props  prop.Set
 	solver string
 }
 
@@ -68,7 +65,7 @@ func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, scratchCase{n.expr, a.OT.DefaultOrigin(), a.OT, a.Props, n.solver})
+		out = append(out, scratchCase{n.expr, a.OT.DefaultOrigin(), a.OT, n.solver})
 	}
 	for len(out) < len(named)+24 {
 		src := randExpr(r, 2)
@@ -84,7 +81,7 @@ func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 		if b, ok := a.OT.Ord.Bot(); ok && r.Intn(2) == 0 {
 			origin = b
 		}
-		out = append(out, scratchCase{src, origin, a.OT, a.Props, ""})
+		out = append(out, scratchCase{src, origin, a.OT, ""})
 	}
 	return out
 }
@@ -103,8 +100,9 @@ func scratchTopos(r *rand.Rand, labels int) []*graph.Graph {
 }
 
 // TestScratchKernelMatchesSweep is the licensed kernel's differential:
-// one compiled engine against itself hidden from exec.Tables, so the
-// only difference is the solver ScratchRaw picks. Over random finite
+// one compiled engine against itself hidden from exec.Tables over a
+// transform with no judgements (unproved), so the only difference is the
+// solver ScratchRaw picks. Over random finite
 // algebras (the exec differential's generator) and the workloads' and
 // the kernel tests' named ones, on GNP, ring, grid, scale-free and
 // two-level graphs in base, masked and overlay views, for every
@@ -114,9 +112,9 @@ func scratchTopos(r *rand.Rand, labels int) []*graph.Graph {
 // hops, Converged, Clean, flat and paged columns and their pools are
 // identical — as is DeltaDestPaged from an unclean previous column with
 // no log, whose dense drain falls back to ScratchRaw on every policy
-// product. The hidden engine with the inferred set's licence runs the
-// comparison kernel wherever inference proves what the table does, and
-// its Raw must match the sweep's too.
+// product. The engine hidden from its tables alone keeps the inferred
+// set it carries, runs the comparison kernel wherever inference proves
+// what the table does, and its Raw must match the sweep's too.
 func TestScratchKernelMatchesSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	var kernels, inferredKernels, fallbacks int
@@ -125,7 +123,7 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
-		plain := hidden{eng}
+		plain, hid := unproved(eng), hidden{eng}
 		want := "sweep"
 		if tab := exec.Tables(eng); tab != nil && tab.Monotone {
 			want = "best-first (M, table)"
@@ -135,21 +133,20 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 		if c.solver != "" && c.solver != want {
 			t.Fatalf("%s: licences select %q, want %q", c.expr, want, c.solver)
 		}
-		if got := solve.NewLicence(eng, c.props).ScratchSolver(); got != want {
-			t.Fatalf("%s: ScratchSolver = %q, want %q", c.expr, got, want)
+		if got := solve.NewPlan(eng).Kernel.String(); got != want {
+			t.Fatalf("%s: kernel %q, want %q", c.expr, got, want)
 		}
-		if got := solve.NewLicence(plain, nil).ScratchSolver(); got != "sweep" {
-			t.Fatalf("%s: a hidden engine must sweep, ScratchSolver = %q", c.expr, got)
+		if got := solve.NewPlan(plain).Kernel.String(); got != "sweep" {
+			t.Fatalf("%s: an unproved engine must sweep, kernel %q", c.expr, got)
 		}
 		if strings.HasPrefix(want, "best-first") {
 			kernels++
 		}
 		ws, hws, lws := solve.NewWorkspace(), solve.NewWorkspace(), solve.NewWorkspace()
-		inferred := solve.NewLicence(plain, c.props)
-		if strings.HasSuffix(inferred.ScratchSolver(), "inferred)") {
+		inferred := solve.NewPlan(hid).Kernel
+		if inferred.M || inferred.I {
 			inferredKernels++
 		}
-		lws.Licence = &inferred
 		for gi, g := range scratchTopos(r, c.ot.F.Size()) {
 			disabled := make([]bool, len(g.Arcs))
 			for i := range disabled {
@@ -175,9 +172,9 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 						t.Fatalf("%s: ScratchRaw differs from the sweep\n got %+v\nwant %+v", tag, got, ref)
 					}
 					if ref.Converged {
-						lt := lws.ScratchRaw(plain, view, dest, c.origin)
+						lt := lws.ScratchRaw(hid, view, dest, c.origin)
 						if !lt.Converged || !slices.Equal(lt.Routed, ref.Routed) || !slices.Equal(lt.W, ref.W) || !slices.Equal(lt.NextHop, ref.NextHop) {
-							t.Fatalf("%s: %s differs from the sweep\n got %+v\nwant %+v", tag, inferred.ScratchSolver(), lt, ref)
+							t.Fatalf("%s: %v differs from the sweep\n got %+v\nwant %+v", tag, inferred, lt, ref)
 						}
 					}
 					flat, err := BuildDestColumn(eng, view, dest, c.origin, ws)

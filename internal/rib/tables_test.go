@@ -10,14 +10,30 @@ import (
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
+	"metarouting/internal/ost"
 	"metarouting/internal/solve"
 	"metarouting/internal/value"
 )
 
 // hidden wraps an engine in a type exec.Tables does not know, so every
 // loop that would read the tables takes its interface path on the very
-// same engine.
+// same engine. Its plan is the one inference licenses.
 type hidden struct{ exec.Algebra }
+
+// bare is hidden over a transform that carries no judgements (ost.New on
+// the engine's order and functions), so its plan is the sweep with no
+// warm start.
+type bare struct {
+	hidden
+	src *ost.OrderTransform
+}
+
+func unproved(eng exec.Algebra) bare {
+	ot := eng.Source()
+	return bare{hidden{eng}, ost.New(ot.Name, ot.Ord, ot.F)}
+}
+
+func (b bare) Source() *ost.OrderTransform { return b.src }
 
 // sweepState is what one capped sweep leaves behind, and the pages laid
 // out from it — after a capped sweep a neighbour may since have moved
@@ -81,7 +97,7 @@ func TestTableKernelsMatchInterface(t *testing.T) {
 		if got := exec.Tables(eng) != nil; got != c.total {
 			t.Fatalf("%s: exec.Tables non-nil = %v, want %v", c.expr, got, c.total)
 		}
-		plain := hidden{eng}
+		plain := unproved(eng)
 		if exec.Tables(plain) != nil {
 			t.Fatalf("%s: a wrapped engine must not hand out tables", c.expr)
 		}

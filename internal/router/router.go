@@ -8,10 +8,10 @@
 // algorithm. The "proof" component is the machine-checked property
 // derivation.
 //
-// Construction also fixes the execution backend: algebras whose derived
-// carrier is finite (and small enough for dense tables) run compiled,
-// everything else runs the dynamic interpreter — the same decision the
-// property engine makes for licensing, extended to execution strategy.
+// A router picks no execution backend of its own: Engine is exec.For,
+// the constructor every other solve path uses, so the -engine policy and
+// the auto choice (compiled up to exec.AutoLimit, tiered past it) hold
+// here too.
 package router
 
 import (
@@ -71,10 +71,6 @@ type Router struct {
 	Algebra *core.Algebra
 	// Algo is the licensed algorithm.
 	Algo Algorithm
-	// Mode is the execution backend New selected from the algebra's
-	// derived shape: ModeCompiled when the carrier is finite and within
-	// the auto-compile limit, ModeDynamic otherwise.
-	Mode exec.Mode
 }
 
 // New checks the license and builds a Router. The returned error, when
@@ -99,11 +95,7 @@ func New(a *core.Algebra, algo Algorithm) (*Router, error) {
 			return nil, &LicenseError{Algorithm: algo, Missing: id, Explanation: a.Explain(id)}
 		}
 	}
-	mode := exec.ModeDynamic
-	if a.OT.Finite() && a.OT.Carrier().Size() <= exec.AutoLimit {
-		mode = exec.ModeCompiled
-	}
-	return &Router{Algebra: a, Algo: algo, Mode: mode}, nil
+	return &Router{Algebra: a, Algo: algo}, nil
 }
 
 // Licensed returns the algorithms the algebra's properties license, in
@@ -118,22 +110,14 @@ func Licensed(a *core.Algebra) []Algorithm {
 	return out
 }
 
-// Engine builds the execution engine for one originated weight under the
-// backend New selected. A compiled router whose origin falls outside the
-// compiled carrier (possible for sampled origins of addtop-style
-// wrappers) degrades to the dynamic interpreter rather than failing.
-func (r *Router) Engine(origin value.V) exec.Algebra {
-	eng, err := exec.New(r.Algebra.OT, r.Mode, origin)
-	if err != nil {
-		return exec.NewDynamic(r.Algebra.OT)
-	}
-	return eng
-}
+// Engine returns the execution engine for one originated weight:
+// exec.For's, the one rib, solve and serve build on the same algebra.
+func (r *Router) Engine(origin value.V) exec.Algebra { return exec.For(r.Algebra.OT, origin) }
 
-// Solve computes routes to dest with the licensed algorithm on the
-// selected execution backend. The asynchronous algorithms (PathVector,
-// DistanceVector) are driven with a seeded scheduler and their quiescent
-// state is returned in Result form.
+// Solve computes routes to dest with the licensed algorithm on Engine's
+// backend. The asynchronous algorithms (PathVector, DistanceVector) are
+// driven with a seeded scheduler and their quiescent state is returned
+// in Result form.
 func (r *Router) Solve(g *graph.Graph, dest int, origin value.V, seed int64) (*solve.Result, error) {
 	eng := r.Engine(origin)
 	switch r.Algo {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"metarouting/internal/core"
+	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 	"metarouting/internal/solve"
 	"metarouting/internal/value"
@@ -138,5 +139,38 @@ func TestFixpointOnScopedProduct(t *testing.T) {
 	}
 	if ok, why := solve.VerifyDominates(a.OT, g, 0, value.Pair{A: 4, B: 0}, res); !ok {
 		t.Fatalf("the licensed guarantee must hold: %s", why)
+	}
+}
+
+// TestEngineIsExecFor: a router runs the engine every other solve path
+// builds. lex(delay(255,3), hops(32)) has 8 448 weights, past
+// exec.AutoLimit, so that is the tiered engine, not the interpreter, and
+// the fixpoint it solves equals solve.BellmanFord's weights and next
+// hops. The product lacks M, so New refuses Fixpoint; the literal drives
+// the sweep anyway, which converges under the I it has.
+func TestEngineIsExecFor(t *testing.T) {
+	a := alg(t, "lex(delay(255,3), hops(32))")
+	origin := a.OT.DefaultOrigin()
+	rt := &Router{Algebra: a, Algo: Fixpoint}
+	if m := rt.Engine(origin).Mode(); m != exec.ModeTiered {
+		t.Fatalf("engine %s, want tiered", m)
+	}
+	g := graph.Random(rand.New(rand.NewSource(11)), 40, 0.1, graph.UniformLabels(a.OT.F.Size()))
+	for dest := 0; dest < g.N; dest += 7 {
+		got, err := rt.Solve(g, dest, origin, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solve.BellmanFord(a.OT, g, dest, origin, 0)
+		if !want.Converged {
+			t.Fatalf("dest %d: the reference sweep did not converge", dest)
+		}
+		for u := 0; u < g.N; u++ {
+			if got.Routed[u] != want.Routed[u] || got.Routed[u] &&
+				(got.Weights[u] != want.Weights[u] || got.NextHop[u] != want.NextHop[u]) {
+				t.Fatalf("dest %d node %d: router %v via %d, BellmanFord %v via %d",
+					dest, u, got.Weights[u], got.NextHop[u], want.Weights[u], want.NextHop[u])
+			}
+		}
 	}
 }

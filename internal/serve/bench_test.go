@@ -114,7 +114,7 @@ func BenchmarkLeaderSwap(b *testing.B) {
 		origins[i*n/8] = a.OT.DefaultOrigin()
 	}
 	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: origins},
-		serve.WithDeltaProps(a.Props), serve.WithRegistry(telemetry.NewRegistry()),
+		serve.WithRegistry(telemetry.NewRegistry()),
 		serve.WithReplication(&captureSink{discard: true}))
 	if err != nil {
 		b.Fatal(err)

@@ -23,9 +23,9 @@ import (
 	"metarouting/internal/value"
 )
 
-// warmStartAllowed is the delta gate a server fed the inferred set opens.
+// warmStartAllowed is the delta gate the engine's plan opens.
 func warmStartAllowed(a *core.Algebra) bool {
-	return solve.NewLicence(exec.NewDynamic(a.OT), a.Props).WarmStartAllowed()
+	return solve.NewPlan(exec.NewDynamic(a.OT)).Warm != solve.WarmNone
 }
 
 // TestServeDifferentialDelta is the tentpole acceptance test for the
@@ -65,7 +65,7 @@ func TestServeDifferentialDelta(t *testing.T) {
 			if name == "tiered" {
 				workers = 4 // more goroutines on the one engine nothing wraps
 			}
-			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(workers), serve.WithDeltaProps(a.Props))
+			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(workers))
 			cold := newShadowed(t, label+" cold", eng, g, origins, serve.WithWorkers(workers), serve.WithDelta(false))
 			if !warm.Stats().DeltaEnabled {
 				t.Fatalf("%s: licensed algebra must enable the delta path", label)
@@ -156,7 +156,7 @@ func TestServeDeltaDerivationLog(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			origins[i*g.N/6] = origin
 		}
-		warm := newShadowed(t, shape+" warm", eng, g, origins, serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
+		warm := newShadowed(t, shape+" warm", eng, g, origins, serve.WithWorkers(2))
 		cold := newShadowed(t, shape+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
 		if st := warm.Stats(); !st.DeltaEnabled || st.WarmStart != "derivation log (M)" {
 			t.Fatalf("%s: delta enabled %v, warm start %q", shape, st.DeltaEnabled, st.WarmStart)
@@ -217,7 +217,7 @@ func TestServeDeltaUnlicensedFallsBack(t *testing.T) {
 	g := graph.Grid(r, 4, 4, graph.UniformLabels(a.OT.F.Size()))
 	origins := map[int]value.V{0: value.Pair{A: 4, B: 0}, 15: value.Pair{A: 4, B: 0}}
 	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g, Origins: origins},
-		serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
+		serve.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"metarouting/internal/core"
@@ -65,6 +66,9 @@ func TestEncodeFullAllocs(t *testing.T) {
 // a follower to the checksum the leader had at that version with a name
 // for every weight it references, and the record stream's deltas from that version on must apply on top — which
 // they only do if the pinned names reach at least each delta's NameBase.
+// Every 20 batches the swaps wait for the encoder to finish a frame begun
+// after the wait started: delta rebuilds make a swap fast enough that on
+// one CPU the encoder could otherwise miss every version but one.
 func TestEncodeFullConcurrentWithSwaps(t *testing.T) {
 	a, err := core.InferString("lex(delay(16,3), hops(8))")
 	if err != nil {
@@ -86,9 +90,12 @@ func TestEncodeFullConcurrentWithSwaps(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var encErr error
+	var encodes atomic.Int64
+	encDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(encDone)
 		for {
 			select {
 			case <-stop:
@@ -101,12 +108,23 @@ func TestEncodeFullConcurrentWithSwaps(t *testing.T) {
 				return
 			}
 			fulls[v] = frame
+			encodes.Add(1)
 		}
 	}()
 
 	const swaps = 200
 	sums := map[uint64]uint32{1: srv.Checksum()}
-	for v := uint64(1); v <= swaps; {
+	for v, i := uint64(1), 0; v <= swaps; i++ {
+		if i%20 == 0 {
+			for seen := encodes.Load(); encodes.Load() < seen+2; {
+				select {
+				case <-encDone:
+					t.Fatalf("encoder stopped: %v", encErr)
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
 		batch := make([]serve.ArcEvent, 1+r.Intn(3))
 		for i := range batch {
 			batch[i] = serve.ArcEvent{Arc: r.Intn(len(g.Arcs)), Fail: r.Intn(2) == 0}

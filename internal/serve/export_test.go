@@ -13,9 +13,10 @@ import (
 func WithoutBatcher() Option { return optionFunc(func(c *config) { c.noBatcher = true }) }
 
 // WithDelta enables or disables warm-start delta reconvergence
-// (default enabled, where the licence allows it). Disabling it pins
-// every rebuild to the from-scratch solver: the oracle the delta
-// differentials compare warm-started servers against.
+// (default enabled, where the plan allows it). Disabling it clears the
+// plan's warm start and skip rule, which pins every rebuild to the
+// from-scratch solver: the oracle the delta differentials compare
+// warm-started servers against.
 func WithDelta(enabled bool) Option { return optionFunc(func(c *config) { c.noDelta = !enabled }) }
 
 // DrainForTest runs one batcher drain cycle synchronously: everything
@@ -77,4 +78,4 @@ func (r strictlyBetterRule) toggleMoves(col *rib.PagedColumn, a graph.Arc, fail 
 
 type uncleanRule struct{ *Server }
 
-func (r uncleanRule) sharp(col *rib.PagedColumn) bool { return r.fixpointSkip && col.Converged }
+func (r uncleanRule) sharp(col *rib.PagedColumn) bool { return r.plan.Skip && col.Converged }

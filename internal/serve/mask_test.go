@@ -68,7 +68,7 @@ func leaderMaskStorm(toggled func(*replica.Mask, []solve.ArcToggle) (replica.Mas
 	g := graph.ScaleFree(r, n, 2, graph.UniformLabels(a.OT.F.Size()))
 	origin := a.OT.Carrier().Elems[0]
 	srv, err := NewServer(Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin, n / 2: origin}},
-		WithWorkers(2), WithDeltaProps(a.Props))
+		WithWorkers(2))
 	if err != nil {
 		return err
 	}

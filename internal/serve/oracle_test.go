@@ -227,7 +227,7 @@ func (o *SwapOracle) CheckSubsets(prev *Snapshot, events []ArcEvent, frame []byt
 		all[i] = solve.ArcToggle{Arc: t.Arc, Down: t.Fail}
 	}
 	ws := solve.NewWorkspace()
-	ws.Licence = &s.licence
+	ws.Plan = &s.plan
 	full := &Snapshot{Version: sn.Version, Unconverged: sn.Unconverged, cols: make(map[int]*rib.PagedColumn, len(sn.cols))}
 	var built []rebuilt
 	for _, d := range s.dests {
@@ -237,7 +237,7 @@ func (o *SwapOracle) CheckSubsets(prev *Snapshot, events []ArcEvent, frame []byt
 			continue
 		}
 		r := rebuilt{dest: d}
-		if s.deltaOK && old.Converged {
+		if s.plan.Warm != solve.WarmNone && old.Converged {
 			var ps rib.PageStats
 			r.col, _, ps, err = rib.DeltaDestPaged(s.eng, sn.Graph, sn.Disabled, d, s.origins[d], ws, old, all)
 			r.changes, r.changed = ps.Changes, ps.Changed

@@ -237,7 +237,7 @@ func TestPublishFanCases(t *testing.T) {
 	origin := a.OT.Carrier().Elems[0]
 	backends(t, a.OT, func(t *testing.T, label string, eng exec.Algebra) {
 		sh := newShadowed(t, label, eng, g, map[int]value.V{0: origin, 2: origin},
-			serve.WithWorkers(2), serve.WithDeltaProps(a.Props))
+			serve.WithWorkers(2))
 		defer sh.Close()
 		if !sh.Stats().DeltaEnabled {
 			t.Fatal("delay must license the delta path")
@@ -301,8 +301,7 @@ func TestPublishECMPOnlyChange(t *testing.T) {
 	}
 	g := graph.MustNew(70, arcs)
 	backends(t, a.OT, func(t *testing.T, label string, eng exec.Algebra) {
-		sh := newShadowed(t, label, eng, g, map[int]value.V{0: a.OT.Carrier().Elems[0]},
-			serve.WithDeltaProps(a.Props))
+		sh := newShadowed(t, label, eng, g, map[int]value.V{0: a.OT.Carrier().Elems[0]})
 		defer sh.Close()
 		d := sh.toggle(mustArc(t, g, 64, 2), true)
 		if len(d.Scratch) != 0 || len(d.Diffs) != 1 || len(d.Diffs[0].Changes) != 1 {
@@ -320,7 +319,7 @@ func TestPublishECMPOnlyChange(t *testing.T) {
 }
 
 // TestPublishUnconvergedColumns runs BAD GADGET — licensed for the delta
-// path by a property set that lies, so every branch of the rebuild is
+// path by an M judgement that lies, declared on its order transform, so every branch of the rebuild is
 // reachable — through every single-arc failure and restoration. The
 // destination's column flips between unconverged and converged on each
 // swap: a failure finds the previous column unconverged and rebuilds it
@@ -330,10 +329,9 @@ func TestPublishECMPOnlyChange(t *testing.T) {
 func TestPublishUnconvergedColumns(t *testing.T) {
 	ot := baselib.SPPGadget()
 	g, _ := graph.BadGadgetArcs()
-	licence := prop.Make()
-	licence.Declare(prop.MLeft)
+	ot.Props.Declare(prop.MLeft)
 	backends(t, ot, func(t *testing.T, label string, eng exec.Algebra) {
-		sh := newShadowed(t, label, eng, g, map[int]value.V{0: 0}, serve.WithDeltaProps(licence))
+		sh := newShadowed(t, label, eng, g, map[int]value.V{0: 0})
 		defer sh.Close()
 		if !sh.Stats().DeltaEnabled || len(sh.Snapshot().Unconverged) != 1 {
 			t.Fatalf("fixture lost its teeth: delta enabled %v, unconverged %v", sh.Stats().DeltaEnabled, sh.Snapshot().Unconverged)
@@ -454,7 +452,7 @@ func TestPublishAllocsScaleWithChanges(t *testing.T) {
 	origin := a.OT.Carrier().Elems[0]
 	dests := map[int]value.V{0: origin, n / 3: origin, 2 * n / 3: origin, n - 1: origin}
 	srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: dests},
-		serve.WithWorkers(1), serve.WithDeltaProps(a.Props),
+		serve.WithWorkers(1),
 		serve.WithReplication(&captureSink{discard: true}), serve.WithRegistry(telemetry.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func TestLogRotationAcrossSegments(t *testing.T) {
 	pub.SetLogMaxBytes(2048)
 	defer pub.Close()
 	srv, err = serve.NewServer(serve.Config{Engine: exec.For(a.OT, origin), Graph: g, Origins: origins},
-		serve.WithWorkers(2), serve.WithDeltaProps(a.Props), serve.WithReplication(pub))
+		serve.WithWorkers(2), serve.WithReplication(pub))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,17 @@
 // unchanged at every intermediate step of applying the batch one arc at
 // a time.
 //
+// Which rebuild path runs is the engine's solve.Plan, read once at
+// construction from the proof the engine carries (its compiled tables
+// and the judgements core inference stamps on its order transform): the
+// kernel of every scratch build, the warm start that opens the delta
+// path (M or I), and the skip rule below.
+//
 // A destination whose column is a fixpoint the server can vouch for is
 // sharp: it gets a sharper rule (Server.toggleMoves), applied toggle by
-// toggle. The conditions: the delta gate is
-// open (M or I inferred), the column is Converged and Clean, and the
-// preorder is total (Full inferred, or the compiler's verified rank
-// vector) — the licence's WarmStartAllowed and SkipRuleSound. Then a
+// toggle. The conditions: the plan's skip rule is on (a warm start, and a
+// total preorder — Full inferred, or the compiler's verified rank
+// vector), and the column is Converged and Clean. Then a
 // toggle can move d's column only as follows: a failed
 // arc x→y only if y is one of x's next hops toward d, a restored arc
 // only if x is unrouted or the arc's candidate f(w_d[y]) is not strictly
@@ -187,7 +192,6 @@ type config struct {
 	rebuildTimeout time.Duration
 	noBatcher      bool // test-only: leave the intake queue undrained
 	noDelta        bool // test-only: pin every rebuild to scratch
-	deltaProps     prop.Set
 	prefixes       *rib.PrefixTable
 	sink           RecordSink
 	scenario       *scenario.Scenario
@@ -247,15 +251,11 @@ func WithQueueCapacity(n int) Option {
 	return optionFunc(func(c *config) { c.queueCap = n })
 }
 
-// WithDeltaProps supplies an inferred property set to the delta gate.
-// Composite algebras built by core inference carry their derived M/I
-// judgements on the Algebra node, not on the order transform the
-// execution engine exposes, so callers that ran inference pass a.Props
-// here to let theorem-derived licenses (e.g. I(lex) via Theorem 5)
-// enable the warm-start path. The set only ever widens the license.
-func WithDeltaProps(p prop.Set) Option {
-	return optionFunc(func(c *config) { c.deltaProps = p })
-}
+// WithDeltaProps does nothing. The server's plan comes from the engine
+// (solve.NewPlan), whose order transform core inference stamps with the
+// set callers used to pass here. It stays only for the benchmark
+// harness, which still calls it, and goes with that call.
+func WithDeltaProps(prop.Set) Option { return optionFunc(func(*config) {}) }
 
 // WithPrefixes supplies an explicit prefix table. The table's per-node
 // origins must match the Config's origination set — WithAnnouncements
@@ -267,9 +267,7 @@ func WithPrefixes(pt *rib.PrefixTable) Option {
 }
 
 // WithScenario seeds the server from a parsed scenario: its engine,
-// topology and single origination fill whatever the Config leaves zero,
-// and — when the scenario ran inference — its derived property set
-// feeds the delta gate unless WithDeltaProps was given explicitly.
+// topology and single origination fill whatever the Config leaves zero.
 // Explicit Config fields and WithEngine always win over the scenario.
 func WithScenario(sc *scenario.Scenario) Option {
 	return optionFunc(func(c *config) { c.scenario = sc })
@@ -378,16 +376,18 @@ func (sn *Snapshot) Forward(from, dest int) (graph.Path, error) { return sn.rib.
 // ECMPWidth returns the equal-cost next-hop count at node toward dest.
 func (sn *Snapshot) ECMPWidth(node, dest int) int { return sn.rib.ECMPWidth(node, dest) }
 
+// Plan is the solve plan the server's column builds run on.
+func (s *Server) Plan() solve.Plan { return s.plan }
+
 // Stats is a point-in-time reading of the server's counters — the seed
 // of the observability layer, surfaced at /v1/stats. EngineInterned and EngineHotCapacity are exec.Tiers:
 // weights the engine has hash-consed, and how many its memo tables
 // cover — past hot capacity every operation on the excess is interpreted
-// under a mutex; both are 0 on the compiled backend. ScratchSolver is
-// solve.Licence.ScratchSolver: which solver from-scratch column builds
-// run, as the compiled tables' or the inferred set's licence chose it;
-// WarmStart is solve.Licence.WarmStartKind: the warm start that licence
-// gives a delta rebuild from a column that is not a clean tree
-// (DeltaEnabled says whether rebuilds warm-start at all).
+// under a mutex; both are 0 on the compiled backend. DeltaEnabled,
+// ScratchSolver and WarmStart render rows of the server's solve.Plan:
+// whether rebuilds warm-start at all, the kernel from-scratch column
+// builds run, and the warm start a delta rebuild takes from a column
+// that is not a clean tree.
 type Stats struct {
 	Queries               uint64 `json:"queries"`
 	BatchRequests         uint64 `json:"batch_requests"`
@@ -457,19 +457,11 @@ type Server struct {
 	disabled []bool
 	closed   bool
 
-	// licence picks the column builds' scratch kernel and warm start:
-	// derived once from the engine's tables and the WithDeltaProps set,
-	// and carried by every pool workspace.
-	licence solve.Licence
-
-	// deltaOK gates the warm-start rebuild path: the licence's
-	// WarmStartAllowed, unless a test pinned rebuilds to scratch.
-	deltaOK bool
-
-	// fixpointSkip enables the sharper invalidation rule (see
-	// invalidated): the delta gate is open and the licence's
-	// SkipRuleSound holds.
-	fixpointSkip bool
+	// plan is the engine's solve plan, read once at construction and
+	// shared by every pool workspace: its kernel builds columns, its warm
+	// start (WarmNone: none) opens the delta rebuild path, and its skip
+	// rule makes clean columns sharp (see invalidated).
+	plan solve.Plan
 
 	// rule is the judgement invalidated applies per column: the server
 	// itself outside tests (see subsetRule).
@@ -606,11 +598,6 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		if origins == nil {
 			origins = map[int]value.V{sc.Dest: sc.Origin}
 		}
-		if cfg.deltaProps == nil && sc.Algebra != nil {
-			// The scenario ran inference, so its derived property set can
-			// license the delta path; an explicit WithDeltaProps wins.
-			cfg.deltaProps = sc.Algebra.Props
-		}
 	}
 	if cfg.engine != nil {
 		eng = cfg.engine
@@ -687,9 +674,10 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		sink:           cfg.sink,
 		fingerprint:    fingerprintGraph(g),
 	}
-	s.licence = solve.NewLicence(s.eng, cfg.deltaProps)
-	s.deltaOK = !cfg.noDelta && s.licence.WarmStartAllowed()
-	s.fixpointSkip = s.deltaOK && s.licence.SkipRuleSound()
+	s.plan = solve.NewPlan(s.eng)
+	if cfg.noDelta {
+		s.plan.Warm, s.plan.Skip = solve.WarmNone, false
+	}
 	s.rule = s
 	s.maskToggled = (*replica.Mask).Toggled
 	if cfg.registry != nil {
@@ -714,7 +702,7 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	s.pool = sched.New(cfg.workers, func() *solve.Workspace {
 		ws := solve.NewWorkspace()
 		ws.Metrics = s.solveMetrics
-		ws.Licence = &s.licence
+		ws.Plan = &s.plan
 		return ws
 	})
 	s.workers = s.pool.Workers()
@@ -947,7 +935,7 @@ func (s *Server) buildDests(ctx context.Context, view *graph.Graph, recompute []
 			}
 		}
 	}
-	delta := s.deltaOK && prev != nil && toggles != nil
+	delta := s.plan.Warm != solve.WarmNone && prev != nil && toggles != nil
 	wantDiff := s.queryNS != nil || (s.sink != nil && toggles != nil)
 	results := make([]rebuilt, len(recompute))
 	err := s.pool.Map(ctx, len(recompute), func(i int, ws *solve.Workspace) error {
@@ -1077,8 +1065,8 @@ func Coalesce(events []ArcEvent, disabled []bool) ([]ArcEvent, error) {
 // per-event skip rule over the batch, evaluated against the pre-batch
 // snapshot (sound for the whole batch; see the package comment) — and,
 // for each, the toggles its rebuild is handed. A destination whose
-// column is a converged, clean fixpoint is sharp when fixpointSkip
-// allows it: it is held to the sharper rule of toggleMoves, toggle by
+// column is a converged, clean fixpoint is sharp when the plan's skip
+// rule allows it: it is held to the sharper rule of toggleMoves, toggle by
 // toggle, and handed only the toggles that rule says can move it. Every
 // other destination is handed all, the whole batch. Callers hold s.mu.
 func (s *Server) invalidated(cur *Snapshot, all []solve.ArcToggle) (recompute []int, subsets [][]solve.ArcToggle) {
@@ -1132,10 +1120,10 @@ type subsetRule interface {
 	toggleMoves(col *rib.PagedColumn, a graph.Arc, fail bool, wy int32) bool
 }
 
-// sharp reports whether col is held to toggleMoves: the licence makes the
+// sharp reports whether col is held to toggleMoves: the plan makes the
 // fixpoint skip rule sound, and col is a converged, clean fixpoint.
 func (s *Server) sharp(col *rib.PagedColumn) bool {
-	return s.fixpointSkip && col.Converged && col.Clean
+	return s.plan.Skip && col.Converged && col.Clean
 }
 
 // toggleMoves reports whether toggling arc a = x→y, whose head holds
@@ -1210,20 +1198,15 @@ func (s *Server) applyBatch(ctx context.Context, events []ArcEvent) (applied, re
 		s.disabled[t.Arc] = t.Fail
 	}
 	var view *graph.Graph
-	switch {
-	case len(toggles) == 1:
-		// Single toggle: copy-on-write view, O(N + deg) instead of a full
-		// re-index.
-		view = cur.Graph.WithArcToggled(toggles[0].Arc, s.disabled)
-	case len(toggles) <= 32:
-		// Small storm: one header copy plus one row rebuild per endpoint,
-		// still far under the O(N + M) full re-index.
+	if len(toggles) <= 32 {
+		// Small storm: a copy-on-write view, one header copy plus one row
+		// rebuild per endpoint, far under the O(N + M) full re-index.
 		ais := make([]int, len(toggles))
 		for i, t := range toggles {
 			ais[i] = t.Arc
 		}
 		view = cur.Graph.WithArcsToggled(ais, s.disabled)
-	default:
+	} else {
 		view = s.base.MaskArcs(s.disabled)
 	}
 	recompute, subsets := s.invalidated(cur, all)
@@ -1527,7 +1510,7 @@ func (s *Server) Stats() Stats {
 		ScratchDestRebuilds:   s.scratchDests.Load(),
 		DeltaFrontierNodes:    s.frontierNodes.Load(),
 		DeltaTouchedNodes:     s.touchedNodes.Load(),
-		DeltaEnabled:          s.deltaOK,
+		DeltaEnabled:          s.plan.Warm != solve.WarmNone,
 		PagesCloned:           s.pagesCloned.Load(),
 		PagesShared:           s.pagesShared.Load(),
 		BatchesApplied:        s.batches.Load(),
@@ -1543,8 +1526,8 @@ func (s *Server) Stats() Stats {
 		Arcs:                  len(s.base.Arcs),
 		DisabledArcs:          sn.mask.Count(),
 		Engine:                string(s.eng.Mode()),
-		ScratchSolver:         s.licence.ScratchSolver(),
-		WarmStart:             s.licence.WarmStartKind(),
+		ScratchSolver:         s.plan.Kernel.String(),
+		WarmStart:             s.plan.Warm.String(),
 		EngineInterned:        interned,
 		EngineHotCapacity:     hotCap,
 		Workers:               s.workers,

@@ -17,6 +17,7 @@ import (
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
+	"metarouting/internal/ost"
 	"metarouting/internal/rib"
 	"metarouting/internal/scenario"
 	"metarouting/internal/serve"
@@ -486,28 +487,30 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 // the engine interned and how many its memo tables cover, per backend:
 // interned past hot capacity is the one signal an operator has that an
 // algebra runs interpreted under a mutex (always so on dynamic).
-// /v1/stats also names the scratch solver and the warm start: the
+// /v1/stats also names the plan's scratch solver and warm start: the
 // compiled tables of this lex product prove strict I, those of the
-// policy product prove M; on the tiered backend the inferred set proves
-// strict I for the query workloads' lex product and M for the
-// forwardable policy; without a licence a backend sweeps and warm-starts
-// densely.
+// policy product prove M; on the dynamic and tiered backends the
+// inferred set the engine carries proves strict I for the lex products
+// and M for the forwardable policy. An engine over a bare copy of the
+// transform, which no inference ran on, sweeps and has no warm start
+// unless its tables prove one.
 func TestEngineTierGauges(t *testing.T) {
 	for _, tc := range []struct {
 		expr     string
 		name     exec.Mode
 		interned bool
 		hot      int
-		inferred bool
+		bare     bool
 		solver   string
 		warm     string
 	}{
-		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, false, "best-first (I, table)", "clean tree"},
-		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, false, "sweep", "dense"},
-		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, false, "sweep", "dense"},
-		{"lex(delay(255,3), hops(32))", exec.ModeTiered, true, 256, true, "best-first (I, inferred)", "clean tree"},
-		{"scoped(hops(0), delay(64,4))", exec.ModeTiered, true, 256, true, "best-first (M, inferred)", "dense"},
-		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, true, "best-first (M, table)", "derivation log (M)"},
+		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, true, "best-first (I, table)", "clean tree"},
+		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, true, "sweep", "none"},
+		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, true, "sweep", "none"},
+		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, false, "best-first (I, inferred)", "clean tree"},
+		{"lex(delay(255,3), hops(32))", exec.ModeTiered, true, 256, false, "best-first (I, inferred)", "clean tree"},
+		{"scoped(hops(0), delay(64,4))", exec.ModeTiered, true, 256, false, "best-first (M, inferred)", "dense"},
+		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, false, "best-first (M, table)", "derivation log (M)"},
 	} {
 		a, err := core.InferString(tc.expr)
 		if err != nil {
@@ -515,16 +518,16 @@ func TestEngineTierGauges(t *testing.T) {
 		}
 		g := graph.Ring(rand.New(rand.NewSource(4)), 12, graph.UniformLabels(a.OT.F.Size()))
 		origin := a.OT.DefaultOrigin()
-		eng, err := exec.New(a.OT, tc.name, origin)
+		ot := a.OT
+		if tc.bare {
+			ot = ost.New(ot.Name, ot.Ord, ot.F)
+		}
+		eng, err := exec.New(ot, tc.name, origin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		opts := []serve.Option{serve.WithRegistry(reg)}
-		if tc.inferred {
-			opts = append(opts, serve.WithDeltaProps(a.Props))
-		}
-		srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}}, opts...)
+		srv, err := serve.NewServer(serve.Config{Engine: eng, Graph: g, Origins: map[int]value.V{0: origin}}, serve.WithRegistry(reg))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -221,7 +221,7 @@ func TestSubsetDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				g, origins := subsetGraph(34, a.OT.F.Size(), origin)
-				sr := newSubsetRun(t, eng, g, origins, serve.WithDeltaProps(a.Props))
+				sr := newSubsetRun(t, eng, g, origins)
 				defer sr.srv.Close()
 				if err := sr.storm(rand.New(rand.NewSource(7)), 40); err != nil {
 					t.Fatal(err)
@@ -265,7 +265,7 @@ func TestSubsetMutantsFail(t *testing.T) {
 					t.Fatal(err)
 				}
 				g, origins := subsetGraph(seed, a.OT.F.Size(), origin)
-				sr := newSubsetRun(t, eng, g, origins, serve.WithDeltaProps(a.Props))
+				sr := newSubsetRun(t, eng, g, origins)
 				sr.srv.SetSubsetRuleForTest(mutant)
 				err = sr.storm(rand.New(rand.NewSource(seed)), 80)
 				sr.srv.Close()

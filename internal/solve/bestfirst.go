@@ -7,12 +7,11 @@ import (
 	"metarouting/internal/compile"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
-	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
 // This file holds the licensed scratch solver: the from-scratch column
-// build the algebra's proof chooses. When a Licence proves M or strict I
+// build the algebra's proof chooses. When a Plan's kernel is M or strict I
 // over an antisymmetric total order, ScratchRaw settles nodes best-first
 // and returns exactly the state a converged synchronous sweep leaves —
 // routedness, weights and next hops — in one pass over the arcs instead
@@ -44,102 +43,14 @@ import (
 // distinct queued ids ordered by the engine's Lt. Without a licence
 // ScratchRaw runs the sweep.
 
-// Licence is the proof that picks a column build's solvers: the kernel
-// ScratchRaw runs and the warm start a delta rebuild takes from a column
-// that is not a clean tree. It also answers the two gates a server reads
-// before choosing a rebuild path: whether a delta may warm-start at all
-// (WarmStartAllowed) and whether the fixpoint skip rule is sound
-// (SkipRuleSound). NewLicence computes it once per engine; a server
-// stores it on the workspaces it creates (Workspace.Licence), and a
-// workspace without one reads the engine's compiled tables alone.
-type Licence struct {
-	// m and i license the kernel (M wins when both hold); nd is the
-	// inferred ND judgement the licencecheck build asserts.
-	m, i, nd bool
-	// tab is set when compiled tables verified the licence: bestFirst runs
-	// over them and, under M, keeps the derivation log.
-	tab *compile.Compiled
-	// warm and skip are the answers of WarmStartAllowed and SkipRuleSound.
-	warm, skip bool
-}
-
-// NewLicence derives eng's licence. The kernel's comes from its compiled
-// tables when they carry one, else from props, the inferred property set
-// (nil for none), when it proves M or strict I (I with T, or SI) together
-// with Full and Antisymmetric. The warm-start gate holds when props or
-// the engine's own order transform (eng.Source().Props) establish M or
-// I; the skip-rule gate when the compiled tables verified a rank vector
-// or props establish Full.
-func NewLicence(eng exec.Algebra, props prop.Set) Licence {
-	t := exec.Tables(eng)
-	l := Licence{
-		nd:   props.Holds(prop.NDLeft),
-		warm: props.Holds(prop.MLeft) || props.Holds(prop.ILeft),
-		skip: t != nil || props.Holds(prop.Full),
-	}
-	if src := eng.Source(); src != nil && !l.warm {
-		l.warm = src.Props.Holds(prop.MLeft) || src.Props.Holds(prop.ILeft)
-	}
-	switch {
-	case t != nil && (t.Monotone || t.StrictlyIncreasing):
-		l.m, l.i, l.tab = t.Monotone, t.StrictlyIncreasing, t
-	case props.Holds(prop.Full) && props.Holds(prop.Antisymmetric):
-		l.m = props.Holds(prop.MLeft)
-		l.i = props.Holds(prop.ILeft) && (props.Holds(prop.TopFixed) || props.Holds(prop.SILeft))
-	}
-	return l
-}
-
-// WarmStartAllowed reports whether a delta rebuild may warm-start from
-// the previous column: M makes every fixpoint reached from realisable
-// warm-start values path-optimal, and I gives the unique-fixpoint
-// reconvergence of Daggitt & Griffin. Only judgements the checker
-// established as True count. Composite algebras carry their
-// theorem-derived M/I on the inference node, not on the order transform
-// the engine exposes, which is why NewLicence reads both.
-func (l Licence) WarmStartAllowed() bool { return l.warm }
-
-// SkipRuleSound reports whether the preorder is known to be total — by
-// the compiler's verified rank vector or the inferred Full judgement —
-// which is what lets a server skip rebuilding a converged, clean column
-// whose next-hop sets no toggled arc can move (serve's toggleMoves).
-// Together with WarmStartAllowed it licenses that skip.
-func (l Licence) SkipRuleSound() bool { return l.skip }
-
-// ScratchSolver names the from-scratch solver the licence picks:
-// "best-first (P, S)" with P the licensing property (M or I) and S its
-// source (table or inferred), "sweep" without a licence.
-func (l Licence) ScratchSolver() string {
-	src := "inferred"
-	if l.tab != nil {
-		src = "table"
-	}
-	switch {
-	case l.m:
-		return "best-first (M, " + src + ")"
-	case l.i:
-		return "best-first (I, " + src + ")"
-	}
-	return "sweep"
-}
-
-// licence is the licence ScratchRaw and the delta gate read: the one the
-// workspace carries, else what eng's tables prove.
-func (ws *Workspace) licence(eng exec.Algebra) Licence {
-	if ws.Licence != nil {
-		return *ws.Licence
-	}
-	return NewLicence(eng, nil)
-}
-
-// ScratchRaw solves dest from scratch with the solver the workspace's
-// licence picks (see Licence) and returns a Raw aliasing the workspace,
+// ScratchRaw solves dest from scratch with the kernel the workspace's
+// plan picks (Plan.Kernel) and returns a Raw aliasing the workspace,
 // like BellmanFordRaw. On a best-first kernel Rounds counts node settles
 // and Converged is always true; on the sweep the result is
 // BellmanFordRaw's with the default round budget.
 func (ws *Workspace) ScratchRaw(eng exec.Algebra, g *graph.Graph, dest int, origin value.V) Raw {
-	lic := ws.licence(eng)
-	if !lic.m && !lic.i {
+	plan := ws.plan(eng)
+	if !plan.Kernel.M && !plan.Kernel.I {
 		return ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	}
 	var t0 time.Time
@@ -149,9 +60,9 @@ func (ws *Workspace) ScratchRaw(eng exec.Algebra, g *graph.Graph, dest int, orig
 	o := exec.MustIntern(eng, origin)
 	var settles int
 	var relaxations uint64
-	if lic.tab != nil {
-		settles, relaxations = ws.bestFirst(lic.tab, g, dest, o, true)
-	} else if settles, relaxations = ws.bestFirstLt(eng, lic, g, dest, o, true); settles < 0 {
+	if t := plan.Kernel.Table; t != nil {
+		settles, relaxations = ws.bestFirst(t, g, dest, o, true)
+	} else if settles, relaxations = ws.bestFirstLt(eng, plan, g, dest, o, true); settles < 0 {
 		return ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	}
 	if m := ws.Metrics; m != nil {
@@ -449,12 +360,12 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 // well-founded, so past (2N+4)·N settles — more than the sweep's whole
 // round budget could re-evaluate — it gives up and returns settles -1,
 // with the queue emptied, for ScratchRaw to sweep instead.
-func (ws *Workspace) bestFirstLt(eng exec.Algebra, lic Licence, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
+func (ws *Workspace) bestFirstLt(eng exec.Algebra, plan Plan, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
 	ws.reset(g.N, dest, o)
 	w, next, back := ws.w, ws.prevW, ws.nextHop
 	q := &ws.ids
 	q.insert(eng, dest, o, next, back)
-	chk := newRelaxCheck(eng, lic)
+	chk := newRelaxCheck(eng, plan)
 	budget := (2*g.N + 4) * g.N
 	for {
 		u := q.popMin(eng, next, back)

@@ -15,7 +15,6 @@ import (
 	"metarouting/internal/graph"
 	"metarouting/internal/order"
 	"metarouting/internal/ost"
-	"metarouting/internal/prop"
 	"metarouting/internal/value"
 )
 
@@ -185,14 +184,14 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 // hiddenEng hides an engine's tables from exec.Tables.
 type hiddenEng struct{ exec.Algebra }
 
-// TestScratchRawDispatch: the licence names the solver ScratchRaw runs,
+// TestScratchRawDispatch: the plan names the kernel ScratchRaw runs,
 // and ScratchRaw is exactly that solver — the table kernel (Rounds
 // counting its settles) on ranked, licensed compiled tables, the
 // comparison kernel wherever only the inferred set licenses it (tiered,
 // dynamic, and tables hidden from exec.Tables), and BellmanFordRaw
-// without a licence: on those engines without the inferred set, on the
-// rank-less tags(2) product (¬Full) and on the unlicensed BAD GADGET and
-// lex(delay, bw).
+// without a licence: on those engines built over a transform no
+// inference ran on (inferred=false), on the rank-less tags(2) product
+// (¬Full) and on the unlicensed BAD GADGET and lex(delay, bw).
 func TestScratchRawDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, c := range []struct {
@@ -219,25 +218,24 @@ func TestScratchRawDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		origin := a.OT.DefaultOrigin()
-		eng, err := exec.New(a.OT, c.mode, origin)
+		ot := a.OT
+		if !c.inferred {
+			ot = ost.New(ot.Name, ot.Ord, ot.F)
+		}
+		eng, err := exec.New(ot, c.mode, origin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.hide {
 			eng = hiddenEng{eng}
 		}
-		var props prop.Set
-		if c.inferred {
-			props = a.Props
-		}
-		lic := NewLicence(eng, props)
+		plan := NewPlan(eng)
 		tag := fmt.Sprintf("%s/%s hidden=%v inferred=%v", c.expr, c.mode, c.hide, c.inferred)
-		if got := lic.ScratchSolver(); got != c.want {
-			t.Fatalf("%s: ScratchSolver = %q, want %q", tag, got, c.want)
+		if got := plan.Kernel.String(); got != c.want {
+			t.Fatalf("%s: kernel %q, want %q", tag, got, c.want)
 		}
 		g := graph.ScaleFree(r, 60, 2, graph.UniformLabels(a.OT.F.Size()))
 		ws, ref := NewWorkspace(), NewWorkspace()
-		ws.Licence = &lic
 		for dest := 0; dest < g.N; dest += 7 {
 			got := ownRaw(ws.ScratchRaw(eng, g, dest, origin))
 			var want Raw
@@ -247,7 +245,7 @@ func TestScratchRawDispatch(t *testing.T) {
 				settles, _ := ref.bestFirst(exec.Tables(eng), g, dest, o, true)
 				want = ref.raw(dest, settles, true)
 			case strings.HasSuffix(c.want, "inferred)"):
-				settles, _ := ref.bestFirstLt(eng, lic, g, dest, o, true)
+				settles, _ := ref.bestFirstLt(eng, plan, g, dest, o, true)
 				want = ref.raw(dest, settles, true)
 			default:
 				want = ref.BellmanFordRaw(eng, g, dest, origin, 0)
@@ -304,7 +302,7 @@ func TestScheduleIndependenceAtSize(t *testing.T) {
 	} {
 		origin := c.a.OT.DefaultOrigin()
 		eng := exec.For(c.a.OT, origin)
-		if NewLicence(eng, c.a.Props).ScratchSolver() == "sweep" {
+		if k := NewPlan(eng).Kernel; !k.M && !k.I {
 			t.Fatalf("%s: the workload algebra must be licensed", c.name)
 		}
 		disabled := make([]bool, len(c.g.Arcs))

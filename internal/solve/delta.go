@@ -100,69 +100,6 @@ func (ws *Workspace) Worklist(eng exec.Algebra, g *graph.Graph, dest int, origin
 	return res
 }
 
-// BellmanFordDelta re-solves dest after the given arc toggles, warm-
-// starting from prev (a converged Result for the same destination and
-// origin on the pre-toggle graph). g must already be the post-toggle
-// view and disabled the post-toggle mask (nil is accepted and only
-// costs wasted pops). The result is bit-identical to a from-scratch
-// ws.BellmanFord on g for algebras whose fixpoint is unique from any
-// realisable warm start (monotone or increasing — the caller gates on
-// inferred properties; see Licence.WarmStartAllowed). Whenever the warm start
-// is unusable — nil/unconverged/mismatched prev, a frontier of half the
-// graph or more, or a drain that exhausts maxPops — it transparently
-// falls back to the from-scratch solver, so the answer is correct for
-// every algebra; only the speed differs.
-func (ws *Workspace) BellmanFordDelta(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev *Result, toggles []ArcToggle, maxPops int) (*Result, DeltaStats) {
-	fallback := func(frontier int) (*Result, DeltaStats) {
-		return ws.BellmanFord(eng, g, dest, origin, 0), DeltaStats{Frontier: frontier}
-	}
-	if prev == nil || !prev.Converged || prev.Dest != dest ||
-		len(prev.Routed) != g.N || !prev.Routed[dest] {
-		return fallback(0)
-	}
-	var t0 time.Time
-	if ws.Metrics != nil {
-		t0 = time.Now()
-	}
-	o := exec.MustIntern(eng, origin)
-	ws.reset(g.N, dest, o)
-	ws.resetWorklist(g.N)
-	if po, err := eng.Intern(prev.Weights[dest]); err != nil || po != o {
-		return fallback(0)
-	}
-	for u := 0; u < g.N; u++ {
-		if u == dest || !prev.Routed[u] {
-			continue
-		}
-		idx, err := eng.Intern(prev.Weights[u])
-		if err != nil {
-			return fallback(0)
-		}
-		ws.routed[u] = true
-		ws.w[u] = idx
-		ws.nextHop[u] = prev.NextHop[u]
-	}
-	pops, relaxations, frontier, ok := ws.deltaDrain(eng, g, disabled, dest, toggles, maxPops)
-	if !ok {
-		return fallback(frontier)
-	}
-	res := ws.materialize(eng, dest, pops, true)
-	st := DeltaStats{
-		UsedDelta:   true,
-		Frontier:    frontier,
-		Pops:        pops,
-		Relaxations: relaxations,
-		Touched:     ws.sortedTouched(),
-	}
-	if m := ws.Metrics; m != nil {
-		m.Runs.Inc()
-		m.Rounds.Add(uint64(pops))
-		m.Relaxations.Add(relaxations)
-		m.SolveNS.Observe(time.Since(t0).Nanoseconds())
-	}
-	return res, st
-}
-
 // WarmStart supplies one node's previous fixpoint state to
 // BellmanFordDeltaRaw in index form: routed, the engine weight index,
 // and the primary next hop (-1 at the destination and at unrouted
@@ -194,15 +131,20 @@ func (f WarmStart) NextHop(u int) int {
 	return nh
 }
 
-// BellmanFordDeltaRaw is BellmanFordDelta with the warm start supplied
-// in index form and the result returned as a workspace-aliased Raw: the
-// arena column path. prev must describe a converged fixpoint for the
-// same destination and origin on the pre-toggle graph (the caller
-// asserts convergence; the origin is re-checked here). All fallback
-// behaviour matches BellmanFordDelta — on an unusable warm start,
-// oversized frontier or exhausted budget the from-scratch solver runs
-// (ScratchRaw: the licensed best-first kernel or the sweep) and only
-// DeltaStats.Frontier and Clean are meaningful.
+// BellmanFordDeltaRaw re-solves dest after the given arc toggles,
+// warm-starting from prev, and returns a workspace-aliased Raw. g must
+// already be the post-toggle view and disabled the post-toggle mask (nil
+// is accepted and only costs wasted pops). prev must describe a
+// converged fixpoint for the same destination and origin on the
+// pre-toggle graph (the caller asserts convergence; the origin is
+// re-checked here). The result is bit-identical to a from-scratch build
+// on g for algebras whose plan opens the delta path (Plan.Warm: M or I —
+// the caller gates on it). Whenever the warm start is unusable — a
+// mismatched origin, a frontier of half the graph or more, or a drain
+// that exhausts maxPops — the from-scratch solver runs (ScratchRaw: the
+// licensed best-first kernel or the sweep) and only DeltaStats.Frontier
+// and Clean are meaningful, so the answer is correct for every algebra;
+// only the speed differs.
 //
 // cleanPrev, asserted by the caller, certifies that prev is a clean
 // dest-rooted forwarding tree (the previous column's verified Clean
@@ -222,8 +164,8 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 // BellmanFordDeltaLog is BellmanFordDeltaRaw with the warm start read
 // through a WarmLoader and given the previous column's
 // derivation log as well (DerivationLog; nil when it has none). When prev
-// is not certified clean, the log is non-nil and the workspace's licence
-// is M on compiled tables, it takes the third warm start (derivation.go): a forward pass
+// is not certified clean, the log is non-nil and the workspace's plan
+// says WarmLog, it takes the third warm start (derivation.go): a forward pass
 // over the log finds the entries the batch's failed arcs invalidated,
 // and a drain seeded with the nodes whose last entry went invalid and
 // the toggle tails lowers the state to the new fixpoint, recording its
@@ -250,14 +192,15 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	var relaxations uint64
 	var ok bool
 	var warm WarmLoader
-	t := ws.licence(eng).logTable()
-	logWarm := !cleanPrev && log != nil && t != nil
+	plan := ws.plan(eng)
+	logWarm := !cleanPrev && log != nil && plan.Warm == WarmLog
 	if cleanPrev || logWarm {
 		warm = prev
 		ws.sparseReset(g.N)
 		ws.loadNode(dest, true, o, -1)
 	}
 	if logWarm {
+		t := plan.Kernel.Table
 		ws.replayLog(t, g, disabled, dest, o, log, toggles)
 		pops, relaxations, frontier, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, maxPops)
 	} else if cleanPrev {

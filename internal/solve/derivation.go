@@ -40,31 +40,6 @@ import (
 // post-fixpoint, and TestDerivationDeltaMutantsFail shows it raising a
 // weight. DESIGN §4d carries the full argument.
 
-// WarmStartKind names the warm start a delta rebuild takes on columns
-// that are not verified clean trees (those always take the sparse one):
-// "derivation log (M)" when compiled tables prove M, "clean tree" when
-// the licence is strict I (the kernel's columns are forwarding trees below
-// the top weight, so the sparse warm start is the one that runs), and
-// "dense" otherwise.
-func (l Licence) WarmStartKind() string {
-	switch {
-	case l.logTable() != nil:
-		return "derivation log (M)"
-	case l.i:
-		return "clean tree"
-	}
-	return "dense"
-}
-
-// logTable returns the tables the derivation log is kept over: those of an
-// M licence verified on compiled tables, nil otherwise.
-func (l Licence) logTable() *compile.Compiled {
-	if l.m {
-		return l.tab
-	}
-	return nil
-}
-
 // DerivationLog returns the derivation log of the workspace's last solve
 // — the kernel on an M-licensed table, or a delta that took the log warm
 // start — or nil when that solve recorded none. g and dest must be the

@@ -139,11 +139,10 @@ type Workspace struct {
 	// raise a weight — the invariant the log warm start's proof promises.
 	onRaise func(u int)
 
-	// Licence, when non-nil, is the proof that picks ScratchRaw's kernel
-	// and the delta's warm start (see NewLicence); nil reads the engine's
-	// compiled tables alone. It must be the licence of the engine the
-	// workspace solves on.
-	Licence *Licence
+	// Plan, when non-nil, picks ScratchRaw's kernel and the delta's warm
+	// start; nil reads the engine's own (NewPlan). A server shares its
+	// plan with every workspace of its pool.
+	Plan *Plan
 
 	// Metrics, when non-nil, receives per-stage solver telemetry (run
 	// durations, relax-pass and relaxation counts, buffer reuse). Several

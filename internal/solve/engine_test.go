@@ -52,14 +52,12 @@ func TestEngineScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := exec.NewTiered(a.OT)
-	lic := NewLicence(eng, a.Props)
-	if lic.ScratchSolver() != "best-first (M, inferred)" {
-		t.Fatalf("licence %q, want the inferred M kernel", lic.ScratchSolver())
+	if k := NewPlan(eng).Kernel.String(); k != "best-first (M, inferred)" {
+		t.Fatalf("kernel %q, want the inferred M kernel", k)
 	}
 	r := rand.New(rand.NewSource(99))
 	g := graph.ScaleFree(r, 5000, 2, graph.UniformLabels(4))
 	ws := NewWorkspace()
-	ws.Licence = &lic
 	res := ownRaw(ws.ScratchRaw(eng, g, 0, 0))
 	if u := slices.Index(res.Routed, false); u >= 0 {
 		t.Fatalf("node %d unrouted", u)

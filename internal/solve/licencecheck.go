@@ -10,19 +10,19 @@ import (
 )
 
 // relaxCheck, in the licencecheck build, holds the comparison kernel to
-// the licence it trusts from inference: every relaxation of a weight
+// the plan it trusts from inference: every relaxation of a weight
 // below the order's ⊤ must strictly increase it under I and must not
 // decrease it under ND. A violation means the inference granted a licence
 // the algebra does not have, and panics with the witness.
 type relaxCheck struct {
 	eng     exec.Algebra
-	lic     Licence
+	plan    Plan
 	top     value.V
 	haveTop bool
 }
 
-func newRelaxCheck(eng exec.Algebra, lic Licence) relaxCheck {
-	c := relaxCheck{eng: eng, lic: lic}
+func newRelaxCheck(eng exec.Algebra, plan Plan) relaxCheck {
+	c := relaxCheck{eng: eng, plan: plan}
 	if ot := eng.Source(); ot != nil {
 		c.top, c.haveTop = ot.Ord.Top()
 	}
@@ -34,9 +34,9 @@ func (c relaxCheck) relax(wu, cand int32) {
 		return
 	}
 	switch {
-	case c.lic.i && !c.eng.Lt(wu, cand):
+	case c.plan.Kernel.I && !c.eng.Lt(wu, cand):
 		panic(c.violation("I", "<", wu, cand))
-	case c.lic.nd && !c.eng.Leq(wu, cand):
+	case c.plan.Forwarding && !c.eng.Leq(wu, cand):
 		panic(c.violation("ND", "≤", wu, cand))
 	}
 }

@@ -8,6 +8,6 @@ import "metarouting/internal/exec"
 // (licencecheck.go); in every other build it compiles to nothing.
 type relaxCheck struct{}
 
-func newRelaxCheck(exec.Algebra, Licence) relaxCheck { return relaxCheck{} }
+func newRelaxCheck(exec.Algebra, Plan) relaxCheck { return relaxCheck{} }
 
 func (relaxCheck) relax(wu, cand int32) {}

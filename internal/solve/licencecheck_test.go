@@ -16,9 +16,10 @@ import (
 // the first relaxation that breaks it.
 func TestLicencecheckCatchesForgedLicence(t *testing.T) {
 	ot := intOT("plateau", 4, identity, func(x int) int { return min(x+1, 3) }, identity)
+	ot.Props = checkedProps(ot)
 	eng := exec.NewTiered(ot)
-	if lic := NewLicence(eng, checkedProps(ot)); lic.ScratchSolver() != "best-first (M, inferred)" {
-		t.Fatalf("plateau: licence %q, want M only", lic.ScratchSolver())
+	if k := NewPlan(eng).Kernel.String(); k != "best-first (M, inferred)" {
+		t.Fatalf("plateau: kernel %q, want M only", k)
 	}
 	g := graph.MustNew(3, []graph.Arc{{From: 1, To: 0, Label: 0}, {From: 2, To: 1, Label: 1}})
 	defer func() {
@@ -28,6 +29,6 @@ func TestLicencecheckCatchesForgedLicence(t *testing.T) {
 		}
 	}()
 	ws := NewWorkspace()
-	ws.Licence = &Licence{i: true}
+	ws.Plan = &Plan{Kernel: Kernel{I: true}}
 	ws.ScratchRaw(eng, g, 0, 0)
 }

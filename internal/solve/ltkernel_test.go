@@ -14,8 +14,9 @@ import (
 	"metarouting/internal/prop"
 )
 
-// checkedProps model-checks the properties NewLicence reads on a finite
-// order transform that no inference ran on.
+// checkedProps model-checks the properties NewPlan reads on a finite
+// order transform that no inference ran on; tests stamp the result on the
+// transform, as inference would.
 func checkedProps(ot *ost.OrderTransform) prop.Set {
 	p := prop.Make()
 	for _, id := range []prop.ID{prop.MLeft, prop.NDLeft, prop.ILeft, prop.SILeft, prop.TopFixed} {
@@ -107,7 +108,7 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 		if _, err := a.OT.CheckedDefaultOrigin(); err != nil {
 			continue
 		}
-		want := NewLicence(exec.NewTiered(a.OT), a.Props).ScratchSolver()
+		want := NewPlan(exec.NewTiered(a.OT)).Kernel.String()
 		if want == "sweep" {
 			continue
 		}
@@ -122,12 +123,10 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 	for _, c := range cases {
 		origin := c.a.OT.DefaultOrigin()
 		eng := exec.NewTiered(c.a.OT)
-		lic := NewLicence(eng, c.a.Props)
-		if got := lic.ScratchSolver(); got != c.want {
-			t.Fatalf("%s: licence %q, want %q", c.expr, got, c.want)
+		if got := NewPlan(eng).Kernel.String(); got != c.want {
+			t.Fatalf("%s: kernel %q, want %q", c.expr, got, c.want)
 		}
 		ws, ref := NewWorkspace(), NewWorkspace()
-		ws.Licence = &lic
 		intra, inter := graph.UniformLabels(c.a.OT.F.Size()), graph.UniformLabels(c.a.OT.F.Size())
 		if strings.HasPrefix(c.expr, "scoped(") {
 			intra, inter = scopedPickers(c.a.OT)
@@ -159,13 +158,14 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 		// The chain's greatest fixpoint is 299 decrements around a
 		// 2-cycle below the origin; label-setting stops at the first.
 		chain := chainOT(300)
+		chain.Props = checkedProps(chain)
 		eng := exec.NewTiered(chain)
-		lic := NewLicence(eng, checkedProps(chain))
-		if lic.ScratchSolver() != "best-first (M, inferred)" {
-			t.Fatalf("chain: licence %q", lic.ScratchSolver())
+		plan := NewPlan(eng)
+		if plan.Kernel.String() != "best-first (M, inferred)" {
+			t.Fatalf("chain: kernel %v", plan.Kernel)
 		}
 		ws := NewWorkspace()
-		ws.bestFirstLt(eng, lic, cycleGraph(), 0, exec.MustIntern(eng, 299), false)
+		ws.bestFirstLt(eng, plan, cycleGraph(), 0, exec.MustIntern(eng, 299), false)
 		if eng.Value(ws.w[1]) == 0 {
 			t.Fatal("chain: a kernel without re-queues still reached the greatest fixpoint")
 		}
@@ -174,13 +174,13 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng = exec.NewTiered(a.OT)
-		lic = NewLicence(eng, a.Props)
+		plan = NewPlan(eng)
 		sf := graph.ScaleFree(rand.New(rand.NewSource(3)), 300, 2, graph.UniformLabels(a.OT.F.Size()))
 		o := exec.MustIntern(eng, a.OT.DefaultOrigin())
 		differs := 0
 		for dest := 0; dest < 20; dest++ {
 			want := ownRaw(ws.BellmanFordRaw(eng, sf, dest, a.OT.DefaultOrigin(), 0))
-			ws.bestFirstLt(eng, lic, sf, dest, o, false)
+			ws.bestFirstLt(eng, plan, sf, dest, o, false)
 			if !slices.Equal(ws.w, want.W) {
 				differs++
 			}
@@ -196,18 +196,19 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 		// first tied weight it finds at node 1, the sweep the one behind
 		// its first tight out-arc.
 		tie := intOT("tie", 3, func(x int) int { return min(x, 1) }, func(int) int { return 1 }, func(int) int { return 2 })
-		eng := exec.NewTiered(tie)
 		props := checkedProps(tie)
 		if !props.Holds(prop.MLeft) || !props.Holds(prop.Full) || !props.Fails(prop.Antisymmetric) {
 			t.Fatalf("tie: props %s, want M, Full and ¬Antisymmetric", props.Summary())
 		}
-		if lic := NewLicence(eng, props); lic.ScratchSolver() != "sweep" {
-			t.Fatalf("tie: the gate granted %q to a preorder with ties", lic.ScratchSolver())
+		tie.Props = props
+		eng := exec.NewTiered(tie)
+		if k := NewPlan(eng).Kernel; k.M || k.I {
+			t.Fatalf("tie: the gate granted %v to a preorder with ties", k)
 		}
 		tg := graph.MustNew(3, []graph.Arc{{From: 1, To: 2, Label: 0}, {From: 1, To: 0, Label: 1}, {From: 2, To: 0, Label: 0}})
 		ws := NewWorkspace()
 		want := ownRaw(ws.BellmanFordRaw(eng, tg, 0, 0, 0))
-		ws.Licence = &Licence{m: true}
+		ws.Plan = &Plan{Kernel: Kernel{M: true}}
 		if got := ws.ScratchRaw(eng, tg, 0, 0); got.Converged == want.Converged && sameRoutes(got, want) {
 			t.Fatal("tie: the mutant that skips the antisymmetry check matched the sweep")
 		}
@@ -225,10 +226,8 @@ func TestLtKernelAllocs(t *testing.T) {
 	}
 	origin := a.OT.DefaultOrigin()
 	eng := exec.NewTiered(a.OT)
-	lic := NewLicence(eng, a.Props)
 	g := graph.ScaleFree(rand.New(rand.NewSource(47)), 10000, 2, graph.UniformLabels(a.OT.F.Size()))
 	ws := NewWorkspace()
-	ws.Licence = &lic
 	for dest := 0; dest < 4; dest++ {
 		ws.ScratchRaw(eng, g, dest, origin)
 		if i := slices.IndexFunc(ws.ids.head, func(h int32) bool { return h != -1 }); i >= 0 || len(ws.ids.heap) != 0 {
@@ -254,7 +253,6 @@ func BenchmarkLtKernel(b *testing.B) {
 	}
 	origin := a.OT.DefaultOrigin()
 	eng := exec.NewTiered(a.OT)
-	lic := NewLicence(eng, a.Props)
 	g := graph.ScaleFree(rand.New(rand.NewSource(7)), 10000, 2, graph.UniformLabels(a.OT.F.Size()))
 	for _, s := range []struct {
 		name  string
@@ -265,7 +263,6 @@ func BenchmarkLtKernel(b *testing.B) {
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			ws := NewWorkspace()
-			ws.Licence = &lic
 			s.solve(ws, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -137,11 +137,15 @@ go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsF
 # node, whose served column equals the naive flat build.
 go test -race -run='^TestAutoPrefixResolvesEveryDest$' -count=1 ./internal/serve/
 
-# The serve gates come from the licence: the warm-start and skip-rule
-# answers on the named policy and query algebras and a random corpus ×
-# {compiled, tiered, dynamic} × {inferred set, none}, pinned to the
-# expressions the server used before the licence answered them.
-go test -race -run='^TestLicenceGates$' -count=1 ./internal/solve/
+# One plan per engine, read from the proof the engine carries: golden
+# plan lines on the named policy and query algebras × {compiled, tiered,
+# dynamic}, each plan equal to the one the inferred set gives directly
+# (named and random algebras), and a transform no inference ran on
+# getting only its declared judgements. The CLI prints the same plan: on
+# the policy product, which is ¬ND, forwarding is not promised.
+go test -race -run='^TestPlanTable$' -count=1 ./internal/solve/
+go run ./cmd/metaroute -expr 'scoped(bw(4), delay(64,4))' -solve -random 8 -seed 3 | tee /tmp/plan_smoke.txt
+grep -q '^plan: .*; forwarding: not promised$' /tmp/plan_smoke.txt
 
 # The failure mask: a persistent chunked bitset against a []bool oracle
 # (bits, count, wire bytes and checksum at every version of random toggle
