@@ -14,7 +14,7 @@ import (
 // RIBs and replicas store only PagedColumn; a Column is one
 // destination's routes in a single slot slice plus one next-hop pool, the
 // layout PagedColumn.Flatten produces. BuildDestColumn fills one straight
-// from a scratch solve, slot by slot, with no pages, log or warm start:
+// from a scratch sweep, slot by slot, with no pages, log or warm start:
 // it is the oracle the paged builders and the benchmark harness compare
 // against, and PagedColumn.Flatten of any paged build or delta on the
 // same view must equal it bit for bit.
@@ -53,9 +53,10 @@ type Column struct {
 }
 
 // BuildDestColumn computes the flat column for a single destination
-// from scratch: one solve (Workspace.ScratchRaw, whose solver the
-// algebra's licence picks), then every slot in ascending order with its
-// ECMP span appended to one pool.
+// from scratch: one sweep (Workspace.BellmanFordRaw, whatever kernel the
+// engine's plan licenses, so the oracle stays independent of the
+// best-first kernels the paged builders run), then every slot in
+// ascending order with its ECMP span appended to one pool.
 func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) (*Column, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, fmt.Errorf("rib: destination %d out of range", dest)
@@ -63,7 +64,7 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 	if ws == nil {
 		ws = solve.NewWorkspace()
 	}
-	raw := ws.ScratchRaw(eng, g, dest, origin)
+	raw := ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	c := &Column{Dest: dest, Converged: raw.Converged, Slots: make([]EntrySlot, g.N)}
 	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
 	c.Pool = make([]int32, 0, g.N)
