@@ -172,6 +172,10 @@ func (d *dynamic) Equiv(a, b int32) bool {
 type tabled struct {
 	ot *ost.OrderTransform
 	c  *compile.Compiled
+	// top is the index of the one weight at the top rank, the order's ⊤
+	// (-1 when the top rank is shared, and on a tabledPartial, whose order
+	// has no rank).
+	top int32
 }
 
 // tabledPartial is tabled for an order that got no rank (incomparable
@@ -187,9 +191,15 @@ func Compile(t *ost.OrderTransform) (Algebra, error) {
 		return nil, err
 	}
 	if c.Rank == nil {
-		return &tabledPartial{tabled{ot: t, c: c}}, nil
+		return &tabledPartial{tabled{ot: t, c: c, top: -1}}, nil
 	}
-	return &tabled{ot: t, c: c}, nil
+	e := &tabled{ot: t, c: c, top: -1}
+	for w, r := range c.Rank {
+		if int(r) == c.N-1 {
+			e.top = int32(w)
+		}
+	}
+	return e, nil
 }
 
 func (e *tabled) Name() string                { return e.ot.Name }
@@ -385,6 +395,42 @@ func (l *locked) Equiv(a, b int32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.inner.Equiv(a, b)
+}
+
+// Top returns the weight index of the order's ⊤ without interning it.
+// ok is false when the order has no ⊤ or the engine has not interned it
+// yet — then no weight the engine has handed out is ⊤. known is false
+// where Top cannot answer: on a compiled order without a rank or with a
+// shared top rank, and on engines this package did not build (wrappers).
+// A compiled total order names its rank-top; an interning engine looks
+// ⊤ up in its intern table, under its lock, so weight ids stay exactly
+// what the solves alone assign.
+func Top(a Algebra) (w int32, ok, known bool) {
+	switch e := a.(type) {
+	case *tabled:
+		return e.top, e.top >= 0, e.top >= 0
+	case *tiered:
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		top, has := e.ot.Ord.Top()
+		if !has {
+			return 0, false, true
+		}
+		w, ok = e.index[top]
+		return w, ok, true
+	case *dynamic:
+		top, has := e.ot.Ord.Top()
+		if !has {
+			return 0, false, true
+		}
+		w, ok = e.index[top]
+		return w, ok, true
+	case *locked:
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return Top(e.inner)
+	}
+	return 0, false, false
 }
 
 // MustIntern interns v and panics on failure — for callers that already

@@ -172,3 +172,41 @@ func TestConcurrent(t *testing.T) {
 		t.Fatal("wrapped and raw backends disagree")
 	}
 }
+
+// TestTopInternsNothing pins exec.Top: a compiled order names its
+// rank-top, and an interning engine (tiered, dynamic behind its lock)
+// answers "not interned" until a solve meets ⊤, without interning it —
+// the intern table's size is the same before and after the look-up —
+// and then the id the solve gave it. A wrapper it did not build is
+// unknown.
+func TestTopInternsNothing(t *testing.T) {
+	a := ot(t, "lex(delay(8,3), hops(8))")
+	top, _ := a.OT.Ord.Top()
+	comp, err := Compile(a.OT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, ok, known := Top(comp); !ok || !known || comp.Value(w) != top {
+		t.Fatalf("compiled: Top = %d %v %v, want the index of %v", w, ok, known, top)
+	}
+	for name, eng := range map[string]Algebra{
+		"tiered":  NewTiered(a.OT),
+		"dynamic": Concurrent(NewDynamic(a.OT)),
+	} {
+		MustIntern(eng, a.OT.DefaultOrigin())
+		before, _ := Tiers(eng)
+		if _, ok, known := Top(eng); ok || !known {
+			t.Fatalf("%s: Top before ⊤ is interned = %v %v, want not interned", name, ok, known)
+		}
+		if after, _ := Tiers(eng); after != before {
+			t.Fatalf("%s: Top interned %d weights", name, after-before)
+		}
+		id := MustIntern(eng, top)
+		if w, ok, known := Top(eng); !ok || !known || w != id {
+			t.Fatalf("%s: Top after interning ⊤ = %d %v %v, want %d", name, w, ok, known, id)
+		}
+	}
+	if _, _, known := Top(struct{ Algebra }{comp}); known {
+		t.Fatal("a wrapper's ⊤ must be unknown")
+	}
+}

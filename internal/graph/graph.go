@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Arc is a directed edge (From → To) labelled with the index of an arc
@@ -92,6 +93,12 @@ type Graph struct {
 	// base, for views built by MaskArcs/WithArcToggled, is the unmasked
 	// graph whose full adjacency rows seed copy-on-write row rebuilds.
 	base *Graph
+
+	// parallel marks, by arc index, the arcs that share both endpoints
+	// with another arc; built on first use, on the unmasked graph only
+	// (see Parallel).
+	parallelOnce sync.Once
+	parallel     []uint64
 }
 
 // New builds a graph from a node count and arcs; it validates endpoints
@@ -370,6 +377,38 @@ func filterRow(c *csr, u int, disabled []bool) *overRow {
 		}
 	}
 	return row
+}
+
+// Parallel reports whether arc ai shares its tail and its head with
+// another arc of the unmasked graph — whether it is one of several
+// parallel arcs, masked or not. The marks are a bitset over arc indices,
+// built once per topology on first use with one pass over the out-rows,
+// and shared by every view.
+func (g *Graph) Parallel(ai int) bool {
+	b := g.origin()
+	b.parallelOnce.Do(b.markParallel)
+	return b.parallel[ai>>6]>>(uint(ai)&63)&1 != 0
+}
+
+// markParallel builds the Parallel bitset. last[v] holds 1 + the out
+// index position of the last arc to v seen, so an entry at or past the
+// current row's start is an earlier arc of the same row.
+func (g *Graph) markParallel() {
+	bits := make([]uint64, (len(g.Arcs)+63)>>6)
+	last := make([]int32, g.N)
+	set := func(ai int32) { bits[ai>>6] |= 1 << (uint(ai) & 63) }
+	for u := 0; u < g.N; u++ {
+		lo := g.out.start[u]
+		arcs := g.out.arcRow(u)
+		for k, h := range g.out.hopRow(u) {
+			if p := last[h.Node] - 1; p >= lo {
+				set(arcs[k])
+				set(g.out.arcs[p])
+			}
+			last[h.Node] = lo + int32(k) + 1
+		}
+	}
+	g.parallel = bits
 }
 
 // RevIn returns the unmasked base graph, whose In/InHops rows list every

@@ -387,3 +387,36 @@ func TestWithArcsToggled(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelMatchesPairCount holds Graph.Parallel to a count of arcs
+// per (tail, head) pair on random graphs with duplicated arcs, asked
+// through masked and overlay views as well as the graph itself.
+func TestParallelMatchesPairCount(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		base := Random(r, 30, 0.1, UniformLabels(3))
+		arcs := append([]Arc(nil), base.Arcs...)
+		for _, a := range base.Arcs {
+			if r.Intn(4) == 0 {
+				arcs = append(arcs, Arc{From: a.From, To: a.To, Label: r.Intn(3)})
+			}
+		}
+		r.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+		g := MustNew(30, arcs)
+		count := map[[2]int]int{}
+		for _, a := range arcs {
+			count[[2]int{a.From, a.To}]++
+		}
+		disabled := make([]bool, len(arcs))
+		for i := range disabled {
+			disabled[i] = r.Intn(5) == 0
+		}
+		for _, view := range []*Graph{g, g.MaskArcs(disabled), g.WithArcsToggled([]int{0}, disabled)} {
+			for ai, a := range arcs {
+				if want := count[[2]int{a.From, a.To}] > 1; view.Parallel(ai) != want {
+					t.Fatalf("trial %d arc %d (%d→%d): Parallel %v, want %v", trial, ai, a.From, a.To, !want, want)
+				}
+			}
+		}
+	}
+}

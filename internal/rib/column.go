@@ -66,7 +66,7 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 	}
 	raw := ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	c := &Column{Dest: dest, Converged: raw.Converged, Slots: make([]EntrySlot, g.N)}
-	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
+	c.Clean = raw.Converged && ws.VerifyForwardTree(eng, raw)
 	c.Pool = make([]int32, 0, g.N)
 	for u := 0; u < g.N; u++ {
 		if !raw.Routed[u] {

@@ -187,7 +187,7 @@ func TestPagedMatchesArcIndexOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				raw := ows.BellmanFordRaw(eng, view, dest, org, 0)
-				if scratch.Converged != raw.Converged || scratch.Clean != (raw.Converged && ows.VerifyForwardTree(raw)) {
+				if scratch.Converged != raw.Converged || scratch.Clean != (raw.Converged && ows.VerifyForwardTree(eng, raw)) {
 					t.Fatalf("%s: scratch flags differ from the solver's verdict", tag)
 				}
 				samePages(t, tag+" scratch", scratch.Pages, oraclePages(eng, view, raw, dest))

@@ -486,7 +486,7 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 	}
 	raw := ws.ScratchRaw(eng, g, dest, origin)
 	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, log: ws.DerivationLog(g, dest)}
-	c.Clean = raw.Converged && ws.VerifyForwardTree(raw)
+	c.Clean = raw.Converged && ws.VerifyForwardTree(eng, raw)
 	c.Pages = pagesFromRaw(eng, g, raw, dest)
 	c.resum()
 	return c, nil
@@ -591,10 +591,11 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		c.resum()
 		return c, st, scratch(c), nil
 	}
-	// Copy-on-write delta. Raw solver state is valid at exactly the redo
-	// set on the sparse path: the drain writes every popped node's next
-	// hop, and the downed-primary test loads a routed failed-arc tail's;
-	// their ECMP scans read only weights the drain materialized.
+	// Copy-on-write delta. Raw solver state is valid at the redo set and,
+	// on the sparse path, at the out-rows of the nodes it moved (those
+	// pulled); a redo node whose route did not move keeps its weight, so
+	// its span is edited from prev's (editSpan), which reads only the
+	// heads the delta moved, the arcs it toggled and parallel arcs.
 	redo := append(make([]int, 0, len(st.Touched)+len(toggles)), st.Touched...)
 	for _, t := range toggles {
 		if x := g.Arcs[t.Arc].From; x != dest {
@@ -613,7 +614,11 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		for ; lo < len(redo) && redo[lo]>>PageShift == pi; lo++ {
 			u := redo[lo]
 			routed, at := raw.Routed[u], len(pool)
-			if routed && u != dest {
+			switch {
+			case !routed || u == dest:
+			case st.Moved != nil && !st.Moved.Has(u):
+				pool = editSpan(eng, g, raw, st.Moved, prev, toggles, u, pool)
+			default:
 				pool = appendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, pool)
 			}
 			if old.holds(u&PageMask, routed, raw.W[u], pool[at:]) {
@@ -652,6 +657,85 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		ps.Changes = patches[:limit]
 	}
 	return c, st, ps, nil
+}
+
+// editSpan appends the ECMP set of redo node u, routed at the weight it
+// held in prev (u is outside moved), to pool — what appendNextHopSet
+// would, read off prev's span instead of u's whole row. With u's weight
+// fixed, an arc's membership can change only if its head moved or the
+// arc itself toggled, so the walk goes through u's row in order and:
+//
+//   - an arc to a head outside moved keeps its membership, read off
+//     prev's span: its heads other than the primary are a subsequence of
+//     the row's heads, and a cursor matched greedily against the heads
+//     met (failed handed toggles, gone from the view, included at their
+//     arc index) pairs the entry with its arc whenever the head is met
+//     on one arc alone;
+//   - an arc to a moved head, a handed toggle, an arc to prev's primary
+//     (held out of the rest of prev's span) and an arc one of whose
+//     parallels (graph.Parallel) could own the cursor's entry are
+//     evaluated, weights read from raw for moved heads and from prev for
+//     the rest.
+//
+// Arcs to the new primary, raw.NextHop[u], are skipped as the full scan
+// skips them.
+func editSpan(eng exec.Algebra, g *graph.Graph, raw solve.Raw, moved solve.NodeSet, prev *PagedColumn, toggles []solve.ArcToggle, u int, pool []int32) []int32 {
+	span := prev.NextHops(u)
+	p, rest := span[0], span[1:]
+	primary, wu := int32(raw.NextHop[u]), raw.W[u]
+	pool = append(pool, primary)
+	var buf [4]solve.ArcToggle
+	own := buf[:0]
+	for _, t := range toggles {
+		if g.Arcs[t.Arc].From == u {
+			own = append(own, t)
+		}
+	}
+	slices.SortFunc(own, func(a, b solve.ArcToggle) int { return a.Arc - b.Arc })
+	tab := exec.Tables(eng)
+	ties := func(label, v int32) bool {
+		var r bool
+		var w int32
+		if moved.Has(int(v)) {
+			r, w = raw.Routed[v], raw.W[v]
+		} else {
+			w, r = prev.Route(int(v))
+		}
+		switch {
+		case !r:
+			return false
+		case tab != nil:
+			return tab.Rank[tab.Fn[int(label)*tab.N+int(w)]] == tab.Rank[wu]
+		}
+		return eng.Equiv(eng.Apply(int(label), w), wu)
+	}
+	arcs := g.Out(u)
+	c, ti := 0, 0
+	for k, h := range g.OutHops(u) {
+		a, v := int(arcs[k]), h.Node
+		toggled := false
+		for ; ti < len(own) && own[ti].Arc <= a; ti++ {
+			if own[ti].Arc == a {
+				toggled = true
+			} else if y := int32(g.Arcs[own[ti].Arc].To); c < len(rest) && rest[c] == y {
+				c++
+			}
+		}
+		matched := c < len(rest) && rest[c] == v
+		if matched {
+			c++
+		}
+		switch {
+		case v == primary:
+		case !toggled && v != p && !moved.Has(int(v)) && !g.Parallel(a):
+			if matched {
+				pool = append(pool, v)
+			}
+		case ties(h.Label, v):
+			pool = append(pool, v)
+		}
+	}
+	return pool
 }
 
 // warmColumn is a previous column as the delta solver's warm start

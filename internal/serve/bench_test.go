@@ -97,7 +97,9 @@ func BenchmarkServeRebuildFull(b *testing.B) {
 // mask's share of it is O(toggles), so nothing in it grows with the arcs.
 // pages-cloned/swap counts, from Server.Stats().PagesCloned, the pages
 // whose routes changed; they and their columns' page tables are most of
-// the rest.
+// the rest. relaxations/swap counts the arc candidates the swap's solves
+// evaluated (solve.Metrics.Relaxations) — under the strict-I push drain,
+// one per arc into a moved node plus the out-rows of the nodes it pulls.
 func BenchmarkLeaderSwap(b *testing.B) {
 	a, err := core.InferString("lex(delay(32,3), hops(8))")
 	if err != nil {
@@ -129,7 +131,7 @@ func BenchmarkLeaderSwap(b *testing.B) {
 		return evs
 	}
 	ctx := context.Background()
-	cloned0 := srv.Stats().PagesCloned
+	cloned0, relax0 := srv.Stats().PagesCloned, srv.RelaxationsForTest()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,4 +142,5 @@ func BenchmarkLeaderSwap(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(srv.Stats().PagesCloned-cloned0)/float64(2*b.N), "pages-cloned/swap")
+	b.ReportMetric(float64(srv.RelaxationsForTest()-relax0)/float64(2*b.N), "relaxations/swap")
 }

@@ -19,6 +19,15 @@ func WithoutBatcher() Option { return optionFunc(func(c *config) { c.noBatcher =
 // warm-started servers against.
 func WithDelta(enabled bool) Option { return optionFunc(func(c *config) { c.noDelta = !enabled }) }
 
+// RelaxationsForTest returns the arc candidates the server's solves
+// have evaluated (solve.Metrics.Relaxations), 0 without a registry.
+func (s *Server) RelaxationsForTest() uint64 {
+	if s.solveMetrics == nil {
+		return 0
+	}
+	return s.solveMetrics.Relaxations.Load()
+}
+
 // DrainForTest runs one batcher drain cycle synchronously: everything
 // queued plus the pending coalesced state becomes one applied batch.
 func (s *Server) DrainForTest() error { return s.drainAndApply(nil) }

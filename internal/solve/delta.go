@@ -9,19 +9,23 @@ import (
 	"metarouting/internal/value"
 )
 
-// This file holds the worklist (SPFA-style) variant of the engine-backed
-// Bellman–Ford and its delta entry point. Instead of sweeping every node
-// each round, a FIFO of dirty nodes is drained to fixpoint: popping a
-// node recomputes its best weight from its out-arcs with the exact
-// selection loop of the synchronous solver (first arc achieving a
-// minimal candidate wins), and a routedness-or-weight change re-dirties
-// the node's in-neighbours through the unmasked base graph's in-rows
-// (Graph.RevIn). The delta entry point warm-starts that drain from a
-// previous Result: for an arc-down event the forwarding subtree that
+// This file holds the worklist (SPFA-style) drain behind the delta
+// solver and its entry points. A FIFO of dirty nodes is drained to
+// fixpoint: popping a node pulls — recomputes its best weight from its
+// out-arcs with the exact selection loop of the synchronous solver
+// (first arc achieving a minimal candidate wins) — and a routedness-or-
+// weight change is then passed to the node's in-neighbours through the
+// unmasked base graph's in-rows (Graph.RevIn). Without a strict-I
+// licence every such in-neighbour is dirtied and pulls in turn; under
+// strict I each one relaxes the one arc that changed against its own
+// state and pulls only when that arc can have been its selection
+// (relaxIn). The delta entry points warm-start that drain from a
+// previous column: for an arc-down event the forwarding subtree that
 // routed through the arc is invalidated before re-relaxation (so stale
-// local optima cannot survive on non-tree nodes they were never valid for),
-// for an arc-up event the arc's tail is seeded, and everything outside
-// the frontier keeps its previous fixpoint value untouched.
+// local optima cannot survive on non-tree nodes they were never valid
+// for), for an arc-up event the arc is relaxed at its tail, and
+// everything outside the frontier keeps its previous fixpoint value
+// untouched.
 
 // ArcToggle describes one net arc state change feeding a delta solve:
 // arc index plus its new state (Down true = arc now disabled).
@@ -37,22 +41,36 @@ type ArcToggle struct {
 type DeltaStats struct {
 	// UsedDelta is true when the warm-start drain produced the result.
 	UsedDelta bool
-	// Frontier is the number of seed nodes (invalidated subtree members
-	// plus up-arc tails) the toggles dirtied.
+	// Frontier is the number of seed nodes the toggles dirtied before the
+	// drain: invalidated subtree members, the in-neighbours their loss
+	// dirtied and the tails of restored arcs — under strict I only the
+	// in-neighbours whose selection was lost and the tails whose arc
+	// improves them.
 	Frontier int
-	// Pops counts worklist pops; Relaxations counts arc relaxations.
+	// Pops counts worklist pops; Relaxations counts the arc candidates
+	// evaluated (one arc function applied to one weight), by pulls,
+	// by relaxations of single arcs and by tie-breaks alike.
 	Pops        int
 	Relaxations uint64
-	// Touched lists, in ascending order, every node that was ever
-	// enqueued during the drain — a superset of the nodes whose
-	// routedness, weight or next hop differs from the previous result.
-	// A node absent from Touched also kept its out-neighbours' weights,
-	// so its equal-cost set can differ only through its own out-row: only
-	// at the tail of a toggle handed to the solve, which the RIB layer
-	// refills beside Touched. A toggle the caller left out because it
+	// Touched lists, in ascending order, every node the drain enqueued
+	// or recorded — a superset of the nodes whose routedness, weight,
+	// next hop or equal-cost set differs from the previous result,
+	// except at the tail of a toggle handed to the solve, which the RIB
+	// layer refills beside Touched. Under strict I an in-neighbour of a
+	// changed node is recorded, not enqueued, when the changed arc starts
+	// or stops tying its weight. A toggle the caller left out because it
 	// cannot move the column (serve's per-toggle skip rule) moves no
 	// equal-cost set either. Every other entry is reused by pointer.
 	Touched []int
+	// Moved, after the sparse warm start, holds every node whose
+	// routedness or weight may differ from the previous result (each is
+	// on Touched, and the drain pulled it, so its whole out-row's state
+	// is in the Raw). A node outside Moved kept its previous route, so
+	// the RIB layer edits a redo node's equal-cost span from its previous
+	// one instead of rescanning the row when the node itself is outside
+	// Moved. It aliases the workspace like Raw: valid until the next
+	// solve. Nil on every other path.
+	Moved NodeSet
 	// Clean reports that the produced fixpoint was verified to be a
 	// clean dest-rooted forwarding tree — every routed node's primary
 	// next-hop chain reaches the destination (see VerifyForwardTree).
@@ -68,37 +86,6 @@ type DeltaStats struct {
 // oscillate (non-monotone policy gadgets) hit the budget and report
 // Converged=false instead of looping forever.
 func defaultPopBudget(n int) int { return (2*n+4)*n + n + 4 }
-
-// WorklistEngine solves a single destination with the worklist solver;
-// the result is bit-identical to BellmanFordEngine whenever the
-// synchronous solver converges. maxPops ≤ 0 applies the default budget.
-func WorklistEngine(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, maxPops int) *Result {
-	return NewWorkspace().Worklist(eng, g, dest, origin, maxPops)
-}
-
-// Worklist runs the worklist solver out of the workspace's reusable
-// buffers, seeding from the destination's in-neighbours.
-func (ws *Workspace) Worklist(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, maxPops int) *Result {
-	var t0 time.Time
-	if ws.Metrics != nil {
-		t0 = time.Now()
-	}
-	o := exec.MustIntern(eng, origin)
-	ws.reset(g.N, dest, o)
-	ws.resetWorklist(g.N)
-	for _, h := range g.RevIn().InHops(dest) {
-		ws.push(int(h.Node), dest)
-	}
-	pops, relaxations, converged := ws.drain(eng, g, nil, dest, maxPops, nil)
-	res := ws.materialize(eng, dest, pops, converged)
-	if m := ws.Metrics; m != nil {
-		m.Runs.Inc()
-		m.Rounds.Add(uint64(pops))
-		m.Relaxations.Add(relaxations)
-		m.SolveNS.Observe(time.Since(t0).Nanoseconds())
-	}
-	return res
-}
 
 // WarmStart supplies one node's previous fixpoint state to
 // BellmanFordDeltaRaw in index form: routed, the engine weight index,
@@ -153,10 +140,12 @@ func (f WarmStart) NextHop(u int) int {
 // dense path's O(N) loading, purging and indexing passes are skipped
 // entirely (sound because the purge is a no-op on a clean tree), and
 // the whole delta costs O(frontier·deg). On the sparse path the
-// returned Raw is only populated at touched nodes, toggle tails and
-// their out-neighbourhoods — exactly the slots the RIB delta rebuild
-// reads, next hops at the first two only; every other entry is stale
-// scratch.
+// returned Raw is only populated at touched nodes, toggle tails and the
+// out-rows of the nodes in DeltaStats.Moved — exactly the slots the RIB
+// delta rebuild reads, next hops at the first two only; every other
+// entry is stale scratch. Under strict I the drain pushes (see drain),
+// so the cost is the arcs into the nodes that move plus the out-rows of
+// the nodes that pull.
 func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmStart, cleanPrev bool, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	return ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, prev, cleanPrev, nil, toggles, maxPops)
 }
@@ -181,7 +170,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	}
 	scratch := func(frontier int) (Raw, DeltaStats) {
 		raw := ws.ScratchRaw(eng, g, dest, origin)
-		clean := raw.Converged && ws.VerifyForwardTree(raw)
+		clean := raw.Converged && ws.VerifyForwardTree(eng, raw)
 		return raw, DeltaStats{Frontier: frontier, Clean: clean}
 	}
 	o := exec.MustIntern(eng, origin)
@@ -204,7 +193,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 		ws.replayLog(t, g, disabled, dest, o, log, toggles)
 		pops, relaxations, frontier, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, maxPops)
 	} else if cleanPrev {
-		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops)
+		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops, plan.Kernel.I)
 	} else {
 		ws.reset(g.N, dest, o)
 		ws.resetWorklist(g.N)
@@ -228,9 +217,10 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	// Certify the new fixpoint for the next warm start. Touched chains
 	// suffice after the dense and sparse warm starts: those were purged
 	// or certified clean, so any new forwarding cycle must pass through a
-	// touched node — see verifyTouched. The log warm start started from a
-	// column that was not a clean tree, so every chain is walked; on an
-	// unclean result the first loop ends the walk.
+	// touched node — see verifyTouched, which under strict I walks only
+	// the ⊤-weighted ones. The log warm start started from a column that
+	// was not a clean tree, so every chain is walked; on an unclean
+	// result the first loop ends the walk.
 	st := DeltaStats{
 		UsedDelta:   true,
 		Frontier:    frontier,
@@ -242,7 +232,10 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 		st.Clean = ws.verifyAll(g.N, dest, warm)
 		ws.logged = true
 	} else {
-		st.Clean = ws.verifyTouched(g.N, dest, warm)
+		st.Clean = ws.verifyTouched(eng, plan, g.N, dest, warm)
+	}
+	if cleanPrev {
+		st.Moved = ws.moved
 	}
 	if m := ws.Metrics; m != nil {
 		m.Runs.Inc()
@@ -350,7 +343,7 @@ func (ws *Workspace) deltaDrain(eng exec.Algebra, g *graph.Graph, disabled []boo
 		return 0, 0, frontier, false
 	}
 	var converged bool
-	pops, relaxations, converged = ws.drain(eng, g, disabled, dest, maxPops, nil)
+	pops, relaxations, converged = ws.drain(eng, g, disabled, dest, maxPops, nil, false)
 	if !converged {
 		return pops, relaxations, frontier, false
 	}
@@ -376,6 +369,8 @@ func (ws *Workspace) resetWorklist(n int) {
 		ws.childHead[i] = -1
 		ws.childNext[i] = -1
 	}
+	ws.moved = ws.moved.sized(n)
+	clear(ws.moved)
 	ws.queue = ws.queue[:0]
 	ws.touchList = ws.touchList[:0]
 }
@@ -388,6 +383,12 @@ func (ws *Workspace) push(u, dest int) {
 	}
 	ws.dirty[u] = true
 	ws.queue = append(ws.queue, u)
+	ws.touch(u)
+}
+
+// touch records u in the ever-touched set without enqueueing it: its
+// weight stands, but its next hop or equal-cost set may not.
+func (ws *Workspace) touch(u int) {
 	if !ws.touched[u] {
 		ws.touched[u] = true
 		ws.touchList = append(ws.touchList, u)
@@ -419,16 +420,20 @@ func (ws *Workspace) sortedTouched() []int {
 }
 
 // drain runs the worklist to fixpoint (or until maxPops, ≤ 0 meaning
-// the default budget). Popping a node rescans its enabled out-arcs
-// against live state with the synchronous solver's exact selection loop
-// — first arc achieving a minimal candidate — so tie-breaks agree with
-// a from-scratch build; a routedness or weight change then dirties the
-// node's in-neighbours (pushTails). warm, when non-nil, runs the drain
-// over the sparse lazy overlay: popped nodes and scanned out-neighbours
-// are materialized from the previous fixpoint on first access instead of
-// having been bulk-loaded — weights only, since a pop writes its node's
-// next hop and a scan reads none.
-func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader) (pops int, relaxations uint64, converged bool) {
+// the default budget). Popping a node pulls: it rescans its enabled
+// out-arcs against live state with the synchronous solver's exact
+// selection loop — first arc achieving a minimal candidate — so
+// tie-breaks agree with a from-scratch build. A routedness or weight
+// change marks the node moved and is then passed on: with push false
+// every in-neighbour is dirtied (pushTails); with push true — licensed
+// by strict I, see relaxIn — each in-neighbour relaxes the one arc that
+// changed and is dirtied only if that arc can have been or become its
+// selection. warm, when non-nil, runs the drain over the sparse lazy
+// overlay: popped nodes and scanned out-neighbours are materialized from
+// the previous fixpoint on first access instead of having been
+// bulk-loaded — weights only, since a pop writes its node's next hop and
+// a scan reads none. push needs the overlay.
+func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader, push bool) (pops int, relaxations uint64, converged bool) {
 	if maxPops <= 0 {
 		maxPops = defaultPopBudget(g.N)
 	}
@@ -469,24 +474,127 @@ func (ws *Workspace) drain(eng exec.Algebra, g *graph.Graph, disabled []bool, de
 				nh, best = v, cand
 			}
 		}
-		changed := false
+		wasRouted, was := routed[u], w[u]
 		if nh < 0 {
-			if routed[u] {
-				routed[u] = false
-				nextHop[u] = -1
-				changed = true
+			if !wasRouted {
+				continue
 			}
+			routed[u] = false
+			nextHop[u] = -1
 		} else {
-			if !routed[u] || w[u] != best {
-				changed = true
-			}
 			routed[u] = true
 			w[u] = best
 			nextHop[u] = nh
+			if wasRouted && was == best {
+				continue
+			}
 		}
-		if changed {
+		ws.moved.add(u)
+		if push {
+			relaxations += ws.relaxIn(eng, g, disabled, u, wasRouted, was, dest, warm)
+		} else {
 			ws.pushTails(rev, disabled, u, dest)
 		}
 	}
 	return pops, relaxations, true
+}
+
+// relaxIn passes node v's change of route — from (wasRouted, was) to its
+// live state — to its in-neighbours under strict I, one arc at a time.
+// Every in-neighbour u that is not dirty is a fixpoint of its own row
+// against the state before the change: its weight is the least
+// candidate, and its next hop the head of the first arc in row order
+// that reaches it. Over an antisymmetric total order "reaches" is index
+// equality, and only the arcs to v changed candidate, so:
+//
+//   - a candidate strictly below u's weight (or any, at an unrouted u)
+//     is u's new selection: u is dirtied and pulls;
+//   - an arc that tied u's weight and still does changes nothing;
+//   - an arc that stops tying: if v is u's next hop the selection is
+//     gone and u pulls; otherwise only u's equal-cost set shrank, and u
+//     is recorded for the RIB layer;
+//   - an arc that starts tying widens u's equal-cost set (u is recorded)
+//     and becomes u's next hop if it comes before the current next
+//     hop's arc (tieBreak).
+//
+// A worse or unchanged candidate that never tied leaves u as it is; its
+// row is never read. It returns the candidates it evaluated.
+func (ws *Workspace) relaxIn(eng exec.Algebra, g *graph.Graph, disabled []bool, v int, wasRouted bool, was int32, dest int, warm WarmLoader) (relaxations uint64) {
+	rev := g.RevIn()
+	ais := rev.In(v)
+	vRouted, wv := ws.routed[v], ws.w[v]
+	for k, h := range rev.InHops(v) {
+		ai := int(ais[k])
+		if ai < len(disabled) && disabled[ai] {
+			continue
+		}
+		u := int(h.Node)
+		if u == dest || ws.dirty[u] {
+			continue
+		}
+		ws.ensure(u, warm)
+		label := int(h.Label)
+		cand := int32(-1)
+		if vRouted {
+			relaxations++
+			cand = eng.Apply(label, wv)
+		}
+		if !ws.routed[u] {
+			if cand >= 0 {
+				ws.push(u, dest)
+			}
+			continue
+		}
+		wu := ws.w[u]
+		if cand >= 0 && cand != wu && eng.Lt(cand, wu) {
+			ws.push(u, dest)
+			continue
+		}
+		old := int32(-1)
+		if wasRouted {
+			relaxations++
+			old = eng.Apply(label, was)
+		}
+		switch {
+		case (cand == wu) == (old == wu):
+		case old == wu && ws.hop(u, warm) == v:
+			ws.push(u, dest)
+		case old == wu:
+			ws.touch(u)
+		default:
+			relaxations += ws.tieBreak(eng, g, u, v, ai, warm)
+			ws.touch(u)
+		}
+	}
+	return relaxations
+}
+
+// tieBreak makes v the next hop of u, whose weight arc ai = u→v now
+// ties, when ai comes before every arc of u's row that reaches u's weight
+// through its current next hop — the sweep's first-arc rule, with rows
+// in ascending arc-index order. Only arcs to the current next hop are
+// evaluated; an ai missing from the view (a nil mask) changes nothing.
+// It returns the candidates it evaluated.
+func (ws *Workspace) tieBreak(eng exec.Algebra, g *graph.Graph, u, v, ai int, warm WarmLoader) (relaxations uint64) {
+	p, wu := ws.hop(u, warm), ws.w[u]
+	arcs := g.Out(u)
+	for k, h := range g.OutHops(u) {
+		if a := int(arcs[k]); a >= ai {
+			if a == ai {
+				ws.nextHop[u] = v
+			}
+			return relaxations
+		}
+		if int(h.Node) != p {
+			continue
+		}
+		ws.ensure(p, warm)
+		if ws.routed[p] {
+			relaxations++
+			if eng.Apply(int(h.Label), ws.w[p]) == wu {
+				return relaxations
+			}
+		}
+	}
+	return relaxations
 }

@@ -127,6 +127,14 @@ type Workspace struct {
 	// stack and vstack are DFS/chain scratch for the sparse drain and
 	// the chain verifier.
 	stack, vstack []int
+	// moved is the drains' bitset of nodes whose routedness or weight
+	// changed (DeltaStats.Moved); every member is on touchList, which is
+	// how a sparse reset clears it.
+	moved NodeSet
+	// topEng and topW cache exec.Top for the last engine whose ⊤ was
+	// found interned: an intern table is append-only, so the index stays.
+	topEng exec.Algebra
+	topW   int32
 
 	// Derivation-log scratch (see derivation.go). The last solve's log,
 	// uncompacted, is logBase (a previous column's log, read only) then

@@ -14,8 +14,10 @@ type Metrics struct {
 	Runs telemetry.Counter
 	// Rounds counts relax passes summed over all runs.
 	Rounds telemetry.Counter
-	// Relaxations counts candidate-route evaluations (one per enabled
-	// out-arc to a routed neighbour, per node a pass re-evaluates).
+	// Relaxations counts the arc candidates evaluated — one arc function
+	// applied to one weight: per enabled out-arc to a routed neighbour of
+	// each node a pass or a pull re-evaluates, and per arc a strict-I
+	// delta relaxes on its own (DeltaStats.Relaxations).
 	Relaxations telemetry.Counter
 	// ReuseHits counts solves served entirely from existing workspace
 	// buffers; Grows counts solves that had to (re)allocate them.
@@ -35,7 +37,7 @@ func NewMetrics() *Metrics {
 func (m *Metrics) Register(reg *telemetry.Registry, prefix string) {
 	reg.AddCounter(prefix+"_runs_total", "Completed per-destination fixpoint solves.", &m.Runs)
 	reg.AddCounter(prefix+"_rounds_total", "Relax passes summed over all solves.", &m.Rounds)
-	reg.AddCounter(prefix+"_relaxations_total", "Candidate-route evaluations summed over all solves.", &m.Relaxations)
+	reg.AddCounter(prefix+"_relaxations_total", "Arc candidates evaluated, summed over all solves.", &m.Relaxations)
 	reg.AddCounter(prefix+"_workspace_reuses_total", "Solves served from existing workspace buffers.", &m.ReuseHits)
 	reg.AddCounter(prefix+"_workspace_grows_total", "Solves that had to grow workspace buffers.", &m.Grows)
 	reg.AddHistogram(prefix+"_seconds", "Per-destination solve duration.", m.SolveNS, 1e9)

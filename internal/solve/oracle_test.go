@@ -305,7 +305,7 @@ func TestKernelsMatchArcIndexOracle(t *testing.T) {
 					if ci == 3 && step%5 == 0 {
 						maxPops = 1 + r.Intn(6) // cut the drain short too
 					}
-					pops, relax, conv := ws.drain(kc.eng, view, mask, dest, maxPops, lazy)
+					pops, relax, conv := ws.drain(kc.eng, view, mask, dest, maxPops, lazy, false)
 					oPops, oRelax, oConv := ows.oracleDrain(kc.eng, view, mask, dest, maxPops, lazy)
 					if pops != oPops || relax != oRelax || conv != oConv {
 						t.Fatalf("%s sparse=%v: drain pops/relaxations/converged %d/%d/%v, arc-index kernel %d/%d/%v",

@@ -26,6 +26,69 @@ func planEngines(ot *ost.OrderTransform) map[string]exec.Algebra {
 	return out
 }
 
+// planGolden is TestPlanTable's table: the plan line each named algebra
+// takes on each backend that runs it.
+var planGolden = map[string]map[string]string{
+	"delay(8,2)": {
+		"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: promised (ND)",
+		"tiered":   "scratch solver: best-first (M, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"dynamic":  "scratch solver: best-first (M, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+	},
+	"bw(4)": {
+		"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: promised (ND)",
+		"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
+		"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
+	},
+	"lex(bw(4), hops(8))": {
+		"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
+		"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
+		"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
+	},
+	"scoped(delay(8,2), hops(8))": {
+		"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
+		"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+		"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+	},
+	"lex(delay(16,3), hops(8))": {
+		"compiled": "scratch solver: best-first (I, table); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"tiered":   "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"dynamic":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+	},
+	"lex(delay(32,3), hops(8))": {
+		"compiled": "scratch solver: best-first (I, table); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"tiered":   "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"dynamic":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+	},
+	"lex(delay(255,3), hops(32))": {
+		"tiered":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+		"dynamic": "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
+	},
+	"scoped(bw(4), delay(64,4))": {
+		"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
+		"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+		"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+	},
+	"scoped(hops(0), delay(64,4))": {
+		"tiered":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
+		"dynamic": "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
+	},
+	"scoped(hops(16), delay(64,4))": {
+		"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
+		"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+		"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
+	},
+	"lex(delay(6,3), tags(2))": {
+		"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+		"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+		"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+	},
+	"gadget": {
+		"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+		"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+		"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
+	},
+}
+
 // TestPlanTable pins the one plan each engine reads from the proof it
 // carries. On the named algebras — the benchmark's policy and query
 // workloads, the forwardable policy and its bounded twin, the bases and
@@ -39,70 +102,10 @@ func planEngines(ot *ost.OrderTransform) map[string]exec.Algebra {
 // ran on, gets only what its constructor declared. Leaving composites
 // unstamped, or reading the tables alone, fails it.
 func TestPlanTable(t *testing.T) {
-	golden := map[string]map[string]string{
-		"delay(8,2)": {
-			"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: promised (ND)",
-			"tiered":   "scratch solver: best-first (M, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"dynamic":  "scratch solver: best-first (M, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-		},
-		"bw(4)": {
-			"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: promised (ND)",
-			"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
-			"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
-		},
-		"lex(bw(4), hops(8))": {
-			"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
-			"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
-			"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: promised (ND)",
-		},
-		"scoped(delay(8,2), hops(8))": {
-			"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
-			"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-			"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-		},
-		"lex(delay(16,3), hops(8))": {
-			"compiled": "scratch solver: best-first (I, table); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"tiered":   "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"dynamic":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-		},
-		"lex(delay(32,3), hops(8))": {
-			"compiled": "scratch solver: best-first (I, table); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"tiered":   "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"dynamic":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-		},
-		"lex(delay(255,3), hops(32))": {
-			"tiered":  "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-			"dynamic": "scratch solver: best-first (I, inferred); warm start: clean tree; skip rule: on; forwarding: promised (ND)",
-		},
-		"scoped(bw(4), delay(64,4))": {
-			"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
-			"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-			"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-		},
-		"scoped(hops(0), delay(64,4))": {
-			"tiered":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
-			"dynamic": "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: promised (ND)",
-		},
-		"scoped(hops(16), delay(64,4))": {
-			"compiled": "scratch solver: best-first (M, table); warm start: derivation log (M); skip rule: on; forwarding: not promised",
-			"tiered":   "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-			"dynamic":  "scratch solver: best-first (M, inferred); warm start: dense; skip rule: on; forwarding: not promised",
-		},
-		"lex(delay(6,3), tags(2))": {
-			"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-			"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-			"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-		},
-		"gadget": {
-			"compiled": "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-			"tiered":   "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-			"dynamic":  "scratch solver: sweep; warm start: none; skip rule: off; forwarding: not promised",
-		},
-	}
 	checked, warm, skip := 0, 0, 0
 	check := func(t *testing.T, src string) {
 		a, err := core.InferString(src)
-		want, named := golden[src]
+		want, named := planGolden[src]
 		if err != nil {
 			if named {
 				t.Fatal(err)
@@ -130,7 +133,7 @@ func TestPlanTable(t *testing.T) {
 			}
 		}
 	}
-	for src := range golden {
+	for src := range planGolden {
 		t.Run(src, func(t *testing.T) { check(t, src) })
 	}
 	t.Run("random", func(t *testing.T) {

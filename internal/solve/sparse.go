@@ -39,6 +39,25 @@ func resetEpochSet(arr []uint32, epoch uint32, n int) ([]uint32, uint32) {
 	return arr, epoch
 }
 
+// NodeSet is a bitset over node indices.
+type NodeSet []uint64
+
+// Has reports whether u is in the set.
+func (s NodeSet) Has(u int) bool { return s[u>>6]>>(uint(u)&63)&1 != 0 }
+
+func (s NodeSet) add(u int) { s[u>>6] |= 1 << (uint(u) & 63) }
+
+func (s NodeSet) remove(u int) { s[u>>6] &^= 1 << (uint(u) & 63) }
+
+// sized returns s covering n nodes, reallocated (empty) when too short.
+func (s NodeSet) sized(n int) NodeSet {
+	words := (n + 63) >> 6
+	if cap(s) < words {
+		return make(NodeSet, words)
+	}
+	return s[:words]
+}
+
 // loadNode installs one node's state into the solver arrays and records
 // it as live in the lazy overlay, so a later ensure cannot clobber it
 // with stale warm-start values.
@@ -122,6 +141,7 @@ func (ws *Workspace) sparseReset(n int) {
 		ws.touched = ws.touched[:n]
 		dirtyFull := ws.dirty[:cap(ws.dirty)]
 		touchedFull := ws.touched[:cap(ws.touched)]
+		movedFull := ws.moved[:cap(ws.moved)]
 		for _, u := range ws.touchList {
 			if u < len(dirtyFull) {
 				dirtyFull[u] = false
@@ -129,8 +149,12 @@ func (ws *Workspace) sparseReset(n int) {
 			if u < len(touchedFull) {
 				touchedFull[u] = false
 			}
+			if u>>6 < len(movedFull) {
+				movedFull.remove(u)
+			}
 		}
 	}
+	ws.moved = ws.moved.sized(n)
 	ws.queue = ws.queue[:0]
 	ws.touchList = ws.touchList[:0]
 	ws.loaded, ws.loadEpoch = resetEpochSet(ws.loaded, ws.loadEpoch, n)
@@ -143,15 +167,22 @@ func (ws *Workspace) sparseReset(n int) {
 // discovered through the base graph's in-rows (a node's children in the
 // previous tree are exactly the in-neighbours whose next hop is the
 // node) instead of a full children index. Work is proportional to the
-// frontier and its neighbourhood, never to g.N. Alongside the drain
-// itself it guarantees that, on success, every touched node and the tail
-// of every toggle it is handed (bar the destination) has its full
-// out-neighbourhood materialized and, where routed, its next hop loaded —
-// the RIB rebuild re-runs ECMP scans at exactly those nodes. The
-// obligation is to the toggles handed in, not to the batch: a caller may
-// leave out a toggle that cannot move the column (serve's skip rule,
-// applied per toggle), and then that tail is neither loaded nor refilled.
-func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
+// frontier and its neighbourhood, never to g.N.
+//
+// push selects how a change reaches in-neighbours (see drain): under
+// strict I the invalidated nodes and the restored arcs are relaxed one
+// arc at a time (relaxIn, tieBreak) and only the nodes whose selection
+// can have moved pull; otherwise every in-neighbour of an invalidated
+// node and every restored arc's tail is dirtied and pulls, as a pull
+// drain does. Either way, on success every moved node has its whole
+// out-row's state loaded, and every touched node and the tail of every
+// toggle it is handed (bar the destination) has its own routedness,
+// weight and, where routed, next hop loaded — what the RIB rebuild reads
+// at the redo set. The obligation is to the toggles handed in, not to
+// the batch: a caller may leave out a toggle that cannot move the column
+// (serve's skip rule, applied per toggle), and then that tail is neither
+// loaded nor refilled.
+func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int, push bool) (pops int, relaxations uint64, frontier int, ok bool) {
 	rev := g.RevIn()
 	arcs := g.Arcs
 	stack := ws.stack[:0]
@@ -163,19 +194,8 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 			// destination is often the largest hub.
 			continue
 		}
-		// Materialize the toggle tail and its out-neighbourhood up front:
-		// the RIB layer re-runs the ECMP scan at every toggle tail even
-		// when its weight fixpoint does not move.
 		ws.ensure(x, warm)
-		for _, h := range g.OutHops(x) {
-			ws.ensure(int(h.Node), warm)
-		}
-		if !t.Down {
-			continue
-		}
-		// The downed-primary test loads a routed tail's next hop, which
-		// the refill reads whether or not the drain pops the tail.
-		if !ws.routed[x] || ws.hop(x, warm) != arcs[t.Arc].To {
+		if !ws.routed[x] || ws.hop(x, warm) != arcs[t.Arc].To || !t.Down {
 			continue
 		}
 		// Invalidate the forwarding subtree behind the downed primary
@@ -203,39 +223,60 @@ func (ws *Workspace) deltaDrainSparse(eng exec.Algebra, g *graph.Graph, disabled
 		}
 	}
 	ws.stack = stack
-	// Entry-level obligation shared with the dense path: in-neighbours
-	// of invalidated nodes rescan so lost ECMP alternatives are
-	// re-derived at the RIB layer.
+	// Invalidation flips nodes to unrouted silently; their in-neighbours
+	// outside the subtree may have held them as equal-cost alternatives.
 	for i, inval := 0, len(ws.queue); i < inval; i++ {
-		ws.pushTails(rev, disabled, ws.queue[i], dest)
+		s := ws.queue[i]
+		ws.moved.add(s)
+		if push {
+			relaxations += ws.relaxIn(eng, g, disabled, s, true, ws.w[s], dest, warm)
+		} else {
+			ws.pushTails(rev, disabled, s, dest)
+		}
 	}
+	// A restored arc is one new candidate at its tail.
 	for _, t := range toggles {
-		if !t.Down && arcs[t.Arc].From != dest {
-			ws.push(arcs[t.Arc].From, dest)
+		x, y := arcs[t.Arc].From, arcs[t.Arc].To
+		if t.Down || x == dest || ws.dirty[x] {
+			continue
+		}
+		if !push {
+			ws.push(x, dest)
+			continue
+		}
+		ws.ensure(y, warm)
+		if !ws.routed[y] {
+			continue
+		}
+		relaxations++
+		cand := eng.Apply(arcs[t.Arc].Label, ws.w[y])
+		switch wx := ws.w[x]; {
+		case !ws.routed[x] || cand != wx && eng.Lt(cand, wx):
+			ws.push(x, dest)
+		case cand == wx:
+			relaxations += ws.tieBreak(eng, g, x, y, t.Arc, warm)
+			ws.touch(x)
 		}
 	}
 	frontier = len(ws.queue)
 	if 2*frontier >= g.N {
-		return 0, 0, frontier, false
+		return 0, relaxations, frontier, false
 	}
-	var converged bool
-	pops, relaxations, converged = ws.drain(eng, g, disabled, dest, maxPops, warm)
-	if !converged {
-		return pops, relaxations, frontier, false
-	}
-	return pops, relaxations, frontier, true
+	pops, more, converged := ws.drain(eng, g, disabled, dest, maxPops, warm, push)
+	return pops, relaxations + more, frontier, converged
 }
 
 // verifyChain walks u's primary next-hop chain until it reaches the
-// destination or an already-verified node, then marks the whole walk
-// verified. It fails on a forwarding cycle and on a routed node
-// forwarding to an unrouted one — either means the fixpoint is not a
-// clean dest-rooted tree. A cycle is caught by Brent's method: the walk
-// parks at its current node after 1, 2, 4, … steps and fails on coming
-// back to where it parked, within twice the cycle's reach and with no
-// per-node marks. warm, when non-nil, materializes unvisited nodes from
-// the lazy overlay as the walk crosses them, next hops included.
-func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader) bool {
+// destination, an already-verified node or — when top ≥ 0 — a node whose
+// weight is not top, then marks the whole walk verified. It fails on a
+// forwarding cycle and on a routed node forwarding to an unrouted one —
+// either means the fixpoint is not a clean dest-rooted tree. A cycle is
+// caught by Brent's method: the walk parks at its current node after 1,
+// 2, 4, … steps and fails on coming back to where it parked, within
+// twice the cycle's reach and with no per-node marks. warm, when
+// non-nil, materializes unvisited nodes from the lazy overlay as the walk
+// crosses them, next hops included.
+func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader, top int32) bool {
 	path := ws.vstack[:0]
 	defer func() { ws.vstack = path }()
 	park, lap, steps := -1, 1, 0
@@ -245,6 +286,9 @@ func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader) bool {
 		}
 		if !ws.routed[u] || u == park {
 			return false
+		}
+		if top >= 0 && ws.w[u] != top {
+			break
 		}
 		if steps == lap {
 			park, lap, steps = u, 2*lap, 0
@@ -259,6 +303,35 @@ func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader) bool {
 	return true
 }
 
+// strictTop says whether a certificate may walk ⊤ chains alone and, if
+// so, which weight index is ⊤ (-1 when no node can hold it). It may under
+// strict I over an antisymmetric order, on a fixpoint: a routed node's
+// weight is f(weight of its next hop) for its primary arc's f, which
+// lies strictly above the next hop's weight unless that weight is ⊤,
+// which f fixes. So below ⊤ every chain strictly falls and, on a finite
+// walk, reaches the destination; only a chain of ⊤-weighted nodes can
+// loop, and it stops being one at its first node below ⊤. Without ⊤ (SI,
+// or an interning engine that never met ⊤) no chain can loop. ⊤ is found
+// with exec.Top, which interns nothing; an engine it cannot read keeps
+// the full walk.
+func (ws *Workspace) strictTop(eng exec.Algebra, plan Plan) (top int32, ok bool) {
+	if !plan.Kernel.I {
+		return -1, false
+	}
+	if ws.topEng == eng {
+		return ws.topW, true
+	}
+	w, interned, known := exec.Top(eng)
+	switch {
+	case !known:
+		return -1, false
+	case !interned:
+		return -1, true
+	}
+	ws.topEng, ws.topW = eng, w
+	return w, true
+}
+
 // verifyTouched certifies a converged delta fixpoint as clean by walking
 // the forwarding chain of every touched routed node. Untouched nodes
 // need no walk: starting from a purged (or certified-clean) warm start,
@@ -266,14 +339,20 @@ func (ws *Workspace) verifyChain(u, dest int, warm WarmLoader) bool {
 // edges all the way to the destination or crosses a touched node, whose
 // own walk covers the remainder. Any new forwarding cycle must contain a
 // touched node — a cycle of untouched nodes would have existed in the
-// clean previous fixpoint — so the restricted walk finds it.
-func (ws *Workspace) verifyTouched(n, dest int, warm WarmLoader) bool {
+// clean previous fixpoint — so the restricted walk finds it. Under strict
+// I (strictTop) only the touched nodes at ⊤ are walked, each up to its
+// first node below ⊤.
+func (ws *Workspace) verifyTouched(eng exec.Algebra, plan Plan, n, dest int, warm WarmLoader) bool {
+	top, strict := ws.strictTop(eng, plan)
+	if strict && top < 0 {
+		return true
+	}
 	ws.vmarks, ws.vmarkEpoch = resetEpochSet(ws.vmarks, ws.vmarkEpoch, n)
 	for _, t := range ws.touchList {
-		if !ws.routed[t] {
+		if !ws.routed[t] || strict && ws.w[t] != top {
 			continue
 		}
-		if !ws.verifyChain(t, dest, warm) {
+		if !ws.verifyChain(t, dest, warm, top) {
 			return false
 		}
 	}
@@ -283,12 +362,28 @@ func (ws *Workspace) verifyTouched(n, dest int, warm WarmLoader) bool {
 // VerifyForwardTree reports whether a solver result is a clean
 // dest-rooted forwarding tree: every routed node's primary next-hop
 // chain reaches the destination (no ⊤-plateau loops). raw must be the
-// workspace's own live state (the Raw returned by BellmanFordRaw or
-// BellmanFordDeltaRaw, before any later solve). The RIB layer stamps
-// the verdict on its columns; a clean previous column is what licenses
-// the sparse delta path on the next swap.
-func (ws *Workspace) VerifyForwardTree(raw Raw) bool {
-	return ws.verifyAll(len(raw.Routed), raw.Dest, nil)
+// workspace's own live state (the Raw returned by BellmanFordRaw,
+// ScratchRaw or BellmanFordDeltaRaw, before any later solve) on eng. The
+// RIB layer stamps the verdict on its columns; a clean previous column
+// is what licenses the sparse delta path on the next swap. Under strict I
+// only the chains of ⊤-weighted nodes are walked (see strictTop): one
+// pass over the weights, and none at all without a ⊤.
+func (ws *Workspace) VerifyForwardTree(eng exec.Algebra, raw Raw) bool {
+	n := len(raw.Routed)
+	top, strict := ws.strictTop(eng, ws.plan(eng))
+	if !strict {
+		return ws.verifyAll(n, raw.Dest, nil)
+	}
+	if top < 0 {
+		return true
+	}
+	ws.vmarks, ws.vmarkEpoch = resetEpochSet(ws.vmarks, ws.vmarkEpoch, n)
+	for u, wu := range ws.w[:n] {
+		if wu == top && ws.routed[u] && !ws.verifyChain(u, raw.Dest, nil, top) {
+			return false
+		}
+	}
+	return true
 }
 
 // verifyAll walks every routed node's forwarding chain, stopping at the
@@ -302,7 +397,7 @@ func (ws *Workspace) verifyAll(n, dest int, warm WarmLoader) bool {
 		if warm != nil {
 			ws.ensure(u, warm)
 		}
-		if ws.routed[u] && !ws.verifyChain(u, dest, warm) {
+		if ws.routed[u] && !ws.verifyChain(u, dest, warm, -1) {
 			return false
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
+	"metarouting/internal/value"
 )
 
 // hopCounter is a warm start that counts its next-hop reads.
@@ -23,13 +24,17 @@ func (c *hopCounter) NextHop(u int) int {
 // TestSparseNextHopLoads guards the weight-only overlay. On a 4 000-node
 // scale-free graph, sparse deltas whose toggles sit at hubs — restored
 // arcs, failed arcs that are not the hub's primary — plus a failed
-// primary arc elsewhere that cuts a subtree load the out-rows of the
-// hubs and of every popped node. The previous column's next hop may be
-// read only at the cut tails, at the in-neighbours the subtree walk
-// inspects and at the nodes the clean certificate's chain walk crosses,
-// counted here from the scratch build on the new view. An overlay that
-// loaded next hops with weights would read one per loaded node, which on
-// most of these batches is over twice that bound.
+// primary arc elsewhere that cuts a subtree load the out-rows of every
+// pulled node. The previous column's next hop may be read only at the
+// cut tails, at the in-neighbours the subtree walk inspects and at the
+// nodes the clean certificate's chain walk crosses, counted here from
+// the scratch build on the new view. Each batch runs twice: under the
+// algebra's own strict-I plan, whose push drain reads a next hop only at
+// nodes it then touches, and under a plan without the licence, whose
+// pull drain rescans every in-neighbour of a moved node and so loads the
+// hubs' rows. An overlay that loaded next hops with weights would read
+// one per loaded node, which on most pull batches is over twice the
+// bound.
 func TestSparseNextHopLoads(t *testing.T) {
 	a, err := core.InferString("lex(delay(32,3), hops(8))")
 	if err != nil {
@@ -42,7 +47,6 @@ func TestSparseNextHopLoads(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(34))
 	g := graph.ScaleFree(r, 4000, 2, graph.UniformLabels(a.OT.F.Size()))
-	rev := g.RevIn()
 	ws, ref := NewWorkspace(), NewWorkspace()
 	deltas, apart := 0, 0
 	for trial := 0; trial < 40; trial++ {
@@ -55,7 +59,7 @@ func TestSparseNextHopLoads(t *testing.T) {
 			disabled[out[r.Intn(len(out))]] = true
 		}
 		prev := ownRaw(ws.ScratchRaw(eng, g.MaskArcs(disabled), dest, origin))
-		if !ws.VerifyForwardTree(prev) {
+		if !ws.VerifyForwardTree(eng, prev) {
 			t.Fatalf("trial %d: the scratch column toward %d is not a clean tree", trial, dest)
 		}
 		var toggles []ArcToggle
@@ -84,12 +88,35 @@ func TestSparseNextHopLoads(t *testing.T) {
 			disabled[tg.Arc] = tg.Down
 		}
 		view := g.MaskArcs(disabled)
+		for _, pull := range []bool{false, true} {
+			ws.Plan = nil
+			if pull {
+				ws.Plan = &Plan{}
+			}
+			deltas, apart = sparseHopTrial(t, eng, g, view, disabled, dest, origin, prev, toggles, ws, ref, trial, pull, deltas, apart)
+		}
+	}
+	if deltas < 20 || 2*apart < deltas {
+		t.Fatalf("%d of 40 pull batches ran the sparse delta, %d of them loading over twice the bound: the fixture no longer tells an eager overlay apart", deltas, apart)
+	}
+	t.Logf("%d sparse pull deltas, %d loading over twice the bound", deltas, apart)
+}
+
+// sparseHopTrial runs one TestSparseNextHopLoads batch and checks its
+// next-hop reads against the bound; pull runs add to the fixture's
+// deltas and apart counts.
+func sparseHopTrial(t *testing.T, eng exec.Algebra, g, view *graph.Graph, disabled []bool, dest int, origin value.V, prev Raw, toggles []ArcToggle, ws, ref *Workspace, trial int, pull bool, deltas, apart int) (int, int) {
+	t.Helper()
+	rev := g.RevIn()
+	{
 		warm := &hopCounter{WarmStart: rawWarm(prev)}
 		_, st := ws.BellmanFordDeltaLog(eng, view, disabled, dest, origin, warm, true, nil, toggles, 0)
 		if !st.UsedDelta {
-			continue
+			return deltas, apart
 		}
-		deltas++
+		if pull {
+			deltas++
+		}
 		loaded := 0
 		for u := 0; u < g.N; u++ {
 			if ws.loaded[u] == ws.loadEpoch {
@@ -133,9 +160,9 @@ func TestSparseNextHopLoads(t *testing.T) {
 			}
 		}
 		if warm.hops > bound {
-			t.Fatalf("trial %d (dest %d): %d next-hop reads, bound %d (%d nodes loaded)", trial, dest, warm.hops, bound, loaded)
+			t.Fatalf("trial %d (dest %d, pull %v): %d next-hop reads, bound %d (%d nodes loaded)", trial, dest, pull, warm.hops, bound, loaded)
 		}
-		if loaded > 2*bound {
+		if pull && loaded > 2*bound {
 			apart++
 		}
 		got := ws.raw(dest, 0, true)
@@ -145,11 +172,8 @@ func TestSparseNextHopLoads(t *testing.T) {
 			}
 		}
 		if trial < 3 {
-			t.Logf("dest %d: %d next-hop reads, bound %d, %d nodes loaded, %d touched", dest, warm.hops, bound, loaded, len(st.Touched))
+			t.Logf("dest %d pull %v: %d next-hop reads, bound %d, %d nodes loaded, %d touched", dest, pull, warm.hops, bound, loaded, len(st.Touched))
 		}
 	}
-	if deltas < 20 || 2*apart < deltas {
-		t.Fatalf("%d of 40 batches ran the sparse delta, %d of them loading over twice the bound: the fixture no longer tells an eager overlay apart", deltas, apart)
-	}
-	t.Logf("%d sparse deltas, %d loading over twice the bound", deltas, apart)
+	return deltas, apart
 }

@@ -120,6 +120,19 @@ go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
 go test -race -run='^(TestSubsetDifferential|TestSubsetMutantsFail)$' -count=1 ./internal/serve/
 go test -race -run='^(TestTransplantRunMatchesSlots|TestDeltaClonesOnlyChangedPages)$' -count=1 ./internal/rib/
 go test -race -run='^TestSparseNextHopLoads$' -count=1 ./internal/solve/
+
+# The strict-I push drain: in-neighbours of a changed node relax the one
+# arc that changed, and a redo node whose weight stands has its span
+# edited from its previous one. Every destination's column through fail,
+# restore and mixed batches (downed primaries with and without an
+# equal-cost sibling, a 500-arc hub, coarse labels, parallel arcs;
+# compiled and tiered) against the sweep's BuildDestColumn, plus the
+# next hop whose weight improves while the candidate through it worsens.
+# Beside it, the ⊤-only clean-tree certificate against the walk of every
+# chain, on every strict-I algebra of the plan table and delay(8,2),
+# whose columns loop at ⊤.
+go test -race -run='^(TestPushDeltaMatchesSweep|TestPushDeltaWorsenedPrimary)$' -count=1 ./internal/rib/
+go test -race -run='^TestTopCertificateMatchesFullWalk$' -count=1 ./internal/solve/
 go test -run='^(TestNewServerRejectsLabelOutOfRange|TestNewServerRejectsSampledFunctionSet|TestNewServerRejectsMisfitOrigin|TestLoadTopologyChecksLabels|TestSolveDefaultOriginFits|TestCheckRejectsUnfitDefaultOrigin|TestParseErrors|TestParseRejectsMisfitOrigin)$' -count=1 \
   ./internal/serve/ ./cmd/metaroute/ ./internal/scenario/ ./internal/protocol/validate/
 
@@ -198,8 +211,9 @@ go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/
 go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkApplyDelta/toggles+patch'
 # The leader's in-process swap at the same size (a 4-arc fail/restore
 # pair with the replication sink on), named likewise, and reporting the
-# pages whose routes changed per swap.
-go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep '^BenchmarkLeaderSwap' | grep -q 'pages-cloned/swap'
+# pages whose routes changed and the arc candidates evaluated per swap.
+go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep '^BenchmarkLeaderSwap' |
+  grep 'pages-cloned/swap' | grep -q 'relaxations/swap'
 
 # Telemetry-overhead bench smoke: the paired instrumented-vs-bare
 # measurement must run end to end and emit a well-formed report. Small
