@@ -543,8 +543,10 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 // DeltaDestPaged recomputes the paged column for a single destination
 // after the given arc toggles, warm-starting from prev. g and disabled
 // carry the whole batch; toggles may leave out toggles that cannot move
-// a clean prev (serve's per-toggle skip rule), and every other caller
-// passes them all. When the delta drain runs, each node of the redo set
+// prev (serve's per-toggle skip rule: fails and restores on a clean
+// prev, restores alone on a converged one under an M kernel, which the
+// log and dense warm starts take), and every other caller passes them
+// all. When the delta drain runs, each node of the redo set
 // — the touched nodes plus the handed toggles' tails, the only nodes
 // whose slot can have moved — has its slot recomputed and compared with
 // prev's; only pages whose routes change are rebuilt (with patchPage,

@@ -44,8 +44,8 @@ func (f *Follower) PrefixTableForTest() *rib.PrefixTable { return f.view().pt }
 //   - "strictly-better": a restored arc moves its tail only when its
 //     candidate is strictly better, which drops the equal-cost restores;
 //   - "unclean": columns that are converged but not Clean are sharp
-//     too, so log-path columns are handed subsets (and skipped when
-//     theirs is empty).
+//     for failed arcs too, so log-path columns are handed subsets of
+//     their fails (and skipped when theirs is empty).
 var SubsetMutants = []string{"primary-only", "strictly-better", "unclean"}
 
 // SetSubsetRuleForTest makes invalidated apply the named broken rule
@@ -87,4 +87,4 @@ func (r strictlyBetterRule) toggleMoves(col *rib.PagedColumn, a graph.Arc, fail 
 
 type uncleanRule struct{ *Server }
 
-func (r uncleanRule) sharp(col *rib.PagedColumn) bool { return r.plan.Skip && col.Converged }
+func (r uncleanRule) sharp(col *rib.PagedColumn, _ bool) bool { return r.plan.Skip && col.Converged }

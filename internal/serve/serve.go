@@ -48,7 +48,8 @@
 // sharp: it gets a sharper rule (Server.toggleMoves), applied toggle by
 // toggle. The conditions: the plan's skip rule is on (a warm start, and a
 // total preorder — Full inferred, or the compiler's verified rank
-// vector), and the column is Converged and Clean. Then a
+// vector), and the column is Converged and Clean (for restores, Clean or
+// an M kernel; see below). Then a
 // toggle can move d's column only as follows: a failed
 // arc x→y only if y is one of x's next hops toward d, a restored arc
 // only if x is unrouted or the arc's candidate f(w_d[y]) is not strictly
@@ -87,16 +88,32 @@
 // touched-chain clean certificate sound. So the redo set — touched nodes
 // plus the handed toggles' tails — still covers every slot that can
 // differ, and the column, its change list and the delta frame are the
-// ones the whole batch gives. Columns that are not Clean (the scoped
-// policy product's never are) and partial orders keep the first rule and
-// the whole batch: on such a column a weight a forwarding loop sustains
-// can lose its last real support through an arc strictly worse than the
-// loop, so the test proves nothing there. The differential tests hold
-// every skipped column of every swap against rib.BuildDestPaged on the
-// new view, every rebuild against the whole batch's
-// (SwapOracle.CheckSubsets), and the broken rules of TestSubsetMutantsFail
-// — ECMP-only fails dropped, equal-cost restores dropped, unclean
-// columns held to the test — must each be caught.
+// ones the whole batch gives. Partial orders keep the first rule and the
+// whole batch. So do the failed arcs of columns that are not Clean (the
+// scoped policy product's never are): on such a column a weight a
+// forwarding loop sustains can lose its last real support through an arc
+// strictly worse than the loop, so the fail test proves nothing there.
+//
+// The restore half holds for every converged column under the plan's M
+// kernel, clean or not, so sharpness is judged per direction. Under M a
+// converged column X_old is GFP(F_old). A restored arc whose candidate
+// is strictly worse than its routed tail's weight leaves X_old a
+// fixpoint of F_new, tie-breaks included, as above. F_new ≤ F_old, since
+// arcs only join, so GFP(F_new) ≤ X_old; X_old is a fixpoint of F_new,
+// so GFP(F_new) ≥ X_old. (A failed arc whose head X_old leaves unrouted
+// changes neither side: a fixpoint of the graph without it is one with
+// it, since at or above X_old that head stays unrouted.) The two are
+// equal: an unclean column whose toggles are all such restores is
+// skipped, and one that a moving restore reaches (but no fail) is handed
+// only the moving restores. Neither step needs the column's weights
+// realised by paths.
+//
+// The differential tests hold every skipped column of every swap against
+// rib.BuildDestPaged on the new view, every rebuild against the whole
+// batch's (SwapOracle.CheckSubsets), and the broken rules of
+// TestSubsetMutantsFail — ECMP-only fails dropped, equal-cost restores
+// dropped (on clean and unclean columns), unclean columns held to the
+// fail test — must each be caught.
 //
 // A snapshot's failure mask is a replica.Mask, the persistent bitset a
 // follower's state holds too: each swap derives it from the previous
@@ -1064,15 +1081,16 @@ func Coalesce(events []ArcEvent, disabled []bool) ([]ArcEvent, error) {
 // columns any of the toggled arcs can touch — the union of the
 // per-event skip rule over the batch, evaluated against the pre-batch
 // snapshot (sound for the whole batch; see the package comment) — and,
-// for each, the toggles its rebuild is handed. A destination whose
-// column is a converged, clean fixpoint is sharp when the plan's skip
-// rule allows it: it is held to the sharper rule of toggleMoves, toggle by
-// toggle, and handed only the toggles that rule says can move it. Every
-// other destination is handed all, the whole batch. Callers hold s.mu.
+// for each, the toggles its rebuild is handed. Sharpness is judged per
+// direction (subsetRule.sharp): a column sharp for every toggle that
+// reaches it is held to the sharper rule of toggleMoves, toggle by
+// toggle, and handed only the toggles that rule says can move it. Any
+// other destination a toggle reaches is handed all, the whole batch.
+// Callers hold s.mu.
 func (s *Server) invalidated(cur *Snapshot, all []solve.ArcToggle) (recompute []int, subsets [][]solve.ArcToggle) {
 	recompute = make([]int, 0, len(s.dests))
 	subsets = make([][]solve.ArcToggle, 0, len(s.dests))
-	// One backing array, made at the first sharp column, for every sharp
+	// One backing array, made at the first sharp toggle, for every sharp
 	// destination's subset.
 	var moving []solve.ArcToggle
 	for _, d := range s.dests {
@@ -1080,11 +1098,7 @@ func (s *Server) invalidated(cur *Snapshot, all []solve.ArcToggle) (recompute []
 		if col == nil {
 			continue
 		}
-		sharp := s.rule.sharp(col)
-		if sharp && moving == nil {
-			moving = make([]solve.ArcToggle, 0, len(s.dests)*len(all))
-		}
-		start := len(moving)
+		start, whole := len(moving), false
 		for _, t := range all {
 			a := s.base.Arcs[t.Arc]
 			if a.From == d {
@@ -1094,16 +1108,22 @@ func (s *Server) invalidated(cur *Snapshot, all []solve.ArcToggle) (recompute []
 			if !routed {
 				continue
 			}
-			if !sharp {
-				recompute = append(recompute, d)
-				subsets = append(subsets, all)
+			if whole = !s.rule.sharp(col, t.Down); whole {
 				break
+			}
+			if moving == nil {
+				moving = make([]solve.ArcToggle, 0, len(s.dests)*len(all))
 			}
 			if s.rule.toggleMoves(col, a, t.Down, wy) {
 				moving = append(moving, t)
 			}
 		}
-		if sharp && len(moving) > start {
+		switch {
+		case whole:
+			moving = moving[:start]
+			recompute = append(recompute, d)
+			subsets = append(subsets, all)
+		case len(moving) > start:
 			recompute = append(recompute, d)
 			subsets = append(subsets, moving[start:len(moving):len(moving)])
 		}
@@ -1112,27 +1132,32 @@ func (s *Server) invalidated(cur *Snapshot, all []solve.ArcToggle) (recompute []
 }
 
 // subsetRule is the per-column judgement invalidated applies: whether a
-// column is sharp, and whether a toggle can move a sharp column. The
-// server is its own rule; Server.rule holds it so that the subset
-// differential can swap in the broken rules it must catch.
+// column is sharp for a failed or a restored arc, and whether such a
+// toggle can move a sharp column. The server is its own rule;
+// Server.rule holds it so that the subset differential can swap in the
+// broken rules it must catch.
 type subsetRule interface {
-	sharp(col *rib.PagedColumn) bool
+	sharp(col *rib.PagedColumn, fail bool) bool
 	toggleMoves(col *rib.PagedColumn, a graph.Arc, fail bool, wy int32) bool
 }
 
-// sharp reports whether col is held to toggleMoves: the plan makes the
-// fixpoint skip rule sound, and col is a converged, clean fixpoint.
-func (s *Server) sharp(col *rib.PagedColumn) bool {
-	return s.plan.Skip && col.Converged && col.Clean
+// sharp reports whether col is held to toggleMoves for a failed (fail)
+// or a restored arc: the plan makes the fixpoint skip rule sound, col is
+// converged, and col is Clean — or, for a restored arc, the plan's
+// kernel is M (see toggleMoves).
+func (s *Server) sharp(col *rib.PagedColumn, fail bool) bool {
+	return s.plan.Skip && col.Converged && (col.Clean || !fail && s.plan.Kernel.M)
 }
 
 // toggleMoves reports whether toggling arc a = x→y, whose head holds
-// weight wy in col, can change col — a converged, clean fixpoint over a
-// total preorder. A failed arc matters only if y is among x's next
-// hops: otherwise its candidate was strictly worse than x's selection
-// and leaves neither the selection nor the equal-cost set. A restored
-// arc matters unless x is routed and the arc's candidate is strictly
-// worse than what x holds.
+// weight wy in col, can change col — a column sharp for the toggle's
+// direction, over a total preorder. A failed arc matters only if y is
+// among x's next hops: otherwise its candidate was strictly worse than
+// x's selection and leaves neither the selection nor the equal-cost set.
+// A restored arc matters unless x is routed and the arc's candidate is
+// strictly worse than what x holds: then col stays a fixpoint of the new
+// one-step operator F_new, which lies at or below the old one, so under
+// M col is still its greatest fixpoint even where col is not Clean.
 func (s *Server) toggleMoves(col *rib.PagedColumn, a graph.Arc, fail bool, wy int32) bool {
 	if fail {
 		return slices.Contains(col.NextHops(a.From), int32(a.To))

@@ -5,9 +5,10 @@ package serve_test
 // with hubs, storms that mix random fails and restores with fails that
 // only shrink an equal-cost set and restores that only widen one are held,
 // swap by swap, to the rebuilds the whole batch would have produced
-// (SwapOracle.CheckSubsets) and to a scratch build of every column; the
-// broken rules of SubsetMutants must each be caught. CI runs this file
-// under -race.
+// (SwapOracle.CheckSubsets) and to a scratch build of every column; on
+// the policy product, whose columns are never clean, every other storm
+// restores only. The broken rules of SubsetMutants must each be caught.
+// CI runs this file under -race.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"metarouting/internal/core"
@@ -36,13 +38,19 @@ type subsetRun struct {
 	g       *graph.Graph
 	origins map[int]value.V
 	ws      *solve.Workspace
-	// dropped counts toggles a rebuilt destination was not handed: the
-	// first skip rule admits them (the tail is not the destination, the
-	// head is routed) and toggleMoves does not. ecmpFails counts failed
-	// arcs to a next hop that is not the primary, evenRestores restored
-	// arcs whose candidate ties the tail's weight: the toggles that only
-	// shrink or only widen an equal-cost set.
-	dropped, ecmpFails, evenRestores int
+	// m says the server's plan licenses the restore rule on unclean
+	// columns: a skip rule and an M kernel. split makes every other batch
+	// restores only, so that no fail reaches an unclean column.
+	m, split bool
+	// dropped counts toggles a rebuilt clean destination was not handed:
+	// the first skip rule admits them (the tail is not the destination,
+	// the head is routed) and toggleMoves does not. uncleanDrops counts
+	// the restores an unclean destination under M was not handed, rebuilt
+	// or skipped: no fail reached it, and toggleMoves drops them.
+	// ecmpFails counts failed arcs to a next hop that is not the primary,
+	// evenRestores restored arcs whose candidate ties the tail's weight:
+	// the toggles that only shrink or only widen an equal-cost set.
+	dropped, uncleanDrops, ecmpFails, evenRestores int
 }
 
 func newSubsetRun(t *testing.T, eng exec.Algebra, g *graph.Graph, origins map[int]value.V, props ...serve.Option) *subsetRun {
@@ -54,7 +62,9 @@ func newSubsetRun(t *testing.T, eng exec.Algebra, g *graph.Graph, origins map[in
 		t.Fatal(err)
 	}
 	sink.take()
-	return &subsetRun{srv: srv, sink: sink, oracle: serve.NewSwapOracle(srv), eng: eng, g: g, origins: origins, ws: solve.NewWorkspace()}
+	plan := solve.NewPlan(eng)
+	return &subsetRun{srv: srv, sink: sink, oracle: serve.NewSwapOracle(srv), eng: eng, g: g, origins: origins,
+		ws: solve.NewWorkspace(), m: plan.Skip && plan.Kernel.M}
 }
 
 // moves is the rule the server applies to a sharp column, restated on
@@ -158,14 +168,24 @@ func (sr *subsetRun) apply(events []serve.ArcEvent) error {
 		if got := col.Flatten(); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("v%d: destination %d (rebuilt %v) differs from a scratch build on the new view", sn.Version, d, col != old)
 		}
+		// An unclean column is handed the whole batch once a fail reaches
+		// it; otherwise, under M, only its moving restores.
+		failReaches := slices.ContainsFunc(toggles, func(t serve.ArcEvent) bool {
+			a := sr.g.Arcs[t.Arc]
+			_, routed := old.Route(a.To)
+			return t.Fail && routed && a.From != d
+		})
 		for _, t := range toggles {
 			a := sr.g.Arcs[t.Arc]
 			wy, routed := old.Route(a.To)
 			if !routed || a.From == d {
 				continue
 			}
-			if col != old && old.Clean && !sr.moves(old, a, t.Fail, wy) {
+			switch {
+			case old.Clean && col != old && !sr.moves(old, a, t.Fail, wy):
 				sr.dropped++
+			case !old.Clean && old.Converged && sr.m && !failReaches && !sr.moves(old, a, t.Fail, wy):
+				sr.uncleanDrops++
 			}
 			wx, routed := old.Route(a.From)
 			if nh := old.NextHops(a.From); t.Fail && len(nh) > 1 && nh[0] != int32(a.To) && slices.Contains(nh, int32(a.To)) {
@@ -182,7 +202,11 @@ func (sr *subsetRun) apply(events []serve.ArcEvent) error {
 func (sr *subsetRun) storm(r *rand.Rand, n int) error {
 	var shrunk []int
 	for i := 0; i < n; i++ {
-		if err := sr.apply(sr.batch(r, &shrunk)); err != nil {
+		events := sr.batch(r, &shrunk)
+		if sr.split && i%2 == 1 {
+			events = slices.DeleteFunc(events, func(ev serve.ArcEvent) bool { return ev.Fail })
+		}
+		if err := sr.apply(events); err != nil {
 			return fmt.Errorf("storm %d: %w", i, err)
 		}
 	}
@@ -202,18 +226,23 @@ func subsetGraph(seed int64, labels int, origin value.V) (*graph.Graph, map[int]
 }
 
 // TestSubsetDifferential: on lex(delay, hops) — clean columns, so every
-// destination is sharp — and on both backends that license the skip rule,
-// 40 storms of fail/restore/equal-cost toggles keep every swap
+// destination is sharp — and on the policy product scoped(bw(4),
+// delay(64,4)) — never clean, so sharp for restores alone, by M — on
+// both backends that license the skip rule (the policy product takes the
+// derivation log on compiled and the dense warm start on tiered), 40
+// storms of fail/restore/equal-cost toggles keep every swap
 // bit-identical to the whole batch's rebuilds and frame and to scratch
-// builds, and the subsets must have dropped toggles (the rule fired) with
-// equal-cost fails and restores in the mix.
+// builds. The subsets must have dropped toggles (the rule fired) with
+// equal-cost restores in the mix, and equal-cost fails on the lex
+// columns.
 func TestSubsetDifferential(t *testing.T) {
-	for _, expr := range []string{"lex(delay(32,3), hops(8))", "lex(delay(8,2), hops(8))"} {
+	for _, expr := range []string{"lex(delay(32,3), hops(8))", "lex(delay(8,2), hops(8))", "scoped(bw(4), delay(64,4))"} {
 		a, err := core.InferString(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		origin := a.OT.DefaultOrigin()
+		policy := strings.HasPrefix(expr, "scoped")
 		for _, mode := range []exec.Mode{exec.ModeCompiled, exec.ModeTiered} {
 			t.Run(fmt.Sprintf("%s/%s", expr, mode), func(t *testing.T) {
 				eng, err := exec.New(a.OT, mode, origin)
@@ -222,17 +251,24 @@ func TestSubsetDifferential(t *testing.T) {
 				}
 				g, origins := subsetGraph(34, a.OT.F.Size(), origin)
 				sr := newSubsetRun(t, eng, g, origins)
+				sr.split = policy
 				defer sr.srv.Close()
 				if err := sr.storm(rand.New(rand.NewSource(7)), 40); err != nil {
 					t.Fatal(err)
 				}
 				st := sr.srv.Stats()
-				if st.DeltaDestRebuilds == 0 || sr.dropped < 10 || sr.ecmpFails < 5 || sr.evenRestores < 5 {
-					t.Fatalf("fixture lost its teeth: %d delta rebuilds, %d dropped toggles, %d equal-cost fails, %d equal-cost restores",
-						st.DeltaDestRebuilds, sr.dropped, sr.ecmpFails, sr.evenRestores)
+				// The dense warm start cuts over on every unclean column, so
+				// the policy product rebuilds by delta on compiled alone.
+				teeth := st.DeltaDestRebuilds > 0 && sr.dropped >= 10 && sr.ecmpFails >= 5
+				if policy {
+					teeth = (st.DeltaDestRebuilds > 0) == (mode == exec.ModeCompiled) && sr.m && sr.uncleanDrops >= 10
 				}
-				t.Logf("%d delta rebuilds, %d toggles dropped from subsets, %d equal-cost fails, %d equal-cost restores",
-					st.DeltaDestRebuilds, sr.dropped, sr.ecmpFails, sr.evenRestores)
+				if !teeth || sr.evenRestores < 5 {
+					t.Fatalf("fixture lost its teeth: %d delta rebuilds, %d dropped toggles, %d restores dropped from unclean columns (M skip rule %v), %d equal-cost fails, %d equal-cost restores",
+						st.DeltaDestRebuilds, sr.dropped, sr.uncleanDrops, sr.m, sr.ecmpFails, sr.evenRestores)
+				}
+				t.Logf("%d delta rebuilds, %d toggles dropped from clean subsets, %d restores from unclean ones, %d equal-cost fails, %d equal-cost restores",
+					st.DeltaDestRebuilds, sr.dropped, sr.uncleanDrops, sr.ecmpFails, sr.evenRestores)
 			})
 		}
 	}
@@ -240,20 +276,28 @@ func TestSubsetDifferential(t *testing.T) {
 
 // TestSubsetMutantsFail runs each broken rule of SubsetMutants through
 // the same storms, and the checks must catch every one. The first two
-// break toggleMoves on the clean lex columns; the third hands the policy
-// product's columns — never clean, rebuilt from their derivation logs —
-// the subsets and skips the clean columns get. A column there can hold a
-// weight only a forwarding loop sustains, so an arc strictly worse than
-// the loop may be the last one connecting it to the destination: about
-// half the graph seeds catch that within 80 storms, so the test tries
-// up to ten.
+// break toggleMoves on the clean lex columns, and "strictly-better" on
+// the policy product's unclean ones too, whose restores M makes sharp;
+// the third hands the policy product's columns — never clean, rebuilt
+// from their derivation logs — the subsets and skips of their failed
+// arcs that the clean columns get. A column there can hold a weight only
+// a forwarding loop sustains, so an arc strictly worse than the loop may
+// be the last one connecting it to the destination: about half the graph
+// seeds catch that within 80 storms, so the test tries up to ten.
 func TestSubsetMutantsFail(t *testing.T) {
+	type run struct{ mutant, expr string }
+	var runs []run
 	for _, mutant := range serve.SubsetMutants {
-		t.Run(mutant, func(t *testing.T) {
-			expr := "lex(delay(8,2), hops(8))"
-			if mutant == "unclean" {
-				expr = "scoped(bw(4), delay(64,4))"
-			}
+		if mutant != "unclean" {
+			runs = append(runs, run{mutant, "lex(delay(8,2), hops(8))"})
+		}
+		if mutant != "primary-only" {
+			runs = append(runs, run{mutant, "scoped(bw(4), delay(64,4))"})
+		}
+	}
+	for _, rn := range runs {
+		mutant, expr := rn.mutant, rn.expr
+		t.Run(mutant+"/"+expr, func(t *testing.T) {
 			a, err := core.InferString(expr)
 			if err != nil {
 				t.Fatal(err)
@@ -266,6 +310,7 @@ func TestSubsetMutantsFail(t *testing.T) {
 				}
 				g, origins := subsetGraph(seed, a.OT.F.Size(), origin)
 				sr := newSubsetRun(t, eng, g, origins)
+				sr.split = strings.HasPrefix(expr, "scoped")
 				sr.srv.SetSubsetRuleForTest(mutant)
 				err = sr.storm(rand.New(rand.NewSource(seed)), 80)
 				sr.srv.Close()

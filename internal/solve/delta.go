@@ -45,13 +45,15 @@ type DeltaStats struct {
 	// drain: invalidated subtree members, the in-neighbours their loss
 	// dirtied and the tails of restored arcs — under strict I only the
 	// in-neighbours whose selection was lost and the tails whose arc
-	// improves them.
+	// improves them. After the log warm start: S plus the drain's seeds.
 	Frontier int
 	// Pops counts worklist pops; Relaxations counts the arc candidates
 	// evaluated (one arc function applied to one weight), by pulls,
 	// by relaxations of single arcs and by tie-breaks alike.
 	Pops        int
 	Relaxations uint64
+	// Restarts is |S| after the log warm start (replayLog), else 0.
+	Restarts int
 	// Touched lists, in ascending order, every node the drain enqueued
 	// or recorded — a superset of the nodes whose routedness, weight,
 	// next hop or equal-cost set differs from the previous result,
@@ -151,18 +153,19 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 }
 
 // BellmanFordDeltaLog is BellmanFordDeltaRaw with the warm start read
-// through a WarmLoader and given the previous column's
-// derivation log as well (DerivationLog; nil when it has none). When prev
-// is not certified clean, the log is non-nil and the workspace's plan
-// says WarmLog, it takes the third warm start (derivation.go): a forward pass
-// over the log finds the entries the batch's failed arcs invalidated,
-// and a drain seeded with the nodes whose last entry went invalid and
-// the toggle tails lowers the state to the new fixpoint, recording its
-// own improvements — O(log + frontier) for fail, restore and mixed
-// batches alike, with the Raw populated as on the sparse path. Clean is
-// then verified over every routed node, since the previous column was
-// not a clean tree. Afterwards DerivationLog returns the new column's
-// log on this path and on a scratch fallback that ran the kernel.
+// through a WarmLoader and given the previous column's derivation log as
+// well (DerivationLog; nil when it has none). When prev is not certified
+// clean, the log and the mask are non-nil and the workspace's plan says
+// WarmLog, it takes the third warm start (derivation.go): an arc-only
+// pass from the log's first failed entry finds S, the nodes whose last
+// entry went invalid, which settle first; a drain then lowers the state
+// to the new fixpoint, recording its own improvements. It costs a
+// compare per entry up to that one, a mark test per entry after it and
+// the drain over S and the frontier, with the Raw populated as on the
+// sparse path. Clean is then verified over every routed node, since the
+// previous column was not a clean tree. Afterwards DerivationLog returns
+// the new column's log on this path and on a scratch fallback that ran
+// the kernel.
 func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmLoader, cleanPrev bool, log []int32, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	var t0 time.Time
 	if ws.Metrics != nil {
@@ -182,16 +185,15 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	var ok bool
 	var warm WarmLoader
 	plan := ws.plan(eng)
-	logWarm := !cleanPrev && log != nil && plan.Warm == WarmLog
+	logWarm := !cleanPrev && log != nil && disabled != nil && plan.Warm == WarmLog
 	if cleanPrev || logWarm {
 		warm = prev
 		ws.sparseReset(g.N)
 		ws.loadNode(dest, true, o, -1)
 	}
 	if logWarm {
-		t := plan.Kernel.Table
-		ws.replayLog(t, g, disabled, dest, o, log, toggles)
-		pops, relaxations, frontier, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, maxPops)
+		ws.replayLog(g, disabled, log, toggles)
+		pops, relaxations, frontier, ok = ws.deltaDrainLog(plan.Kernel.Table, g, disabled, dest, prev, toggles, maxPops)
 	} else if cleanPrev {
 		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops, plan.Kernel.I)
 	} else {
@@ -230,6 +232,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	}
 	if logWarm {
 		st.Clean = ws.verifyAll(g.N, dest, warm)
+		st.Restarts = len(ws.restarts)
 		ws.logged = true
 	} else {
 		st.Clean = ws.verifyTouched(eng, plan, g.N, dest, warm)

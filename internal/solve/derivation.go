@@ -11,34 +11,32 @@ import (
 // table that proves M (compile.Compiled.Monotone) the best-first kernel
 // records the arc of every weight improvement it makes, in creation
 // order, and so does the logged delta drain below; a column keeps that
-// log, compacted, for its next rebuild. Treat "unrouted" as a weight
-// above every other and let F_old, F_new be the one-step operators
-// before and after a batch of arc toggles, X_old = GFP(F_old) the
-// previous column.
+// log, compacted, for its next rebuild. Treat "unrouted" as ⊤, and let
+// F_old, F_new be the one-step operators before and after a batch of arc
+// toggles and X_old = GFP(F_old) the previous column.
 //
-//   - Parents are implicit. The parent of an entry on arc x→y is the
-//     latest earlier entry at y (the destination's origin when y is the
-//     destination), so its weight is f_arc(weight of the parent) and the
-//     log stores only arcs. Compaction keeps the ancestor closure of each
-//     node's last entry, which leaves every kept entry's parent in place.
-//   - Validity. An entry is valid iff its arc did not fail in this batch
-//     and its parent is valid. By induction in log order and M, a valid
-//     entry at x bounds GFP_new(x) from above.
-//   - Seed state. Y(x) is the minimum-rank weight over x's valid entries
-//     (unrouted if none) where x's last entry is invalid, X_old(x)
-//     elsewhere. Y ≥ GFP_new and F_new(Y) ≤ Y — each valid entry's arc is
-//     still there and its parent's node sits at or below the parent's
-//     weight — so a worklist drain seeded with the invalid-last nodes and
-//     the batch's arc tails only ever lowers a weight, and stops at
-//     GFP_new: the state the kernel and the sweep reach from scratch.
-//     Restored arcs only add candidates, so the same Y serves fail,
-//     restore and mixed batches.
+//   - Parents are implicit: the parent of an entry on arc x→y is the
+//     latest earlier entry at y (the origin at the destination), and its
+//     weight is f_arc(the parent's). A node's last entry carries its
+//     column weight, and none of its entries lies below it. Compaction
+//     keeps the ancestor closure of each node's last entry.
+//   - An entry is valid iff its arc did not fail and its parent is valid;
+//     by induction and M a valid entry at x bounds GFP_new(x) from above.
+//     The replay reads arcs only, and yields S: the nodes whose last
+//     entry went invalid.
+//   - Settle: S starts unrouted and drains restricted to S, against
+//     X_old outside it. That is Kleene descent from ⊤, so the state stays
+//     at or above GFP_new, and by induction in log order each settled
+//     weight lies at or below every valid entry at its node.
+//   - The settled S beside X_old is then a post-fixpoint of F_new at or
+//     above GFP_new, so the logged drain, seeded with the toggle tails
+//     and the in-neighbours of what S moved, only lowers weights and
+//     stops at GFP_new, the scratch build's state, for fail, restore and
+//     mixed batches alike.
 //
-// The minimum-rank rule is what makes Y a post-fixpoint. In the logs
-// written here a node's weights strictly fall, so it picks the latest
-// valid entry; "unrouted wherever the last entry is invalid" is not a
-// post-fixpoint, and TestDerivationDeltaMutantsFail shows it raising a
-// weight. DESIGN §4d carries the full argument.
+// Skipping the settle lets a tail pop while the node it leans on is still
+// unrouted, and TestDerivationDeltaMutantsFail shows that raising a
+// weight. DESIGN §"Warm starts licensed by M" carries the full argument.
 
 // DerivationLog returns the derivation log of the workspace's last solve
 // — the kernel on an M-licensed table, or a delta that took the log warm
@@ -103,134 +101,122 @@ func (ws *Workspace) compactLog(g *graph.Graph, dest int, buf []int32) []int32 {
 	return buf[w:]
 }
 
-// failedArc reports whether arc ai, enabled when the previous column was
-// built, failed in this batch: the post-toggle mask disables it, or —
-// without a mask — a toggle takes it down.
-func failedArc(ai int32, disabled []bool, toggles []ArcToggle) bool {
-	if disabled != nil {
-		return int(ai) < len(disabled) && disabled[ai]
-	}
-	for _, tg := range toggles {
-		if tg.Down && tg.Arc == int(ai) {
-			return true
-		}
-	}
-	return false
-}
-
-// replayLog is the forward pass over a previous column's derivation log
-// against a batch of toggles. It leaves logInval listing (with repeats)
-// the nodes whose latest entry went invalid at some point, and logBase
-// then logBuf holding the valid entries in order — the new log's prefix,
-// ancestor-closed because an invalid entry's descendants are invalid
-// too. For every node x with an entry it leaves prevW[x] the weight of
-// x's latest entry, -1 when that entry is invalid, and childHead[x] the
-// minimum-rank weight over x's valid entries, -1 when it has none
-// (prevW[x] is -2 at nodes without one). Both arrays are the dense warm
-// start's and the sweep's, idle on the log path, so the replay adds no
-// per-node memory. When no failed arc appears in the log, every entry is
-// valid and no node is a seed: the pass stops there and the prefix is
-// the old log itself.
-func (ws *Workspace) replayLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, log []int32, toggles []ArcToggle) {
-	ws.logBase, ws.logBuf, ws.logInval = log, ws.logBuf[:0], ws.logInval[:0]
-	failed := false
+// replayLog is the arc-only pass over a previous column's derivation log
+// against a batch of toggles. A compare scan finds p0, the first entry on
+// a failed arc; every entry before it is valid. From p0 on, an entry is
+// invalid when its arc failed or its head's latest entry is invalid, as
+// the epoch-stamped restart marks record. It leaves logBase then logBuf
+// holding the valid entries in order — the new log's prefix — and
+// restarts listing every node whose latest entry went invalid at some
+// point; the marks say which are in S (see seedRestarts). disabled is
+// the post-toggle mask: an arc of the log that it disables failed.
+func (ws *Workspace) replayLog(g *graph.Graph, disabled []bool, log []int32, toggles []ArcToggle) {
+	ws.logBase, ws.logBuf, ws.restarts = log, ws.logBuf[:0], ws.restarts[:0]
+	p0 := len(log)
 	if slices.ContainsFunc(toggles, func(tg ArcToggle) bool { return tg.Down }) {
-		for _, ai := range log {
-			if failedArc(ai, disabled, toggles) {
-				failed = true
+		for i, ai := range log {
+			if disabled[ai] {
+				p0 = i
 				break
 			}
 		}
 	}
-	if !failed {
+	if p0 == len(log) {
 		return
 	}
-	ws.logBase = nil
-	last, best := ws.prevW[:g.N], ws.childHead[:g.N]
-	for i := range last {
-		last[i] = -2
-	}
-	fn, rank, stride := t.Fn, t.Rank, t.N
-	buf, inval := ws.logBuf, ws.logInval
-	for _, ai := range log {
+	ws.logBase = log[:p0:p0]
+	ws.restart, ws.restartEpoch = resetEpochSet(ws.restart, ws.restartEpoch, g.N)
+	mark, epoch := ws.restart, ws.restartEpoch
+	buf, s := ws.logBuf, ws.restarts
+	for _, ai := range log[p0:] {
 		arc := &g.Arcs[ai]
-		x, pw := arc.From, o
-		if arc.To != dest {
-			pw = max(last[arc.To], -1)
-		}
-		if last[x] == -2 {
-			best[x] = -1
-		}
-		if pw < 0 || failedArc(ai, disabled, toggles) {
-			if last[x] != -1 {
-				inval = append(inval, int32(x))
+		x := arc.From
+		if mark[arc.To] == epoch || disabled[ai] {
+			if mark[x] != epoch {
+				mark[x] = epoch
+				s = append(s, int32(x))
 			}
-			last[x] = -1
 			continue
 		}
-		wx := int32(fn[arc.Label*stride+int(pw)])
-		last[x] = wx
-		if b := best[x]; b < 0 || rank[wx] < rank[b] {
-			best[x] = wx
-		}
+		mark[x] = 0
 		buf = append(buf, ai)
 	}
-	ws.logBuf, ws.logInval = buf, inval
+	ws.logBuf, ws.restarts = buf, s
 }
 
-// deltaDrainLog is the log warm start's seeding and drain, after
-// replayLog and with the sparse overlay reset and the destination
-// loaded. Seeds are the nodes whose latest entry is invalid, loaded at
-// their minimum-rank valid weight, and the tails of every toggled arc
-// (a failed arc may have been a primary next hop, a restored one may
-// offer a better candidate). ok is false when the caller must fall back
-// to a scratch build: a frontier of half the graph or more, an exhausted
-// pop budget, or a drain step that would raise a weight.
+// restarting reports whether u is in S.
+func (ws *Workspace) restarting(u int) bool { return ws.restart[u] == ws.restartEpoch }
+
+// deltaDrainLog is the log warm start's settle and drain, after replayLog
+// and with the sparse overlay reset and the destination loaded. S settles
+// (drainLog's settle mode); then the in-neighbours outside S of every
+// node of S whose route changed are pushed, as are the toggle tails, and
+// the logged drain runs. ok is false when the caller must fall back to a
+// scratch build: a frontier of half the graph or more, an exhausted pop
+// budget, or a drain step that would raise a weight.
 func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
-	last, best := ws.prevW, ws.childHead
-	for _, x := range ws.logInval {
-		if last[x] == -1 && !ws.dirty[x] {
-			ws.loadNode(int(x), best[x] >= 0, best[x], -1)
-			ws.push(int(x), dest)
+	if maxPops <= 0 {
+		maxPops = defaultPopBudget(g.N)
+	}
+	if frontier = ws.seedRestarts(dest); 2*frontier >= g.N {
+		return 0, 0, frontier, false
+	}
+	if pops, relaxations, ok = ws.drainLog(t, g, disabled, dest, maxPops, warm, true); !ok {
+		return pops, relaxations, frontier, false
+	}
+	rev := g.RevIn()
+	ws.queue = ws.queue[:0]
+	for _, x := range ws.restarts {
+		if r, w := warm.Weight(int(x)); r != ws.routed[x] || r && w != ws.w[x] {
+			ws.pushIn(rev, disabled, int(x), dest, false)
 		}
 	}
 	for _, tg := range toggles {
 		ws.push(g.Arcs[tg.Arc].From, dest)
 	}
-	frontier = len(ws.queue)
-	if 2*frontier >= g.N {
-		return 0, 0, frontier, false
-	}
-	if maxPops <= 0 {
-		maxPops = defaultPopBudget(g.N)
-	}
-	if pops, relaxations, ok = ws.drainLog(t, g, disabled, dest, maxPops, warm); !ok {
+	if frontier += len(ws.queue); 2*frontier >= g.N {
 		return pops, relaxations, frontier, false
 	}
-	// A seed the drain never lowered still differs from the previous
-	// column, and no pop reported it: its in-neighbours, whose weights
-	// stand but whose equal-cost sets may not, rescan now.
-	rev := g.RevIn()
-	ws.queue = ws.queue[:0]
-	for _, x := range ws.logInval {
-		x := int(x)
-		if last[x] != -1 || ws.routed[x] != (best[x] >= 0) || ws.routed[x] && ws.w[x] != best[x] {
-			continue
-		}
-		if r, w := warm.Weight(x); r != ws.routed[x] || r && w != ws.w[x] {
-			ws.pushTails(rev, disabled, x, dest)
+	more, moreRelax, ok := ws.drainLog(t, g, disabled, dest, maxPops-pops, warm, false)
+	return pops + more, relaxations + moreRelax, frontier, ok
+}
+
+// seedRestarts loads S unrouted and queues it, trims restarts to S
+// without repeats, and returns |S|.
+func (ws *Workspace) seedRestarts(dest int) int {
+	s := ws.restarts[:0]
+	for _, x := range ws.restarts {
+		if u := int(x); ws.restarting(u) && !ws.dirty[u] {
+			ws.loadNode(u, false, 0, -1)
+			ws.push(u, dest)
+			s = append(s, x)
 		}
 	}
-	more, moreRelax, ok := ws.drainLog(t, g, disabled, dest, maxPops-pops, warm)
-	return pops + more, relaxations + moreRelax, frontier, ok
+	ws.restarts = s
+	return len(s)
+}
+
+// pushIn enqueues the tail of every enabled arc entering u that is in S
+// (in true) or outside it (in false); see pushTails.
+func (ws *Workspace) pushIn(rev *graph.Graph, disabled []bool, u, dest int, in bool) {
+	ais := rev.In(u)
+	for k, h := range rev.InHops(u) {
+		if ai := int(ais[k]); ai < len(disabled) && disabled[ai] {
+			continue
+		}
+		if v := int(h.Node); ws.restarting(v) == in {
+			ws.push(v, dest)
+		}
+	}
 }
 
 // drainLog is drain over a compiled table's rank and function rows, on
 // the sparse overlay, appending the arc of every weight improvement to
 // logBuf. Seeded from a post-fixpoint it never raises a weight; a step
 // that would (only a broken seed state can cause one) reports through
-// onRaise and returns ok false.
-func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader) (pops int, relaxations uint64, ok bool) {
+// onRaise and returns ok false. With settle set, a node that moves
+// pushes only its in-neighbours in S.
+func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader, settle bool) (pops int, relaxations uint64, ok bool) {
 	rev := g.RevIn()
 	fn, rank, stride := t.Fn, t.Rank, t.N
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
@@ -283,7 +269,11 @@ func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bo
 		}
 		routed[u], w[u], nextHop[u] = true, int32(cand), nh
 		ws.logBuf = append(ws.logBuf, g.Out(u)[k])
-		ws.pushTails(rev, disabled, u, dest)
+		if settle {
+			ws.pushIn(rev, disabled, u, dest, true)
+		} else {
+			ws.pushTails(rev, disabled, u, dest)
+		}
 	}
 	return pops, relaxations, true
 }

@@ -46,25 +46,47 @@ func (ws *Workspace) served(n, dest int, prev WarmStart) Raw {
 }
 
 // logDelta runs the log warm start with replay standing in for
-// replayLog: it must leave what replayLog leaves (logInval, and prevW
-// and childHead as the latest entries' and the best valid entries'
-// weights). ok is false on a fallback.
-func (ws *Workspace) logDelta(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, prev WarmStart, toggles []ArcToggle, replay func()) (Raw, bool) {
+// replayLog: it must leave what replayLog leaves (logBase, logBuf, and S
+// as restarts and its marks). With settle false it skips the settle: S
+// starts unrouted and is queued before the toggle tails, and the logged
+// drain runs at once. ok is false on a fallback.
+func (ws *Workspace) logDelta(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, prev WarmStart, toggles []ArcToggle, replay func(), settle bool) (Raw, bool) {
 	ws.sparseReset(g.N)
 	ws.loadNode(dest, true, o, -1)
 	replay()
-	_, _, _, ok := ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, 0)
+	var ok bool
+	if settle {
+		_, _, _, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, 0)
+	} else {
+		ws.seedRestarts(dest)
+		for _, tg := range toggles {
+			ws.push(g.Arcs[tg.Arc].From, dest)
+		}
+		_, _, ok = ws.drainLog(t, g, disabled, dest, defaultPopBudget(g.N), prev, false)
+	}
 	return ws.served(g.N, dest, prev), ok
 }
 
-// The three broken warm starts the proof rules out, as replays.
+// restartAt puts x in S, as replayLog's marks do.
+func (ws *Workspace) restartAt(x int) {
+	ws.restart[x] = ws.restartEpoch
+	ws.restarts = append(ws.restarts, int32(x))
+}
+
+// clearReplay readies a replay stand-in: an empty log prefix and S.
+func (ws *Workspace) clearReplay(n int) {
+	ws.logBase, ws.logBuf, ws.restarts = nil, ws.logBuf[:0], ws.restarts[:0]
+	ws.restart, ws.restartEpoch = resetEpochSet(ws.restart, ws.restartEpoch, n)
+}
+
+// The broken warm starts the proof rules out, as replays.
 
 // justifyByFinalWeights forgets the history: a node keeps its weight
 // unless its primary next-hop chain crosses a failed arc, so a cycle of
 // primary next hops that avoids every failed arc justifies itself.
 func justifyByFinalWeights(ws *Workspace, prev Raw, g *graph.Graph, toggles []ArcToggle) func() {
 	return func() {
-		ws.logBase, ws.logBuf, ws.logInval = nil, ws.logBuf[:0], ws.logInval[:0]
+		ws.clearReplay(g.N)
 		bad := make([]bool, g.N)
 		for changed := true; changed; {
 			changed = false
@@ -80,8 +102,7 @@ func justifyByFinalWeights(ws *Workspace, prev Raw, g *graph.Graph, toggles []Ar
 				}
 				if failed {
 					bad[x], changed = true, true
-					ws.prevW[x], ws.childHead[x] = -1, -1
-					ws.logInval = append(ws.logInval, int32(x))
+					ws.restartAt(x)
 				}
 			}
 		}
@@ -90,41 +111,19 @@ func justifyByFinalWeights(ws *Workspace, prev Raw, g *graph.Graph, toggles []Ar
 
 // unpropagated replays the log but invalidates only the entries on
 // failed arcs, not their descendants.
-func unpropagated(ws *Workspace, t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, log []int32) func() {
+func unpropagated(ws *Workspace, g *graph.Graph, disabled []bool, log []int32) func() {
 	return func() {
-		ws.logBase, ws.logBuf, ws.logInval = nil, ws.logBuf[:0], ws.logInval[:0]
-		weight := make([]int32, g.N)
-		for i := range weight {
-			ws.prevW[i], weight[i] = -2, -1
-		}
-		weight[dest] = o
+		ws.clearReplay(g.N)
 		for _, ai := range log {
-			a := g.Arcs[ai]
-			w := int32(t.Fn[a.Label*t.N+int(weight[a.To])])
-			weight[a.From] = w
-			if ws.prevW[a.From] == -2 {
-				ws.childHead[a.From] = -1
-			}
+			x := g.Arcs[ai].From
 			if disabled[ai] {
-				ws.prevW[a.From] = -1
-				ws.logInval = append(ws.logInval, int32(a.From))
+				if !ws.restarting(x) {
+					ws.restartAt(x)
+				}
 				continue
 			}
-			ws.prevW[a.From] = w
-			if b := ws.childHead[a.From]; b < 0 || t.Rank[w] < t.Rank[b] {
-				ws.childHead[a.From] = w
-			}
-		}
-	}
-}
-
-// topForInvalid is the real replay, but a node whose last entry went
-// invalid restarts unrouted instead of at its best valid weight.
-func topForInvalid(ws *Workspace, t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, log []int32, toggles []ArcToggle) func() {
-	return func() {
-		ws.replayLog(t, g, disabled, dest, o, log, toggles)
-		for _, x := range ws.logInval {
-			ws.childHead[x] = -1
+			ws.restart[x] = 0
+			ws.logBuf = append(ws.logBuf, ai)
 		}
 	}
 }
@@ -171,9 +170,10 @@ func padded(n int, arcs []graph.Arc) *graph.Graph {
 //     primary next hops avoid it and keep the phantom route;
 //   - invalidity that stays on the failed arc's own entries, on the same
 //     cycle;
-//   - "unrouted wherever the last entry is invalid", on a hand-made log of
-//     a legal descending derivation where a toggle tail is popped while
-//     its support is still unrouted: it raises.
+//   - "unrouted wherever the last entry is invalid", the real replay with
+//     the settle skipped, on a hand-made log of a legal descending
+//     derivation where a toggle tail is popped while its support is still
+//     unrouted: it raises.
 //
 // The real warm start agrees with scratch on each, and on 400 policy
 // storms its drain never raises a weight.
@@ -182,7 +182,7 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	ws := NewWorkspace()
 	raised := false
 	ws.onRaise = func(int) { raised = true }
-	check := func(name string, g *graph.Graph, log []int32, toggles []ArcToggle, mutant func(prev Raw, disabled []bool, log []int32) func()) {
+	check := func(name string, g *graph.Graph, log []int32, toggles []ArcToggle, settle bool, mutant func(prev Raw, disabled []bool, log []int32) func()) {
 		t.Helper()
 		prev := ownRaw(ws.ScratchRaw(eng, g, 0, 0))
 		if log == nil {
@@ -200,7 +200,7 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 			t.Fatalf("%s: the real warm start (delta %v, raised %v) disagrees with scratch\n got %+v\nwant %+v", name, st.UsedDelta, raised, got, want)
 		}
 		raised = false
-		got, ok := ws.logDelta(tab, view, disabled, 0, 0, rawWarm(prev), toggles, mutant(prev, disabled, log))
+		got, ok := ws.logDelta(tab, view, disabled, 0, 0, rawWarm(prev), toggles, mutant(prev, disabled, log), settle)
 		if !raised && ok && sameServed(got, want) {
 			t.Fatalf("%s: the mutant matched scratch without raising a weight", name)
 		}
@@ -212,11 +212,11 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	// each other; arc 0 fails.
 	cycle := padded(3, []graph.Arc{{From: 1, To: 0, Label: lK2}, {From: 1, To: 2, Label: lK1}, {From: 2, To: 1, Label: lK1}})
 	fail0 := []ArcToggle{{Arc: 0, Down: true}}
-	check("justification by final weights", cycle, nil, fail0, func(prev Raw, _ []bool, _ []int32) func() {
+	check("justification by final weights", cycle, nil, fail0, true, func(prev Raw, _ []bool, _ []int32) func() {
 		return justifyByFinalWeights(ws, prev, cycle, fail0)
 	})
-	check("invalidity not propagated", cycle, nil, fail0, func(_ Raw, disabled []bool, log []int32) func() {
-		return unpropagated(ws, tab, cycle, disabled, 0, 0, log)
+	check("invalidity not propagated", cycle, nil, fail0, true, func(_ Raw, disabled []bool, log []int32) func() {
+		return unpropagated(ws, cycle, disabled, log)
 	})
 
 	// Nodes x=1, m=2, p=3, k=4, k2=5, z=6. m resets to 3 at the
@@ -233,13 +233,97 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 		handLog = append(handLog, int32(ai)) // the padding leaves
 	}
 	handFail := []ArcToggle{{Arc: 4, Down: true}, {Arc: 6, Down: true}, {Arc: 8, Down: true}}
-	check("unrouted for invalid nodes", hand, handLog, handFail, func(_ Raw, disabled []bool, log []int32) func() {
-		return topForInvalid(ws, tab, hand.MaskArcs(disabled), disabled, 0, 0, log, handFail)
+	check("unrouted for invalid nodes", hand, handLog, handFail, false, func(_ Raw, disabled []bool, log []int32) func() {
+		return func() { ws.replayLog(hand.MaskArcs(disabled), disabled, log, handFail) }
 	})
 
 	// The invariant on the workload's algebra: chained fail and restore
 	// storms on a 300-node scale-free graph, every destination's column
-	// and log carried along. The top-for-invalid mutant runs beside it.
+	// and log carried along. The settle-skipping mutant runs beside it.
+	var logged, trips int
+	policyLogStorms(t, ws, func(s logStorm) {
+		raised = false
+		mut, ok := ws.logDelta(s.tab, s.view, s.disabled, s.dest, s.o, rawWarm(s.prev), s.toggles,
+			func() { ws.replayLog(s.view, s.disabled, s.log, s.toggles) }, false)
+		if raised || ok && !sameServed(mut, s.want) {
+			trips++
+		}
+		raised = false
+		st := s.delta()
+		if raised {
+			t.Fatalf("dest %d step %d: a logged drain step raised a weight", s.dest, s.step)
+		}
+		if st.UsedDelta {
+			logged++
+		}
+	})
+	if logged < 300 {
+		t.Fatalf("only %d of 400 policy rebuilds took the log warm start", logged)
+	}
+	t.Logf("policy storms: %d log warm starts, none raised; the settle-skipping mutant tripped on %d of 400", logged, trips)
+}
+
+// TestDerivationRestartsCounted holds the log warm start's counted cost
+// to its contract on the policy storms: DeltaStats.Restarts is |S|, the
+// number of nodes whose last log entry the batch invalidated, as a naive
+// pass that recomputes every entry's validity from its parent counts it.
+func TestDerivationRestartsCounted(t *testing.T) {
+	ws := NewWorkspace()
+	var logged, restarts int
+	policyLogStorms(t, ws, func(s logStorm) {
+		last := make([]int, s.g.N) // 0 no entry, 1 valid, 2 invalid
+		for _, ai := range s.log {
+			a := s.g.Arcs[ai]
+			last[a.From] = 1
+			if s.disabled[ai] || a.To != s.dest && last[a.To] == 2 {
+				last[a.From] = 2
+			}
+		}
+		want := 0
+		for _, l := range last {
+			if l == 2 {
+				want++
+			}
+		}
+		st := s.delta()
+		if !st.UsedDelta {
+			return
+		}
+		logged++
+		restarts += st.Restarts
+		if st.Restarts != want {
+			t.Fatalf("dest %d step %d: %d restarts, the naive pass finds %d nodes whose last entry went invalid", s.dest, s.step, st.Restarts, want)
+		}
+	})
+	if logged < 300 || restarts == 0 {
+		t.Fatalf("fixture lost its teeth: %d log warm starts restarting %d nodes", logged, restarts)
+	}
+	t.Logf("%d log warm starts restarted %d nodes", logged, restarts)
+}
+
+// logStorm is one rebuild of policyLogStorms: a destination's previous
+// column and log, the batch, the view and mask after it, and the scratch
+// build on that view.
+type logStorm struct {
+	g, view    *graph.Graph
+	tab        *compile.Compiled
+	dest, step int
+	o          int32
+	prev, want Raw
+	log        []int32
+	disabled   []bool
+	toggles    []ArcToggle
+	delta      func() DeltaStats
+}
+
+// policyLogStorms drives chained 4-arc fail and restore storms of the
+// workload's algebra, scoped(bw(4), delay(64,4)), on a 300-node
+// scale-free graph: 20 storms at each of 20 destinations, 400 rebuilds.
+// visit sees each rebuild before it runs and must call s.delta, which
+// runs the real log warm start on ws and checks it against scratch; the
+// column and log it leaves are carried to the next storm.
+func policyLogStorms(t *testing.T, ws *Workspace, visit func(s logStorm)) {
+	t.Helper()
 	a, err := core.InferString("scoped(bw(4), delay(64,4))")
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +331,11 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	peng, ptab := compiledOT(t, a.OT)
 	r := rand.New(rand.NewSource(17))
 	g := graph.ScaleFree(r, 300, 2, graph.UniformLabels(a.OT.F.Size()))
-	o := exec.MustIntern(peng, a.OT.DefaultOrigin())
-	var logged, trips int
+	origin := a.OT.DefaultOrigin()
+	o := exec.MustIntern(peng, origin)
 	for dest := 0; dest < g.N; dest += 15 {
 		disabled := make([]bool, len(g.Arcs))
-		prev := ownRaw(ws.ScratchRaw(peng, g, dest, a.OT.DefaultOrigin()))
+		prev := ownRaw(ws.ScratchRaw(peng, g, dest, origin))
 		log := ws.DerivationLog(g, dest)
 		view := g
 		for step := 0; step < 20; step++ {
@@ -267,30 +351,27 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 				toggles = append(toggles, ArcToggle{Arc: ai, Down: disabled[ai]})
 			}
 			view = view.WithArcsToggled(arcs, disabled)
-			want := ownRaw(NewWorkspace().ScratchRaw(peng, view, dest, a.OT.DefaultOrigin()))
-			raised = false
-			mut, ok := ws.logDelta(ptab, view, disabled, dest, o, rawWarm(prev), toggles, topForInvalid(ws, ptab, view, disabled, dest, o, log, toggles))
-			if raised || ok && !sameServed(mut, want) {
-				trips++
+			s := logStorm{g: g, view: view, tab: ptab, dest: dest, step: step, o: o, prev: prev, log: log,
+				disabled: disabled, toggles: toggles}
+			s.want = ownRaw(NewWorkspace().ScratchRaw(peng, view, dest, origin))
+			ran := false
+			s.delta = func() DeltaStats {
+				ran = true
+				_, st := ws.BellmanFordDeltaLog(peng, view, disabled, dest, origin, rawWarm(s.prev), false, s.log, toggles, 0)
+				next := ownRaw(ws.raw(dest, 0, true)) // a fallback's state is whole
+				if st.UsedDelta {
+					next = ws.served(g.N, dest, rawWarm(s.prev))
+				}
+				if !sameServed(next, s.want) {
+					t.Fatalf("dest %d step %d (delta %v): the log warm start disagrees with scratch", dest, step, st.UsedDelta)
+				}
+				prev, log = next, ws.DerivationLog(view, dest)
+				return st
 			}
-			raised = false
-			_, st := ws.BellmanFordDeltaLog(peng, view, disabled, dest, a.OT.DefaultOrigin(), rawWarm(prev), false, log, toggles, 0)
-			if raised {
-				t.Fatalf("dest %d step %d: a logged drain step raised a weight", dest, step)
+			visit(s)
+			if !ran {
+				t.Fatalf("dest %d step %d: the visit did not run the delta", dest, step)
 			}
-			next := ownRaw(ws.raw(dest, 0, true)) // a fallback's state is whole
-			if st.UsedDelta {
-				next = ws.served(g.N, dest, rawWarm(prev))
-				logged++
-			}
-			if !sameServed(next, want) {
-				t.Fatalf("dest %d step %d (delta %v): the log warm start disagrees with scratch", dest, step, st.UsedDelta)
-			}
-			prev, log = next, ws.DerivationLog(view, dest)
 		}
 	}
-	if logged < 300 {
-		t.Fatalf("only %d of 400 policy rebuilds took the log warm start", logged)
-	}
-	t.Logf("policy storms: %d log warm starts, none raised; the top-for-invalid mutant tripped on %d of 400", logged, trips)
 }

@@ -138,11 +138,13 @@ type Workspace struct {
 
 	// Derivation-log scratch (see derivation.go). The last solve's log,
 	// uncompacted, is logBase (a previous column's log, read only) then
-	// logBuf, and logged says whether that solve kept one; logInval lists
-	// the replay's invalidated nodes. The replay's and the compaction's
-	// per-node state borrow prevW and childHead.
-	logBase, logBuf, logInval []int32
+	// logBuf, and logged says whether that solve kept one. restarts lists
+	// S, the nodes the replay restarts, and restart stamps them with
+	// restartEpoch; the compaction borrows prevW.
+	logBase, logBuf, restarts []int32
 	logged                    bool
+	restart                   []uint32
+	restartEpoch              uint32
 	// onRaise, set by tests, hears of a logged drain step that would
 	// raise a weight — the invariant the log warm start's proof promises.
 	onRaise func(u int)

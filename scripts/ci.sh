@@ -94,24 +94,31 @@ go test -tags licencecheck ./internal/solve/ ./internal/rib/ ./internal/serve/
 # Warm starts licensed by M: every destination's column carried through
 # fail, restore and mixed batches by its derivation log against scratch
 # builds (policy products and the corpus's M tables, five graph families;
-# pages, totals, verdicts, change lists and the log's own invariant);
-# the three broken warm starts that must fail (justification by final
-# weights, unpropagated invalidity, unrouted for invalid nodes) with the
-# no-raise invariant on policy storms; and a logged server against a
-# WithDelta(false) one, storm by storm.
+# pages, totals, verdicts, change lists and the log's own invariant:
+# every entry recomputes from its parent, and a node's weights fall to
+# its last entry, which carries its column weight); the three broken warm
+# starts that must fail (justification by final weights, unpropagated
+# invalidity, unrouted for invalid nodes — the settle skipped) with the
+# no-raise invariant on policy storms; the replay's counted cost,
+# DeltaStats.Restarts, against a naive count of the nodes whose last
+# entry went invalid; and a logged server against a WithDelta(false)
+# one, storm by storm. The rebuild benchmark must report that count.
 go test -race -run='^TestDerivationDeltaMatchesScratch$' -count=1 ./internal/rib/
-go test -race -run='^TestDerivationDeltaMutantsFail$' -count=1 ./internal/solve/
+go test -race -run='^(TestDerivationDeltaMutantsFail|TestDerivationRestartsCounted)$' -count=1 ./internal/solve/
 go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
+go test -run='^$' -bench='^BenchmarkDerivationDelta$/logged' -benchtime=200x ./internal/rib/ | grep -q 'restarts/op'
+
 
 # A rebuilt destination pays only for the toggles that can move it. The
 # subset differential: storms of fails, restores, fails that only shrink
 # an equal-cost set and restores that only widen one, on scale-free graphs
 # with hubs, compiled and tiered; every rebuild, handed the toggles that
-# can move its clean column, equals the rebuild from the whole batch and
-# a scratch build, and the frame is byte-identical to the whole batch's.
-# The three broken rules must be caught (ECMP-only fails dropped,
-# equal-cost restores dropped, subsets handed to unclean log-path
-# columns). Beside it, the run-wise page transplant against the per-slot
+# can move its column (fails and restores on a clean one, restores alone
+# on the policy product's unclean ones, by M), equals the rebuild from
+# the whole batch and a scratch build, and the frame is byte-identical to
+# the whole batch's. The three broken rules must be caught (ECMP-only
+# fails dropped, equal-cost restores dropped on clean and unclean
+# columns, fail subsets handed to unclean log-path columns). Beside it, the run-wise page transplant against the per-slot
 # copy it replaced; the leader's delta rebuild cloning a page if and only
 # if its routes change (sparse, log and dense warm starts, compiled and
 # tiered, fail, restore, mixed and ECMP-only batches on scale-free graphs,
