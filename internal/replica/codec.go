@@ -100,8 +100,8 @@ type Full struct {
 	// table. The table is append-only across a record stream.
 	Names []string
 	// Kept and Suppressed mirror the leader's aggregated prefix table in
-	// its exact insertion order, so the rebuilt LPM trie answers
-	// identically node for node.
+	// its exact column order, so the rebuilt table's column ids, and the
+	// longest-match answers of its index, are the leader's.
 	Kept, Suppressed []Announcement
 	// Columns holds every destination column, ascending by destination,
 	// in the leader's paged form: the encoder writes the wire layout

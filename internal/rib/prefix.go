@@ -1,17 +1,18 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"metarouting/internal/value"
 )
 
-// This file holds the prefix destination plane: IPv4 prefixes, a binary
-// LPM trie over a flat node pool, and the PrefixTable that maps
-// announced prefixes onto anchor nodes with DoubleZero-style
+// This file holds the prefix destination plane: IPv4 prefixes, an
+// immutable interval index for longest match, and the PrefixTable that
+// maps announced prefixes onto anchor nodes with DoubleZero-style
 // aggregation — a more-specific prefix (including /32 user routes) is
 // suppressed when a covering prefix anchored at the same node with the
 // same origin already answers for it, since longest-match through the
@@ -52,22 +53,39 @@ func (p Prefix) Covers(q Prefix) bool {
 
 // String renders dotted-quad/len.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d", p.Addr>>24, p.Addr>>16&0xff, p.Addr>>8&0xff, p.Addr&0xff, p.Len)
+	s := make([]byte, 0, len("255.255.255.255/255"))
+	for shift := 24; shift >= 0; shift -= 8 {
+		s = append(strconv.AppendUint(s, uint64(p.Addr>>shift&0xff), 10), '.')
+	}
+	s[len(s)-1] = '/'
+	return string(strconv.AppendUint(s, uint64(p.Len), 10))
+}
+
+// decimal reads the number of plain decimal digits (no sign, no leading
+// zero) s starts with, at most limit, and returns it with the rest of s.
+func decimal(s string, limit int) (v int, rest string, ok bool) {
+	n := 0
+	for ; n < len(s) && '0' <= s[n] && s[n] <= '9'; n++ {
+		if v = v*10 + int(s[n]-'0'); v > limit {
+			return 0, s, false
+		}
+	}
+	return v, s[n:], n == 1 || n > 1 && s[0] != '0'
 }
 
 // ParseAddr parses a dotted-quad IPv4 address into host byte order.
 func ParseAddr(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("rib: bad address %q", s)
-	}
 	var addr uint32
-	for _, part := range parts {
-		o, err := strconv.Atoi(part)
-		if err != nil || o < 0 || o > 255 || (len(part) > 1 && part[0] == '0') {
-			return 0, fmt.Errorf("rib: bad address %q", s)
+	rest, ok := s, true
+	for i := 0; i < 4 && ok; i++ {
+		var o int
+		if o, rest, ok = decimal(rest, 255); ok && i < 3 {
+			rest, ok = strings.CutPrefix(rest, ".")
 		}
 		addr = addr<<8 | uint32(o)
+	}
+	if !ok || rest != "" {
+		return 0, fmt.Errorf("rib: bad address %q", s)
 	}
 	return addr, nil
 }
@@ -83,8 +101,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if !ok {
 		return Prefix{Addr: addr, Len: 32}, nil
 	}
-	l, err := strconv.Atoi(lenStr)
-	if err != nil || l < 0 || l > 32 {
+	l, rest, ok := decimal(lenStr, 32)
+	if !ok || rest != "" {
 		return Prefix{}, fmt.Errorf("rib: bad prefix length in %q", s)
 	}
 	return MakePrefix(addr, uint8(l)), nil
@@ -97,105 +115,6 @@ func AutoPrefix(node int) Prefix {
 	return Prefix{Addr: 10<<24 | uint32(node)&0xffffff, Len: 32}
 }
 
-// trieNode is one flat LPM trie node: two child indices and a column
-// id, -1 for absent. 12 bytes per node, no pointers.
-type trieNode struct {
-	child [2]int32
-	col   int32
-}
-
-// Trie is a binary longest-prefix-match trie over a flat node pool.
-// The zero-index node is the root. Tries are built once per prefix set
-// and shared immutably across snapshots.
-type Trie struct {
-	nodes []trieNode
-	count int
-}
-
-// NewTrie returns an empty trie.
-func NewTrie() *Trie {
-	return &Trie{nodes: []trieNode{{child: [2]int32{-1, -1}, col: -1}}}
-}
-
-// Insert stores col at p, replacing any previous value. col must be
-// non-negative.
-func (t *Trie) Insert(p Prefix, col int32) {
-	n := int32(0)
-	for i := uint8(0); i < p.Len; i++ {
-		b := p.Addr >> (31 - i) & 1
-		next := t.nodes[n].child[b]
-		if next < 0 {
-			next = int32(len(t.nodes))
-			t.nodes = append(t.nodes, trieNode{child: [2]int32{-1, -1}, col: -1})
-			t.nodes[n].child[b] = next
-		}
-		n = next
-	}
-	if t.nodes[n].col < 0 {
-		t.count++
-	}
-	t.nodes[n].col = col
-}
-
-// Delete removes the value stored exactly at p, reporting whether one
-// was present. Nodes are not pruned; the trie is rebuilt, not shrunk,
-// when prefix sets change.
-func (t *Trie) Delete(p Prefix) bool {
-	n := int32(0)
-	for i := uint8(0); i < p.Len; i++ {
-		b := p.Addr >> (31 - i) & 1
-		n = t.nodes[n].child[b]
-		if n < 0 {
-			return false
-		}
-	}
-	if t.nodes[n].col < 0 {
-		return false
-	}
-	t.nodes[n].col = -1
-	t.count--
-	return true
-}
-
-// Lookup returns the longest-match column id for addr, with the length
-// of the matching prefix. ok is false when nothing matches.
-func (t *Trie) Lookup(addr uint32) (col int32, matchLen uint8, ok bool) {
-	return t.lookupN(addr, 32)
-}
-
-// LookupPrefix returns the longest stored prefix covering p — the walk
-// stops at p.Len, so a stored more-specific inside p never answers for
-// it.
-func (t *Trie) LookupPrefix(p Prefix) (col int32, matchLen uint8, ok bool) {
-	return t.lookupN(p.Addr, p.Len)
-}
-
-func (t *Trie) lookupN(addr uint32, maxLen uint8) (col int32, matchLen uint8, ok bool) {
-	col = -1
-	n := int32(0)
-	if t.nodes[0].col >= 0 {
-		col, ok = t.nodes[0].col, true
-	}
-	for i := uint8(0); i < maxLen; i++ {
-		b := addr >> (31 - i) & 1
-		n = t.nodes[n].child[b]
-		if n < 0 {
-			break
-		}
-		if t.nodes[n].col >= 0 {
-			col, matchLen, ok = t.nodes[n].col, i+1, true
-		}
-	}
-	return col, matchLen, ok
-}
-
-// Len returns the number of stored prefixes.
-func (t *Trie) Len() int { return t.count }
-
-// NodeCount returns the flat pool size (a memory gauge, not the prefix
-// count; deleted prefixes leave their spine in place).
-func (t *Trie) NodeCount() int { return len(t.nodes) }
-
 // PrefixOrigin announces one prefix: anchored at a node, originated
 // with a weight.
 type PrefixOrigin struct {
@@ -207,14 +126,25 @@ type PrefixOrigin struct {
 	Origin value.V
 }
 
+// lpmHit is a kept prefix as the index answers it: its column, anchor
+// node and length. col -1 (node -1) is no prefix.
+type lpmHit struct {
+	col, node int32
+	len       uint8
+}
+
 // PrefixTable is the immutable prefix→anchor index a snapshot carries:
-// an LPM trie over the post-aggregation prefix set, plus the
-// announcement list and the suppression record. Column ids stored in
-// the trie are indices into the kept announcement list.
+// the kept (post-aggregation) announcements, indexed by column id, the
+// suppression record, and an interval index over the kept set: disjoint
+// ranges covering [0, 2³²), range r starting at starts[r] with
+// ranges[r] its deepest covering kept prefix, and cover[col] column
+// col's longest kept strict coverer, for prefix queries to climb.
 type PrefixTable struct {
-	trie       *Trie
 	kept       []PrefixOrigin
 	suppressed []PrefixOrigin
+	starts     []uint32
+	ranges     []lpmHit
+	cover      []lpmHit
 }
 
 // NewPrefixTable aggregates and indexes a prefix announcement set.
@@ -224,7 +154,8 @@ type PrefixTable struct {
 // announcement has the same anchor node and equal origin — longest
 // match through the covering prefix forwards identically, so the
 // more-specific column would be byte-for-byte redundant. This is the
-// same-node /32 suppression rule generalized to any length pair.
+// same-node /32 suppression rule generalized to any length pair. Kept
+// columns and the suppression record are in (len, addr) order.
 func NewPrefixTable(announced []PrefixOrigin) (*PrefixTable, error) {
 	if len(announced) == 0 {
 		return nil, fmt.Errorf("rib: empty prefix announcement set")
@@ -240,54 +171,103 @@ func NewPrefixTable(announced []PrefixOrigin) (*PrefixTable, error) {
 			}
 			continue
 		}
-		if o, ok := nodeOrigin[po.Node]; ok {
-			if o != po.Origin {
-				return nil, fmt.Errorf("rib: node %d originates conflicting weights", po.Node)
-			}
-		} else {
-			nodeOrigin[po.Node] = po.Origin
+		if o, ok := nodeOrigin[po.Node]; ok && o != po.Origin {
+			return nil, fmt.Errorf("rib: node %d originates conflicting weights", po.Node)
 		}
+		nodeOrigin[po.Node] = po.Origin
 		byPrefix[po.Prefix] = po
 		ordered = append(ordered, po)
 	}
-	// Shortest first, so every candidate's potential coverers are
-	// already in the trie when it is considered.
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Prefix.Len != ordered[j].Prefix.Len {
-			return ordered[i].Prefix.Len < ordered[j].Prefix.Len
-		}
-		return ordered[i].Prefix.Addr < ordered[j].Prefix.Addr
+	slices.SortFunc(ordered, func(a, b PrefixOrigin) int {
+		return cmp.Or(cmp.Compare(a.Prefix.Len, b.Prefix.Len), cmp.Compare(a.Prefix.Addr, b.Prefix.Addr))
 	})
-	pt := &PrefixTable{trie: NewTrie()}
-	for _, po := range ordered {
-		if col, _, ok := pt.trie.LookupPrefix(po.Prefix); ok {
-			cover := pt.kept[col]
-			if cover.Node == po.Node && cover.Origin == po.Origin {
-				pt.suppressed = append(pt.suppressed, po)
-				continue
-			}
-		}
-		pt.trie.Insert(po.Prefix, int32(len(pt.kept)))
-		pt.kept = append(pt.kept, po)
-	}
-	return pt, nil
+	return buildPrefixTable(ordered, func(i, c int32) bool {
+		return c < 0 || ordered[c].Node != ordered[i].Node || ordered[c].Origin != ordered[i].Origin
+	}), nil
 }
 
 // RestorePrefixTable rebuilds a PrefixTable from an already-aggregated
 // announcement set — the replication follower's entry point. kept must
-// be in trie column order (exactly what Kept() returns); no validation
-// or aggregation reruns, and inserting kept in slice order reproduces
-// the original trie's flat node pool layout node for node, so a
-// follower's LPM answers and trie gauges match the leader's. Origins
-// may be zero values: followers never re-solve, they only map
+// be in column order (exactly what Kept() returns); no validation or
+// aggregation reruns, and the index is a function of the kept set alone,
+// so a follower's LPM answers and range gauge match the leader's.
+// Origins may be zero values: followers never re-solve, they only map
 // longest-match hits onto replicated columns.
 func RestorePrefixTable(kept, suppressed []PrefixOrigin) *PrefixTable {
-	pt := &PrefixTable{trie: NewTrie()}
-	for _, po := range kept {
-		pt.trie.Insert(po.Prefix, int32(len(pt.kept)))
+	pt := buildPrefixTable(kept, nil)
+	pt.suppressed = slices.Clone(suppressed)
+	return pt
+}
+
+// buildPrefixTable splits ps, in column order, into kept and suppressed
+// announcements and indexes the kept ones, in one sweep over ps in
+// (addr, len) order holding the kept prefixes that cover the current
+// address on a stack. In that order a prefix the top does not cover lies
+// wholly past the top's end, so once those are popped the top is the
+// next prefix's longest kept strict coverer: keep(i, top) decides
+// whether ps[i] is kept (nil keep: all are). Each push and pop closes at
+// most one range, so there are at most 2·len(ps)+1.
+func buildPrefixTable(ps []PrefixOrigin, keep func(i, cover int32) bool) *PrefixTable {
+	order := make([]int32, len(ps))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int { // position breaks ties: repeats in a restored set
+		return cmp.Or(cmp.Compare(ps[i].Prefix.Addr, ps[j].Prefix.Addr), cmp.Compare(ps[i].Prefix.Len, ps[j].Prefix.Len), cmp.Compare(i, j))
+	})
+	// Positions in ps, -1 none, until the renumbering below: at[r] is
+	// range r's deepest covering kept prefix, up[i] the longest kept
+	// strict coverer of ps[i], col[i] 0 (kept) or -1. The stack's -1
+	// sentinel is never popped.
+	pt, at := &PrefixTable{}, []int32(nil)
+	stack, up, col := []int32{-1}, make([]int32, len(ps)), make([]int32, len(ps))
+	cur := uint64(0)
+	top := func() int32 { return stack[len(stack)-1] }
+	end := func(i int32) uint64 { return uint64(ps[i].Prefix.Addr) + 1<<(32-ps[i].Prefix.Len) }
+	cut := func(to uint64) { // closes [cur, to) as one range under the top
+		if cur < to {
+			pt.starts, at, cur = append(pt.starts, uint32(cur)), append(at, top()), to
+		}
+	}
+	pop := func() { cut(end(top())); stack = stack[:len(stack)-1] }
+	for _, i := range order {
+		for len(stack) > 1 && end(top()) <= uint64(ps[i].Prefix.Addr) {
+			pop()
+		}
+		if up[i], col[i] = top(), -1; keep == nil || keep(i, up[i]) {
+			cut(uint64(ps[i].Prefix.Addr))
+			stack, col[i] = append(stack, i), 0
+		}
+	}
+	for len(stack) > 1 {
+		pop()
+	}
+	cut(1 << 32)
+
+	pt.ranges = make([]lpmHit, len(at))
+	for i, po := range ps {
+		if col[i] < 0 {
+			pt.suppressed = append(pt.suppressed, po)
+			continue
+		}
+		col[i] = int32(len(pt.kept))
 		pt.kept = append(pt.kept, po)
 	}
-	pt.suppressed = append(pt.suppressed, suppressed...)
+	hit := func(i int32) lpmHit {
+		if i < 0 {
+			return lpmHit{col: -1, node: -1}
+		}
+		return lpmHit{col: col[i], node: int32(ps[i].Node), len: ps[i].Prefix.Len}
+	}
+	for r, i := range at {
+		pt.ranges[r] = hit(i)
+	}
+	pt.cover = make([]lpmHit, len(pt.kept))
+	for i, c := range col {
+		if c >= 0 {
+			pt.cover[c] = hit(up[i])
+		}
+	}
 	return pt
 }
 
@@ -301,53 +281,69 @@ func AutoPrefixTable(origins map[int]value.V) (*PrefixTable, error) {
 	return NewPrefixTable(announced)
 }
 
+// match returns the deepest kept prefix covering addr, that of the last
+// range starting ≤ addr (starts[0] is 0): ⌈log₂ ranges⌉ halvings, each
+// stepping by a mask where a branch would mispredict half the time.
+func (pt *PrefixTable) match(addr uint32) lpmHit {
+	s, lo := pt.starts, 0
+	for n := len(s); n > 1; {
+		half := n >> 1
+		lo += half &^ int((int64(addr)-int64(s[lo+half]))>>63) // -1: start past addr
+		n -= half
+	}
+	return pt.ranges[lo]
+}
+
+// matchPrefix returns the longest kept prefix covering p: the deepest
+// one covering p.Addr, climbed through strict coverers until it is no
+// longer than p. Any address inside p will do, so p need not be masked.
+func (pt *PrefixTable) matchPrefix(p Prefix) lpmHit {
+	h := pt.match(p.Addr)
+	for h.col >= 0 && h.len > p.Len {
+		h = pt.cover[h.col]
+	}
+	return h
+}
+
+// announcement materializes a hit's kept announcement.
+func (pt *PrefixTable) announcement(h lpmHit) (PrefixOrigin, bool) {
+	if h.col < 0 {
+		return PrefixOrigin{}, false
+	}
+	return pt.kept[h.col], true
+}
+
 // Match resolves an address by longest match to its anchor
 // announcement.
 func (pt *PrefixTable) Match(addr uint32) (PrefixOrigin, bool) {
-	col, _, ok := pt.trie.Lookup(addr)
-	if !ok {
-		return PrefixOrigin{}, false
-	}
-	return pt.kept[col], true
+	return pt.announcement(pt.match(addr))
 }
 
 // MatchPrefix resolves a prefix query to the longest kept announcement
 // covering it.
 func (pt *PrefixTable) MatchPrefix(p Prefix) (PrefixOrigin, bool) {
-	col, _, ok := pt.trie.LookupPrefix(MakePrefix(p.Addr, p.Len))
-	if !ok {
-		return PrefixOrigin{}, false
-	}
-	return pt.kept[col], true
+	return pt.announcement(pt.matchPrefix(p))
 }
 
 // MatchNode resolves an address to its anchor node and matched prefix
-// length without materializing the announcement — the batched binary
-// query path's entry point (no interface values cross it).
+// length, or (-1, 0, false), without materializing the announcement —
+// the batched binary query path's entry point.
 func (pt *PrefixTable) MatchNode(addr uint32) (node int, matchLen uint8, ok bool) {
-	col, matchLen, ok := pt.trie.Lookup(addr)
-	if !ok {
-		return -1, 0, false
-	}
-	return pt.kept[col].Node, matchLen, true
+	h := pt.match(addr)
+	return int(h.node), h.len, h.col >= 0
 }
 
 // MatchPrefixNode resolves a prefix query to its anchor node and
 // matched length, the index-form counterpart of MatchPrefix.
 func (pt *PrefixTable) MatchPrefixNode(p Prefix) (node int, matchLen uint8, ok bool) {
-	col, matchLen, ok := pt.trie.LookupPrefix(MakePrefix(p.Addr, p.Len))
-	if !ok {
-		return -1, 0, false
-	}
-	return pt.kept[col].Node, matchLen, true
+	h := pt.matchPrefix(p)
+	return int(h.node), h.len, h.col >= 0
 }
 
-// Kept returns the post-aggregation announcements in trie column
-// order (read-only).
+// Kept returns the post-aggregation announcements in column order.
 func (pt *PrefixTable) Kept() []PrefixOrigin { return pt.kept }
 
-// Suppressed returns the announcements dropped by aggregation
-// (read-only).
+// Suppressed returns the announcements aggregation dropped.
 func (pt *PrefixTable) Suppressed() []PrefixOrigin { return pt.suppressed }
 
 // Origins collapses the kept announcements to per-node origins — the
@@ -360,8 +356,9 @@ func (pt *PrefixTable) Origins() map[int]value.V {
 	return out
 }
 
-// TrieNodes returns the trie's flat pool size (a memory gauge).
-func (pt *PrefixTable) TrieNodes() int { return pt.trie.NodeCount() }
+// LPMIntervals returns the interval index's range count (a memory
+// gauge: at most 2·Len()+1).
+func (pt *PrefixTable) LPMIntervals() int { return len(pt.starts) }
 
 // Len returns the number of kept prefixes.
-func (pt *PrefixTable) Len() int { return pt.trie.Len() }
+func (pt *PrefixTable) Len() int { return len(pt.kept) }

@@ -1,10 +1,9 @@
 package rib
 
 // Boundary tests for the prefix plane: the /0 default route as a
-// covering announcement, AutoPrefix node-id truncation collisions, and
-// suppression semantics across the trie's clear-don't-prune deletes —
-// plus RestorePrefixTable's node-for-node trie reproduction, which the
-// replication follower depends on for matching trie gauges.
+// covering announcement and AutoPrefix node-id truncation collisions —
+// plus RestorePrefixTable's reproduction of the interval index, which
+// the replication follower depends on for matching answers and gauges.
 
 import (
 	"math/rand"
@@ -99,60 +98,11 @@ func TestAutoPrefixNodeIDCollision(t *testing.T) {
 	}
 }
 
-// TestTrieClearDontPruneDelete: Delete clears the stored value but
-// keeps the spine (the trie is rebuilt, not shrunk, on prefix-set
-// changes). Lookups must fall back to the covering prefix through the
-// cleared node, counts must track stored values only, and re-inserting
-// on the retained spine must not grow the pool.
-func TestTrieClearDontPruneDelete(t *testing.T) {
-	tr := NewTrie()
-	cover := mustParse(t, "10.0.0.0/8")
-	spec := mustParse(t, "10.1.0.0/16")
-	tr.Insert(cover, 0)
-	tr.Insert(spec, 1)
-	nodes := tr.NodeCount()
-	addr, _ := ParseAddr("10.1.2.3")
-
-	if col, l, ok := tr.Lookup(addr); !ok || col != 1 || l != 16 {
-		t.Fatalf("pre-delete Lookup = %d/%d/%v", col, l, ok)
-	}
-	if !tr.Delete(spec) {
-		t.Fatal("Delete must report a stored prefix")
-	}
-	if tr.Delete(spec) {
-		t.Fatal("second Delete must miss")
-	}
-	if tr.NodeCount() != nodes {
-		t.Fatalf("Delete pruned: %d nodes, want %d", tr.NodeCount(), nodes)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len after delete = %d, want 1", tr.Len())
-	}
-	// The cleared node is transparent: longest match walks through it to
-	// the covering /8.
-	if col, l, ok := tr.Lookup(addr); !ok || col != 0 || l != 8 {
-		t.Fatalf("post-delete Lookup = %d/%d/%v; want covering /8", col, l, ok)
-	}
-	// Deleting a never-stored prefix whose path dead-ends is a miss, not
-	// a panic.
-	if tr.Delete(mustParse(t, "172.16.0.0/12")) {
-		t.Fatal("absent prefix must miss")
-	}
-	// Reinsert on the retained spine: no pool growth, value restored.
-	tr.Insert(spec, 2)
-	if tr.NodeCount() != nodes {
-		t.Fatalf("reinsert grew the pool: %d, want %d", tr.NodeCount(), nodes)
-	}
-	if col, _, ok := tr.Lookup(addr); !ok || col != 2 {
-		t.Fatalf("post-reinsert Lookup col = %d, want 2", col)
-	}
-}
-
-// TestRestorePrefixTableReproducesTrie: rebuilding from Kept() and
+// TestRestorePrefixTableReproducesIndex: rebuilding from Kept() and
 // Suppressed() must reproduce the aggregated table exactly — same
-// lookups, same kept order, and the same flat trie pool node count, so
-// follower trie gauges match the leader's.
-func TestRestorePrefixTableReproducesTrie(t *testing.T) {
+// lookups, same kept order, and the same range count, so follower
+// gauges match the leader's.
+func TestRestorePrefixTableReproducesIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	var announced []PrefixOrigin
 	seen := make(map[Prefix]bool)
@@ -169,10 +119,10 @@ func TestRestorePrefixTableReproducesTrie(t *testing.T) {
 		t.Fatal(err)
 	}
 	re := RestorePrefixTable(pt.Kept(), pt.Suppressed())
-	if re.Len() != pt.Len() || re.TrieNodes() != pt.TrieNodes() ||
+	if re.Len() != pt.Len() || re.LPMIntervals() != pt.LPMIntervals() ||
 		len(re.Suppressed()) != len(pt.Suppressed()) {
-		t.Fatalf("restore: len %d/%d trie %d/%d suppressed %d/%d",
-			re.Len(), pt.Len(), re.TrieNodes(), pt.TrieNodes(),
+		t.Fatalf("restore: len %d/%d ranges %d/%d suppressed %d/%d",
+			re.Len(), pt.Len(), re.LPMIntervals(), pt.LPMIntervals(),
 			len(re.Suppressed()), len(pt.Suppressed()))
 	}
 	for i := 0; i < 2000; i++ {

@@ -138,10 +138,10 @@ func spanLen(i, n int) (uint16, error) {
 }
 
 // matchWireQuery validates query i and resolves its destination — the
-// part of a binary query that is arithmetic and a trie walk, shared by
-// both resolvers. Errors (out-of-range nodes) fail the whole frame: the
-// binary protocol is machine-generated, so a malformed query is a
-// client bug, mirroring the 400 the single handler answers.
+// part of a binary query that is arithmetic and one binary search,
+// shared by both resolvers. Errors (out-of-range nodes) fail the whole
+// frame: the binary protocol is machine-generated, so a malformed query
+// is a client bug, mirroring the 400 the single handler answers.
 func matchWireQuery(i int, q *wire.Query, nodes int, pt *rib.PrefixTable) (wire.Answer, error) {
 	a := wire.Answer{Dest: -1}
 	if q.From < 0 || int(q.From) >= nodes {
@@ -185,13 +185,16 @@ const colMemoSize = 64
 // stage do not depend on each other the core keeps many of those misses
 // in flight at once:
 //
-//	stage 0  validate every query and resolve its destination (the LPM
-//	         stays per query: the Zipf-hot trie is cache-resident and a
-//	         level-synchronous walk measured slower)
+//	stage 0  validate every query and resolve its destination: the
+//	         LPM is one binary search over the prefix table's range
+//	         starts (a few KB, cache-resident), whose hit carries the
+//	         anchor node and length, so no announcement is loaded
 //	stage 1  fetch the column, once per distinct destination, and load
 //	         only the query's page pointer
 //	stage 2  read every slot: routed?, weight, page-relative span
 //	stage 3  read every page's pool header and copy the spans out
+//	         (an inline loop: spans are 1–3 hops, too short for copy's
+//	         call to pay)
 //
 // Validation of the whole batch precedes any answer, so a malformed
 // query fails the frame with nothing resolved. The per-query resolver it
@@ -259,9 +262,13 @@ func resolveWireBatch(v batchView, sc *batchScratch) error {
 			continue
 		}
 		a := &as[i]
-		n := copy(pool[off:], pg.Pool[a.NhOff:a.NhOff+uint32(a.NhLen)])
+		span := pg.Pool[a.NhOff : a.NhOff+uint32(a.NhLen)]
+		dst := pool[off : off+len(span)]
+		for k, nh := range span {
+			dst[k] = nh
+		}
 		a.NhOff = uint32(off)
-		off += n
+		off += len(span)
 	}
 	sc.as, sc.pool = as, pool
 	return nil

@@ -33,7 +33,7 @@ func (s *Server) RelaxationsForTest() uint64 {
 func (s *Server) DrainForTest() error { return s.drainAndApply(nil) }
 
 // PrefixTableForTest returns the served view's prefix table, so tests
-// can tell a carried-over trie from a restored one by pointer.
+// can tell a carried-over table from a restored one by pointer.
 func (f *Follower) PrefixTableForTest() *rib.PrefixTable { return f.view().pt }
 
 // SubsetMutants names the broken subset rules SetSubsetRuleForTest

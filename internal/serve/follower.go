@@ -98,7 +98,7 @@ func (f *Follower) Apply(rec *replica.Record) error {
 			return err
 		}
 		// Announcements travel only in full records, so only a full
-		// restores the prefix trie; deltas carry it over below.
+		// restores the prefix table; deltas carry it over below.
 		pt := rib.RestorePrefixTable(toOrigins(st.Kept), toOrigins(st.Suppressed))
 		f.cur.Store(&followerView{state: st, pt: pt})
 		f.appliedFull.Add(1)

@@ -37,7 +37,7 @@ type FollowerStats struct {
 	LiveEntries        int    `json:"live_entries"`
 	Prefixes           int    `json:"prefixes"`
 	SuppressedPrefixes int    `json:"suppressed_prefixes"`
-	TrieNodes          int    `json:"trie_nodes"`
+	LPMIntervals       int    `json:"lpm_intervals"`
 	Checksum           string `json:"checksum"`
 }
 
@@ -96,7 +96,7 @@ func (f *Follower) StatsReply() FollowerStats {
 	}
 	fs.Prefixes = v.pt.Len()
 	fs.SuppressedPrefixes = len(v.pt.Suppressed())
-	fs.TrieNodes = v.pt.TrieNodes()
+	fs.LPMIntervals = v.pt.LPMIntervals()
 	fs.Checksum = fmt.Sprintf("%08x", st.Checksum())
 	return fs
 }

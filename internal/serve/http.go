@@ -283,9 +283,9 @@ func newMux(pin func(w http.ResponseWriter, version string) batchView, route, ro
 			out = append(out, PrefixReply{Prefix: po.Prefix.String(), Node: po.Node, Suppressed: true})
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"version":    v.batchVersion(),
-			"trie_nodes": pt.TrieNodes(),
-			"prefixes":   out,
+			"version":       v.batchVersion(),
+			"lpm_intervals": pt.LPMIntervals(),
+			"prefixes":      out,
 		})
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, req *http.Request) {

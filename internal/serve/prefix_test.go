@@ -104,11 +104,15 @@ func TestPrefixQueryDifferential(t *testing.T) {
 	if miss.Routed || miss.Err == "" || miss.Dest != -1 {
 		t.Fatalf("unannounced address: %+v", miss)
 	}
-	// Malformed prefixes are 400s.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/route?from=1&prefix=10.0.0.0/40", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad prefix: code %d", rec.Code)
+	// Malformed prefixes and addresses are 400s, signed octets and
+	// lengths and leading zeros included.
+	for _, q := range []string{"prefix=10.0.0.0/40", "addr=%2B1.2.3.4", "addr=-0.0.0.0", "addr=010.0.0.1",
+		"prefix=10.0.0.0/%2B8", "prefix=10.0.0.0/-0", "prefix=10.0.0.0/08"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/route?from=0&"+q, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("GET /v1/route?from=0&%s: code %d, want 400", q, rec.Code)
+		}
 	}
 }
 
@@ -143,13 +147,13 @@ func TestPrefixSuppression(t *testing.T) {
 		t.Fatalf("/v1/prefixes = %d", rec.Code)
 	}
 	var listing struct {
-		TrieNodes int                 `json:"trie_nodes"`
-		Prefixes  []serve.PrefixReply `json:"prefixes"`
+		LPMIntervals int                 `json:"lpm_intervals"`
+		Prefixes     []serve.PrefixReply `json:"prefixes"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
 		t.Fatal(err)
 	}
-	if len(listing.Prefixes) != 3 || listing.TrieNodes <= 0 {
+	if len(listing.Prefixes) != 3 || listing.LPMIntervals <= 0 {
 		t.Fatalf("listing = %+v", listing)
 	}
 	suppressed := 0
@@ -235,8 +239,8 @@ func TestFootprintGauges(t *testing.T) {
 	if st.LiveEntries != 32 { // 2 destinations × 16-node ring, all routed
 		t.Fatalf("LiveEntries = %d, want 32", st.LiveEntries)
 	}
-	if st.TrieNodes <= 0 || st.TrieNodes != sn.TrieNodes() {
-		t.Fatalf("TrieNodes = %d (snapshot %d)", st.TrieNodes, sn.TrieNodes())
+	if st.LPMIntervals <= 0 || st.LPMIntervals != sn.LPMIntervals() {
+		t.Fatalf("LPMIntervals = %d (snapshot %d)", st.LPMIntervals, sn.LPMIntervals())
 	}
 	h := serve.NewHandler(srv, reg)
 	rec := httptest.NewRecorder()
@@ -245,7 +249,7 @@ func TestFootprintGauges(t *testing.T) {
 	for _, metric := range []string{
 		"mrserve_snapshot_arena_bytes",
 		"mrserve_snapshot_live_entries",
-		"mrserve_snapshot_trie_nodes",
+		"mrserve_snapshot_lpm_intervals",
 		"mrserve_prefixes",
 	} {
 		if !strings.Contains(body, metric) {
@@ -256,7 +260,7 @@ func TestFootprintGauges(t *testing.T) {
 
 // TestAutoPrefixResolvesEveryDest is the LPM differential at scale: on
 // a 1 000-node scale-free graph where every node is a destination, each
-// destination's auto-prefix /32 resolves through the trie to exactly its
+// destination's auto-prefix /32 resolves through the index to exactly its
 // own node, and the column the snapshot holds for the match is that
 // destination's, equal to the naive flat build of it.
 func TestAutoPrefixResolvesEveryDest(t *testing.T) {

@@ -171,7 +171,7 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 			fullRecords := 0
 			fol := serve.NewFollower(nil)
 			folHTTP := serve.NewFollowerHandler(fol, nil)
-			var trie *rib.PrefixTable
+			var prev *rib.PrefixTable
 			for i, frame := range frames {
 				rec, err := replica.DecodeRecord(frame)
 				if err != nil {
@@ -184,12 +184,12 @@ func TestReplicaDifferentialStorm(t *testing.T) {
 					t.Fatalf("frame %d (v%d): apply: %v", i, rec.Version(), err)
 				}
 				// Announcements travel only in full records: a delta must
-				// carry the trie over, a full must restore it.
+				// carry the table over, a full must restore it.
 				pt := fol.PrefixTableForTest()
-				if (pt == trie) != (rec.Kind == replica.KindDelta) {
-					t.Fatalf("frame %d: kind %d, prefix trie carried over = %v", i, rec.Kind, pt == trie)
+				if (pt == prev) != (rec.Kind == replica.KindDelta) {
+					t.Fatalf("frame %d: kind %d, prefix table carried over = %v", i, rec.Kind, pt == prev)
 				}
-				trie = pt
+				prev = pt
 				compareFollower(t, fmt.Sprintf("frame %d v%d", i, rec.Version()), srv.Server, fol, folHTTP, truth[fol.Version()])
 			}
 			if fol.Version() != srv.Snapshot().Version {
@@ -271,11 +271,11 @@ func compareFollower(t *testing.T, label string, srv *serve.Server, fol *serve.F
 	// The restored prefix table must answer like the leader's.
 	leaderPT := srv.Snapshot().Prefixes()
 	folStats := fol.StatsReply()
-	if folStats.Prefixes != leaderPT.Len() || folStats.TrieNodes != leaderPT.TrieNodes() ||
+	if folStats.Prefixes != leaderPT.Len() || folStats.LPMIntervals != leaderPT.LPMIntervals() ||
 		folStats.SuppressedPrefixes != len(leaderPT.Suppressed()) {
 		t.Fatalf("%s: prefix table mismatch: follower %d/%d/%d leader %d/%d/%d", label,
-			folStats.Prefixes, folStats.TrieNodes, folStats.SuppressedPrefixes,
-			leaderPT.Len(), leaderPT.TrieNodes(), len(leaderPT.Suppressed()))
+			folStats.Prefixes, folStats.LPMIntervals, folStats.SuppressedPrefixes,
+			leaderPT.Len(), leaderPT.LPMIntervals(), len(leaderPT.Suppressed()))
 	}
 }
 

@@ -381,8 +381,8 @@ func (sn *Snapshot) ArenaBytes() int { return sn.arenaBytes }
 // LiveEntries reports the number of routed slots across all columns.
 func (sn *Snapshot) LiveEntries() int { return sn.liveEntries }
 
-// TrieNodes reports the prefix trie's flat pool size.
-func (sn *Snapshot) TrieNodes() int { return sn.prefixes.TrieNodes() }
+// LPMIntervals reports the prefix table's interval-index range count.
+func (sn *Snapshot) LPMIntervals() int { return sn.prefixes.LPMIntervals() }
 
 // Lookup returns node's entry toward dest (nil when unrouted/unknown).
 func (sn *Snapshot) Lookup(node, dest int) *rib.Entry { return sn.rib.Lookup(node, dest) }
@@ -443,7 +443,7 @@ type Stats struct {
 	Workers               int    `json:"workers"`
 	ArenaBytes            int    `json:"snapshot_arena_bytes"`
 	LiveEntries           int    `json:"snapshot_live_entries"`
-	TrieNodes             int    `json:"snapshot_trie_nodes"`
+	LPMIntervals          int    `json:"snapshot_lpm_intervals"`
 	Prefixes              int    `json:"prefixes"`
 	SuppressedPrefixes    int    `json:"prefixes_suppressed"`
 }
@@ -812,9 +812,9 @@ func (s *Server) register(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.AddGaugeFunc("mrserve_snapshot_trie_nodes",
-		"Flat node-pool size of the prefix LPM trie.", func() float64 {
-			return float64(s.prefixes.TrieNodes())
+	reg.AddGaugeFunc("mrserve_snapshot_lpm_intervals",
+		"Address ranges in the prefix table's longest-match index.", func() float64 {
+			return float64(s.prefixes.LPMIntervals())
 		})
 	reg.AddGaugeFunc("mrserve_prefixes",
 		"Announced prefixes kept after aggregation.", func() float64 {
@@ -1558,7 +1558,7 @@ func (s *Server) Stats() Stats {
 		Workers:               s.workers,
 		ArenaBytes:            sn.arenaBytes,
 		LiveEntries:           sn.liveEntries,
-		TrieNodes:             sn.prefixes.TrieNodes(),
+		LPMIntervals:          sn.prefixes.LPMIntervals(),
 		Prefixes:              sn.prefixes.Len(),
 		SuppressedPrefixes:    len(sn.prefixes.Suppressed()),
 	}

@@ -153,7 +153,7 @@ go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsF
   -count=1 ./internal/serve/
 
 # The LPM differential: on a 1 000-node graph where every node is a
-# destination, each auto-prefix /32 resolves through the trie to its own
+# destination, each auto-prefix /32 resolves through the index to its own
 # node, whose served column equals the naive flat build.
 go test -race -run='^TestAutoPrefixResolvesEveryDest$' -count=1 ./internal/serve/
 
@@ -303,6 +303,7 @@ go test -run='^$' -fuzz='^FuzzEventsHandlerV1$' -fuzztime=10s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzDecodeRecord$' -fuzztime=10s ./internal/replica/
 go test -run='^$' -fuzz='^FuzzMaskToggles$' -fuzztime=10s ./internal/replica/
 go test -run='^$' -fuzz='^FuzzQueryWire$' -fuzztime=10s ./internal/serve/wire/
+go test -run='^$' -fuzz='^FuzzPrefixLPM$' -fuzztime=10s ./internal/rib/
 
 # Simulator bench smoke: the serial-vs-parallel measurement must run end
 # to end at a small size and the parallel Outcome must stay bit-identical
