@@ -83,11 +83,14 @@ type PagedColumn struct {
 	Pages []*ColumnPage
 
 	// log is the column's derivation log (solve.Workspace.DerivationLog):
-	// the arcs of the weight improvements that built it, compacted, 4 B
-	// each. Only the leader's builders set it, and only on M-licensed
-	// tables; it licenses the next delta's log warm start. Replicas'
-	// columns (Patch, FromPages, Column.Paged) carry none.
-	log []int32
+	// the arcs of the weight improvements that built it, a persistent log
+	// that shares every page it did not change with the previous column's.
+	// Only the leader's builders set it, only on M-licensed tables, and
+	// only on columns that are not Clean; it licenses the next delta's log
+	// warm start, which a clean column never takes (its next delta is
+	// sparse). Replicas' columns (Patch, FromPages, Column.Paged) carry
+	// none.
+	log *solve.Log
 
 	// arenaBytes/live cache the column-wide footprint and routed-slot
 	// totals at construction (a delta rebuild adjusts the previous
@@ -476,7 +479,7 @@ func pagesFromRaw(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*
 // BuildDestPaged computes the paged column for a single destination
 // from scratch — the solver run (Workspace.ScratchRaw, whose solver the
 // algebra's licence picks) and ECMP scan of BuildDestColumn, laid out in
-// pages, plus the derivation log the run left.
+// pages, plus the derivation log the run left unless the column is Clean.
 func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, ws *solve.Workspace) (*PagedColumn, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, fmt.Errorf("rib: destination %d out of range", dest)
@@ -485,8 +488,10 @@ func BuildDestPaged(eng exec.Algebra, g *graph.Graph, dest int, origin value.V, 
 		ws = solve.NewWorkspace()
 	}
 	raw := ws.ScratchRaw(eng, g, dest, origin)
-	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, log: ws.DerivationLog(g, dest)}
-	c.Clean = raw.Converged && ws.VerifyForwardTree(eng, raw)
+	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged}
+	if c.Clean = raw.Converged && ws.VerifyForwardTree(eng, raw); !c.Clean {
+		c.log = ws.DerivationLog(g, dest)
+	}
 	c.Pages = pagesFromRaw(eng, g, raw, dest)
 	c.resum()
 	return c, nil
@@ -560,7 +565,7 @@ func DiffPaged(prev, next *PagedColumn) ([]SlotPatch, int) {
 // The warm start is the solver's pick (solve.Workspace.BellmanFordDeltaLog):
 // sparse from a clean prev, the derivation log from a logged one on an M
 // table, dense otherwise; the result carries the log that run wrote, if
-// any.
+// any and if the result is not Clean.
 func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, ws *solve.Workspace, prev *PagedColumn, toggles []solve.ArcToggle) (*PagedColumn, solve.DeltaStats, PageStats, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, solve.DeltaStats{}, PageStats{}, fmt.Errorf("rib: destination %d out of range", dest)
@@ -587,7 +592,10 @@ func DeltaDestPaged(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int,
 		return col, solve.DeltaStats{}, scratch(col), nil
 	}
 	raw, st := ws.BellmanFordDeltaLog(eng, g, disabled, dest, origin, (*warmColumn)(prev), prev.Clean, prev.log, toggles, 0)
-	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, Clean: st.Clean, log: ws.DerivationLog(g, dest)}
+	c := &PagedColumn{Dest: dest, N: g.N, Converged: raw.Converged, Clean: st.Clean}
+	if !c.Clean {
+		c.log = ws.DerivationLog(g, dest)
+	}
 	if !st.UsedDelta {
 		c.Pages = pagesFromRaw(eng, g, raw, dest)
 		c.resum()

@@ -288,7 +288,7 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 	bq.size(t.N)
 	bq.insert(dest, rank[o], next, back)
 	logging := t.Monotone
-	ws.logBase, ws.logBuf = nil, ws.logBuf[:0]
+	ws.logPrev, ws.logBuf = nil, ws.logBuf[:0]
 	var arcs []int32
 	for {
 		u := bq.popMin(next, back)

@@ -53,7 +53,12 @@ type DeltaStats struct {
 	Pops        int
 	Relaxations uint64
 	// Restarts is |S| after the log warm start (replayLog), else 0.
-	Restarts int
+	// LogVisited counts what that warm start's replay read, fallback or
+	// not: an index slot per failed toggle and per enabled in-arc of an
+	// invalid entry's node, and an entry per chain step from each — the
+	// log warm start's counted cost, whatever the log's length.
+	Restarts   int
+	LogVisited int
 	// Touched lists, in ascending order, every node the drain enqueued
 	// or recorded — a superset of the nodes whose routedness, weight,
 	// next hop or equal-cost set differs from the previous result,
@@ -157,24 +162,26 @@ func (ws *Workspace) BellmanFordDeltaRaw(eng exec.Algebra, g *graph.Graph, disab
 // well (DerivationLog; nil when it has none). When prev is not certified
 // clean, the log and the mask are non-nil and the workspace's plan says
 // WarmLog, it takes the third warm start (derivation.go): an arc-only
-// pass from the log's first failed entry finds S, the nodes whose last
-// entry went invalid, which settle first; a drain then lowers the state
-// to the new fixpoint, recording its own improvements. It costs a
-// compare per entry up to that one, a mark test per entry after it and
-// the drain over S and the frontier, with the Raw populated as on the
-// sparse path. Clean is then verified over every routed node, since the
-// previous column was not a clean tree. Afterwards DerivationLog returns
-// the new column's log on this path and on a scratch fallback that ran
-// the kernel.
-func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmLoader, cleanPrev bool, log []int32, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
+// replay through the log's index finds S, the nodes whose last entry
+// went invalid, which settle first; a drain then lowers the state to
+// the new fixpoint, recording its own improvements. The replay costs an
+// index read per failed toggle and per enabled in-arc of each invalid
+// entry's node, plus the chain steps from those reads
+// (DeltaStats.LogVisited), and the drain runs over S and the frontier,
+// with the Raw populated as on the sparse path. Clean is then verified
+// over every routed node, since the previous column was not a clean
+// tree. Afterwards DerivationLog returns the new column's log on this
+// path and on a scratch fallback that ran the kernel.
+func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, origin value.V, prev WarmLoader, cleanPrev bool, log *Log, toggles []ArcToggle, maxPops int) (Raw, DeltaStats) {
 	var t0 time.Time
 	if ws.Metrics != nil {
 		t0 = time.Now()
 	}
+	visited := 0
 	scratch := func(frontier int) (Raw, DeltaStats) {
 		raw := ws.ScratchRaw(eng, g, dest, origin)
 		clean := raw.Converged && ws.VerifyForwardTree(eng, raw)
-		return raw, DeltaStats{Frontier: frontier, Clean: clean}
+		return raw, DeltaStats{Frontier: frontier, Clean: clean, LogVisited: visited}
 	}
 	o := exec.MustIntern(eng, origin)
 	if routedD, wD := prev.Weight(dest); !routedD || wD != o {
@@ -192,7 +199,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 		ws.loadNode(dest, true, o, -1)
 	}
 	if logWarm {
-		ws.replayLog(g, disabled, log, toggles)
+		visited = ws.replayLog(g, disabled, log, toggles)
 		pops, relaxations, frontier, ok = ws.deltaDrainLog(plan.Kernel.Table, g, disabled, dest, prev, toggles, maxPops)
 	} else if cleanPrev {
 		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops, plan.Kernel.I)
@@ -232,7 +239,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	}
 	if logWarm {
 		st.Clean = ws.verifyAll(g.N, dest, warm)
-		st.Restarts = len(ws.restarts)
+		st.Restarts, st.LogVisited = len(ws.restarts), visited
 		ws.logged = true
 	} else {
 		st.Clean = ws.verifyTouched(eng, plan, g.N, dest, warm)

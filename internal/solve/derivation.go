@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"cmp"
 	"slices"
 
 	"metarouting/internal/compile"
@@ -11,19 +12,21 @@ import (
 // table that proves M (compile.Compiled.Monotone) the best-first kernel
 // records the arc of every weight improvement it makes, in creation
 // order, and so does the logged delta drain below; a column keeps that
-// log, compacted, for its next rebuild. Treat "unrouted" as ⊤, and let
-// F_old, F_new be the one-step operators before and after a batch of arc
-// toggles and X_old = GFP(F_old) the previous column.
+// log (Log, dlog.go) for its next rebuild. Treat "unrouted" as ⊤, and
+// let F_old, F_new be the one-step operators before and after a batch of
+// arc toggles and X_old = GFP(F_old) the previous column.
 //
 //   - Parents are implicit: the parent of an entry on arc x→y is the
-//     latest earlier entry at y (the origin at the destination), and its
-//     weight is f_arc(the parent's). A node's last entry carries its
-//     column weight, and none of its entries lies below it. Compaction
-//     keeps the ancestor closure of each node's last entry.
+//     latest earlier live entry at y (the origin at the destination),
+//     and its weight is f_arc(the parent's). A node's last entry carries
+//     its column weight, and none of its entries lies below it.
+//     Compaction keeps the ancestor closure of each node's last entry.
 //   - An entry is valid iff its arc did not fail and its parent is valid;
 //     by induction and M a valid entry at x bounds GFP_new(x) from above.
-//     The replay reads arcs only, and yields S: the nodes whose last
-//     entry went invalid.
+//     The replay reads arcs only. It finds the invalid entries as a
+//     closure through the log's per-node index — the entries on the
+//     failed arcs, then the children of each invalid one — and yields S:
+//     the nodes whose last entry went invalid.
 //   - Settle: S starts unrouted and drains restricted to S, against
 //     X_old outside it. That is Kleene descent from ⊤, so the state stays
 //     at or above GFP_new, and by induction in log order each settled
@@ -41,37 +44,45 @@ import (
 // DerivationLog returns the derivation log of the workspace's last solve
 // — the kernel on an M-licensed table, or a delta that took the log warm
 // start — or nil when that solve recorded none. g and dest must be the
-// ones the solve ran on. The slice is exactly sized and must not be
-// modified: a delta whose log did not change returns the previous
-// column's slice itself. A log longer than 5/4 of the node count is first
-// compacted to the ancestor closure of every node's last entry (1.1–1.3 N
-// entries on the policy workloads); a shorter one keeps the superseded
-// entries a few deltas appended, which costs nothing but their bytes.
-func (ws *Workspace) DerivationLog(g *graph.Graph, dest int) []int32 {
+// ones the solve ran on. The log is immutable and shares structure with
+// the previous column's: a delta derives it by unlinking the entries its
+// replay found invalid and appending the ones its drain wrote, copying
+// only the leaves and directory pages that holds (Log), and a delta that
+// changed neither returns the previous column's log itself. Once
+// positions have grown by more than N/4 since the last compaction — a
+// kernel's log counts whole — it is rebuilt from the ancestor closure of
+// every node's last entry (1.1–1.3 N entries on the policy workloads), an
+// O(N) pass that the growth pays for. A second call returns the same log.
+func (ws *Workspace) DerivationLog(g *graph.Graph, dest int) *Log {
 	if !ws.logged {
 		return nil
 	}
-	base, buf := ws.logBase, ws.logBuf
-	n := len(base) + len(buf)
-	if n <= g.N+g.N/4 {
-		if len(buf) == 0 && base != nil {
-			return base
-		}
+	prev, buf := ws.logPrev, ws.logBuf
+	var next *Log
+	switch {
+	case prev == nil && len(buf) > g.N/4:
+		next = freshLog(g, ws.compactLog(g, dest, buf))
+	case prev == nil:
 		// Non-nil even when empty: a column routed at its destination
 		// alone has a log, and it has no entries.
-		return append(append(make([]int32, 0, n), base...), buf...)
+		next = freshLog(g, buf)
+		next.grown = next.live
+	case len(ws.logDead) == 0 && len(buf) == 0:
+		return prev
+	default:
+		next = prev.derive(g, ws.logDead, buf)
+		if int(next.grown) > g.N/4 {
+			if cap(ws.logMark) < int(next.n) {
+				ws.logMark = make([]bool, next.n)
+			}
+			mark := ws.logMark[:next.n]
+			clear(mark)
+			buf = next.appendLive(buf[:0], mark)
+			next = freshLog(g, ws.compactLog(g, dest, buf))
+		}
 	}
-	if base != nil {
-		buf = slices.Grow(buf, len(base))[:n]
-		copy(buf[len(base):], buf[:n-len(base)])
-		copy(buf, base)
-	}
-	kept := ws.compactLog(g, dest, buf)
-	out := make([]int32, len(kept))
-	copy(out, kept)
-	// A second call returns the same log.
-	ws.logBase, ws.logBuf = out, buf[:0]
-	return out
+	ws.logPrev, ws.logBuf, ws.logDead = next, buf[:0], ws.logDead[:0]
+	return next
 }
 
 // compactLog keeps the ancestor closure of every node's last entry of
@@ -101,47 +112,73 @@ func (ws *Workspace) compactLog(g *graph.Graph, dest int, buf []int32) []int32 {
 	return buf[w:]
 }
 
-// replayLog is the arc-only pass over a previous column's derivation log
-// against a batch of toggles. A compare scan finds p0, the first entry on
-// a failed arc; every entry before it is valid. From p0 on, an entry is
-// invalid when its arc failed or its head's latest entry is invalid, as
-// the epoch-stamped restart marks record. It leaves logBase then logBuf
-// holding the valid entries in order — the new log's prefix — and
-// restarts listing every node whose latest entry went invalid at some
-// point; the marks say which are in S (see seedRestarts). disabled is
-// the post-toggle mask: an arc of the log that it disables failed.
-func (ws *Workspace) replayLog(g *graph.Graph, disabled []bool, log []int32, toggles []ArcToggle) {
-	ws.logBase, ws.logBuf, ws.restarts = log, ws.logBuf[:0], ws.restarts[:0]
-	p0 := len(log)
-	if slices.ContainsFunc(toggles, func(tg ArcToggle) bool { return tg.Down }) {
-		for i, ai := range log {
-			if disabled[ai] {
-				p0 = i
-				break
-			}
-		}
-	}
-	if p0 == len(log) {
-		return
-	}
-	ws.logBase = log[:p0:p0]
-	ws.restart, ws.restartEpoch = resetEpochSet(ws.restart, ws.restartEpoch, g.N)
-	mark, epoch := ws.restart, ws.restartEpoch
-	buf, s := ws.logBuf, ws.restarts
-	for _, ai := range log[p0:] {
-		arc := &g.Arcs[ai]
-		x := arc.From
-		if mark[arc.To] == epoch || disabled[ai] {
-			if mark[x] != epoch {
-				mark[x] = epoch
-				s = append(s, int32(x))
-			}
+// replayLog is the arc-only replay of a previous column's derivation log
+// against a batch of toggles, by closure over the log's index. The
+// entries on a failed arc x→y are found on x's chain; the children of an
+// invalid entry at y — the entries that took it as their parent — are
+// the live entries on y's enabled in-arcs w→y that lie after it and
+// before y's next live entry, found on each w's chain. An entry is
+// invalid iff it is reached, which is the recursive definition (its arc
+// failed or its parent is invalid), so the closure is exactly the set a
+// pass over the whole log in order would mark. It leaves logPrev = log,
+// logDead holding the invalid entries by position, and restarts listing
+// the node of each in that order; the marks say which are in S, the
+// nodes whose last entry is invalid (see seedRestarts), so S is seeded
+// in the order of each node's first invalid entry. It returns the number
+// of index slots and entries it read. disabled is the post-toggle mask;
+// every arc of the log it disables must be a failed toggle of the batch
+// (an arc that failed earlier carries no live entry), and a batch
+// without one invalidates nothing.
+func (ws *Workspace) replayLog(g *graph.Graph, disabled []bool, log *Log, toggles []ArcToggle) (visited int) {
+	ws.logPrev, ws.logBuf, ws.restarts = log, ws.logBuf[:0], ws.restarts[:0]
+	dead := ws.logDead[:0]
+	for _, tg := range toggles {
+		if !tg.Down {
 			continue
 		}
-		mark[x] = 0
-		buf = append(buf, ai)
+		x := int32(g.Arcs[tg.Arc].From)
+		visited++
+		next := noEntry
+		for p := log.last.at(x); p >= 0; {
+			arc, prev := log.entry(p)
+			visited++
+			if arc == int32(tg.Arc) {
+				dead = append(dead, deadEntry{pos: p, node: x, next: next})
+			}
+			next, p = p, prev
+		}
 	}
-	ws.logBuf, ws.restarts = buf, s
+	rev := g.RevIn()
+	for i := 0; i < len(dead); i++ {
+		d := dead[i]
+		ais := rev.In(int(d.node))
+		for k, h := range rev.InHops(int(d.node)) {
+			ai := ais[k]
+			if disabled[ai] {
+				continue
+			}
+			visited++
+			next := noEntry
+			for q := log.last.at(h.Node); q > d.pos; {
+				arc, prev := log.entry(q)
+				visited++
+				if arc == ai && q < d.next {
+					dead = append(dead, deadEntry{pos: q, node: h.Node, next: next})
+				}
+				next, q = q, prev
+			}
+		}
+	}
+	slices.SortFunc(dead, func(a, b deadEntry) int { return cmp.Compare(a.pos, b.pos) })
+	ws.restart, ws.restartEpoch = resetEpochSet(ws.restart, ws.restartEpoch, g.N)
+	for _, d := range dead {
+		if d.next == noEntry {
+			ws.restart[d.node] = ws.restartEpoch
+		}
+		ws.restarts = append(ws.restarts, d.node)
+	}
+	ws.logDead = dead
+	return visited
 }
 
 // restarting reports whether u is in S.

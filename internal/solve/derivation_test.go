@@ -46,8 +46,8 @@ func (ws *Workspace) served(n, dest int, prev WarmStart) Raw {
 }
 
 // logDelta runs the log warm start with replay standing in for
-// replayLog: it must leave what replayLog leaves (logBase, logBuf, and S
-// as restarts and its marks). With settle false it skips the settle: S
+// replayLog: it must leave S as replayLog does, as restarts and its
+// marks. With settle false it skips the settle: S
 // starts unrouted and is queued before the toggle tails, and the logged
 // drain runs at once. ok is false on a fallback.
 func (ws *Workspace) logDelta(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, prev WarmStart, toggles []ArcToggle, replay func(), settle bool) (Raw, bool) {
@@ -73,9 +73,9 @@ func (ws *Workspace) restartAt(x int) {
 	ws.restarts = append(ws.restarts, int32(x))
 }
 
-// clearReplay readies a replay stand-in: an empty log prefix and S.
+// clearReplay readies a replay stand-in: no previous log and an empty S.
 func (ws *Workspace) clearReplay(n int) {
-	ws.logBase, ws.logBuf, ws.restarts = nil, ws.logBuf[:0], ws.restarts[:0]
+	ws.logPrev, ws.logDead, ws.logBuf, ws.restarts = nil, ws.logDead[:0], ws.logBuf[:0], ws.restarts[:0]
 	ws.restart, ws.restartEpoch = resetEpochSet(ws.restart, ws.restartEpoch, n)
 }
 
@@ -123,7 +123,6 @@ func unpropagated(ws *Workspace, g *graph.Graph, disabled []bool, log []int32) f
 				continue
 			}
 			ws.restart[x] = 0
-			ws.logBuf = append(ws.logBuf, ai)
 		}
 	}
 }
@@ -182,11 +181,12 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	ws := NewWorkspace()
 	raised := false
 	ws.onRaise = func(int) { raised = true }
-	check := func(name string, g *graph.Graph, log []int32, toggles []ArcToggle, settle bool, mutant func(prev Raw, disabled []bool, log []int32) func()) {
+	check := func(name string, g *graph.Graph, hand []int32, toggles []ArcToggle, settle bool, mutant func(prev Raw, disabled []bool, log *Log) func()) {
 		t.Helper()
 		prev := ownRaw(ws.ScratchRaw(eng, g, 0, 0))
-		if log == nil {
-			log = ws.DerivationLog(g, 0)
+		log := ws.DerivationLog(g, 0)
+		if hand != nil {
+			log = freshLog(g, hand)
 		}
 		disabled := make([]bool, len(g.Arcs))
 		for _, tg := range toggles {
@@ -212,11 +212,11 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	// each other; arc 0 fails.
 	cycle := padded(3, []graph.Arc{{From: 1, To: 0, Label: lK2}, {From: 1, To: 2, Label: lK1}, {From: 2, To: 1, Label: lK1}})
 	fail0 := []ArcToggle{{Arc: 0, Down: true}}
-	check("justification by final weights", cycle, nil, fail0, true, func(prev Raw, _ []bool, _ []int32) func() {
+	check("justification by final weights", cycle, nil, fail0, true, func(prev Raw, _ []bool, _ *Log) func() {
 		return justifyByFinalWeights(ws, prev, cycle, fail0)
 	})
-	check("invalidity not propagated", cycle, nil, fail0, true, func(_ Raw, disabled []bool, log []int32) func() {
-		return unpropagated(ws, cycle, disabled, log)
+	check("invalidity not propagated", cycle, nil, fail0, true, func(_ Raw, disabled []bool, log *Log) func() {
+		return unpropagated(ws, cycle, disabled, log.Arcs())
 	})
 
 	// Nodes x=1, m=2, p=3, k=4, k2=5, z=6. m resets to 3 at the
@@ -233,7 +233,7 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 		handLog = append(handLog, int32(ai)) // the padding leaves
 	}
 	handFail := []ArcToggle{{Arc: 4, Down: true}, {Arc: 6, Down: true}, {Arc: 8, Down: true}}
-	check("unrouted for invalid nodes", hand, handLog, handFail, false, func(_ Raw, disabled []bool, log []int32) func() {
+	check("unrouted for invalid nodes", hand, handLog, handFail, false, func(_ Raw, disabled []bool, log *Log) func() {
 		return func() { ws.replayLog(hand.MaskArcs(disabled), disabled, log, handFail) }
 	})
 
@@ -272,7 +272,7 @@ func TestDerivationRestartsCounted(t *testing.T) {
 	var logged, restarts int
 	policyLogStorms(t, ws, func(s logStorm) {
 		last := make([]int, s.g.N) // 0 no entry, 1 valid, 2 invalid
-		for _, ai := range s.log {
+		for _, ai := range s.log.Arcs() {
 			a := s.g.Arcs[ai]
 			last[a.From] = 1
 			if s.disabled[ai] || a.To != s.dest && last[a.To] == 2 {
@@ -310,7 +310,7 @@ type logStorm struct {
 	dest, step int
 	o          int32
 	prev, want Raw
-	log        []int32
+	log        *Log
 	disabled   []bool
 	toggles    []ArcToggle
 	delta      func() DeltaStats

@@ -136,15 +136,20 @@ type Workspace struct {
 	topEng exec.Algebra
 	topW   int32
 
-	// Derivation-log scratch (see derivation.go). The last solve's log,
-	// uncompacted, is logBase (a previous column's log, read only) then
-	// logBuf, and logged says whether that solve kept one. restarts lists
-	// S, the nodes the replay restarts, and restart stamps them with
-	// restartEpoch; the compaction borrows prevW.
-	logBase, logBuf, restarts []int32
-	logged                    bool
-	restart                   []uint32
-	restartEpoch              uint32
+	// Derivation-log scratch (see derivation.go). The last solve's log is
+	// logPrev (a previous column's log, read only; nil after a kernel run)
+	// less logDead, the entries its replay found invalid, plus logBuf, the
+	// arcs its kernel or drain appended; logged says whether that solve
+	// kept one. restarts lists S, the nodes the replay restarts, and
+	// restart stamps them with restartEpoch; logMark is the compaction's
+	// position scratch, which also borrows prevW.
+	logPrev          *Log
+	logDead          []deadEntry
+	logBuf, restarts []int32
+	logMark          []bool
+	logged           bool
+	restart          []uint32
+	restartEpoch     uint32
 	// onRaise, set by tests, hears of a logged drain step that would
 	// raise a weight — the invariant the log warm start's proof promises.
 	onRaise func(u int)

@@ -101,12 +101,22 @@ go test -tags licencecheck ./internal/solve/ ./internal/rib/ ./internal/serve/
 # invalidity, unrouted for invalid nodes — the settle skipped) with the
 # no-raise invariant on policy storms; the replay's counted cost,
 # DeltaStats.Restarts, against a naive count of the nodes whose last
-# entry went invalid; and a logged server against a WithDelta(false)
-# one, storm by storm. The rebuild benchmark must report that count.
-go test -race -run='^TestDerivationDeltaMatchesScratch$' -count=1 ./internal/rib/
-go test -race -run='^(TestDerivationDeltaMutantsFail|TestDerivationRestartsCounted)$' -count=1 ./internal/solve/
+# entry went invalid; the indexed replay and persistent log against the
+# flat scan and copy they replaced, kept as the oracle (S, restarts and
+# the live entries after every rebuild, the previous log untouched), and
+# DeltaStats.LogVisited against its contract (failed toggles + Σ over
+# invalidated entries of 1 + in-degree + chain steps); a clean column
+# keeps no log; and a logged server against a WithDelta(false) one, storm
+# by storm. The rebuild benchmark must report both counts, and the
+# replay's reads stay a fixed bound below the whole log (≈ 2 300 entries
+# per fail rebuild when the replay scanned it): log-visits/op ≤ 100.
+go test -race -run='^(TestDerivationDeltaMatchesScratch|TestCleanColumnKeepsNoLog)$' -count=1 ./internal/rib/
+go test -race -run='^(TestDerivationDeltaMutantsFail|TestDerivationRestartsCounted|TestIndexedReplayMatchesFlat|TestLogVisitedContract)$' -count=1 ./internal/solve/
 go test -race -run='^TestServeDeltaDerivationLog$' -count=1 ./internal/serve/
-go test -run='^$' -bench='^BenchmarkDerivationDelta$/logged' -benchtime=200x ./internal/rib/ | grep -q 'restarts/op'
+go test -run='^$' -bench='^BenchmarkDerivationDelta$/logged' -benchtime=200x ./internal/rib/ | awk '
+  /restarts\/op/ { r = 1 }
+  { for (i = 2; i <= NF; i++) if ($i == "log-visits/op") v = $(i - 1) }
+  END { if (!r || v == "" || v + 0 > 100) { print "BenchmarkDerivationDelta/logged: restarts/op missing or log-visits/op " v " over 100"; exit 1 } }'
 
 
 # A rebuilt destination pays only for the toggles that can move it. The
@@ -275,8 +285,9 @@ done
 # licensed scratch solve on a warm workspace allocates nothing and grows
 # no per-node buffer beyond the sweep's — on the tiered engine too, whose
 # per-id list heads are all empty again after every solve — and a logged
-# delta allocates its column, its changed pages and its exactly sized log,
-# nothing by N.
+# delta allocates its column, its changed pages and the log pages it
+# changed plus one directory copy: at most 2 KB of log a delta, and at 8k
+# nodes within 1.5× of that at 2k.
 go test -run='^(TestGraphIndexBytes|TestWithArcsToggledAllocs)$' -count=1 ./internal/graph/
 go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesCollected)$' -count=1 ./internal/exec/
 go test -run='^(TestScratchKernelAllocs|TestLtKernelAllocs)$' -count=1 ./internal/solve/
