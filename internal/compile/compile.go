@@ -24,7 +24,11 @@ import (
 // Apply is one load, a comparison two loads and an integer compare, and
 // the whole form is 2·F·N + 2·N bytes. An order with incomparable
 // elements (or one that is not a preorder at all) keeps the N×N
-// matrices instead of a rank.
+// matrices instead of a rank. The tables license nothing: which
+// algorithm runs over them is the algebra's plan (solve.NewPlan), read
+// from its inferred judgements on every backend alike; the tables only
+// make that plan's loops cheaper. A test recomputes M and strict I cell
+// by cell as an oracle for that plan.
 type Compiled struct {
 	// N is the carrier size; weights are indices 0..N-1.
 	N int
@@ -45,15 +49,6 @@ type Compiled struct {
 	// LeqBits[a*N+b] is 1 iff a ≲ b; LtBits likewise for a < b. Both
 	// are nil when Rank is set.
 	LeqBits, LtBits []uint8
-	// Monotone and StrictlyIncreasing are the licences New verified cell
-	// by cell on the tables: both require an injective rank (the order is
-	// antisymmetric and total, so a rank names exactly one weight).
-	// Monotone: every Fn row is non-decreasing in rank order (M).
-	// StrictlyIncreasing: every row maps each weight below the rank-top to
-	// a strictly higher rank and fixes the top (strict I). Either one lets
-	// a from-scratch column build run the best-first kernel instead of the
-	// synchronous sweep (solve.Workspace.ScratchRaw).
-	Monotone, StrictlyIncreasing bool
 }
 
 // New compiles a finite order transform. It fails on infinite carriers
@@ -104,51 +99,8 @@ func New(t *ost.OrderTransform) (*Compiled, error) {
 				c.LtBits[a*n+b] = leq[a*n+b] &^ leq[b*n+a]
 			}
 		}
-	} else {
-		c.Monotone, c.StrictlyIncreasing = licences(n, c.NumFns, c.Fn, c.Rank)
 	}
 	return c, nil
-}
-
-// licences checks M and strict I on a ranked table (see Compiled). An
-// injective rank is a permutation of 0..n-1, so walking it in rank order
-// visits each weight once, lowest first: a row is monotone iff the ranks
-// it maps that walk to never fall, and strictly increasing iff it raises
-// every weight but the last one visited, the top, which it must fix. A
-// rank shared by two weights licenses neither.
-func licences(n, numFns int, fn, rank []uint16) (monotone, strictInc bool) {
-	if n == 0 {
-		return false, false
-	}
-	byRank := make([]int32, n)
-	for i := range byRank {
-		byRank[i] = -1
-	}
-	for a, r := range rank {
-		if byRank[r] >= 0 {
-			return false, false
-		}
-		byRank[r] = int32(a)
-	}
-	top := int(byRank[n-1])
-	monotone, strictInc = true, true
-	for f := 0; f < numFns; f++ {
-		row := fn[f*n : (f+1)*n]
-		prev := uint16(0)
-		for _, a := range byRank {
-			r := rank[row[a]]
-			if r < prev {
-				monotone = false
-			}
-			prev = r
-			if int(a) == top {
-				strictInc = strictInc && int(row[a]) == top
-			} else if r <= rank[a] {
-				strictInc = false
-			}
-		}
-	}
-	return monotone, strictInc
 }
 
 // rankOf returns the rank vector of a total preorder given as its ≲

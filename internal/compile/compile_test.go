@@ -170,13 +170,8 @@ func TestRankMatchesMatrices(t *testing.T) {
 // TestTableLicencesMatchInference is the table half of ROADMAP 1(e).
 // What inference derives must hold on every cell of the compiled table —
 // M ⇒ a ≲ b implies f(a) ≲ f(b) on every pair, I ⇒ a < f(a) below ⊤, ND
-// ⇒ a ≲ f(a) — and a violation is an inference bug. The two licences
-// New stores must equal the same pair-by-pair evaluation: M, or strict I
-// below the greatest weight with that weight fixed, each only when no two
-// weights are equivalent. Where the table proves more than inference
-// derives the case is logged, not failed: inference may be conservative,
-// and strict I is not SI (the lex workloads are ¬SI only because their
-// ceiling is ⊤, which every function fixes).
+// ⇒ a ≲ f(a) — and a violation is an inference bug. The tables' own
+// verdict on M and strict I is the plan's oracle (licence_test.go).
 func TestTableLicencesMatchInference(t *testing.T) {
 	for _, c := range corpus {
 		a, err := core.InferString(c.expr)
@@ -188,24 +183,12 @@ func TestTableLicencesMatchInference(t *testing.T) {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
 		n := int32(cc.N)
-		injective, greatest := c.total, int32(-1)
-		for x := int32(0); x < n; x++ {
-			above := true
-			for y := int32(0); y < n; y++ {
-				injective = injective && (x == y || !cc.Equiv(x, y))
-				above = above && cc.Leq(y, x)
-			}
-			if above {
-				greatest = x
-			}
-		}
-		mono, inc, nd, strict := true, true, true, greatest >= 0
+		mono, inc, nd := true, true, true
 		for f := 0; f < cc.NumFns; f++ {
 			for x := int32(0); x < n; x++ {
 				fx := cc.Apply(f, x)
 				nd = nd && cc.Leq(x, fx)
 				inc = inc && (a.OT.Ord.IsTop(cc.Elems[x]) || cc.Lt(x, fx))
-				strict = strict && (x == greatest && fx == x || x != greatest && cc.Lt(x, fx))
 				for y := int32(0); y < n; y++ {
 					mono = mono && (!cc.Leq(x, y) || cc.Leq(fx, cc.Apply(f, y)))
 				}
@@ -218,26 +201,6 @@ func TestTableLicencesMatchInference(t *testing.T) {
 			if a.Props.Holds(p.id) && !p.table {
 				t.Errorf("%s: inference derives %s but the compiled table violates it", c.expr, p.id)
 			}
-		}
-		if cc.Monotone != (injective && mono) || cc.StrictlyIncreasing != (injective && strict) {
-			t.Errorf("%s: licences M=%v strict-I=%v, table says injective=%v M=%v strict-I=%v",
-				c.expr, cc.Monotone, cc.StrictlyIncreasing, injective, mono, strict)
-		}
-		if cc.Monotone && !a.Props.Holds(prop.MLeft) || cc.StrictlyIncreasing && !a.Props.Holds(prop.SILeft) {
-			t.Logf("%s: table licences M=%v strict-I=%v; inferred M=%s I=%s SI=%s", c.expr,
-				cc.Monotone, cc.StrictlyIncreasing, a.Props.Status(prop.MLeft), a.Props.Status(prop.ILeft), a.Props.Status(prop.SILeft))
-		}
-	}
-	for _, w := range []struct {
-		expr   string
-		m, inc bool
-	}{{"scoped(bw(4), delay(64,4))", true, false}, {"lex(delay(32,3), hops(8))", false, true}} {
-		cc, err := New(alg(t, w.expr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cc.Monotone != w.m || cc.StrictlyIncreasing != w.inc {
-			t.Fatalf("%s: licences M=%v strict-I=%v, want %v/%v", w.expr, cc.Monotone, cc.StrictlyIncreasing, w.m, w.inc)
 		}
 	}
 }

@@ -27,10 +27,13 @@ type derivationCase struct {
 	policy bool
 }
 
-// derivationCases returns the named policy products — two compiled M
-// tables and the forwardable scoped(hops(0), delay(64,4)), whose infinite
-// carrier runs on an engine without tables and must never log — and the
-// M-licensed members of the random corpus.
+// derivationCases returns the named policy products — two compilable M
+// algebras and the forwardable scoped(hops(0), delay(64,4)), whose
+// infinite carrier runs only on engines without tables and logs there
+// all the same — and the M-licensed members of the random corpus. The
+// forwardable policy routes from (0, 60): its columns are clean trees
+// (and keep no log) unless a region's delays reach the cap, where
+// equal-weight loops make them unclean and the log warm start runs.
 func derivationCases(t *testing.T, r *rand.Rand) []derivationCase {
 	t.Helper()
 	var out []derivationCase
@@ -42,7 +45,11 @@ func derivationCases(t *testing.T, r *rand.Rand) []derivationCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, derivationCase{n.expr, a.OT, a.OT.DefaultOrigin(), n.policy})
+		origin := a.OT.DefaultOrigin()
+		if n.expr == "scoped(hops(0), delay(64,4))" {
+			origin = value.Pair{A: 0, B: 60}
+		}
+		out = append(out, derivationCase{n.expr, a.OT, origin, n.policy})
 	}
 	for tries := 0; len(out) < 7 && tries < 400; tries++ {
 		src := randExpr(r, 2)
@@ -57,7 +64,7 @@ func derivationCases(t *testing.T, r *rand.Rand) []derivationCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab := exec.Tables(eng); tab == nil || !tab.Monotone {
+		if !solve.NewPlan(eng).Kernel.M {
 			continue
 		}
 		elems := a.OT.Carrier().Elems
@@ -153,7 +160,6 @@ func stormBatch(r *rand.Rand, disabled []bool, kind int) ([]int, []solve.ArcTogg
 // still holds.)
 func checkLog(t *testing.T, tag string, eng exec.Algebra, g *graph.Graph, c *PagedColumn) {
 	t.Helper()
-	tab := exec.Tables(eng)
 	last := make([]int32, c.N) // -1: no entry yet
 	for u := range last {
 		last[u] = -1
@@ -173,7 +179,7 @@ func checkLog(t *testing.T, tag string, eng exec.Algebra, g *graph.Graph, c *Pag
 		if pw < 0 {
 			t.Fatalf("%s: log entry %d on arc %d→%d has no parent", tag, i, a.From, a.To)
 		}
-		weights[i] = int32(tab.Fn[a.Label*tab.N+int(pw)])
+		weights[i] = eng.Apply(a.Label, pw)
 		last[a.From] = weights[i]
 	}
 	for u := 0; u < c.N; u++ {
@@ -183,7 +189,7 @@ func checkLog(t *testing.T, tag string, eng exec.Algebra, g *graph.Graph, c *Pag
 		}
 	}
 	for i, ai := range log {
-		if x := g.Arcs[ai].From; tab.Rank[weights[i]] < tab.Rank[last[x]] {
+		if x := g.Arcs[ai].From; eng.Lt(weights[i], last[x]) {
 			t.Fatalf("%s: log entry %d lies below node %d's last entry", tag, i, x)
 		}
 	}
@@ -196,79 +202,91 @@ func checkLog(t *testing.T, tag string, eng exec.Algebra, g *graph.Graph, c *Pag
 // mixed batches by DeltaDestPaged, its log riding along; after each batch
 // the column must equal BuildDestPaged on the same view — pages and pools,
 // totals, Converged and Clean — its change list must be what an all-slots
-// scan finds, and its log must satisfy checkLog. Columns on compiled M
-// tables always carry a log and others never do, and the policy products
-// must take the warm path on at least 90 % of their rebuilds.
+// scan finds, and its log must satisfy checkLog. Each case runs on the
+// compiled engine, where the carrier compiles, and on the tiered one:
+// under the M plan, unclean columns always carry a log on both, and
+// others never do. The policy products must take the warm path on at
+// least 90 % of their rebuilds, and the forwardable policy must take the
+// log warm start.
 func TestDerivationDeltaMatchesScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	var policy, policyWarm, logWarm, logged int
+	logWarmBy := map[string]int{}
 	for _, c := range derivationCases(t, r) {
-		eng := exec.For(c.ot, c.origin)
-		tab := exec.Tables(eng)
-		wantLog := tab != nil && tab.Monotone
-		if c.policy && !wantLog {
-			t.Fatalf("%s: the policy product must compile to an M table", c.expr)
+		engines := map[string]exec.Algebra{"tiered": exec.NewTiered(c.ot)}
+		if eng, err := exec.Compile(c.ot); err == nil {
+			engines["compiled"] = eng
 		}
-		n := 24
-		if c.policy {
-			n = 48
-		}
-		topos := derivationTopos(r, c.ot, n)
-		for _, shape := range []string{"gnp", "ring", "grid", "scale-free", "two-level"} {
-			g := topos[shape]
-			for dest := 0; dest < g.N; dest++ {
-				ws, sws := solve.NewWorkspace(), solve.NewWorkspace()
-				disabled := make([]bool, len(g.Arcs))
-				view := g
-				prev, err := BuildDestPaged(eng, view, dest, c.origin, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for step := 0; step < 42; step++ {
-					tag := fmt.Sprintf("%s %s dest %d step %d", c.expr, shape, dest, step)
-					arcs, toggles := stormBatch(r, disabled, step%3)
-					view = view.WithArcsToggled(arcs, disabled)
-					got, st, ps, err := DeltaDestPaged(eng, view, disabled, dest, c.origin, ws, prev, toggles)
+		for _, backend := range []string{"compiled", "tiered"} {
+			eng, ok := engines[backend]
+			if !ok {
+				continue
+			}
+			if !solve.NewPlan(eng).Kernel.M {
+				t.Fatalf("%s/%s: the case must have the M plan", c.expr, backend)
+			}
+			n := 24
+			if c.policy {
+				n = 48
+			}
+			topos := derivationTopos(r, c.ot, n)
+			for _, shape := range []string{"gnp", "ring", "grid", "scale-free", "two-level"} {
+				g := topos[shape]
+				for dest := 0; dest < g.N; dest++ {
+					ws, sws := solve.NewWorkspace(), solve.NewWorkspace()
+					disabled := make([]bool, len(g.Arcs))
+					view := g
+					prev, err := BuildDestPaged(eng, view, dest, c.origin, ws)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := BuildDestPaged(eng, view, dest, c.origin, sws)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Converged != want.Converged || got.Clean != want.Clean {
-						t.Fatalf("%s (delta %v): converged/clean %v/%v, scratch %v/%v", tag, st.UsedDelta,
-							got.Converged, got.Clean, want.Converged, want.Clean)
-					}
-					for pi, p := range want.Pages {
-						if q := got.Pages[pi]; q.Slots != p.Slots || q.Live != p.Live || !slices.Equal(q.Pool, p.Pool) {
-							t.Fatalf("%s: page %d differs\n got %+v\nwant %+v", tag, pi, q, p)
+					for step := 0; step < 42; step++ {
+						tag := fmt.Sprintf("%s/%s %s dest %d step %d", c.expr, backend, shape, dest, step)
+						arcs, toggles := stormBatch(r, disabled, step%3)
+						view = view.WithArcsToggled(arcs, disabled)
+						got, st, ps, err := DeltaDestPaged(eng, view, disabled, dest, c.origin, ws, prev, toggles)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if got.Bytes() != want.Bytes() || got.Live() != want.Live() {
-						t.Fatalf("%s: totals %d B/%d live, scratch %d B/%d live", tag, got.Bytes(), got.Live(), want.Bytes(), want.Live())
-					}
-					checkChanges(t, tag, prev, got, ps.Changes, ps.Changed)
-					// A scratch build and the log warm start write a log;
-					// the sparse and dense warm starts do not, and a clean
-					// column keeps none.
-					if (got.log != nil) != (wantLog && !got.Clean && (!st.UsedDelta || !prev.Clean && prev.log != nil)) {
-						t.Fatalf("%s: log %v (delta %v, clean %v, previous clean %v, M table %v)", tag, got.log != nil, st.UsedDelta, got.Clean, prev.Clean, wantLog)
-					}
-					if got.log != nil {
-						logged++
-						checkLog(t, tag, eng, view, got)
-					}
-					if st.UsedDelta && prev.log != nil && !prev.Clean {
-						logWarm++
-					}
-					if c.policy {
-						policy++
-						if st.UsedDelta {
-							policyWarm++
+						want, err := BuildDestPaged(eng, view, dest, c.origin, sws)
+						if err != nil {
+							t.Fatal(err)
 						}
+						if got.Converged != want.Converged || got.Clean != want.Clean {
+							t.Fatalf("%s (delta %v): converged/clean %v/%v, scratch %v/%v", tag, st.UsedDelta,
+								got.Converged, got.Clean, want.Converged, want.Clean)
+						}
+						for pi, p := range want.Pages {
+							if q := got.Pages[pi]; q.Slots != p.Slots || q.Live != p.Live || !slices.Equal(q.Pool, p.Pool) {
+								t.Fatalf("%s: page %d differs\n got %+v\nwant %+v", tag, pi, q, p)
+							}
+						}
+						if got.Bytes() != want.Bytes() || got.Live() != want.Live() {
+							t.Fatalf("%s: totals %d B/%d live, scratch %d B/%d live", tag, got.Bytes(), got.Live(), want.Bytes(), want.Live())
+						}
+						checkChanges(t, tag, prev, got, ps.Changes, ps.Changed)
+						// A scratch build and the log warm start write a log;
+						// the sparse and dense warm starts do not, and a clean
+						// column keeps none.
+						if (got.log != nil) != (!got.Clean && (!st.UsedDelta || !prev.Clean && prev.log != nil)) {
+							t.Fatalf("%s: log %v (delta %v, clean %v, previous clean %v)", tag, got.log != nil, st.UsedDelta, got.Clean, prev.Clean)
+						}
+						if got.log != nil {
+							logged++
+							checkLog(t, tag, eng, view, got)
+						}
+						if st.UsedDelta && prev.log != nil && !prev.Clean {
+							logWarm++
+							logWarmBy[c.expr+"/"+backend]++
+						}
+						if c.policy {
+							policy++
+							if st.UsedDelta {
+								policyWarm++
+							}
+						}
+						prev = got
 					}
-					prev = got
 				}
 			}
 		}
@@ -276,10 +294,15 @@ func TestDerivationDeltaMatchesScratch(t *testing.T) {
 	if policy == 0 || 10*policyWarm < 9*policy || logWarm < policy/2 {
 		t.Fatalf("the policy products took the warm path on %d of %d rebuilds; the log warm start ran %d times", policyWarm, policy, logWarm)
 	}
-	t.Logf("policy rebuilds: %d of %d warm; log warm starts: %d; logged columns checked: %d", policyWarm, policy, logWarm, logged)
+	for _, k := range []string{"scoped(bw(4), delay(64,4))/compiled", "scoped(bw(4), delay(64,4))/tiered", "scoped(hops(0), delay(64,4))/tiered"} {
+		if logWarmBy[k] == 0 {
+			t.Fatalf("%s never took the log warm start (%v)", k, logWarmBy)
+		}
+	}
+	t.Logf("policy rebuilds: %d of %d warm; log warm starts: %d (%v); logged columns checked: %d", policyWarm, policy, logWarm, logWarmBy, logged)
 }
 
-// TestCleanColumnKeepsNoLog: on compiled delay(8,2), whose M table logs,
+// TestCleanColumnKeepsNoLog: on compiled delay(8,2), whose M plan logs,
 // a column that verifies Clean keeps no derivation log, whether a scratch
 // build or a delta made it: its next delta is the sparse warm start,
 // which never reads one. That next delta is unchanged by the log's
@@ -292,8 +315,8 @@ func TestCleanColumnKeepsNoLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab := exec.Tables(eng); tab == nil || !tab.Monotone {
-		t.Fatal("delay(8,2) must compile to an M table")
+	if !solve.NewPlan(eng).Kernel.M {
+		t.Fatal("delay(8,2) must have the M plan")
 	}
 	org := originFor(a)
 	r := rand.New(rand.NewSource(23))

@@ -38,8 +38,8 @@ func randExpr(r *rand.Rand, depth int) string {
 }
 
 // scratchCase is one algebra of the kernel differential: the origin it
-// routes from and the solver its table licence must pick ("" when the test derives it from the licences
-// themselves).
+// routes from and the solver its plan must pick ("" when any is
+// accepted).
 type scratchCase struct {
 	expr   string
 	origin value.V
@@ -50,10 +50,10 @@ type scratchCase struct {
 func scratchCases(t *testing.T, r *rand.Rand) []scratchCase {
 	t.Helper()
 	named := []struct{ expr, solver string }{
-		{"scoped(bw(4), delay(64,4))", "best-first (M, table)"},
-		{"scoped(bw(4), delay(8,4))", "best-first (M, table)"},
-		{"lex(delay(32,3), hops(8))", "best-first (I, table)"},
-		{"lex(delay(6,3), hops(4))", "best-first (I, table)"},
+		{"scoped(bw(4), delay(64,4))", "best-first (M)"},
+		{"scoped(bw(4), delay(8,4))", "best-first (M)"},
+		{"lex(delay(32,3), hops(8))", "best-first (I)"},
+		{"lex(delay(6,3), hops(4))", "best-first (I)"},
 		{"gadget", "sweep"},                   // BAD GADGET's algebra: neither M nor I
 		{"lex(delay(6,3), tags(2))", "sweep"}, // incomparable weights: no rank
 		{"plus(lp(3), lp(3))", "sweep"},       // monotone, but two weights share a rank
@@ -106,9 +106,9 @@ func scratchTopos(r *rand.Rand, labels int) []*graph.Graph {
 // algebras (the exec differential's generator) and the workloads' and
 // the kernel tests' named ones, on GNP, ring, grid, scale-free and
 // two-level graphs in base, masked and overlay views, for every
-// destination: the selection is the licence's (best-first on licensed
-// tables; the sweep on BAD GADGET, the rank-less tags(2) product, a
-// shared rank and an unlicensed table), and routedness, weights, next
+// destination: the selection is the plan's (best-first under M or strict
+// I; the sweep on BAD GADGET, the rank-less tags(2) product, a shared
+// rank and an unlicensed algebra), and routedness, weights, next
 // hops, Converged, Clean, flat and paged columns and their pools are
 // identical — as is DeltaDestPaged from an unclean previous column with
 // no log, whose dense drain falls back to ScratchRaw on every policy
@@ -124,17 +124,9 @@ func TestScratchKernelMatchesSweep(t *testing.T) {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
 		plain, hid := unproved(eng), hidden{eng}
-		want := "sweep"
-		if tab := exec.Tables(eng); tab != nil && tab.Monotone {
-			want = "best-first (M, table)"
-		} else if tab != nil && tab.StrictlyIncreasing {
-			want = "best-first (I, table)"
-		}
+		want := solve.NewPlan(eng).Kernel.String()
 		if c.solver != "" && c.solver != want {
-			t.Fatalf("%s: licences select %q, want %q", c.expr, want, c.solver)
-		}
-		if got := solve.NewPlan(eng).Kernel.String(); got != want {
-			t.Fatalf("%s: kernel %q, want %q", c.expr, got, want)
+			t.Fatalf("%s: the plan selects %q, want %q", c.expr, want, c.solver)
 		}
 		if got := solve.NewPlan(plain).Kernel.String(); got != "sweep" {
 			t.Fatalf("%s: an unproved engine must sweep, kernel %q", c.expr, got)

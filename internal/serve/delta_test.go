@@ -34,20 +34,14 @@ func warmStartAllowed(a *core.Algebra) bool {
 // delta-enabled server and a WithDelta(false) server absorb identical
 // batches; after every storm the two snapshots must be bit-identical to
 // each other and to a fresh from-scratch build on the mutated graph.
+// The rank-less tags policy scoped(bw(4), lex(tags(2), tags(2))) runs
+// first, on its own seed: it is M without Full, the one kind of algebra
+// left that takes the dense warm start, and it must rebuild by delta.
 func TestServeDifferentialDelta(t *testing.T) {
-	r := rand.New(rand.NewSource(2027))
 	trials := 0
 	var deltaRebuilds uint64
 	var sharpSkips, coldSharpSkips int
-	for trials < 10 {
-		src := randExpr(r, 2)
-		a, err := core.InferString(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		if !a.OT.Finite() || a.OT.Carrier().Size() > 4000 || !warmStartAllowed(a) {
-			continue
-		}
+	trial := func(src string, a *core.Algebra, r *rand.Rand) (rebuilds uint64) {
 		trials++
 		g := randTopo(r, a.OT.F.Size())
 		elems := a.OT.Carrier().Elems
@@ -104,16 +98,38 @@ func TestServeDifferentialDelta(t *testing.T) {
 				}
 				sameTables(t, fmt.Sprintf("%s storm %d", label, storm), wGot, fresh, warm.Dests(), g.N)
 			}
-			deltaRebuilds += warm.Stats().DeltaDestRebuilds
+			rebuilds += warm.Stats().DeltaDestRebuilds
 			sharpSkips += warm.sharpSkips
 			coldSharpSkips += cold.sharpSkips
 			warm.Close()
 			cold.Close()
 		}
+		return rebuilds
+	}
+	const dense = "scoped(bw(4), lex(tags(2), tags(2)))"
+	a, err := core.InferString(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := solve.NewPlan(exec.NewDynamic(a.OT)).Warm; w != solve.WarmDense {
+		t.Fatalf("%s: warm start %v, want dense", dense, w)
+	}
+	denseRebuilds := trial(dense, a, rand.New(rand.NewSource(2028)))
+	r := rand.New(rand.NewSource(2027))
+	for trials < 11 {
+		src := randExpr(r, 2)
+		a, err := core.InferString(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !a.OT.Finite() || a.OT.Carrier().Size() > 4000 || !warmStartAllowed(a) {
+			continue
+		}
+		deltaRebuilds += trial(src, a, r)
 	}
 	// The differential is vacuous if the heuristic always cut over.
-	if deltaRebuilds < 20 {
-		t.Fatalf("only %d delta rebuilds across all trials — the warm path barely ran", deltaRebuilds)
+	if deltaRebuilds < 20 || denseRebuilds == 0 {
+		t.Fatalf("only %d delta rebuilds across the random trials, %d on %s — the warm path barely ran", deltaRebuilds, denseRebuilds, dense)
 	}
 	// Likewise for the fixpoint skip rule, which every shadowed swap
 	// checks against a scratch build (shadowed.checkSkipped): it must have
@@ -121,12 +137,13 @@ func TestServeDifferentialDelta(t *testing.T) {
 	if sharpSkips < 10 || coldSharpSkips != 0 {
 		t.Fatalf("fixpoint skips: %d on the delta servers (want ≥ 10), %d on the WithDelta(false) ones (want 0)", sharpSkips, coldSharpSkips)
 	}
-	t.Logf("%d delta rebuilds, %d fixpoint skips", deltaRebuilds, sharpSkips)
+	t.Logf("%d delta rebuilds (%d on %s), %d fixpoint skips", deltaRebuilds+denseRebuilds, denseRebuilds, dense, sharpSkips)
 }
 
 // TestServeDeltaDerivationLog: on the paper's policy product, whose
 // columns are never clean, a delta-enabled server warm-starts from each
-// column's derivation log. On a scale-free and a two-level region graph,
+// column's derivation log, on the compiled and the tiered engine alike.
+// On a scale-free and a two-level region graph,
 // through 30 fail, restore and mixed storms, it must stay bit-identical
 // to a WithDelta(false) server after every storm — pages, convergence
 // and clean verdicts, checksum — with every swap's frame held to the
@@ -151,52 +168,54 @@ func TestServeDeltaDerivationLog(t *testing.T) {
 		"scale-free": graph.ScaleFree(r, 400, 2, graph.UniformLabels(n)),
 		"two-level":  graph.TwoLevel(r, 12, 30, 0.15, 60, intra, inter).Graph,
 	} {
-		eng := exec.For(a.OT, origin)
 		origins := map[int]value.V{}
 		for i := 0; i < 6; i++ {
 			origins[i*g.N/6] = origin
 		}
-		warm := newShadowed(t, shape+" warm", eng, g, origins, serve.WithWorkers(2))
-		cold := newShadowed(t, shape+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
-		if st := warm.Stats(); !st.DeltaEnabled || st.WarmStart != "derivation log (M)" {
-			t.Fatalf("%s: delta enabled %v, warm start %q", shape, st.DeltaEnabled, st.WarmStart)
-		}
-		disabled := make([]bool, len(g.Arcs))
-		for storm := 0; storm < 30; storm++ {
-			var events []serve.ArcEvent
-			for len(events) < 4 {
-				ai := r.Intn(len(g.Arcs))
-				// Even storms fail, odd ones restore, every third mixes.
-				fail := storm%2 == 0 || storm%3 == 0 && len(events) < 2
-				if disabled[ai] == fail {
-					continue
+		for _, eng := range []exec.Algebra{exec.For(a.OT, origin), exec.NewTiered(a.OT)} {
+			label := fmt.Sprintf("%s/%s", shape, eng.Mode())
+			warm := newShadowed(t, label+" warm", eng, g, origins, serve.WithWorkers(2))
+			cold := newShadowed(t, label+" cold", eng, g, origins, serve.WithWorkers(2), serve.WithDelta(false))
+			if st := warm.Stats(); !st.DeltaEnabled || st.WarmStart != "derivation log (M)" {
+				t.Fatalf("%s: delta enabled %v, warm start %q", label, st.DeltaEnabled, st.WarmStart)
+			}
+			disabled := make([]bool, len(g.Arcs))
+			for storm := 0; storm < 30; storm++ {
+				var events []serve.ArcEvent
+				for len(events) < 4 {
+					ai := r.Intn(len(g.Arcs))
+					// Even storms fail, odd ones restore, every third mixes.
+					fail := storm%2 == 0 || storm%3 == 0 && len(events) < 2
+					if disabled[ai] == fail {
+						continue
+					}
+					disabled[ai] = fail
+					events = append(events, serve.ArcEvent{Arc: ai, Fail: fail})
 				}
-				disabled[ai] = fail
-				events = append(events, serve.ArcEvent{Arc: ai, Fail: fail})
-			}
-			for _, s := range []*shadowed{warm, cold} {
-				if _, _, err := s.ApplyBatch(context.Background(), events); err != nil {
-					t.Fatalf("%s storm %d: %v", s.label, storm, err)
+				for _, s := range []*shadowed{warm, cold} {
+					if _, _, err := s.ApplyBatch(context.Background(), events); err != nil {
+						t.Fatalf("%s storm %d: %v", s.label, storm, err)
+					}
+				}
+				wSnap, cSnap := warm.Snapshot(), cold.Snapshot()
+				for _, d := range warm.Dests() {
+					got, want := wSnap.Column(d), cSnap.Column(d)
+					if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
+						t.Fatalf("%s storm %d: destination %d diverged from the WithDelta(false) server", label, storm, d)
+					}
+				}
+				if warm.Checksum() != cold.Checksum() {
+					t.Fatalf("%s storm %d: checksums %08x vs %08x", label, storm, warm.Checksum(), cold.Checksum())
 				}
 			}
-			wSnap, cSnap := warm.Snapshot(), cold.Snapshot()
-			for _, d := range warm.Dests() {
-				got, want := wSnap.Column(d), cSnap.Column(d)
-				if got.Converged != want.Converged || got.Clean != want.Clean || !reflect.DeepEqual(got.Pages, want.Pages) {
-					t.Fatalf("%s storm %d: destination %d diverged from the WithDelta(false) server", shape, storm, d)
-				}
+			if st := warm.Stats(); st.DeltaDestRebuilds == 0 {
+				t.Fatalf("%s: the warm server never took the delta path (%d scratch rebuilds)", label, st.ScratchDestRebuilds)
+			} else {
+				t.Logf("%s: %d delta and %d scratch rebuilds", label, st.DeltaDestRebuilds, st.ScratchDestRebuilds)
 			}
-			if warm.Checksum() != cold.Checksum() {
-				t.Fatalf("%s storm %d: checksums %08x vs %08x", shape, storm, warm.Checksum(), cold.Checksum())
-			}
+			warm.Close()
+			cold.Close()
 		}
-		if st := warm.Stats(); st.DeltaDestRebuilds == 0 {
-			t.Fatalf("%s: the warm server never took the delta path (%d scratch rebuilds)", shape, st.ScratchDestRebuilds)
-		} else {
-			t.Logf("%s: %d delta and %d scratch rebuilds", shape, st.DeltaDestRebuilds, st.ScratchDestRebuilds)
-		}
-		warm.Close()
-		cold.Close()
 	}
 }
 

@@ -487,13 +487,12 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 // the engine interned and how many its memo tables cover, per backend:
 // interned past hot capacity is the one signal an operator has that an
 // algebra runs interpreted under a mutex (always so on dynamic).
-// /v1/stats also names the plan's scratch solver and warm start: the
-// compiled tables of this lex product prove strict I, those of the
-// policy product prove M; on the dynamic and tiered backends the
-// inferred set the engine carries proves strict I for the lex products
-// and M for the forwardable policy. An engine over a bare copy of the
-// transform, which no inference ran on, sweeps and has no warm start
-// unless its tables prove one.
+// /v1/stats also names the plan's scratch solver and warm start, which
+// the inferred set the engine carries decides on every backend: strict I
+// for the lex products, M for the policy products, and the dense warm
+// start alone for the rank-less tags policy. An engine over a bare copy
+// of the transform, which no inference ran on, sweeps and has no warm
+// start, even where its compiled tables would prove M or I.
 func TestEngineTierGauges(t *testing.T) {
 	for _, tc := range []struct {
 		expr     string
@@ -504,13 +503,15 @@ func TestEngineTierGauges(t *testing.T) {
 		solver   string
 		warm     string
 	}{
-		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, true, "best-first (I, table)", "clean tree"},
+		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, true, "sweep", "none"},
+		{"lex(delay(16,3), hops(8))", exec.ModeCompiled, false, 0, false, "best-first (I)", "clean tree"},
 		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, true, "sweep", "none"},
 		{"lex(delay(16,3), hops(8))", exec.ModeTiered, true, 256, true, "sweep", "none"},
-		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, false, "best-first (I, inferred)", "clean tree"},
-		{"lex(delay(255,3), hops(32))", exec.ModeTiered, true, 256, false, "best-first (I, inferred)", "clean tree"},
-		{"scoped(hops(0), delay(64,4))", exec.ModeTiered, true, 256, false, "best-first (M, inferred)", "dense"},
-		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, false, "best-first (M, table)", "derivation log (M)"},
+		{"lex(delay(16,3), hops(8))", exec.ModeDynamic, true, 0, false, "best-first (I)", "clean tree"},
+		{"lex(delay(255,3), hops(32))", exec.ModeTiered, true, 256, false, "best-first (I)", "clean tree"},
+		{"scoped(hops(0), delay(64,4))", exec.ModeTiered, true, 256, false, "best-first (M)", "derivation log (M)"},
+		{"scoped(bw(4), lex(tags(2), tags(2)))", exec.ModeTiered, true, 256, false, "sweep", "dense"},
+		{"scoped(bw(4), delay(64,4))", exec.ModeCompiled, false, 0, false, "best-first (M)", "derivation log (M)"},
 	} {
 		a, err := core.InferString(tc.expr)
 		if err != nil {

@@ -226,28 +226,34 @@ func subsetGraph(seed int64, labels int, origin value.V) (*graph.Graph, map[int]
 }
 
 // TestSubsetDifferential: on lex(delay, hops) — clean columns, so every
-// destination is sharp — and on the policy product scoped(bw(4),
-// delay(64,4)) — never clean, so sharp for restores alone, by M — on
-// both backends that license the skip rule (the policy product takes the
-// derivation log on compiled and the dense warm start on tiered), 40
-// storms of fail/restore/equal-cost toggles keep every swap
-// bit-identical to the whole batch's rebuilds and frame and to scratch
-// builds. The subsets must have dropped toggles (the rule fired) with
-// equal-cost restores in the mix, and equal-cost fails on the lex
-// columns.
+// destination is sharp — on the policy product scoped(bw(4),
+// delay(64,4)) — never clean, so sharp for restores alone, by M, and
+// rebuilt from the derivation log on both backends — and on the
+// rank-less tags policy scoped(bw(4), lex(tags(2), tags(2))) — M without
+// Full, so the dense warm start and no skip rule — on compiled and
+// tiered engines, 40 storms of fail/restore/equal-cost toggles keep every
+// swap bit-identical to the whole batch's rebuilds and frame and to
+// scratch builds. The subsets must have dropped toggles (the rule fired)
+// with equal-cost restores in the mix, and equal-cost fails on the lex
+// columns; the tags policy must rebuild by delta, under no skip rule,
+// through equal-cost fails and restores.
 func TestSubsetDifferential(t *testing.T) {
-	for _, expr := range []string{"lex(delay(32,3), hops(8))", "lex(delay(8,2), hops(8))", "scoped(bw(4), delay(64,4))"} {
+	for _, expr := range []string{"lex(delay(32,3), hops(8))", "lex(delay(8,2), hops(8))", "scoped(bw(4), delay(64,4))",
+		"scoped(bw(4), lex(tags(2), tags(2)))"} {
 		a, err := core.InferString(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		origin := a.OT.DefaultOrigin()
-		policy := strings.HasPrefix(expr, "scoped")
+		policy, dense := expr == "scoped(bw(4), delay(64,4))", strings.Contains(expr, "tags")
 		for _, mode := range []exec.Mode{exec.ModeCompiled, exec.ModeTiered} {
 			t.Run(fmt.Sprintf("%s/%s", expr, mode), func(t *testing.T) {
 				eng, err := exec.New(a.OT, mode, origin)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if w := solve.NewPlan(eng).Warm; dense != (w == solve.WarmDense) {
+					t.Fatalf("warm start %v", w)
 				}
 				g, origins := subsetGraph(34, a.OT.F.Size(), origin)
 				sr := newSubsetRun(t, eng, g, origins)
@@ -257,13 +263,14 @@ func TestSubsetDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := sr.srv.Stats()
-				// The dense warm start cuts over on every unclean column, so
-				// the policy product rebuilds by delta on compiled alone.
-				teeth := st.DeltaDestRebuilds > 0 && sr.dropped >= 10 && sr.ecmpFails >= 5
-				if policy {
-					teeth = (st.DeltaDestRebuilds > 0) == (mode == exec.ModeCompiled) && sr.m && sr.uncleanDrops >= 10
+				teeth := st.DeltaDestRebuilds > 0 && sr.dropped >= 10 && sr.ecmpFails >= 5 && sr.evenRestores >= 5
+				switch {
+				case policy:
+					teeth = st.DeltaDestRebuilds > 0 && sr.m && sr.uncleanDrops >= 10 && sr.evenRestores >= 5
+				case dense:
+					teeth = st.DeltaDestRebuilds > 0 && !sr.m && sr.ecmpFails >= 5 && sr.evenRestores >= 5
 				}
-				if !teeth || sr.evenRestores < 5 {
+				if !teeth {
 					t.Fatalf("fixture lost its teeth: %d delta rebuilds, %d dropped toggles, %d restores dropped from unclean columns (M skip rule %v), %d equal-cost fails, %d equal-cost restores",
 						st.DeltaDestRebuilds, sr.dropped, sr.uncleanDrops, sr.m, sr.ecmpFails, sr.evenRestores)
 				}

@@ -35,13 +35,13 @@ import (
 // 2N+4-round budget before the fixpoint, ScratchRaw returns the fixpoint
 // with Converged true.
 //
-// Two kernels implement it. On a compiled engine whose tables verified
-// the licence cell by cell, bestFirst drains rank buckets and indexes the
-// flat tables. On every other engine — tiered, dynamic, or compiled but
-// hidden — the licence is the inference's, and bestFirstLt keys the same
-// intrusive lists by interned weight id, with a small heap over the
-// distinct queued ids ordered by the engine's Lt. Without a licence
-// ScratchRaw runs the sweep.
+// Two loops implement it, for one plan. On an engine with flat tables
+// (exec.Tables, the choice the sweep and the ECMP scan make too),
+// bestFirst drains rank buckets and indexes the tables. On every other
+// engine — tiered, dynamic, or compiled but hidden — bestFirstLt keys
+// the same intrusive lists by interned weight id, with a small heap over
+// the distinct queued ids ordered by the engine's Lt. Both keep the
+// derivation log under M. Without a licence ScratchRaw runs the sweep.
 
 // ScratchRaw solves dest from scratch with the kernel the workspace's
 // plan picks (Plan.Kernel) and returns a Raw aliasing the workspace,
@@ -60,8 +60,8 @@ func (ws *Workspace) ScratchRaw(eng exec.Algebra, g *graph.Graph, dest int, orig
 	o := exec.MustIntern(eng, origin)
 	var settles int
 	var relaxations uint64
-	if t := plan.Kernel.Table; t != nil {
-		settles, relaxations = ws.bestFirst(t, g, dest, o, true)
+	if t := exec.Tables(eng); t != nil {
+		settles, relaxations = ws.bestFirst(eng, t, plan, g, dest, o, true)
 	} else if settles, relaxations = ws.bestFirstLt(eng, plan, g, dest, o, true); settles < 0 {
 		return ws.BellmanFordRaw(eng, g, dest, origin, 0)
 	}
@@ -269,26 +269,26 @@ func (b *idBuckets) clear() {
 	b.heap = b.heap[:0]
 }
 
-// bestFirst is the table kernel over t's tables. Settling a node
-// relaxes its in-arcs push-style; a tail whose weight improves moves to
-// its new rank's bucket, below the one being drained if need be (only
-// under M). requeue false leaves settled nodes alone — label-setting
-// proper, which strict I makes exact and M does not; the differential
-// tests run that mutant to show the re-queue is needed. The list links
-// borrow prevW (next) and nextHop (back), which hold nothing until the
-// primary pass: every list is empty when the loop ends, so nextHop is
-// back to all -1 for that pass to fill. On an M-licensed table every
-// weight improvement's arc goes to logBuf: the derivation log
-// (derivation.go).
-func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
+// bestFirst is the table kernel over t, eng's tables, running plan.
+// Settling a node relaxes its in-arcs push-style; a tail whose weight
+// improves moves to its new rank's bucket, below the one being drained
+// if need be (only under M). requeue false leaves settled nodes alone —
+// label-setting proper, which strict I makes exact and M does not; the
+// differential tests run that mutant to show the re-queue is needed.
+// The list links borrow prevW (next) and nextHop (back), which hold
+// nothing until the primary pass: every list is empty when the loop
+// ends, so nextHop is back to all -1 for that pass to fill. Under an M
+// kernel every weight improvement's arc goes to logBuf: the derivation
+// log (derivation.go).
+func (ws *Workspace) bestFirst(eng exec.Algebra, t *compile.Compiled, plan Plan, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
 	ws.reset(g.N, dest, o)
 	fn, rank, stride := t.Fn, t.Rank, t.N
 	w, next, back := ws.w, ws.prevW, ws.nextHop
 	bq := &ws.buckets
 	bq.size(t.N)
 	bq.insert(dest, rank[o], next, back)
-	logging := t.Monotone
-	ws.logPrev, ws.logBuf = nil, ws.logBuf[:0]
+	chk := newRelaxCheck(eng, plan)
+	logging := plan.Kernel.M
 	var arcs []int32
 	for {
 		u := bq.popMin(next, back)
@@ -307,6 +307,7 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 			}
 			relaxations++
 			cand := fn[int(h.Label)*stride+wu]
+			chk.relax(int32(wu), int32(cand))
 			rc := rank[cand]
 			if wp := w[p]; wp >= 0 {
 				if rc >= rank[wp] {
@@ -356,16 +357,19 @@ func (ws *Workspace) bestFirst(t *compile.Compiled, g *graph.Graph, dest int, o 
 
 // bestFirstLt is the comparison kernel: bestFirst on any engine, with
 // weight ids for ranks, Apply for the table lookup and idBuckets for the
-// queue. Under M a weight may keep falling on inputs whose order is not
-// well-founded, so past (2N+4)·N settles — more than the sweep's whole
-// round budget could re-evaluate — it gives up and returns settles -1,
-// with the queue emptied, for ScratchRaw to sweep instead.
+// queue, keeping the derivation log under M as bestFirst does. Under M a
+// weight may keep falling on inputs whose order is not well-founded, so
+// past (2N+4)·N settles — more than the sweep's whole round budget could
+// re-evaluate — it gives up and returns settles -1, with the queue
+// emptied and no log kept, for ScratchRaw to sweep instead.
 func (ws *Workspace) bestFirstLt(eng exec.Algebra, plan Plan, g *graph.Graph, dest int, o int32, requeue bool) (settles int, relaxations uint64) {
 	ws.reset(g.N, dest, o)
 	w, next, back := ws.w, ws.prevW, ws.nextHop
 	q := &ws.ids
 	q.insert(eng, dest, o, next, back)
 	chk := newRelaxCheck(eng, plan)
+	logging := plan.Kernel.M
+	var arcs []int32
 	budget := (2*g.N + 4) * g.N
 	for {
 		u := q.popMin(eng, next, back)
@@ -377,7 +381,10 @@ func (ws *Workspace) bestFirstLt(eng exec.Algebra, plan Plan, g *graph.Graph, de
 			return -1, relaxations
 		}
 		wu := w[u]
-		for _, h := range g.InHops(u) {
+		if logging {
+			arcs = g.In(u)
+		}
+		for k, h := range g.InHops(u) {
 			p := int(h.Node)
 			if p == dest {
 				continue
@@ -396,9 +403,13 @@ func (ws *Workspace) bestFirstLt(eng exec.Algebra, plan Plan, g *graph.Graph, de
 				}
 			}
 			w[p] = cand
+			if logging {
+				ws.logBuf = append(ws.logBuf, arcs[k])
+			}
 			q.insert(eng, p, cand, next, back)
 		}
 	}
+	ws.logged = logging
 	// Primary next hops by the sweep's rule: the first out-arc whose
 	// candidate is minimal, which on an antisymmetric order is the first
 	// one whose candidate is the node's own weight.

@@ -40,9 +40,8 @@ func chainOT(n int) *ost.OrderTransform {
 	return intOT("chain", n, identity, identity, func(x int) int { return max(x-1, 0) })
 }
 
-// compiledOT compiles ot into a fresh engine (never the memoised one, so
-// a test may overwrite its licences) and returns the engine and its
-// tables.
+// compiledOT compiles ot into a fresh engine (never the memoised one)
+// and returns the engine and its tables.
 func compiledOT(t testing.TB, ot *ost.OrderTransform) (exec.Algebra, *compile.Compiled) {
 	t.Helper()
 	eng, err := exec.Compile(ot)
@@ -76,16 +75,19 @@ func cycleGraph() *graph.Graph {
 
 // TestScratchKernelBeyondSweepBudget is the one verdict the kernel
 // changes, on purpose: on the constructed M algebra (a decrement around
-// a 2-cycle on a 300-element chain, origin at the top) the greatest
+// a 2-cycle on a 300-element chain, origin at the top, its judgements
+// model-checked and stamped as inference would) the greatest
 // fixpoint is 299 decrements away and the sweep gains one per round, so
 // with its default budget of 2N+4 = 10 rounds it stops short and says
 // Converged false. The kernel re-queues the cycle 300 times and returns
 // the greatest fixpoint — both nodes at 0 — with Converged true: exactly
 // what the sweep returns once its budget is large enough to get there.
 func TestScratchKernelBeyondSweepBudget(t *testing.T) {
-	eng, tab := compiledOT(t, chainOT(300))
-	if !tab.Monotone || tab.StrictlyIncreasing {
-		t.Fatalf("licences M=%v strict-I=%v, want M only", tab.Monotone, tab.StrictlyIncreasing)
+	chain := chainOT(300)
+	chain.Props = checkedProps(chain)
+	eng, _ := compiledOT(t, chain)
+	if k := NewPlan(eng).Kernel; !k.M || k.I {
+		t.Fatalf("kernel %+v, want M only", k)
 	}
 	g := cycleGraph()
 	ws := NewWorkspace()
@@ -104,24 +106,48 @@ func TestScratchKernelBeyondSweepBudget(t *testing.T) {
 	t.Logf("sweep: %d rounds unconverged at %v, %d to converge; kernel: %d settles", capped.Rounds, capped.W, long.Rounds, kernel.Rounds)
 }
 
+// caught runs a mutant kernel and reports whether the licencecheck
+// build stopped it — a forged licence panics there before the mutant
+// can disagree with the sweep — or runs it to the end in every other
+// build.
+func caught(t *testing.T, run func()) (stopped bool) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			msg, _ := v.(string)
+			if !strings.Contains(msg, "licencecheck:") {
+				panic(v)
+			}
+			stopped = true
+		}
+	}()
+	run()
+	return false
+}
+
 // TestScratchKernelMutantsFail runs the three mutants the differential
-// must catch and checks that each one disagrees with the sweep:
+// must catch, on the table kernel, and checks that each one disagrees
+// with the sweep:
 //   - a kernel that never re-queues a settled node, on the M algebras
 //     (the chain, and the policy product on a scale-free graph);
-//   - a strict-I licence that accepted non-strict I, on an ND but
+//   - a plan granting strict I to non-strict I, on an ND but
 //     non-monotone table whose sweep oscillates: h(1) = 1 sustains a
-//     2-cycle that alternates between 1 and 3 every round;
-//   - an M licence that skipped the injectivity check, on a monotone
-//     table with two equivalent weights: the kernel keeps the first one
-//     it finds, the sweep the one behind the first tight out-arc.
+//     2-cycle that alternates between 1 and 3 every round (the
+//     licencecheck build stops it at the first relaxation instead);
+//   - a plan granting M without antisymmetry, on a monotone table with
+//     two equivalent weights: the kernel keeps the first one it finds,
+//     the sweep the one behind the first tight out-arc.
 //
-// In each case the real licence must refuse the table.
+// In each case the plan read from the model-checked judgements must
+// refuse the algebra.
 func TestScratchKernelMutantsFail(t *testing.T) {
 	ws := NewWorkspace()
 
-	_, chain := compiledOT(t, chainOT(300))
+	chainAlg := chainOT(300)
+	chainAlg.Props = checkedProps(chainAlg)
+	eng, chain := compiledOT(t, chainAlg)
 	g := cycleGraph()
-	ws.bestFirst(chain, g, 0, 299, false)
+	ws.bestFirst(eng, chain, NewPlan(eng), g, 0, 299, false)
 	if ws.w[1] == 0 {
 		t.Fatal("chain: a kernel without re-queues still reached the greatest fixpoint")
 	}
@@ -136,7 +162,7 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 	differs := 0
 	for dest := 0; dest < 20; dest++ {
 		want := ownRaw(ws.BellmanFordRaw(eng, sf, dest, a.OT.DefaultOrigin(), 0))
-		ws.bestFirst(policy, sf, dest, o, false)
+		ws.bestFirst(eng, policy, NewPlan(eng), sf, dest, o, false)
 		if !slices.Equal(ws.w, want.W) {
 			differs++
 		}
@@ -151,9 +177,11 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 	// then 3 while its cycle partner copies it a round late.
 	inc := func(x int) int { return min(x+1, 3) }
 	h := func(x int) int { return [4]int{3, 1, 3, 3}[x] }
-	eng, plateau := compiledOT(t, intOT("plateau", 4, identity, inc, identity, h))
-	if plateau.Monotone || plateau.StrictlyIncreasing {
-		t.Fatal("plateau: a licence was granted to a non-monotone, non-strict table")
+	plateau := intOT("plateau", 4, identity, inc, identity, h)
+	plateau.Props = checkedProps(plateau)
+	eng, _ = compiledOT(t, plateau)
+	if k := NewPlan(eng).Kernel; k.M || k.I {
+		t.Fatal("plateau: a licence was granted to a non-monotone, non-strict algebra")
 	}
 	pg := graph.MustNew(5, []graph.Arc{{From: 1, To: 0, Label: 0}, {From: 1, To: 4, Label: 1}, {From: 4, To: 0, Label: 1},
 		{From: 2, To: 1, Label: 2}, {From: 2, To: 3, Label: 1}, {From: 3, To: 2, Label: 1}})
@@ -161,23 +189,27 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 	if want.Converged {
 		t.Fatal("plateau: the sweep must oscillate")
 	}
-	plateau.StrictlyIncreasing = true
-	if got := ws.ScratchRaw(eng, pg, 0, 0); got.Converged == want.Converged && sameRoutes(got, want) {
+	mut := NewWorkspace() // a stopped kernel leaves its queue as it was
+	mut.Plan = &Plan{Kernel: Kernel{I: true}}
+	var got Raw
+	if !caught(t, func() { got = mut.ScratchRaw(eng, pg, 0, 0) }) && got.Converged == want.Converged && sameRoutes(got, want) {
 		t.Fatal("plateau: the non-strict mutant matched the sweep")
 	}
 
 	// Shared rank: weights 1 and 2 are equivalent; every function is a
 	// constant, hence monotone. Arcs: 1→2 κ1, 1→0 κ2, 2→0 κ1.
 	key := func(x int) int { return min(x, 1) }
-	eng, tie := compiledOT(t, intOT("tie", 3, key, func(int) int { return 1 }, func(int) int { return 2 }))
-	if tie.Monotone || tie.StrictlyIncreasing {
+	tie := intOT("tie", 3, key, func(int) int { return 1 }, func(int) int { return 2 })
+	tie.Props = checkedProps(tie)
+	eng, _ = compiledOT(t, tie)
+	if k := NewPlan(eng).Kernel; k.M || k.I {
 		t.Fatal("tie: a licence was granted to a rank shared by two weights")
 	}
 	tg := graph.MustNew(3, []graph.Arc{{From: 1, To: 2, Label: 0}, {From: 1, To: 0, Label: 1}, {From: 2, To: 0, Label: 0}})
 	want = ownRaw(ws.ScratchRaw(eng, tg, 0, 0))
-	tie.Monotone = true
+	ws.Plan = &Plan{Kernel: Kernel{M: true}}
 	if got := ws.ScratchRaw(eng, tg, 0, 0); got.Converged == want.Converged && sameRoutes(got, want) {
-		t.Fatal("tie: the mutant that skips the injectivity check matched the sweep")
+		t.Fatal("tie: the mutant that skips the antisymmetry check matched the sweep")
 	}
 }
 
@@ -185,13 +217,14 @@ func TestScratchKernelMutantsFail(t *testing.T) {
 type hiddenEng struct{ exec.Algebra }
 
 // TestScratchRawDispatch: the plan names the kernel ScratchRaw runs,
-// and ScratchRaw is exactly that solver — the table kernel (Rounds
-// counting its settles) on ranked, licensed compiled tables, the
-// comparison kernel wherever only the inferred set licenses it (tiered,
-// dynamic, and tables hidden from exec.Tables), and BellmanFordRaw
-// without a licence: on those engines built over a transform no
-// inference ran on (inferred=false), on the rank-less tags(2) product
-// (¬Full) and on the unlicensed BAD GADGET and lex(delay, bw).
+// whatever the backend, and ScratchRaw implements it with the loop the
+// engine affords — the table kernel (Rounds counting its settles) on
+// ranked compiled tables, the comparison kernel elsewhere (tiered,
+// dynamic, and tables hidden from exec.Tables) — and BellmanFordRaw
+// without a licence: on engines built over a transform no inference ran
+// on (inferred=false; the tables prove M there, but license nothing), on
+// the rank-less tags(2) product (¬Full) and on the unlicensed BAD GADGET
+// and lex(delay, bw).
 func TestScratchRawDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, c := range []struct {
@@ -200,18 +233,20 @@ func TestScratchRawDispatch(t *testing.T) {
 		hide     bool
 		inferred bool
 		want     string
+		loop     string
 	}{
-		{"scoped(bw(4), delay(8,4))", exec.ModeCompiled, false, false, "best-first (M, table)"},
-		{"delay(16,3)", exec.ModeCompiled, false, true, "best-first (M, table)"},
-		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, false, true, "best-first (I, table)"},
-		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, false, "sweep"},
-		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, true, "best-first (I, inferred)"},
-		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, false, "sweep"},
-		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, true, "best-first (I, inferred)"},
-		{"scoped(bw(4), delay(8,4))", exec.ModeDynamic, false, true, "best-first (M, inferred)"},
-		{"lex(delay(6,3), tags(2))", exec.ModeCompiled, false, true, "sweep"},
-		{"gadget", exec.ModeCompiled, false, true, "sweep"},
-		{"lex(delay(8,2), bw(4))", exec.ModeTiered, false, true, "sweep"},
+		{"scoped(bw(4), delay(8,4))", exec.ModeCompiled, false, false, "sweep", "sweep"},
+		{"scoped(bw(4), delay(8,4))", exec.ModeCompiled, false, true, "best-first (M)", "table"},
+		{"delay(16,3)", exec.ModeCompiled, false, true, "best-first (M)", "table"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, false, true, "best-first (I)", "table"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, false, "sweep", "sweep"},
+		{"lex(delay(6,3), hops(4))", exec.ModeCompiled, true, true, "best-first (I)", "lt"},
+		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, false, "sweep", "sweep"},
+		{"lex(delay(6,3), hops(4))", exec.ModeTiered, false, true, "best-first (I)", "lt"},
+		{"scoped(bw(4), delay(8,4))", exec.ModeDynamic, false, true, "best-first (M)", "lt"},
+		{"lex(delay(6,3), tags(2))", exec.ModeCompiled, false, true, "sweep", "sweep"},
+		{"gadget", exec.ModeCompiled, false, true, "sweep", "sweep"},
+		{"lex(delay(8,2), bw(4))", exec.ModeTiered, false, true, "sweep", "sweep"},
 	} {
 		a, err := core.InferString(c.expr)
 		if err != nil {
@@ -240,18 +275,21 @@ func TestScratchRawDispatch(t *testing.T) {
 			got := ownRaw(ws.ScratchRaw(eng, g, dest, origin))
 			var want Raw
 			o := exec.MustIntern(eng, origin)
-			switch {
-			case strings.HasSuffix(c.want, "table)"):
-				settles, _ := ref.bestFirst(exec.Tables(eng), g, dest, o, true)
+			switch c.loop {
+			case "table":
+				settles, _ := ref.bestFirst(eng, exec.Tables(eng), plan, g, dest, o, true)
 				want = ref.raw(dest, settles, true)
-			case strings.HasSuffix(c.want, "inferred)"):
+			case "lt":
 				settles, _ := ref.bestFirstLt(eng, plan, g, dest, o, true)
 				want = ref.raw(dest, settles, true)
 			default:
 				want = ref.BellmanFordRaw(eng, g, dest, origin, 0)
 			}
 			if !reflect.DeepEqual(got, ownRaw(want)) {
-				t.Fatalf("%s dest %d: ScratchRaw %+v, %s %+v", tag, dest, got, c.want, want)
+				t.Fatalf("%s dest %d: ScratchRaw %+v, the %s loop %+v", tag, dest, got, c.loop, want)
+			}
+			if ws.logged != plan.Kernel.M || ref.logged != plan.Kernel.M || !slices.Equal(ws.logBuf, ref.logBuf) {
+				t.Fatalf("%s dest %d: M %v, but logged %v/%v", tag, dest, plan.Kernel.M, ws.logged, ref.logged)
 			}
 		}
 	}
@@ -343,8 +381,8 @@ func TestScheduleIndependenceAtSize(t *testing.T) {
 // allocates nothing, on the policy product's 2k-node graph and on a
 // 10k-node lex graph, and the kernel grows no per-node buffer of its
 // own — only what reset sizes (the list links borrow prevW and
-// nextHop), plus the rank buckets sized by the carrier and, on the M
-// table alone, the derivation log's buffer.
+// nextHop), plus the rank buckets sized by the carrier and, under the M
+// plan alone, the derivation log's buffer.
 func TestScratchKernelAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, c := range []struct {
@@ -368,10 +406,11 @@ func TestScratchKernelAllocs(t *testing.T) {
 		if cap(ws.buckets.head) != tab.N || cap(ws.buckets.bits) != (tab.N+63)/64 {
 			t.Fatalf("%s: rank buckets %d/%d for %d ranks", c.expr, cap(ws.buckets.head), cap(ws.buckets.bits), tab.N)
 		}
-		// On the M table the derivation log, and everything else must
+		// Under the M plan the derivation log, and everything else must
 		// still be unset.
-		if ws.logged != tab.Monotone || (len(ws.logBuf) > 0) != tab.Monotone {
-			t.Fatalf("%s: M licence %v, but a log of %d entries (logged %v)", c.expr, tab.Monotone, len(ws.logBuf), ws.logged)
+		m := NewPlan(eng).Kernel.M
+		if ws.logged != m || (len(ws.logBuf) > 0) != m {
+			t.Fatalf("%s: M plan %v, but a log of %d entries (logged %v)", c.expr, m, len(ws.logBuf), ws.logged)
 		}
 		only := Workspace{routed: ws.routed, w: ws.w, nextHop: ws.nextHop, prevW: ws.prevW, inTree: ws.inTree,
 			stale: ws.stale, staleNext: ws.staleNext, buckets: ws.buckets, logBuf: ws.logBuf, logged: ws.logged}

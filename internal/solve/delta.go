@@ -200,7 +200,7 @@ func (ws *Workspace) BellmanFordDeltaLog(eng exec.Algebra, g *graph.Graph, disab
 	}
 	if logWarm {
 		visited = ws.replayLog(g, disabled, log, toggles)
-		pops, relaxations, frontier, ok = ws.deltaDrainLog(plan.Kernel.Table, g, disabled, dest, prev, toggles, maxPops)
+		pops, relaxations, frontier, ok = ws.deltaDrainLog(eng, plan, g, disabled, dest, prev, toggles, maxPops)
 	} else if cleanPrev {
 		pops, relaxations, frontier, ok = ws.deltaDrainSparse(eng, g, disabled, dest, prev, toggles, maxPops, plan.Kernel.I)
 	} else {

@@ -4,17 +4,18 @@ import (
 	"cmp"
 	"slices"
 
-	"metarouting/internal/compile"
+	"metarouting/internal/exec"
 	"metarouting/internal/graph"
 )
 
-// This file holds the warm start M licenses: the derivation log. On a
-// table that proves M (compile.Compiled.Monotone) the best-first kernel
-// records the arc of every weight improvement it makes, in creation
-// order, and so does the logged delta drain below; a column keeps that
-// log (Log, dlog.go) for its next rebuild. Treat "unrouted" as ⊤, and
-// let F_old, F_new be the one-step operators before and after a batch of
-// arc toggles and X_old = GFP(F_old) the previous column.
+// This file holds the warm start M licenses: the derivation log. Under an
+// M kernel (Plan.Kernel; M over an antisymmetric total order) the
+// best-first kernel records the arc of every weight improvement it makes,
+// in creation order, on every backend, and so does the logged delta drain
+// below; a column keeps that log (Log, dlog.go) for its next rebuild.
+// Treat "unrouted" as ⊤, and let F_old, F_new be the one-step operators
+// before and after a batch of arc toggles and X_old = GFP(F_old) the
+// previous column.
 //
 //   - Parents are implicit: the parent of an entry on arc x→y is the
 //     latest earlier live entry at y (the origin at the destination),
@@ -42,8 +43,8 @@ import (
 // weight. DESIGN §"Warm starts licensed by M" carries the full argument.
 
 // DerivationLog returns the derivation log of the workspace's last solve
-// — the kernel on an M-licensed table, or a delta that took the log warm
-// start — or nil when that solve recorded none. g and dest must be the
+// — the kernel under an M plan, or a delta that took the log warm start
+// — or nil when that solve recorded none. g and dest must be the
 // ones the solve ran on. The log is immutable and shares structure with
 // the previous column's: a delta derives it by unlinking the entries its
 // replay found invalid and appending the ones its drain wrote, copying
@@ -191,14 +192,14 @@ func (ws *Workspace) restarting(u int) bool { return ws.restart[u] == ws.restart
 // the logged drain runs. ok is false when the caller must fall back to a
 // scratch build: a frontier of half the graph or more, an exhausted pop
 // budget, or a drain step that would raise a weight.
-func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
+func (ws *Workspace) deltaDrainLog(eng exec.Algebra, plan Plan, g *graph.Graph, disabled []bool, dest int, warm WarmLoader, toggles []ArcToggle, maxPops int) (pops int, relaxations uint64, frontier int, ok bool) {
 	if maxPops <= 0 {
 		maxPops = defaultPopBudget(g.N)
 	}
 	if frontier = ws.seedRestarts(dest); 2*frontier >= g.N {
 		return 0, 0, frontier, false
 	}
-	if pops, relaxations, ok = ws.drainLog(t, g, disabled, dest, maxPops, warm, true); !ok {
+	if pops, relaxations, ok = ws.drainLog(eng, plan, g, disabled, dest, maxPops, warm, true); !ok {
 		return pops, relaxations, frontier, false
 	}
 	rev := g.RevIn()
@@ -214,7 +215,7 @@ func (ws *Workspace) deltaDrainLog(t *compile.Compiled, g *graph.Graph, disabled
 	if frontier += len(ws.queue); 2*frontier >= g.N {
 		return pops, relaxations, frontier, false
 	}
-	more, moreRelax, ok := ws.drainLog(t, g, disabled, dest, maxPops-pops, warm, false)
+	more, moreRelax, ok := ws.drainLog(eng, plan, g, disabled, dest, maxPops-pops, warm, false)
 	return pops + more, relaxations + moreRelax, frontier, ok
 }
 
@@ -247,15 +248,15 @@ func (ws *Workspace) pushIn(rev *graph.Graph, disabled []bool, u, dest int, in b
 	}
 }
 
-// drainLog is drain over a compiled table's rank and function rows, on
-// the sparse overlay, appending the arc of every weight improvement to
-// logBuf. Seeded from a post-fixpoint it never raises a weight; a step
-// that would (only a broken seed state can cause one) reports through
-// onRaise and returns ok false. With settle set, a node that moves
-// pushes only its in-neighbours in S.
-func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader, settle bool) (pops int, relaxations uint64, ok bool) {
+// drainLog is drain on the sparse overlay, appending the arc of every
+// weight improvement to logBuf. Seeded from a post-fixpoint it never
+// raises a weight; a step that would (only a broken seed state can cause
+// one) reports through onRaise and returns ok false. With settle set, a
+// node that moves pushes only its in-neighbours in S. Like the kernels,
+// it holds every relaxation to plan in the licencecheck build.
+func (ws *Workspace) drainLog(eng exec.Algebra, plan Plan, g *graph.Graph, disabled []bool, dest, maxPops int, warm WarmLoader, settle bool) (pops int, relaxations uint64, ok bool) {
 	rev := g.RevIn()
-	fn, rank, stride := t.Fn, t.Rank, t.N
+	chk := newRelaxCheck(eng, plan)
 	routed, w, nextHop := ws.routed, ws.w, ws.nextHop
 	head := 0
 	for head < len(ws.queue) {
@@ -273,7 +274,7 @@ func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bo
 		pops++
 		ws.ensure(u, warm)
 		nh, k := -1, 0
-		var cand, bestRank uint16
+		var cand int32
 		for i, h := range g.OutHops(u) {
 			v := int(h.Node)
 			ws.ensure(v, warm)
@@ -281,9 +282,10 @@ func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bo
 				continue
 			}
 			relaxations++
-			c := fn[int(h.Label)*stride+int(w[v])]
-			if r := rank[c]; nh < 0 || r < bestRank {
-				nh, k, cand, bestRank = v, i, c, r
+			c := eng.Apply(int(h.Label), w[v])
+			chk.relax(w[v], c)
+			if nh < 0 || eng.Lt(c, cand) {
+				nh, k, cand = v, i, c
 			}
 		}
 		if nh < 0 {
@@ -295,16 +297,16 @@ func (ws *Workspace) drainLog(t *compile.Compiled, g *graph.Graph, disabled []bo
 		}
 		if routed[u] {
 			wu := w[u]
-			if wu == int32(cand) {
+			if wu == cand {
 				nextHop[u] = nh
 				continue
 			}
-			if bestRank > rank[wu] {
+			if eng.Lt(wu, cand) {
 				ws.raised(u)
 				return pops, relaxations, false
 			}
 		}
-		routed[u], w[u], nextHop[u] = true, int32(cand), nh
+		routed[u], w[u], nextHop[u] = true, cand, nh
 		ws.logBuf = append(ws.logBuf, g.Out(u)[k])
 		if settle {
 			ws.pushIn(rev, disabled, u, dest, true)

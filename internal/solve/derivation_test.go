@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"metarouting/internal/compile"
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -50,19 +49,19 @@ func (ws *Workspace) served(n, dest int, prev WarmStart) Raw {
 // marks. With settle false it skips the settle: S
 // starts unrouted and is queued before the toggle tails, and the logged
 // drain runs at once. ok is false on a fallback.
-func (ws *Workspace) logDelta(t *compile.Compiled, g *graph.Graph, disabled []bool, dest int, o int32, prev WarmStart, toggles []ArcToggle, replay func(), settle bool) (Raw, bool) {
+func (ws *Workspace) logDelta(eng exec.Algebra, g *graph.Graph, disabled []bool, dest int, o int32, prev WarmStart, toggles []ArcToggle, replay func(), settle bool) (Raw, bool) {
 	ws.sparseReset(g.N)
 	ws.loadNode(dest, true, o, -1)
 	replay()
 	var ok bool
 	if settle {
-		_, _, _, ok = ws.deltaDrainLog(t, g, disabled, dest, prev, toggles, 0)
+		_, _, _, ok = ws.deltaDrainLog(eng, ws.plan(eng), g, disabled, dest, prev, toggles, 0)
 	} else {
 		ws.seedRestarts(dest)
 		for _, tg := range toggles {
 			ws.push(g.Arcs[tg.Arc].From, dest)
 		}
-		_, _, ok = ws.drainLog(t, g, disabled, dest, defaultPopBudget(g.N), prev, false)
+		_, _, ok = ws.drainLog(eng, ws.plan(eng), g, disabled, dest, defaultPopBudget(g.N), prev, false)
 	}
 	return ws.served(g.N, dest, prev), ok
 }
@@ -128,16 +127,18 @@ func unpropagated(ws *Workspace, g *graph.Graph, disabled []bool, log []int32) f
 }
 
 // resetAlgebra is the chain 0 < 1 < … < 5 under the identity, constants
-// (left(T)'s resets) and v ↦ max(v, 3): monotone, not increasing.
-func resetAlgebra(t *testing.T) (exec.Algebra, *compile.Compiled) {
+// (left(T)'s resets) and v ↦ max(v, 3): monotone, not increasing, with
+// its judgements model-checked and stamped as inference would.
+func resetAlgebra(t *testing.T) exec.Algebra {
 	t.Helper()
 	konst := func(c int) func(int) int { return func(int) int { return c } }
-	eng, tab := compiledOT(t, intOT("reset", 6, identity, identity, konst(1), konst(2), konst(3), konst(4),
-		func(v int) int { return max(v, 3) }))
-	if !tab.Monotone || tab.StrictlyIncreasing {
-		t.Fatalf("reset algebra: licences M=%v strict-I=%v, want M only", tab.Monotone, tab.StrictlyIncreasing)
+	ot := intOT("reset", 6, identity, identity, konst(1), konst(2), konst(3), konst(4), func(v int) int { return max(v, 3) })
+	ot.Props = checkedProps(ot)
+	eng, _ := compiledOT(t, ot)
+	if k := NewPlan(eng).Kernel; !k.M || k.I {
+		t.Fatalf("reset algebra: kernel %+v, want M only", k)
 	}
-	return eng, tab
+	return eng
 }
 
 // Labels of resetAlgebra.
@@ -177,7 +178,7 @@ func padded(n int, arcs []graph.Arc) *graph.Graph {
 // The real warm start agrees with scratch on each, and on 400 policy
 // storms its drain never raises a weight.
 func TestDerivationDeltaMutantsFail(t *testing.T) {
-	eng, tab := resetAlgebra(t)
+	eng := resetAlgebra(t)
 	ws := NewWorkspace()
 	raised := false
 	ws.onRaise = func(int) { raised = true }
@@ -200,7 +201,7 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 			t.Fatalf("%s: the real warm start (delta %v, raised %v) disagrees with scratch\n got %+v\nwant %+v", name, st.UsedDelta, raised, got, want)
 		}
 		raised = false
-		got, ok := ws.logDelta(tab, view, disabled, 0, 0, rawWarm(prev), toggles, mutant(prev, disabled, log), settle)
+		got, ok := ws.logDelta(eng, view, disabled, 0, 0, rawWarm(prev), toggles, mutant(prev, disabled, log), settle)
 		if !raised && ok && sameServed(got, want) {
 			t.Fatalf("%s: the mutant matched scratch without raising a weight", name)
 		}
@@ -243,7 +244,7 @@ func TestDerivationDeltaMutantsFail(t *testing.T) {
 	var logged, trips int
 	policyLogStorms(t, ws, func(s logStorm) {
 		raised = false
-		mut, ok := ws.logDelta(s.tab, s.view, s.disabled, s.dest, s.o, rawWarm(s.prev), s.toggles,
+		mut, ok := ws.logDelta(s.eng, s.view, s.disabled, s.dest, s.o, rawWarm(s.prev), s.toggles,
 			func() { ws.replayLog(s.view, s.disabled, s.log, s.toggles) }, false)
 		if raised || ok && !sameServed(mut, s.want) {
 			trips++
@@ -306,7 +307,7 @@ func TestDerivationRestartsCounted(t *testing.T) {
 // build on that view.
 type logStorm struct {
 	g, view    *graph.Graph
-	tab        *compile.Compiled
+	eng        exec.Algebra
 	dest, step int
 	o          int32
 	prev, want Raw
@@ -328,7 +329,7 @@ func policyLogStorms(t *testing.T, ws *Workspace, visit func(s logStorm)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peng, ptab := compiledOT(t, a.OT)
+	peng, _ := compiledOT(t, a.OT)
 	r := rand.New(rand.NewSource(17))
 	g := graph.ScaleFree(r, 300, 2, graph.UniformLabels(a.OT.F.Size()))
 	origin := a.OT.DefaultOrigin()
@@ -351,7 +352,7 @@ func policyLogStorms(t *testing.T, ws *Workspace, visit func(s logStorm)) {
 				toggles = append(toggles, ArcToggle{Arc: ai, Down: disabled[ai]})
 			}
 			view = view.WithArcsToggled(arcs, disabled)
-			s := logStorm{g: g, view: view, tab: ptab, dest: dest, step: step, o: o, prev: prev, log: log,
+			s := logStorm{g: g, view: view, eng: peng, dest: dest, step: step, o: o, prev: prev, log: log,
 				disabled: disabled, toggles: toggles}
 			s.want = ownRaw(NewWorkspace().ScratchRaw(peng, view, dest, origin))
 			ran := false

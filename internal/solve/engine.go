@@ -207,7 +207,7 @@ func (ws *Workspace) reset(n, dest int, origin int32) {
 	}
 	ws.routed[dest] = true
 	ws.w[dest] = origin
-	ws.logged = false
+	ws.logged, ws.logPrev, ws.logBuf = false, nil, ws.logBuf[:0]
 }
 
 // materialize copies the workspace state into a fresh Result (the

@@ -52,7 +52,7 @@ func TestEngineScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := exec.NewTiered(a.OT)
-	if k := NewPlan(eng).Kernel.String(); k != "best-first (M, inferred)" {
+	if k := NewPlan(eng).Kernel.String(); k != "best-first (M)" {
 		t.Fatalf("kernel %q, want the inferred M kernel", k)
 	}
 	r := rand.New(rand.NewSource(99))

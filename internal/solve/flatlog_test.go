@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"metarouting/internal/compile"
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -97,23 +96,24 @@ type logRebuild struct {
 	compacted bool
 }
 
-// logChainCase is one compiled M table of logChains.
+// logChainCase is one M algebra of logChains on one backend.
 type logChainCase struct {
 	expr   string
 	eng    exec.Algebra
-	tab    *compile.Compiled
 	origin value.V
 	labels int
 }
 
-// logChainCases returns the compiled policy products and four M tables
-// of the random corpus.
+// logChainCases returns the policy products and four M algebras of the
+// random corpus, each on the compiled and the tiered engine: the plan,
+// and so the log, is the algebra's on both.
 func logChainCases(t *testing.T, r *rand.Rand) []logChainCase {
 	t.Helper()
 	var out []logChainCase
 	add := func(expr string, a *core.Algebra) {
-		eng, tab := compiledOT(t, a.OT)
-		out = append(out, logChainCase{expr, eng, tab, a.OT.DefaultOrigin(), a.OT.F.Size()})
+		eng, _ := compiledOT(t, a.OT)
+		out = append(out, logChainCase{expr + "/compiled", eng, a.OT.DefaultOrigin(), a.OT.F.Size()},
+			logChainCase{expr + "/tiered", exec.NewTiered(a.OT), a.OT.DefaultOrigin(), a.OT.F.Size()})
 	}
 	for _, expr := range []string{"scoped(bw(4), delay(64,4))", "scoped(bw(4), delay(8,4))"} {
 		a, err := core.InferString(expr)
@@ -122,9 +122,9 @@ func logChainCases(t *testing.T, r *rand.Rand) []logChainCase {
 		}
 		add(expr, a)
 	}
-	for tries := 0; len(out) < 6; tries++ {
+	for tries := 0; len(out) < 12; tries++ {
 		if tries > 400 {
-			t.Fatalf("corpus: only %d M tables", len(out)-2)
+			t.Fatalf("corpus: only %d M algebras", len(out)/2-2)
 		}
 		src := deltaExpr(r, 2)
 		a, err := core.InferString(src)
@@ -135,7 +135,7 @@ func logChainCases(t *testing.T, r *rand.Rand) []logChainCase {
 		if err != nil {
 			continue
 		}
-		if tab := exec.Tables(eng); tab != nil && tab.Monotone {
+		if exec.Tables(eng) != nil && NewPlan(eng).Kernel.M {
 			add(src, a)
 		}
 	}
@@ -183,13 +183,13 @@ func chainBatch(r *rand.Rand, disabled []bool, kind int) ([]int, []ArcToggle) {
 }
 
 // logChains carries every third destination's column and log through 24
-// chained fail, restore and mixed batches, for the compiled policy
-// products and the corpus's M tables on GNP, ring, grid, scale-free,
-// two-level and sparse GNP graphs. Each rebuild runs the log warm start
-// twice from the same previous column: on one workspace by the indexed
-// replay and log, and on another by the flat replay and log, which
-// carries its own log from the same kernel run. visit sees each rebuild
-// after both ran. The indexed rebuild's column is carried on.
+// chained fail, restore and mixed batches, for the policy products and
+// the corpus's M algebras, compiled and tiered, on GNP, ring, grid,
+// scale-free, two-level and sparse GNP graphs. Each rebuild runs the log
+// warm start twice from the same previous column: on one workspace by the
+// indexed replay and log, and on another by the flat replay and log,
+// which carries its own log from the same kernel run. visit sees each
+// rebuild after both ran. The indexed rebuild's column is carried on.
 func logChains(t *testing.T, visit func(b *logRebuild)) {
 	t.Helper()
 	r := rand.New(rand.NewSource(59))
@@ -227,7 +227,7 @@ func logChains(t *testing.T, visit func(b *logRebuild)) {
 					fws.sparseReset(g.N)
 					fws.loadNode(dest, true, o, -1)
 					kept := fws.flatReplayLog(view, disabled, flat, toggles)
-					_, _, _, b.flatDelta = fws.deltaDrainLog(c.tab, view, disabled, dest, rawWarm(prev), toggles, 0)
+					_, _, _, b.flatDelta = fws.deltaDrainLog(c.eng, NewPlan(c.eng), view, disabled, dest, rawWarm(prev), toggles, 0)
 					b.flatS = slices.Clone(fws.restarts)
 					if b.flatDelta {
 						if !sameServed(fws.served(g.N, dest, rawWarm(prev)), next) {

@@ -85,9 +85,9 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 	}
 	var cases []ltCase
 	for _, n := range []struct{ expr, want string }{
-		{"lex(delay(255,3), hops(32))", "best-first (I, inferred)"},
-		{"scoped(hops(0), delay(64,4))", "best-first (M, inferred)"},
-		{"scoped(hops(16), delay(64,4))", "best-first (M, inferred)"},
+		{"lex(delay(255,3), hops(32))", "best-first (I)"},
+		{"scoped(hops(0), delay(64,4))", "best-first (M)"},
+		{"scoped(hops(16), delay(64,4))", "best-first (M)"},
 	} {
 		a, err := core.InferString(n.expr)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestLtKernelMatchesSweep(t *testing.T) {
 		chain.Props = checkedProps(chain)
 		eng := exec.NewTiered(chain)
 		plan := NewPlan(eng)
-		if plan.Kernel.String() != "best-first (M, inferred)" {
+		if plan.Kernel.String() != "best-first (M)" {
 			t.Fatalf("chain: kernel %v", plan.Kernel)
 		}
 		ws := NewWorkspace()

@@ -3,16 +3,16 @@ package solve
 import (
 	"fmt"
 
-	"metarouting/internal/compile"
 	"metarouting/internal/exec"
 	"metarouting/internal/prop"
 )
 
-// Plan is the algorithm an engine's proof licenses — "routing protocol =
-// language + algorithm + proof", read once per engine by NewPlan. Every
-// property-gated shortcut reads its rows: ScratchRaw's kernel, the delta's
-// warm start, a server's rebuild path and skip rule, /v1/stats and the
-// CLIs' plan lines. A Plan is comparable with ==.
+// Plan is the algorithm an algebra's proof licenses — "routing protocol =
+// language + algorithm + proof", read by NewPlan; the engine only picks
+// the loop that implements it (ScratchRaw). Every property-gated shortcut
+// reads its rows: ScratchRaw's kernel, the delta's warm start, a server's
+// rebuild path and skip rule, /v1/stats and the CLIs' plan lines. A Plan
+// is comparable with ==.
 type Plan struct {
 	// Kernel is the from-scratch solver ScratchRaw runs.
 	Kernel Kernel
@@ -22,8 +22,7 @@ type Plan struct {
 	// build.
 	Warm Warm
 	// Skip says the fixpoint skip rule is sound (serve's toggleMoves): the
-	// delta path is open and the preorder is total, by the compiled rank
-	// vector or the inferred Full.
+	// delta path is open and the preorder is total (Full).
 	Skip bool
 	// Forwarding says ND holds, so following next hops realises each
 	// weight. Without it an arc may improve a weight and an answer's next
@@ -36,25 +35,16 @@ type Plan struct {
 // neither. M is named when both hold.
 type Kernel struct {
 	M, I bool
-	// Table holds the compiled tables that verified the licence cell by
-	// cell: bestFirst indexes them and, under M, keeps the derivation log.
-	// It is nil when the licence is the inference's (bestFirstLt) or when
-	// there is none.
-	Table *compile.Compiled
 }
 
-// String names the kernel as "best-first (P, S)", P the licensing
-// property and S its source (table or inferred), or "sweep".
+// String names the kernel as "best-first (P)", P the licensing property,
+// or "sweep".
 func (k Kernel) String() string {
-	src := "inferred"
-	if k.Table != nil {
-		src = "table"
-	}
 	switch {
 	case k.M:
-		return "best-first (M, " + src + ")"
+		return "best-first (M)"
 	case k.I:
-		return "best-first (I, " + src + ")"
+		return "best-first (I)"
 	}
 	return "sweep"
 }
@@ -71,8 +61,8 @@ const (
 	// WarmTree: the strict-I kernel's columns are forwarding trees below
 	// the top weight, so the sparse warm start is the one that runs.
 	WarmTree
-	// WarmLog: M verified on compiled tables keeps the kernel's
-	// derivation log, which a delta replays (derivation.go).
+	// WarmLog: an M kernel keeps the derivation log, which a delta
+	// replays (derivation.go).
 	WarmLog
 )
 
@@ -80,42 +70,36 @@ var warmNames = [...]string{"none", "dense", "clean tree", "derivation log (M)"}
 
 func (w Warm) String() string { return warmNames[w] }
 
-// NewPlan reads eng's plan from the proof the engine carries: its
-// compiled tables (exec.Tables) and its order transform's judgements
-// (eng.Source().Props, where core inference stamps the inferred set).
-//
-//   - Kernel: the tables' verified M or strict I, else the judgements' M
-//     or strict I together with Full and Antisymmetric.
-//   - Warm: the derivation log under an M kernel on tables, the clean
-//     tree under a strict-I kernel, dense under any other M or I.
-//   - Skip: a warm start and a total order (a rank vector, or Full).
-//   - Forwarding: ND.
+// NewPlan is the plan of eng's algebra, read from the judgements on its
+// order transform (eng.Source().Props, where core inference stamps the
+// inferred set), so every backend running one algebra gets one plan.
 func NewPlan(eng exec.Algebra) Plan {
 	var props prop.Set
 	if src := eng.Source(); src != nil {
 		props = src.Props
 	}
-	return planFor(exec.Tables(eng), props)
+	return planFor(props)
 }
 
-func planFor(t *compile.Compiled, props prop.Set) Plan {
+// planFor reads the rows off props: the kernel is M or strict I, each
+// with Full and Antisymmetric; the warm start is the derivation log under
+// an M kernel, the clean tree under a strict-I one, dense under any other
+// M or I; Skip needs a warm start and Full; Forwarding is ND.
+func planFor(props prop.Set) Plan {
 	var p Plan
-	switch {
-	case t != nil && (t.Monotone || t.StrictlyIncreasing):
-		p.Kernel = Kernel{M: t.Monotone, I: t.StrictlyIncreasing, Table: t}
-	case props.Holds(prop.Full) && props.Holds(prop.Antisymmetric):
+	if props.Holds(prop.Full) && props.Holds(prop.Antisymmetric) {
 		p.Kernel = Kernel{M: props.Holds(prop.MLeft),
 			I: props.Holds(prop.ILeft) && (props.Holds(prop.TopFixed) || props.Holds(prop.SILeft))}
 	}
 	switch {
-	case p.Kernel.M && p.Kernel.Table != nil:
+	case p.Kernel.M:
 		p.Warm = WarmLog
 	case p.Kernel.I:
 		p.Warm = WarmTree
 	case props.Holds(prop.MLeft) || props.Holds(prop.ILeft):
 		p.Warm = WarmDense
 	}
-	p.Skip = p.Warm != WarmNone && (t != nil || props.Holds(prop.Full))
+	p.Skip = p.Warm != WarmNone && props.Holds(prop.Full)
 	p.Forwarding = props.Holds(prop.NDLeft)
 	return p
 }

@@ -69,15 +69,17 @@ go test -race -run='^TestRankMatchesMatrices$' -count=1 ./internal/compile/
 # Licensed scratch solves: the best-first kernel against the sweep on the
 # same engine hidden from its tables (random and named algebras, five
 # graph families, three views, every destination, flat and paged columns,
-# the delta path's scratch fallback) and the selection by licence; the
+# the delta path's scratch fallback) and the selection by plan; the
 # three mutants that must fail (no re-queue, non-strict I, shared rank);
 # the constructed M algebra past the sweep's round budget; four schedules
-# agreeing at the workloads' sizes; and every corpus algebra's table
-# against what inference derives, licences included.
+# agreeing at the workloads' sizes; every corpus algebra's table against
+# what inference derives; and the tables' cell-by-cell M and strict I,
+# the plan's oracle, against the plan's kernel on named algebras and 200
+# random compilable ones from each of two generators.
 go test -race -run='^TestScratchKernelMatchesSweep$' -count=1 ./internal/rib/
 go test -race -run='^(TestScratchKernelBeyondSweepBudget|TestScratchKernelMutantsFail|TestScratchRawDispatch|TestScheduleIndependenceAtSize)$' \
   -count=1 ./internal/solve/
-go test -race -run='^TestTableLicencesMatchInference$' -count=1 ./internal/compile/
+go test -race -run='^(TestTableLicencesMatchInference|TestTableLicencesMatchPlan)$' -count=1 ./internal/compile/
 
 # Licences from inference: the comparison kernel (weight-id buckets, a
 # heap of queued ids ordered by Lt) against the sweep on the tiered
@@ -85,9 +87,10 @@ go test -race -run='^TestTableLicencesMatchInference$' -count=1 ./internal/compi
 # product, the forwardable policy and its bounded twin, random inferred-I
 # and -M algebras; five graph families, masks, every destination), with
 # the two mutants that must fail (no re-queue under M; ties the gate
-# refuses). Under the licencecheck build tag the kernel asserts the
-# inferred I or ND on every relaxation it makes, so the packages whose
-# column builds run it are tested again with the tag.
+# refuses). Under the licencecheck build tag every kernel — the table
+# kernel, the comparison kernel and the logged drain — asserts the
+# plan's I or ND on every relaxation it makes, so the packages whose
+# column builds run them are tested again with the tag.
 go test -race -run='^TestLtKernelMatchesSweep$' -count=1 ./internal/solve/
 go test -tags licencecheck ./internal/solve/ ./internal/rib/ ./internal/serve/
 
@@ -167,15 +170,22 @@ go test -race -run='^(TestStagedResolverMatchesSerial|TestWireSpanOverflowFailsF
 # node, whose served column equals the naive flat build.
 go test -race -run='^TestAutoPrefixResolvesEveryDest$' -count=1 ./internal/serve/
 
-# One plan per engine, read from the proof the engine carries: golden
-# plan lines on the named policy and query algebras × {compiled, tiered,
-# dynamic}, each plan equal to the one the inferred set gives directly
-# (named and random algebras), and a transform no inference ran on
-# getting only its declared judgements. The CLI prints the same plan: on
-# the policy product, which is ¬ND, forwarding is not promised.
+# One plan per algebra, read from the proof its order transform carries:
+# one golden plan line per named policy and query algebra, held on every
+# backend, each plan equal to the one the inferred set gives directly and
+# the same on compiled, tiered and dynamic engines (named algebras and
+# 200 random compilable ones), and a transform no inference ran on
+# getting only its declared judgements. The CLI prints that one plan on
+# all three backends: the policy product's plan: lines must be identical
+# and, as it is ¬ND, promise no forwarding.
 go test -race -run='^TestPlanTable$' -count=1 ./internal/solve/
-go run ./cmd/metaroute -expr 'scoped(bw(4), delay(64,4))' -solve -random 8 -seed 3 | tee /tmp/plan_smoke.txt
-grep -q '^plan: .*; forwarding: not promised$' /tmp/plan_smoke.txt
+for ENGINE in compiled tiered dynamic; do
+  go run ./cmd/metaroute -engine "$ENGINE" -expr 'scoped(bw(4), delay(64,4))' -solve -random 8 -seed 3 |
+    grep '^plan: ' | tee "/tmp/plan_smoke_$ENGINE.txt"
+done
+cmp /tmp/plan_smoke_compiled.txt /tmp/plan_smoke_tiered.txt
+cmp /tmp/plan_smoke_compiled.txt /tmp/plan_smoke_dynamic.txt
+grep -q '^plan: .*; forwarding: not promised$' /tmp/plan_smoke_compiled.txt
 
 # The failure mask: a persistent chunked bitset against a []bool oracle
 # (bits, count, wire bytes and checksum at every version of random toggle
