@@ -10,7 +10,9 @@
 //	mrexp -engine dynamic # pin the execution backend
 //	mrexp -json           # per-experiment wall time + engine as JSON lines
 //	mrexp -corpus         # run the convergence-validation corpus
-//	mrexp -sim-bench      # serial vs parallel simulator throughput
+//
+// The simulator's serial-vs-parallel throughput is measured by
+// internal/protocol/validate's BenchmarkSimulator, not by a mode here.
 package main
 
 import (
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -49,12 +50,8 @@ func main() {
 
 		corpus     = flag.Bool("corpus", false, "run the convergence-validation corpus instead of the experiment suite")
 		corpusSeed = flag.Int64("corpus-seed", 1, "seed generating the validation corpus")
-		simWorkers = flag.Int("sim-workers", 0, "parallel simulator shard count (0 = GOMAXPROCS)")
-		simBench   = flag.Bool("sim-bench", false, "measure serial vs parallel simulator throughput instead of the experiment suite")
-		simNodes   = flag.String("sim-nodes", "64,1000,10000", "comma-separated node counts for -sim-bench")
-		simStorm   = flag.Int("sim-storm", 0, "flap-storm arcs per -sim-bench run (0 = nodes/4)")
-		simCycles  = flag.Int("sim-cycles", 0, "flap cycles per stormed arc (0 = workload default)")
-		outPath    = flag.String("out", "", "write -corpus/-sim-bench JSON to this file instead of stdout")
+		simWorkers = flag.Int("sim-workers", 0, "-corpus: parallel simulator shard count (0 = GOMAXPROCS)")
+		outPath    = flag.String("out", "", "write the -corpus report to this file instead of stdout")
 	)
 	flag.Parse()
 
@@ -66,9 +63,6 @@ func main() {
 
 	if *corpus {
 		os.Exit(runCorpus(*corpusSeed, *simWorkers, *jsonOut, *outPath))
-	}
-	if *simBench {
-		os.Exit(runSimBench(*simNodes, *simWorkers, *simStorm, *simCycles, *seed, *outPath))
 	}
 
 	want := map[string]bool{}
@@ -171,63 +165,6 @@ func runCorpus(seed int64, workers int, jsonOut bool, outPath string) int {
 		return 2
 	}
 	if len(validate.Failures(results)) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// simBenchReport is the BENCH_sim.json shape.
-type simBenchReport struct {
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Note       string                 `json:"note"`
-	Runs       []validate.BenchResult `json:"runs"`
-}
-
-// runSimBench measures serial vs parallel throughput at each node count
-// and emits the BENCH_sim.json report; exit 1 if any run's parallel
-// Outcome diverged from the serial oracle.
-func runSimBench(nodesList string, workers, storm, cycles int, seed int64, outPath string) int {
-	p := protocol.NewParallel(workers)
-	defer p.Close()
-	report := simBenchReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "single run per size; serial engine is the differential oracle; " +
-			"on a 1-CPU host (gomaxprocs=1) no true concurrency happens — any " +
-			"speedup > 1 there comes from the sharded engine's flat event wheels " +
-			"and batched tick windows, not from parallelism; multi-core scaling " +
-			"is unmeasured on this host",
-	}
-	ok := true
-	for _, tok := range strings.Split(nodesList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || n < 2 {
-			fmt.Fprintf(os.Stderr, "mrexp: bad -sim-nodes entry %q\n", tok)
-			return 2
-		}
-		res, err := validate.MeasureSim(context.Background(), p, validate.BenchSpec{
-			Nodes: n, Seed: seed, Shards: workers,
-			FlapArcs: storm, FlapCycles: cycles,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrexp:", err)
-			return 2
-		}
-		ok = ok && res.Identical
-		report.Runs = append(report.Runs, *res)
-		fmt.Fprintf(os.Stderr, "sim-bench: %d nodes, %d arcs: %d msgs, serial %.0f msg/s, parallel %.0f msg/s, identical=%v\n",
-			res.Nodes, res.Arcs, res.Messages, res.SerialMsgsPerSec, res.ParallelMsgsPerSec, res.Identical)
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mrexp:", err)
-		return 2
-	}
-	if err := writeOut(outPath, string(buf)+"\n"); err != nil {
-		fmt.Fprintln(os.Stderr, "mrexp:", err)
-		return 2
-	}
-	if !ok {
-		fmt.Fprintln(os.Stderr, "mrexp: parallel outcome diverged from the serial oracle")
 		return 1
 	}
 	return 0

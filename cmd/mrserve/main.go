@@ -8,7 +8,6 @@
 //
 //	mrserve -expr 'lex(delay(32,3), bw(8))' -random 64 -dests 8
 //	mrserve -scenario drills/failover.mr -replay
-//	mrserve -telemetry-bench -out BENCH_telemetry.json
 //	mrserve -publish :8349 -log-dir /var/lib/mrserve        # leader
 //	mrserve -follow leader:8349                              # follower
 //	mrserve -follow file:/var/lib/mrserve/replica.log -oneshot
@@ -47,9 +46,9 @@
 //
 //	{"error":{"code":"invalid_argument","message":"..."}}
 //
-// -telemetry-bench measures the telemetry overhead on the query path
-// (paired instrumented vs bare servers) and writes BENCH_telemetry.json.
-// Everything else is measured end to end by cmd/mrbench.
+// mrserve only serves: load and timings are measured end to end by
+// cmd/mrbench, and the telemetry overhead on the query path by
+// internal/serve's BenchmarkForwardTelemetry.
 //
 // Replication: -publish ADDR streams binary snapshot/delta records to
 // connected followers over TCP, and -log-dir DIR appends the same
@@ -72,7 +71,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -113,11 +111,6 @@ func main() {
 		backpressure = flag.String("backpressure", "reject", "full-queue policy for async events: reject (429) or stale (absorb, snapshot lags)")
 		rebuildTO    = flag.Duration("rebuild-timeout", 0, "abandon a batched rebuild after this long, keeping the previous snapshot (0: no deadline)")
 
-		telemetryBench = flag.Bool("telemetry-bench", false, "measure telemetry overhead on the query path (paired instrumented vs bare) instead of serving")
-		benchQueries   = flag.Int("bench-queries", 50000, "telemetry-bench: queries per round per side")
-		benchRounds    = flag.Int("bench-rounds", 5, "telemetry-bench: measured rounds per side")
-		out            = flag.String("out", "", "telemetry-bench: write the JSON report here ('' = stdout)")
-
 		publishAddr = flag.String("publish", "", "leader: serve the replication record stream to followers on this TCP address")
 		logDir      = flag.String("log-dir", "", "leader: append every replication record to DIR/replica.log")
 		logMaxBytes = flag.Int64("log-max-bytes", 0, "leader: rotate DIR/replica.log to a numbered segment once it passes this many bytes, reseeding the live log with a fresh full snapshot (0: never)")
@@ -134,10 +127,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *telemetryBench {
-		runTelemetryBench(*exprSrc, *scenFile, *randomN, *p, *seed, *dests, *workers, *benchQueries, *benchRounds, *out)
-		return
-	}
 	if *follow != "" {
 		runFollower(*follow, *addr, *oneshot)
 		return
@@ -233,8 +222,8 @@ func buildServer(exprSrc, scenFile string, randomN int, p float64, seed int64, d
 		if err != nil {
 			return nil, nil, err
 		}
-		srv, err := serve.NewServer(serve.Config{},
-			append([]serve.Option{serve.WithScenario(sc)}, opts...)...)
+		srv, err := serve.NewServer(serve.Config{Engine: sc.Engine, Graph: sc.Graph,
+			Origins: map[int]value.V{sc.Dest: sc.Origin}}, opts...)
 		planNote(srv)
 		return srv, sc, err
 	}
@@ -277,28 +266,6 @@ func planNote(srv *serve.Server) {
 	fmt.Fprintln(os.Stderr, "mrserve: plan:", plan)
 	if note := plan.ForwardingNote(); note != "" {
 		fmt.Fprintln(os.Stderr, "mrserve:", note)
-	}
-}
-
-// runTelemetryBench builds two identical servers — one bare, one with a
-// registry — and writes the paired query-path overhead report.
-func runTelemetryBench(exprSrc, scenFile string, randomN int, p float64, seed int64, destCount, workers, queries, rounds int, out string) {
-	bare, _, err := buildServer(exprSrc, scenFile, randomN, p, seed, destCount, serve.WithWorkers(workers))
-	if err != nil {
-		fatal(err)
-	}
-	defer bare.Close()
-	inst, _, err := buildServer(exprSrc, scenFile, randomN, p, seed, destCount,
-		serve.WithWorkers(workers), serve.WithRegistry(telemetry.NewRegistry()))
-	if err != nil {
-		fatal(err)
-	}
-	defer inst.Close()
-	rep := serve.MeasureOverhead(bare, inst, queries, rounds, seed)
-	writeReport(rep, out)
-	if out != "" {
-		fmt.Fprintf(os.Stderr, "mrserve: wrote %s (bare %.0fns/op, instrumented %.0fns/op, overhead %.1f%%)\n",
-			out, rep.BareNSPerOp, rep.InstrumentedNSPerOp, rep.OverheadPct)
 	}
 }
 
@@ -347,22 +314,6 @@ func runFollower(target, addr string, oneshot bool) {
 	mux := serve.NewFollowerHandler(fol, reg)
 	fmt.Fprintf(os.Stderr, "mrserve: follower of %s at %s (v%d)\n", target, addr, fol.Version())
 	if err := http.ListenAndServe(addr, mux); err != nil {
-		fatal(err)
-	}
-}
-
-// writeReport marshals v to out (” = stdout).
-func writeReport(v any, out string) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if out == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
 		fatal(err)
 	}
 }

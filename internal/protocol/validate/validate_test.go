@@ -201,27 +201,6 @@ func TestCorpusGenerators(t *testing.T) {
 	}
 }
 
-// TestMeasureSimSmall: the bench helper on a tiny spec — identical
-// outcomes, nonzero throughput. The committed BENCH_sim.json rows come
-// from cmd/mrexp -sim-bench at full size.
-func TestMeasureSimSmall(t *testing.T) {
-	res, err := MeasureSim(context.Background(), nil, BenchSpec{
-		Nodes: 64, Degree: 6, Seed: 1, Shards: 2, FlapArcs: 8, FlapCycles: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("bench run: parallel outcome diverged from serial oracle")
-	}
-	if res.Messages <= 0 || res.SerialMsgsPerSec <= 0 || res.ParallelMsgsPerSec <= 0 {
-		t.Fatalf("bench produced empty measurement: %+v", res)
-	}
-	if !res.Converged {
-		t.Fatal("small bench spec should converge")
-	}
-}
-
 func TestRoundBound(t *testing.T) {
 	if RoundBound(4) != 16 || RoundBound(10) != 100 {
 		t.Fatal("round bound is n²")

@@ -3,7 +3,9 @@ package serve_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
@@ -13,9 +15,9 @@ import (
 	"metarouting/internal/value"
 )
 
-// benchServer builds the standard bench fixture: a 64-node GNP topology
-// over lex(delay, bw) with 8 originated destinations.
-func benchServer(b *testing.B, workers int) (*serve.Server, *graph.Graph) {
+// benchFixture is the standard bench topology: a 64-node GNP graph over
+// lex(delay, bw) with 8 originated destinations.
+func benchFixture(b *testing.B) serve.Config {
 	b.Helper()
 	a, err := core.InferString("lex(delay(32,3), bw(8))")
 	if err != nil {
@@ -27,12 +29,25 @@ func benchServer(b *testing.B, workers int) (*serve.Server, *graph.Graph) {
 	for d := 0; d < 8; d++ {
 		origins[d*8] = value.Pair{A: 0, B: 8}
 	}
-	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT, value.Pair{A: 0, B: 8}), Graph: g, Origins: origins}, serve.WithWorkers(workers))
+	return serve.Config{Engine: exec.For(a.OT, value.Pair{A: 0, B: 8}), Graph: g, Origins: origins}
+}
+
+// newBenchServer builds a server on c, closed when the benchmark ends.
+func newBenchServer(b *testing.B, c serve.Config, opts ...serve.Option) *serve.Server {
+	b.Helper()
+	srv, err := serve.NewServer(c, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Close)
-	return srv, g
+	return srv
+}
+
+// benchServer builds a server on the standard bench fixture.
+func benchServer(b *testing.B, workers int) (*serve.Server, *graph.Graph) {
+	b.Helper()
+	c := benchFixture(b)
+	return newBenchServer(b, c, serve.WithWorkers(workers)), c.Graph
 }
 
 // BenchmarkServeLookup: the lock-free read path under parallel load.
@@ -56,6 +71,57 @@ func BenchmarkServeForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.Forward(r.Intn(g.N), dests[r.Intn(len(dests))]) //nolint:errcheck
+	}
+}
+
+// BenchmarkForwardTelemetry is what the telemetry subsystem costs on the
+// query path. Two servers on one engine, graph and origination set, one
+// bare and one with a registry, answer the same seeded Forward sequence
+// in rounds, and the side that runs first alternates from round to round
+// so clock drift and cache warmth cancel. One op is one query answered
+// by each server: bare-ns/op and instrumented-ns/op are each side's cost
+// per query, overhead-% the instrumented side's excess over the bare.
+func BenchmarkForwardTelemetry(b *testing.B) {
+	c := benchFixture(b)
+	bare := newBenchServer(b, c, serve.WithWorkers(4))
+	inst := newBenchServer(b, c, serve.WithWorkers(4), serve.WithRegistry(telemetry.NewRegistry()))
+	const round = 4096
+	r := rand.New(rand.NewSource(5))
+	dests := bare.Dests()
+	froms, tos := make([]int, round), make([]int, round)
+	for i := range froms {
+		froms[i], tos[i] = r.Intn(c.Graph.N), dests[r.Intn(len(dests))]
+	}
+	batch := func(s *serve.Server, n int) time.Duration {
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			s.Forward(froms[i], tos[i]) //nolint:errcheck — a missing route is a valid answer
+		}
+		return time.Since(t0)
+	}
+	// Warm both sides, then collect the garbage so that no collector
+	// pause lands inside one side's rounds.
+	batch(bare, round)
+	batch(inst, round)
+	runtime.GC()
+	b.ResetTimer()
+	var bareT, instT time.Duration
+	for done, k := 0, 0; done < b.N; k++ {
+		n := min(round, b.N-done)
+		if k%2 == 0 {
+			bareT += batch(bare, n)
+			instT += batch(inst, n)
+		} else {
+			instT += batch(inst, n)
+			bareT += batch(bare, n)
+		}
+		done += n
+	}
+	bareNS, instNS := float64(bareT.Nanoseconds())/float64(b.N), float64(instT.Nanoseconds())/float64(b.N)
+	b.ReportMetric(bareNS, "bare-ns/op")
+	b.ReportMetric(instNS, "instrumented-ns/op")
+	if bareNS > 0 {
+		b.ReportMetric((instNS-bareNS)/bareNS*100, "overhead-%")
 	}
 }
 

@@ -153,7 +153,6 @@ import (
 	"metarouting/internal/protocol"
 	"metarouting/internal/replica"
 	"metarouting/internal/rib"
-	"metarouting/internal/scenario"
 	"metarouting/internal/sched"
 	"metarouting/internal/solve"
 	"metarouting/internal/telemetry"
@@ -203,15 +202,12 @@ type config struct {
 	workers        int
 	registry       *telemetry.Registry
 	slowQueryNS    int64
-	engine         exec.Algebra
 	backpressure   Backpressure
 	queueCap       int
 	rebuildTimeout time.Duration
 	noBatcher      bool // test-only: leave the intake queue undrained
 	noDelta        bool // test-only: pin every rebuild to scratch
-	prefixes       *rib.PrefixTable
 	sink           RecordSink
-	scenario       *scenario.Scenario
 	announced      []rib.PrefixOrigin
 	hasAnnounced   bool
 }
@@ -250,13 +246,6 @@ func WithSlowQuery(threshold time.Duration) Option {
 	return optionFunc(func(c *config) { c.slowQueryNS = threshold.Nanoseconds() })
 }
 
-// WithEngine overrides the execution engine the server runs on — the
-// way to pin a backend when booting from a scenario, whose own engine
-// WithScenario would otherwise supply.
-func WithEngine(eng exec.Algebra) Option {
-	return optionFunc(func(c *config) { c.engine = eng })
-}
-
 // WithBackpressure selects the full-queue policy for EnqueueEvent
 // (default BackpressureReject).
 func WithBackpressure(policy Backpressure) Option {
@@ -274,27 +263,13 @@ func WithQueueCapacity(n int) Option {
 // harness, which still calls it, and goes with that call.
 func WithDeltaProps(prop.Set) Option { return optionFunc(func(*config) {}) }
 
-// WithPrefixes supplies an explicit prefix table. The table's per-node
-// origins must match the Config's origination set — WithAnnouncements
-// wires both from one announcement list and is the usual entry point.
-// Without either option NewServer synthesizes one rib.AutoPrefix /32 per
-// destination so address-form queries work on node-keyed scenarios.
-func WithPrefixes(pt *rib.PrefixTable) Option {
-	return optionFunc(func(c *config) { c.prefixes = pt })
-}
-
-// WithScenario seeds the server from a parsed scenario: its engine,
-// topology and single origination fill whatever the Config leaves zero.
-// Explicit Config fields and WithEngine always win over the scenario.
-func WithScenario(sc *scenario.Scenario) Option {
-	return optionFunc(func(c *config) { c.scenario = sc })
-}
-
 // WithAnnouncements builds the server over a prefix announcement set:
 // the table is aggregated (rib.NewPrefixTable — covering prefixes with
 // the same anchor and origin suppress their more-specifics) and, when
 // the Config names no origins, the per-node origins are derived from
-// the kept announcements. Supersedes WithPrefixes when both are given.
+// the kept announcements. Without it NewServer synthesizes one
+// rib.AutoPrefix /32 per destination, so address-form queries work on
+// node-keyed topologies.
 func WithAnnouncements(announced []rib.PrefixOrigin) Option {
 	return optionFunc(func(c *config) { c.announced, c.hasAnnounced = announced, true })
 }
@@ -577,12 +552,11 @@ var recordByteBuckets = []int64{64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10,
 	8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10,
 	1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
 
-// Config names the core server inputs for NewServer. Every field may be
-// left zero when an option supplies it instead (WithScenario fills all
-// three, WithAnnouncements derives Origins).
+// Config names the core server inputs for NewServer. Origins may be
+// left nil when WithAnnouncements derives them.
 type Config struct {
 	// Engine is the execution backend (wrapped with exec.Concurrent at
-	// construction; WithEngine overrides it).
+	// construction).
 	Engine exec.Algebra
 	// Graph is the base topology.
 	Graph *graph.Graph
@@ -591,8 +565,8 @@ type Config struct {
 }
 
 // NewServer is the single constructor behind every server form: plain
-// engine+topology+origins, prefix announcement sets (WithAnnouncements)
-// and scenario boots (WithScenario) all funnel here. It computes the
+// engine+topology+origins and prefix announcement sets
+// (WithAnnouncements) both funnel here. It computes the
 // initial snapshot with the worker pool and publishes it. The engine is
 // wrapped with exec.Concurrent, so a dynamic backend may be handed in
 // directly. Destinations that do not converge within the solver budget
@@ -605,20 +579,6 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		}
 	}
 	eng, g, origins := c.Engine, c.Graph, c.Origins
-	if sc := cfg.scenario; sc != nil {
-		if eng == nil {
-			eng = sc.Engine
-		}
-		if g == nil {
-			g = sc.Graph
-		}
-		if origins == nil {
-			origins = map[int]value.V{sc.Dest: sc.Origin}
-		}
-	}
-	if cfg.engine != nil {
-		eng = cfg.engine
-	}
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil execution engine")
 	}
@@ -628,19 +588,19 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 	if err := g.CheckLabels(eng.NumFns()); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	var prefixes *rib.PrefixTable
 	if cfg.hasAnnounced {
-		pt, err := rib.NewPrefixTable(cfg.announced)
-		if err != nil {
+		var err error
+		if prefixes, err = rib.NewPrefixTable(cfg.announced); err != nil {
 			return nil, err
 		}
-		for _, po := range pt.Kept() {
+		for _, po := range prefixes.Kept() {
 			if po.Node < 0 || po.Node >= g.N {
 				return nil, fmt.Errorf("serve: prefix %v anchored at node %d out of range [0,%d)", po.Prefix, po.Node, g.N)
 			}
 		}
-		cfg.prefixes = pt
 		if origins == nil {
-			origins = pt.Origins()
+			origins = prefixes.Origins()
 		}
 	}
 	if len(origins) == 0 {
@@ -665,7 +625,6 @@ func NewServer(c Config, opts ...Option) (*Server, error) {
 		dests = append(dests, d)
 	}
 	sort.Ints(dests)
-	prefixes := cfg.prefixes
 	if prefixes == nil {
 		var err error
 		prefixes, err = rib.AutoPrefixTable(origins)

@@ -323,7 +323,8 @@ event  300 fail 2 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewServer(serve.Config{}, serve.WithScenario(sc), serve.WithWorkers(2))
+	srv, err := serve.NewServer(serve.Config{Engine: sc.Engine, Graph: sc.Graph,
+		Origins: map[int]value.V{sc.Dest: sc.Origin}}, serve.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

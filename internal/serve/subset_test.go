@@ -42,9 +42,10 @@ type subsetRun struct {
 	// columns: a skip rule and an M kernel. split makes every other batch
 	// restores only, so that no fail reaches an unclean column.
 	m, split bool
-	// dropped counts toggles a rebuilt clean destination was not handed:
-	// the first skip rule admits them (the tail is not the destination,
-	// the head is routed) and toggleMoves does not. uncleanDrops counts
+	// dropped counts toggles a rebuilt clean destination was not handed
+	// under a plan with a skip rule: the first skip rule admits them (the
+	// tail is not the destination, the head is routed) and toggleMoves
+	// does not. uncleanDrops counts
 	// the restores an unclean destination under M was not handed, rebuilt
 	// or skipped: no fail reached it, and toggleMoves drops them.
 	// ecmpFails counts failed arcs to a next hop that is not the primary,
@@ -159,6 +160,7 @@ func (sr *subsetRun) apply(events []serve.ArcEvent) error {
 	if err != nil {
 		return err
 	}
+	skip := sr.srv.Plan().Skip
 	for _, d := range sr.srv.Dests() {
 		col, old := sn.Column(d), prev.Column(d)
 		want, err := rib.BuildDestColumn(sr.eng, sn.Graph, d, sr.origins[d], sr.ws)
@@ -182,7 +184,7 @@ func (sr *subsetRun) apply(events []serve.ArcEvent) error {
 				continue
 			}
 			switch {
-			case old.Clean && col != old && !sr.moves(old, a, t.Fail, wy):
+			case skip && old.Clean && col != old && !sr.moves(old, a, t.Fail, wy):
 				sr.dropped++
 			case !old.Clean && old.Converged && sr.m && !failReaches && !sr.moves(old, a, t.Fail, wy):
 				sr.uncleanDrops++
@@ -235,8 +237,8 @@ func subsetGraph(seed int64, labels int, origin value.V) (*graph.Graph, map[int]
 // swap bit-identical to the whole batch's rebuilds and frame and to
 // scratch builds. The subsets must have dropped toggles (the rule fired)
 // with equal-cost restores in the mix, and equal-cost fails on the lex
-// columns; the tags policy must rebuild by delta, under no skip rule,
-// through equal-cost fails and restores.
+// columns; the tags policy must rebuild by delta, under no skip rule and
+// so with no dropped toggle, through equal-cost fails and restores.
 func TestSubsetDifferential(t *testing.T) {
 	for _, expr := range []string{"lex(delay(32,3), hops(8))", "lex(delay(8,2), hops(8))", "scoped(bw(4), delay(64,4))",
 		"scoped(bw(4), lex(tags(2), tags(2)))"} {
@@ -268,7 +270,8 @@ func TestSubsetDifferential(t *testing.T) {
 				case policy:
 					teeth = st.DeltaDestRebuilds > 0 && sr.m && sr.uncleanDrops >= 10 && sr.evenRestores >= 5
 				case dense:
-					teeth = st.DeltaDestRebuilds > 0 && !sr.m && sr.ecmpFails >= 5 && sr.evenRestores >= 5
+					teeth = st.DeltaDestRebuilds > 0 && !sr.m && sr.dropped == 0 && sr.uncleanDrops == 0 &&
+						sr.ecmpFails >= 5 && sr.evenRestores >= 5
 				}
 				if !teeth {
 					t.Fatalf("fixture lost its teeth: %d delta rebuilds, %d dropped toggles, %d restores dropped from unclean columns (M skip rule %v), %d equal-cost fails, %d equal-cost restores",

@@ -141,26 +141,3 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	return float64(h.bounds[len(h.bounds)-1])
 }
-
-// Quantiles returns exact sample quantiles for each p in ps, using the
-// nearest-rank convention: index int(p·(n−1)) into the ascending sort. The input is not
-// modified. An empty input answers zeros; a single sample answers
-// itself for every p.
-func Quantiles(samples []int64, ps ...float64) []int64 {
-	out := make([]int64, len(ps))
-	if len(samples) == 0 {
-		return out
-	}
-	sorted := append([]int64(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, p := range ps {
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		out[i] = sorted[int(p*float64(len(sorted)-1))]
-	}
-	return out
-}

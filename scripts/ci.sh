@@ -18,13 +18,16 @@ LC_ALL=C awk '/^- /{n=NR} {
   exit bad
 }' CHANGES.md
 
-# mrserve's flags are what a deployment sets, plus the one telemetry
-# bench: the inventory is pinned so a measurement mode cannot creep back
-# in as a serving flag.
+# mrserve's flags are what a deployment sets and mrexp's what an
+# experiment or corpus run sets: both inventories are pinned so a
+# measurement mode cannot creep back in as a flag (measurements are
+# testing.B benchmarks beside the code they time).
 MRSERVE_FLAGS=$(go run ./cmd/mrserve -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p' | LC_ALL=C sort | tr '\n' ' ')
-test "$MRSERVE_FLAGS" = "addr backpressure bench-queries bench-rounds dests engine expr follow \
-log-dir log-max-bytes oneshot out p pprof publish queue-cap random rebuild-timeout replay \
-replay-storm scenario seed slow-query-us telemetry-bench workers "
+test "$MRSERVE_FLAGS" = "addr backpressure dests engine expr follow log-dir log-max-bytes \
+oneshot p pprof publish queue-cap random rebuild-timeout replay replay-storm scenario seed \
+slow-query-us workers "
+MREXP_FLAGS=$(go run ./cmd/mrexp -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p' | LC_ALL=C sort | tr '\n' ' ')
+test "$MREXP_FLAGS" = "corpus corpus-seed engine json only out parallel seed sim-workers "
 
 # staticcheck when available (CI installs a pinned version; local runs
 # without it are still valid).
@@ -241,14 +244,15 @@ go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replic
 # pages whose routes changed and the arc candidates evaluated per swap.
 go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep '^BenchmarkLeaderSwap' |
   grep 'pages-cloned/swap' | grep -q 'relaxations/swap'
-
-# Telemetry-overhead bench smoke: the paired instrumented-vs-bare
-# measurement must run end to end and emit a well-formed report. Small
-# sizes keep it fast; the committed BENCH_telemetry.json holds the real
-# numbers.
-go run ./cmd/mrserve -telemetry-bench -random 24 -dests 4 \
-  -bench-queries 2000 -bench-rounds 2 -out /tmp/bench_telemetry_smoke.json
-grep -q overhead_pct /tmp/bench_telemetry_smoke.json
+# The telemetry-overhead pairing (bare vs instrumented server on one
+# query sequence) and the simulator's serial-vs-parallel run at its
+# smallest size, once each: both must compile, run and report their
+# metrics (the simulator benchmark also fails on a parallel Outcome that
+# differs from the serial oracle's); no timing assertion.
+go test -run='^$' -bench='BenchmarkForwardTelemetry|BenchmarkSimulator/n=64' -benchtime=1x \
+  ./internal/serve/ ./internal/protocol/validate/ | tee /tmp/harness_bench_smoke.txt
+grep -q 'overhead-%' /tmp/harness_bench_smoke.txt
+grep '^BenchmarkSimulator/n=64/parallel' /tmp/harness_bench_smoke.txt | grep -q 'msgs/s'
 
 # Leader/follower replication smoke, on the forwardable lex product and
 # on the policy product: a leader boots, absorbs a deterministic storm
@@ -325,15 +329,6 @@ go test -run='^$' -fuzz='^FuzzDecodeRecord$' -fuzztime=10s ./internal/replica/
 go test -run='^$' -fuzz='^FuzzMaskToggles$' -fuzztime=10s ./internal/replica/
 go test -run='^$' -fuzz='^FuzzQueryWire$' -fuzztime=10s ./internal/serve/wire/
 go test -run='^$' -fuzz='^FuzzPrefixLPM$' -fuzztime=10s ./internal/rib/
-
-# Simulator bench smoke: the serial-vs-parallel measurement must run end
-# to end at a small size and the parallel Outcome must stay bit-identical
-# to the serial oracle. The committed BENCH_sim.json holds the real
-# 64/1k/10k numbers.
-go run ./cmd/mrexp -sim-bench -sim-nodes 64 -sim-workers 2 \
-  -out /tmp/bench_sim_smoke.json
-grep -q '"identical": true' /tmp/bench_sim_smoke.json
-grep -q parallel_msgs_per_sec /tmp/bench_sim_smoke.json
 
 # Convergence-corpus smoke: every strictly-increasing scenario must
 # quiesce within the Daggitt-Griffin round budget and every gadget
