@@ -7,14 +7,12 @@
 //	metaroute -expr 'scoped(bw(4), delay(64,4))'
 //	metaroute -expr 'delay(255,3)' -random 12 -p 0.3 -seed 7 -solve
 //	metaroute -expr 'gadget' -simulate -seed 1
-//	metaroute -expr 'delay(64,4)' -solve -engine compiled
 //	metaroute -list
 //
-// Routing work runs on the unified execution layer (internal/exec):
-// -engine selects the backend — auto (default: compile finite algebras
-// to dense tables, tier the rest), dynamic (always interpret), compiled
-// (require dense tables; fails for infinite algebras), or tiered
-// (interpret with hot-sub-carrier memo tables).
+// Routing work runs on the unified execution layer (internal/exec), on
+// the backend exec.For picks from the algebra: dense tables for finite
+// algebras up to exec.AutoLimit, hot-sub-carrier memo tables (tiered)
+// for the rest. The last line of a solve or scenario names it.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"metarouting/internal/cliflag"
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -50,14 +47,8 @@ func main() {
 		samples  = flag.Int("samples", 512, "sampled checks on infinite carriers")
 		explain  = flag.String("explain", "", "explain a property (M, N, C, ND, I, SI, T) causally")
 		jsonOut  = flag.Bool("json", false, "emit the property report as JSON instead of text")
-		engine   = cliflag.Engine(nil)
 	)
 	flag.Parse()
-
-	mode, err := cliflag.ApplyEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		fmt.Println("base algebras:")
@@ -69,7 +60,7 @@ func main() {
 		return
 	}
 	if *scenFile != "" {
-		runScenario(*scenFile, *seed, mode)
+		runScenario(*scenFile, *seed)
 		return
 	}
 	if *exprSrc == "" {
@@ -135,10 +126,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := exec.New(a.OT, mode, origin)
-	if err != nil {
-		fatal(err)
-	}
+	eng := exec.For(a.OT, origin)
 	if *doSolve {
 		plan := solve.NewPlan(eng)
 		fmt.Println("plan:", plan)
@@ -223,7 +211,7 @@ func loadTopology(path string, a *core.Algebra) (*graph.Graph, error) {
 
 // runScenario loads and simulates a scenario file, printing the algebra
 // verdict and the final routing state.
-func runScenario(path string, seed int64, mode exec.Mode) {
+func runScenario(path string, seed int64) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -231,9 +219,6 @@ func runScenario(path string, seed int64, mode exec.Mode) {
 	defer f.Close()
 	s, err := scenario.Parse(f)
 	if err != nil {
-		fatal(err)
-	}
-	if err := s.UseEngine(mode); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("scenario: %s on %s, dest %d, origin %s, %d events"+"\n",

@@ -7,8 +7,7 @@
 //	mrexp                 # run everything
 //	mrexp -only E7,E12    # a subset
 //	mrexp -seed 7         # different randomization
-//	mrexp -engine dynamic # pin the execution backend
-//	mrexp -json           # per-experiment wall time + engine as JSON lines
+//	mrexp -json           # per-experiment wall time as JSON lines
 //	mrexp -corpus         # run the convergence-validation corpus
 //
 // The simulator's serial-vs-parallel throughput is measured by
@@ -26,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"metarouting/internal/cliflag"
 	"metarouting/internal/expt"
 	"metarouting/internal/protocol"
 	"metarouting/internal/protocol/validate"
@@ -37,7 +35,6 @@ type record struct {
 	ID     string  `json:"id"`
 	Title  string  `json:"title"`
 	WallMS float64 `json:"wall_ms"`
-	Engine string  `json:"engine"`
 }
 
 func main() {
@@ -45,8 +42,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "random seed for validation sweeps")
 		only     = flag.String("only", "", "comma-separated experiment IDs, e.g. E2,E7")
 		parallel = flag.Bool("parallel", false, "run experiments concurrently (output order preserved)")
-		engine   = cliflag.Engine(nil)
-		jsonOut  = flag.Bool("json", false, "emit per-experiment wall time and engine as JSON lines instead of tables")
+		jsonOut  = flag.Bool("json", false, "emit per-experiment wall time as JSON lines instead of tables")
 
 		corpus     = flag.Bool("corpus", false, "run the convergence-validation corpus instead of the experiment suite")
 		corpusSeed = flag.Int64("corpus-seed", 1, "seed generating the validation corpus")
@@ -54,12 +50,6 @@ func main() {
 		outPath    = flag.String("out", "", "write the -corpus report to this file instead of stdout")
 	)
 	flag.Parse()
-
-	mode, err := cliflag.ApplyEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mrexp:", err)
-		os.Exit(2)
-	}
 
 	if *corpus {
 		os.Exit(runCorpus(*corpusSeed, *simWorkers, *jsonOut, *outPath))
@@ -88,7 +78,6 @@ func main() {
 			line, err := json.Marshal(record{
 				ID: tbl.ID, Title: tbl.Title,
 				WallMS: float64(wall.Microseconds()) / 1e3,
-				Engine: string(mode),
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mrexp:", err)

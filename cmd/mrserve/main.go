@@ -81,7 +81,6 @@ import (
 	"strings"
 	"time"
 
-	"metarouting/internal/cliflag"
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -105,7 +104,6 @@ func main() {
 		addr     = flag.String("addr", ":8348", "HTTP listen address")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowUS   = flag.Int64("slow-query-us", 1000, "slow-query log threshold in microseconds")
-		engine   = cliflag.Engine(nil)
 
 		queueCap     = flag.Int("queue-cap", 1024, "event intake queue capacity (≤0: 1024)")
 		backpressure = flag.String("backpressure", "reject", "full-queue policy for async events: reject (429) or stale (absorb, snapshot lags)")
@@ -119,9 +117,6 @@ func main() {
 		oneshot     = flag.Bool("oneshot", false, "print role, snapshot version and routing checksum, then exit instead of serving HTTP")
 	)
 	flag.Parse()
-	if _, err := cliflag.ApplyEngine(*engine); err != nil {
-		fatal(err)
-	}
 	policy, err := serve.ParseBackpressure(*backpressure)
 	if err != nil {
 		fatal(err)

@@ -24,9 +24,11 @@
 // mutex), so both are shared as they are. Only the dynamic backend
 // needs Concurrent's mutex wrapper.
 //
-// For(...) picks the backend automatically: finite algebras up to the
-// auto-compile limit are compiled once (memoised per order transform) and
-// everything else falls back to tiered. This realizes the design goal
+// For(...) picks the backend from the algebra alone: finite algebras up
+// to AutoLimit are compiled once (memoised per order transform) and
+// everything else runs tiered. No flag or caller overrides the pick; New
+// builds a named backend only for the differential tests and benchmarks
+// that substitute one engine for another. This realizes the design goal
 // that the compiled form is the universal execution substrate rather than
 // a Dijkstra-only special case.
 package exec
@@ -43,29 +45,18 @@ import (
 // Mode selects an execution backend.
 type Mode string
 
-// The engine modes accepted by For, New and the CLIs' -engine flag.
+// The engine modes an Algebra reports and New accepts.
 const (
-	// ModeAuto compiles finite algebras up to AutoLimit, else dynamic.
-	ModeAuto Mode = "auto"
 	// ModeDynamic always interprets the order transform directly.
 	ModeDynamic Mode = "dynamic"
 	// ModeCompiled requires dense tables; New fails if the algebra is not
 	// finitely compilable.
 	ModeCompiled Mode = "compiled"
 	// ModeTiered interprets with first-touch dense memo tables over the
-	// hot sub-carrier (see tiered.go). ModeAuto falls back to it for
-	// carriers above AutoLimit.
+	// hot sub-carrier (see tiered.go). For runs every algebra it does
+	// not compile on it.
 	ModeTiered Mode = "tiered"
 )
-
-// ParseMode validates a -engine flag value.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeAuto, ModeDynamic, ModeCompiled, ModeTiered:
-		return Mode(s), nil
-	}
-	return "", fmt.Errorf("exec: unknown engine mode %q (want auto, dynamic, compiled or tiered)", s)
-}
 
 // Algebra is the execution interface every routing algorithm consumes.
 // Weights are int32 indices; Intern converts an originated value.V into
@@ -106,23 +97,12 @@ type Algebra interface {
 // a compiled total order keeps is small — 2·F·N bytes of function table
 // plus 2·N of rank — but building it evaluates the preorder on all n²
 // pairs into an n² byte matrix (kept, with a second one, only when the
-// order turns out not to be total), so ModeAuto stops well below
+// order turns out not to be total), so For stops well below
 // compile.New's 2¹⁵ hard cap: 4096² ≈ 16.7M evaluations and 17 MB of
 // scratch build in well under a second, while a 12 870-element scoped
-// product would already cost ~165 MB and tens of seconds. ModeCompiled
-// goes to the hard cap on explicit request.
+// product would already cost ~165 MB and tens of seconds. New with
+// ModeCompiled goes to the hard cap.
 const AutoLimit = 4096
-
-// defaultMode is consulted by For; the CLIs set it from -engine before
-// any routing work starts (it is not synchronized for mid-run mutation).
-var defaultMode = ModeAuto
-
-// SetDefaultMode sets the backend selection policy used by For. Call it
-// once at startup, before routing work begins.
-func SetDefaultMode(m Mode) { defaultMode = m }
-
-// DefaultMode returns the backend selection policy used by For.
-func DefaultMode() Mode { return defaultMode }
 
 // dynamic executes an order transform directly, hash-consing weights so
 // that index equality is value equality.
@@ -258,23 +238,14 @@ func cachedCompile(t *ost.OrderTransform) (Algebra, bool) {
 	return eng, ok
 }
 
-// compilable reports whether t is worth compiling under the auto policy.
-func compilable(t *ost.OrderTransform, limit int) bool {
-	return t.Finite() && t.Carrier().Size() <= limit
-}
-
-// For picks the execution backend for t under the default mode: compiled
-// (memoised) when the algebra is finite, within the auto limit, compiles
-// cleanly and every origin in origins interns; tiered otherwise, so big
-// lex products past the AutoLimit ceiling still execute the hot
-// sub-carrier off dense tables. ModeDynamic forces the pure interpreter.
-// It is the constructor the ost-level solver entry points use, which is
-// what makes the compiled form the universal substrate.
+// For picks the execution backend for t: compiled (memoised) when the
+// algebra is finite, within AutoLimit, compiles cleanly and every origin
+// in origins interns; tiered otherwise, so big lex products past the
+// AutoLimit ceiling still execute the hot sub-carrier off dense tables.
+// It is the constructor every production solve path uses, which is what
+// makes the compiled form the universal substrate.
 func For(t *ost.OrderTransform, origins ...value.V) Algebra {
-	if defaultMode == ModeDynamic {
-		return NewDynamic(t)
-	}
-	if defaultMode != ModeTiered && compilable(t, AutoLimit) {
+	if t.Finite() && t.Carrier().Size() <= AutoLimit {
 		if eng, ok := cachedCompile(t); ok {
 			for _, o := range origins {
 				if _, err := eng.Intern(o); err != nil {
@@ -287,9 +258,9 @@ func For(t *ost.OrderTransform, origins ...value.V) Algebra {
 	return NewTiered(t)
 }
 
-// New builds a backend under an explicit mode: ModeDynamic and
-// ModeCompiled force their backend (compiled fails with the compile
-// error, or when an origin does not intern); ModeAuto behaves like For.
+// New builds the backend m names, whatever For would pick: the compiled
+// one fails with the compile error, or when an origin does not intern.
+// It is how the differential tests and benchmarks substitute backends.
 func New(t *ost.OrderTransform, m Mode, origins ...value.V) (Algebra, error) {
 	switch m {
 	case ModeDynamic:
@@ -307,8 +278,6 @@ func New(t *ost.OrderTransform, m Mode, origins ...value.V) (Algebra, error) {
 			}
 		}
 		return eng, nil
-	case ModeAuto, "":
-		return For(t, origins...), nil
 	}
 	return nil, fmt.Errorf("exec: unknown engine mode %q", m)
 }

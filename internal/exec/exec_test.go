@@ -18,40 +18,34 @@ func ot(t *testing.T, src string) *core.Algebra {
 	return a
 }
 
-func TestParseMode(t *testing.T) {
-	for _, s := range []string{"auto", "dynamic", "compiled"} {
-		if _, err := ParseMode(s); err != nil {
-			t.Fatalf("%s: %v", s, err)
+// TestForPicksCompiledForFinite pins the backend the benchmark's
+// workloads rely on: every finite algebra within AutoLimit compiles, the
+// total orders with flat tables for the sweep and ECMP scan.
+func TestForPicksCompiledForFinite(t *testing.T) {
+	for _, src := range []string{
+		"delay(16,2)",
+		"lex(delay(32,3), hops(8))",  // storm-sparse-100k: 33 × 9 elements
+		"scoped(bw(4), delay(64,4))", // storm-policy-2k: 5 × 65 elements
+	} {
+		a := ot(t, src)
+		eng := For(a.OT, a.OT.DefaultOrigin())
+		if eng.Mode() != ModeCompiled || Tables(eng) == nil {
+			t.Errorf("%s: want a compiled engine with tables, got %s", src, eng.Mode())
 		}
 	}
-	if _, err := ParseMode("jit"); err == nil {
-		t.Fatal("bogus mode must be rejected")
-	}
 }
 
-func TestForPicksCompiledForFinite(t *testing.T) {
-	a := ot(t, "delay(16,2)")
-	if eng := For(a.OT, 0); eng.Mode() != ModeCompiled {
-		t.Fatalf("finite algebra should auto-compile, got %s", eng.Mode())
-	}
-}
-
+// TestForFallsBackToTiered: no dense tables exist for an infinite
+// carrier (delay(0, k) is the unbounded delay algebra), and For does not
+// build them past AutoLimit (the query workloads' lex product has
+// 256 × 33 = 8 448 elements); the tiered backend memoises the hot
+// sub-carrier of both.
 func TestForFallsBackToTiered(t *testing.T) {
-	// Infinite carrier: delay(0, k) is the unbounded delay algebra. No
-	// dense tables exist for it, but the tiered backend still memoises
-	// the hot sub-carrier.
-	a := ot(t, "delay(0,2)")
-	if eng := For(a.OT, 0); eng.Mode() != ModeTiered {
-		t.Fatalf("infinite algebra must run tiered, got %s", eng.Mode())
-	}
-}
-
-func TestForHonorsDefaultMode(t *testing.T) {
-	a := ot(t, "delay(16,2)")
-	SetDefaultMode(ModeDynamic)
-	defer SetDefaultMode(ModeAuto)
-	if eng := For(a.OT, 0); eng.Mode() != ModeDynamic {
-		t.Fatalf("default mode dynamic must win, got %s", eng.Mode())
+	for _, src := range []string{"delay(0,2)", "lex(delay(255,3), hops(32))"} {
+		a := ot(t, src)
+		if eng := For(a.OT, a.OT.DefaultOrigin()); eng.Mode() != ModeTiered {
+			t.Errorf("%s: want tiered, got %s", src, eng.Mode())
+		}
 	}
 }
 

@@ -91,14 +91,13 @@ func (e *tabledSemiring) Value(w int32) value.V { return e.c.Elems[w] }
 func (e *tabledSemiring) Add(a, b int32) int32  { return e.c.Add(a, b) }
 func (e *tabledSemiring) Mul(a, b int32) int32  { return e.c.Mul(a, b) }
 
-// ForSemiring picks the backend for b under the default mode: compiled
-// when finite, closed, within the bisemigroup cap and every weight in
-// weights interns; dynamic otherwise. Unlike order transforms, compiled
+// ForSemiring picks the backend for b: compiled when finite, closed,
+// within the bisemigroup cap and every weight in weights interns;
+// dynamic otherwise. Unlike order transforms, compiled
 // bisemigroups are not memoised — Closure is an all-pairs solver, so one
 // build already amortizes over N² matrix cells.
 func ForSemiring(b *bsg.Bisemigroup, weights ...value.V) Semiring {
-	if defaultMode != ModeDynamic && b.Finite() &&
-		b.Carrier().Size() <= compile.MaxBisemigroupCarrier {
+	if b.Finite() && b.Carrier().Size() <= compile.MaxBisemigroupCarrier {
 		if eng, err := CompileSemiring(b); err == nil {
 			for _, w := range weights {
 				if _, err := eng.Intern(w); err != nil {

@@ -148,9 +148,9 @@ func TestTieredDifferentialRIB(t *testing.T) {
 }
 
 // TestTieredBigCarrier: on a carrier above AutoLimit — the population
-// tiered compilation exists for — For() auto-selects the tiered backend
-// under the default policy and the results stay bit-identical to the
-// interpreter through both entry forms.
+// tiered compilation exists for — For() selects the tiered backend and
+// the results stay bit-identical to the interpreter through both entry
+// forms.
 func TestTieredBigCarrier(t *testing.T) {
 	const src = "lex(delay(127,2), delay(63,2))" // 128 × 64 = 8192 > AutoLimit
 	a, err := core.InferString(src)
@@ -164,10 +164,8 @@ func TestTieredBigCarrier(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s: no bottom origin", src)
 	}
-	if exec.DefaultMode() == exec.ModeAuto {
-		if m := exec.For(a.OT, b).Mode(); m != exec.ModeTiered {
-			t.Fatalf("For() on a %d-carrier picked %q, want tiered", a.OT.Carrier().Size(), m)
-		}
+	if m := exec.For(a.OT, b).Mode(); m != exec.ModeTiered {
+		t.Fatalf("For() on a %d-carrier picked %q, want tiered", a.OT.Carrier().Size(), m)
 	}
 	r := rand.New(rand.NewSource(555))
 	dyn, tier := tierPair(t, a.OT, b)

@@ -9,9 +9,8 @@
 // derivation.
 //
 // A router picks no execution backend of its own: Engine is exec.For,
-// the constructor every other solve path uses, so the -engine policy and
-// the auto choice (compiled up to exec.AutoLimit, tiered past it) hold
-// here too.
+// the constructor every other solve path uses, so the algebra alone
+// decides (compiled up to exec.AutoLimit, tiered past it) here too.
 package router
 
 import (

@@ -46,7 +46,8 @@ type Scenario struct {
 	// Algebra is the compiled algebra.
 	Algebra *core.Algebra
 	// Engine is the execution backend Run simulates on. Parse picks it
-	// with exec.For (compiled for finite algebras); UseEngine re-pins it.
+	// with exec.For: compiled for finite algebras up to exec.AutoLimit,
+	// tiered otherwise.
 	Engine exec.Algebra
 	// Graph is the topology.
 	Graph *graph.Graph
@@ -225,18 +226,6 @@ func Parse(rd io.Reader) (*Scenario, error) {
 	}
 	s.Engine = exec.For(a.OT, s.Origin)
 	return s, nil
-}
-
-// UseEngine re-pins the execution backend under an explicit mode (the
-// CLI's -engine flag). ModeCompiled fails when the algebra has no dense
-// form or the origin falls outside the compiled carrier.
-func (s *Scenario) UseEngine(m exec.Mode) error {
-	eng, err := exec.New(s.Algebra.OT, m, s.Origin)
-	if err != nil {
-		return fmt.Errorf("scenario: %v", err)
-	}
-	s.Engine = eng
-	return nil
 }
 
 // parseValue parses an origin literal: an integer, or a nested pair

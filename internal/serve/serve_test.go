@@ -450,8 +450,8 @@ func TestNewServerRejectsMisfitOrigin(t *testing.T) {
 		modes []exec.Mode
 	}{
 		{"lex(delay(8,2), hops(4))", []exec.Mode{exec.ModeCompiled, exec.ModeTiered, exec.ModeDynamic}},
-		// The issue's reproduction: past AutoLimit, so auto picks tiered.
-		{"lex(delay(255,3), hops(32))", []exec.Mode{exec.ModeAuto}},
+		// Past AutoLimit, so exec.For picks tiered.
+		{"lex(delay(255,3), hops(32))", []exec.Mode{exec.ModeTiered}},
 		// Infinite carrier: no membership test, the probe must catch it.
 		{"lex(delay(0,2), hops(4))", []exec.Mode{exec.ModeTiered, exec.ModeDynamic}},
 	} {

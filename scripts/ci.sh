@@ -23,11 +23,11 @@ LC_ALL=C awk '/^- /{n=NR} {
 # measurement mode cannot creep back in as a flag (measurements are
 # testing.B benchmarks beside the code they time).
 MRSERVE_FLAGS=$(go run ./cmd/mrserve -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p' | LC_ALL=C sort | tr '\n' ' ')
-test "$MRSERVE_FLAGS" = "addr backpressure dests engine expr follow log-dir log-max-bytes \
+test "$MRSERVE_FLAGS" = "addr backpressure dests expr follow log-dir log-max-bytes \
 oneshot p pprof publish queue-cap random rebuild-timeout replay replay-storm scenario seed \
 slow-query-us workers "
 MREXP_FLAGS=$(go run ./cmd/mrexp -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p' | LC_ALL=C sort | tr '\n' ' ')
-test "$MREXP_FLAGS" = "corpus corpus-seed engine json only out parallel seed sim-workers "
+test "$MREXP_FLAGS" = "corpus corpus-seed json only out parallel seed sim-workers "
 
 # staticcheck when available (CI installs a pinned version; local runs
 # without it are still valid).
@@ -178,17 +178,12 @@ go test -race -run='^TestAutoPrefixResolvesEveryDest$' -count=1 ./internal/serve
 # backend, each plan equal to the one the inferred set gives directly and
 # the same on compiled, tiered and dynamic engines (named algebras and
 # 200 random compilable ones), and a transform no inference ran on
-# getting only its declared judgements. The CLI prints that one plan on
-# all three backends: the policy product's plan: lines must be identical
-# and, as it is ¬ND, promise no forwarding.
+# getting only its declared judgements. The CLI prints that plan: the
+# policy product, as it is ¬ND, promises no forwarding.
 go test -race -run='^TestPlanTable$' -count=1 ./internal/solve/
-for ENGINE in compiled tiered dynamic; do
-  go run ./cmd/metaroute -engine "$ENGINE" -expr 'scoped(bw(4), delay(64,4))' -solve -random 8 -seed 3 |
-    grep '^plan: ' | tee "/tmp/plan_smoke_$ENGINE.txt"
-done
-cmp /tmp/plan_smoke_compiled.txt /tmp/plan_smoke_tiered.txt
-cmp /tmp/plan_smoke_compiled.txt /tmp/plan_smoke_dynamic.txt
-grep -q '^plan: .*; forwarding: not promised$' /tmp/plan_smoke_compiled.txt
+go run ./cmd/metaroute -expr 'scoped(bw(4), delay(64,4))' -solve -random 8 -seed 3 |
+  grep '^plan: ' | tee /tmp/plan_smoke.txt
+grep -q '^plan: .*; forwarding: not promised$' /tmp/plan_smoke.txt
 
 # The failure mask: a persistent chunked bitset against a []bool oracle
 # (bits, count, wire bytes and checksum at every version of random toggle
@@ -240,10 +235,19 @@ go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/
 # and with a column patch), named likewise.
 go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkApplyDelta/toggles+patch'
 # The leader's in-process swap at the same size (a 4-arc fail/restore
-# pair with the replication sink on), named likewise, and reporting the
-# pages whose routes changed and the arc candidates evaluated per swap.
-go test -bench='^BenchmarkLeaderSwap$' -benchtime=1x -run='^$' ./internal/serve/ | grep '^BenchmarkLeaderSwap' |
-  grep 'pages-cloned/swap' | grep -q 'relaxations/swap'
+# pair with the replication sink on), named likewise. Its counted costs
+# are bounded exactly: the pages whose routes changed and the arc
+# candidates evaluated per swap are fixed by the seeded graph and storm
+# sequence (33.90 and 287.3 at 20x, on any host and -cpu), so a rebuild
+# that clones pages it did not change, or a drain that re-pulls every
+# in-neighbour, fails here without any timing.
+go test -bench='^BenchmarkLeaderSwap$' -benchtime=20x -run='^$' ./internal/serve/ | awk '
+  /^BenchmarkLeaderSwap/ { for (i = 2; i <= NF; i++) {
+    if ($i == "pages-cloned/swap") p = $(i - 1)
+    if ($i == "relaxations/swap") r = $(i - 1)
+  } }
+  END { if (p == "" || r == "" || p + 0 > 33.90 || r + 0 > 287.3) {
+    print "BenchmarkLeaderSwap: pages-cloned/swap " p " (want <= 33.90), relaxations/swap " r " (want <= 287.3)"; exit 1 } }'
 # The telemetry-overhead pairing (bare vs instrumented server on one
 # query sequence) and the simulator's serial-vs-parallel run at its
 # smallest size, once each: both must compile, run and report their
