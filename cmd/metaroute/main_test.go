@@ -54,10 +54,7 @@ func TestSolveDefaultOriginFits(t *testing.T) {
 		return
 	}
 	run := func(expr string) (string, error) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestSolveDefaultOriginFits$")
-		cmd.Env = append(os.Environ(), "METAROUTE_TEST_ARGS=-expr\n"+expr+"\n-random\n6\n-solve")
-		out, err := cmd.CombinedOutput()
-		return string(out), err
+		return metaroute("-expr", expr, "-random", "6", "-solve")
 	}
 	out, err := run("lex(hops(0), hops(0))")
 	if err != nil || !strings.Contains(out, "origin (0, 0)") || !strings.Contains(out, "bellman-ford: converged=true") {
@@ -72,5 +69,43 @@ func TestSolveDefaultOriginFits(t *testing.T) {
 	out, err = run("scoped(hops(0), delay(0,4))")
 	if err == nil || !strings.Contains(out, "function set is not enumerable; labels have no meaning") || strings.Contains(out, "panic") {
 		t.Fatalf("scoped(hops(0), delay(0,4)) -solve: want a clean error, got err %v, output:\n%s", err, out)
+	}
+}
+
+// metaroute runs the command with args by re-executing the test binary
+// into TestSolveDefaultOriginFits's entry branch, which calls main, and
+// returns its combined output.
+func metaroute(args ...string) (string, error) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSolveDefaultOriginFits$")
+	cmd.Env = append(os.Environ(), "METAROUTE_TEST_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestNoEngineFlag: the backend is the algebra's, so the command offers
+// no flag to choose it and rejects -engine as an unknown flag.
+func TestNoEngineFlag(t *testing.T) {
+	out, err := metaroute("-h")
+	if err != nil || !strings.Contains(out, "-expr") || strings.Contains(out, "-engine") {
+		t.Fatalf("-h: err %v, want a flag list without -engine:\n%s", err, out)
+	}
+	out, err = metaroute("-engine", "tiered", "-expr", "unit")
+	if err == nil || !strings.Contains(out, "flag provided but not defined: -engine") {
+		t.Fatalf("-engine tiered: err %v, want it rejected as undefined:\n%s", err, out)
+	}
+}
+
+// TestEngineLineNamesTheAlgebrasBackend: the engine line reports what
+// exec.For picked — compiled tables for the policy product, the tiered
+// backend with its intern counts for a lex product past AutoLimit.
+func TestEngineLineNamesTheAlgebrasBackend(t *testing.T) {
+	for _, tc := range []struct{ expr, want string }{
+		{"scoped(bw(4), delay(64,4))", "engine: compiled\n"},
+		{"lex(delay(255,3), hops(32))", "engine: tiered ("},
+	} {
+		out, err := metaroute("-expr", tc.expr, "-solve", "-random", "8", "-seed", "3")
+		if err != nil || !strings.Contains(out, tc.want) {
+			t.Errorf("%s -solve: err %v, want %q in:\n%s", tc.expr, err, tc.want, out)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,6 +48,142 @@ func TestForFallsBackToTiered(t *testing.T) {
 		if eng := For(a.OT, a.OT.DefaultOrigin()); eng.Mode() != ModeTiered {
 			t.Errorf("%s: want tiered, got %s", src, eng.Mode())
 		}
+	}
+}
+
+// TestForAutoLimitIsInclusive: delay(cap, k) has cap+1 elements, so a
+// carrier of exactly AutoLimit compiles and one more element runs
+// tiered.
+func TestForAutoLimitIsInclusive(t *testing.T) {
+	at := ot(t, fmt.Sprintf("delay(%d,2)", AutoLimit-1))
+	if n := at.OT.Carrier().Size(); n != AutoLimit {
+		t.Fatalf("carrier has %d elements, want %d", n, AutoLimit)
+	}
+	if m := For(at.OT, 0).Mode(); m != ModeCompiled {
+		t.Fatalf("%d-element carrier: got %s, want compiled", AutoLimit, m)
+	}
+	past := ot(t, fmt.Sprintf("delay(%d,2)", AutoLimit))
+	if m := For(past.OT, 0).Mode(); m != ModeTiered {
+		t.Fatalf("%d-element carrier: got %s, want tiered", AutoLimit+1, m)
+	}
+}
+
+// TestForTieredWhenOriginMisfits: the compiled backend cannot intern a
+// value outside its carrier, so an origin that does not fit sends a
+// finite algebra to the tiered backend, which can.
+func TestForTieredWhenOriginMisfits(t *testing.T) {
+	a := ot(t, "delay(16,2)")
+	eng := For(a.OT, 0, 99)
+	if eng.Mode() != ModeTiered {
+		t.Fatalf("origin 99 outside delay(16,2): got %s, want tiered", eng.Mode())
+	}
+	if _, err := eng.Intern(99); err != nil {
+		t.Fatalf("tiered engine must intern the misfit origin: %v", err)
+	}
+	if m := For(a.OT, 0, 16).Mode(); m != ModeCompiled {
+		t.Fatalf("origins 0 and 16 fit: got %s, want compiled", m)
+	}
+}
+
+// TestForNeverInterprets: For's only two answers are compiled and
+// tiered; the dynamic interpreter is reached through New alone.
+func TestForNeverInterprets(t *testing.T) {
+	for _, src := range []string{
+		"unit", "tags(2)", "gadget", "delay(0,2)", "hops(0)",
+		"lex(delay(127,2), delay(63,2))", "scoped(bw(4), lex(tags(2), tags(2)))",
+	} {
+		a := ot(t, src)
+		if m := For(a.OT, a.OT.DefaultOrigin()).Mode(); m == ModeDynamic {
+			t.Errorf("%s: For picked the dynamic interpreter", src)
+		}
+	}
+}
+
+// TestForPartialOrderHasNoTables: a finite order with incomparable
+// elements still compiles, but has no rank, so Tables is nil and the
+// solvers keep their interface loop.
+func TestForPartialOrderHasNoTables(t *testing.T) {
+	a := ot(t, "tags(2)")
+	eng := For(a.OT, a.OT.DefaultOrigin())
+	if eng.Mode() != ModeCompiled {
+		t.Fatalf("tags(2): got %s, want compiled", eng.Mode())
+	}
+	if Tables(eng) != nil {
+		t.Fatal("tags(2) is discretely ordered: Tables must be nil")
+	}
+	x, y := MustIntern(eng, a.OT.Carrier().Elems[1]), MustIntern(eng, a.OT.Carrier().Elems[2])
+	if eng.Leq(x, y) || eng.Leq(y, x) {
+		t.Fatalf("distinct tags %v and %v must be incomparable", eng.Value(x), eng.Value(y))
+	}
+}
+
+// TestNewBuildsTheNamedMode: New builds the backend it is asked for,
+// even where For would pick another.
+func TestNewBuildsTheNamedMode(t *testing.T) {
+	a := ot(t, "delay(16,2)")
+	for _, m := range []Mode{ModeCompiled, ModeTiered, ModeDynamic} {
+		eng, err := New(a.OT, m, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if eng.Mode() != m {
+			t.Errorf("New(%s) built %s", m, eng.Mode())
+		}
+	}
+}
+
+// TestNewRejectsUnknownMode: "auto" is no longer a mode — the pick
+// belongs to For — and New names the mode it does not know.
+func TestNewRejectsUnknownMode(t *testing.T) {
+	a := ot(t, "delay(16,2)")
+	for _, m := range []Mode{"auto", "jit", ""} {
+		if eng, err := New(a.OT, m, 0); err == nil {
+			t.Errorf("New(%q) built %s, want an error", m, eng.Mode())
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", m)) {
+			t.Errorf("New(%q): error %q does not name the mode", m, err)
+		}
+	}
+}
+
+// TestNewCompiledRejectsMisfitOrigin: where For falls back to tiered,
+// New with ModeCompiled fails instead.
+func TestNewCompiledRejectsMisfitOrigin(t *testing.T) {
+	a := ot(t, "delay(16,2)")
+	if _, err := New(a.OT, ModeCompiled, 0, 99); err == nil {
+		t.Fatal("ModeCompiled must fail on an origin outside the carrier")
+	}
+	if _, err := New(a.OT, ModeCompiled, 0, 16); err != nil {
+		t.Fatalf("origins in the carrier must compile: %v", err)
+	}
+}
+
+// TestTiersByBackend: the compiled backend interns nothing, the dynamic
+// one interns without tables, and the tiered one covers what it interns
+// while its hot tier has room.
+func TestTiersByBackend(t *testing.T) {
+	a := ot(t, "delay(16,2)")
+	comp, err := New(a.OT, ModeCompiled, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	MustIntern(comp, 3)
+	if n, hot := Tiers(comp); n != 0 || hot != 0 {
+		t.Fatalf("compiled: Tiers = %d, %d, want 0, 0", n, hot)
+	}
+	dyn := NewDynamic(a.OT)
+	MustIntern(dyn, 3)
+	MustIntern(dyn, 5)
+	if n, hot := Tiers(dyn); n != 2 || hot != 0 {
+		t.Fatalf("dynamic: Tiers = %d, %d, want 2, 0", n, hot)
+	}
+	if n, hot := Tiers(Concurrent(dyn)); n != 2 || hot != 0 {
+		t.Fatalf("locked dynamic: Tiers = %d, %d, want 2, 0", n, hot)
+	}
+	tier := NewTiered(a.OT)
+	MustIntern(tier, 3)
+	MustIntern(tier, 5)
+	if n, hot := Tiers(tier); n != 2 || hot < n {
+		t.Fatalf("tiered: Tiers = %d, %d, want 2 interned, all hot", n, hot)
 	}
 }
 
