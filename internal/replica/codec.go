@@ -28,7 +28,10 @@
 // offsets are reproducible from the span lengths alone. The decoder
 // recomputes them and cross-checks the pool length, which both saves
 // four bytes a slot and turns the canonical-layout assumption into a
-// checked invariant.
+// checked invariant. A slot's span length travels as a full u32 — the
+// exact count, read off the layout where the in-memory EntrySlot's
+// 16-bit NhLen saturates — so the wire carries no trace of the slot's
+// width.
 //
 // Columns enter and leave the codec in rib's paged form, and each byte
 // of a record is touched once on either side. An encoder sizes its frame
@@ -240,9 +243,11 @@ func columnSize(c *rib.PagedColumn) int {
 }
 
 // column writes c in the flat wire layout straight from its pages:
-// every slot in node order, then the page pools back to back — which is
-// the flat column's pool, because both layouts append spans in slot
-// order. Page-relative offsets, like flat ones, do not travel.
+// every slot in node order with its exact span length (a saturated
+// NhLen is resolved through the page's layout), then the page pools back
+// to back — which is the flat column's pool, because both layouts append
+// spans in slot order. Page-relative offsets, like flat ones, do not
+// travel.
 func (w *wbuf) column(c *rib.PagedColumn) {
 	w.u32(uint32(c.Dest))
 	w.bool(c.Converged)
@@ -255,9 +260,10 @@ func (w *wbuf) column(c *rib.PagedColumn) {
 				b = append(b, 0)
 				continue
 			}
+			nh := uint32(p.SpanEnd(i) - s.NhOff)
 			b = append(b, 1,
 				byte(s.W), byte(s.W>>8), byte(s.W>>16), byte(s.W>>24),
-				byte(s.NhLen), byte(s.NhLen>>8), byte(s.NhLen>>16), byte(s.NhLen>>24))
+				byte(nh), byte(nh>>8), byte(nh>>16), byte(nh>>24))
 		}
 		pool += len(p.Pool)
 	}
@@ -371,6 +377,15 @@ func EncodeDelta(d *Delta) []byte {
 		}
 	}
 	return w.finish()
+}
+
+// frameKind returns an encoded frame's record kind, 0 when the frame is
+// too short to carry one.
+func frameKind(frame []byte) byte {
+	if len(frame) < 6 {
+		return 0
+	}
+	return frame[5]
 }
 
 // EncodeSubscribe frames the client handshake.
@@ -513,8 +528,10 @@ func (r *rbuf) slot() (routed bool, w int32, nh uint32, err error) {
 
 // column decodes one column straight into pages. Offsets do not travel:
 // the slot pass recomputes each slot's page-relative NhOff as the
-// running span sum within its page — the canonical layout — and so
-// learns every page's pool length; once the span total has been
+// running span sum within its page — the canonical layout, in which a
+// span too long for NhLen saturates it and still ends exactly where the
+// next one starts — and so learns every page's pool length; once the
+// span total has been
 // cross-checked against the pool count on the wire (itself bounded by
 // the bytes received), the pool pass allocates each page pool exactly
 // and range-checks every next hop.
@@ -561,7 +578,7 @@ func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 			if total += int64(nh); total > int64(maxFrame) {
 				return nil, r.fail("column %d pool overflows", dest)
 			}
-			p.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: off, NhLen: int32(nh)}
+			p.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: off, NhLen: uint16(min(nh, rib.MaxNhLen))}
 			p.Live++
 			off += int32(nh)
 		}

@@ -23,7 +23,7 @@ func mkColumn(dest int, converged bool, routes [][]int32) *rib.Column {
 		if r == nil {
 			continue
 		}
-		c.Slots[u] = rib.EntrySlot{W: r[0], Routed: true, NhOff: int32(len(c.Pool)), NhLen: int32(len(r) - 1)}
+		c.Slots[u] = rib.EntrySlot{W: r[0], Routed: true, NhOff: int32(len(c.Pool)), NhLen: uint16(min(len(r)-1, rib.MaxNhLen))}
 		c.Pool = append(c.Pool, r[1:]...)
 	}
 	return c
@@ -192,8 +192,11 @@ func badColumns() map[string]*rib.Column {
 		"has 1 slots, want 2": {
 			Slots: []rib.EntrySlot{{Routed: true}},
 		},
+		// The oracle encoder writes SpanEnd-NhOff, and a saturated last
+		// slot's span ends at the pool's end: a negative offset stands in
+		// for a span longer than any frame.
 		"pool overflows": {
-			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhLen: maxFrame + 1}},
+			Slots: []rib.EntrySlot{{Routed: true}, {Routed: true, NhOff: -maxFrame - 1, NhLen: rib.MaxNhLen}},
 		},
 	}
 }

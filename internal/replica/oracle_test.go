@@ -29,7 +29,7 @@ func oracleColumn(w *wbuf, c *rib.Column) {
 		}
 		w.u8(1)
 		w.i32(s.W)
-		w.u32(uint32(s.NhLen))
+		w.u32(uint32(c.SpanEnd(i) - s.NhOff))
 	}
 	w.u32(uint32(len(c.Pool)))
 	for _, v := range c.Pool {
@@ -168,7 +168,7 @@ func oracleDecodeColumn(r *rbuf, nodes int) (*rib.Column, error) {
 		if nh == 0 && i != int(dest) {
 			return nil, r.fail("column %d node %d is routed with no next hop", dest, i)
 		}
-		c.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: int32(off), NhLen: int32(nh)}
+		c.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: int32(off), NhLen: uint16(min(nh, rib.MaxNhLen))}
 		off += int64(nh)
 		if off > int64(maxFrame) {
 			return nil, r.fail("column %d pool overflows", dest)

@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// ringSize is how many recent framed records the publisher retains for
-// delta catch-up; a subscriber further behind bootstraps from a full
-// snapshot instead.
+// ringSize is how many recent delta frames the publisher retains for
+// catch-up; a subscriber further behind bootstraps from a full snapshot
+// instead.
 const ringSize = 512
 
 // subBuffer is the per-subscriber record queue depth. A subscriber
@@ -31,19 +31,31 @@ type subscriber struct {
 
 // Publisher fans the leader's record stream out to subscribers: every
 // snapshot swap hands it one framed record, which it appends to the
-// optional on-disk log, retains in a catch-up ring, and broadcasts to
-// every live TCP subscriber. It implements the serve package's record
-// sink contract (PublishRecord).
+// optional on-disk log and broadcasts to every live TCP subscriber. It
+// implements the serve package's record sink contract (PublishRecord).
+//
+// The catch-up ring holds delta frames only, the last ringSize of them
+// in a fixed circular buffer. A full record is logged and broadcast but
+// never kept: it empties the ring, since no delta before it applies
+// after it. So the leader holds no encoded copy of its whole route
+// table; a subscriber the ring's deltas cannot carry from its version —
+// one starting from 0 included — gets a full snapshot encoded by source
+// at the current head.
 type Publisher struct {
 	// source produces a framed full snapshot of the leader's current
-	// state, for subscribers too far behind the ring. It is called
+	// state, for subscribers the ring cannot carry. It is called
 	// OUTSIDE the publisher mutex: the source takes the leader's own
 	// lock, and the leader calls PublishRecord while holding it, so
 	// calling source under p.mu would invert that order.
 	source func() (version uint64, frame []byte, err error)
 
-	mu     sync.Mutex
-	ring   []ringEntry
+	mu sync.Mutex
+	// ring[(next-n+i) mod ringSize], i < n, is the i-th oldest retained
+	// delta; versions in it are consecutive. An evicted or reset slot is
+	// cleared, so the ring keeps no frame it no longer serves.
+	ring   [ringSize]ringEntry
+	next   int
+	n      int
 	head   uint64
 	subs   map[*subscriber]struct{}
 	closed bool
@@ -60,7 +72,9 @@ func NewPublisher(source func() (uint64, []byte, error), log *Log) *Publisher {
 }
 
 // PublishRecord ships one swap's framed record: log, ring, broadcast.
-// It never blocks on a subscriber — one that cannot keep up is dropped.
+// A delta enters the ring over its oldest entry once the ring is full; a
+// full record resets it. It never blocks on a subscriber — one that
+// cannot keep up is dropped.
 func (p *Publisher) PublishRecord(version uint64, frame []byte) error {
 	var logErr error
 	if p.log != nil {
@@ -69,9 +83,13 @@ func (p *Publisher) PublishRecord(version uint64, frame []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.head = version
-	p.ring = append(p.ring, ringEntry{version: version, frame: frame})
-	if len(p.ring) > ringSize {
-		p.ring = p.ring[len(p.ring)-ringSize:]
+	if frameKind(frame) == KindFull {
+		clear(p.ring[:])
+		p.next, p.n = 0, 0
+	} else {
+		p.ring[p.next] = ringEntry{version: version, frame: frame}
+		p.next = (p.next + 1) % ringSize
+		p.n = min(p.n+1, ringSize)
 	}
 	for s := range p.subs {
 		if s.dead {
@@ -179,13 +197,15 @@ func (p *Publisher) handle(conn net.Conn) {
 	needFull := true
 	if from == p.head {
 		needFull = false
-	} else if from < p.head {
+	} else if from < p.head && p.n > 0 {
 		// The ring covers from+1..head iff its oldest retained version is
-		// ≤ from+1 (versions in the ring are consecutive).
-		if len(p.ring) > 0 && p.ring[0].version <= from+1 {
+		// ≤ from+1: versions in the ring are consecutive, and it ends at
+		// head (a full record at head empties it).
+		oldest := (p.next - p.n + ringSize) % ringSize
+		if first := p.ring[oldest].version; first <= from+1 {
 			needFull = false
-			for _, e := range p.ring {
-				if e.version > from {
+			for i := 0; i < p.n; i++ {
+				if e := &p.ring[(oldest+i)%ringSize]; e.version > from {
 					tail = append(tail, e.frame)
 				}
 			}

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -242,4 +244,169 @@ func TestPublisherDropsSlowSubscriber(t *testing.T) {
 		p.mu.Unlock()
 		return n == 0
 	})
+}
+
+// catchUp subscribes from the given version over a raw connection and
+// returns every record that arrives before the stream goes quiet. The
+// publisher writes a subscriber's whole catch-up payload in one flush,
+// so 300 ms without a byte ends it.
+func catchUp(t *testing.T, addr string, from uint64) []*Record {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(EncodeSubscribe(from)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var recs []*Record
+	for {
+		conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		rec, err := ReadRecord(br)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			return recs
+		}
+		if err != nil {
+			t.Fatalf("catch-up from %d after %d records: %v", from, len(recs), err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// countingPublisher is a publisher whose source serves a full record at
+// the head the test has published, counting its calls.
+func countingPublisher(head *atomic.Uint64, calls *atomic.Int32) *Publisher {
+	return NewPublisher(func() (uint64, []byte, error) {
+		calls.Add(1)
+		v := head.Load()
+		return v, fullAt(v), nil
+	}, nil)
+}
+
+// publish hands the publisher one record at version v, a full one when
+// full is set, advancing the source's head with it.
+func publish(p *Publisher, head *atomic.Uint64, v uint64, full bool) {
+	head.Store(v)
+	if full {
+		p.PublishRecord(v, fullAt(v))
+	} else {
+		p.PublishRecord(v, deltaAt(v))
+	}
+}
+
+// kinds lists the records' kinds and versions, for failure messages and
+// comparisons.
+func kinds(recs []*Record) [][2]uint64 {
+	out := make([][2]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = [2]uint64{uint64(r.Kind), r.Version()}
+	}
+	return out
+}
+
+// TestPublisherBootstrapFromZero: a subscriber from version 0 gets one
+// record, the full snapshot at head, even while every delta since the
+// first full record is still in the ring — the ring keeps no full
+// record to replay them onto.
+func TestPublisherBootstrapFromZero(t *testing.T) {
+	var head atomic.Uint64
+	var calls atomic.Int32
+	p := countingPublisher(&head, &calls)
+	publish(p, &head, 1, true)
+	for v := uint64(2); v <= 5; v++ {
+		publish(p, &head, v, false)
+	}
+	addr := startPublisher(t, p)
+	recs := catchUp(t, addr, 0)
+	if len(recs) != 1 || recs[0].Kind != KindFull || recs[0].Version() != 5 {
+		t.Fatalf("bootstrap from 0 at head 5 served %v (kind, version), want one full at 5", kinds(recs))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("source called %d times, want 1", n)
+	}
+}
+
+// TestPublisherRingHoldsDeltasOnly: across full records at the start,
+// mid-stream and after the ring has wrapped, the ring never holds a full
+// record, holds exactly the deltas since the last full one (at most
+// ringSize of them, consecutive and ending at head), and every slot
+// outside them is cleared.
+func TestPublisherRingHoldsDeltasOnly(t *testing.T) {
+	var head atomic.Uint64
+	var calls atomic.Int32
+	p := countingPublisher(&head, &calls)
+	fulls := map[uint64]bool{1: true, 9: true, ringSize + 40: true}
+	since := uint64(0) // deltas published since the last full record
+	for v := uint64(1); v <= 2*ringSize+30; v++ {
+		publish(p, &head, v, fulls[v])
+		if since++; fulls[v] {
+			since = 0
+		}
+		if want := int(min(since, ringSize)); p.n != want {
+			t.Fatalf("after v%d: ring holds %d entries, want %d", v, p.n, want)
+		}
+		oldest := (p.next - p.n + ringSize) % ringSize
+		for i := 0; i < ringSize; i++ {
+			e := &p.ring[(oldest+i)%ringSize]
+			if i >= p.n {
+				if e.frame != nil || e.version != 0 {
+					t.Fatalf("after v%d: slot %d past the live entries still holds v%d", v, (oldest+i)%ringSize, e.version)
+				}
+				continue
+			}
+			if k := frameKind(e.frame); k != KindDelta {
+				t.Fatalf("after v%d: ring entry v%d has kind %d", v, e.version, k)
+			}
+			if want := v - uint64(p.n-1-i); e.version != want {
+				t.Fatalf("after v%d: ring entry %d is v%d, want v%d", v, i, e.version, want)
+			}
+		}
+	}
+	if calls.Load() != 0 {
+		t.Fatal("publishing called the full-snapshot source")
+	}
+}
+
+// TestPublisherFullResetsRing: a full record published mid-stream, as
+// Server.Rebuild publishes one, empties the ring. A subscriber behind it
+// bootstraps from the source at head, though the deltas that led up to
+// the full record were in the ring; one at or after it gets the deltas
+// since, and no full record.
+func TestPublisherFullResetsRing(t *testing.T) {
+	var head atomic.Uint64
+	var calls atomic.Int32
+	p := countingPublisher(&head, &calls)
+	publish(p, &head, 1, true)
+	for v := uint64(2); v <= 5; v++ {
+		publish(p, &head, v, false)
+	}
+	publish(p, &head, 6, true) // the rebuild
+	for v := uint64(7); v <= 9; v++ {
+		publish(p, &head, v, false)
+	}
+	addr := startPublisher(t, p)
+
+	if recs := catchUp(t, addr, 4); len(recs) != 1 || recs[0].Kind != KindFull || recs[0].Version() != 9 {
+		t.Fatalf("subscriber at 4, behind the full record at 6, got %v (kind, version), want one full at 9", kinds(recs))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("source called %d times for the subscriber behind the reset, want 1", n)
+	}
+	for _, from := range []uint64{6, 7} {
+		recs := catchUp(t, addr, from)
+		if len(recs) != int(9-from) {
+			t.Fatalf("subscriber at %d got %v (kind, version), want the deltas %d..9", from, kinds(recs), from+1)
+		}
+		for i, r := range recs {
+			if r.Kind != KindDelta || r.Version() != from+1+uint64(i) {
+				t.Fatalf("subscriber at %d got %v (kind, version), want the deltas %d..9", from, kinds(recs), from+1)
+			}
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("source called %d times in all, want 1: subscribers after the reset need no full record", n)
+	}
 }

@@ -258,7 +258,7 @@ func mkColumnFromFlat(base *rib.Column, changes []SlotChange) *rib.Column {
 	routes := make([][]int32, len(base.Slots))
 	for u, s := range base.Slots {
 		if s.Routed {
-			routes[u] = append([]int32{s.W}, base.Pool[s.NhOff:s.NhOff+s.NhLen]...)
+			routes[u] = append([]int32{s.W}, base.NextHops(u)...)
 		}
 	}
 	for _, ch := range changes {

@@ -2,6 +2,7 @@ package rib
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"metarouting/internal/exec"
@@ -20,22 +21,62 @@ import (
 // same view must equal it bit for bit.
 
 // EntrySlot is one node's route toward the column's destination in
-// index form. The zero slot means unrouted.
+// index form, 12 bytes wide. The zero slot means unrouted.
 type EntrySlot struct {
 	// W is the selected weight's engine index (valid only when Routed).
 	// Engine intern tables are append-only, so the index stays valid for
 	// the life of the engine — across snapshots and warm starts.
 	W int32
 	// NhOff/NhLen delimit the ECMP next-hop set in the pool, primary
-	// first. NhLen is 0 at the destination itself.
+	// first. NhLen is 0 at the destination itself. It saturates at
+	// MaxNhLen: a span that long or longer ends where the next routed
+	// slot's span starts, or at the pool's end — exact, because every
+	// builder appends spans in slot order (see SpanEnd).
 	NhOff int32
-	NhLen int32
+	NhLen uint16
 	// Routed marks the node as holding a route.
 	Routed bool
 }
 
+// MaxNhLen is the largest span length an EntrySlot records itself; a
+// slot holding it is saturated and its span's end is read off the layout.
+const MaxNhLen = math.MaxUint16
+
 // entrySlotBytes is the in-memory slot width including padding.
 const entrySlotBytes = int(unsafe.Sizeof(EntrySlot{}))
+
+// slotLen is the NhLen a slot records for a span of n next hops.
+func slotLen(n int32) uint16 { return uint16(min(n, MaxNhLen)) }
+
+// spanEnd returns the pool offset where slot i's span ends. An
+// unsaturated slot says so itself; a saturated one's span runs to the
+// next routed slot's NhOff, or to the end of the pool — the canonical
+// layout (spans appended in slot order) leaves no gap between them.
+// The loop lives in saturatedEnd so that this stays inlinable.
+func spanEnd(slots []EntrySlot, pool []int32, i int) int32 {
+	if s := &slots[i]; s.NhLen < MaxNhLen {
+		return s.NhOff + int32(s.NhLen)
+	}
+	return saturatedEnd(slots, pool, i)
+}
+
+// saturatedEnd is spanEnd for a saturated slot i.
+func saturatedEnd(slots []EntrySlot, pool []int32, i int) int32 {
+	for j := i + 1; j < len(slots); j++ {
+		if slots[j].Routed {
+			return slots[j].NhOff
+		}
+	}
+	return int32(len(pool))
+}
+
+// SpanEnd returns the pool offset where node u's next-hop span ends,
+// saturated slots included.
+func (c *Column) SpanEnd(u int) int32 { return spanEnd(c.Slots, c.Pool, u) }
+
+// NextHops returns node u's ECMP next-hop span as a view of the pool,
+// primary first (empty when unrouted or at the destination).
+func (c *Column) NextHops(u int) []int32 { return c.Pool[c.Slots[u].NhOff:c.SpanEnd(u)] }
 
 // Column is one destination's full route column in flat form.
 type Column struct {
@@ -76,7 +117,7 @@ func BuildDestColumn(eng exec.Algebra, g *graph.Graph, dest int, origin value.V,
 		if u != dest {
 			c.Pool = appendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, c.Pool)
 		}
-		s.NhLen = int32(len(c.Pool)) - s.NhOff
+		s.NhLen = slotLen(int32(len(c.Pool)) - s.NhOff)
 		c.Slots[u] = s
 	}
 	return c, nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -33,7 +34,7 @@ func columnMatchesEntries(t *testing.T, eng exec.Algebra, col *Column, entries [
 		if w := eng.Value(s.W); w != e.Weight {
 			t.Fatalf("%s node %d: weight %v vs %v", tag, u, w, e.Weight)
 		}
-		nh := col.Pool[s.NhOff : s.NhOff+s.NhLen]
+		nh := col.NextHops(u)
 		if len(nh) != len(e.NextHops) {
 			t.Fatalf("%s node %d: ECMP %v vs %v", tag, u, nh, e.NextHops)
 		}
@@ -215,6 +216,19 @@ func TestColumnFootprint(t *testing.T) {
 		if got := rb.Lookup(u, 0); !reflect.DeepEqual(got, entries[u]) {
 			t.Fatalf("Lookup(%d, 0) = %+v, oracle %+v", u, got, entries[u])
 		}
+	}
+}
+
+// TestEntrySlotLayout pins the slot at 12 bytes — W and NhOff, a 16-bit
+// NhLen and Routed — so a ColumnPage stays at 800 bytes, inside the
+// 896-byte size class; a 16-byte slot put every page in the 1 152-byte
+// one, on the leader, the follower and every page a swap clones.
+func TestEntrySlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(EntrySlot{}); got != 12 {
+		t.Fatalf("EntrySlot is %d bytes, want 12", got)
+	}
+	if got := unsafe.Sizeof(ColumnPage{}); got != 800 {
+		t.Fatalf("ColumnPage is %d bytes, want 800", got)
 	}
 }
 

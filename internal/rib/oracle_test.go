@@ -92,7 +92,7 @@ func oraclePages(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*C
 			if u != dest {
 				np.Pool = oracleAppendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, np.Pool)
 			}
-			s.NhLen = int32(len(np.Pool)) - s.NhOff
+			s.NhLen = slotLen(int32(len(np.Pool)) - s.NhOff)
 			np.Slots[i] = s
 			np.Live++
 		}

@@ -33,9 +33,10 @@ import (
 // differential checks.
 
 // PageShift sets the page size: 1<<PageShift slots per page. 64 slots
-// (1 KiB of EntrySlots plus the page's ECMP pool) keep a changed page's
-// clone small; the price is the page table, ~1.6k entries (12.5 KiB) at
-// 100k nodes, copied once per column whose routes change.
+// (768 B of 12-byte EntrySlots, so a ColumnPage is 800 B and sits in
+// the 896-byte size class, plus the page's ECMP pool) keep a changed
+// page's clone small; the price is the page table, ~1.6k entries
+// (12.5 KiB) at 100k nodes, copied once per column whose routes change.
 const PageShift = 6
 
 // PageSize is the number of slots per page; PageMask extracts the
@@ -274,13 +275,13 @@ func (c *Column) Paged() *PagedColumn {
 		poolLen := 0
 		for i := range slots {
 			if slots[i].Routed {
-				poolLen += int(slots[i].NhLen)
+				poolLen += len(c.NextHops(base + i))
 			}
 		}
 		np := &ColumnPage{Pool: make([]int32, 0, poolLen)}
 		for i := range slots {
 			if s := slots[i]; s.Routed {
-				np.put(i, s.W, c.Pool[s.NhOff:s.NhOff+s.NhLen])
+				np.put(i, s.W, c.NextHops(base+i))
 			}
 		}
 		pc.Pages[pi] = np
@@ -358,7 +359,7 @@ func patchPage(prev *ColumnPage, pi, n int, patches []SlotPatch) *ColumnPage {
 	poolLen := len(prev.Pool)
 	for i := range patches {
 		p := &patches[i]
-		poolLen -= int(prev.Slots[p.Node&PageMask].NhLen)
+		poolLen -= len(prev.span(p.Node & PageMask))
 		if p.Routed {
 			poolLen += len(p.NextHop)
 		}
@@ -383,7 +384,7 @@ func patchPage(prev *ColumnPage, pi, n int, patches []SlotPatch) *ColumnPage {
 // the span to the page pool. Builders call it for ascending i only, which
 // is what keeps every page in the canonical layout.
 func (p *ColumnPage) put(i int, w int32, nh []int32) {
-	p.Slots[i] = EntrySlot{W: w, Routed: true, NhOff: int32(len(p.Pool)), NhLen: int32(len(nh))}
+	p.Slots[i] = EntrySlot{W: w, Routed: true, NhOff: int32(len(p.Pool)), NhLen: slotLen(int32(len(nh)))}
 	p.Pool = append(p.Pool, nh...)
 	p.Live++
 }
@@ -406,24 +407,33 @@ func (p *ColumnPage) transplantRun(prev *ColumnPage, i, j int) {
 	if k == len(run) {
 		return
 	}
-	lo := run[k].NhOff
-	hi, shift := lo, int32(len(p.Pool))-lo
+	lo, last := run[k].NhOff, k
+	shift := int32(len(p.Pool)) - lo
 	for ; k < len(run); k++ {
 		if s := &run[k]; s.Routed {
-			hi = s.NhOff + s.NhLen
 			s.NhOff += shift
 			p.Live++
+			last = k
 		}
 	}
-	p.Pool = append(p.Pool, prev.Pool[lo:hi]...)
+	p.Pool = append(p.Pool, prev.Pool[lo:prev.SpanEnd(i+last)]...)
 }
 
 // holds reports whether slot i carries the given route: the same
 // routedness and, when routed, the same weight index and ECMP sequence.
 func (p *ColumnPage) holds(i int, routed bool, w int32, nh []int32) bool {
 	s := &p.Slots[i]
-	return s.Routed == routed && (!routed || s.W == w && slices.Equal(p.Pool[s.NhOff:s.NhOff+s.NhLen], nh))
+	return s.Routed == routed && (!routed || s.W == w && slices.Equal(p.span(i), nh))
 }
+
+// SpanEnd returns the page-pool offset where slot i's span ends, read
+// off the slot or, when its NhLen is saturated, off the layout (see
+// EntrySlot). The slot must be routed.
+func (p *ColumnPage) SpanEnd(i int) int32 { return spanEnd(p.Slots[:], p.Pool, i) }
+
+// span returns slot i's ECMP span as a view of the page pool (empty when
+// unrouted).
+func (p *ColumnPage) span(i int) []int32 { return p.Pool[p.Slots[i].NhOff:p.SpanEnd(i)] }
 
 // hops returns slot i's ECMP span as a capped view of the page pool, nil
 // when the slot is unrouted or holds no next hop (the destination).
@@ -432,7 +442,8 @@ func (p *ColumnPage) hops(i int) []int32 {
 	if !s.Routed || s.NhLen == 0 {
 		return nil
 	}
-	return p.Pool[s.NhOff : s.NhOff+s.NhLen : s.NhOff+s.NhLen]
+	end := p.SpanEnd(i)
+	return p.Pool[s.NhOff:end:end]
 }
 
 // PageLen is the number of slots page pi holds in an n-node column
@@ -460,7 +471,7 @@ func fillPage(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest, pi int) *Co
 		if u != dest {
 			np.Pool = appendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, np.Pool)
 		}
-		s.NhLen = int32(len(np.Pool)) - s.NhOff
+		s.NhLen = slotLen(int32(len(np.Pool)) - s.NhOff)
 		np.Slots[i] = s
 		np.Live++
 	}
@@ -513,7 +524,7 @@ type slotDiff struct {
 func (d *slotDiff) page(prev, next *ColumnPage, base, lim int) {
 	for i := 0; i < lim; i++ {
 		ns := &next.Slots[i]
-		if prev.holds(i, ns.Routed, ns.W, next.Pool[ns.NhOff:ns.NhOff+ns.NhLen]) {
+		if prev.holds(i, ns.Routed, ns.W, next.span(i)) {
 			continue
 		}
 		d.count++

@@ -124,8 +124,8 @@ func TestPageBoundaryECMPSpans(t *testing.T) {
 		}
 		p := col.Pages[u>>PageShift]
 		s := p.Slots[u&PageMask]
-		if int(s.NhOff+s.NhLen) > len(p.Pool) {
-			t.Fatalf("node %d: span [%d,%d) escapes its page pool (len %d)", u, s.NhOff, s.NhOff+s.NhLen, len(p.Pool))
+		if end := p.SpanEnd(u & PageMask); int(end) > len(p.Pool) {
+			t.Fatalf("node %d: span [%d,%d) escapes its page pool (len %d)", u, s.NhOff, end, len(p.Pool))
 		}
 	}
 	flat, err := BuildDestColumn(eng, g, 0, org, ws)

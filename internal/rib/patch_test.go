@@ -23,7 +23,7 @@ func flatFromRoutes(dest int, routes [][]int32) *Column {
 		if r == nil {
 			continue
 		}
-		c.Slots[u] = EntrySlot{W: r[0], Routed: true, NhOff: int32(len(c.Pool)), NhLen: int32(len(r) - 1)}
+		c.Slots[u] = EntrySlot{W: r[0], Routed: true, NhOff: int32(len(c.Pool)), NhLen: slotLen(int32(len(r) - 1))}
 		c.Pool = append(c.Pool, r[1:]...)
 	}
 	return c

@@ -243,7 +243,7 @@ func sameColumn(got, want *Column) error {
 	}
 	for u := range want.Slots {
 		gs, ws := got.Slots[u], want.Slots[u]
-		gh, wh := got.Pool[gs.NhOff:gs.NhOff+gs.NhLen], want.Pool[ws.NhOff:ws.NhOff+ws.NhLen]
+		gh, wh := got.NextHops(u), want.NextHops(u)
 		if gs.Routed != ws.Routed || gs.W != ws.W || !slices.Equal(gh, wh) {
 			return fmt.Errorf("node %d: routed %v w %d span %v, want routed %v w %d span %v", u, gs.Routed, gs.W, gh, ws.Routed, ws.W, wh)
 		}

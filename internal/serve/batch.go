@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"slices"
 	"strconv"
@@ -87,7 +88,7 @@ func (sn *Snapshot) batchColumn(dest int) *rib.PagedColumn { return sn.cols[dest
 func (sn *Snapshot) batchPrefixes() *rib.PrefixTable       { return sn.prefixes }
 func (sn *Snapshot) batchWeightName(w int32) string        { return value.Format(sn.srv.eng.Value(w)) }
 func (sn *Snapshot) batchForward(from, dest int) (graph.Path, error) {
-	return sn.srv.forwardOn(sn, from, dest)
+	return sn.srv.forwardOn(sn, from, dest, rand.Uint32()&querySampleMask == 0)
 }
 
 func (v *followerView) batchVersion() uint64                  { return v.state.Version }
@@ -192,6 +193,7 @@ const colMemoSize = 64
 //	stage 1  fetch the column, once per distinct destination, and load
 //	         only the query's page pointer
 //	stage 2  read every slot: routed?, weight, page-relative span
+//	         (a saturated NhLen reads its end off the page's layout)
 //	stage 3  read every page's pool header and copy the spans out
 //	         (an inline loop: spans are 1–3 hops, too short for copy's
 //	         call to pay)
@@ -239,12 +241,13 @@ func resolveWireBatch(v batchView, sc *batchScratch) error {
 		if pg == nil {
 			continue
 		}
-		s := &pg.Slots[qs[i].From&rib.PageMask]
+		j := int(qs[i].From & rib.PageMask)
+		s := &pg.Slots[j]
 		if !s.Routed {
 			pages[i] = nil
 			continue
 		}
-		n, err := spanLen(i, int(s.NhLen))
+		n, err := spanLen(i, int(pg.SpanEnd(j)-s.NhOff))
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,6 +82,10 @@ func BenchmarkServeForward(b *testing.B) {
 // so clock drift and cache warmth cancel. One op is one query answered
 // by each server: bare-ns/op and instrumented-ns/op are each side's cost
 // per query, overhead-% the instrumented side's excess over the bare.
+// The serial leg runs the rounds on one goroutine; the parallel leg runs
+// them under RunParallel, GOMAXPROCS goroutines at once, each timing its
+// own rounds, so both servers' shared state is contended as it is under
+// concurrent readers.
 func BenchmarkForwardTelemetry(b *testing.B) {
 	c := benchFixture(b)
 	bare := newBenchServer(b, c, serve.WithWorkers(4))
@@ -99,30 +104,60 @@ func BenchmarkForwardTelemetry(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
+	// pair answers one round of n queries on each side, the first side
+	// alternating with k.
+	pair := func(k, n int) (bareT, instT time.Duration) {
+		if k%2 == 0 {
+			bareT = batch(bare, n)
+			return bareT, batch(inst, n)
+		}
+		instT = batch(inst, n)
+		return batch(bare, n), instT
+	}
+	report := func(b *testing.B, bareT, instT time.Duration) {
+		bareNS, instNS := float64(bareT.Nanoseconds())/float64(b.N), float64(instT.Nanoseconds())/float64(b.N)
+		b.ReportMetric(bareNS, "bare-ns/op")
+		b.ReportMetric(instNS, "instrumented-ns/op")
+		if bareNS > 0 {
+			b.ReportMetric((instNS-bareNS)/bareNS*100, "overhead-%")
+		}
+	}
 	// Warm both sides, then collect the garbage so that no collector
 	// pause lands inside one side's rounds.
 	batch(bare, round)
 	batch(inst, round)
 	runtime.GC()
-	b.ResetTimer()
-	var bareT, instT time.Duration
-	for done, k := 0, 0; done < b.N; k++ {
-		n := min(round, b.N-done)
-		if k%2 == 0 {
-			bareT += batch(bare, n)
-			instT += batch(inst, n)
-		} else {
-			instT += batch(inst, n)
-			bareT += batch(bare, n)
+	b.Run("serial", func(b *testing.B) {
+		var bareT, instT time.Duration
+		for done, k := 0, 0; done < b.N; k++ {
+			n := min(round, b.N-done)
+			bt, it := pair(k, n)
+			bareT, instT, done = bareT+bt, instT+it, done+n
 		}
-		done += n
-	}
-	bareNS, instNS := float64(bareT.Nanoseconds())/float64(b.N), float64(instT.Nanoseconds())/float64(b.N)
-	b.ReportMetric(bareNS, "bare-ns/op")
-	b.ReportMetric(instNS, "instrumented-ns/op")
-	if bareNS > 0 {
-		b.ReportMetric((instNS-bareNS)/bareNS*100, "overhead-%")
-	}
+		report(b, bareT, instT)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var mu sync.Mutex
+		var bareT, instT time.Duration
+		b.RunParallel(func(pb *testing.PB) {
+			var myBare, myInst time.Duration
+			for k := 0; ; k++ {
+				n := 0
+				for n < round && pb.Next() {
+					n++
+				}
+				if n == 0 {
+					break
+				}
+				bt, it := pair(k, n)
+				myBare, myInst = myBare+bt, myInst+it
+			}
+			mu.Lock()
+			bareT, instT = bareT+myBare, instT+myInst
+			mu.Unlock()
+		})
+		report(b, bareT, instT)
+	})
 }
 
 // BenchmarkServeEventIncremental: one link toggle handled by the

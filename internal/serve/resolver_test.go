@@ -280,7 +280,7 @@ func TestWireSpanOverflowFailsFrame(t *testing.T) {
 			pg.Pool[i] = int32(i % 3)
 		}
 		pg.Slots[0] = rib.EntrySlot{Routed: true}
-		pg.Slots[hub] = rib.EntrySlot{Routed: true, W: 4, NhLen: int32(width)}
+		pg.Slots[hub] = rib.EntrySlot{Routed: true, W: 4, NhLen: uint16(min(width, rib.MaxNhLen))}
 		return rib.FromPages(0, 3, true, []*rib.ColumnPage{pg})
 	}
 	qs := []wire.Query{

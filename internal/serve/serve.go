@@ -495,7 +495,10 @@ type Server struct {
 	batcherWG      sync.WaitGroup
 	rebuildTimeout time.Duration
 
-	queries, swaps, events      telemetry.Counter
+	// queries counts every route query, in-process and over HTTP; it is
+	// striped so that concurrent readers write no shared line.
+	queries                     telemetry.StripedCounter
+	swaps, events               telemetry.Counter
 	batchRequests, batchQueries telemetry.Counter
 	loopAnswers                 telemetry.Counter // JSON route answers naming a forwarding loop
 	incremental, full           telemetry.Counter
@@ -1422,31 +1425,35 @@ func (s *Server) Lookup(node, dest int) *rib.Entry {
 	return s.snap.Load().Lookup(node, dest)
 }
 
-// querySampleMask selects which queries are timed when telemetry is
-// enabled: every (mask+1)-th query (per the shared counter) pays the
-// two clock reads and the histogram observe, the rest run bare. A
+// querySampleMask selects which resolutions are timed when telemetry is
+// enabled: one in mask+1 pays the two clock reads and the histogram
+// observe, the rest run bare. Forward samples on the ordinal its query
+// counter stripe returns (every 16th add of that stripe, a count no
+// other core writes as a rule), an HTTP answer on a random draw. A
 // resolution is fast enough (hundreds of ns on compiled engines) that
 // unsampled timing would cost more than the 10 % overhead budget
 // allows; 1-in-16 sampling keeps the histogram statistically faithful —
-// the sample index is decoupled from query content — at a sixteenth of
-// the cost. The slow-query log sees sampled queries only.
+// neither pick depends on query content — at a sixteenth of the cost.
+// The slow-query log sees sampled queries only.
 const querySampleMask = 15
 
 // Forward resolves the forwarding path from a node toward dest against
 // the current snapshot, lock-free. This is the instrumented query path:
-// with telemetry enabled every querySampleMask+1-th resolution lands in
+// with telemetry enabled one resolution in querySampleMask+1 lands in
 // the query latency histogram, and sampled resolutions over the
 // slow-query threshold are logged.
 func (s *Server) Forward(from, dest int) (graph.Path, error) {
-	return s.forwardOn(s.snap.Load(), from, dest)
+	n := s.queries.Add(1)
+	return s.forwardOn(s.snap.Load(), from, dest, n&querySampleMask == 0)
 }
 
-// forwardOn is Forward against a pinned snapshot — what the HTTP route
-// handlers call, so the path they answer belongs to the same version as
-// the weight beside it.
-func (s *Server) forwardOn(sn *Snapshot, from, dest int) (graph.Path, error) {
-	n := s.queries.Add(1)
-	if s.queryNS == nil || n&querySampleMask != 0 {
+// forwardOn is Forward against a pinned snapshot, timed when sample is
+// set — what the HTTP route handlers call, so the path they answer
+// belongs to the same version as the weight beside it. It counts no
+// query: the handlers count each request's queries once, through their
+// observer.
+func (s *Server) forwardOn(sn *Snapshot, from, dest int, sample bool) (graph.Path, error) {
+	if s.queryNS == nil || !sample {
 		return sn.Forward(from, dest)
 	}
 	t0 := time.Now()

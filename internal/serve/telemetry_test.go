@@ -9,8 +9,11 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"metarouting/internal/core"
@@ -65,9 +68,12 @@ func TestServeTelemetry(t *testing.T) {
 	}
 
 	// The query path samples 1 in 16 resolutions into the histogram (and
-	// the slow log); the queries counter still sees every call.
-	const queries = 32
-	const sampled = queries / 16
+	// the slow log): every 16th add of the query counter's stripe the
+	// calling goroutine hashes to. 1 600 calls from one goroutine sample
+	// 100, fewer by up to 15 for each time its stack moves to another
+	// stripe between calls; the test wants 50–150, not the exact count. The
+	// queries counter still sees every call.
+	const queries = 1600
 	for i := 0; i < queries; i++ {
 		if _, err := srv.Forward(i%g.N, 0); err != nil {
 			t.Fatalf("forward %d: %v", i, err)
@@ -77,10 +83,11 @@ func TestServeTelemetry(t *testing.T) {
 	if got := metricValue(t, d, "mrserve_queries_total"); got != queries {
 		t.Fatalf("queries_total = %v, want %d", got, queries)
 	}
-	if got := metricValue(t, d, "mrserve_query_seconds_count"); got != sampled {
-		t.Fatalf("query histogram count = %v, want %d sampled", got, sampled)
+	sampled := int(metricValue(t, d, "mrserve_query_seconds_count"))
+	if sampled < 50 || sampled > 150 {
+		t.Fatalf("query histogram count = %d of %d queries, want about 1 in 16", sampled, queries)
 	}
-	if got := metricValue(t, d, `mrserve_query_seconds_bucket{le="+Inf"}`); got != sampled {
+	if got := metricValue(t, d, `mrserve_query_seconds_bucket{le="+Inf"}`); got != float64(sampled) {
 		t.Fatalf("+Inf bucket = %v, want %d", got, sampled)
 	}
 	// Snapshot building ran the solver through instrumented workspaces.
@@ -92,10 +99,10 @@ func TestServeTelemetry(t *testing.T) {
 	}
 
 	// With a 1ns threshold every sampled query lands in the slow-query
-	// ring, newest-capped at the ring size.
+	// ring, newest-capped at the ring size (128).
 	slow := srv.SlowQueries()
-	if len(slow) != sampled {
-		t.Fatalf("slow queries = %d, want %d", len(slow), sampled)
+	if len(slow) != min(sampled, 128) {
+		t.Fatalf("slow queries = %d, want %d", len(slow), min(sampled, 128))
 	}
 	for _, sq := range slow {
 		if sq.NS <= 0 || sq.Dest != 0 {
@@ -145,5 +152,59 @@ func TestServeTelemetry(t *testing.T) {
 	}
 	if st := bare.Stats(); st.Queries != 1 {
 		t.Fatalf("bare stats queries = %d, want 1", st.Queries)
+	}
+}
+
+// TestQueryCountExactUnderConcurrency: the query counter is striped, so
+// concurrent readers mostly write different lines, yet Stats().Queries
+// and mrserve_queries_total count every query exactly once: 8 goroutines
+// × 600 queries through Lookup, Forward (instrumented, so sampling runs
+// too), ECMPWidth and GET /v1/route. CI runs it under -race.
+func TestQueryCountExactUnderConcurrency(t *testing.T) {
+	a, err := core.InferString("lex(delay(16,3), hops(8))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Grid(rand.New(rand.NewSource(11)), 4, 4, graph.UniformLabels(a.OT.F.Size()))
+	reg := telemetry.NewRegistry()
+	srv, err := serve.NewServer(serve.Config{Engine: exec.For(a.OT), Graph: g,
+		Origins: map[int]value.V{0: value.Pair{A: 0, B: 0}}}, serve.WithWorkers(2), serve.WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := serve.NewHandler(srv, reg)
+	const workers, perWorker = 8, 600
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				u := (w + i) % g.N
+				switch i % 4 {
+				case 0:
+					srv.Lookup(u, 0)
+				case 1:
+					srv.Forward(u, 0) //nolint:errcheck — only the count matters
+				case 2:
+					srv.ECMPWidth(u, 0)
+				default:
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/route?from="+strconv.Itoa(u)+"&dest=0", nil))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := srv.Stats().Queries; got != workers*perWorker {
+		t.Fatalf("Stats().Queries = %d, want %d", got, workers*perWorker)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, buf.String(), "mrserve_queries_total"); got != workers*perWorker {
+		t.Fatalf("mrserve_queries_total = %v, want %d", got, workers*perWorker)
 	}
 }

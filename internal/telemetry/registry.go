@@ -49,8 +49,9 @@ func (r *Registry) add(e entry) {
 	r.entries = append(r.entries, e)
 }
 
-// AddCounter exposes c under name (conventionally ending in _total).
-func (r *Registry) AddCounter(name, help string, c *Counter) {
+// AddCounter exposes c — a Counter or a StripedCounter — under name
+// (conventionally ending in _total).
+func (r *Registry) AddCounter(name, help string, c interface{ Load() uint64 }) {
 	r.add(entry{name: name, help: help, typ: "counter", read: func() float64 { return float64(c.Load()) }})
 }
 

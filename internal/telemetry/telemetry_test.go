@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -21,6 +22,62 @@ func TestCounterGauge(t *testing.T) {
 	if g.Load() != 4 {
 		t.Fatalf("gauge: got %d, want 4", g.Load())
 	}
+}
+
+// TestStripedCounter: concurrent adds sum exactly, each cell fills one
+// 64-byte cache line, the stripe hash lands in range, and a goroutine
+// whose stack stays put adds to one cell, whose ordinal counts its adds.
+func TestStripedCounter(t *testing.T) {
+	if got := unsafe.Sizeof(paddedCount{}); got != 64 {
+		t.Fatalf("a stripe is %d bytes, want one 64-byte line", got)
+	}
+	var c StripedCounter
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Add(uint64(1 + w%2))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Load(); got != 4*1000*1+4*1000*2 {
+		t.Fatalf("striped counter: got %d, want %d", got, 4*1000*1+4*1000*2)
+	}
+	if s := stripe(); s >= stripes {
+		t.Fatalf("stripe %d out of range [0,%d)", s, stripes)
+	}
+	var solo StripedCounter
+	for i := uint64(1); i <= 64; i++ {
+		if got := solo.Add(1); got != i {
+			t.Fatalf("add %d returned ordinal %d, want %d", i, got, i)
+		}
+	}
+}
+
+// BenchmarkCounterAdd: one add per op from every RunParallel goroutine,
+// to a Counter (one shared line) and to a StripedCounter. Run it at
+// -cpu 1,2: the shared counter's ns/op grows with the goroutines that
+// write its line, the striped one's falls as they stop sharing one.
+func BenchmarkCounterAdd(b *testing.B) {
+	b.Run("shared", func(b *testing.B) {
+		var c Counter
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				c.Add(1)
+			}
+		})
+	})
+	b.Run("striped", func(b *testing.B) {
+		var c StripedCounter
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				c.Add(1)
+			}
+		})
+	})
 }
 
 // TestHistogramBuckets: samples exactly on a bound land in that bound's

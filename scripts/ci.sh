@@ -248,6 +248,19 @@ go test -bench='^BenchmarkLeaderSwap$' -benchtime=20x -run='^$' ./internal/serve
   } }
   END { if (p == "" || r == "" || p + 0 > 33.90 || r + 0 > 287.3) {
     print "BenchmarkLeaderSwap: pages-cloned/swap " p " (want <= 33.90), relaxations/swap " r " (want <= 287.3)"; exit 1 } }'
+# Its allocation is bounded exactly too, with no timer: at -cpu 1 and
+# 20x the pair allocates 386 956 B in 325 objects (go1.24 linux/amd64,
+# 3 of 3 runs), the bounds 0.5 % above. A 16-byte EntrySlot, which puts
+# every cloned ColumnPage in the 1 152-byte size class instead of the
+# 896-byte one, reads 404 316 B/op and fails here, as does any
+# allocation a swap adds.
+go test -bench='^BenchmarkLeaderSwap$' -benchtime=20x -cpu 1 -benchmem -run='^$' ./internal/serve/ | awk '
+  /^BenchmarkLeaderSwap/ { for (i = 2; i <= NF; i++) {
+    if ($i == "B/op") m = $(i - 1)
+    if ($i == "allocs/op") a = $(i - 1)
+  } }
+  END { if (m == "" || a == "" || m + 0 > 388890 || a + 0 > 326) {
+    print "BenchmarkLeaderSwap -cpu 1: " m " B/op (want <= 388890), " a " allocs/op (want <= 326)"; exit 1 } }'
 # The telemetry-overhead pairing (bare vs instrumented server on one
 # query sequence) and the simulator's serial-vs-parallel run at its
 # smallest size, once each: both must compile, run and report their
