@@ -95,13 +95,12 @@ type Algebra interface {
 
 // AutoLimit is the carrier-size ceiling for automatic compilation. What
 // a compiled total order keeps is small — 2·F·N bytes of function table
-// plus 2·N of rank — but building it evaluates the preorder on all n²
-// pairs into an n² byte matrix (kept, with a second one, only when the
-// order turns out not to be total), so For stops well below
-// compile.New's 2¹⁵ hard cap: 4096² ≈ 16.7M evaluations and 17 MB of
-// scratch build in well under a second, while a 12 870-element scoped
-// product would already cost ~165 MB and tens of seconds. New with
-// ModeCompiled goes to the hard cap.
+// plus 2·N of rank — but building it fills an n² byte order matrix and
+// checks the rank against every cell (the matrix is kept, with a second
+// one, only when the order turns out not to be total), so For stops
+// well below compile.New's 2¹⁵ hard cap: 4096² ≈ 16.7M cells and 17 MB
+// of scratch build, while a 12 870-element scoped product would already
+// cost ~165 MB. New with ModeCompiled goes to the hard cap.
 const AutoLimit = 4096
 
 // dynamic executes an order transform directly, hash-consing weights so

@@ -38,9 +38,54 @@ type OrderTransform struct {
 	// expose it through Source(); solve.NewPlan reads it from there.
 	Props prop.Set
 
+	// rule and operands record the operator that built the transform
+	// and what it was applied to; see Construction.
+	rule     Rule
+	operands []*OrderTransform
+
 	// memo is the slot behind Memo.
 	memoOnce sync.Once
 	memo     any
+}
+
+// Rule names the operator that built an order transform from other
+// order transforms, for consumers that compose per-operand results
+// instead of evaluating the whole transform (internal/compile builds
+// its tables this way). Only operators whose carrier, order and
+// function set follow from their operands' by a fixed rule are
+// recorded; Scoped and Delta are built from them and so carry them.
+type Rule uint8
+
+const (
+	// Leaf marks a transform built by New: a base algebra, an additive
+	// composite, a Cayley transform or anything a caller assembled.
+	Leaf Rule = iota
+	// RuleLex is Lex(S, T): pair carrier in A-major order, the
+	// lexicographic order, functions (f, g) in fn.Product's order.
+	RuleLex
+	// RuleLeft is Left(S): S's order, one constant per carrier element.
+	RuleLeft
+	// RuleRight is Right(S): S's order and the identity.
+	RuleRight
+	// RuleUnion is Union(S, T): S's order, S's functions then T's.
+	RuleUnion
+	// RuleAddTop is AddTop(S): S's order with ⊤ adjoined (appended
+	// unless S's carrier holds it already) and every function lifted to
+	// fix ⊤.
+	RuleAddTop
+)
+
+// Construction returns the rule that built t and its operands, in the
+// operator's argument order; Leaf and no operands for a transform built
+// by New.
+func (t *OrderTransform) Construction() (Rule, []*OrderTransform) {
+	return t.rule, t.operands
+}
+
+// built stamps t with the rule and operands that built it.
+func (t *OrderTransform) built(r Rule, operands ...*OrderTransform) *OrderTransform {
+	t.rule, t.operands = r, operands
+	return t
 }
 
 // New builds an order transform.
@@ -121,26 +166,28 @@ func (t *OrderTransform) CheckWeight(v value.V) (err error) {
 // is a constant, so the last link completely determines the value — the
 // shape of BGP's local-preference attribute.
 func Left(s *OrderTransform) *OrderTransform {
-	return New("left("+s.Name+")", s.Ord, fn.Constants(s.Ord.Car))
+	return New("left("+s.Name+")", s.Ord, fn.Constants(s.Ord.Car)).built(RuleLeft, s)
 }
 
 // Right returns right(S) = (S, ≲, {id}) (§II): once a value is originated
 // it can only be copied — the shape of BGP's origin attribute.
 func Right(s *OrderTransform) *OrderTransform {
-	return New("right("+s.Name+")", s.Ord, fn.IdentityOnly())
+	return New("right("+s.Name+")", s.Ord, fn.IdentityOnly()).built(RuleRight, s)
 }
 
 // Lex returns the lexicographic product S ×lex T (§II): the lexicographic
 // order on pairs, with functions {(f,g)} acting componentwise.
 func Lex(s, t *OrderTransform) *OrderTransform {
-	return New("("+s.Name+" ×lex "+t.Name+")", order.Lex(s.Ord, t.Ord), fn.Product(s.F, t.F))
+	lex := New("("+s.Name+" ×lex "+t.Name+")", order.Lex(s.Ord, t.Ord), fn.Product(s.F, t.F))
+	return lex.built(RuleLex, s, t)
 }
 
 // Union returns the disjoint function union S + T (§II). Both operands
 // must share their carrier and order; the function sets are combined with
 // distinguishing tags whose application ignores the tag.
 func Union(s, t *OrderTransform) *OrderTransform {
-	return New("("+s.Name+" + "+t.Name+")", s.Ord, fn.DisjointUnion(s.F, t.F))
+	u := New("("+s.Name+" + "+t.Name+")", s.Ord, fn.DisjointUnion(s.F, t.F))
+	return u.built(RuleUnion, s, t)
 }
 
 // Scoped returns the BGP-like scoped product (§II):
@@ -213,7 +260,7 @@ func AddTop(s *OrderTransform) *OrderTransform {
 	} else {
 		fs = fn.NewSampled(s.F.Name, func(r *rand.Rand) fn.Fn { return lift(s.F.Draw(r)) })
 	}
-	out := New("addtop("+s.Name+")", ord, fs)
+	out := New("addtop("+s.Name+")", ord, fs).built(RuleAddTop, s)
 	out.Props.Declare(prop.TopFixed)
 	return out
 }

@@ -322,3 +322,48 @@ func TestCheckUnknownProperty(t *testing.T) {
 		t.Fatal("unknown property IDs must stay Unknown")
 	}
 }
+
+// TestConstructionRecord: each rule operator records itself and its
+// operands, New records a leaf, and Scoped and Delta, built from Lex,
+// Left, Right and Union, keep one pointer per operand however often it
+// appears — what lets a consumer build a shared operand once.
+func TestConstructionRecord(t *testing.T) {
+	s, u := bwOT(3), delayOT(6, 2)
+	if r, ops := s.Construction(); r != Leaf || ops != nil {
+		t.Fatalf("New: rule %d, %d operands; want a leaf", r, len(ops))
+	}
+	for _, c := range []struct {
+		name string
+		got  *OrderTransform
+		rule Rule
+		ops  []*OrderTransform
+	}{
+		{"lex", Lex(s, u), RuleLex, []*OrderTransform{s, u}},
+		{"left", Left(u), RuleLeft, []*OrderTransform{u}},
+		{"right", Right(s), RuleRight, []*OrderTransform{s}},
+		{"union", Union(u, u), RuleUnion, []*OrderTransform{u, u}},
+		{"addtop", AddTop(s), RuleAddTop, []*OrderTransform{s}},
+	} {
+		r, ops := c.got.Construction()
+		if r != c.rule || len(ops) != len(c.ops) {
+			t.Fatalf("%s: rule %d with %d operands, want %d with %d", c.name, r, len(ops), c.rule, len(c.ops))
+		}
+		for i := range ops {
+			if ops[i] != c.ops[i] {
+				t.Fatalf("%s: operand %d is not the one it was built from", c.name, i)
+			}
+		}
+	}
+	for name, x := range map[string]*OrderTransform{"scoped": Scoped(s, u), "delta": Delta(s, u)} {
+		r, sums := x.Construction()
+		if r != RuleUnion {
+			t.Fatalf("%s: rule %d, want a union", name, r)
+		}
+		_, inter := sums[0].Construction()
+		_, intra := sums[1].Construction()
+		_, rightS := intra[0].Construction()
+		if inter[0] != s || rightS[0] != s || intra[1] != u {
+			t.Fatalf("%s: the operands are not shared by pointer", name)
+		}
+	}
+}

@@ -65,9 +65,17 @@ go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
 # Rounds, Relaxations, verdict, pages); and the rank vector against the
 # order it was derived from on every pair of every corpus algebra, with a
 # non-transitive relation refused. TestViewChains above now ends on
-# colliding and saturated row filters.
+# colliding and saturated row filters. The tables themselves are built
+# bottom-up over the expression: every composed field (Elems, Index, Fn,
+# Rank, LeqBits, LtBits) against the whole transform evaluated cell by
+# cell, on named, hand-made and 400 random algebras; and the compile's
+# counted cost, the leaves' function applications and order tests, at
+# exactly Σ over distinct leaves of F·N + N² (4 535 for the policy
+# product, whose root evaluated whole makes 381 550 through the same
+# counters).
 go test -race -run='^TestTableKernelsMatchInterface$' -count=1 ./internal/rib/
-go test -race -run='^TestRankMatchesMatrices$' -count=1 ./internal/compile/
+go test -race -run='^(TestRankMatchesMatrices|TestComposedTablesMatchEnumeration|TestCompileCostBoundedByLeaves)$' \
+  -count=1 ./internal/compile/
 
 # Licensed scratch solves: the best-first kernel against the sweep on the
 # same engine hidden from its tables (random and named algebras, five
@@ -224,6 +232,15 @@ go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ 
 # The licensed scratch solve's own benchmark (sweep vs best-first kernel on
 # the policy product's 2k graph and a 100k lex graph), named likewise.
 go test -bench='^BenchmarkScratchKernel$' -benchtime=1x -run='^$' ./internal/solve/ | grep -q 'BenchmarkScratchKernel/lex-100k/kernel'
+# The compile's own benchmark (the policy product and the two largest
+# algebras under exec.AutoLimit), named likewise; its value-calls/op is
+# exact on any host, so the policy product's is bounded with no timer: a
+# compile that evaluates the root instead of its leaves fails here.
+go test -bench='^BenchmarkCompile$' -benchtime=1x -run='^$' ./internal/compile/ | awk '
+  /^BenchmarkCompile\/scoped-2304/ { s = 1 }
+  /^BenchmarkCompile\/policy/ { for (i = 2; i <= NF; i++) if ($i == "value-calls/op") v = $(i - 1) }
+  END { if (!s || v == "" || v + 0 > 4535) {
+    print "BenchmarkCompile: scoped-2304 missing or policy value-calls/op " v " (want <= 4535)"; exit 1 } }'
 # The log warm start's own benchmark (one destination's rebuild on the
 # storm-policy-2k shape over 4-arc fail/restore pairs, logged delta vs the
 # scratch build it replaced), named likewise.
