@@ -223,6 +223,18 @@ func TestTheorem7DeltaEmerges(t *testing.T) {
 	checkAgainstModel(t, b, "delta(origin,delay)")
 }
 
+// TestScopedSummandsShareOrder: inference builds ⊙'s and Δ's two
+// summands over one lexicographic order, so the algebra holds one pair
+// carrier, not two equal ones.
+func TestScopedSummandsShareOrder(t *testing.T) {
+	for _, src := range []string{"scoped(bw(4), delay(64,4))", "delta(bw(4), delay(4,2))"} {
+		_, sums := infer(t, src).OT.Construction()
+		if len(sums) != 2 || sums[0].Ord != sums[1].Ord {
+			t.Fatalf("%s: the summands do not share one order", src)
+		}
+	}
+}
+
 // TestLeftRightRules validates the §V facts the scoped expansion relies on.
 func TestLeftRightRules(t *testing.T) {
 	l := inferNoFallback(t, "left(delay(3,1))")

@@ -365,5 +365,8 @@ func TestConstructionRecord(t *testing.T) {
 		if inter[0] != s || rightS[0] != s || intra[1] != u {
 			t.Fatalf("%s: the operands are not shared by pointer", name)
 		}
+		if sums[0].Ord != sums[1].Ord {
+			t.Fatalf("%s: the summands build two equal lexicographic orders", name)
+		}
 	}
 }

@@ -29,9 +29,9 @@
 // recomputes them and cross-checks the pool length, which both saves
 // four bytes a slot and turns the canonical-layout assumption into a
 // checked invariant. A slot's span length travels as a full u32 — the
-// exact count, read off the layout where the in-memory EntrySlot's
-// 16-bit NhLen saturates — so the wire carries no trace of the slot's
-// width.
+// exact count, SpanEnd − Start, read off the layout where the in-memory
+// PageSlot's 8-bit NhLen saturates — so the wire carries no trace of the
+// slot's width.
 //
 // Columns enter and leave the codec in rib's paged form, and each byte
 // of a record is touched once on either side. An encoder sizes its frame
@@ -260,7 +260,7 @@ func (w *wbuf) column(c *rib.PagedColumn) {
 				b = append(b, 0)
 				continue
 			}
-			nh := uint32(p.SpanEnd(i) - s.NhOff)
+			nh := uint32(p.SpanEnd(i) - p.Start(i))
 			b = append(b, 1,
 				byte(s.W), byte(s.W>>8), byte(s.W>>16), byte(s.W>>24),
 				byte(nh), byte(nh>>8), byte(nh>>16), byte(nh>>24))
@@ -527,14 +527,14 @@ func (r *rbuf) slot() (routed bool, w int32, nh uint32, err error) {
 }
 
 // column decodes one column straight into pages. Offsets do not travel:
-// the slot pass recomputes each slot's page-relative NhOff as the
-// running span sum within its page — the canonical layout, in which a
-// span too long for NhLen saturates it and still ends exactly where the
-// next one starts — and so learns every page's pool length; once the
-// span total has been
-// cross-checked against the pool count on the wire (itself bounded by
-// the bytes received), the pool pass allocates each page pool exactly
-// and range-checks every next hop.
+// the slot pass lays each slot (rib.ColumnPage.SetSlot) at its
+// page-relative start, the running span sum within its page — the
+// canonical layout, in which a span too long for NhLen saturates it and
+// still ends exactly where the next one starts, and a start too far for
+// NhOff goes to the page's side array — and so learns every page's pool
+// length; once the span total has been cross-checked against the pool
+// count on the wire (itself bounded by the bytes received), the pool
+// pass allocates each page pool exactly and range-checks every next hop.
 func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 	dest, err := r.u32()
 	if err != nil {
@@ -578,8 +578,7 @@ func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 			if total += int64(nh); total > int64(maxFrame) {
 				return nil, r.fail("column %d pool overflows", dest)
 			}
-			p.Slots[i] = rib.EntrySlot{W: w, Routed: true, NhOff: off, NhLen: uint16(min(nh, rib.MaxNhLen))}
-			p.Live++
+			p.SetSlot(i, w, off, int32(nh))
 			off += int32(nh)
 		}
 		poolLens[pi] = off

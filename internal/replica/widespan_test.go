@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +16,9 @@ import (
 )
 
 // fanMids is the fan's middle count: one more equal-cost next hop than
-// an EntrySlot's NhLen counts.
+// a flat EntrySlot's NhLen counts, so u's span saturates the flat slot
+// as well as the page slot, and the middles after it start past 16 bits
+// in page 0's pool — a wide page.
 const fanMids = rib.MaxNhLen + 1
 
 // fanGraph is the 65 538-node fan u = 1 → middles 2..65 537 → d = 0, one
@@ -37,14 +40,18 @@ func sameLayout(got, want *rib.PagedColumn) bool {
 	return g.Dest == w.Dest && g.Converged == w.Converged && slices.Equal(g.Slots, w.Slots) && slices.Equal(g.Pool, w.Pool)
 }
 
-// TestWideSpanRoundTrips: a span too long for a slot's 16-bit NhLen
-// saturates it and still reads back exactly, on every path a column
-// takes. u's 65 536 next hops, then 65 535 (the saturation value itself)
-// once one middle's arc to d fails, then 65 534 once u's arc to a middle
-// on its own page fails too, must come back whole from the paged build
-// and both deltas, flatten to the naive build, frame byte-identically to
-// the oracle encoder (which writes SpanEnd − NhOff) and survive a
-// follower's full bootstrap and delta patches.
+// TestWideSpanRoundTrips: a span too long for a flat slot's 16-bit NhLen
+// saturates it, and the page slot's 8-bit one, and still reads back
+// exactly, on every path a column takes; the slots after it, whose page
+// starts saturate the 16-bit NhOff, read theirs off the page's side
+// array. u's 65 536 next hops, then 65 535 (the flat saturation value
+// itself, and the first start a page slot saturates at) once one
+// middle's arc to d fails, then 65 534 once u's arc to a middle on its
+// own page fails too, must come
+// back whole from the paged build and both deltas, flatten to the naive
+// build, frame byte-identically to the oracle encoder (which writes
+// SpanEnd − NhOff) and survive a follower's full bootstrap and delta
+// patches.
 func TestWideSpanRoundTrips(t *testing.T) {
 	a, err := core.InferString("delay(16,3)")
 	if err != nil {
@@ -82,9 +89,14 @@ func TestWideSpanRoundTrips(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: u's span has %d hops, want the %d middles left", tag, len(span), len(want))
 		}
-		s := col.Pages[0].Slots[1]
-		if wantLen := min(len(want), rib.MaxNhLen); int(s.NhLen) != wantLen {
-			t.Fatalf("%s: u's NhLen = %d for %d hops, want %d", tag, s.NhLen, len(want), wantLen)
+		p := col.Pages[0]
+		if s := p.Slots[1]; s.NhLen != rib.MaxPageNhLen {
+			t.Fatalf("%s: u's NhLen = %d for %d hops, want it saturated at %d", tag, s.NhLen, len(want), rib.MaxPageNhLen)
+		}
+		// Middle 2, the slot after u's span, starts where that span ends,
+		// which saturates its NhOff until u is down to 65 534 hops.
+		if s := p.Slots[2]; p.Start(2) != int32(len(want)) || int(s.NhOff) != min(len(want), math.MaxUint16) {
+			t.Fatalf("%s: middle 2 starts at %d (NhOff %d), want %d", tag, p.Start(2), s.NhOff, len(want))
 		}
 	}
 	full := func(v uint64, col *rib.PagedColumn) []byte {

@@ -3,7 +3,6 @@ package rib
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
@@ -20,8 +19,11 @@ import (
 // against, and PagedColumn.Flatten of any paged build or delta on the
 // same view must equal it bit for bit.
 
-// EntrySlot is one node's route toward the column's destination in
-// index form, 12 bytes wide. The zero slot means unrouted.
+// EntrySlot is one node's route toward a flat Column's destination in
+// index form, 12 bytes wide. The zero slot means unrouted. Its offset is
+// column-wide, past 16 bits at any size worth paging, so it keeps the
+// width that a page's 8-byte PageSlot, whose offsets are page-relative,
+// gives up.
 type EntrySlot struct {
 	// W is the selected weight's engine index (valid only when Routed).
 	// Engine intern tables are append-only, so the index stays valid for
@@ -41,9 +43,6 @@ type EntrySlot struct {
 // MaxNhLen is the largest span length an EntrySlot records itself; a
 // slot holding it is saturated and its span's end is read off the layout.
 const MaxNhLen = math.MaxUint16
-
-// entrySlotBytes is the in-memory slot width including padding.
-const entrySlotBytes = int(unsafe.Sizeof(EntrySlot{}))
 
 // slotLen is the NhLen a slot records for a span of n next hops.
 func slotLen(n int32) uint16 { return uint16(min(n, MaxNhLen)) }

@@ -190,7 +190,7 @@ func TestColumnFootprint(t *testing.T) {
 	if col.Live() != 16 {
 		t.Fatalf("Live = %d, want 16", col.Live())
 	}
-	if want := PageSize*entrySlotBytes + len(col.Pages[0].Pool)*4; col.Bytes() != want {
+	if want := PageSize*pageSlotBytes + len(col.Pages[0].Pool)*4; col.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", col.Bytes(), want)
 	}
 	rb := FromColumns(eng, g, map[int]*PagedColumn{0: col})
@@ -219,16 +219,18 @@ func TestColumnFootprint(t *testing.T) {
 	}
 }
 
-// TestEntrySlotLayout pins the slot at 12 bytes — W and NhOff, a 16-bit
-// NhLen and Routed — so a ColumnPage stays at 800 bytes, inside the
-// 896-byte size class; a 16-byte slot put every page in the 1 152-byte
-// one, on the leader, the follower and every page a swap clones.
-func TestEntrySlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(EntrySlot{}); got != 12 {
-		t.Fatalf("EntrySlot is %d bytes, want 12", got)
+// TestPageSlotLayout pins the page slot at 8 bytes — W, a 16-bit
+// page-relative NhOff, an 8-bit NhLen and Routed — so a ColumnPage,
+// side-array pointer included, stays inside the 576-byte size class; the
+// 12-byte EntrySlot the flat column keeps put every page at 800 bytes, in
+// the 896-byte class, on the leader, the follower and every page a swap
+// clones.
+func TestPageSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(PageSlot{}); got != 8 {
+		t.Fatalf("PageSlot is %d bytes, want 8", got)
 	}
-	if got := unsafe.Sizeof(ColumnPage{}); got != 800 {
-		t.Fatalf("ColumnPage is %d bytes, want 800", got)
+	if got := unsafe.Sizeof(ColumnPage{}); got > 576 {
+		t.Fatalf("ColumnPage is %d bytes, want ≤ 576", got)
 	}
 }
 

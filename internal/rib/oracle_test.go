@@ -88,13 +88,11 @@ func oraclePages(eng exec.Algebra, g *graph.Graph, raw solve.Raw, dest int) []*C
 			if !raw.Routed[u] {
 				continue
 			}
-			s := EntrySlot{W: raw.W[u], Routed: true, NhOff: int32(len(np.Pool))}
+			off := int32(len(np.Pool))
 			if u != dest {
 				np.Pool = oracleAppendNextHopSet(eng, g, raw.Routed, raw.W, raw.NextHop, u, np.Pool)
 			}
-			s.NhLen = slotLen(int32(len(np.Pool)) - s.NhOff)
-			np.Slots[i] = s
-			np.Live++
+			np.SetSlot(i, raw.W[u], off, int32(len(np.Pool))-off)
 		}
 		pages[pi] = np
 	}

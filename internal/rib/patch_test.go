@@ -68,7 +68,7 @@ func TestPagedRoundTrip(t *testing.T) {
 			live++
 		}
 	}
-	if paged.Live() != live || paged.Bytes() != len(paged.Pages)*PageSize*entrySlotBytes+4*len(flat.Pool) {
+	if paged.Live() != live || paged.Bytes() != len(paged.Pages)*PageSize*pageSlotBytes+4*len(flat.Pool) {
 		t.Fatalf("totals: live %d (flat %d), bytes %d", paged.Live(), live, paged.Bytes())
 	}
 	for pi, p := range paged.Pages {
@@ -76,15 +76,15 @@ func TestPagedRoundTrip(t *testing.T) {
 			t.Fatalf("page %d pool has %d slack entries", pi, cap(p.Pool)-len(p.Pool))
 		}
 	}
-	// A solver-built column round-trips too (its pools carry builder
-	// slack, which is not content).
+	// A solver-built column round-trips too, down to its footprint: the
+	// builder sizes its pools exactly, as Paged and the decoder do.
 	a := alg(t, "delay(8,2)")
 	built, err := BuildDestPaged(exec.NewDynamic(a), boundaryGraph(t), 0, originFor(a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := built.Flatten().Paged(); !reflect.DeepEqual(again, built) {
-		t.Fatal("solver-built column does not survive Flatten().Paged()")
+	if again := built.Flatten().Paged(); !reflect.DeepEqual(again, built) || again.Bytes() != built.Bytes() {
+		t.Fatalf("solver-built column does not survive Flatten().Paged() (%d B, built %d B)", again.Bytes(), built.Bytes())
 	}
 }
 

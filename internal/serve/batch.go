@@ -247,14 +247,15 @@ func resolveWireBatch(v batchView, sc *batchScratch) error {
 			pages[i] = nil
 			continue
 		}
-		n, err := spanLen(i, int(pg.SpanEnd(j)-s.NhOff))
+		start := pg.Start(j)
+		n, err := spanLen(i, int(pg.SpanEnd(j)-start))
 		if err != nil {
 			return err
 		}
 		a := &as[i]
 		a.Flags |= wire.FlagRouted
 		a.W = s.W
-		a.NhOff, a.NhLen = uint32(s.NhOff), n // page-relative until stage 3 rebases it
+		a.NhOff, a.NhLen = uint32(start), n // page-relative until stage 3 rebases it
 		total += int(n)
 	}
 

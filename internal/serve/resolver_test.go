@@ -275,12 +275,12 @@ func (v stubView) batchForward(from, dest int) (graph.Path, error) {
 func TestWireSpanOverflowFailsFrame(t *testing.T) {
 	const hub = 1
 	column := func(width int) *rib.PagedColumn {
-		pg := &rib.ColumnPage{Pool: make([]int32, width), Live: 2}
+		pg := &rib.ColumnPage{Pool: make([]int32, width)}
 		for i := range pg.Pool {
 			pg.Pool[i] = int32(i % 3)
 		}
-		pg.Slots[0] = rib.EntrySlot{Routed: true}
-		pg.Slots[hub] = rib.EntrySlot{Routed: true, W: 4, NhLen: uint16(min(width, rib.MaxNhLen))}
+		pg.SetSlot(0, 0, 0, 0)
+		pg.SetSlot(hub, 4, 0, int32(width))
 		return rib.FromPages(0, 3, true, []*rib.ColumnPage{pg})
 	}
 	qs := []wire.Query{

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -12,20 +13,21 @@ import (
 	"metarouting/internal/core"
 	"metarouting/internal/exec"
 	"metarouting/internal/graph"
-	"metarouting/internal/rib"
 	"metarouting/internal/serve"
 	"metarouting/internal/serve/wire"
 	"metarouting/internal/value"
 )
 
 // TestWideSpanServed: on the 65 538-node fan u = 1 → 65 536 middles →
-// d = 0, u's route has one more equal-cost next hop than a binary answer
-// (or a slot's saturated NhLen) counts. The binary batch still fails the
-// frame with a 500 naming the query, GET /v1/route still answers the
-// whole set, and once one middle's arc fails the 65 535 hops left — the
-// saturation value itself — come back whole from both.
+// d = 0, u's route has one more equal-cost next hop than a binary
+// answer's uint16 NhLen counts (a page slot's NhLen saturates far below
+// that, at rib.MaxPageNhLen, which is not the answer's limit). The
+// binary batch still fails the frame with a 500 naming the query, GET
+// /v1/route still answers the whole set, and once one middle's arc fails
+// the 65 535 hops left — the answer's limit itself — come back whole
+// from both.
 func TestWideSpanServed(t *testing.T) {
-	const mids = rib.MaxNhLen + 1
+	const mids = math.MaxUint16 + 1
 	a, err := core.InferString("delay(16,3)")
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +69,7 @@ func TestWideSpanServed(t *testing.T) {
 			t.Fatalf("%s: GET /v1/route answered %d next hops, want %d", tag, len(reply.ECMP), len(want))
 		}
 		rec = postRoutes(h, wire.ContentType, body)
-		if len(want) > rib.MaxNhLen {
+		if len(want) > math.MaxUint16 {
 			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "query 1: 65536 ") {
 				t.Fatalf("%s: binary batch answered %d %s, want 500 naming query 1's 65536 hops", tag, rec.Code, rec.Body)
 			}
