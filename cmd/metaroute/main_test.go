@@ -96,12 +96,15 @@ func TestNoEngineFlag(t *testing.T) {
 }
 
 // TestEngineLineNamesTheAlgebrasBackend: the engine line reports what
-// exec.For picked — compiled tables for the policy product, the tiered
-// backend with its intern counts for a lex product past AutoLimit.
+// exec.For picked — compiled tables for the policy product and for the
+// query workloads' 8 448-element lex product, whose rank composes from
+// its leaves', and the tiered backend with its intern counts for a lex
+// product over a leaf past AutoLimit.
 func TestEngineLineNamesTheAlgebrasBackend(t *testing.T) {
 	for _, tc := range []struct{ expr, want string }{
 		{"scoped(bw(4), delay(64,4))", "engine: compiled\n"},
-		{"lex(delay(255,3), hops(32))", "engine: tiered ("},
+		{"lex(delay(255,3), hops(32))", "engine: compiled\n"},
+		{"lex(delay(8191,2), hops(4))", "engine: tiered ("},
 	} {
 		out, err := metaroute("-expr", tc.expr, "-solve", "-random", "8", "-seed", "3")
 		if err != nil || !strings.Contains(out, tc.want) {

@@ -39,10 +39,9 @@ import (
 type Compiled struct {
 	// N is the carrier size; weights are indices 0..N-1.
 	N int
-	// Elems maps index → original value.
+	// Elems maps index → original value. It is the carrier's own element
+	// list, shared and never written.
 	Elems []value.V
-	// Index maps original value → index.
-	Index map[value.V]int
 	// NumFns is the function count F.
 	NumFns int
 	// Fn[f*N+w] applies function f to weight w. Indices fit uint16
@@ -50,22 +49,30 @@ type Compiled struct {
 	Fn []uint16
 	// Rank, when non-nil, decides the whole preorder: a ≲ b iff
 	// Rank[a] ≤ Rank[b], a < b iff Rank[a] < Rank[b], a ~ b iff
-	// Rank[a] == Rank[b]. New checked it against every cell of the
-	// order matrices before dropping them.
+	// Rank[a] == Rank[b]. Rank[a] is the number of elements strictly
+	// below a.
 	Rank []uint16
 	// LeqBits[a*N+b] is 1 iff a ≲ b; LtBits likewise for a < b. Both
 	// are nil when Rank is set.
 	LeqBits, LtBits []uint8
+
+	// index is Index's lookup, composed like the tables: a map only at
+	// the leaves.
+	index func(value.V) (int, bool)
 }
 
+// Index returns the index of carrier value v, false when v is not in
+// the carrier.
+func (c *Compiled) Index(v value.V) (int, bool) { return c.index(v) }
+
 // maxCarrier is the largest carrier New compiles: indices must fit the
-// uint16 cells, and the ≲ matrix it builds has maxCarrier² bytes.
+// uint16 cells.
 const maxCarrier = 1 << 15
 
 // New compiles a finite order transform. It fails on infinite carriers
-// or function sets, on carriers above 1<<15 elements (New builds the
-// n×n ≲ matrix before it can drop it for a rank), and on a function
-// that maps a weight outside the carrier.
+// or function sets, on carriers above 1<<15 elements, and on a function
+// that maps a weight outside the carrier. It is Within with the ceiling
+// at 1<<15.
 //
 // The tables are built bottom-up over the expression that built t
 // (ost.OrderTransform.Construction), the way core infers properties:
@@ -77,26 +84,44 @@ const maxCarrier = 1 << 15
 //   - lex(S, T): weight (a, b) is a·|T| + b, value.Product's A-major
 //     order; row (f, g), in fn.Product's order, maps (a, b) to
 //     f(a)·|T| + g(b); (a, b) ≲ (a', b') iff a < a' or a ~ a' and
-//     b ≲ b', as order.Lex decides it.
+//     b ≲ b', as order.Lex decides it, so with both ranks known the
+//     elements strictly below (a, b) number r_S(a)·|T| + |[a]|·r_T(b),
+//     [a] being a's class under ~.
 //   - left(S): S's order; row c is the constant c.
 //   - right(S): S's order; one identity row.
 //   - S + T: S's order; S's rows, then T's.
 //   - addtop(S): S's order with ⊤ above everything, at the end of the
 //     carrier unless S holds it already; S's rows, each fixing ⊤.
 //
+// A leaf's order is checked for a rank against every cell of its ≲
+// matrix (rankOf) before the matrix is dropped; above the leaves a rank
+// composes from its operands' ranks by the rules, and a matrix is built
+// only where an operand has none — a partial order such as tags, or a
+// relation that is not a preorder — and then checked for a rank in turn.
+// The carrier's index composes the same way: a value map at each leaf,
+// and a pair or ⊤ resolved through its operands' maps above them; Elems
+// is the carrier's own list.
+//
 // A subexpression shared by several operators, as S and T are in
 // S ⊙ T, is built once per call, and only its order or only its rows
 // when its parent reads no more (left and right read no rows); nothing
 // built for an operand outlives the call. The value-level cost is
-// therefore Σ over distinct leaves of F·N + N², not the root's, and the
-// root pays only integer work: F·N cells, and N² for the matrix and its
-// rank, which rankOf still checks against every cell before dropping
-// it. Where a rule cannot index its operands' tables — a carrier that
-// repeats an element, a union whose operands' carriers differ, an
-// operand that does not compile on its own — New evaluates t itself
-// cell by cell, as it does a leaf; the tables, or the error, are always
-// the ones that evaluation gives.
-func New(t *ost.OrderTransform) (*Compiled, error) {
+// therefore Σ over distinct leaves of F·N + N², not the root's, and over
+// ranked operands the root pays only integer work linear in its tables:
+// F·N function cells and N ranks. Where a rule cannot index its
+// operands' tables — a carrier that repeats an element, a union whose
+// operands' carriers differ, an operand that does not compile on its
+// own — New evaluates t itself cell by cell, as it does a leaf; the
+// tables, or the error, are always the ones that evaluation gives.
+func New(t *ost.OrderTransform) (*Compiled, error) { return Within(t, maxCarrier) }
+
+// Within is New under a ceiling on what the compile builds: it fails,
+// having built nothing larger, where it would need an order matrix over
+// more than limit elements — at a leaf, below an operand without a rank,
+// or to evaluate the whole of t — or a function table of more than
+// limit² cells. A ranked composite therefore compiles whatever its
+// carrier (up to 1<<15) as long as its leaves fit the ceiling.
+func Within(t *ost.OrderTransform, limit int) (*Compiled, error) {
 	if !t.Finite() {
 		return nil, fmt.Errorf("compile: %s is not finitely enumerable", t.Name)
 	}
@@ -104,9 +129,20 @@ func New(t *ost.OrderTransform) (*Compiled, error) {
 	if n > maxCarrier {
 		return nil, fmt.Errorf("compile: carrier of %s too large (%d elements)", t.Name, n)
 	}
-	c := newCompiled(t)
-	if rule, _ := t.Construction(); rule != ost.Leaf && len(c.Index) == n && c.compose(t) == nil {
-		return c, nil
+	b := builder{
+		limit: min(limit, maxCarrier),
+		ords:  map[*ost.OrderTransform]ordered{},
+		fns:   map[*ost.OrderTransform][]uint16{},
+		idx:   map[*ost.OrderTransform]func(value.V) (int, bool){},
+	}
+	c, err := newCompiled(t), errNoRule
+	if rule, _ := t.Construction(); rule != ost.Leaf {
+		if err = c.compose(&b, t); err == nil {
+			return c, nil
+		}
+	}
+	if errors.Is(err, errTooLarge) || n > b.limit || len(t.F.Fns)*n > b.limit*b.limit {
+		return nil, fmt.Errorf("compile: %s needs a table past the %d-element ceiling", t.Name, b.limit)
 	}
 	if err := c.enumerate(t); err != nil {
 		return nil, err
@@ -114,33 +150,27 @@ func New(t *ost.OrderTransform) (*Compiled, error) {
 	return c, nil
 }
 
-// newCompiled returns t's carrier and index, with no tables yet.
+// newCompiled returns t's carrier, with no tables and no index yet.
 func newCompiled(t *ost.OrderTransform) *Compiled {
-	c := &Compiled{
-		N:      t.Carrier().Size(),
-		Elems:  append([]value.V(nil), t.Carrier().Elems...),
-		NumFns: len(t.F.Fns),
-	}
-	c.Index = make(map[value.V]int, c.N)
-	for i, e := range c.Elems {
-		c.Index[e] = i
-	}
-	return c
+	return &Compiled{N: t.Carrier().Size(), Elems: t.Carrier().Elems, NumFns: len(t.F.Fns)}
 }
 
 // compose fills c's tables by t's rule from its operands' tables.
-func (c *Compiled) compose(t *ost.OrderTransform) error {
-	b := builder{leq: map[*ost.OrderTransform][]uint8{}, fns: map[*ost.OrderTransform][]uint16{}}
+func (c *Compiled) compose(b *builder, t *ost.OrderTransform) error {
 	fns, err := b.rows(t)
 	if err != nil {
 		return err
 	}
-	leq, err := b.order(t)
+	o, err := b.order(t)
 	if err != nil {
 		return err
 	}
-	c.Fn = fns
-	c.setOrder(leq)
+	index, err := b.index(t)
+	if err != nil {
+		return err
+	}
+	c.Fn, c.index = fns, index
+	c.setOrder(o)
 	return nil
 }
 
@@ -148,20 +178,22 @@ func (c *Compiled) compose(t *ost.OrderTransform) error {
 // New runs on every leaf: New's way with a leaf root, and with an
 // expression its rules cannot compose.
 func (c *Compiled) enumerate(t *ost.OrderTransform) error {
-	fns, err := enumRows(t, c.Elems, c.Index)
+	c.index, _ = mapIndex(c.Elems)
+	fns, err := enumRows(t, c.Elems, c.index)
 	if err != nil {
 		return err
 	}
 	c.Fn = fns
-	c.setOrder(enumOrder(t, c.Elems))
+	c.setOrder(fromMatrix(c.N, enumOrder(t, c.Elems)))
 	return nil
 }
 
-// setOrder keeps the rank of the ≲ matrix leq when rankOf derives one,
-// else leq and the < matrix.
-func (c *Compiled) setOrder(leq []uint8) {
+// setOrder keeps o's rank when it has one, else its ≲ matrix and the <
+// matrix derived from it.
+func (c *Compiled) setOrder(o ordered) {
 	n := c.N
-	if c.Rank = rankOf(n, leq); c.Rank == nil {
+	if c.Rank = o.rank; c.Rank == nil {
+		leq := o.leq
 		c.LeqBits, c.LtBits = leq, make([]uint8, n*n)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
@@ -171,16 +203,30 @@ func (c *Compiled) setOrder(leq []uint8) {
 	}
 }
 
+// mapIndex indexes elems by value: the lookup of a leaf, and of a
+// transform no rule composes. A repeated element maps to its last index;
+// distinct reports that none repeats.
+func mapIndex(elems []value.V) (index func(value.V) (int, bool), distinct bool) {
+	m := make(map[value.V]int, len(elems))
+	for i, e := range elems {
+		m[e] = i
+	}
+	return func(v value.V) (int, bool) {
+		i, ok := m[v]
+		return i, ok
+	}, len(m) == len(elems)
+}
+
 // enumRows applies every function of t to every element of elems and
 // indexes the result: the F·N value-level cells of a leaf.
-func enumRows(t *ost.OrderTransform, elems []value.V, index map[value.V]int) ([]uint16, error) {
+func enumRows(t *ost.OrderTransform, elems []value.V, index func(value.V) (int, bool)) ([]uint16, error) {
 	n := len(elems)
 	fns := make([]uint16, len(t.F.Fns)*n)
 	for fi, f := range t.F.Fns {
 		tab := fns[fi*n : (fi+1)*n]
 		for wi, e := range elems {
 			out := f.Apply(e)
-			oi, ok := index[out]
+			oi, ok := index(out)
 			if !ok {
 				return nil, fmt.Errorf("compile: function %s of %s maps %s outside the carrier",
 					f.Name, t.Name, value.Format(out))
@@ -207,15 +253,39 @@ func enumOrder(t *ost.OrderTransform, elems []value.V) []uint8 {
 }
 
 // errNoRule stops a composition whose operands the rules cannot index;
-// New then enumerates the whole transform.
-var errNoRule = errors.New("compile: no composition rule applies")
+// New then enumerates the whole transform. errTooLarge stops one that
+// would build a table past the ceiling; Within then fails.
+var (
+	errNoRule   = errors.New("compile: no composition rule applies")
+	errTooLarge = errors.New("compile: table past the ceiling")
+)
+
+// ordered is a subexpression's order: its rank when the order is a total
+// preorder, else its ≲ matrix.
+type ordered struct {
+	rank []uint16
+	leq  []uint8
+}
+
+// fromMatrix is the order whose ≲ matrix is leq: its rank when rankOf
+// derives one, else the matrix itself.
+func fromMatrix(n int, leq []uint8) ordered {
+	if rank := rankOf(n, leq); rank != nil {
+		return ordered{rank: rank}
+	}
+	return ordered{leq: leq}
+}
 
 // builder holds one New call's subexpression tables, keyed by the
-// transform they belong to, so a shared operand is built once: the ≲
-// matrix of each, and the function rows of those whose rows are read.
+// transform they belong to, so a shared operand is built once: the order
+// and index of each, and the function rows of those whose rows are read.
+// No order matrix it builds has more than limit elements a side, and no
+// function table more than limit² cells.
 type builder struct {
-	leq map[*ost.OrderTransform][]uint8
-	fns map[*ost.OrderTransform][]uint16
+	limit int
+	ords  map[*ost.OrderTransform]ordered
+	fns   map[*ost.OrderTransform][]uint16
+	idx   map[*ost.OrderTransform]func(value.V) (int, bool)
 }
 
 // size is t's carrier size, or errNoRule when t's carrier is infinite
@@ -229,51 +299,103 @@ func size(t *ost.OrderTransform) (int, error) {
 	return n, nil
 }
 
-// order returns t's ≲ matrix, composed by t's rule or evaluated at a
-// leaf.
-func (b *builder) order(t *ost.OrderTransform) ([]uint8, error) {
-	if leq, ok := b.leq[t]; ok {
-		return leq, nil
+// order returns t's order, composed by t's rule or evaluated at a leaf.
+func (b *builder) order(t *ost.OrderTransform) (ordered, error) {
+	if o, ok := b.ords[t]; ok {
+		return o, nil
 	}
 	n, err := size(t)
 	if err != nil {
-		return nil, err
+		return ordered{}, err
 	}
-	var leq []uint8
+	var o ordered
 	rule, ops := t.Construction()
 	switch rule {
 	case ost.RuleLex:
-		ls, err := b.order(ops[0])
+		ordS, err := b.order(ops[0])
 		if err != nil {
-			return nil, err
+			return ordered{}, err
 		}
-		lt, err := b.order(ops[1])
+		ordT, err := b.order(ops[1])
 		if err != nil {
-			return nil, err
+			return ordered{}, err
 		}
 		nS, nT := ops[0].Carrier().Size(), ops[1].Carrier().Size()
 		if nS*nT != n {
-			return nil, errNoRule
+			return ordered{}, errNoRule
 		}
-		leq = lexOrder(ls, nS, lt, nT)
+		if ordS.rank != nil && ordT.rank != nil {
+			o.rank = lexRank(ordS.rank, ordT.rank, nT)
+			break
+		}
+		ls, err := b.matrix(ordS, nS)
+		if err != nil {
+			return ordered{}, err
+		}
+		lt, err := b.matrix(ordT, nT)
+		if err != nil {
+			return ordered{}, err
+		}
+		if n > b.limit {
+			return ordered{}, errTooLarge
+		}
+		o = fromMatrix(n, lexOrder(ls, nS, lt, nT))
 	case ost.RuleLeft, ost.RuleRight, ost.RuleUnion:
-		if leq, err = b.order(ops[0]); err != nil {
-			return nil, err
+		if ops[0].Carrier().Size() != n {
+			return ordered{}, errNoRule
+		}
+		if o, err = b.order(ops[0]); err != nil {
+			return ordered{}, err
 		}
 	case ost.RuleAddTop:
-		ls, err := b.order(ops[0])
+		ordS, err := b.order(ops[0])
 		if err != nil {
-			return nil, err
+			return ordered{}, err
 		}
 		top, err := topIndex(t, ops[0])
 		if err != nil {
-			return nil, err
+			return ordered{}, err
 		}
-		leq = addTopOrder(ls, ops[0].Carrier().Size(), n, top)
+		nS := ops[0].Carrier().Size()
+		if ordS.rank != nil {
+			o.rank = addTopRank(ordS.rank, n, top)
+			break
+		}
+		ls, err := b.matrix(ordS, nS)
+		if err != nil {
+			return ordered{}, err
+		}
+		if n > b.limit {
+			return ordered{}, errTooLarge
+		}
+		o = fromMatrix(n, addTopOrder(ls, nS, n, top))
 	default:
-		leq = enumOrder(t, t.Carrier().Elems)
+		if n > b.limit {
+			return ordered{}, errTooLarge
+		}
+		o = fromMatrix(n, enumOrder(t, t.Carrier().Elems))
 	}
-	b.leq[t] = leq
+	b.ords[t] = o
+	return o, nil
+}
+
+// matrix returns o's ≲ matrix over n elements, spelled out from its
+// rank when o has one — for a parent that has no rank to compose.
+func (b *builder) matrix(o ordered, n int) ([]uint8, error) {
+	if o.rank == nil {
+		return o.leq, nil
+	}
+	if n > b.limit {
+		return nil, errTooLarge
+	}
+	leq := make([]uint8, n*n)
+	for a, ra := range o.rank {
+		for c, rc := range o.rank {
+			if ra <= rc {
+				leq[a*n+c] = 1
+			}
+		}
+	}
 	return leq, nil
 }
 
@@ -286,6 +408,9 @@ func (b *builder) rows(t *ost.OrderTransform) ([]uint16, error) {
 	n, err := size(t)
 	if err != nil || !t.F.Finite() {
 		return nil, errNoRule
+	}
+	if len(t.F.Fns)*n > b.limit*b.limit {
+		return nil, errTooLarge
 	}
 	var fns []uint16
 	rule, ops := t.Construction()
@@ -340,12 +465,11 @@ func (b *builder) rows(t *ost.OrderTransform) ([]uint16, error) {
 		}
 		fns = addTopRows(fs, len(s.F.Fns), s.Carrier().Size(), n, top)
 	default:
-		elems := t.Carrier().Elems
-		index := make(map[value.V]int, n)
-		for i, e := range elems {
-			index[e] = i
+		index, err := b.index(t)
+		if err != nil {
+			return nil, err
 		}
-		if fns, err = enumRows(t, elems, index); err != nil {
+		if fns, err = enumRows(t, t.Carrier().Elems, index); err != nil {
 			return nil, err
 		}
 	}
@@ -354,6 +478,103 @@ func (b *builder) rows(t *ost.OrderTransform) ([]uint16, error) {
 	}
 	b.fns[t] = fns
 	return fns, nil
+}
+
+// index returns the lookup from t's carrier values to their indices: a
+// value map at a leaf, and above it the operands' lookups, by the
+// carriers the rules lay out.
+func (b *builder) index(t *ost.OrderTransform) (func(value.V) (int, bool), error) {
+	if index, ok := b.idx[t]; ok {
+		return index, nil
+	}
+	var index func(value.V) (int, bool)
+	rule, ops := t.Construction()
+	switch rule {
+	case ost.RuleLex:
+		is, err := b.index(ops[0])
+		if err != nil {
+			return nil, err
+		}
+		it, err := b.index(ops[1])
+		if err != nil {
+			return nil, err
+		}
+		nT := ops[1].Carrier().Size()
+		index = func(v value.V) (int, bool) {
+			p, ok := v.(value.Pair)
+			if !ok {
+				return 0, false
+			}
+			a, okA := is(p.A)
+			c, okC := it(p.B)
+			return a*nT + c, okA && okC
+		}
+	case ost.RuleLeft, ost.RuleRight, ost.RuleUnion:
+		return b.index(ops[0])
+	case ost.RuleAddTop:
+		is, err := b.index(ops[0])
+		if err != nil {
+			return nil, err
+		}
+		top, err := topIndex(t, ops[0])
+		if err != nil {
+			return nil, err
+		}
+		index = is
+		if top == ops[0].Carrier().Size() {
+			index = func(v value.V) (int, bool) {
+				if v == value.V(value.Top{}) {
+					return top, true
+				}
+				return is(v)
+			}
+		}
+	default:
+		var distinct bool
+		if index, distinct = mapIndex(t.Carrier().Elems); !distinct {
+			return nil, errNoRule
+		}
+	}
+	b.idx[t] = index
+	return index, nil
+}
+
+// lexRank composes the rank of S ×lex T from S's and T's: the elements
+// strictly below (a, b) are every pair whose first component is strictly
+// below a, nT per element, and the pairs (a', b') with a' ~ a and b'
+// strictly below b, |[a]| per element strictly below b.
+func lexRank(rS, rT []uint16, nT int) []uint16 {
+	class := make([]int, len(rS)) // class[r]: the elements of S at rank r
+	for _, r := range rS {
+		class[r]++
+	}
+	rank := make([]uint16, len(rS)*nT)
+	for a, ra := range rS {
+		base, k, row := int(ra)*nT, class[ra], rank[a*nT:(a+1)*nT]
+		for b, rb := range rT {
+			row[b] = uint16(base + k*int(rb))
+		}
+	}
+	return rank
+}
+
+// addTopRank composes the rank of addtop(S), n elements with ⊤ at index
+// top, from S's: ⊤ has every other element strictly below it. Appended
+// (top == len(rS)), it leaves S's ranks as they were; already in S, it
+// moves up from wherever S ranked it, so an element S ranked above ⊤
+// counts one element fewer below it.
+func addTopRank(rS []uint16, n, top int) []uint16 {
+	rank := make([]uint16, n)
+	copy(rank, rS)
+	if top < len(rS) {
+		for a, r := range rS {
+			if r > rS[top] {
+				rank[a] = r - 1
+			}
+		}
+	}
+	rank[top] = uint16(n - 1)
+	return rank
 }
 
 // lexOrder composes the ≲ matrix of S ×lex T from S's (nS×nS) and T's

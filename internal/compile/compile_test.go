@@ -61,7 +61,7 @@ func TestCompilePairCarrier(t *testing.T) {
 	// Round-trip every element through the index and spot-check the order
 	// tables against the dynamic preorder.
 	for i, e := range c.Elems {
-		if c.Index[e] != i {
+		if j, ok := c.Index(e); !ok || j != i {
 			t.Fatalf("index round-trip broken at %d", i)
 		}
 	}

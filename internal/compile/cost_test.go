@@ -41,6 +41,9 @@ var costCases = []costCase{
 	{"scoped-2304", "scoped(bw(8), delay(255,4))", func(calls *int) *ost.OrderTransform {
 		return ost.Scoped(counted(baselib.Bandwidth(8), calls), counted(baselib.Delay(255, 4), calls))
 	}},
+	{"query-8448", "lex(delay(255,3), hops(32))", func(calls *int) *ost.OrderTransform {
+		return ost.Lex(counted(baselib.Delay(255, 3), calls), counted(baselib.HopCount(32), calls))
+	}},
 }
 
 // leafCost is Σ over the leaves under t of F·N + N², each leaf counted
@@ -95,10 +98,11 @@ func TestCompileCostBoundedByLeaves(t *testing.T) {
 	}
 }
 
-// BenchmarkCompile times New on the policy product and the two largest
-// algebras near exec.AutoLimit, and reports value-calls/op: the leaf
-// function applications and order tests each compile makes, a count
-// fixed by the expression (scripts/ci.sh bounds the policy product's).
+// BenchmarkCompile times New on the policy product, the two largest
+// algebras near exec.AutoLimit and the query workloads' 8 448-element
+// product past it, and reports value-calls/op: the leaf function
+// applications and order tests each compile makes, a count fixed by the
+// expression (scripts/ci.sh bounds the policy and query products').
 func BenchmarkCompile(b *testing.B) {
 	for _, c := range costCases {
 		b.Run(c.name, func(b *testing.B) {

@@ -15,8 +15,9 @@
 //
 // A third, tiered backend (tiered.go) sits between them: it hash-conses
 // like the dynamic backend but memoises Apply and the preorder into dense
-// tables over the first-touch hot sub-carrier, so algebras past the
-// auto-compile ceiling still execute mostly off tables.
+// tables over the first-touch hot sub-carrier, so algebras For does not
+// compile — infinite carriers, leaves past AutoLimit, products over a
+// partial order past it — still execute mostly off tables.
 //
 // Sharing across goroutines: the compiled backend is immutable and the
 // tiered backend is concurrent by construction (memo hits read an
@@ -24,9 +25,10 @@
 // mutex), so both are shared as they are. Only the dynamic backend
 // needs Concurrent's mutex wrapper.
 //
-// For(...) picks the backend from the algebra alone: finite algebras up
-// to AutoLimit are compiled once (memoised per order transform) and
-// everything else runs tiered. No flag or caller overrides the pick; New
+// For(...) picks the backend from the algebra alone: finite algebras
+// whose compile builds no order matrix past AutoLimit elements are
+// compiled once (memoised per order transform) and everything else runs
+// tiered. No flag or caller overrides the pick; New
 // builds a named backend only for the differential tests and benchmarks
 // that substitute one engine for another. This realizes the design goal
 // that the compiled form is the universal execution substrate rather than
@@ -93,14 +95,18 @@ type Algebra interface {
 	Equiv(a, b int32) bool
 }
 
-// AutoLimit is the carrier-size ceiling for automatic compilation. What
-// a compiled total order keeps is small — 2·F·N bytes of function table
-// plus 2·N of rank — but building it fills an n² byte order matrix and
-// checks the rank against every cell (the matrix is kept, with a second
-// one, only when the order turns out not to be total), so For stops
-// well below compile.New's 2¹⁵ hard cap: 4096² ≈ 16.7M cells and 17 MB
-// of scratch build, while a 12 870-element scoped product would already
-// cost ~165 MB. New with ModeCompiled goes to the hard cap.
+// AutoLimit is the ceiling For compiles under: the most elements an
+// order matrix the compile builds may have a side of, and the square
+// root of the most cells a function table may have
+// (compile.Within). What a compiled total order keeps is small — 2·F·N
+// bytes of function table plus 2·N of rank — but an order matrix is
+// n² bytes, and a leaf's is filled value by value and checked against
+// its rank. Ranks compose over the expression's operators, so only the
+// leaves, and composites over an operand with no rank (a partial order
+// such as tags), build one: a ranked composite compiles up to
+// compile.New's 2¹⁵ hard cap whatever its carrier, while a single leaf
+// past 4 096 elements (4096² ≈ 16.7M cells of matrix) runs tiered. New
+// with ModeCompiled compiles with no ceiling below the hard cap.
 const AutoLimit = 4096
 
 // dynamic executes an order transform directly, hash-consing weights so
@@ -164,8 +170,11 @@ type tabledPartial struct{ tabled }
 // Compile builds the compiled backend. It fails exactly when compile.New
 // does: infinite carriers or function sets, or carriers above the 2¹⁵
 // hard cap.
-func Compile(t *ost.OrderTransform) (Algebra, error) {
-	c, err := compile.New(t)
+func Compile(t *ost.OrderTransform) (Algebra, error) { return compiled(t, 1<<15) }
+
+// compiled builds the compiled backend from compile.Within(t, limit).
+func compiled(t *ost.OrderTransform, limit int) (Algebra, error) {
+	c, err := compile.Within(t, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +196,7 @@ func (e *tabled) Source() *ost.OrderTransform { return e.ot }
 func (e *tabled) NumFns() int                 { return e.c.NumFns }
 
 func (e *tabled) Intern(v value.V) (int32, error) {
-	if w, ok := e.c.Index[v]; ok {
+	if w, ok := e.c.Index(v); ok {
 		return int32(w), nil
 	}
 	return 0, fmt.Errorf("exec: %s is not in the compiled carrier of %s",
@@ -228,7 +237,7 @@ func Tables(a Algebra) *compile.Compiled {
 // remembered too.
 func cachedCompile(t *ost.OrderTransform) (Algebra, bool) {
 	eng, ok := t.Memo(func() any {
-		eng, err := Compile(t)
+		eng, err := compiled(t, AutoLimit)
 		if err != nil {
 			return nil
 		}
@@ -238,13 +247,17 @@ func cachedCompile(t *ost.OrderTransform) (Algebra, bool) {
 }
 
 // For picks the execution backend for t: compiled (memoised) when the
-// algebra is finite, within AutoLimit, compiles cleanly and every origin
-// in origins interns; tiered otherwise, so big lex products past the
-// AutoLimit ceiling still execute the hot sub-carrier off dense tables.
-// It is the constructor every production solve path uses, which is what
-// makes the compiled form the universal substrate.
+// algebra is finite, compiles cleanly without building an order matrix
+// past AutoLimit elements (or a function table past AutoLimit² cells),
+// and every origin in origins interns; tiered otherwise. So a ranked
+// composite such as lex(delay(255,3), hops(32)), 8 448 elements over
+// leaves of 256 and 33, compiles, while a leaf past AutoLimit, a product
+// over a partial order past it, and an infinite carrier run tiered,
+// executing the hot sub-carrier off dense tables. It is the constructor
+// every production solve path uses, which is what makes the compiled
+// form the universal substrate.
 func For(t *ost.OrderTransform, origins ...value.V) Algebra {
-	if t.Finite() && t.Carrier().Size() <= AutoLimit {
+	if t.Finite() {
 		if eng, ok := cachedCompile(t); ok {
 			for _, o := range origins {
 				if _, err := eng.Intern(o); err != nil {

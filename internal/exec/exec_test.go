@@ -21,13 +21,16 @@ func ot(t *testing.T, src string) *core.Algebra {
 }
 
 // TestForPicksCompiledForFinite pins the backend the benchmark's
-// workloads rely on: every finite algebra within AutoLimit compiles, the
-// total orders with flat tables for the sweep and ECMP scan.
+// workloads rely on: every finite algebra whose leaves fit AutoLimit
+// compiles, the total orders with flat tables for the sweep and ECMP
+// scan — a ranked composite past AutoLimit elements included, since its
+// rank composes from its leaves' and it builds no matrix of its own.
 func TestForPicksCompiledForFinite(t *testing.T) {
 	for _, src := range []string{
 		"delay(16,2)",
-		"lex(delay(32,3), hops(8))",  // storm-sparse-100k: 33 × 9 elements
-		"scoped(bw(4), delay(64,4))", // storm-policy-2k: 5 × 65 elements
+		"lex(delay(32,3), hops(8))",   // storm-sparse-100k: 33 × 9 elements
+		"scoped(bw(4), delay(64,4))",  // storm-policy-2k: 5 × 65 elements
+		"lex(delay(255,3), hops(32))", // the query workloads: 256 × 33 = 8 448 elements
 	} {
 		a := ot(t, src)
 		eng := For(a.OT, a.OT.DefaultOrigin())
@@ -38,12 +41,10 @@ func TestForPicksCompiledForFinite(t *testing.T) {
 }
 
 // TestForFallsBackToTiered: no dense tables exist for an infinite
-// carrier (delay(0, k) is the unbounded delay algebra), and For does not
-// build them past AutoLimit (the query workloads' lex product has
-// 256 × 33 = 8 448 elements); the tiered backend memoises the hot
-// sub-carrier of both.
+// carrier (delay(0, k) is the unbounded delay algebra); the tiered
+// backend memoises its hot sub-carrier.
 func TestForFallsBackToTiered(t *testing.T) {
-	for _, src := range []string{"delay(0,2)", "lex(delay(255,3), hops(32))"} {
+	for _, src := range []string{"delay(0,2)"} {
 		a := ot(t, src)
 		if eng := For(a.OT, a.OT.DefaultOrigin()); eng.Mode() != ModeTiered {
 			t.Errorf("%s: want tiered, got %s", src, eng.Mode())
@@ -65,6 +66,37 @@ func TestForAutoLimitIsInclusive(t *testing.T) {
 	past := ot(t, fmt.Sprintf("delay(%d,2)", AutoLimit))
 	if m := For(past.OT, 0).Mode(); m != ModeTiered {
 		t.Fatalf("%d-element carrier: got %s, want tiered", AutoLimit+1, m)
+	}
+}
+
+// TestForUnrankedOperandPastAutoLimitIsTiered: a product over an
+// operand with no rank — tags(2)'s four tag sets are discretely ordered
+// — has no rank to compose either, so its order needs a matrix of its
+// own; past AutoLimit elements For does not build it, on either side of
+// the product, while the same product within AutoLimit still compiles
+// (with matrices, so no flat tables).
+func TestForUnrankedOperandPastAutoLimitIsTiered(t *testing.T) {
+	for _, src := range []string{"lex(tags(2), delay(1023,2))", "lex(delay(1023,2), tags(2))"} {
+		a := ot(t, src)
+		if n := a.OT.Carrier().Size(); n != AutoLimit {
+			t.Fatalf("%s: carrier has %d elements, want %d", src, n, AutoLimit)
+		}
+		eng := For(a.OT, a.OT.DefaultOrigin())
+		if eng.Mode() != ModeCompiled || Tables(eng) != nil {
+			t.Errorf("%s: got %s (tables %v), want compiled without a rank", src, eng.Mode(), Tables(eng) != nil)
+		}
+	}
+	for _, src := range []string{"lex(tags(2), delay(1024,2))", "lex(delay(1024,2), tags(2))"} {
+		a := ot(t, src)
+		if n := a.OT.Carrier().Size(); n <= AutoLimit {
+			t.Fatalf("%s: carrier has %d elements, want more than %d", src, n, AutoLimit)
+		}
+		if m := For(a.OT, a.OT.DefaultOrigin()).Mode(); m != ModeTiered {
+			t.Errorf("%s: got %s, want tiered", src, m)
+		}
+		if _, err := New(a.OT, ModeCompiled); err != nil {
+			t.Errorf("%s: ModeCompiled has no ceiling below 2^15 and must compile: %v", src, err)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package exec
 
 // This file holds the tiered backend: the middle rung between the
-// dense-table compiled engine (carriers ≤ AutoLimit) and the pure
-// interpreter. Big lex products blow past the auto-compile ceiling —
-// the quadratic preorder tables stop paying — but their *working set*
+// dense-table compiled engine (whose compile builds no order matrix past
+// AutoLimit elements) and the pure interpreter. Infinite carriers, big
+// leaves and products over a partial order blow past that ceiling — the
+// quadratic preorder tables stop paying — but their *working set*
 // under any one topology is tiny: a solver run touches the weights
 // reachable from the origins, which is orders of magnitude smaller
 // than the carrier. The tiered engine therefore compiles the hot

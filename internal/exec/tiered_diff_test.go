@@ -147,10 +147,12 @@ func TestTieredDifferentialRIB(t *testing.T) {
 	}
 }
 
-// TestTieredBigCarrier: on a carrier above AutoLimit — the population
-// tiered compilation exists for — For() selects the tiered backend and
-// the results stay bit-identical to the interpreter through both entry
-// forms.
+// TestTieredBigCarrier: on a carrier above AutoLimit the results of the
+// tiered backend stay bit-identical to the interpreter through both
+// entry forms. For compiles this ranked product (its rank composes from
+// its leaves'), so the pair is built by name; For still picks tiered for
+// a single leaf past AutoLimit, the population tiered compilation now
+// exists for beside infinite carriers.
 func TestTieredBigCarrier(t *testing.T) {
 	const src = "lex(delay(127,2), delay(63,2))" // 128 × 64 = 8192 > AutoLimit
 	a, err := core.InferString(src)
@@ -164,8 +166,12 @@ func TestTieredBigCarrier(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s: no bottom origin", src)
 	}
-	if m := exec.For(a.OT, b).Mode(); m != exec.ModeTiered {
-		t.Fatalf("For() on a %d-carrier picked %q, want tiered", a.OT.Carrier().Size(), m)
+	leaf, err := core.InferString("delay(8191,2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := exec.For(leaf.OT, 0).Mode(); m != exec.ModeTiered {
+		t.Fatalf("For() on the %d-element leaf picked %q, want tiered", leaf.OT.Carrier().Size(), m)
 	}
 	r := rand.New(rand.NewSource(555))
 	dyn, tier := tierPair(t, a.OT, b)

@@ -40,6 +40,14 @@
 // lays pages as it reads and a follower's state adopts them as they are.
 // Pages leave no trace on the wire — the bytes are those of one flat
 // column, because a page's pool is a contiguous run of the flat pool.
+//
+// A follower that starts cold bootstraps from a full record at the
+// leader's head. The publisher serves it from the log when it can: when
+// the head is the last full record it appended there (the leader's boot,
+// a rebuild), the record's bytes are copied from the file to the
+// connection, so a boot encodes its snapshot once. Otherwise — a delta
+// since, no log, a rotation since — the publisher's source encodes the
+// snapshot at head; the bytes are the same either way.
 package replica
 
 import (
@@ -48,6 +56,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
 	"metarouting/internal/rib"
 	"metarouting/internal/solve"
@@ -388,6 +398,15 @@ func frameKind(frame []byte) byte {
 	return frame[5]
 }
 
+// fullVersion returns the version a framed full record carries, false
+// when frame is not one.
+func fullVersion(frame []byte) (uint64, bool) {
+	if frameKind(frame) != KindFull || len(frame) < 14 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(frame[6:]), true
+}
+
 // EncodeSubscribe frames the client handshake.
 func EncodeSubscribe(fromVersion uint64) []byte {
 	w := newFrame(KindSubscribe, 8)
@@ -502,20 +521,11 @@ func (r *rbuf) ints() ([]int, error) {
 	return out, nil
 }
 
-// slot reads one column slot: the routed flag and, when it is set, the
-// weight index and the next-hop count. The common case — the whole slot
-// in the buffer and a well-formed flag — is read in one step; anything
-// else goes field by field, so a short or malformed slot reports exactly
-// the error the field readers give.
-func (r *rbuf) slot() (routed bool, w int32, nh uint32, err error) {
-	if b := r.b[r.off:]; len(b) >= 9 && b[0] <= 1 {
-		if b[0] == 0 {
-			r.off++
-			return false, 0, 0, nil
-		}
-		r.off += 9
-		return true, int32(binary.LittleEndian.Uint32(b[1:])), binary.LittleEndian.Uint32(b[5:]), nil
-	}
+// slotFields reads one column slot field by field — the routed flag and,
+// when it is set, the weight index and the next-hop count — for a slot
+// too short or malformed for column's one-step read, so that it reports
+// exactly the error the field readers give.
+func (r *rbuf) slotFields() (routed bool, w int32, nh uint32, err error) {
 	if routed, err = r.bool(); err != nil || !routed {
 		return routed, 0, 0, err
 	}
@@ -526,15 +536,22 @@ func (r *rbuf) slot() (routed bool, w int32, nh uint32, err error) {
 	return true, w, nh, err
 }
 
-// column decodes one column straight into pages. Offsets do not travel:
-// the slot pass lays each slot (rib.ColumnPage.SetSlot) at its
-// page-relative start, the running span sum within its page — the
-// canonical layout, in which a span too long for NhLen saturates it and
-// still ends exactly where the next one starts, and a start too far for
-// NhOff goes to the page's side array — and so learns every page's pool
-// length; once the span total has been cross-checked against the pool
-// count on the wire (itself bounded by the bytes received), the pool
-// pass allocates each page pool exactly and range-checks every next hop.
+// column decodes one column straight into pages, one allocation per
+// page and one per page pool, each sized exactly. Offsets do not travel:
+// the slot pass lays each slot at its page-relative start, the running
+// span sum within its page — the canonical layout, in which a span too
+// long for NhLen saturates it and still ends exactly where the next one
+// starts, and a start too far for NhOff goes to the page's side array
+// (rib.ColumnPage.SetSlot) — and so learns every page's pool length;
+// once the span total has been cross-checked against the pool count on
+// the wire (itself bounded by the bytes received), the pool pass
+// allocates each page pool and range-checks every next hop.
+//
+// Pages are not cut from one per-column slab: a slab lives while any of
+// its pages does, and a follower's patches replace pages one at a time,
+// so after a storm a column would keep every page it replaced. On the
+// query workloads' follower that retained more heap at every point of a
+// 2 500-storm run than the slabs saved at boot (CHANGES.md).
 func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 	dest, err := r.u32()
 	if err != nil {
@@ -557,32 +574,58 @@ func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 	pages := make([]*rib.ColumnPage, (nSlots+rib.PageSize-1)>>rib.PageShift)
 	poolLens := make([]int32, len(pages))
 	var total int64
+	b, off := r.b, r.off
 	for pi := range pages {
 		p := &rib.ColumnPage{}
 		pages[pi] = p
 		base := pi << rib.PageShift
-		var off int32
-		for i, lim := 0, rib.PageLen(pi, nSlots); i < lim; i++ {
-			routed, w, nh, err := r.slot()
-			if err != nil {
-				return nil, err
-			}
-			if !routed {
-				continue
+		slots := p.Slots[:rib.PageLen(pi, nSlots)]
+		var start, live int32
+		for i := range slots {
+			var w int32
+			var nh uint32
+			if s := b[off:]; len(s) >= 9 && s[0] <= 1 {
+				// The whole slot is in the buffer with a well-formed flag.
+				if s[0] == 0 {
+					off++
+					continue
+				}
+				w, nh = int32(binary.LittleEndian.Uint32(s[1:5])), binary.LittleEndian.Uint32(s[5:9])
+				off += 9
+			} else {
+				r.off = off
+				routed, fw, fnh, err := r.slotFields()
+				if err != nil {
+					return nil, err
+				}
+				if off = r.off; !routed {
+					continue
+				}
+				w, nh = fw, fnh
 			}
 			if nh == 0 && base+i != int(dest) {
 				// Forward indexes a routed node's primary next hop
 				// unconditionally; only the destination has none.
+				r.off = off
 				return nil, r.fail("column %d node %d is routed with no next hop", dest, base+i)
 			}
 			if total += int64(nh); total > int64(maxFrame) {
+				r.off = off
 				return nil, r.fail("column %d pool overflows", dest)
 			}
-			p.SetSlot(i, w, off, int32(nh))
-			off += int32(nh)
+			if start < math.MaxUint16 {
+				// SetSlot's common case, written in place.
+				slots[i] = rib.PageSlot{W: w, NhOff: uint16(start), NhLen: uint8(min(nh, rib.MaxPageNhLen)), Routed: true}
+				live++
+			} else {
+				p.SetSlot(i, w, start, int32(nh))
+			}
+			start += int32(nh)
 		}
-		poolLens[pi] = off
+		p.Live += live
+		poolLens[pi] = start
 	}
+	r.off = off
 	poolLen, err := r.count(4)
 	if err != nil {
 		return nil, err
@@ -592,14 +635,17 @@ func (r *rbuf) column(nodes int) (*rib.PagedColumn, error) {
 	}
 	for pi, p := range pages {
 		p.Pool = make([]int32, poolLens[pi])
+		hops, top := r.b[r.off:r.off+4*len(p.Pool)], uint32(0) // count(4) vouched for poolLen entries
 		for k := range p.Pool {
-			v := int32(binary.LittleEndian.Uint32(r.b[r.off:])) // count(4) vouched for poolLen entries
-			r.off += 4
-			if v < 0 || int(v) >= nSlots {
-				return nil, r.fail("column %d next hop %d out of range [0,%d)", dest, v, nSlots)
-			}
-			p.Pool[k] = v
+			v := binary.LittleEndian.Uint32(hops[4*k:])
+			p.Pool[k], top = int32(v), max(top, v)
 		}
+		if top >= uint32(nSlots) { // a negative next hop is past 2³¹ here
+			k := slices.IndexFunc(p.Pool, func(v int32) bool { return v < 0 || int(v) >= nSlots })
+			r.off += 4 * (k + 1)
+			return nil, r.fail("column %d next hop %d out of range [0,%d)", dest, p.Pool[k], nSlots)
+		}
+		r.off += 4 * len(p.Pool)
 	}
 	return rib.FromPages(int(dest), nSlots, converged, pages), nil
 }
@@ -900,13 +946,20 @@ func ReadRecord(br *bufio.Reader) (*Record, error) {
 }
 
 // readN reads exactly n bytes into a buffer that grows geometrically
-// with the bytes actually received: it starts at one chunk and doubles
-// only when full, so its capacity never exceeds twice what the stream
-// has delivered — whatever length the frame claimed — and each step
-// reads straight into the buffer.
+// with the bytes actually received: it starts at most one chunk long and
+// doubles only when full, so its capacity never exceeds twice what the
+// stream has delivered — whatever length the frame claimed — and each
+// step reads straight into the buffer. The first size is n halved until
+// it fits a chunk (rounded up), so the doublings land on n itself: the
+// last growth happens once half the frame has arrived, and the copies
+// the growths make add up to about n.
 func readN(r io.Reader, n int) ([]byte, error) {
 	const chunk = 1 << 16
-	out := make([]byte, min(n, chunk))
+	first := n
+	for k := 1; first > chunk; k++ {
+		first = (n + 1<<k - 1) >> k
+	}
+	out := make([]byte, first)
 	got := 0
 	for {
 		m, err := io.ReadFull(r, out[got:])

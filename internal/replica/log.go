@@ -33,6 +33,19 @@ type Log struct {
 	size     int64
 	maxBytes int64
 	seq      int // number the next rotated segment takes
+
+	// full locates the last full record Append wrote to the live file,
+	// the one a publisher may serve a bootstrap from (zero: none). A
+	// failed append clears it: the file's length is then unknown, and
+	// the writer's error sticks, so no later append sets it again.
+	full fullPlace
+}
+
+// fullPlace is a full record's version and its frame's extent in the live
+// file.
+type fullPlace struct {
+	version uint64
+	off, n  int64
 }
 
 // segmentName renders the rotated-segment file name for sequence n.
@@ -106,6 +119,7 @@ func (l *Log) RotateDue() bool {
 func (l *Log) Rotate(version uint64, full []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.full = fullPlace{}
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
@@ -131,15 +145,49 @@ func (l *Log) Rotate(version uint64, full []byte) error {
 }
 
 // Append writes one framed record and flushes it to the OS, so a
-// follower tailing the file sees complete frames only.
+// follower tailing the file sees complete frames only. A full record's
+// place in the file is remembered for OpenFull.
 func (l *Log) Append(frame []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(frame); err != nil {
+	off := l.size
+	_, err := l.w.Write(frame)
+	if err == nil {
+		err = l.w.Flush()
+	}
+	if err != nil {
+		l.full = fullPlace{}
 		return err
 	}
 	l.size += int64(len(frame))
-	return l.w.Flush()
+	if v, ok := fullVersion(frame); ok {
+		l.full = fullPlace{version: v, off: off, n: int64(len(frame))}
+	}
+	return nil
+}
+
+// OpenFull opens the frame of the full record of the given version for
+// reading, when it is the last full record Append wrote to the live
+// file: a read-only handle on that file, positioned at the frame, and
+// the frame's length. It reports false otherwise — another version, a
+// rotation since (Rotate forgets the place), or a failed append. The
+// frame's bytes are never written again, so the handle reads them intact
+// whatever is appended or rotated after it opens; the caller closes it.
+func (l *Log) OpenFull(version uint64) (*os.File, int64, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.full.n == 0 || l.full.version != version {
+		return nil, 0, false
+	}
+	f, err := os.Open(filepath.Join(l.dir, LogName))
+	if err != nil {
+		return nil, 0, false
+	}
+	if _, err := f.Seek(l.full.off, io.SeekStart); err != nil {
+		f.Close()
+		return nil, 0, false
+	}
+	return f, l.full.n, true
 }
 
 // Close flushes and closes the log file.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 )
@@ -39,8 +40,13 @@ type subscriber struct {
 // never kept: it empties the ring, since no delta before it applies
 // after it. So the leader holds no encoded copy of its whole route
 // table; a subscriber the ring's deltas cannot carry from its version —
-// one starting from 0 included — gets a full snapshot encoded by source
-// at the current head.
+// one starting from 0 included — gets a full snapshot at the current
+// head. When the head is a full record this publisher appended to its
+// log (the leader's boot, a rebuild), the snapshot is that record, read
+// back from the file and copied to the connection as it lies there
+// (sendfile, where the platform has it): those are the bytes source
+// would encode. Otherwise — a delta since, no log, or a rotation since —
+// source encodes it.
 type Publisher struct {
 	// source produces a framed full snapshot of the leader's current
 	// state, for subscribers the ring cannot carry. It is called
@@ -193,6 +199,7 @@ func (p *Publisher) handle(conn net.Conn) {
 		return
 	}
 	p.subs[sub] = struct{}{}
+	head := p.head
 	var tail [][]byte
 	needFull := true
 	if from == p.head {
@@ -225,11 +232,17 @@ func (p *Publisher) handle(conn net.Conn) {
 
 	w := bufio.NewWriter(conn)
 	if needFull {
-		_, frame, err := p.source()
+		served, err := p.fullFromLog(conn, head)
 		if err != nil {
 			return
 		}
-		tail = [][]byte{frame}
+		if !served {
+			_, frame, err := p.source()
+			if err != nil {
+				return
+			}
+			tail = [][]byte{frame}
+		}
 	}
 	for _, frame := range tail {
 		if _, err := w.Write(frame); err != nil {
@@ -247,6 +260,26 @@ func (p *Publisher) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// fullFromLog copies the full record of version head from the log to
+// conn, reporting whether the log held it: the bootstrap a subscriber
+// registered at head gets when head is the log's last full record.
+// Records published after head reach the subscriber through its
+// channel, as they do after a source snapshot.
+func (p *Publisher) fullFromLog(conn net.Conn, head uint64) (bool, error) {
+	if p.log == nil {
+		return false, nil
+	}
+	f, n, ok := p.log.OpenFull(head)
+	if !ok {
+		return false, nil
+	}
+	defer f.Close()
+	if m, err := io.Copy(conn, &io.LimitedReader{R: f, N: n}); err != nil || m != n {
+		return true, fmt.Errorf("replica: bootstrap from log: %d of %d bytes: %v", m, n, err)
+	}
+	return true, nil
 }
 
 // Close stops the accept loop, disconnects subscribers, and waits for

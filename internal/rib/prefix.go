@@ -1,7 +1,6 @@
 package rib
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -156,18 +155,46 @@ type PrefixTable struct {
 // more-specific column would be byte-for-byte redundant. This is the
 // same-node /32 suppression rule generalized to any length pair. Kept
 // columns and the suppression record are in (len, addr) order.
+//
+// One integer sort does the ordering and the duplicate search: each
+// announcement's (len, addr, position) packed into a uint64 key, so a
+// prefix's announcements are adjacent, its first one leads, and the
+// leaders are the distinct prefixes in (len, addr) order.
 func NewPrefixTable(announced []PrefixOrigin) (*PrefixTable, error) {
 	if len(announced) == 0 {
 		return nil, fmt.Errorf("rib: empty prefix announcement set")
 	}
-	byPrefix := make(map[Prefix]PrefixOrigin, len(announced))
-	nodeOrigin := make(map[int]value.V)
+	if len(announced) > keyIndexMask {
+		return nil, fmt.Errorf("rib: %d prefix announcements, more than %d", len(announced), keyIndexMask)
+	}
+	keys := make([]uint64, len(announced))
+	for i, po := range announced {
+		p := MakePrefix(po.Prefix.Addr, po.Prefix.Len)
+		keys[i] = uint64(p.Len)<<58 | uint64(p.Addr)<<keyIndexBits | uint64(i)
+	}
+	slices.Sort(keys)
+	// first[i] is the position of the first announcement of announced[i]'s
+	// prefix; ordered lists the distinct prefixes' first announcements.
+	first := make([]int32, len(announced))
 	ordered := make([]PrefixOrigin, 0, len(announced))
-	for _, po := range announced {
-		po.Prefix = MakePrefix(po.Prefix.Addr, po.Prefix.Len)
-		if prev, ok := byPrefix[po.Prefix]; ok {
-			if prev.Node != po.Node || prev.Origin != po.Origin {
-				return nil, fmt.Errorf("rib: prefix %v announced twice with conflicting anchors", po.Prefix)
+	lead := -1
+	for k, key := range keys {
+		i := int32(key & keyIndexMask)
+		if k == 0 || key>>keyIndexBits != keys[k-1]>>keyIndexBits {
+			lead = int(i)
+			po := announced[i]
+			po.Prefix = MakePrefix(po.Prefix.Addr, po.Prefix.Len)
+			ordered = append(ordered, po)
+		}
+		first[i] = int32(lead)
+	}
+	// Validation runs in announcement order, so the error reported is the
+	// first conflict met.
+	nodeOrigin := make(map[int]value.V)
+	for i, po := range announced {
+		if j := first[i]; int(j) != i {
+			if prev := announced[j]; prev.Node != po.Node || prev.Origin != po.Origin {
+				return nil, fmt.Errorf("rib: prefix %v announced twice with conflicting anchors", MakePrefix(po.Prefix.Addr, po.Prefix.Len))
 			}
 			continue
 		}
@@ -175,16 +202,19 @@ func NewPrefixTable(announced []PrefixOrigin) (*PrefixTable, error) {
 			return nil, fmt.Errorf("rib: node %d originates conflicting weights", po.Node)
 		}
 		nodeOrigin[po.Node] = po.Origin
-		byPrefix[po.Prefix] = po
-		ordered = append(ordered, po)
 	}
-	slices.SortFunc(ordered, func(a, b PrefixOrigin) int {
-		return cmp.Or(cmp.Compare(a.Prefix.Len, b.Prefix.Len), cmp.Compare(a.Prefix.Addr, b.Prefix.Addr))
-	})
 	return buildPrefixTable(ordered, func(i, c int32) bool {
 		return c < 0 || ordered[c].Node != ordered[i].Node || ordered[c].Origin != ordered[i].Origin
 	}), nil
 }
+
+// The sort keys pack a prefix's fields above an announcement's position,
+// which takes the low keyIndexBits bits: 6 bits of length and 32 of
+// address leave 26.
+const (
+	keyIndexBits = 26
+	keyIndexMask = 1<<keyIndexBits - 1
+)
 
 // RestorePrefixTable rebuilds a PrefixTable from an already-aggregated
 // announcement set — the replication follower's entry point. kept must
@@ -208,13 +238,19 @@ func RestorePrefixTable(kept, suppressed []PrefixOrigin) *PrefixTable {
 // whether ps[i] is kept (nil keep: all are). Each push and pop closes at
 // most one range, so there are at most 2·len(ps)+1.
 func buildPrefixTable(ps []PrefixOrigin, keep func(i, cover int32) bool) *PrefixTable {
-	order := make([]int32, len(ps))
-	for i := range order {
-		order[i] = int32(i)
+	// (addr, len, position) packed like NewPrefixTable's keys: position
+	// breaks ties, which are repeats in a restored set. ps holds fewer
+	// than 2²⁶ announcements: NewPrefixTable checks, and a restored set
+	// comes off a frame of at most 2²⁸ bytes, nine per announcement.
+	keys := make([]uint64, len(ps))
+	for i, po := range ps {
+		keys[i] = uint64(po.Prefix.Addr)<<32 | uint64(po.Prefix.Len)<<keyIndexBits | uint64(i)
 	}
-	slices.SortFunc(order, func(i, j int32) int { // position breaks ties: repeats in a restored set
-		return cmp.Or(cmp.Compare(ps[i].Prefix.Addr, ps[j].Prefix.Addr), cmp.Compare(ps[i].Prefix.Len, ps[j].Prefix.Len), cmp.Compare(i, j))
-	})
+	slices.Sort(keys)
+	order := make([]int32, len(ps))
+	for k, key := range keys {
+		order[k] = int32(key & keyIndexMask)
+	}
 	// Positions in ps, -1 none, until the renumbering below: at[r] is
 	// range r's deepest covering kept prefix, up[i] the longest kept
 	// strict coverer of ps[i], col[i] 0 (kept) or -1. The stack's -1

@@ -143,17 +143,17 @@ func TestFixpointOnScopedProduct(t *testing.T) {
 }
 
 // TestEngineIsExecFor: a router runs the engine every other solve path
-// builds. lex(delay(255,3), hops(32)) has 8 448 weights, past
-// exec.AutoLimit, so that is the tiered engine, not the interpreter, and
-// the fixpoint it solves equals solve.BellmanFord's weights and next
-// hops. The product lacks M, so New refuses Fixpoint; the literal drives
+// builds. lex(delay(255,3), hops(32)) has 8 448 weights over leaves of
+// 256 and 33, whose ranks compose, so that is the compiled engine, not
+// the interpreter, and the fixpoint it solves equals solve.BellmanFord's
+// weights and next hops. The product lacks M, so New refuses Fixpoint; the literal drives
 // the sweep anyway, which converges under the I it has.
 func TestEngineIsExecFor(t *testing.T) {
 	a := alg(t, "lex(delay(255,3), hops(32))")
 	origin := a.OT.DefaultOrigin()
 	rt := &Router{Algebra: a, Algo: Fixpoint}
-	if m := rt.Engine(origin).Mode(); m != exec.ModeTiered {
-		t.Fatalf("engine %s, want tiered", m)
+	if m := rt.Engine(origin).Mode(); m != exec.ModeCompiled || m != exec.For(a.OT, origin).Mode() {
+		t.Fatalf("engine %s, want compiled, as exec.For picks", m)
 	}
 	g := graph.Random(rand.New(rand.NewSource(11)), 40, 0.1, graph.UniformLabels(a.OT.F.Size()))
 	for dest := 0; dest < g.N; dest += 7 {

@@ -107,8 +107,8 @@ func TestParseErrors(t *testing.T) {
 
 // TestParseRejectsMisfitOrigin: an origin literal that is not a weight
 // of the algebra must fail in Parse whichever backend the algebra would
-// run on — compiled (small finite carrier), tiered (finite past
-// AutoLimit) or an interning backend over an infinite carrier, where
+// run on — compiled (finite, with leaves within AutoLimit), tiered (a
+// finite leaf past AutoLimit) or an interning backend over an infinite carrier, where
 // only the probe of the order and arc functions can tell.
 func TestParseRejectsMisfitOrigin(t *testing.T) {
 	for _, tc := range []struct {
@@ -119,7 +119,8 @@ func TestParseRejectsMisfitOrigin(t *testing.T) {
 	}{
 		{"lex(delay(8,2), hops(4))", exec.ModeCompiled, "7", "(0,0)"},
 		{"lex(delay(8,2), hops(4))", exec.ModeCompiled, "(9,0)", "(8,4)"},
-		{"lex(delay(255,3), hops(32))", exec.ModeTiered, "7", "(0,0)"},
+		{"lex(delay(255,3), hops(32))", exec.ModeCompiled, "7", "(0,0)"},
+		{"lex(delay(8191,2), hops(4))", exec.ModeTiered, "7", "(0,0)"},
 		{"lex(delay(0,2), hops(4))", exec.ModeTiered, "7", "(0,0)"},
 		{"delay(0,2)", exec.ModeTiered, "(1,2)", "0"},
 	} {

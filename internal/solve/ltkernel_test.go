@@ -244,8 +244,9 @@ func TestLtKernelAllocs(t *testing.T) {
 }
 
 // BenchmarkLtKernel times one from-scratch solve by the sweep and by the
-// comparison kernel on the query workloads' tiered engine and a 10k-node
-// scale-free graph.
+// comparison kernel on the query workloads' algebra, on the tiered engine
+// (exec.For compiles that algebra; the comparison kernel serves tiered
+// ones) and a 10k-node scale-free graph.
 func BenchmarkLtKernel(b *testing.B) {
 	a, err := core.InferString("lex(delay(255,3), hops(32))")
 	if err != nil {

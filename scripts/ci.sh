@@ -68,7 +68,9 @@ go test -race -run='^TestPagedMatchesArcIndexOracle$' -count=1 ./internal/rib/
 # colliding and saturated row filters. The tables themselves are built
 # bottom-up over the expression: every composed field (Elems, Index, Fn,
 # Rank, LeqBits, LtBits) against the whole transform evaluated cell by
-# cell, on named, hand-made and 400 random algebras; and the compile's
+# cell, on named, hand-made and 400 random algebras, ranked products
+# past exec.AutoLimit (whose ranks compose with no matrix above their
+# leaves) among the named ones; and the compile's
 # counted cost, the leaves' function applications and order tests, at
 # exactly Σ over distinct leaves of F·N + N² (4 535 for the policy
 # product, whose root evaluated whole makes 381 550 through the same
@@ -234,15 +236,24 @@ go test -bench='^BenchmarkSweepKernel$' -benchtime=1x -run='^$' ./internal/rib/ 
 # The licensed scratch solve's own benchmark (sweep vs best-first kernel on
 # the policy product's 2k graph and a 100k lex graph), named likewise.
 go test -bench='^BenchmarkScratchKernel$' -benchtime=1x -run='^$' ./internal/solve/ | grep -q 'BenchmarkScratchKernel/lex-100k/kernel'
-# The compile's own benchmark (the policy product and the two largest
-# algebras under exec.AutoLimit), named likewise; its value-calls/op is
-# exact on any host, so the policy product's is bounded with no timer: a
-# compile that evaluates the root instead of its leaves fails here.
-go test -bench='^BenchmarkCompile$' -benchtime=1x -run='^$' ./internal/compile/ | awk '
+# The compile's own benchmark (the policy product, the two largest
+# algebras under exec.AutoLimit and the query workloads' 8 448-element
+# product past it), named likewise; its value-calls/op is exact on any
+# host, so the policy and query products' are bounded with no timer: a
+# compile that evaluates the root instead of its leaves fails here. The
+# query product's B/op is bounded at 1 MiB (162 464 B on go1.24
+# linux/amd64): its rank composes from its leaves', and a compile that
+# builds its 8 448² order matrix instead allocates 72 MB and fails here.
+go test -bench='^BenchmarkCompile$' -benchtime=1x -benchmem -run='^$' ./internal/compile/ | awk '
   /^BenchmarkCompile\/scoped-2304/ { s = 1 }
   /^BenchmarkCompile\/policy/ { for (i = 2; i <= NF; i++) if ($i == "value-calls/op") v = $(i - 1) }
-  END { if (!s || v == "" || v + 0 > 4535) {
-    print "BenchmarkCompile: scoped-2304 missing or policy value-calls/op " v " (want <= 4535)"; exit 1 } }'
+  /^BenchmarkCompile\/query-8448/ { for (i = 2; i <= NF; i++) {
+    if ($i == "value-calls/op") q = $(i - 1)
+    if ($i == "B/op") m = $(i - 1)
+  } }
+  END { if (!s || v == "" || v + 0 > 4535 || q == "" || q + 0 > 67426 || m == "" || m + 0 > 1048576) {
+    print "BenchmarkCompile: scoped-2304 missing, policy value-calls/op " v " (want <= 4535), query-8448 " q \
+      " value-calls/op (want <= 67426) and " m " B/op (want <= 1048576)"; exit 1 } }'
 # The log warm start's own benchmark (one destination's rebuild on the
 # storm-policy-2k shape over 4-arc fail/restore pairs, logged delta vs the
 # scratch build it replaced), named likewise.
@@ -254,8 +265,18 @@ go test -bench='^BenchmarkResolveWireBatch$' -benchtime=1x -run='^$' ./internal/
 # and with a column patch), named likewise.
 go test -bench='^BenchmarkApplyDelta$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkApplyDelta/toggles+patch'
 # The full-record codec (encode and decode at 10k and 100k nodes),
-# named likewise.
+# named likewise. A decoded column costs one object per page, one per
+# page pool and three per column, so the decode's allocs/op reads 5 079
+# on the 10k record and 25 039 on the 100k one at 20x on any host (a GC
+# cycle during the run can add one); the bounds sit 0.5 % above. A
+# decode that allocates more per page, or per slot, fails here (a second
+# copy of each pool reads 7 592 and 37 544).
 go test -bench='^Benchmark(En|De)codeFull$' -benchtime=1x -run='^$' ./internal/replica/ | grep -q 'BenchmarkDecodeFull/100k'
+go test -bench='^BenchmarkDecodeFull$' -benchtime=20x -benchmem -run='^$' ./internal/replica/ | awk '
+  /^BenchmarkDecodeFull\/10k/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") a = $(i - 1) }
+  /^BenchmarkDecodeFull\/100k/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") b = $(i - 1) }
+  END { if (a == "" || b == "" || a + 0 > 5104 || b + 0 > 25164) {
+    print "BenchmarkDecodeFull: " a " allocs/op at 10k (want <= 5104), " b " at 100k (want <= 25164)"; exit 1 } }'
 # The leader's in-process swap at the same size (a 4-arc fail/restore
 # pair with the replication sink on), named likewise. Its counted costs
 # are bounded exactly: the pages whose routes changed and the arc
@@ -328,7 +349,8 @@ done
 # per-change next-hop copy. A full
 # record must cost its frame (one exactly-sized allocation, no flat copy
 # of the columns), and a frame reader's buffer must track the bytes
-# received, never the length the frame claims. The adjacency index must stay within
+# received, never the length the frame claims, and land on the frame's
+# length (about 2n allocated to read n bytes, not 3n). The adjacency index must stay within
 # 24 B/arc + 8 B/node at 100k nodes, and a toggle batch on an overlay
 # view must allocate by its endpoints' degree, never by N. A tiered
 # memo hit must allocate nothing, interning must allocate by chunk and
@@ -347,7 +369,7 @@ go test -run='^(TestTieredHitAllocs|TestTieredFootprint|TestCompiledEnginesColle
 go test -run='^(TestScratchKernelAllocs|TestLtKernelAllocs)$' -count=1 ./internal/solve/
 go test -run='^(TestColumnBuildAllocs|TestDeltaPagedAllocs|TestForwardAllocs|TestDerivationDeltaAllocs)$' \
   -count=1 ./internal/rib/
-go test -run='^(TestApplyDeltaAllocs|TestApplyDeltaTogglesAllocs|TestReadRecordBoundedAlloc)$' -count=1 ./internal/replica/
+go test -run='^(TestApplyDeltaAllocs|TestApplyDeltaTogglesAllocs|TestReadRecordBoundedAlloc|TestReadNLandsOnLength)$' -count=1 ./internal/replica/
 go test -run='^(TestPublishAllocsScaleWithChanges|TestEncodeFullAllocs)$' -count=1 ./internal/serve/
 
 # Zero-alloc query-plane guards, under the race detector: the binary
